@@ -32,7 +32,11 @@ import numpy as np
 
 from .errors import IncompatibleDepths, RequiresSurfaceTension
 from .profiles import PiecewiseLinearProfile, ShearProfile
-from .rayleigh import interface_impedance
+from .rayleigh import (
+    integrate_rayleigh_batch,
+    interface_impedance,
+    interface_impedances,
+)
 
 __all__ = [
     "FluidParams",
@@ -155,16 +159,35 @@ def make_miles_residual(profile: ShearProfile, params: FluidParams, k: float,
 
     ``impedance_fn`` overrides the default dispatch (closed forms for
     vorticity-free and unbounded piecewise profiles, the ODE otherwise).
+
+    The returned residual carries a ``batch(cs) -> ndarray`` attribute that
+    evaluates a 1-d array of wave speeds at once.  Where the impedance comes
+    from the ODE, ``batch`` shoots every wave speed in one shared-step loop
+    (:func:`~windwaves.rayleigh.interface_impedances`); closed forms and an
+    ``impedance_fn`` are evaluated point by point.  A batched value depends
+    on the other members of its batch only within the Rayleigh ``tol``, and
+    ``batch`` raises the error the scalar residual would raise at the first
+    failing point.
     """
     _check_depth_consistency(profile, params)
     u0 = profile.value(0.0)
     up0 = profile.slope(0.0)
     if impedance_fn is None:
         impedance_fn = lambda c: interface_impedance(profile, k, c, tol)
+        impedances = lambda cs: interface_impedances(profile, k, cs, tol)
+    else:
+        impedances = lambda cs: np.array([impedance_fn(complex(c)) for c in cs],
+                                         dtype=complex)
 
     def residual(c: complex) -> complex:
         return residual_miles(c, impedance_fn(c), params, k, u0, up0)
 
+    def batch(cs) -> np.ndarray:
+        cs = np.asarray(cs, dtype=complex)
+        return residual_miles(cs, impedances(cs), params, k, u0, up0)
+
+    # a function attribute, so wrappers made with functools.wraps keep it
+    residual.batch = batch
     return residual
 
 
@@ -253,26 +276,19 @@ def _sheared_water_flux(w: ShearProfile, params: FluidParams, k: float,
 
     In the depth variable xi = -x2 the auxiliary field W = Y2 + dgamma/dx2
     solves the Rayleigh equation with profile w(xi); the wall data combine the
-    bottom condition on Y2 with the sheet potential's wall trace.
+    bottom condition on Y2 with the sheet potential's wall trace.  The two
+    basis shoots run as one batch, under the guards of the direct solver, so a
+    solve that fails raises (``NearSingularCoefficient`` near a water critical
+    layer or when the integrator gives up).
     """
-    from scipy.integrate import solve_ivp
-
-    hm = w.h_plus
     ak = abs(k)
     sech = 0.0 if math.isinf(params.h_minus) else 1.0 / math.cosh(ak * params.h_minus)
     gamma_wall = gamma0_m * sech
 
-    def rhs(xi, v):
-        q = w.curvature(xi) / (w.value(xi) - c) + k * k
-        return [v[1], q * v[0]]
-
     # basis solutions with wall data (1, 0) and (0, 1) in the xi variable
-    sol = solve_ivp(rhs, (hm, 0.0), np.array([1.0, 0.0], dtype=complex),
-                    method="DOP853", rtol=tol, atol=tol * 1e-3)
-    v1 = sol.y[:, -1]
-    sol = solve_ivp(rhs, (hm, 0.0), np.array([0.0, 1.0], dtype=complex),
-                    method="DOP853", rtol=tol, atol=tol * 1e-3)
-    v2 = sol.y[:, -1]
+    basis = integrate_rayleigh_batch(w, k, [c, c], tol,
+                                     init=[(1.0, 0.0), (0.0, 1.0)])
+    v1, v2 = np.stack((basis.y0, basis.yp0), axis=1)
 
     # wall data in xi: W(hm) = A (unknown), dW/dxi(hm) = +k^2 gamma_wall
     # (Y2' = 0 at the wall in x2, and d/dx2 = -d/dxi)

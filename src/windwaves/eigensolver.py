@@ -12,6 +12,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     BoundaryZero,
     BranchLost,
@@ -153,6 +155,12 @@ def multistart_roots(residual: Callable[[complex], complex],
     return found
 
 
+#: each refinement level splits a flagged boundary interval into this many
+#: parts; a level spends log2(REFINE_SPLIT) of ``max_levels``
+REFINE_SPLIT = 16
+_REFINE_DEPTH = REFINE_SPLIT.bit_length() - 1
+
+
 def count_roots(residual: Callable[[complex], complex],
                 rectangle: tuple[float, float, float, float],
                 n_boundary: int = 64, *, max_levels: int = 48,
@@ -160,9 +168,19 @@ def count_roots(residual: Callable[[complex], complex],
     """Winding number of the residual around a rectangle (root count inside).
 
     ``rectangle`` is (re_min, re_max, im_min, im_max).  The boundary is walked
-    counterclockwise with n_boundary samples per side; any adjacent pair whose
-    phase difference exceeds pi/2 is bisected, up to ``max_levels`` of local
-    refinement.
+    counterclockwise with n_boundary samples per side; every adjacent pair
+    whose phase difference exceeds pi/2 is split into ``REFINE_SPLIT`` equal
+    parts, all flagged pairs of one level together, up to ``max_levels``
+    halvings of the original spacing (each level counts as
+    log2(REFINE_SPLIT) of them).
+
+    When ``residual`` has a ``batch`` attribute (as the residuals of
+    :func:`~windwaves.dispersion.make_miles_residual` do), ``batch(cs)`` must
+    map a 1-d array of wave speeds to the array of residuals; the contour and
+    then each refinement level are evaluated in one call.  Batched values may
+    depend on the batch within the solver tolerance, which leaves the count
+    unchanged wherever it is well resolved.  Other residuals are evaluated
+    point by point.
 
     Raises
     ------
@@ -174,6 +192,12 @@ def count_roots(residual: Callable[[complex], complex],
     re0, re1, im0, im1 = rectangle
     if not (re1 > re0 and im1 > im0):
         raise ValueError("rectangle must have positive extent")
+    batch = getattr(residual, "batch", None)
+
+    def evaluate(zs: list[complex]) -> list[complex]:
+        if batch is None:
+            return [residual(z) for z in zs]
+        return [complex(v) for v in batch(np.array(zs, dtype=complex))]
 
     corners = [complex(re0, im0), complex(re1, im0),
                complex(re1, im1), complex(re0, im1)]
@@ -181,38 +205,46 @@ def count_roots(residual: Callable[[complex], complex],
     for a, b in zip(corners, corners[1:] + corners[:1]):
         for j in range(n_boundary):
             pts.append(a + (b - a) * (j / n_boundary))
-    vals = [residual(z) for z in pts]
+    vals = evaluate(pts)
 
     floor = zero_floor_rel * max(abs(v) for v in vals)
-    for z, v in zip(pts, vals):
-        if abs(v) <= floor:
-            raise BoundaryZero(f"|residual({z})| = {abs(v):g} on the contour")
 
-    def phase_jump(u: complex, v: complex) -> float:
-        return cmath.phase(v / u)
+    def check_floor(zs: list[complex], fs: list[complex]) -> None:
+        for z, v in zip(zs, fs):
+            if abs(v) <= floor:
+                raise BoundaryZero(f"|residual({z})| = {abs(v):g} on the contour")
 
-    total = 0.0
+    check_floor(pts, vals)
     n = len(pts)
-    for i in range(n):
-        z0, f0 = pts[i], vals[i]
-        z1, f1 = pts[(i + 1) % n], vals[(i + 1) % n]
-        stack = [(z0, f0, z1, f1, 0)]
-        while stack:
-            a, fa, b, fb, depth = stack.pop()
-            dphi = phase_jump(fa, fb)
+    pending = [(pts[i], vals[i], pts[(i + 1) % n], vals[(i + 1) % n])
+               for i in range(n)]
+    total = 0.0
+    depth = 0
+    while pending:
+        flagged = []
+        for a, fa, b, fb in pending:
+            dphi = cmath.phase(fb / fa)
             if abs(dphi) <= 0.5 * math.pi:
                 total += dphi
-                continue
-            if depth >= max_levels:
+            elif depth >= max_levels:
                 raise PhaseJumpUnresolved(
                     f"phase jump {dphi:.3f} rad between {a} and {b} "
                     f"unresolved after {max_levels} levels")
-            m = 0.5 * (a + b)
-            fm = residual(m)
-            if abs(fm) <= floor:
-                raise BoundaryZero(f"|residual({m})| = {abs(fm):g} on the contour")
-            stack.append((m, fm, b, fb, depth + 1))
-            stack.append((a, fa, m, fm, depth + 1))
+            else:
+                flagged.append((a, fa, b, fb))
+        if not flagged:
+            break
+        depth += _REFINE_DEPTH
+        inner = [a + (b - a) * (j / REFINE_SPLIT)
+                 for a, _, b, _ in flagged for j in range(1, REFINE_SPLIT)]
+        inner_vals = evaluate(inner)
+        check_floor(inner, inner_vals)
+        pending = []
+        for i, (a, fa, b, fb) in enumerate(flagged):
+            row = slice(i * (REFINE_SPLIT - 1), (i + 1) * (REFINE_SPLIT - 1))
+            zs = [a] + inner[row] + [b]
+            fs = [fa] + inner_vals[row] + [fb]
+            pending += zip(zs, fs, zs[1:], fs[1:])
 
     winding = total / (2.0 * math.pi)
     count = round(winding)
@@ -258,8 +290,6 @@ def continue_in_epsilon(residual_family: Callable[[float], Callable[[complex], c
         except WindwavesError as exc:
             raise BranchLost(
                 f"branch lost at eps={eps:g} (seed {guess}): {exc}") from exc
-        if res.classification == DEGENERATE:
-            raise BranchLost(f"branch degenerated at eps={eps:g}")
         results.append(res)
         roots.append(res.c)
     return results

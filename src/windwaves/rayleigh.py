@@ -26,13 +26,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
 from .errors import (
     DegenerateAtInterface,
     InfiniteDomain,
     NearSingularCoefficient,
     OrderUnavailable,
+    OutOfDomain,
     SeriesRadiusTooSmall,
+    WindwavesError,
 )
 from .profiles import (
     CriticalLayerSet,
@@ -43,16 +46,19 @@ from .profiles import (
 
 __all__ = [
     "RayleighSolution",
+    "RayleighBatch",
     "RayleighTrace",
     "WronskianPath",
     "LayerJump",
     "LimitSolution",
     "ConvergenceReport",
     "integrate_rayleigh",
+    "integrate_rayleigh_batch",
     "integrate_wronskian",
     "limiting_solution",
     "impedance_limit_check",
     "interface_impedance",
+    "interface_impedances",
     "uniform_flow_impedance",
     "pwl_impedance_cascade",
 ]
@@ -67,24 +73,70 @@ INTERFACE_FLOOR = 1e-12
 _DEFAULT_TOL = 1e-10
 
 
-def _speed_scale(profile: ShearProfile, c: complex) -> float:
+def _u_range(profile: ShearProfile) -> Optional[tuple[float, float]]:
+    """Sampled (min U, max U), or None for a profile that cannot be sampled."""
     try:
-        umin, umax = profile.u_bounds(513)
-        span = umax - umin
-    except Exception:
+        return profile.u_bounds(513)
+    except OutOfDomain:
+        return None
+
+
+def _speed_scale(profile: ShearProfile, c: complex,
+                 u_range: Optional[tuple[float, float]]) -> float:
+    if u_range is None:
         span = abs(profile.value(0.0))
+    else:
+        span = u_range[1] - u_range[0]
     return max(1.0, span, abs(c.real))
 
 
-def _has_layers(profile: ShearProfile, c_r: float) -> bool:
-    # cheap range test first; exact scan only if c_r is inside the range
-    try:
-        umin, umax = profile.u_bounds(513)
-    except Exception:
+def _has_layers(u_range: Optional[tuple[float, float]], c_r: float) -> bool:
+    # cheap range test; an exact scan only follows for real c
+    if u_range is None:
         return False
-    if c_r < umin - 1e-12 or c_r > umax + 1e-12:
-        return False
-    return True
+    umin, umax = u_range
+    return umin - 1e-12 <= c_r <= umax + 1e-12
+
+
+def _check_switch(profile: ShearProfile, c: complex, scale: float,
+                  u_range: Optional[tuple[float, float]]) -> None:
+    """Refuse a direct solve too close to a critical-layer singularity."""
+    ci = c.imag
+    # Zero-curvature coefficients are identically k^2 and piecewise-linear
+    # ones are regular inside every segment (only the kink speeds are
+    # dangerous, and those are guarded at the jumps); elsewhere a critical
+    # layer at Re c makes the coefficient singular.
+    if profile.zero_curvature or isinstance(profile, PiecewiseLinearProfile) \
+            or abs(ci) >= SWITCH_FACTOR * scale * (1.0 - 1e-9):
+        return
+    if abs(ci) > 0.0 and _has_layers(u_range, c.real):
+        raise NearSingularCoefficient(
+            f"|Im c|={abs(ci):g} below switch threshold "
+            f"{SWITCH_FACTOR * scale:g}; use limiting_solution")
+    if ci == 0.0 and len(find_critical_points(profile, c.real)) > 0:
+        raise NearSingularCoefficient(
+            "real wave speed with critical layers; use limiting_solution")
+
+
+def _kink_denominator(profile: ShearProfile, x: float, c: complex,
+                      scale: float) -> complex:
+    """U(x) - c at a kink, refused when the wave speed equals the kink speed."""
+    denom = profile.value(x) - c
+    if abs(denom) < 1e-12 * scale:
+        raise NearSingularCoefficient(f"wave speed equals the kink speed U({x})")
+    return denom
+
+
+def _check_path(min_coeff_dist: float, scale: float) -> None:
+    if min_coeff_dist < 1e-10 * scale:
+        raise NearSingularCoefficient(
+            f"min |U - c| = {min_coeff_dist:g} along the path")
+
+
+def _check_interface(y0: complex, yp0: complex, sup_y: float) -> None:
+    if abs(y0) < INTERFACE_FLOOR * max(sup_y, abs(yp0)):
+        raise DegenerateAtInterface(
+            f"|y(0)| = {abs(y0):g} vs sup |y| = {sup_y:g}: channel-type mode")
 
 
 @dataclass
@@ -188,21 +240,9 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
         raise InfiniteDomain("direct integration needs a finite air column; "
                              "uniform-vorticity impedances have closed forms")
 
-    scale = _speed_scale(profile, c)
-    ci = c.imag
-    # Zero-curvature coefficients are identically k^2 and piecewise-linear
-    # ones are regular inside every segment (only the kink speeds are
-    # dangerous, and those are guarded at the jumps below); elsewhere a
-    # critical layer at Re c makes the coefficient singular.
-    if not (profile.zero_curvature or isinstance(profile, PiecewiseLinearProfile)) \
-            and abs(ci) < SWITCH_FACTOR * scale * (1.0 - 1e-9):
-        if abs(ci) > 0.0 and _has_layers(profile, c.real):
-            raise NearSingularCoefficient(
-                f"|Im c|={abs(ci):g} below switch threshold "
-                f"{SWITCH_FACTOR * scale:g}; use limiting_solution")
-        if ci == 0.0 and len(find_critical_points(profile, c.real)) > 0:
-            raise NearSingularCoefficient(
-                "real wave speed with critical layers; use limiting_solution")
+    u_range = _u_range(profile)
+    scale = _speed_scale(profile, c, u_range)
+    _check_switch(profile, c, scale, u_range)
 
     jumps = _kink_jump_map(profile)
     bounds = _segment_bounds(profile)
@@ -243,22 +283,13 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
             typ.append(vals[1])
         state = sol.y[:, -1].copy()
         if bot in jumps:
-            du = jumps[bot]
-            denom = profile.value(bot) - c
-            if abs(denom) < 1e-12 * scale:
-                raise NearSingularCoefficient(
-                    f"wave speed equals the kink speed U({bot})")
+            denom = _kink_denominator(profile, bot, c, scale)
             # y'(x-) = y'(x+) - [U'] y / (U - c), [U'] = above minus below
-            state[1] = state[1] - du * state[0] / denom
+            state[1] = state[1] - jumps[bot] * state[0] / denom
 
-    if min_coeff_dist < 1e-10 * scale:
-        raise NearSingularCoefficient(
-            f"min |U - c| = {min_coeff_dist:g} along the path")
-
+    _check_path(min_coeff_dist, scale)
     y0, yp0 = complex(state[0]), complex(state[1])
-    if abs(y0) < INTERFACE_FLOOR * max(sup_y, abs(yp0)):
-        raise DegenerateAtInterface(
-            f"|y(0)| = {abs(y0):g} vs sup |y| = {sup_y:g}: channel-type mode")
+    _check_interface(y0, yp0, sup_y)
 
     trace = None
     if want_trace:
@@ -271,6 +302,231 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
 
     return RayleighSolution(c=c, k=k, y0=y0, yp0=yp0, impedance=yp0 / y0,
                             method="direct", n_steps=n_steps, trace=trace)
+
+
+# ---------------------------------------------------------------------------
+# Batched direct solves: many wave speeds, one shared step sequence
+# ---------------------------------------------------------------------------
+
+# The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.5), shaped
+# to weight a (stage, component, element) array.  The weighted stage sums are
+# elementwise products and sums, so no BLAS call, and so no BLAS thread
+# hand-off, sits in the step loop.
+_DOP_STAGES = dop853_coefficients.N_STAGES
+_DOP_C = dop853_coefficients.C[:_DOP_STAGES]
+_DOP_A = [dop853_coefficients.A[s, :s, None, None] for s in range(_DOP_STAGES)]
+_DOP_B = dop853_coefficients.B[:, None, None]
+_DOP_E3 = dop853_coefficients.E3[:, None, None]
+_DOP_E5 = dop853_coefficients.E5[:, None, None]
+# scipy's step-size controller; the embedded error estimate is of order 7
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
+
+
+@dataclass
+class RayleighBatch:
+    """Interface data of direct Rayleigh solves at one k, one per wave speed."""
+
+    c: np.ndarray
+    k: float
+    y0: np.ndarray
+    yp0: np.ndarray
+    impedance: np.ndarray
+    n_steps: int = 0
+
+
+def integrate_rayleigh_batch(profile: ShearProfile, k: float, cs,
+                             tol: float = _DEFAULT_TOL, *,
+                             init=None) -> RayleighBatch:
+    """Integrate the Rayleigh equation for many wave speeds in one step loop.
+
+    The batched counterpart of :func:`integrate_rayleigh`: the same equation,
+    lid data, kink jumps and guards, integrated by DOP853 with one step size
+    shared by every element.  A step is accepted only when every element's
+    error norm (scipy's DOP853 norm at ``rtol = tol``, ``atol = tol * 1e-3``)
+    is below 1, so each element is at least as accurate as its own adaptive
+    solve, and the profile is evaluated once per stage for the whole batch.
+    The step sequence depends on the whole batch, so an impedance agrees with
+    the one computed alone, or in another batch, to within ``tol`` but not bit
+    for bit.  ``n_steps`` counts the points of the shared path.
+
+    Parameters
+    ----------
+    cs : array_like of complex, shape (n,)
+        Wave speeds.
+    init : array_like of complex, shape (n, 2), optional
+        Lid data (y, y') per element; (0, 1) for every element by default.
+
+    Raises
+    ------
+    WindwavesError
+        The error :func:`integrate_rayleigh` raises for the first failing
+        wave speed in input order.
+    """
+    if k == 0.0:
+        raise ValueError("wavenumber k must be nonzero")
+    if not math.isfinite(profile.h_plus):
+        raise InfiniteDomain("direct integration needs a finite air column; "
+                             "uniform-vorticity impedances have closed forms")
+    cs = np.asarray(cs, dtype=complex)
+    if cs.ndim != 1:
+        raise ValueError("cs must be a 1-d array of wave speeds")
+    n = cs.size
+    y = np.empty((2, n), dtype=complex)
+    if init is None:
+        y[0], y[1] = 0.0, 1.0
+    else:
+        y[:] = np.asarray(init, dtype=complex).reshape(n, 2).T
+
+    # A failed element is masked out of the step control and its first error
+    # kept; the batch raises the error of the first failed element.
+    alive = np.ones(n, dtype=bool)
+    errors: dict[int, WindwavesError] = {}
+
+    def fail(i: int, exc: WindwavesError) -> None:
+        errors.setdefault(i, exc)
+        alive[i] = False
+
+    u_range = _u_range(profile)
+    scales = [_speed_scale(profile, complex(c), u_range) for c in cs]
+    for i, c in enumerate(cs):
+        try:
+            _check_switch(profile, complex(c), scales[i], u_range)
+        except WindwavesError as exc:
+            fail(i, exc)
+
+    track = not profile.zero_curvature
+    curved = track and not isinstance(profile, PiecewiseLinearProfile)
+    kk = k * k
+
+    def coeff(x: float):
+        # U(x) for the path guard, and q = U''/(U - c) + k^2 per element
+        u = profile.value(x) if track else None
+        return u, (profile.curvature(x) / (u - cs) + kk if curved else kk)
+
+    rtol, atol = tol, tol * 1e-3
+    sup_y = np.abs(y[0])
+    dist = np.full(n, math.inf)
+    jumps = _kink_jump_map(profile)
+    bounds = _segment_bounds(profile)
+    n_steps = 0
+    with np.errstate(all="ignore"):  # failed elements may overflow
+        for top, bot in zip(bounds, bounds[1:]):
+            if not alive.any():
+                break
+            t = top
+            u, q = coeff(t)
+            stages = np.empty((_DOP_STAGES + 1, 2, n), dtype=complex)
+            stages[0, 0], stages[0, 1] = y[1], q * y[0]
+            if track:
+                dist = np.minimum(dist, np.abs(u - cs))
+            n_steps += 1
+            h_abs = _initial_step(coeff, t, bot, y[:, alive], stages[0][:, alive],
+                                  alive, rtol, atol)
+            while t > bot and alive.any():
+                min_step = 10.0 * abs(np.nextafter(t, -np.inf) - t)
+                h_abs = max(h_abs, min_step)
+                rejected = False
+                while True:
+                    t_new = max(t - h_abs, bot)
+                    step = t_new - t
+                    y_new, u = _dop853_step(coeff, t, step, y, stages)
+                    err = _error_norm(stages, step, y, y_new, rtol, atol)
+                    err[~alive] = 0.0
+                    worst = float(np.max(err))
+                    if worst < 1.0:
+                        factor = _MAX_FACTOR if worst == 0.0 else \
+                            min(_MAX_FACTOR, _SAFETY * worst ** _ERROR_EXPONENT)
+                        h_abs *= min(1.0, factor) if rejected else factor
+                        break
+                    h_abs *= max(_MIN_FACTOR, _SAFETY * worst ** _ERROR_EXPONENT)
+                    rejected = True
+                    if h_abs < min_step:
+                        # fail the element that forced the step down
+                        fail(int(np.argmax(err)), NearSingularCoefficient(
+                            "integration failed: Required step size is less "
+                            "than spacing between numbers."))
+                        if not alive.any():
+                            break
+                        h_abs, rejected = min_step, False
+                if worst >= 1.0:
+                    break
+                t, y = t_new, y_new
+                stages[0] = stages[-1]
+                n_steps += 1
+                sup_y = np.maximum(sup_y, np.abs(y[0]))
+                if track:
+                    dist = np.minimum(dist, np.abs(u - cs))
+            if bot in jumps:
+                for i in np.flatnonzero(alive):
+                    try:
+                        denom = _kink_denominator(profile, bot, complex(cs[i]),
+                                                  scales[i])
+                    except WindwavesError as exc:
+                        fail(int(i), exc)
+                        continue
+                    # y'(x-) = y'(x+) - [U'] y / (U - c)
+                    y[1, i] = y[1, i] - jumps[bot] * y[0, i] / denom
+
+    for i in np.flatnonzero(alive):
+        try:
+            _check_path(float(dist[i]), scales[i])
+            _check_interface(complex(y[0, i]), complex(y[1, i]), float(sup_y[i]))
+        except WindwavesError as exc:
+            fail(int(i), exc)
+    if errors:
+        raise errors[min(errors)]
+    return RayleighBatch(c=cs, k=k, y0=y[0].copy(), yp0=y[1].copy(),
+                         impedance=y[1] / y[0], n_steps=n_steps)
+
+
+def _dop853_step(coeff, t: float, step: float, y: np.ndarray,
+                 stages: np.ndarray) -> tuple[np.ndarray, Optional[float]]:
+    """One DOP853 step of (y, y')' = (y', q y) from t.
+
+    ``stages[0]`` holds the derivative at t; the other stages are filled in.
+    Returns the state at t + step and U(t + step).
+    """
+    for s in range(1, _DOP_STAGES):
+        ys = y + step * (_DOP_A[s] * stages[:s]).sum(axis=0)
+        u, q = coeff(t + _DOP_C[s] * step)
+        stages[s, 0], stages[s, 1] = ys[1], q * ys[0]
+    y_new = y + step * (_DOP_B * stages[:-1]).sum(axis=0)
+    # the last stage sits at t + step, so u and q are taken there
+    stages[-1, 0], stages[-1, 1] = y_new[1], q * y_new[0]
+    return y_new, u
+
+
+def _error_norm(stages, step, y, y_new, rtol, atol) -> np.ndarray:
+    """scipy's DOP853 error norm, one value per element."""
+    sc = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+    e5 = (np.abs((_DOP_E5 * stages).sum(axis=0) / sc) ** 2).sum(axis=0)
+    e3 = (np.abs((_DOP_E3 * stages).sum(axis=0) / sc) ** 2).sum(axis=0)
+    denom = e5 + 0.01 * e3
+    # a NaN from an overflowed element must reject the step, not pass as 0
+    return np.where(denom == 0.0, 0.0, abs(step) * e5 / np.sqrt(2.0 * denom))
+
+
+def _rms(v: np.ndarray) -> np.ndarray:
+    """Per-element RMS norm over the two state components."""
+    return np.sqrt(0.5 * (np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2))
+
+
+def _initial_step(coeff, t0, t_bound, y0, f0, alive, rtol, atol) -> float:
+    """scipy's starting-step heuristic, the smallest over the live elements."""
+    interval = t0 - t_bound
+    sc = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / sc), _rms(f0 / sc)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = min(float(np.min(h0)), interval)
+    y1 = y0 - h0 * f0
+    q1 = coeff(t0 - h0)[1]
+    q1 = q1[alive] if np.ndim(q1) else q1
+    d2 = _rms(np.stack((y1[1] - f0[0], q1 * y1[0] - f0[1])) / sc) / h0
+    dmax = np.maximum(d1, d2)
+    h1 = np.where(dmax <= 1e-15, max(1e-6, h0 * 1e-3),
+                  (0.01 / dmax) ** (-_ERROR_EXPONENT))
+    return min(100.0 * h0, float(np.min(h1)), interval)
 
 
 def pwl_impedance_cascade(profile: PiecewiseLinearProfile, k: float,
@@ -327,6 +583,22 @@ def interface_impedance(profile: ShearProfile, k: float, c: complex,
     return integrate_rayleigh(profile, k, c, tol).impedance
 
 
+def interface_impedances(profile: ShearProfile, k: float, cs,
+                         tol: float = _DEFAULT_TOL) -> np.ndarray:
+    """:func:`interface_impedance` of a 1-d array of wave speeds.
+
+    Closed forms are evaluated point by point; ODE impedances are shot in one
+    batch by :func:`integrate_rayleigh_batch`, so they agree with the scalar
+    dispatch within ``tol``.
+    """
+    cs = np.asarray(cs, dtype=complex)
+    if profile.zero_curvature or (isinstance(profile, PiecewiseLinearProfile)
+                                  and math.isinf(profile.h_plus)):
+        return np.array([interface_impedance(profile, k, complex(c), tol)
+                         for c in cs], dtype=complex)
+    return integrate_rayleigh_batch(profile, k, cs, tol).impedance
+
+
 # ---------------------------------------------------------------------------
 # Wronskian 4-vector system
 # ---------------------------------------------------------------------------
@@ -375,9 +647,10 @@ def integrate_wronskian(profile: ShearProfile, k: float, c: complex,
     if not math.isfinite(h):
         raise InfiniteDomain("Wronskian integration needs a finite air column")
 
-    scale = _speed_scale(profile, c)
+    u_range = _u_range(profile)
+    scale = _speed_scale(profile, c, u_range)
     cr, ci = c.real, c.imag
-    if abs(ci) < SWITCH_FACTOR * scale * (1.0 - 1e-9) and _has_layers(profile, cr):
+    if abs(ci) < SWITCH_FACTOR * scale * (1.0 - 1e-9) and _has_layers(u_range, cr):
         if ci != 0.0 or len(find_critical_points(profile, cr)) > 0:
             raise NearSingularCoefficient(
                 "wave speed too close to the critical-layer singularity")

@@ -1,11 +1,14 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from windwaves.asymptotics import necessity_certificate
 from windwaves.dispersion import (
     FluidParams,
     ck,
+    make_miles_residual,
     pwl_dispersion,
     residual_miles,
 )
@@ -19,7 +22,12 @@ from windwaves.eigensolver import (
     multistart_roots,
     scan_k,
 )
-from windwaves.errors import BoundaryZero, BranchLost, NoConvergence
+from windwaves.errors import (
+    BoundaryZero,
+    BranchLost,
+    NoConvergence,
+    PhaseJumpUnresolved,
+)
 from windwaves.profiles import ConstantProfile, TanhProfile
 
 from oracles import quadratic_roots
@@ -79,13 +87,37 @@ class TestFindRoot:
             find_root(lambda c: 1.0 + 0.0 * c, 0.0j, tol=1e-11, max_iter=10)
 
 
+def batched(residual):
+    """The residual behind a ``batch`` attribute only; a scalar call fails."""
+    calls = []
+
+    def scalar(c):
+        raise AssertionError("count_roots must evaluate through .batch")
+
+    def batch(cs):
+        calls.append(len(cs))
+        return np.array([residual(complex(c)) for c in cs])
+
+    scalar.batch = batch
+    scalar.calls = calls
+    return scalar
+
+
+def count_both(residual, rect, **kw):
+    """count_roots point by point and through ``.batch``; they must agree."""
+    n = count_roots(residual, rect, **kw)
+    wrapped = batched(residual)
+    assert count_roots(wrapped, rect, **kw) == n
+    return n
+
+
 class TestCountRoots:
     def test_single_real_root_straddled(self):
         p = params_with(rho_plus=1e-6 * 1000.0)
         k = 1.0
         c_k = ck(p, k)
         residual = kh_residual(p, k, 5.0)
-        n = count_roots(residual, (c_k - 0.5, c_k + 0.5, -0.3, 0.3))
+        n = count_both(residual, (c_k - 0.5, c_k + 0.5, -0.3, 0.3))
         assert n == 1
 
     def test_conjugate_pair_of_pwl_cubic(self):
@@ -97,21 +129,23 @@ class TestCountRoots:
         d = pwl_dispersion(mu, 1.0, p, k)
         poly = np.array(d.cubic.coeffs)
         residual = lambda c: complex(np.polyval(poly, c))
-        n = count_roots(residual, (gamma0 - 0.5, gamma0 + 0.5, -0.5, 0.5))
+        n = count_both(residual, (gamma0 - 0.5, gamma0 + 0.5, -0.5, 0.5))
         assert n == 2
 
     def test_empty_rectangle(self):
         residual = lambda c: (c - 1.0) * (c + 1.0)
-        assert count_roots(residual, (5.0, 6.0, -1.0, 1.0)) == 0
+        assert count_both(residual, (5.0, 6.0, -1.0, 1.0)) == 0
 
     def test_boundary_zero_detected(self):
         residual = lambda c: c - 1.0
         with pytest.raises(BoundaryZero):
             count_roots(residual, (0.0, 1.0, -0.5, 0.5))
+        with pytest.raises(BoundaryZero):
+            count_roots(batched(residual), (0.0, 1.0, -0.5, 0.5))
 
     def test_multiplicity_counted(self):
         residual = lambda c: (c - 0.3j) ** 2
-        assert count_roots(residual, (-1.0, 1.0, -1.0, 1.0)) == 2
+        assert count_both(residual, (-1.0, 1.0, -1.0, 1.0)) == 2
 
     def test_two_real_roots_at_vanishing_eps(self):
         # the eps -> 0 relation g = c^2 |k| tanh(|k| h-) has exactly the two
@@ -121,7 +155,7 @@ class TestCountRoots:
         residual = lambda c: residual_miles(c, -abs(k), p, k, 5.0, 0.0)
         c_k = ck(p, k)
         rect = (-2.0 * c_k, 2.0 * c_k, -c_k, c_k)
-        assert count_roots(residual, rect, n_boundary=96) == 2
+        assert count_both(residual, rect, n_boundary=96) == 2
 
     def test_count_matches_multistart(self):
         # winding number equals distinct Muller roots from a 5x5 seed grid
@@ -130,7 +164,7 @@ class TestCountRoots:
         residual = kh_residual(p, k, u0)
         rect = (-4.0, 4.0, -2.0, 2.0)
         roots = multistart_roots(residual, rect, grid=5, scale=p.g)
-        assert count_roots(residual, rect, n_boundary=96) == len(roots) == 2
+        assert count_both(residual, rect, n_boundary=96) == len(roots) == 2
 
     def test_conjugate_seed_finds_conjugate_root(self):
         p = params_with(rho_plus=300.0, sigma=0.05)
@@ -138,6 +172,45 @@ class TestCountRoots:
         up = find_root(residual, 0.5 + 0.5j, scale=p.g)
         dn = find_root(residual, 0.5 - 0.5j, scale=p.g)
         assert abs(dn.c - up.c.conjugate()) <= 1e-9 * abs(up.c)
+
+    def test_one_batch_per_refinement_level(self):
+        # a root 1e-10 below the bottom edge: the contour plus a few 16-way
+        # levels, each one call, each flagged interval split into 15 points
+        residual = batched(lambda c: c - (0.53 - 1e-10j))
+        assert count_roots(residual, (0.0, 1.0, 0.0, 1.0), n_boundary=8) == 0
+        assert residual.calls[0] == 32
+        assert 1 < len(residual.calls) <= 1 + 48 // 4
+        assert all(n % 15 == 0 for n in residual.calls[1:])
+
+    @pytest.mark.parametrize("wrap", [lambda f: f, batched],
+                             ids=["scalar", "batch"])
+    def test_unresolved_phase_jump_at_max_levels(self, wrap):
+        # sqrt jumps by pi across its branch cut on the negative axis
+        residual = wrap(cmath.sqrt)
+        with pytest.raises(PhaseJumpUnresolved, match="after 8 levels"):
+            count_roots(residual, (-2.0, -1.0, -1.0, 1.0), max_levels=8)
+
+
+@pytest.mark.parametrize("u_max, d, k", [(0.5, 0.6, 0.5), (1.0, 1.0, 1.2),
+                                         (1.5, 1.4, 2.0)])
+def test_certificate_counts_match_pointwise_path(u_max, d, k):
+    # certify-stable's two rectangles, with edges 1e-10 from the real root
+    # near c_k: the batched count equals the point-by-point one
+    eps, im_floor = 1.22e-3, 1e-10
+    p = params_with(h_plus=5.0)
+    prof = TanhProfile(u_max, d, 5.0)
+    c_k = ck(p, k)
+    radius = 0.25 * (c_k - u_max * math.tanh(5.0 / d))
+    cert = necessity_certificate(prof, p, k, eps, radius, n_boundary=24,
+                                 im_floor=im_floor)
+    residual = make_miles_residual(prof, params_with(rho_plus=eps * 1000.0,
+                                                     h_plus=5.0), k)
+    pointwise = lambda c: residual(c)  # no .batch attribute
+    lo, hi = c_k - radius, c_k + radius
+    assert count_roots(pointwise, (lo, hi, im_floor, radius), 24) \
+        == cert.count_upper == 0
+    assert count_roots(pointwise, (lo, hi, -radius, -im_floor), 24) \
+        == cert.count_lower == 0
 
 
 class TestContinueInEpsilon:

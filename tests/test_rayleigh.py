@@ -15,11 +15,13 @@ from windwaves.profiles import (
     ConstantProfile,
     LinearShearProfile,
     PiecewiseLinearProfile,
+    TabulatedProfile,
     TanhProfile,
 )
 from windwaves.rayleigh import (
     impedance_limit_check,
     integrate_rayleigh,
+    integrate_rayleigh_batch,
     integrate_wronskian,
     interface_impedance,
     limiting_solution,
@@ -30,6 +32,15 @@ from windwaves.rayleigh import (
 from oracles import impedance_oracle
 
 TANH = TanhProfile(10.0, 1.0, 5.0)
+
+
+def ramp_with_channel_mode():
+    # the shear-then-uniform ramp has a genuine channel mode: y(0) = 0 at
+    # c = U* - mu sinh(k(h-x*)) sinh(k x*) / sinh(k h) (pole of y'(0)/y(0))
+    mu, x2s, h = 5.0, 1.0, 4.0
+    prof = PiecewiseLinearProfile.ramp(mu, x2s, h_plus=h)
+    c = mu * x2s - mu * math.sinh(h - x2s) * math.sinh(x2s) / math.sinh(h)
+    return prof, complex(c)
 
 
 class TestDirectIntegration:
@@ -79,13 +90,9 @@ class TestDirectIntegration:
         assert sol.impedance.imag == 0.0
 
     def test_degenerate_interface_detected(self):
-        # the shear-then-uniform ramp has a genuine channel mode: y(0) = 0 at
-        # c = U* - mu sinh(k(h-x*)) sinh(k x*) / sinh(k h) (pole of y'(0)/y(0))
-        mu, x2s, h = 5.0, 1.0, 4.0
-        prof = PiecewiseLinearProfile.ramp(mu, x2s, h_plus=h)
-        c = mu * x2s - mu * math.sinh(h - x2s) * math.sinh(x2s) / math.sinh(h)
+        prof, c = ramp_with_channel_mode()
         with pytest.raises(DegenerateAtInterface):
-            integrate_rayleigh(prof, 1.0, complex(c), tol=1e-13)
+            integrate_rayleigh(prof, 1.0, c, tol=1e-13)
 
     def test_trace_csv(self, tmp_path):
         sol = integrate_rayleigh(TANH, 1.0, 3.0 + 0.5j, want_trace=True)
@@ -94,6 +101,86 @@ class TestDirectIntegration:
         header = path.read_text().splitlines()[0]
         assert header == "x2,re_y,im_y,re_yp,im_yp,u1,u2,u3,w"
         assert np.all(np.diff(sol.trace.x2) >= 0)
+
+
+class UnboundedSampling(TanhProfile):
+    """A tanh wind whose range sampling fails with a programming error."""
+
+    def u_bounds(self, n: int = 0):
+        raise ValueError("broken u_bounds")
+
+
+def test_u_bounds_error_propagates():
+    # only OutOfDomain means "cannot sample"; any other error is a bug in the
+    # profile and must not switch the near-singular guard off
+    prof = UnboundedSampling(10.0, 1.0, 5.0)
+    with pytest.raises(ValueError, match="broken u_bounds"):
+        integrate_rayleigh(prof, 1.0, 3.0 + 1e-9j)
+
+
+class TestBatch:
+    TABLE = TabulatedProfile(np.linspace(0.0, 5.0, 16),
+                             10.0 * np.tanh(np.linspace(0.0, 5.0, 16)))
+    EXP = AnalyticProfile(f=lambda x: 8.0 * (1.0 - math.exp(-x)),
+                          df=lambda x: 8.0 * math.exp(-x),
+                          d2f=lambda x: -8.0 * math.exp(-x),
+                          h_plus=4.0, name="exp")
+    KINKED = PiecewiseLinearProfile([0.0, 1.0, 2.5], [3.0, 1.0, 0.0],
+                                    h_plus=4.0)
+
+    @pytest.mark.parametrize("profile", [TANH, TABLE, EXP, KINKED],
+                             ids=["tanh", "table", "analytic", "kinked"])
+    def test_matches_scalar_solves(self, profile):
+        cs = [complex(re, im) for re in (1.0, 3.0, 6.0)
+              for im in (-0.3, 0.05, 0.5)]
+        # tol 1e-12: at 1e-10 the scalar solve of the spline table is only
+        # good to ~1e-8, as it steps across the knots where U''' jumps
+        batch = integrate_rayleigh_batch(profile, 1.2, cs, tol=1e-12)
+        for c, imp in zip(cs, batch.impedance):
+            want = integrate_rayleigh(profile, 1.2, c, tol=1e-12).impedance
+            assert abs(imp - want) <= 1e-9 * abs(want), c
+
+    def test_per_element_init(self):
+        cs = [3.0 + 0.05j, 2.0 - 0.2j]
+        base = integrate_rayleigh_batch(TANH, 1.0, cs)
+        lam = 2.0 - 3.0j
+        scaled = integrate_rayleigh_batch(TANH, 1.0, cs,
+                                          init=[(0.0, lam), (0.0, 1.0)])
+        assert np.allclose(scaled.y0, [lam * base.y0[0], base.y0[1]], rtol=1e-9)
+        assert np.allclose(scaled.impedance, base.impedance, rtol=1e-9)
+
+    def test_near_singular_member_raises_scalar_error(self):
+        cs = [3.0 + 0.2j, 3.0 + 1e-9j, 12.0 + 0.0j]
+        with pytest.raises(NearSingularCoefficient) as scalar:
+            integrate_rayleigh(TANH, 1.0, cs[1])
+        with pytest.raises(NearSingularCoefficient) as batch:
+            integrate_rayleigh_batch(TANH, 1.0, cs)
+        assert str(batch.value) == str(scalar.value)
+
+    def test_first_failure_in_input_order_wins(self):
+        prof, c_channel = ramp_with_channel_mode()
+        kink_speed = complex(prof.value(1.0))
+        with pytest.raises(DegenerateAtInterface):
+            integrate_rayleigh_batch(prof, 1.0, [2.0 + 0.5j, c_channel,
+                                                 kink_speed], tol=1e-13)
+        with pytest.raises(NearSingularCoefficient, match="kink speed"):
+            integrate_rayleigh_batch(prof, 1.0, [kink_speed, c_channel],
+                                     tol=1e-13)
+
+    def test_overflowing_member_fails_like_scalar(self):
+        # lid data this large overflows on the way down; the NaN must fail
+        # the element, not pass the error control as a zero error
+        c, huge = 3.0 + 0.2j, (0.0, 1e308)
+        with pytest.raises(NearSingularCoefficient, match="integration failed") \
+                as scalar, np.errstate(all="ignore"):
+            integrate_rayleigh(TANH, 1.0, c, init=huge)
+        with pytest.raises(NearSingularCoefficient) as batch:
+            integrate_rayleigh_batch(TANH, 1.0, [c, c], init=[(0.0, 1.0), huge])
+        assert str(batch.value) == str(scalar.value)
+
+    def test_infinite_domain_rejected(self):
+        with pytest.raises(InfiniteDomain):
+            integrate_rayleigh_batch(ConstantProfile(5.0), 1.0, [1.0 + 1.0j])
 
 
 class TestUniformImpedance:
