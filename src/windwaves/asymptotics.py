@@ -115,7 +115,7 @@ def miles_c_sharp(profile: ShearProfile, params: FluidParams, k: float,
             "sufficient sign hypotheses on c_k U'' fail; the assembled "
             "bracket still decides instability", stacklevel=2)
 
-    limit = limiting_solution(profile, k, c_k, +1, tol)
+    limit = limiting_solution(profile, k, c_k, +1, tol, layers=layers)
     fi0 = f_I0(profile, params, k, branch)
 
     contribs = []

@@ -33,6 +33,7 @@ import numpy as np
 from .errors import IncompatibleDepths, RequiresSurfaceTension
 from .profiles import PiecewiseLinearProfile, ShearProfile
 from .rayleigh import (
+    impedance_outcomes,
     integrate_rayleigh_batch,
     interface_impedance,
     interface_impedances,
@@ -47,6 +48,7 @@ __all__ = [
     "ck",
     "residual_miles",
     "make_miles_residual",
+    "miles_residuals",
     "residual_general",
     "make_general_residual",
     "kh_threshold",
@@ -162,12 +164,11 @@ def make_miles_residual(profile: ShearProfile, params: FluidParams, k: float,
 
     The returned residual carries a ``batch(cs) -> ndarray`` attribute that
     evaluates a 1-d array of wave speeds at once.  Where the impedance comes
-    from the ODE, ``batch`` shoots every wave speed in one shared-step loop
+    from the ODE, ``batch`` shoots every wave speed in one loop
     (:func:`~windwaves.rayleigh.interface_impedances`); closed forms and an
-    ``impedance_fn`` are evaluated point by point.  A batched value depends
-    on the other members of its batch only within the Rayleigh ``tol``, and
-    ``batch`` raises the error the scalar residual would raise at the first
-    failing point.
+    ``impedance_fn`` are evaluated point by point.  A batched value does not
+    depend on the other members of its batch, and ``batch`` raises the error
+    the scalar residual would raise at the first failing point.
     """
     _check_depth_consistency(profile, params)
     u0 = profile.value(0.0)
@@ -189,6 +190,28 @@ def make_miles_residual(profile: ShearProfile, params: FluidParams, k: float,
     # a function attribute, so wrappers made with functools.wraps keep it
     residual.batch = batch
     return residual
+
+
+def miles_residuals(profile: ShearProfile, params: FluidParams, k, cs,
+                    tol: float = 1e-10) -> tuple[np.ndarray, dict]:
+    """Quiescent-ocean residuals of (k, c) pairs, ``k`` broadcast against ``cs``.
+
+    The ODE impedances of all pairs, whatever their k, are shot in one loop
+    (:func:`~windwaves.rayleigh.impedance_outcomes`), and each value equals
+    the one its pair gets alone.  Returns ``(values, errors)``: a failed
+    pair's value is NaN, and ``errors`` maps its index to the error the
+    scalar residual of :func:`make_miles_residual` raises there.
+    """
+    _check_depth_consistency(profile, params)
+    u0 = profile.value(0.0)
+    up0 = profile.slope(0.0)
+    ks, cs = np.broadcast_arrays(np.asarray(k, dtype=float),
+                                 np.asarray(cs, dtype=complex))
+    imps, errors = impedance_outcomes(profile, ks, cs, tol)
+    vals = np.array([residual_miles(c, imp, params, kv, u0, up0) for kv, c, imp
+                     in zip(ks.tolist(), cs.tolist(), imps.tolist())],
+                    dtype=complex)
+    return vals, errors
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -76,10 +76,31 @@ def find_root(residual: Callable[[complex], complex], c_init: complex, *,
     NoConvergence
         After max_iter Muller steps.
     """
+    chain = _muller(c_init, tol=tol, max_iter=max_iter, scale=scale, k=k,
+                    unstable_tol=unstable_tol, spread=spread)
+    try:
+        wanted = next(chain)
+        while True:
+            wanted = chain.send([residual(x) for x in wanted])
+    except StopIteration as done:
+        return done.value
+
+
+def _muller(c_init: complex, *, tol: float, max_iter: int, scale: float,
+            k: Optional[float], unstable_tol: float, spread: float
+            ) -> Generator[list[complex], list[complex], EigenResult]:
+    """Muller's iteration as a generator, for :func:`find_root` and :func:`scan_k`.
+
+    It yields the list of wave speeds whose residuals it needs next (the
+    starting triple, then one point per step), is sent their residuals, and
+    returns its :class:`EigenResult`.  A residual error thrown into it ends
+    the iteration with that error, as a raising residual ends
+    :func:`find_root`.
+    """
     floor = tol * scale
     h0 = spread * max(abs(c_init), 1.0)
     xs = [c_init + h0, c_init - h0, c_init]
-    fs = [residual(x) for x in xs]
+    fs = yield xs
 
     for x, f in zip(xs, fs):
         if f == 0.0:
@@ -105,7 +126,7 @@ def find_root(residual: Callable[[complex], complex], c_init: complex, *,
         else:
             step = -2.0 * f2 / den
         x3 = x2 + step
-        f3 = residual(x3)
+        f3, = yield [x3]
         xs = [x1, x2, x3]
         fs = [f1, f2, f3]
         if abs(f3) <= floor and (abs(step) <= 1e-12 * max(abs(x3), 1e-30)
@@ -177,10 +198,10 @@ def count_roots(residual: Callable[[complex], complex],
     When ``residual`` has a ``batch`` attribute (as the residuals of
     :func:`~windwaves.dispersion.make_miles_residual` do), ``batch(cs)`` must
     map a 1-d array of wave speeds to the array of residuals; the contour and
-    then each refinement level are evaluated in one call.  Batched values may
-    depend on the batch within the solver tolerance, which leaves the count
-    unchanged wherever it is well resolved.  Other residuals are evaluated
-    point by point.
+    then each refinement level are evaluated in one call.  A batched value of
+    :func:`~windwaves.dispersion.make_miles_residual` does not depend on its
+    batch, so the count does not depend on how the points are grouped.  Other
+    residuals are evaluated point by point.
 
     Raises
     ------
@@ -337,51 +358,90 @@ def scan_k(profile, params, k_list: Sequence[float],
 
     Each entry seeds Muller at c_k plus the asymptotic growth offset
     i eps c_sharp when a critical layer exists; failures are recorded in the
-    curve without aborting the sweep.  Entries are independent, so they may be
-    solved concurrently (``jobs``).
+    curve without aborting the sweep.  The Muller chains of all wavenumbers
+    run in lockstep: each round evaluates the wave speeds every live chain
+    asks for (the starting triples, then one point per chain) in one
+    :func:`~windwaves.dispersion.miles_residuals` call, whose batched
+    impedances do not depend on the batch.  ``jobs > 1`` splits the
+    wavenumbers into that many contiguous chunks, each swept in lockstep on
+    its own thread, with the same results as ``jobs = 1``.
     """
-    from .asymptotics import miles_c_sharp
-    from .dispersion import ck, make_miles_residual
-
     ks = [float(k) for k in k_list]
     if not ks or any(k <= 0.0 for k in ks):
         raise ValueError("k_list must be nonempty and positive")
 
-    def solve_one(k: float) -> GrowthEntry:
-        try:
-            c_k = ck(params, k, strategy.branch)
-            seed = complex(c_k)
-            try:
-                asym = miles_c_sharp(profile, params, k, strategy.branch,
-                                     tol=strategy.rayleigh_tol)
-                seed = c_k + 1j * strategy.seed_fraction * params.epsilon * \
-                    max(asym.c_sharp, 0.0)
-            except WindwavesError:
-                pass  # no layer or degenerate: seed on the real axis
-            residual = make_miles_residual(profile, params, k,
-                                           tol=strategy.rayleigh_tol)
-            res = find_root(residual, seed, tol=strategy.tol,
-                            max_iter=strategy.max_iter, scale=params.g, k=k)
-            c = res.c
-            if c.imag < 0.0:
-                c = c.conjugate()  # report the upper-half representative
-            cls = _classify(c, 1e-8)
-            return GrowthEntry(k=k, c=c, growth_rate=k * c.imag,
-                               residual_norm=res.residual_norm, converged=True,
-                               classification=cls)
-        except WindwavesError as exc:
-            return GrowthEntry(k=k, c=complex("nan"), growth_rate=float("nan"),
-                               residual_norm=float("nan"), converged=False,
-                               classification=DEGENERATE, message=str(exc))
-
     if jobs > 1:
+        size = -(-len(ks) // jobs)
+        chunks = [ks[i:i + size] for i in range(0, len(ks), size)]
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(solve_one, ks))
+            parts = pool.map(lambda part: _lockstep(profile, params, part,
+                                                    strategy), chunks)
+            entries = [e for part in parts for e in part]
     else:
-        entries = [solve_one(k) for k in ks]
+        entries = _lockstep(profile, params, ks, strategy)
 
     order = sorted(range(len(ks)), key=lambda i: ks[i])
     entries = [entries[i] for i in order]
     metadata = {"profile": repr(profile), "params": repr(params),
                 "branch": strategy.branch}
     return GrowthCurve(entries=entries, metadata=metadata)
+
+
+def _lockstep(profile, params, ks: list[float],
+              strategy: ScanStrategy) -> list[GrowthEntry]:
+    """One Muller chain per wavenumber, all evaluated round by round."""
+    from .asymptotics import miles_c_sharp
+    from .dispersion import ck, miles_residuals
+
+    entries: list[Optional[GrowthEntry]] = [None] * len(ks)
+    chains = {}  # index -> (Muller generator, the wave speeds it waits for)
+    for i, k in enumerate(ks):
+        c_k = ck(params, k, strategy.branch)
+        seed = complex(c_k)
+        try:
+            asym = miles_c_sharp(profile, params, k, strategy.branch,
+                                 tol=strategy.rayleigh_tol)
+            seed = c_k + 1j * strategy.seed_fraction * params.epsilon * \
+                max(asym.c_sharp, 0.0)
+        except WindwavesError:
+            pass  # no layer or degenerate: seed on the real axis
+        chain = _muller(seed, tol=strategy.tol, max_iter=strategy.max_iter,
+                        scale=params.g, k=k, unstable_tol=1e-8, spread=1e-4)
+        chains[i] = (chain, next(chain))
+
+    while chains:
+        rows = list(chains.items())
+        pair_ks = [ks[i] for i, (_, wanted) in rows for _ in wanted]
+        pair_cs = [c for _, (_, wanted) in rows for c in wanted]
+        try:
+            vals, errors = miles_residuals(profile, params, pair_ks, pair_cs,
+                                           tol=strategy.rayleigh_tol)
+        except WindwavesError as exc:  # the whole round, e.g. no finite column
+            vals, errors = None, dict.fromkeys(range(len(pair_cs)), exc)
+        pos = 0
+        for i, (chain, wanted) in rows:
+            span = range(pos, pos + len(wanted))
+            pos += len(wanted)
+            failed = [errors[j] for j in span if j in errors]
+            try:
+                if failed:
+                    wanted = chain.throw(failed[0])
+                else:
+                    wanted = chain.send([complex(vals[j]) for j in span])
+                chains[i] = (chain, wanted)
+            except StopIteration as done:
+                del chains[i]
+                c = done.value.c
+                if c.imag < 0.0:
+                    c = c.conjugate()  # report the upper-half representative
+                entries[i] = GrowthEntry(
+                    k=ks[i], c=c, growth_rate=ks[i] * c.imag,
+                    residual_norm=done.value.residual_norm, converged=True,
+                    classification=_classify(c, 1e-8))
+            except WindwavesError as exc:
+                del chains[i]
+                entries[i] = GrowthEntry(
+                    k=ks[i], c=complex("nan"), growth_rate=float("nan"),
+                    residual_norm=float("nan"), converged=False,
+                    classification=DEGENERATE, message=str(exc))
+    return entries

@@ -2,8 +2,10 @@
 
 Every profile exposes the wind speed and its first two derivatives plus
 critical-point queries (altitudes where U equals a given phase speed).
-Profiles are immutable after construction and safe to share between
-concurrent solves.
+``value`` and ``curvature`` also take a numpy array of altitudes and return
+the array of values; a Python float still gets the ``math`` evaluation and a
+Python float back.  Profiles are immutable after construction and safe to
+share between concurrent solves.
 """
 from __future__ import annotations
 
@@ -43,12 +45,23 @@ ROOT_SCAN_GRID = 4096
 DEGENERACY_FACTOR = 1e-8
 
 
+def _lib(x2):
+    """numpy for an array of altitudes, math for one altitude."""
+    return np if isinstance(x2, np.ndarray) else math
+
+
+def _const(x2, v: float):
+    """A constant v at every altitude of x2."""
+    return np.full(x2.shape, v) if isinstance(x2, np.ndarray) else v
+
+
 class ShearProfile:
     """Base class: a wind profile on [0, h_plus].
 
     Subclasses set ``kind``, ``smoothness_class`` and ``h_plus`` and implement
-    ``value``, ``slope`` and ``curvature``.  ``h_plus = inf`` is permitted only
-    for uniform and constant-shear profiles.
+    ``value``, ``slope`` and ``curvature``; ``value`` and ``curvature`` accept
+    an array of altitudes as well as a float.  ``h_plus = inf`` is permitted
+    only for uniform and constant-shear profiles.
     """
 
     kind: str = "abstract"
@@ -90,12 +103,16 @@ class ShearProfile:
         """Sampled (min U, max U) over the column; exact for unbounded kinds."""
         if not math.isfinite(self.h_plus):
             raise OutOfDomain("cannot sample an unbounded profile")
-        xs = np.linspace(0.0, self.h_plus, n)
-        us = np.array([self.value(float(x)) for x in xs])
+        us = self.value(np.linspace(0.0, self.h_plus, n))
         return float(us.min()), float(us.max())
 
-    def _check_domain(self, x2: float) -> None:
-        if not (0.0 <= x2 <= self.h_plus):
+    def _check_domain(self, x2) -> None:
+        if isinstance(x2, np.ndarray):
+            if x2.size and not (0.0 <= x2.min() and x2.max() <= self.h_plus):
+                raise OutOfDomain(
+                    f"altitudes in [{x2.min()!r}, {x2.max()!r}] outside "
+                    f"[0, {self.h_plus!r}] for {self.kind} profile")
+        elif not (0.0 <= x2 <= self.h_plus):
             raise OutOfDomain(
                 f"x2={x2!r} outside [0, {self.h_plus!r}] for {self.kind} profile"
             )
@@ -112,13 +129,13 @@ class ConstantProfile(ShearProfile):
     zero_curvature = True
 
     def value(self, x2):
-        return self.u0
+        return _const(x2, self.u0)
 
     def slope(self, x2):
         return 0.0
 
     def curvature(self, x2):
-        return 0.0
+        return _const(x2, 0.0)
 
     def derivative3(self, x2):
         return 0.0
@@ -148,7 +165,7 @@ class LinearShearProfile(ShearProfile):
         return self.mu
 
     def curvature(self, x2):
-        return 0.0
+        return _const(x2, 0.0)
 
     def derivative3(self, x2):
         return 0.0
@@ -213,6 +230,10 @@ class PiecewiseLinearProfile(ShearProfile):
 
     def value(self, x2):
         self._check_domain(x2)
+        if isinstance(x2, np.ndarray):
+            i = np.searchsorted(self.nodes, x2, side="right") - 1
+            return (np.take(self._node_values, i)
+                    + np.take(self.slopes, i) * (x2 - np.take(self.nodes, i)))
         i = self._segment(x2)
         return self._node_values[i] + self.slopes[i] * (x2 - self.nodes[i])
 
@@ -256,7 +277,7 @@ class TanhProfile(ShearProfile):
 
     def value(self, x2):
         self._check_domain(x2)
-        return self.u_max * math.tanh(x2 / self.d)
+        return self.u_max * _lib(x2).tanh(x2 / self.d)
 
     def slope(self, x2):
         self._check_domain(x2)
@@ -264,7 +285,7 @@ class TanhProfile(ShearProfile):
 
     def curvature(self, x2):
         self._check_domain(x2)
-        t = math.tanh(x2 / self.d)
+        t = _lib(x2).tanh(x2 / self.d)
         return -2.0 * self.u_max / self.d**2 * t * (1.0 - t * t)
 
     def derivative3(self, x2):
@@ -280,6 +301,13 @@ class TanhProfile(ShearProfile):
     def u_bounds(self, n: int = 0) -> tuple[float, float]:
         ends = (0.0, self.u_max * math.tanh(self.h_plus / self.d))
         return min(ends), max(ends)
+
+
+def _each(fn, x2):
+    """fn at x2, called once per altitude of an array."""
+    if isinstance(x2, np.ndarray):
+        return np.array([fn(x) for x in x2.ravel().tolist()]).reshape(x2.shape)
+    return fn(x2)
 
 
 class AnalyticProfile(ShearProfile):
@@ -313,7 +341,7 @@ class AnalyticProfile(ShearProfile):
 
     def value(self, x2):
         self._check_domain(x2)
-        return self._f(x2)
+        return _each(self._f, x2)
 
     def slope(self, x2):
         self._check_domain(x2)
@@ -321,7 +349,7 @@ class AnalyticProfile(ShearProfile):
 
     def curvature(self, x2):
         self._check_domain(x2)
-        return self._d2f(x2)
+        return _each(self._d2f, x2)
 
     def derivative3(self, x2):
         if self._d3f is not None:
@@ -369,7 +397,8 @@ class TabulatedProfile(ShearProfile):
 
     def value(self, x2):
         self._check_domain(x2)
-        return float(self._spline(x2))
+        out = self._spline(x2)
+        return out if isinstance(x2, np.ndarray) else float(out)
 
     def slope(self, x2):
         self._check_domain(x2)
@@ -377,7 +406,8 @@ class TabulatedProfile(ShearProfile):
 
     def curvature(self, x2):
         self._check_domain(x2)
-        return float(self._d2(x2))
+        out = self._d2(x2)
+        return out if isinstance(x2, np.ndarray) else float(out)
 
     def derivative3(self, x2):
         return float(self._d3(x2))
@@ -507,8 +537,8 @@ def find_critical_points(profile: ShearProfile, c_r: float, *,
         raise OutOfDomain("root scan requires a finite air column")
 
     xs = np.linspace(0.0, h, grid_n + 1)
-    fs = np.array([profile.value(float(x)) - c_r for x in xs])
-    umin, umax = float(min(fs) + c_r), float(max(fs) + c_r)
+    fs = profile.value(xs) - c_r
+    umin, umax = float(fs.min() + c_r), float(fs.max() + c_r)
     speed_scale = max(1.0, abs(c_r), umax - umin)
 
     if abs(fs[0]) <= endpoint_rtol * speed_scale or abs(fs[-1]) <= endpoint_rtol * speed_scale:
@@ -518,15 +548,16 @@ def find_critical_points(profile: ShearProfile, c_r: float, *,
 
     f = lambda x: profile.value(x) - c_r
     roots: list[float] = []
-    for i in range(grid_n):
+    # cells with a zero at the left node or a sign change across them
+    below = fs < 0.0
+    hits = (fs[:-1] == 0.0) | ((fs[1:] != 0.0) & (below[:-1] != below[1:]))
+    for i in np.flatnonzero(hits):
         a, b, fa, fb = float(xs[i]), float(xs[i + 1]), float(fs[i]), float(fs[i + 1])
         if fa == 0.0:
             # exact node hit; tangencies are caught by the slope threshold below
             roots.append(a)
-            continue
-        if fb == 0.0 or (fa < 0.0) == (fb < 0.0):
-            continue
-        roots.append(_bisect(f, a, b, fa, fb))
+        else:
+            roots.append(_bisect(f, a, b, fa, fb))
 
     # Newton polish, guarded to stay inside the column
     polished = []

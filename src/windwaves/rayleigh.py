@@ -41,6 +41,7 @@ from .profiles import (
     CriticalLayerSet,
     PiecewiseLinearProfile,
     ShearProfile,
+    TabulatedProfile,
     find_critical_points,
 )
 
@@ -59,6 +60,7 @@ __all__ = [
     "impedance_limit_check",
     "interface_impedance",
     "interface_impedances",
+    "impedance_outcomes",
     "uniform_flow_impedance",
     "pwl_impedance_cascade",
 ]
@@ -189,6 +191,10 @@ def _segment_bounds(profile: ShearProfile) -> list[float]:
     pts = [profile.h_plus, 0.0]
     if isinstance(profile, PiecewiseLinearProfile):
         pts.extend(x for x, _ in profile.kinks() if 0.0 < x < profile.h_plus)
+    elif isinstance(profile, TabulatedProfile):
+        # U''' jumps at the spline knots, which the error estimate does not
+        # see coming: stepping across them misses the tolerance 100-fold
+        pts.extend(float(x) for x in profile.x2[1:-1])
     return sorted(set(pts), reverse=True)
 
 
@@ -305,19 +311,22 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
 
 
 # ---------------------------------------------------------------------------
-# Batched direct solves: many wave speeds, one shared step sequence
+# Batched direct solves: many (k, c) pairs, each on its own step sequence
 # ---------------------------------------------------------------------------
 
 # The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.5), shaped
 # to weight a (stage, component, element) array.  The weighted stage sums are
 # elementwise products and sums, so no BLAS call, and so no BLAS thread
-# hand-off, sits in the step loop.
+# hand-off, sits in the step loop, and no element's arithmetic depends on
+# another's.
 _DOP_STAGES = dop853_coefficients.N_STAGES
-_DOP_C = dop853_coefficients.C[:_DOP_STAGES]
+# abscissae of stages 1 .. N_STAGES - 1; the last one is 1, the step's end
+_DOP_C = dop853_coefficients.C[1:_DOP_STAGES, None]
 _DOP_A = [dop853_coefficients.A[s, :s, None, None] for s in range(_DOP_STAGES)]
 _DOP_B = dop853_coefficients.B[:, None, None]
-_DOP_E3 = dop853_coefficients.E3[:, None, None]
-_DOP_E5 = dop853_coefficients.E5[:, None, None]
+# the order-5 and order-3 error estimators, stacked
+_DOP_E = np.stack((dop853_coefficients.E5,
+                   dop853_coefficients.E3))[:, :, None, None]
 # scipy's step-size controller; the embedded error estimate is of order 7
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
@@ -325,33 +334,56 @@ _ERROR_EXPONENT = -1.0 / 8.0
 
 @dataclass
 class RayleighBatch:
-    """Interface data of direct Rayleigh solves at one k, one per wave speed."""
+    """Interface data of direct Rayleigh solves, one per (k, c) pair."""
 
     c: np.ndarray
-    k: float
+    k: np.ndarray
     y0: np.ndarray
     yp0: np.ndarray
     impedance: np.ndarray
-    n_steps: int = 0
+    #: accepted points per element, counted as :func:`integrate_rayleigh` does
+    n_steps: np.ndarray
 
 
-def integrate_rayleigh_batch(profile: ShearProfile, k: float, cs,
+def _pairs(profile: ShearProfile, k, cs) -> tuple[np.ndarray, np.ndarray]:
+    """Validated 1-d arrays of wavenumbers and wave speeds, broadcast together."""
+    ks, cs = np.broadcast_arrays(np.asarray(k, dtype=float),
+                                 np.asarray(cs, dtype=complex))
+    if cs.ndim != 1:
+        raise ValueError("k and cs must broadcast to a 1-d array")
+    if np.any(ks == 0.0):
+        raise ValueError("wavenumber k must be nonzero")
+    if not math.isfinite(profile.h_plus):
+        raise InfiniteDomain("direct integration needs a finite air column; "
+                             "uniform-vorticity impedances have closed forms")
+    return ks, cs
+
+
+def _raise_first(errors: dict) -> None:
+    """Raise the error of the first failed element in input order, if any."""
+    if errors:
+        raise errors[min(errors)]
+
+
+def integrate_rayleigh_batch(profile: ShearProfile, k, cs,
                              tol: float = _DEFAULT_TOL, *,
                              init=None) -> RayleighBatch:
-    """Integrate the Rayleigh equation for many wave speeds in one step loop.
+    """Integrate the Rayleigh equation for many (k, c) pairs in one step loop.
 
     The batched counterpart of :func:`integrate_rayleigh`: the same equation,
-    lid data, kink jumps and guards, integrated by DOP853 with one step size
-    shared by every element.  A step is accepted only when every element's
-    error norm (scipy's DOP853 norm at ``rtol = tol``, ``atol = tol * 1e-3``)
-    is below 1, so each element is at least as accurate as its own adaptive
-    solve, and the profile is evaluated once per stage for the whole batch.
-    The step sequence depends on the whole batch, so an impedance agrees with
-    the one computed alone, or in another batch, to within ``tol`` but not bit
-    for bit.  ``n_steps`` counts the points of the shared path.
+    lid data, breakpoints, kink jumps and guards, integrated by scipy's DOP853
+    (tableau, error norm at ``rtol = tol``, ``atol = tol * 1e-3``, step
+    controller and starting step) with a step size and an accept/reject
+    decision of each element's own.  Each pass of the loop tries one step of
+    every element, and the profile is evaluated once per pass, at every stage
+    abscissa of every element, in one array call.  All arithmetic is
+    elementwise, so an element's result does not depend on its batch: it is
+    bit for bit the one it gets alone.
 
     Parameters
     ----------
+    k : float or array_like of float
+        Wavenumbers, broadcast against ``cs``.
     cs : array_like of complex, shape (n,)
         Wave speeds.
     init : array_like of complex, shape (n, 2), optional
@@ -361,16 +393,25 @@ def integrate_rayleigh_batch(profile: ShearProfile, k: float, cs,
     ------
     WindwavesError
         The error :func:`integrate_rayleigh` raises for the first failing
-        wave speed in input order.
+        element in input order.
     """
-    if k == 0.0:
-        raise ValueError("wavenumber k must be nonzero")
-    if not math.isfinite(profile.h_plus):
-        raise InfiniteDomain("direct integration needs a finite air column; "
-                             "uniform-vorticity impedances have closed forms")
-    cs = np.asarray(cs, dtype=complex)
-    if cs.ndim != 1:
-        raise ValueError("cs must be a 1-d array of wave speeds")
+    ks, cs = _pairs(profile, k, cs)
+    y, n_steps, errors = _shoot(profile, ks, cs, tol, init)
+    _raise_first(errors)
+    return RayleighBatch(c=cs, k=ks, y0=y[0], yp0=y[1], impedance=y[1] / y[0],
+                         n_steps=n_steps)
+
+
+def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
+           init=None) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Shoot every (k, c) element from the lid down to the interface.
+
+    Returns ``(y, n_steps, errors)``: (y(0), y'(0)) per element, NaN where
+    the element failed; its accepted points; and, by element index, the error
+    :func:`integrate_rayleigh` raises for each failed element.  An element
+    that has finished the current segment, or failed, steps by zero until the
+    others finish it, so no array is ever compacted.
+    """
     n = cs.size
     y = np.empty((2, n), dtype=complex)
     if init is None:
@@ -378,13 +419,11 @@ def integrate_rayleigh_batch(profile: ShearProfile, k: float, cs,
     else:
         y[:] = np.asarray(init, dtype=complex).reshape(n, 2).T
 
-    # A failed element is masked out of the step control and its first error
-    # kept; the batch raises the error of the first failed element.
     alive = np.ones(n, dtype=bool)
     errors: dict[int, WindwavesError] = {}
 
     def fail(i: int, exc: WindwavesError) -> None:
-        errors.setdefault(i, exc)
+        errors.setdefault(int(i), exc)
         alive[i] = False
 
     u_range = _u_range(profile)
@@ -397,73 +436,83 @@ def integrate_rayleigh_batch(profile: ShearProfile, k: float, cs,
 
     track = not profile.zero_curvature
     curved = track and not isinstance(profile, PiecewiseLinearProfile)
-    kk = k * k
+    kk = ks * ks
 
-    def coeff(x: float):
-        # U(x) for the path guard, and q = U''/(U - c) + k^2 per element
+    def coeff(x: np.ndarray):
+        # U for the path guard, and q = U''/(U - c) + k^2, at altitudes x of
+        # shape (..., n)
         u = profile.value(x) if track else None
-        return u, (profile.curvature(x) / (u - cs) + kk if curved else kk)
+        if curved:
+            return u, profile.curvature(x) / (u - cs) + kk
+        return u, np.broadcast_to(kk, x.shape)
 
     rtol, atol = tol, tol * 1e-3
     sup_y = np.abs(y[0])
     dist = np.full(n, math.inf)
+    n_steps = np.zeros(n, dtype=int)
+    stages = np.empty((_DOP_STAGES + 1, 2, n), dtype=complex)
+    # (1, q) at the stage abscissae: a stage derivative (y', q y) is the
+    # reversed stage state times them
+    weights = np.ones((_DOP_STAGES - 1, 2, n), dtype=complex)
     jumps = _kink_jump_map(profile)
     bounds = _segment_bounds(profile)
-    n_steps = 0
     with np.errstate(all="ignore"):  # failed elements may overflow
         for top, bot in zip(bounds, bounds[1:]):
-            if not alive.any():
+            live = alive.copy()
+            if not np.count_nonzero(live):
                 break
-            t = top
+            t = np.full(n, top)
             u, q = coeff(t)
-            stages = np.empty((_DOP_STAGES + 1, 2, n), dtype=complex)
-            stages[0, 0], stages[0, 1] = y[1], q * y[0]
+            f = np.array([y[1], q * y[0]])  # the derivative at t
+            n_steps += live
             if track:
                 dist = np.minimum(dist, np.abs(u - cs))
-            n_steps += 1
-            h_abs = _initial_step(coeff, t, bot, y[:, alive], stages[0][:, alive],
-                                  alive, rtol, atol)
-            while t > bot and alive.any():
-                min_step = 10.0 * abs(np.nextafter(t, -np.inf) - t)
-                h_abs = max(h_abs, min_step)
-                rejected = False
-                while True:
-                    t_new = max(t - h_abs, bot)
-                    step = t_new - t
-                    y_new, u = _dop853_step(coeff, t, step, y, stages)
-                    err = _error_norm(stages, step, y, y_new, rtol, atol)
-                    err[~alive] = 0.0
-                    worst = float(np.max(err))
-                    if worst < 1.0:
-                        factor = _MAX_FACTOR if worst == 0.0 else \
-                            min(_MAX_FACTOR, _SAFETY * worst ** _ERROR_EXPONENT)
-                        h_abs *= min(1.0, factor) if rejected else factor
-                        break
-                    h_abs *= max(_MIN_FACTOR, _SAFETY * worst ** _ERROR_EXPONENT)
-                    rejected = True
-                    if h_abs < min_step:
-                        # fail the element that forced the step down
-                        fail(int(np.argmax(err)), NearSingularCoefficient(
+            h_abs = _initial_step(coeff, t, bot, y, f, live, rtol, atol)
+            rejected = np.zeros(n, dtype=bool)
+            while True:
+                # scipy's controller: a retried step below min_step gives up,
+                # and a new one starts at min_step or above (which a retried
+                # one that did not give up already is)
+                min_step = 10.0 * (t - np.nextafter(t, -np.inf))
+                if np.count_nonzero(rejected):
+                    for i in np.flatnonzero(rejected & (h_abs < min_step)):
+                        fail(i, NearSingularCoefficient(
                             "integration failed: Required step size is less "
                             "than spacing between numbers."))
-                        if not alive.any():
-                            break
-                        h_abs, rejected = min_step, False
-                if worst >= 1.0:
+                    live &= alive
+                if not np.count_nonzero(live):
                     break
-                t, y = t_new, y_new
-                stages[0] = stages[-1]
-                n_steps += 1
-                sup_y = np.maximum(sup_y, np.abs(y[0]))
+                h_abs = np.fmax(h_abs, min_step)
+                t_new = np.maximum(t - h_abs, bot)
+                h = np.where(live, t - t_new, 0.0)
+                y_new, f_new, u = _dop853_step(coeff, t, h, y, f, stages,
+                                               weights)
+                err = _error_norm(stages, y, y_new, rtol, atol)
+                ok = live & (err < 1.0)
+                # err = 0 makes factor inf, which fmin caps at _MAX_FACTOR;
+                # a step retried after a rejection may not grow; a NaN err
+                # (an overflow) shrinks the step by _MIN_FACTOR, as in scipy
+                factor = _SAFETY * err ** _ERROR_EXPONENT
+                grow = np.fmin(_MAX_FACTOR, factor)
+                np.fmin(grow, 1.0, out=grow, where=rejected)
+                rejected = live ^ ok  # ok is a subset of live
+                np.fmax(_MIN_FACTOR, factor, out=grow, where=rejected)
+                h_abs = h * grow
+                np.copyto(t, t_new, where=ok)
+                np.copyto(y, y_new, where=ok)
+                np.copyto(f, f_new, where=ok)
+                n_steps += ok
+                np.maximum(sup_y, np.abs(y[0]), out=sup_y)
                 if track:
-                    dist = np.minimum(dist, np.abs(u - cs))
+                    np.fmin(dist, np.abs(u - cs), out=dist, where=ok)
+                live &= t > bot
             if bot in jumps:
                 for i in np.flatnonzero(alive):
                     try:
                         denom = _kink_denominator(profile, bot, complex(cs[i]),
                                                   scales[i])
                     except WindwavesError as exc:
-                        fail(int(i), exc)
+                        fail(i, exc)
                         continue
                     # y'(x-) = y'(x+) - [U'] y / (U - c)
                     y[1, i] = y[1, i] - jumps[bot] * y[0, i] / denom
@@ -473,38 +522,48 @@ def integrate_rayleigh_batch(profile: ShearProfile, k: float, cs,
             _check_path(float(dist[i]), scales[i])
             _check_interface(complex(y[0, i]), complex(y[1, i]), float(sup_y[i]))
         except WindwavesError as exc:
-            fail(int(i), exc)
-    if errors:
-        raise errors[min(errors)]
-    return RayleighBatch(c=cs, k=k, y0=y[0].copy(), yp0=y[1].copy(),
-                         impedance=y[1] / y[0], n_steps=n_steps)
+            fail(i, exc)
+    y[:, ~alive] = np.nan
+    return y, n_steps, errors
 
 
-def _dop853_step(coeff, t: float, step: float, y: np.ndarray,
-                 stages: np.ndarray) -> tuple[np.ndarray, Optional[float]]:
-    """One DOP853 step of (y, y')' = (y', q y) from t.
+def _dop853_step(coeff, t: np.ndarray, h: np.ndarray, y: np.ndarray,
+                 f: np.ndarray, stages: np.ndarray, weights: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """One DOP853 step of (y, y')' = (y', q y) from t down to t - h, per element.
 
-    ``stages[0]`` holds the derivative at t; the other stages are filled in.
-    Returns the state at t + step and U(t + step).
+    ``f`` is the derivative at t.  ``stages`` is filled with h times the
+    stage derivatives, which spares a scaling per stage.  q does not depend
+    on y, so the coefficient is evaluated at every stage abscissa at once.
+    Returns the state and its derivative at t - h, and U(t - h).
     """
+    u, weights[:, 1] = coeff(t - _DOP_C * h)
+    scaled = weights * h
+    np.multiply(f, h, out=stages[0])
     for s in range(1, _DOP_STAGES):
-        ys = y + step * (_DOP_A[s] * stages[:s]).sum(axis=0)
-        u, q = coeff(t + _DOP_C[s] * step)
-        stages[s, 0], stages[s, 1] = ys[1], q * ys[0]
-    y_new = y + step * (_DOP_B * stages[:-1]).sum(axis=0)
-    # the last stage sits at t + step, so u and q are taken there
-    stages[-1, 0], stages[-1, 1] = y_new[1], q * y_new[0]
-    return y_new, u
+        acc = np.add.reduce(_DOP_A[s] * stages[:s], axis=0)
+        np.subtract(y, acc, out=acc)
+        np.multiply(acc[::-1], scaled[s - 1], out=stages[s])
+    y_new = np.add.reduce(_DOP_B * stages[:-1], axis=0)
+    np.subtract(y, y_new, out=y_new)
+    # the last stage abscissa is t - h
+    f_new = y_new[::-1] * weights[-1]
+    np.multiply(f_new, h, out=stages[-1])
+    return y_new, f_new, None if u is None else u[-1]
 
 
-def _error_norm(stages, step, y, y_new, rtol, atol) -> np.ndarray:
-    """scipy's DOP853 error norm, one value per element."""
+def _error_norm(stages, y, y_new, rtol, atol) -> np.ndarray:
+    """scipy's DOP853 error norm, one value per element.
+
+    The stages carry a factor h, so the squared norms carry h^2, and scipy's
+    |h| e5 / sqrt(2 (e5 + 0.01 e3)) is e5 / sqrt(2 (e5 + 0.01 e3)) in them.
+    """
     sc = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-    e5 = (np.abs((_DOP_E5 * stages).sum(axis=0) / sc) ** 2).sum(axis=0)
-    e3 = (np.abs((_DOP_E3 * stages).sum(axis=0) / sc) ** 2).sum(axis=0)
+    e = np.abs(np.add.reduce(_DOP_E * stages, axis=1) / sc) ** 2
+    e5, e3 = e[:, 0] + e[:, 1]
     denom = e5 + 0.01 * e3
     # a NaN from an overflowed element must reject the step, not pass as 0
-    return np.where(denom == 0.0, 0.0, abs(step) * e5 / np.sqrt(2.0 * denom))
+    return np.where(denom == 0.0, 0.0, e5 / np.sqrt(2.0 * denom))
 
 
 def _rms(v: np.ndarray) -> np.ndarray:
@@ -512,21 +571,25 @@ def _rms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(0.5 * (np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2))
 
 
-def _initial_step(coeff, t0, t_bound, y0, f0, alive, rtol, atol) -> float:
-    """scipy's starting-step heuristic, the smallest over the live elements."""
+def _initial_step(coeff, t0, t_bound, y0, f0, live, rtol, atol) -> np.ndarray:
+    """scipy's starting-step heuristic, per element (0 for the others).
+
+    fmin and fmax ignore a NaN, so an element whose derivative overflows at
+    the lid still gets a finite first step, and then fails the step control
+    as it does in scipy.
+    """
     interval = t0 - t_bound
     sc = atol + np.abs(y0) * rtol
     d0, d1 = _rms(y0 / sc), _rms(f0 / sc)
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-    h0 = min(float(np.min(h0)), interval)
+    h0 = np.where(live, np.fmin(h0, interval), 0.0)
     y1 = y0 - h0 * f0
     q1 = coeff(t0 - h0)[1]
-    q1 = q1[alive] if np.ndim(q1) else q1
     d2 = _rms(np.stack((y1[1] - f0[0], q1 * y1[0] - f0[1])) / sc) / h0
-    dmax = np.maximum(d1, d2)
-    h1 = np.where(dmax <= 1e-15, max(1e-6, h0 * 1e-3),
+    dmax = np.fmax(d1, d2)
+    h1 = np.where(dmax <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / dmax) ** (-_ERROR_EXPONENT))
-    return min(100.0 * h0, float(np.min(h1)), interval)
+    return np.fmin(np.fmin(100.0 * h0, h1), interval)
 
 
 def pwl_impedance_cascade(profile: PiecewiseLinearProfile, k: float,
@@ -583,20 +646,43 @@ def interface_impedance(profile: ShearProfile, k: float, c: complex,
     return integrate_rayleigh(profile, k, c, tol).impedance
 
 
-def interface_impedances(profile: ShearProfile, k: float, cs,
+def interface_impedances(profile: ShearProfile, k, cs,
                          tol: float = _DEFAULT_TOL) -> np.ndarray:
-    """:func:`interface_impedance` of a 1-d array of wave speeds.
+    """:func:`interface_impedance` of (k, c) pairs, ``k`` broadcast against ``cs``.
 
-    Closed forms are evaluated point by point; ODE impedances are shot in one
-    batch by :func:`integrate_rayleigh_batch`, so they agree with the scalar
-    dispatch within ``tol``.
+    Raises the error of the first failing pair in input order; see
+    :func:`impedance_outcomes` for the form that reports every pair.
     """
-    cs = np.asarray(cs, dtype=complex)
+    imps, errors = impedance_outcomes(profile, k, cs, tol)
+    _raise_first(errors)
+    return imps
+
+
+def impedance_outcomes(profile: ShearProfile, k, cs,
+                       tol: float = _DEFAULT_TOL) -> tuple[np.ndarray, dict]:
+    """Impedances of (k, c) pairs, and the error of each pair that failed.
+
+    Closed forms are evaluated pair by pair; ODE impedances are shot in one
+    :func:`integrate_rayleigh_batch` loop, so each equals the value its pair
+    gets alone.  A failed pair's impedance is NaN, and ``errors`` maps its
+    index to the error :func:`interface_impedance` raises for it.
+    """
     if profile.zero_curvature or (isinstance(profile, PiecewiseLinearProfile)
                                   and math.isinf(profile.h_plus)):
-        return np.array([interface_impedance(profile, k, complex(c), tol)
-                         for c in cs], dtype=complex)
-    return integrate_rayleigh_batch(profile, k, cs, tol).impedance
+        ks, cs = np.broadcast_arrays(np.asarray(k, dtype=float),
+                                     np.asarray(cs, dtype=complex))
+        imps = np.full(cs.shape, complex("nan"))
+        errors = {}
+        for i, (kv, c) in enumerate(zip(ks.tolist(), cs.tolist())):
+            try:
+                imps[i] = interface_impedance(profile, kv, c, tol)
+            except WindwavesError as exc:
+                errors[i] = exc
+        return imps, errors
+    ks, cs = _pairs(profile, k, cs)
+    y, _, errors = _shoot(profile, ks, cs, tol)
+    with np.errstate(invalid="ignore"):  # NaN / NaN for the failed pairs
+        return y[1] / y[0], errors
 
 
 # ---------------------------------------------------------------------------
@@ -788,14 +874,17 @@ class LimitSolution:
 
 def limiting_solution(profile: ShearProfile, k: float, c_r: float,
                       sign_ci: int, tol: float = _DEFAULT_TOL, *,
-                      delta_loc: float | None = None) -> LimitSolution:
+                      delta_loc: float | None = None,
+                      layers: CriticalLayerSet | None = None) -> LimitSolution:
     """Solve the Rayleigh equation in the limiting sense for real c_r.
 
     Away from critical layers the real-coefficient equation is integrated
     directly; each layer s_j is crossed on [s_j - delta, s_j + delta] with the
     two-solution Frobenius log-series, the branch fixed so that y' jumps by
     i sign_ci pi U''(s_j)/|U'(s_j)| y(s_j).  The result is normalized to
-    y*(0) = 1, so ``impedance`` equals y*'(0).
+    y*(0) = 1, so ``impedance`` equals y*'(0).  ``layers`` passes in the
+    result of ``find_critical_points(profile, c_r)`` when the caller holds it
+    already; the layers are scanned for otherwise.
 
     Raises
     ------
@@ -812,7 +901,8 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     if not math.isfinite(h):
         raise InfiniteDomain("limiting solver needs a finite air column")
 
-    layers = find_critical_points(profile, c_r)
+    if layers is None:
+        layers = find_critical_points(profile, c_r)
     if len(layers) == 0:
         sol = integrate_rayleigh(profile, k, complex(c_r), tol)
         return LimitSolution(c_r=c_r, sign_ci=sign_ci, k=k, layers=layers,

@@ -319,3 +319,54 @@ class TestScanK:
         p = params_with()
         with pytest.raises(ValueError):
             scan_k(ConstantProfile(1.0), p, [])
+
+    @staticmethod
+    def scalar_chain(prof, p, k, strategy=ScanStrategy()):
+        # the per-k Muller chain of a sweep, on the scalar residual
+        from windwaves.asymptotics import miles_c_sharp
+        from windwaves.errors import WindwavesError
+
+        seed = complex(ck(p, k))
+        try:
+            seed += 1j * p.epsilon * max(miles_c_sharp(prof, p, k).c_sharp, 0.0)
+        except WindwavesError:
+            pass
+        residual = make_miles_residual(prof, p, k, tol=strategy.rayleigh_tol)
+        return find_root(residual, seed, tol=strategy.tol,
+                         max_iter=strategy.max_iter, scale=p.g, k=k)
+
+    def test_lockstep_matches_per_k_find_root(self):
+        p = params_with(h_plus=5.0)
+        prof = TanhProfile(10.0, 1.0, 5.0)
+        ks = [0.05, 0.12, 0.3, 1.0, 3.0]
+        curve = scan_k(prof, p, ks)
+        for entry in curve.entries:
+            want = self.scalar_chain(prof, p, entry.k).c
+            if want.imag < 0.0:
+                want = want.conjugate()
+            assert abs(entry.c - want) <= 1e-9 * abs(want), entry
+
+    def test_unbounded_curved_column_fails_every_row(self):
+        # the whole lockstep round fails, and each row says why
+        curve = scan_k(TanhProfile(10.0, 1.0, math.inf), params_with(), [0.5, 1.0])
+        assert [e.converged for e in curve.entries] == [False, False]
+        assert all("finite air column" in e.message for e in curve.entries)
+
+    def test_failed_row_reports_scalar_message(self):
+        from windwaves.errors import WindwavesError
+
+        p = params_with(h_plus=5.0)
+        prof = TanhProfile(10.0, 1.0, 5.0)
+        # c_k = U(h+): the layer scan refuses the seed, and the starting
+        # triple puts a real wave speed on a critical layer
+        k_bad = p.g / prof.value(5.0) ** 2
+        with pytest.raises(WindwavesError) as scalar:
+            self.scalar_chain(prof, p, k_bad)
+        good = [0.3, 1.0, 3.0]
+        curve = scan_k(prof, p, good + [k_bad])
+        alone = scan_k(prof, p, good)
+        bad = [e for e in curve.entries if e.k == k_bad]
+        assert len(bad) == 1 and not bad[0].converged
+        assert bad[0].message == str(scalar.value)
+        rest = [e for e in curve.entries if e.k != k_bad]
+        assert [(e.k, e.c) for e in rest] == [(e.k, e.c) for e in alone.entries]

@@ -15,6 +15,7 @@ from windwaves.profiles import (
     ConstantProfile,
     LinearShearProfile,
     PiecewiseLinearProfile,
+    ShearProfile,
     TabulatedProfile,
     TanhProfile,
     evaluate,
@@ -221,3 +222,66 @@ class TestCriticalPoints:
         pos = layers.positions
         assert list(pos) == sorted(pos)
         assert all(b - a > 2.0 / 4096 for a, b in zip(pos, pos[1:]))
+
+
+class ScalarGrid(ShearProfile):
+    """A profile that answers an array of altitudes one float at a time."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.h_plus = inner.h_plus
+
+    def value(self, x2):
+        if isinstance(x2, np.ndarray):
+            return np.array([self.inner.value(float(x)) for x in x2])
+        return self.inner.value(x2)
+
+    def slope(self, x2):
+        return self.inner.slope(x2)
+
+    def curvature(self, x2):
+        return self.inner.curvature(x2)
+
+
+TABLE = TabulatedProfile(np.linspace(0.0, 5.0, 16),
+                         10.0 * np.tanh(np.linspace(0.0, 5.0, 16)))
+ARRAY_CASES = {
+    "tanh": (TanhProfile(10.0, 1.0, 5.0), [1.0, 6.0, 9.5]),
+    "table": (TABLE, [1.0, 6.0, 9.5]),
+    "analytic": (parabola_profile(), [0.5, 1.5, 1.9]),
+    "linear": (LinearShearProfile(1.0, 2.0, h_plus=3.0), [1.5, 4.0, 6.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+def test_array_scan_matches_scalar_grid(name):
+    prof, targets = ARRAY_CASES[name]
+    for c_r in targets:
+        got = find_critical_points(prof, c_r)
+        want = find_critical_points(ScalarGrid(prof), c_r)
+        assert len(got) == len(want) > 0
+        for a, b in zip(got, want):
+            assert abs(a.position - b.position) <= 1e-12
+            assert a.u_prime == b.u_prime
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+def test_array_evaluation_matches_scalar(name):
+    prof, _ = ARRAY_CASES[name]
+    xs = np.linspace(0.0, prof.h_plus, 37).reshape(37, 1) * np.ones(2)
+    for method in (prof.value, prof.curvature):
+        got = method(xs)
+        assert got.shape == xs.shape
+        want = [[method(float(x)) for x in row] for row in xs]
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+        assert type(method(1.0)) is float
+
+
+def test_pwl_and_constant_array_evaluation():
+    ramp = PiecewiseLinearProfile([0.0, 1.0, 2.5], [3.0, 1.0, 0.0], h_plus=4.0)
+    xs = np.array([0.0, 0.5, 1.0, 2.0, 2.5, 4.0])
+    assert ramp.value(xs).tolist() == [ramp.value(float(x)) for x in xs]
+    assert ConstantProfile(5.0).value(xs).tolist() == [5.0] * xs.size
+    assert ConstantProfile(5.0).curvature(xs).tolist() == [0.0] * xs.size
+    with pytest.raises(OutOfDomain):
+        ramp.value(np.array([1.0, 4.5]))

@@ -20,6 +20,7 @@ from windwaves.profiles import (
 )
 from windwaves.rayleigh import (
     impedance_limit_check,
+    impedance_outcomes,
     integrate_rayleigh,
     integrate_rayleigh_batch,
     integrate_wronskian,
@@ -133,12 +134,64 @@ class TestBatch:
     def test_matches_scalar_solves(self, profile):
         cs = [complex(re, im) for re in (1.0, 3.0, 6.0)
               for im in (-0.3, 0.05, 0.5)]
-        # tol 1e-12: at 1e-10 the scalar solve of the spline table is only
-        # good to ~1e-8, as it steps across the knots where U''' jumps
+        # tol 1e-12 keeps both solves well inside the 1e-9 bound on every
+        # profile; the spline knots are breakpoints of both paths
         batch = integrate_rayleigh_batch(profile, 1.2, cs, tol=1e-12)
         for c, imp in zip(cs, batch.impedance):
             want = integrate_rayleigh(profile, 1.2, c, tol=1e-12).impedance
             assert abs(imp - want) <= 1e-9 * abs(want), c
+
+    @pytest.mark.parametrize("profile", [TANH, TABLE, EXP, KINKED],
+                             ids=["tanh", "table", "analytic", "kinked"])
+    def test_per_element_k_matches_scalar_solves(self, profile):
+        cs = [complex(re, im) for re in (1.0, 3.0, 6.0)
+              for im in (-0.3, 0.05, 0.5)]
+        ks = [0.4, 1.2, 2.5] * 3
+        batch = integrate_rayleigh_batch(profile, ks, cs, tol=1e-12)
+        assert batch.k.tolist() == ks
+        for k, c, imp in zip(ks, cs, batch.impedance):
+            want = integrate_rayleigh(profile, k, c, tol=1e-12).impedance
+            assert abs(imp - want) <= 1e-9 * abs(want), (k, c)
+
+    @pytest.mark.parametrize("profile", [TANH, TABLE, EXP],
+                             ids=["tanh", "table", "analytic"])
+    def test_member_equals_solo_bitwise(self, profile):
+        rng = np.random.default_rng(7)
+        n = 12
+        ks = rng.uniform(0.2, 3.0, n)
+        cs = rng.uniform(1.0, 7.0, n) + 1j * rng.uniform(-0.5, 0.5, n)
+        init = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        batch = integrate_rayleigh_batch(profile, ks, cs, init=init)
+        for i in range(n):
+            solo = integrate_rayleigh_batch(profile, ks[i], cs[i:i + 1],
+                                            init=init[i:i + 1])
+            assert solo.y0[0] == batch.y0[i]
+            assert solo.yp0[0] == batch.yp0[i]
+            assert solo.n_steps[0] == batch.n_steps[i]
+
+    def test_failing_member_leaves_the_others(self):
+        cs = [3.0 + 0.2j, 3.0 + 1e-9j, 2.0 - 0.1j]
+        imps, errors = impedance_outcomes(TANH, [1.0, 1.0, 0.7], cs)
+        assert list(errors) == [1]
+        assert isinstance(errors[1], NearSingularCoefficient)
+        assert np.isnan(imps[1])
+        for i in (0, 2):
+            solo = integrate_rayleigh_batch(TANH, [1.0, 1.0, 0.7][i], [cs[i]])
+            assert imps[i] == solo.impedance[0]
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
+    def test_table_meets_its_tolerance(self, batched):
+        # the spline knots, where U''' jumps, are integration breakpoints
+        cs = [complex(re, im) for re in (1.0, 3.0, 6.0)
+              for im in (-0.3, 0.05, 0.5)]
+        if batched:
+            got = integrate_rayleigh_batch(self.TABLE, 1.2, cs, tol=1e-10).impedance
+        else:
+            got = [integrate_rayleigh(self.TABLE, 1.2, c, tol=1e-10).impedance
+                   for c in cs]
+        for c, imp in zip(cs, got):
+            ref = integrate_rayleigh(self.TABLE, 1.2, c, tol=1e-13).impedance
+            assert abs(imp - ref) <= 1e-9 * abs(ref), c
 
     def test_per_element_init(self):
         cs = [3.0 + 0.05j, 2.0 - 0.2j]
