@@ -22,7 +22,7 @@ from .dispersion import FluidParams, ck, make_miles_residual
 from .eigensolver import count_roots
 from .errors import HypothesisViolated, NoCriticalLayer, WindwavesError
 from .profiles import CriticalLayerSet, ShearProfile, find_critical_points
-from .rayleigh import limiting_solution
+from .rayleigh import limiting_solutions
 
 __all__ = [
     "MilesAsymptotics",
@@ -30,6 +30,7 @@ __all__ = [
     "StabilityCertificate",
     "f_I0",
     "miles_c_sharp",
+    "growth_constants",
     "unstable_band",
     "necessity_certificate",
 ]
@@ -95,7 +96,8 @@ def miles_c_sharp(profile: ShearProfile, params: FluidParams, k: float,
     |y|^2 to 1 at the interface and sums the per-layer terms.  When the
     sufficient sign hypotheses (c_k U''(s_j) <= 0, strict at one of the top
     two layers) fail, a warning is issued and the sign of the assembled
-    bracket remains the authoritative predicate.
+    bracket remains the authoritative predicate.  This is the one-k case of
+    :func:`growth_constants`.
 
     Raises
     ------
@@ -103,21 +105,72 @@ def miles_c_sharp(profile: ShearProfile, params: FluidParams, k: float,
         If c_k is outside the range of the wind profile; no unstable speed
         can then bifurcate from c_k at small eps.
     """
-    c_k = ck(params, k, branch)
-    layers = find_critical_points(profile, c_k)
-    if len(layers) == 0:
-        raise NoCriticalLayer(
-            f"c_k = {c_k:g} outside the range of U: provably no bifurcation "
-            "from c_k for small density ratio")
+    results, errors = _growth_constants(profile, params, [k], branch, tol)
+    if errors:
+        raise errors[0]
+    return results[0]
 
-    if not _sufficient_signs_hold(c_k, layers):
-        warnings.warn(
-            "sufficient sign hypotheses on c_k U'' fail; the assembled "
-            "bracket still decides instability", stacklevel=2)
 
-    limit = limiting_solution(profile, k, c_k, +1, tol, layers=layers)
+def growth_constants(profile: ShearProfile, params: FluidParams, ks,
+                     branch: int = +1, tol: float = 1e-10
+                     ) -> tuple[list[Optional[MilesAsymptotics]], dict]:
+    """:func:`miles_c_sharp` at every wavenumber of ``ks``.
+
+    The limiting solves of all wavenumbers with a critical layer run as one
+    batch (:func:`~windwaves.rayleigh.limiting_solutions`).  Returns
+    ``(results, errors)``: a failed wavenumber's result is None, and
+    ``errors`` maps its index to the error :func:`miles_c_sharp` raises
+    there.  The sign-hypothesis warning is issued for each wavenumber that
+    fails the hypotheses.
+    """
+    return _growth_constants(profile, params, ks, branch, tol)
+
+
+def _growth_constants(profile, params, ks, branch, tol):
+    # called straight from the public functions, so that stacklevel 3 names
+    # their caller in the warning
+    ks = list(ks)
+    c_ks = [ck(params, k, branch) for k in ks]
+    errors: dict[int, WindwavesError] = {}
+    layer_sets = {}
+    for i, c_k in enumerate(c_ks):
+        try:
+            layers = find_critical_points(profile, c_k)
+        except WindwavesError as exc:
+            errors[i] = exc
+            continue
+        if len(layers) == 0:
+            errors[i] = NoCriticalLayer(
+                f"c_k = {c_k:g} outside the range of U: provably no "
+                "bifurcation from c_k for small density ratio")
+            continue
+        if not _sufficient_signs_hold(c_k, layers):
+            warnings.warn(
+                "sufficient sign hypotheses on c_k U'' fail; the assembled "
+                "bracket still decides instability", stacklevel=3)
+        layer_sets[i] = layers
+
+    rows = list(layer_sets)
+    try:
+        limits, failed = limiting_solutions(
+            profile, [ks[i] for i in rows], [c_ks[i] for i in rows], +1, tol,
+            layers=list(layer_sets.values()))
+    except WindwavesError as exc:  # the whole batch, e.g. no finite column
+        limits, failed = None, dict.fromkeys(range(len(rows)), exc)
+    results: list[Optional[MilesAsymptotics]] = [None] * len(ks)
+    for j, i in enumerate(rows):
+        if j in failed:
+            errors[i] = failed[j]
+        else:
+            results[i] = _assemble(profile, params, ks[i], branch, c_ks[i],
+                                   layer_sets[i], limits[j])
+    return results, errors
+
+
+def _assemble(profile, params, k, branch, c_k, layers,
+              limit) -> MilesAsymptotics:
+    """Sum the per-layer terms of the growth constant."""
     fi0 = f_I0(profile, params, k, branch)
-
     contribs = []
     bracket = 0.0
     c_sharp = 0.0
@@ -157,7 +210,8 @@ def unstable_band(profile: ShearProfile, params: FluidParams,
             return -math.inf
 
     ks = [k_lo * (k_hi / k_lo) ** (i / (n_samples - 1)) for i in range(n_samples)]
-    vals = [sharp(k) for k in ks]
+    results, _ = growth_constants(profile, params, ks, branch, tol)
+    vals = [-math.inf if r is None else r.c_sharp for r in results]
 
     def refine(a: float, b: float) -> float:
         # bisect the predicate boundary between unstable a and stable b (or

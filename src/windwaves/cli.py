@@ -505,7 +505,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--output", help="override the output path")
     parser.add_argument("--format", choices=("csv", "json"), dest="fmt",
                         help="override the output format")
-    parser.add_argument("--jobs", type=int, help="sweep parallelism")
+    parser.add_argument("--jobs", type=int,
+                        help="accepted; a sweep runs as one batch")
     parser.add_argument("--dump-config", action="store_true",
                         help="echo the normalized configuration and exit")
     args = parser.parse_args(argv)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional, Sequence
 
@@ -362,24 +361,17 @@ def scan_k(profile, params, k_list: Sequence[float],
     run in lockstep: each round evaluates the wave speeds every live chain
     asks for (the starting triples, then one point per chain) in one
     :func:`~windwaves.dispersion.miles_residuals` call, whose batched
-    impedances do not depend on the batch.  ``jobs > 1`` splits the
-    wavenumbers into that many contiguous chunks, each swept in lockstep on
-    its own thread, with the same results as ``jobs = 1``.
+    impedances do not depend on the batch.  The asymptotic seeds of all
+    wavenumbers come from one batched growth-constant call
+    (:func:`~windwaves.asymptotics.growth_constants`).  ``jobs`` is accepted
+    for compatibility and no longer splits a sweep: every wavenumber runs in
+    the one lockstep batch, whatever its value.
     """
     ks = [float(k) for k in k_list]
     if not ks or any(k <= 0.0 for k in ks):
         raise ValueError("k_list must be nonempty and positive")
 
-    if jobs > 1:
-        size = -(-len(ks) // jobs)
-        chunks = [ks[i:i + size] for i in range(0, len(ks), size)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(lambda part: _lockstep(profile, params, part,
-                                                    strategy), chunks)
-            entries = [e for part in parts for e in part]
-    else:
-        entries = _lockstep(profile, params, ks, strategy)
-
+    entries = _lockstep(profile, params, ks, strategy)
     order = sorted(range(len(ks)), key=lambda i: ks[i])
     entries = [entries[i] for i in order]
     metadata = {"profile": repr(profile), "params": repr(params),
@@ -390,21 +382,19 @@ def scan_k(profile, params, k_list: Sequence[float],
 def _lockstep(profile, params, ks: list[float],
               strategy: ScanStrategy) -> list[GrowthEntry]:
     """One Muller chain per wavenumber, all evaluated round by round."""
-    from .asymptotics import miles_c_sharp
+    from .asymptotics import growth_constants
     from .dispersion import ck, miles_residuals
 
     entries: list[Optional[GrowthEntry]] = [None] * len(ks)
     chains = {}  # index -> (Muller generator, the wave speeds it waits for)
-    for i, k in enumerate(ks):
+    asyms, _ = growth_constants(profile, params, ks, strategy.branch,
+                                tol=strategy.rayleigh_tol)
+    for i, (k, asym) in enumerate(zip(ks, asyms)):
         c_k = ck(params, k, strategy.branch)
-        seed = complex(c_k)
-        try:
-            asym = miles_c_sharp(profile, params, k, strategy.branch,
-                                 tol=strategy.rayleigh_tol)
+        seed = complex(c_k)  # no layer or degenerate: on the real axis
+        if asym is not None:
             seed = c_k + 1j * strategy.seed_fraction * params.epsilon * \
                 max(asym.c_sharp, 0.0)
-        except WindwavesError:
-            pass  # no layer or degenerate: seed on the real axis
         chain = _muller(seed, tol=strategy.tol, max_iter=strategy.max_iter,
                         scale=params.g, k=k, unstable_tol=1e-8, spread=1e-4)
         chains[i] = (chain, next(chain))

@@ -57,6 +57,7 @@ __all__ = [
     "integrate_rayleigh_batch",
     "integrate_wronskian",
     "limiting_solution",
+    "limiting_solutions",
     "impedance_limit_check",
     "interface_impedance",
     "interface_impedances",
@@ -408,9 +409,8 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
 
     Returns ``(y, n_steps, errors)``: (y(0), y'(0)) per element, NaN where
     the element failed; its accepted points; and, by element index, the error
-    :func:`integrate_rayleigh` raises for each failed element.  An element
-    that has finished the current segment, or failed, steps by zero until the
-    others finish it, so no array is ever compacted.
+    :func:`integrate_rayleigh` raises for each failed element.  Each segment
+    between breakpoints is one :func:`_advance` of every element.
     """
     n = cs.size
     y = np.empty((2, n), dtype=complex)
@@ -446,66 +446,23 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
             return u, profile.curvature(x) / (u - cs) + kk
         return u, np.broadcast_to(kk, x.shape)
 
-    rtol, atol = tol, tol * 1e-3
     sup_y = np.abs(y[0])
     dist = np.full(n, math.inf)
+
+    def watch(ok: np.ndarray, u: Optional[np.ndarray]) -> None:
+        np.maximum(sup_y, np.abs(y[0]), out=sup_y)
+        if track:
+            np.fmin(dist, np.abs(u - cs), out=dist, where=ok)
+
     n_steps = np.zeros(n, dtype=int)
-    stages = np.empty((_DOP_STAGES + 1, 2, n), dtype=complex)
-    # (1, q) at the stage abscissae: a stage derivative (y', q y) is the
-    # reversed stage state times them
-    weights = np.ones((_DOP_STAGES - 1, 2, n), dtype=complex)
     jumps = _kink_jump_map(profile)
     bounds = _segment_bounds(profile)
     with np.errstate(all="ignore"):  # failed elements may overflow
         for top, bot in zip(bounds, bounds[1:]):
-            live = alive.copy()
-            if not np.count_nonzero(live):
+            if not np.count_nonzero(alive):
                 break
-            t = np.full(n, top)
-            u, q = coeff(t)
-            f = np.array([y[1], q * y[0]])  # the derivative at t
-            n_steps += live
-            if track:
-                dist = np.minimum(dist, np.abs(u - cs))
-            h_abs = _initial_step(coeff, t, bot, y, f, live, rtol, atol)
-            rejected = np.zeros(n, dtype=bool)
-            while True:
-                # scipy's controller: a retried step below min_step gives up,
-                # and a new one starts at min_step or above (which a retried
-                # one that did not give up already is)
-                min_step = 10.0 * (t - np.nextafter(t, -np.inf))
-                if np.count_nonzero(rejected):
-                    for i in np.flatnonzero(rejected & (h_abs < min_step)):
-                        fail(i, NearSingularCoefficient(
-                            "integration failed: Required step size is less "
-                            "than spacing between numbers."))
-                    live &= alive
-                if not np.count_nonzero(live):
-                    break
-                h_abs = np.fmax(h_abs, min_step)
-                t_new = np.maximum(t - h_abs, bot)
-                h = np.where(live, t - t_new, 0.0)
-                y_new, f_new, u = _dop853_step(coeff, t, h, y, f, stages,
-                                               weights)
-                err = _error_norm(stages, y, y_new, rtol, atol)
-                ok = live & (err < 1.0)
-                # err = 0 makes factor inf, which fmin caps at _MAX_FACTOR;
-                # a step retried after a rejection may not grow; a NaN err
-                # (an overflow) shrinks the step by _MIN_FACTOR, as in scipy
-                factor = _SAFETY * err ** _ERROR_EXPONENT
-                grow = np.fmin(_MAX_FACTOR, factor)
-                np.fmin(grow, 1.0, out=grow, where=rejected)
-                rejected = live ^ ok  # ok is a subset of live
-                np.fmax(_MIN_FACTOR, factor, out=grow, where=rejected)
-                h_abs = h * grow
-                np.copyto(t, t_new, where=ok)
-                np.copyto(y, y_new, where=ok)
-                np.copyto(f, f_new, where=ok)
-                n_steps += ok
-                np.maximum(sup_y, np.abs(y[0]), out=sup_y)
-                if track:
-                    np.fmin(dist, np.abs(u - cs), out=dist, where=ok)
-                live &= t > bot
+            n_steps += _advance(coeff, np.full(n, top), bot, y, alive, fail,
+                                tol, watch)
             if bot in jumps:
                 for i in np.flatnonzero(alive):
                     try:
@@ -525,6 +482,73 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
             fail(i, exc)
     y[:, ~alive] = np.nan
     return y, n_steps, errors
+
+
+def _advance(coeff, top: np.ndarray, bot, y: np.ndarray, alive: np.ndarray,
+             fail, tol: float, watch=None) -> np.ndarray:
+    """Step every live element of ``y`` from its ``top[i]`` down to ``bot[i]``.
+
+    ``coeff(x)`` gives (U or None, q) at altitudes x of shape (..., n), and
+    ``y`` holds (y, y') per element and is updated in place.  Each pass tries
+    one DOP853 step of every element that is alive and short of its bottom,
+    on the element's own step size; the others step by zero, so no array is
+    ever compacted.  An element whose step size collapses is handed to
+    ``fail(i, error)``, which must clear ``alive[i]``.  ``watch(ok, u)`` is
+    called with the elements that accepted a point and U there: at the top,
+    then after each pass.  Returns the accepted points per element, the
+    start point included, as ``solve_ivp`` counts ``t``; an element with
+    ``top[i] == bot[i]`` does not move and counts none.
+    """
+    n = y.shape[1]
+    rtol, atol = tol, tol * 1e-3
+    live = alive & (top > bot)
+    t = np.array(top, dtype=float)
+    u, q = coeff(t)
+    f = np.array([y[1], q * y[0]])  # the derivative at t
+    n_steps = live.astype(int)
+    if watch is not None:
+        watch(live, u)
+    stages = np.empty((_DOP_STAGES + 1, 2, n), dtype=complex)
+    # (1, q) at the stage abscissae: a stage derivative (y', q y) is the
+    # reversed stage state times them
+    weights = np.ones((_DOP_STAGES - 1, 2, n), dtype=complex)
+    h_abs = _initial_step(coeff, t, bot, y, f, live, rtol, atol)
+    rejected = np.zeros(n, dtype=bool)
+    while True:
+        # scipy's controller: a retried step below min_step gives up, and a
+        # new one starts at min_step or above (which a retried one that did
+        # not give up already is)
+        min_step = 10.0 * (t - np.nextafter(t, -np.inf))
+        if np.count_nonzero(rejected):
+            for i in np.flatnonzero(rejected & (h_abs < min_step)):
+                fail(i, NearSingularCoefficient(
+                    "integration failed: Required step size is less than "
+                    "spacing between numbers."))
+            live &= alive
+        if not np.count_nonzero(live):
+            return n_steps
+        h_abs = np.fmax(h_abs, min_step)
+        t_new = np.maximum(t - h_abs, bot)
+        h = np.where(live, t - t_new, 0.0)
+        y_new, f_new, u = _dop853_step(coeff, t, h, y, f, stages, weights)
+        err = _error_norm(stages, y, y_new, rtol, atol)
+        ok = live & (err < 1.0)
+        # err = 0 makes factor inf, which fmin caps at _MAX_FACTOR; a step
+        # retried after a rejection may not grow; a NaN err (an overflow)
+        # shrinks the step by _MIN_FACTOR, as in scipy
+        factor = _SAFETY * err ** _ERROR_EXPONENT
+        grow = np.fmin(_MAX_FACTOR, factor)
+        np.fmin(grow, 1.0, out=grow, where=rejected)
+        rejected = live ^ ok  # ok is a subset of live
+        np.fmax(_MIN_FACTOR, factor, out=grow, where=rejected)
+        h_abs = h * grow
+        np.copyto(t, t_new, where=ok)
+        np.copyto(y, y_new, where=ok)
+        np.copyto(f, f_new, where=ok)
+        n_steps += ok
+        if watch is not None:
+            watch(ok, u)
+        live &= t > bot
 
 
 def _dop853_step(coeff, t: np.ndarray, h: np.ndarray, y: np.ndarray,
@@ -884,7 +908,8 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     i sign_ci pi U''(s_j)/|U'(s_j)| y(s_j).  The result is normalized to
     y*(0) = 1, so ``impedance`` equals y*'(0).  ``layers`` passes in the
     result of ``find_critical_points(profile, c_r)`` when the caller holds it
-    already; the layers are scanned for otherwise.
+    already; the layers are scanned for otherwise.  This is the one-pair case
+    of :func:`limiting_solutions`.
 
     Raises
     ------
@@ -893,115 +918,230 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     DegenerateAtInterface
         If the unnormalized solution vanishes at the interface.
     """
+    sols, errors = limiting_solutions(
+        profile, [k], [c_r], sign_ci, tol, delta_loc=delta_loc,
+        layers=None if layers is None else [layers])
+    _raise_first(errors)
+    return sols[0]
+
+
+def limiting_solutions(profile: ShearProfile, k, c_r, sign_ci: int,
+                       tol: float = _DEFAULT_TOL, *,
+                       delta_loc: float | None = None,
+                       layers: Sequence[CriticalLayerSet] | None = None
+                       ) -> tuple[list[Optional[LimitSolution]], dict]:
+    """:func:`limiting_solution` of (k, c_r) pairs, ``k`` broadcast against ``c_r``.
+
+    Each pair is planned on its own: its critical layers (``layers[i]`` when
+    given, one scan otherwise), its series patches, and its legs, the spans
+    lid -> s_m + delta_m, s_m - delta_m -> s_(m-1) + delta_(m-1), ...,
+    s_1 - delta_1 -> 0 cut at the overflow chunk edges and at the
+    breakpoints of the direct solver (spline knots, kinks).  Leg j of every
+    pair is shot in one call of the DOP853 loop of
+    :func:`integrate_rayleigh_batch`, a pair with fewer legs standing still;
+    between legs each pair is rescaled, jumped at a kink and crossed at a
+    layer on its own.  All arithmetic is elementwise, so in a batch of two or
+    more pairs a pair's result does not depend on its batch.  A batch of one
+    pair steps its legs on ``solve_ivp``, which is faster for one pair.
+
+    Returns ``(solutions, errors)``: a failed pair's solution is None, and
+    ``errors`` maps its index to the error :func:`limiting_solution` raises
+    for it.
+    """
     if sign_ci not in (-1, 1):
         raise ValueError("sign_ci must be +1 or -1")
-    if k == 0.0:
+    ks, c_rs = np.broadcast_arrays(np.asarray(k, dtype=float),
+                                   np.asarray(c_r, dtype=float))
+    if ks.ndim != 1:
+        raise ValueError("k and c_r must broadcast to a 1-d array")
+    if np.any(ks == 0.0):
         raise ValueError("wavenumber k must be nonzero")
-    h = profile.h_plus
-    if not math.isfinite(h):
+    if not math.isfinite(profile.h_plus):
         raise InfiniteDomain("limiting solver needs a finite air column")
 
-    if layers is None:
-        layers = find_critical_points(profile, c_r)
-    if len(layers) == 0:
-        sol = integrate_rayleigh(profile, k, complex(c_r), tol)
-        return LimitSolution(c_r=c_r, sign_ci=sign_ci, k=k, layers=layers,
-                             impedance=sol.impedance, y0=1.0 + 0.0j,
-                             yp0=sol.impedance, jumps=(),
-                             n_steps=sol.n_steps)
+    n = ks.size
+    errors: dict[int, WindwavesError] = {}
+    runs: list[Optional[_LimitRun]] = [None] * n
+    for i, (kv, cv) in enumerate(zip(ks.tolist(), c_rs.tolist())):
+        try:
+            found = find_critical_points(profile, cv) if layers is None \
+                else layers[i]
+            runs[i] = _LimitRun(profile, kv, cv, sign_ci, found, delta_loc)
+        except WindwavesError as exc:
+            errors[i] = exc
+    alive = np.array([run is not None for run in runs])
 
-    positions = list(layers.positions)
-    gaps = [positions[0]] + [b - a for a, b in zip(positions, positions[1:])] \
-        + [h - positions[-1]]
-    min_gap = min(gaps)
+    def fail(i: int, exc: WindwavesError) -> None:
+        errors.setdefault(int(i), exc)
+        alive[i] = False
 
-    patches = []
-    for layer in layers:
-        cap = min(0.05 * h, 0.25 * min_gap)
-        patch = _build_patch(profile, layer.position, k, cap)
-        if delta_loc is not None:
-            patch = replace(patch, delta=float(delta_loc))
-        if patch.delta <= 1e-12 * h:
-            raise SeriesRadiusTooSmall(
-                f"series radius {patch.delta:g} collapsed at layer {layer.position}")
-        if 2.0 * patch.delta >= min_gap:
-            raise SeriesRadiusTooSmall(
-                f"patches of half-width {patch.delta:g} overlap (min gap {min_gap:g})")
-        patches.append(patch)
+    kk = ks * ks
 
-    def rhs(x, y):
-        qq = profile.curvature(x) / (profile.value(x) - c_r) + k * k
-        return [y[1], qq * y[0]]
+    def coeff(x: np.ndarray):
+        return None, profile.curvature(x) / (profile.value(x) - c_rs) + kk
 
-    n_steps = 0
-    log_scale = 0.0  # true state = stored state * exp(log_scale)
+    y = np.zeros((2, n), dtype=complex)
+    y[1] = 1.0
+    n_steps = np.zeros(n, dtype=int)
+    n_legs = max((len(run.legs) for run in runs if run is not None), default=0)
+    with np.errstate(all="ignore"):  # failed elements may overflow
+        for j in range(n_legs):
+            busy = [i for i in np.flatnonzero(alive) if j < len(runs[i].legs)]
+            tops, bots = np.zeros(n), np.zeros(n)
+            for i in busy:
+                tops[i], bots[i], _ = runs[i].legs[j]
+            if n > 1:
+                n_steps += _advance(coeff, tops, bots, y, alive, fail, tol)
+            elif busy:
+                try:
+                    y[:, 0], steps = runs[0].solve(tops[0], bots[0],
+                                                   y[:, 0].copy(), tol)
+                    n_steps[0] += steps
+                except WindwavesError as exc:
+                    fail(0, exc)
+            for i in busy:
+                if not alive[i]:
+                    continue
+                try:
+                    y[:, i] = runs[i].after_leg(j, y[:, i].copy())
+                except WindwavesError as exc:
+                    fail(i, exc)
 
-    def rescale(state):
-        nonlocal log_scale
+    sols: list[Optional[LimitSolution]] = [None] * n
+    for i in np.flatnonzero(alive):
+        try:
+            sols[i] = runs[i].finish(y[:, i], int(n_steps[i]))
+        except WindwavesError as exc:
+            fail(i, exc)
+    return sols, errors
+
+
+class _LimitRun:
+    """One (k, c_r) pair of a limiting solve: its legs, and what happens
+    between them (rescaling, kink jumps, the crossing of a layer's patch)."""
+
+    def __init__(self, profile: ShearProfile, k: float, c_r: float,
+                 sign_ci: int, layers: CriticalLayerSet,
+                 delta_loc: float | None):
+        h = profile.h_plus
+        patches = []
+        if len(layers):
+            positions = list(layers.positions)
+            gaps = [positions[0]] \
+                + [b - a for a, b in zip(positions, positions[1:])] \
+                + [h - positions[-1]]
+            min_gap = min(gaps)
+            for layer in layers:
+                cap = min(0.05 * h, 0.25 * min_gap)
+                patch = _build_patch(profile, layer.position, k, cap)
+                if delta_loc is not None:
+                    patch = replace(patch, delta=float(delta_loc))
+                if patch.delta <= 1e-12 * h:
+                    raise SeriesRadiusTooSmall(
+                        f"series radius {patch.delta:g} collapsed at layer "
+                        f"{layer.position}")
+                if 2.0 * patch.delta >= min_gap:
+                    raise SeriesRadiusTooSmall(
+                        f"patches of half-width {patch.delta:g} overlap "
+                        f"(min gap {min_gap:g})")
+                patches.append(patch)
+
+        self.profile, self.k, self.c_r = profile, k, c_r
+        self.sign_ci, self.layers = sign_ci, layers
+        self.kinks = _kink_jump_map(profile)
+        self.log_scale = 0.0  # true state = stored state * exp(log_scale)
+        self.raw_jumps = []  # per-layer records with the scale at recording time
+
+        # the spans between the patches, from the lid down; each is cut into
+        # chunks, because the solution grows like e^{|k| span} and must be
+        # renormalized before it overflows, and at the breakpoints
+        breaks = _segment_bounds(profile)
+        edges = [h] + [x for p in reversed(patches)
+                       for x in (p.s + p.delta, p.s - p.delta)] + [0.0]
+        #: (top, bottom, the patch crossed at the bottom or None)
+        self.legs: list[tuple[float, float, Optional[_SeriesPatch]]] = []
+        for m, (x_from, x_to) in enumerate(zip(edges[::2], edges[1::2])):
+            span = abs(x_from - x_to)
+            n_chunks = max(1, int(math.ceil(abs(k) * span / 300.0)))
+            cuts = set(np.linspace(x_from, x_to, n_chunks + 1).tolist())
+            cuts.update(b for b in breaks if x_to < b < x_from)
+            cuts = sorted(cuts, reverse=True)
+            self.legs += [(a, b, None) for a, b in zip(cuts, cuts[1:])]
+            if m < len(patches):
+                self.legs[-1] = (cuts[-2], cuts[-1], patches[-1 - m])
+
+    def solve(self, top: float, bot: float, state: np.ndarray,
+              tol: float) -> tuple[np.ndarray, int]:
+        """One leg on ``solve_ivp``: the state at ``bot`` and the points taken."""
+        profile, k, c_r = self.profile, self.k, self.c_r
+
+        def rhs(x, y):
+            qq = profile.curvature(x) / (profile.value(x) - c_r) + k * k
+            return [y[1], qq * y[0]]
+
+        sol = solve_ivp(rhs, (top, bot), state, method="DOP853",
+                        rtol=tol, atol=tol * 1e-3)
+        if not sol.success:  # pragma: no cover
+            raise NearSingularCoefficient(f"integration failed: {sol.message}")
+        return sol.y[:, -1], sol.t.size
+
+    def _rescale(self, state: np.ndarray) -> np.ndarray:
         m = max(abs(state[0]), abs(state[1]))
         if m > 1e6 or (0.0 < m < 1e-6):
             state = state / m
-            log_scale += math.log(m)
+            self.log_scale += math.log(m)
         return state
 
-    def run(x_from, x_to, state):
-        # chunk long spans: the solution grows like e^{|k| span} and must be
-        # renormalized before it overflows
-        nonlocal n_steps
-        span = abs(x_from - x_to)
-        n_chunks = max(1, int(math.ceil(abs(k) * span / 300.0)))
-        edges = np.linspace(x_from, x_to, n_chunks + 1)
-        for a, b in zip(edges, edges[1:]):
-            sol = solve_ivp(rhs, (a, b), state, method="DOP853",
-                            rtol=tol, atol=tol * 1e-3)
-            if not sol.success:  # pragma: no cover
-                raise NearSingularCoefficient(f"integration failed: {sol.message}")
-            n_steps += sol.t.size
-            state = rescale(sol.y[:, -1].copy())
-        return state
-
-    state = np.array([0.0, 1.0], dtype=complex)
-    x_cur = h
-    raw_jumps = []  # per-layer records with the scale at recording time
-
-    for patch, layer in zip(reversed(patches), reversed(list(layers))):
-        s, delta = patch.s, patch.delta
-        state = run(x_cur, s + delta, state)
+    def after_leg(self, j: int, state: np.ndarray) -> np.ndarray:
+        """The state at the top of leg j + 1, from the one at the bottom of j."""
+        _, bot, patch = self.legs[j]
+        if bot in self.kinks:
+            scale = _speed_scale(self.profile, complex(self.c_r),
+                                 _u_range(self.profile))
+            denom = _kink_denominator(self.profile, bot, complex(self.c_r),
+                                      scale)
+            # y'(x-) = y'(x+) - [U'] y / (U - c)
+            state[1] = state[1] - self.kinks[bot] * state[0] / denom
+        state = self._rescale(state)
+        if patch is None:
+            return state
+        delta = patch.delta
         w_above = float(np.imag(state[1] * np.conj(state[0])))
         # match (A+, B) on the upper edge, jump the analytic amplitude,
         # re-emit the state on the lower edge
         a_plus, b_coef = np.linalg.solve(patch.matrix(delta), state)
-        a_minus = a_plus - 1j * sign_ci * math.pi * (
+        a_minus = a_plus - 1j * self.sign_ci * math.pi * (
             patch.u_double_prime / abs(patch.u_prime)) * b_coef
         state = patch.matrix(-delta) @ np.array([a_minus, b_coef])
         w_below = float(np.imag(state[1] * np.conj(state[0])))
-        raw_jumps.append((patch, b_coef, w_above, w_below, log_scale))
-        state = rescale(state)
-        x_cur = s - delta
+        self.raw_jumps.append((patch, b_coef, w_above, w_below, self.log_scale))
+        return self._rescale(state)
 
-    state = run(x_cur, 0.0, state)
+    def finish(self, state: np.ndarray, n_steps: int) -> LimitSolution:
+        """Normalize to y*(0) = 1 and assemble the layer records."""
+        y0, yp0 = complex(state[0]), complex(state[1])
+        if abs(y0) < INTERFACE_FLOOR * max(1.0, abs(yp0)):
+            raise DegenerateAtInterface(
+                "limiting solution vanishes at the interface")
 
-    y0, yp0 = complex(state[0]), complex(state[1])
-    if abs(y0) < INTERFACE_FLOOR * max(1.0, abs(yp0)):
-        raise DegenerateAtInterface("limiting solution vanishes at the interface")
+        jumps = []
+        for patch, b_coef, w_above, w_below, lsc in reversed(self.raw_jumps):
+            # restore the recording-time scale relative to the interface value
+            rel = math.exp(min(lsc - self.log_scale, 300.0))
+            y_val = (b_coef / y0) * rel
+            dyp = 1j * self.sign_ci * math.pi * (
+                patch.u_double_prime / abs(patch.u_prime)) * y_val
+            rel2 = rel * rel / abs(y0) ** 2
+            jumps.append(LayerJump(position=patch.s, y_value=y_val,
+                                   delta_yprime=dyp,
+                                   u1=abs(b_coef) ** 2 * rel2,
+                                   w_above=w_above * rel2,
+                                   w_below=w_below * rel2))
 
-    jumps = []
-    for patch, b_coef, w_above, w_below, lsc in reversed(raw_jumps):
-        # restore the recording-time scale relative to the interface value
-        rel = math.exp(min(lsc - log_scale, 300.0))
-        y_val = (b_coef / y0) * rel
-        dyp = 1j * sign_ci * math.pi * (
-            patch.u_double_prime / abs(patch.u_prime)) * y_val
-        rel2 = rel * rel / abs(y0) ** 2
-        jumps.append(LayerJump(position=patch.s, y_value=y_val,
-                               delta_yprime=dyp,
-                               u1=abs(b_coef) ** 2 * rel2,
-                               w_above=w_above * rel2,
-                               w_below=w_below * rel2))
-
-    return LimitSolution(c_r=c_r, sign_ci=sign_ci, k=k, layers=layers,
-                         impedance=yp0 / y0, y0=1.0 + 0.0j, yp0=yp0 / y0,
-                         jumps=tuple(jumps), n_steps=n_steps)
+        return LimitSolution(c_r=self.c_r, sign_ci=self.sign_ci, k=self.k,
+                             layers=self.layers, impedance=yp0 / y0,
+                             y0=1.0 + 0.0j, yp0=yp0 / y0, jumps=tuple(jumps),
+                             n_steps=n_steps)
 
 
 @dataclass

@@ -4,6 +4,7 @@ import pytest
 
 from windwaves.asymptotics import (
     f_I0,
+    growth_constants,
     miles_c_sharp,
     necessity_certificate,
     unstable_band,
@@ -126,6 +127,44 @@ class TestMilesCSharp:
             asym = miles_c_sharp(prof, p, 1.0)
         assert asym.c_sharp < 0.0  # stabilizing layer
         assert not asym.sufficient_signs_hold
+
+
+class TestGrowthConstants:
+    KS = [0.05, 0.3, 0.8, 1.5, 3.0]  # c_k leaves the range of U at 0.05
+
+    def test_one_k_equals_miles_c_sharp(self):
+        p = params_with(h_plus=5.0)
+        for k in self.KS[1:]:
+            results, errors = growth_constants(TANH, p, [k])
+            assert errors == {}
+            assert results[0] == miles_c_sharp(TANH, p, k)
+
+    def test_batch_matches_miles_c_sharp(self):
+        p = params_with(h_plus=5.0)
+        results, errors = growth_constants(TANH, p, self.KS, tol=1e-12)
+        assert list(errors) == [0]
+        assert isinstance(errors[0], NoCriticalLayer)
+        with pytest.raises(NoCriticalLayer) as scalar:
+            miles_c_sharp(TANH, p, self.KS[0], tol=1e-12)
+        assert str(errors[0]) == str(scalar.value)
+        assert results[0] is None
+        for k, got in zip(self.KS[1:], results[1:]):
+            want = miles_c_sharp(TANH, p, k, tol=1e-12)
+            assert (got.k, got.c_k, got.f_i0) == (want.k, want.c_k, want.f_i0)
+            assert abs(got.c_sharp - want.c_sharp) <= 1e-9 * abs(want.c_sharp)
+            assert got.layers[0].u1 == pytest.approx(want.layers[0].u1,
+                                                     rel=1e-9)
+
+    def test_sign_hypothesis_warning(self):
+        p = params_with(h_plus=2.0)
+        convex = AnalyticProfile(f=lambda x: 5.0 * x * x, df=lambda x: 10.0 * x,
+                                 d2f=lambda x: 10.0, d3f=lambda x: 0.0,
+                                 d4f=lambda x: 0.0, h_plus=2.0, name="convex")
+        with pytest.warns(UserWarning, match="sufficient sign hypotheses"):
+            results, errors = growth_constants(convex, p, [1.0, 2.0])
+        assert errors == {}
+        assert all(r.c_sharp < 0.0 and not r.sufficient_signs_hold
+                   for r in results)
 
 
 class TestUnstableBand:

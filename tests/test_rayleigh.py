@@ -5,6 +5,7 @@ import pytest
 
 from windwaves.errors import (
     DegenerateAtInterface,
+    EndpointCritical,
     InfiniteDomain,
     NearSingularCoefficient,
     OrderUnavailable,
@@ -26,6 +27,7 @@ from windwaves.rayleigh import (
     integrate_wronskian,
     interface_impedance,
     limiting_solution,
+    limiting_solutions,
     pwl_impedance_cascade,
     uniform_flow_impedance,
 )
@@ -381,6 +383,99 @@ class TestLimitingSolution:
             limiting_solution(TANH, 1.0, 3.0, +1, delta_loc=2.0)
         with pytest.raises(SeriesRadiusTooSmall):
             limiting_solution(TANH, 1.0, 3.0, +1, delta_loc=0.0)
+
+
+def _jet_derivative(n: int):
+    # U = 8 (x/L) e^(1 - x/L) with L = 1, peaking at 8 m/s at x2 = 1:
+    # d^n/dt^n t e^-t = (-1)^n (t - n) e^-t
+    return lambda x: 8.0 * math.e * (-1) ** n * (x - n) * math.exp(-x)
+
+
+#: a jet with no critical layer above 8 m/s, one below U(h+) = 0.73 m/s and
+#: two in between
+JET = AnalyticProfile(f=_jet_derivative(0), df=_jet_derivative(1),
+                      d2f=_jet_derivative(2), d3f=_jet_derivative(3),
+                      d4f=_jet_derivative(4), h_plus=5.0, name="jet")
+
+
+class TestLimitingBatch:
+    # (k, c_r) pairs; on the jet they hold 1, 2, 2, 2, 0 and 2 layers
+    KS = [0.4, 1.2, 2.5, 1.0, 0.7, 1.7]
+    CS = [0.5, 2.0, 4.0, 6.0, 9.0, 3.0]
+
+    @staticmethod
+    def assert_close(got, want, rel):
+        assert abs(got.impedance - want.impedance) <= rel * abs(want.impedance)
+        assert len(got.jumps) == len(want.jumps)
+        for a, b in zip(got.jumps, want.jumps):
+            assert a.position == b.position
+            for name in ("u1", "w_above", "w_below"):
+                va, vb = getattr(a, name), getattr(b, name)
+                assert abs(va - vb) <= rel * abs(vb), name
+
+    @pytest.mark.parametrize("profile", [TANH, TestBatch.TABLE, JET],
+                             ids=["tanh", "table", "jet"])
+    def test_matches_scalar_limiting_solution(self, profile):
+        sols, errors = limiting_solutions(profile, self.KS, self.CS, +1,
+                                          tol=1e-12)
+        assert errors == {}
+        for k, c, sol in zip(self.KS, self.CS, sols):
+            want = limiting_solution(profile, k, c, +1, tol=1e-12)
+            self.assert_close(sol, want, 1e-9)
+
+    def test_mixes_zero_one_and_two_layers(self):
+        sols, errors = limiting_solutions(JET, self.KS, self.CS, -1, tol=1e-12)
+        assert errors == {}
+        assert [len(s.jumps) for s in sols] == [1, 2, 2, 2, 0, 2]
+        for k, c, sol in zip(self.KS, self.CS, sols):
+            self.assert_close(sol, limiting_solution(JET, k, c, -1, tol=1e-12),
+                              1e-9)
+
+    @pytest.mark.parametrize("profile", [TANH, TestBatch.TABLE, JET],
+                             ids=["tanh", "table", "jet"])
+    def test_member_equals_solo_bitwise(self, profile):
+        # one pair alone steps on solve_ivp, so the solo run on the batched
+        # loop is the pair run twice over
+        sols, _ = limiting_solutions(profile, self.KS, self.CS, +1)
+        for k, c, sol in zip(self.KS, self.CS, sols):
+            solo, _ = limiting_solutions(profile, [k, k], [c, c], +1)
+            assert solo[0].impedance == sol.impedance
+            assert solo[0].n_steps == sol.n_steps
+            assert solo[0].jumps == sol.jumps
+
+    def test_failing_member_leaves_the_others(self):
+        # c_r = U(0) = 0 is refused by the layer scan
+        sols, errors = limiting_solutions(TANH, [1.0, 0.5, 2.0],
+                                          [3.0, 0.0, 6.0], +1)
+        assert list(errors) == [1]
+        assert isinstance(errors[1], EndpointCritical)
+        assert sols[1] is None
+        with pytest.raises(EndpointCritical):
+            limiting_solution(TANH, 0.5, 0.0, +1)
+        rest, _ = limiting_solutions(TANH, [1.0, 2.0], [3.0, 6.0], +1)
+        for got, want in zip([sols[0], sols[2]], rest):
+            assert got.impedance == want.impedance
+            assert got.jumps == want.jumps
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
+    def test_table_meets_its_tolerance(self, batched):
+        # the spline knots, where U''' jumps, end the legs
+        for n in (16, 40):
+            x = np.linspace(0.0, 5.0, n)
+            table = TabulatedProfile(x, 10.0 * np.tanh(x))
+            ks, cs = [1.2, 0.5, 2.5], [6.0, 3.0, 8.0]
+            if batched:
+                got, _ = limiting_solutions(table, ks, cs, +1, tol=1e-10)
+            else:
+                got = [limiting_solution(table, k, c, +1, tol=1e-10)
+                       for k, c in zip(ks, cs)]
+            for k, c, sol in zip(ks, cs, got):
+                ref = limiting_solution(table, k, c, +1, tol=1e-13).impedance
+                assert abs(sol.impedance - ref) <= 1e-9 * abs(ref), (n, k, c)
+
+    def test_infinite_domain_rejected(self):
+        with pytest.raises(InfiniteDomain):
+            limiting_solutions(ConstantProfile(5.0), [1.0, 2.0], 5.0, +1)
 
 
 class TestImpedanceLimitCheck:
