@@ -137,7 +137,6 @@ class RunConfig:
     solver: SolverConfig = SolverConfig()
     output: Optional[str] = None
     fmt: str = "csv"
-    jobs: int = 1
     branch: int = +1
     pwl: Optional[PwlConfig] = None
     certify: Optional[CertifyConfig] = None
@@ -269,16 +268,13 @@ def parse_config(text: str) -> RunConfig:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format '{fmt}'")
     output = rn.get("output", "").strip() or None
-    jobs = int(rn.get("jobs", "1"))
     branch = int(rn.get("branch", "1"))
     if branch not in (1, -1):
         raise ConfigError("branch must be 1 or -1")
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
 
     return RunConfig(fluids=fluids, profile=profile, mode=mode, command=command,
-                     solver=solver, output=output, fmt=fmt, jobs=jobs,
-                     branch=branch, pwl=pwl_cfg, certify=certify_cfg)
+                     solver=solver, output=output, fmt=fmt, branch=branch,
+                     pwl=pwl_cfg, certify=certify_cfg)
 
 
 def dump_config(cfg: RunConfig) -> str:
@@ -320,7 +316,6 @@ def dump_config(cfg: RunConfig) -> str:
     out.write("\n[run]\n")
     out.write(f"command = {cfg.command}\n")
     out.write(f"format = {cfg.fmt}\n")
-    out.write(f"jobs = {cfg.jobs}\n")
     out.write(f"branch = {cfg.branch}\n")
     if cfg.output:
         out.write(f"output = {cfg.output}\n")
@@ -356,7 +351,7 @@ def _solve_rows(cfg: RunConfig, ks: Sequence[float]):
     strategy = ScanStrategy(branch=cfg.branch, tol=cfg.solver.tol,
                             max_iter=cfg.solver.max_iter,
                             rayleigh_tol=cfg.solver.rayleigh_tol)
-    curve = scan_k(profile, cfg.fluids, ks, strategy, jobs=cfg.jobs)
+    curve = scan_k(profile, cfg.fluids, ks, strategy)
     rows = []
     for e in curve.entries:
         rows.append((e.k, e.c.real, e.c.imag, e.growth_rate, e.residual_norm,
@@ -505,8 +500,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--output", help="override the output path")
     parser.add_argument("--format", choices=("csv", "json"), dest="fmt",
                         help="override the output format")
-    parser.add_argument("--jobs", type=int,
-                        help="accepted; a sweep runs as one batch")
     parser.add_argument("--dump-config", action="store_true",
                         help="echo the normalized configuration and exit")
     args = parser.parse_args(argv)
@@ -525,10 +518,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg = _replace(cfg, output=args.output)
         if args.fmt:
             cfg = _replace(cfg, fmt=args.fmt)
-        if args.jobs:
-            if args.jobs < 1:
-                raise ConfigError("jobs must be >= 1")
-            cfg = _replace(cfg, jobs=args.jobs)
         if args.dump_config:
             sys.stdout.write(dump_config(cfg))
             return 0

@@ -168,24 +168,23 @@ def make_miles_residual(profile: ShearProfile, params: FluidParams, k: float,
     (:func:`~windwaves.rayleigh.interface_impedances`); closed forms and an
     ``impedance_fn`` are evaluated point by point.  A batched value does not
     depend on the other members of its batch, and ``batch`` raises the error
-    the scalar residual would raise at the first failing point.
+    of the first failing point.  The residual itself is the one-point batch.
     """
     _check_depth_consistency(profile, params)
     u0 = profile.value(0.0)
     up0 = profile.slope(0.0)
     if impedance_fn is None:
-        impedance_fn = lambda c: interface_impedance(profile, k, c, tol)
         impedances = lambda cs: interface_impedances(profile, k, cs, tol)
     else:
         impedances = lambda cs: np.array([impedance_fn(complex(c)) for c in cs],
                                          dtype=complex)
 
-    def residual(c: complex) -> complex:
-        return residual_miles(c, impedance_fn(c), params, k, u0, up0)
-
     def batch(cs) -> np.ndarray:
         cs = np.asarray(cs, dtype=complex)
         return residual_miles(cs, impedances(cs), params, k, u0, up0)
+
+    def residual(c: complex) -> complex:
+        return complex(batch([c])[0])
 
     # a function attribute, so wrappers made with functools.wraps keep it
     residual.batch = batch

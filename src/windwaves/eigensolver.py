@@ -351,8 +351,7 @@ class GrowthCurve:
 
 
 def scan_k(profile, params, k_list: Sequence[float],
-           strategy: ScanStrategy = ScanStrategy(), *,
-           jobs: int = 1) -> GrowthCurve:
+           strategy: ScanStrategy = ScanStrategy()) -> GrowthCurve:
     """Solve the quiescent-ocean dispersion relation at every wavenumber.
 
     Each entry seeds Muller at c_k plus the asymptotic growth offset
@@ -363,9 +362,7 @@ def scan_k(profile, params, k_list: Sequence[float],
     :func:`~windwaves.dispersion.miles_residuals` call, whose batched
     impedances do not depend on the batch.  The asymptotic seeds of all
     wavenumbers come from one batched growth-constant call
-    (:func:`~windwaves.asymptotics.growth_constants`).  ``jobs`` is accepted
-    for compatibility and no longer splits a sweep: every wavenumber runs in
-    the one lockstep batch, whatever its value.
+    (:func:`~windwaves.asymptotics.growth_constants`).
     """
     ks = [float(k) for k in k_list]
     if not ks or any(k <= 0.0 for k in ks):

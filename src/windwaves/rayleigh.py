@@ -11,12 +11,17 @@ rescaling of the initial data.
 
 Three regimes are covered:
 
-* ``integrate_rayleigh``: Im c != 0, or real c with no critical layer.
+* ``integrate_rayleigh_batch``: Im c != 0, or real c with no critical layer,
+  for many (k, c) pairs in one DOP853 step loop of elementwise numpy, each
+  pair on its own step sizes.  ``integrate_rayleigh``,
+  ``interface_impedance`` and ``interface_impedances`` are its one-element
+  and closed-form-dispatching cases.
 * ``integrate_wronskian``: the real 4-vector (|y|^2, Re y'conj(y), |y'|^2,
   Im y'conj(y)) whose last component carries the destabilizing phase.
 * ``limiting_solution``: the Im c -> 0 limit across critical layers, crossed
   with local log-series patches and the explicit derivative jump
-  i sign(c_I) pi U''(s)/|U'(s)| y(s).
+  i sign(c_I) pi U''(s)/|U'(s)| y(s).  Its outer legs run on the same step
+  loop, or on ``solve_ivp`` for a single pair.
 """
 from __future__ import annotations
 
@@ -208,9 +213,11 @@ def _kink_jump_map(profile: ShearProfile) -> dict[float, float]:
 def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
                        tol: float = _DEFAULT_TOL, *,
                        init: tuple[complex, complex] = (0.0, 1.0),
-                       want_trace: bool = False,
-                       trace_points: int = 257) -> RayleighSolution:
+                       want_trace: bool = False) -> RayleighSolution:
     """Integrate the Rayleigh equation from the lid down to the interface.
+
+    The one-element case of :func:`integrate_rayleigh_batch`: the result is
+    bit for bit the one its (k, c) pair gets in any batch.
 
     Parameters
     ----------
@@ -225,6 +232,8 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
     init : pair of complex
         Initial data (y, y') at the lid; the default (0, 1) matches the
         normalization used throughout.  The impedance does not depend on it.
+    want_trace : bool
+        Record (x2, y, y') at every accepted point of the integrator.
 
     Returns
     -------
@@ -240,75 +249,20 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
     DegenerateAtInterface
         If |y(0)| < 1e-12 * sup |y| (channel-type eigenfunction).
     """
-    if k == 0.0:
-        raise ValueError("wavenumber k must be nonzero")
-    h = profile.h_plus
-    if not math.isfinite(h):
-        raise InfiniteDomain("direct integration needs a finite air column; "
-                             "uniform-vorticity impedances have closed forms")
-
-    u_range = _u_range(profile)
-    scale = _speed_scale(profile, c, u_range)
-    _check_switch(profile, c, scale, u_range)
-
-    jumps = _kink_jump_map(profile)
-    bounds = _segment_bounds(profile)
-
-    if isinstance(profile, PiecewiseLinearProfile):
-        def q(x: float) -> complex:
-            return k * k  # U'' = 0 inside every segment
-    else:
-        def q(x: float) -> complex:
-            return profile.curvature(x) / (profile.value(x) - c) + k * k
-
-    def rhs(x, y):
-        qq = q(x)
-        return [y[1], qq * y[0]]
-
-    state = np.array(init, dtype=complex)
-    sup_y = abs(state[0])
-    min_coeff_dist = math.inf
-    n_steps = 0
-    tx, ty, typ = [], [], []
-
-    for top, bot in zip(bounds, bounds[1:]):
-        sol = solve_ivp(rhs, (top, bot), state, method="DOP853",
-                        rtol=tol, atol=tol * 1e-3,
-                        dense_output=want_trace)
-        if not sol.success:  # pragma: no cover - DOP853 rarely fails here
-            raise NearSingularCoefficient(f"integration failed: {sol.message}")
-        n_steps += sol.t.size
-        sup_y = max(sup_y, float(np.max(np.abs(sol.y[0]))))
-        if not profile.zero_curvature:
-            dist = min(abs(profile.value(float(x)) - c) for x in sol.t)
-            min_coeff_dist = min(min_coeff_dist, dist)
-        if want_trace:
-            xs = np.linspace(top, bot, trace_points)
-            vals = sol.sol(xs)
-            tx.append(xs)
-            ty.append(vals[0])
-            typ.append(vals[1])
-        state = sol.y[:, -1].copy()
-        if bot in jumps:
-            denom = _kink_denominator(profile, bot, c, scale)
-            # y'(x-) = y'(x+) - [U'] y / (U - c), [U'] = above minus below
-            state[1] = state[1] - jumps[bot] * state[0] / denom
-
-    _check_path(min_coeff_dist, scale)
-    y0, yp0 = complex(state[0]), complex(state[1])
-    _check_interface(y0, yp0, sup_y)
-
+    ks, cs = _pairs(profile, k, [c])
+    points = [] if want_trace else None
+    y, n_steps, errors = _shoot(profile, ks, cs, tol, [init], points)
+    _raise_first(errors)
+    y0, yp0 = complex(y[0, 0]), complex(y[1, 0])
     trace = None
     if want_trace:
-        x2 = np.concatenate(tx)[::-1]
-        order = np.argsort(x2, kind="stable")
-        x2 = x2[order]
-        trace = RayleighTrace(x2=x2,
-                              y=np.concatenate(ty)[::-1][order],
-                              yp=np.concatenate(typ)[::-1][order])
-
+        # the points run down from the lid; a breakpoint appears once from
+        # each side, which a kink jump sets apart
+        x2, ys, yps = np.array(points[::-1]).T
+        trace = RayleighTrace(x2=x2.real, y=ys, yp=yps)
     return RayleighSolution(c=c, k=k, y0=y0, yp0=yp0, impedance=yp0 / y0,
-                            method="direct", n_steps=n_steps, trace=trace)
+                            method="direct", n_steps=int(n_steps[0]),
+                            trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +296,7 @@ class RayleighBatch:
     y0: np.ndarray
     yp0: np.ndarray
     impedance: np.ndarray
-    #: accepted points per element, counted as :func:`integrate_rayleigh` does
+    #: accepted points per element, the start point of each segment included
     n_steps: np.ndarray
 
 
@@ -371,12 +325,12 @@ def integrate_rayleigh_batch(profile: ShearProfile, k, cs,
                              init=None) -> RayleighBatch:
     """Integrate the Rayleigh equation for many (k, c) pairs in one step loop.
 
-    The batched counterpart of :func:`integrate_rayleigh`: the same equation,
-    lid data, breakpoints, kink jumps and guards, integrated by scipy's DOP853
-    (tableau, error norm at ``rtol = tol``, ``atol = tol * 1e-3``, step
+    Every element is integrated from the lid to the interface by scipy's
+    DOP853 (tableau, error norm at ``rtol = tol``, ``atol = tol * 1e-3``, step
     controller and starting step) with a step size and an accept/reject
-    decision of each element's own.  Each pass of the loop tries one step of
-    every element, and the profile is evaluated once per pass, at every stage
+    decision of its own, stopping at the breakpoints (kinks, where y' jumps,
+    and spline knots).  Each pass of the loop tries one step of every
+    element, and the profile is evaluated once per pass, at every stage
     abscissa of every element, in one array call.  All arithmetic is
     elementwise, so an element's result does not depend on its batch: it is
     bit for bit the one it gets alone.
@@ -393,8 +347,8 @@ def integrate_rayleigh_batch(profile: ShearProfile, k, cs,
     Raises
     ------
     WindwavesError
-        The error :func:`integrate_rayleigh` raises for the first failing
-        element in input order.
+        The error of the first failing element in input order, as
+        :func:`integrate_rayleigh` raises it for that element alone.
     """
     ks, cs = _pairs(profile, k, cs)
     y, n_steps, errors = _shoot(profile, ks, cs, tol, init)
@@ -404,13 +358,15 @@ def integrate_rayleigh_batch(profile: ShearProfile, k, cs,
 
 
 def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
-           init=None) -> tuple[np.ndarray, np.ndarray, dict]:
+           init=None, trace: Optional[list] = None
+           ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Shoot every (k, c) element from the lid down to the interface.
 
     Returns ``(y, n_steps, errors)``: (y(0), y'(0)) per element, NaN where
     the element failed; its accepted points; and, by element index, the error
-    :func:`integrate_rayleigh` raises for each failed element.  Each segment
-    between breakpoints is one :func:`_advance` of every element.
+    of each failed element.  Each segment between breakpoints is one
+    :func:`_advance` of every element.  When ``trace`` is a list, the
+    (x2, y, y') of every accepted point of element 0 is appended to it.
     """
     n = cs.size
     y = np.empty((2, n), dtype=complex)
@@ -449,10 +405,12 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     sup_y = np.abs(y[0])
     dist = np.full(n, math.inf)
 
-    def watch(ok: np.ndarray, u: Optional[np.ndarray]) -> None:
+    def watch(ok: np.ndarray, t: np.ndarray, u: Optional[np.ndarray]) -> None:
         np.maximum(sup_y, np.abs(y[0]), out=sup_y)
         if track:
             np.fmin(dist, np.abs(u - cs), out=dist, where=ok)
+        if trace is not None and ok[0]:
+            trace.append((t[0], y[0, 0], y[1, 0]))
 
     n_steps = np.zeros(n, dtype=int)
     jumps = _kink_jump_map(profile)
@@ -493,11 +451,11 @@ def _advance(coeff, top: np.ndarray, bot, y: np.ndarray, alive: np.ndarray,
     one DOP853 step of every element that is alive and short of its bottom,
     on the element's own step size; the others step by zero, so no array is
     ever compacted.  An element whose step size collapses is handed to
-    ``fail(i, error)``, which must clear ``alive[i]``.  ``watch(ok, u)`` is
-    called with the elements that accepted a point and U there: at the top,
-    then after each pass.  Returns the accepted points per element, the
-    start point included, as ``solve_ivp`` counts ``t``; an element with
-    ``top[i] == bot[i]`` does not move and counts none.
+    ``fail(i, error)``, which must clear ``alive[i]``.  ``watch(ok, t, u)``
+    is called with the elements that accepted a point, the altitudes and U
+    there: at the top, then after each pass.  Returns the accepted points
+    per element, the start point included, as ``solve_ivp`` counts ``t``; an
+    element with ``top[i] == bot[i]`` does not move and counts none.
     """
     n = y.shape[1]
     rtol, atol = tol, tol * 1e-3
@@ -507,7 +465,7 @@ def _advance(coeff, top: np.ndarray, bot, y: np.ndarray, alive: np.ndarray,
     f = np.array([y[1], q * y[0]])  # the derivative at t
     n_steps = live.astype(int)
     if watch is not None:
-        watch(live, u)
+        watch(live, t, u)
     stages = np.empty((_DOP_STAGES + 1, 2, n), dtype=complex)
     # (1, q) at the stage abscissae: a stage derivative (y', q y) is the
     # reversed stage state times them
@@ -547,7 +505,7 @@ def _advance(coeff, top: np.ndarray, bot, y: np.ndarray, alive: np.ndarray,
         np.copyto(f, f_new, where=ok)
         n_steps += ok
         if watch is not None:
-            watch(ok, u)
+            watch(ok, t, u)
         live &= t > bot
 
 
@@ -662,12 +620,8 @@ def pwl_impedance_cascade(profile: PiecewiseLinearProfile, k: float,
 
 def interface_impedance(profile: ShearProfile, k: float, c: complex,
                         tol: float = _DEFAULT_TOL) -> complex:
-    """Dispatch y'(0)/y(0): closed forms where exact, the ODE otherwise."""
-    if profile.zero_curvature:
-        return complex(uniform_flow_impedance(k, profile.h_plus))
-    if isinstance(profile, PiecewiseLinearProfile) and math.isinf(profile.h_plus):
-        return pwl_impedance_cascade(profile, k, c)
-    return integrate_rayleigh(profile, k, c, tol).impedance
+    """y'(0)/y(0): the one-pair case of :func:`interface_impedances`."""
+    return complex(interface_impedances(profile, k, [c], tol)[0])
 
 
 def interface_impedances(profile: ShearProfile, k, cs,
@@ -686,10 +640,13 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
                        tol: float = _DEFAULT_TOL) -> tuple[np.ndarray, dict]:
     """Impedances of (k, c) pairs, and the error of each pair that failed.
 
-    Closed forms are evaluated pair by pair; ODE impedances are shot in one
-    :func:`integrate_rayleigh_batch` loop, so each equals the value its pair
-    gets alone.  A failed pair's impedance is NaN, and ``errors`` maps its
-    index to the error :func:`interface_impedance` raises for it.
+    Closed forms, where exact, are evaluated pair by pair: vorticity-free
+    profiles (:func:`uniform_flow_impedance`) and piecewise-linear ones on an
+    unbounded column (:func:`pwl_impedance_cascade`).  ODE impedances are
+    shot in one :func:`integrate_rayleigh_batch` loop, so each equals the
+    value its pair gets alone.  A failed pair's impedance is NaN, and
+    ``errors`` maps its index to the error :func:`interface_impedance` raises
+    for it.
     """
     if profile.zero_curvature or (isinstance(profile, PiecewiseLinearProfile)
                                   and math.isinf(profile.h_plus)):
@@ -699,7 +656,10 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
         errors = {}
         for i, (kv, c) in enumerate(zip(ks.tolist(), cs.tolist())):
             try:
-                imps[i] = interface_impedance(profile, kv, c, tol)
+                if profile.zero_curvature:
+                    imps[i] = uniform_flow_impedance(kv, profile.h_plus)
+                else:
+                    imps[i] = pwl_impedance_cascade(profile, kv, c)
             except WindwavesError as exc:
                 errors[i] = exc
         return imps, errors
@@ -1167,9 +1127,10 @@ def impedance_limit_check(profile: ShearProfile, k: float, c_r: float,
                           tol: float = _DEFAULT_TOL) -> ConvergenceReport:
     """Compare direct impedances at c_r + i c_I against the limiting value.
 
-    ``ci_sequence`` must be positive and decreasing.  The fitted slope is the
-    least-squares log-log rate; it is omitted when fewer than two points are
-    supplied.
+    The direct impedances are one :func:`interface_impedances` batch, which
+    raises the error of the first failing c_I.  ``ci_sequence`` must be
+    positive and decreasing.  The fitted slope is the least-squares log-log
+    rate; it is omitted when fewer than two points are supplied.
     """
     cis = [float(v) for v in ci_sequence]
     if any(v <= 0.0 for v in cis):
@@ -1178,11 +1139,9 @@ def impedance_limit_check(profile: ShearProfile, k: float, c_r: float,
         raise ValueError("ci_sequence must be decreasing")
 
     limit = limiting_solution(profile, k, c_r, sign_ci, tol)
-    imps, errs = [], []
-    for ci in cis:
-        sol = integrate_rayleigh(profile, k, complex(c_r, sign_ci * ci), tol)
-        imps.append(sol.impedance)
-        errs.append(abs(sol.impedance - limit.impedance))
+    imps = interface_impedances(
+        profile, k, [complex(c_r, sign_ci * ci) for ci in cis], tol).tolist()
+    errs = [abs(imp - limit.impedance) for imp in imps]
 
     slope = None
     if len(cis) >= 2:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately built from different machinery than the
 package under test: a fixed-step extrapolated-midpoint integrator of order 8
-instead of the adaptive production integrator, plain bisection for roots,
+instead of the adaptive production integrator, scipy's own ``solve_ivp``
+instead of the package's DOP853 step loop, plain bisection for roots,
 textbook quadratic formulas for the closed-form dispersion relations.
 """
 from __future__ import annotations
@@ -11,6 +12,9 @@ import cmath
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
+
+from windwaves.profiles import PiecewiseLinearProfile, TabulatedProfile
 
 
 def gbs_step(f, x0: float, y0: np.ndarray, big_h: float, n_sub: int) -> np.ndarray:
@@ -61,6 +65,39 @@ def impedance_oracle(profile, k: float, c: complex, n_macro: int = 500) -> compl
     """y'(0)/y(0) by the fixed-step order-8 integrator from (0, 1) at h_plus."""
     f = rayleigh_rhs(profile, k, c)
     y = gbs_integrate(f, profile.h_plus, 0.0, np.array([0.0, 1.0]), n_macro=n_macro)
+    return complex(y[1] / y[0])
+
+
+def scipy_impedance(profile, k: float, c: complex, tol: float) -> complex:
+    """y'(0)/y(0) by scipy's DOP853 (rtol = tol, atol = 1e-3 tol) from (0, 1).
+
+    One ``solve_ivp`` run per segment between h_plus, the kinks of a
+    piecewise-linear profile, the interior knots of a tabulated one and 0;
+    at a kink y' jumps by -[U'] y / (U - c), [U'] taken above minus below.
+    """
+    pwl = isinstance(profile, PiecewiseLinearProfile)
+    jumps, stops = {}, {profile.h_plus, 0.0}
+    if pwl:
+        jumps = {x: du for x, du in profile.kinks() if 0.0 < x < profile.h_plus}
+        stops.update(jumps)
+    elif isinstance(profile, TabulatedProfile):
+        stops.update(float(x) for x in profile.x2[1:-1])
+
+    def f(x, y):
+        q = k * k  # U'' = 0 between the kinks of a piecewise-linear profile
+        if not pwl:
+            q += profile.curvature(x) / (profile.value(x) - c)
+        return [y[1], q * y[0]]
+
+    y = np.array([0.0, 1.0], dtype=complex)
+    edges = sorted(stops, reverse=True)
+    for top, bot in zip(edges, edges[1:]):
+        sol = solve_ivp(f, (top, bot), y, method="DOP853",
+                        rtol=tol, atol=1e-3 * tol)
+        assert sol.success, sol.message
+        y = sol.y[:, -1].copy()
+        if bot in jumps:
+            y[1] -= jumps[bot] * y[0] / (profile.value(bot) - c)
     return complex(y[1] / y[0])
 
 

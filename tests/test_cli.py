@@ -129,7 +129,7 @@ command = kh
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         assert main(["--config", cfg_path, "--output", str(out1)]) == 0
-        assert main(["--config", cfg_path, "--output", str(out2), "--jobs", "2"]) == 0
+        assert main(["--config", cfg_path, "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         outj = tmp_path / "a.json"
         assert main(["--config", cfg_path, "--output", str(outj),

@@ -305,16 +305,6 @@ class TestScanK:
         curve = scan_k(prof, p, [0.5, 1.0, 2.0])
         assert curve.unstable_ks() == []
 
-    def test_concurrent_matches_serial(self):
-        p = params_with(h_plus=5.0)
-        prof = TanhProfile(10.0, 1.0, 5.0)
-        ks = [0.5, 1.0, 2.0]
-        serial = scan_k(prof, p, ks)
-        threaded = scan_k(prof, p, ks, jobs=3)
-        for a, b in zip(serial.entries, threaded.entries):
-            assert a.k == b.k
-            assert a.c == b.c
-
     def test_validation(self):
         p = params_with()
         with pytest.raises(ValueError):

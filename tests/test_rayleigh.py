@@ -32,7 +32,7 @@ from windwaves.rayleigh import (
     uniform_flow_impedance,
 )
 
-from oracles import impedance_oracle
+from oracles import impedance_oracle, scipy_impedance
 
 TANH = TanhProfile(10.0, 1.0, 5.0)
 
@@ -105,6 +105,18 @@ class TestDirectIntegration:
         assert header == "x2,re_y,im_y,re_yp,im_yp,u1,u2,u3,w"
         assert np.all(np.diff(sol.trace.x2) >= 0)
 
+    @pytest.mark.parametrize("profile", [TANH, PiecewiseLinearProfile(
+        [0.0, 1.0, 2.5], [3.0, 1.0, 0.0], h_plus=4.0)], ids=["tanh", "kinked"])
+    def test_trace_spans_column_and_ends_at_interface(self, profile):
+        sol = integrate_rayleigh(profile, 1.2, 2.0 + 0.3j, want_trace=True)
+        tr = sol.trace
+        assert np.all(np.diff(tr.x2) >= 0)
+        assert tr.x2[0] == 0.0 and tr.x2[-1] == profile.h_plus
+        assert (tr.y[-1], tr.yp[-1]) == (0.0, 1.0)  # the lid data
+        assert tr.y[0] == sol.y0 and tr.yp[0] == sol.yp0
+        # one row per accepted point: every segment's start point included
+        assert tr.x2.size == sol.n_steps
+
 
 class UnboundedSampling(TanhProfile):
     """A tanh wind whose range sampling fails with a programming error."""
@@ -140,7 +152,7 @@ class TestBatch:
         # profile; the spline knots are breakpoints of both paths
         batch = integrate_rayleigh_batch(profile, 1.2, cs, tol=1e-12)
         for c, imp in zip(cs, batch.impedance):
-            want = integrate_rayleigh(profile, 1.2, c, tol=1e-12).impedance
+            want = scipy_impedance(profile, 1.2, c, tol=1e-12)
             assert abs(imp - want) <= 1e-9 * abs(want), c
 
     @pytest.mark.parametrize("profile", [TANH, TABLE, EXP, KINKED],
@@ -152,8 +164,18 @@ class TestBatch:
         batch = integrate_rayleigh_batch(profile, ks, cs, tol=1e-12)
         assert batch.k.tolist() == ks
         for k, c, imp in zip(ks, cs, batch.impedance):
-            want = integrate_rayleigh(profile, k, c, tol=1e-12).impedance
+            want = scipy_impedance(profile, k, c, tol=1e-12)
             assert abs(imp - want) <= 1e-9 * abs(want), (k, c)
+
+    @pytest.mark.parametrize("profile", [TANH, TABLE, EXP, KINKED],
+                             ids=["tanh", "table", "analytic", "kinked"])
+    def test_scalar_is_one_element_batch(self, profile):
+        for c in (1.0 - 0.3j, 3.0 + 0.05j, 6.0 + 0.5j):
+            solo = integrate_rayleigh(profile, 1.2, c)
+            batch = integrate_rayleigh_batch(profile, 1.2, [c])
+            assert solo.y0 == batch.y0[0]
+            assert solo.yp0 == batch.yp0[0]
+            assert solo.n_steps == batch.n_steps[0]
 
     @pytest.mark.parametrize("profile", [TANH, TABLE, EXP],
                              ids=["tanh", "table", "analytic"])
@@ -192,7 +214,7 @@ class TestBatch:
             got = [integrate_rayleigh(self.TABLE, 1.2, c, tol=1e-10).impedance
                    for c in cs]
         for c, imp in zip(cs, got):
-            ref = integrate_rayleigh(self.TABLE, 1.2, c, tol=1e-13).impedance
+            ref = scipy_impedance(self.TABLE, 1.2, c, tol=1e-13)
             assert abs(imp - ref) <= 1e-9 * abs(ref), c
 
     def test_per_element_init(self):
