@@ -22,7 +22,7 @@ from .dispersion import FluidParams, ck, make_miles_residual
 from .eigensolver import count_roots
 from .errors import HypothesisViolated, NoCriticalLayer, WindwavesError
 from .profiles import CriticalLayerSet, ShearProfile, find_critical_points
-from .rayleigh import limiting_solutions
+from .rayleigh import impedance_outcomes, limiting_solution
 
 __all__ = [
     "MilesAsymptotics",
@@ -92,12 +92,12 @@ def miles_c_sharp(profile: ShearProfile, params: FluidParams, k: float,
                   branch: int = +1, tol: float = 1e-10) -> MilesAsymptotics:
     """Assemble the growth constant from the limiting Rayleigh solution.
 
-    Runs the limiting solver at c_R = c_k with sign(Im c) = +1, normalizes
-    |y|^2 to 1 at the interface and sums the per-layer terms.  When the
-    sufficient sign hypotheses (c_k U''(s_j) <= 0, strict at one of the top
-    two layers) fail, a warning is issued and the sign of the assembled
-    bracket remains the authoritative predicate.  This is the one-k case of
-    :func:`growth_constants`.
+    Runs the Frobenius limiting solver (:func:`~windwaves.rayleigh.
+    limiting_solution`) at c_R = c_k with sign(Im c) = +1, normalizes |y|^2
+    to 1 at the interface and sums the per-layer terms.  When the sufficient
+    sign hypotheses (c_k U''(s_j) <= 0, strict at one of the top two layers)
+    fail, a warning is issued and the sign of the assembled bracket remains
+    the authoritative predicate.
 
     Raises
     ------
@@ -105,83 +105,105 @@ def miles_c_sharp(profile: ShearProfile, params: FluidParams, k: float,
         If c_k is outside the range of the wind profile; no unstable speed
         can then bifurcate from c_k at small eps.
     """
-    results, errors = _growth_constants(profile, params, [k], branch, tol)
-    if errors:
-        raise errors[0]
-    return results[0]
+    c_k, layers = _layers_at_ck(profile, params, k, branch)
+    limit = limiting_solution(profile, k, c_k, +1, tol, layers=layers)
+    return _assemble(profile, params, k, branch, c_k, layers,
+                     [jump.u1 for jump in limit.jumps])
 
 
 def growth_constants(profile: ShearProfile, params: FluidParams, ks,
                      branch: int = +1, tol: float = 1e-10
                      ) -> tuple[list[Optional[MilesAsymptotics]], dict]:
-    """:func:`miles_c_sharp` at every wavenumber of ``ks``.
+    """The growth constant at every wavenumber of ``ks``.
 
-    The limiting solves of all wavenumbers with a critical layer run as one
-    batch (:func:`~windwaves.rayleigh.limiting_solutions`).  Returns
-    ``(results, errors)``: a failed wavenumber's result is None, and
-    ``errors`` maps its index to the error :func:`miles_c_sharp` raises
-    there.  The sign-hypothesis warning is issued for each wavenumber that
-    fails the hypotheses.
+    On a profile with ``complex_path`` (tanh, tables), the wavenumbers whose
+    c_k has one critical layer s, with U''(s) != 0, are shot together in one
+    kernel batch at the real speeds c_k along Lin's indented path, from the
+    side Im c > 0 (:func:`~windwaves.rayleigh.impedance_outcomes`).  With
+    y*(0) = 1, W*(0) = Im y*'(0) is the jump of W at the layer, so
+
+        c_sharp = f_I0 Im y*'(0),   u1(s) = -Im y*'(0) |U'(s)| / (pi U''(s)).
+
+    Every other wavenumber takes :func:`miles_c_sharp`, whose layer terms
+    need the per-layer jumps of the Frobenius route.  The two agree to the
+    solver tolerance.  Returns ``(results, errors)``: a failed wavenumber's
+    result is None, and ``errors`` maps its index to the error
+    :func:`miles_c_sharp` raises there.  The sign-hypothesis warning is
+    issued for each wavenumber that fails the hypotheses.
     """
-    return _growth_constants(profile, params, ks, branch, tol)
-
-
-def _growth_constants(profile, params, ks, branch, tol):
-    # called straight from the public functions, so that stacklevel 3 names
-    # their caller in the warning
     ks = list(ks)
-    c_ks = [ck(params, k, branch) for k in ks]
+    results: list[Optional[MilesAsymptotics]] = [None] * len(ks)
     errors: dict[int, WindwavesError] = {}
-    layer_sets = {}
-    for i, c_k in enumerate(c_ks):
+    path = {}  # index -> (c_k, layers) of the wavenumbers shot on the path
+    for i, k in enumerate(ks):
         try:
-            layers = find_critical_points(profile, c_k)
+            c_k, layers = _layers_at_ck(profile, params, k, branch)
+            if profile.complex_path and len(layers) == 1 \
+                    and layers.layers[0].u_double_prime != 0.0:
+                path[i] = c_k, layers
+                continue
+            limit = limiting_solution(profile, k, c_k, +1, tol, layers=layers)
+            results[i] = _assemble(profile, params, k, branch, c_k, layers,
+                                   [jump.u1 for jump in limit.jumps])
         except WindwavesError as exc:
             errors[i] = exc
-            continue
-        if len(layers) == 0:
-            errors[i] = NoCriticalLayer(
-                f"c_k = {c_k:g} outside the range of U: provably no "
-                "bifurcation from c_k for small density ratio")
-            continue
-        if not _sufficient_signs_hold(c_k, layers):
-            warnings.warn(
-                "sufficient sign hypotheses on c_k U'' fail; the assembled "
-                "bracket still decides instability", stacklevel=3)
-        layer_sets[i] = layers
 
-    rows = list(layer_sets)
+    rows = list(path)
+    if not rows:
+        return results, errors
     try:
-        limits, failed = limiting_solutions(
-            profile, [ks[i] for i in rows], [c_ks[i] for i in rows], +1, tol,
-            layers=list(layer_sets.values()))
+        imps, failed = impedance_outcomes(
+            profile, [ks[i] for i in rows], [path[i][0] for i in rows], tol,
+            sign_ci=+1)
     except WindwavesError as exc:  # the whole batch, e.g. no finite column
-        limits, failed = None, dict.fromkeys(range(len(rows)), exc)
-    results: list[Optional[MilesAsymptotics]] = [None] * len(ks)
+        imps, failed = None, dict.fromkeys(range(len(rows)), exc)
     for j, i in enumerate(rows):
         if j in failed:
             errors[i] = failed[j]
-        else:
-            results[i] = _assemble(profile, params, ks[i], branch, c_ks[i],
-                                   layer_sets[i], limits[j])
+            continue
+        c_k, layers = path[i]
+        layer = layers.layers[0]
+        u1 = -imps[j].imag * abs(layer.u_prime) / (math.pi
+                                                   * layer.u_double_prime)
+        results[i] = _assemble(profile, params, ks[i], branch, c_k, layers,
+                               [u1])
     return results, errors
 
 
+def _layers_at_ck(profile, params, k, branch):
+    """c_k and its critical layers; warns when the sign hypotheses fail.
+
+    Called straight from the public functions, so that stacklevel 3 names
+    their caller in the warning.
+    """
+    c_k = ck(params, k, branch)
+    layers = find_critical_points(profile, c_k)
+    if len(layers) == 0:
+        raise NoCriticalLayer(
+            f"c_k = {c_k:g} outside the range of U: provably no "
+            "bifurcation from c_k for small density ratio")
+    if not _sufficient_signs_hold(c_k, layers):
+        warnings.warn(
+            "sufficient sign hypotheses on c_k U'' fail; the assembled "
+            "bracket still decides instability", stacklevel=3)
+    return c_k, layers
+
+
 def _assemble(profile, params, k, branch, c_k, layers,
-              limit) -> MilesAsymptotics:
-    """Sum the per-layer terms of the growth constant."""
+              u1s) -> MilesAsymptotics:
+    """Sum the per-layer terms of the growth constant, |y(s_j)|^2 = u1s[j]."""
     fi0 = f_I0(profile, params, k, branch)
     contribs = []
     bracket = 0.0
     c_sharp = 0.0
-    for layer, jump in zip(layers, limit.jumps):
-        base = layer.u_double_prime * jump.u1 / abs(layer.u_prime)
+    for layer, u1 in zip(layers, u1s):
+        base = layer.u_double_prime * u1 / abs(layer.u_prime)
         term = -math.pi * fi0 * base
         bracket += -c_k * base
         c_sharp += term
         contribs.append(LayerContribution(
             position=layer.position, u_prime=layer.u_prime,
-            u_double_prime=layer.u_double_prime, u1=jump.u1, term=term))
+            u_double_prime=layer.u_double_prime, u1=u1, term=term))
 
     return MilesAsymptotics(k=k, branch=branch, c_k=c_k, f_i0=fi0,
                             c_sharp=c_sharp, layers=tuple(contribs),
@@ -195,23 +217,24 @@ def unstable_band(profile: ShearProfile, params: FluidParams,
                   refine_rel: float = 1e-3) -> list[tuple[float, float]]:
     """Maximal k-intervals where the growth constant is positive.
 
-    Samples c_sharp on a log grid over ``k_range``; a sample where c_k leaves
-    the range of U (or the solver fails) counts as stable.  Sign changes are
-    bracketed by bisection to relative width ``refine_rel``.
+    Samples c_sharp on a log grid over ``k_range`` with
+    :func:`growth_constants`; a sample where c_k leaves the range of U (or
+    the solver fails) counts as stable.  Sign changes are bracketed by
+    bisection to relative width ``refine_rel``, on the same function.
     """
     k_lo, k_hi = k_range
     if not (0.0 < k_lo < k_hi):
         raise ValueError("k_range must be positive and increasing")
 
+    def sharps(ks: list[float]) -> list[float]:
+        results, _ = growth_constants(profile, params, ks, branch, tol)
+        return [-math.inf if r is None else r.c_sharp for r in results]
+
     def sharp(k: float) -> float:
-        try:
-            return miles_c_sharp(profile, params, k, branch, tol).c_sharp
-        except WindwavesError:
-            return -math.inf
+        return sharps([k])[0]
 
     ks = [k_lo * (k_hi / k_lo) ** (i / (n_samples - 1)) for i in range(n_samples)]
-    results, _ = growth_constants(profile, params, ks, branch, tol)
-    vals = [-math.inf if r is None else r.c_sharp for r in results]
+    vals = sharps(ks)
 
     def refine(a: float, b: float) -> float:
         # bisect the predicate boundary between unstable a and stable b (or

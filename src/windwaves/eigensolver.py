@@ -361,8 +361,10 @@ def scan_k(profile, params, k_list: Sequence[float],
     asks for (the starting triples, then one point per chain) in one
     :func:`~windwaves.dispersion.miles_residuals` call, whose batched
     impedances do not depend on the batch.  The asymptotic seeds of all
-    wavenumbers come from one batched growth-constant call
-    (:func:`~windwaves.asymptotics.growth_constants`).
+    wavenumbers come from one growth-constant call
+    (:func:`~windwaves.asymptotics.growth_constants`): on a profile with
+    ``complex_path``, one kernel batch at the real speeds c_k along Lin's
+    indented path, the same shoot that the Muller rounds take at complex c.
     """
     ks = [float(k) for k in k_list]
     if not ks or any(k <= 0.0 for k in ks):

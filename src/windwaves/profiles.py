@@ -4,11 +4,14 @@ Every profile exposes the wind speed and its first two derivatives plus
 critical-point queries (altitudes where U equals a given phase speed).
 ``value`` and ``curvature`` also take a numpy array of altitudes and return
 the array of values; a Python float still gets the ``math`` evaluation and a
-Python float back.  Profiles are immutable after construction and safe to
-share between concurrent solves.
+Python float back.  Profiles with ``complex_path`` also evaluate arrays of
+complex altitudes, so that the Rayleigh solver can shoot along a path
+indented around a critical layer.  Profiles are immutable after construction
+and safe to share between concurrent solves.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -69,6 +72,10 @@ class ShearProfile:
     h_plus: float = math.inf
     #: True when U'' vanishes identically (uniform or constant shear)
     zero_curvature: bool = False
+    #: True when ``value`` and ``curvature`` take arrays of complex altitudes
+    #: (the domain check applies to the real part) and ``path_layers`` and
+    #: ``path_reach`` are implemented
+    complex_path: bool = False
 
     def value(self, x2: float) -> float:
         raise NotImplementedError
@@ -78,6 +85,10 @@ class ShearProfile:
 
     def curvature(self, x2: float) -> float:
         raise NotImplementedError
+
+    def value_and_curvature(self, x2):
+        """(U, U'') at x2, for the solvers that need both at once."""
+        return self.value(x2), self.curvature(x2)
 
     # Third and fourth derivatives feed the local series at critical layers.
     # Central differences on the curvature are accurate enough by default;
@@ -95,6 +106,22 @@ class ShearProfile:
             (0.5 * (hi - lo)) ** 2
         )
 
+    def path_layers(self, c_r: float) -> tuple[tuple[float, float], ...]:
+        """(s, U'(s)) of every interior critical layer at c_r, ascending in s.
+
+        A fast estimate for placing an indented path, not the validated scan
+        of :func:`find_critical_points`; profiles with ``complex_path`` only.
+        """
+        raise NotImplementedError
+
+    def path_reach(self, s: float) -> float:
+        """Distance from s to the nearest other complex root of U(x) = U(s).
+
+        An indented path around the layer at s stays inside this radius, so
+        that it passes no other singularity of the Rayleigh coefficient.
+        """
+        raise NotImplementedError
+
     def _fd_step(self) -> float:
         span = self.h_plus if math.isfinite(self.h_plus) else 1.0
         return 1e-4 * max(span, 1.0)
@@ -108,9 +135,10 @@ class ShearProfile:
 
     def _check_domain(self, x2) -> None:
         if isinstance(x2, np.ndarray):
-            if x2.size and not (0.0 <= x2.min() and x2.max() <= self.h_plus):
+            re = x2.real  # a complex altitude is in the column by its real part
+            if re.size and not (0.0 <= re.min() and re.max() <= self.h_plus):
                 raise OutOfDomain(
-                    f"altitudes in [{x2.min()!r}, {x2.max()!r}] outside "
+                    f"altitudes in [{re.min()!r}, {re.max()!r}] outside "
                     f"[0, {self.h_plus!r}] for {self.kind} profile")
         elif not (0.0 <= x2 <= self.h_plus):
             raise OutOfDomain(
@@ -274,6 +302,7 @@ class TanhProfile(ShearProfile):
     h_plus: float
     kind = "tanh"
     smoothness_class = "C4"
+    complex_path = True
 
     def value(self, x2):
         self._check_domain(x2)
@@ -288,6 +317,12 @@ class TanhProfile(ShearProfile):
         t = _lib(x2).tanh(x2 / self.d)
         return -2.0 * self.u_max / self.d**2 * t * (1.0 - t * t)
 
+    def value_and_curvature(self, x2):
+        self._check_domain(x2)
+        t = _lib(x2).tanh(x2 / self.d)
+        return (self.u_max * t,
+                -2.0 * self.u_max / self.d**2 * t * (1.0 - t * t))
+
     def derivative3(self, x2):
         t = math.tanh(x2 / self.d)
         s2 = 1.0 - t * t
@@ -301,6 +336,19 @@ class TanhProfile(ShearProfile):
     def u_bounds(self, n: int = 0) -> tuple[float, float]:
         ends = (0.0, self.u_max * math.tanh(self.h_plus / self.d))
         return min(ends), max(ends)
+
+    def path_layers(self, c_r: float) -> tuple[tuple[float, float], ...]:
+        if self.u_max == 0.0:
+            return ()
+        r = c_r / self.u_max
+        lo, hi = sorted((0.0, math.tanh(self.h_plus / self.d)))
+        if not lo < r < hi:
+            return ()
+        return ((self.d * math.atanh(r), self.u_max / self.d * (1.0 - r * r)),)
+
+    def path_reach(self, s: float) -> float:
+        # tanh(x/d) = tanh(s/d) again at x = s + i pi d n
+        return math.pi * abs(self.d)
 
 
 def _each(fn, x2):
@@ -375,6 +423,7 @@ class TabulatedProfile(ShearProfile):
 
     kind = "tabulated"
     smoothness_class = "C2"
+    complex_path = True
 
     def __init__(self, x2: Sequence[float], u: Sequence[float]):
         x2 = np.asarray(x2, dtype=float)
@@ -394,11 +443,46 @@ class TabulatedProfile(ShearProfile):
         self._d1 = self._spline.derivative(1)
         self._d2 = self._spline.derivative(2)
         self._d3 = self._spline.derivative(3)
+        # the knots and the interior extrema of the pieces: U is monotone
+        # between consecutive nodes, so each sign change of U - c_r over
+        # them brackets exactly one layer
+        a, b, c = 3.0 * self._spline.c[0], 2.0 * self._spline.c[1], \
+            self._spline.c[2]
+        with np.errstate(all="ignore"):  # NaN where U' has no real root
+            sq = np.sqrt(b * b - 4.0 * a * c)
+            # the roots of U' = a t^2 + b t + c on each piece
+            t = np.concatenate(((-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a),
+                                np.where(a == 0.0, -c / b, np.nan)))
+        base, span = np.tile(x2[:-1], 3), np.tile(np.diff(x2), 3)
+        inside = (t > 0.0) & (t < span)
+        self._nodes = np.unique(np.concatenate((x2, base[inside] + t[inside])))
+        self._node_u = self._spline(self._nodes)
+
+    def _piece(self, x):
+        """Index of the spline piece that holds the altitude (real part of) x."""
+        return np.clip(np.searchsorted(self.x2, np.real(x), side="right") - 1,
+                       0, self.x2.size - 2)
+
+    def _horner(self, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(U, U'') at complex altitudes, by Horner's rule on the piece
+        picked by the real part."""
+        j = self._piece(x2)
+        a, b, c, d = self._spline.c[:, j]
+        t = x2 - self.x2[j]
+        return ((a * t + b) * t + c) * t + d, 6.0 * a * t + 2.0 * b
 
     def value(self, x2):
         self._check_domain(x2)
+        if np.iscomplexobj(x2):
+            return self._horner(x2)[0]
         out = self._spline(x2)
         return out if isinstance(x2, np.ndarray) else float(out)
+
+    def value_and_curvature(self, x2):
+        if np.iscomplexobj(x2):
+            self._check_domain(x2)
+            return self._horner(x2)
+        return self.value(x2), self.curvature(x2)
 
     def slope(self, x2):
         self._check_domain(x2)
@@ -406,6 +490,8 @@ class TabulatedProfile(ShearProfile):
 
     def curvature(self, x2):
         self._check_domain(x2)
+        if np.iscomplexobj(x2):
+            return self._horner(x2)[1]
         out = self._d2(x2)
         return out if isinstance(x2, np.ndarray) else float(out)
 
@@ -414,6 +500,46 @@ class TabulatedProfile(ShearProfile):
 
     def derivative4(self, x2):
         return 0.0  # cubic pieces
+
+    def path_layers(self, c_r: float) -> tuple[tuple[float, float], ...]:
+        f = self._node_u - c_r
+        below = f < 0.0
+        hits = (f[:-1] == 0.0) | ((f[1:] != 0.0) & (below[:-1] != below[1:]))
+        out = []
+        for i in np.flatnonzero(hits).tolist():
+            lo, hi = float(self._nodes[i]), float(self._nodes[i + 1])
+            if f[i] == 0.0:
+                s = lo
+            else:
+                # Newton on the monotone cubic from the chord's root, kept
+                # inside the bracket
+                s = lo + (hi - lo) * float(f[i] / (f[i] - f[i + 1]))
+                j = int(self._piece(0.5 * (lo + hi)))
+                a, b, c, d = self._spline.c[:, j].tolist()
+                for _ in range(4):
+                    t = s - float(self.x2[j])
+                    slope = (3.0 * a * t + 2.0 * b) * t + c
+                    if slope == 0.0:
+                        break
+                    s = min(max(s - (((a * t + b) * t + c) * t + d - c_r)
+                                / slope, lo), hi)
+            if 0.0 < s < self.h_plus:
+                out.append((s, self.slope(s)))
+        return tuple(out)
+
+    def path_reach(self, s: float) -> float:
+        # the other two roots of the piece's cubic: divide (t - t_s) out of
+        # a t^3 + b t^2 + c t + (d - U(s)) and solve the quadratic
+        j = int(self._piece(s))
+        a, b, c, _ = self._spline.c[:, j].tolist()
+        ts = s - float(self.x2[j])
+        b1 = b + a * ts
+        c1 = c + ts * b1
+        if a == 0.0:
+            return math.inf if b1 == 0.0 else abs(c1 / b1)
+        disc = cmath.sqrt(b1 * b1 - 4.0 * a * c1)
+        return min(abs((-b1 + disc) / (2.0 * a) - ts),
+                   abs((-b1 - disc) / (2.0 * a) - ts))
 
     def __repr__(self):
         return f"TabulatedProfile(n={self.x2.size}, h_plus={self.h_plus})"

@@ -11,17 +11,23 @@ rescaling of the initial data.
 
 Three regimes are covered:
 
-* ``integrate_rayleigh_batch``: Im c != 0, or real c with no critical layer,
-  for many (k, c) pairs in one DOP853 step loop of elementwise numpy, each
-  pair on its own step sizes.  ``integrate_rayleigh``,
+* ``integrate_rayleigh_batch``: many (k, c) pairs in one DOP853 step loop of
+  elementwise numpy, each pair on its own step sizes.  On a profile that
+  evaluates at complex altitudes (``complex_path``: tanh, tables) each pair
+  shoots along Lin's path, indented into the complex plane around the
+  critical layers at Re c on the side away from the singularity, so one
+  solver covers Im c large down to Im c = 0+- (the limit, with the side
+  given by ``sign_ci``).  Other curved profiles shoot on the real axis and
+  are refused too close to a layer.  ``integrate_rayleigh``,
   ``interface_impedance`` and ``interface_impedances`` are its one-element
   and closed-form-dispatching cases.
 * ``integrate_wronskian``: the real 4-vector (|y|^2, Re y'conj(y), |y'|^2,
   Im y'conj(y)) whose last component carries the destabilizing phase.
-* ``limiting_solution``: the Im c -> 0 limit across critical layers, crossed
-  with local log-series patches and the explicit derivative jump
-  i sign(c_I) pi U''(s)/|U'(s)| y(s).  Its outer legs run on the same step
-  loop, or on ``solve_ivp`` for a single pair.
+* ``limiting_solution``: the Im c -> 0 limit across critical layers on the
+  real axis, crossed with local log-series patches and the explicit
+  derivative jump i sign(c_I) pi U''(s)/|U'(s)| y(s).  It gives the
+  per-layer jump data, and its impedance is an independent check of the
+  indented path's.
 """
 from __future__ import annotations
 
@@ -62,7 +68,6 @@ __all__ = [
     "integrate_rayleigh_batch",
     "integrate_wronskian",
     "limiting_solution",
-    "limiting_solutions",
     "impedance_limit_check",
     "interface_impedance",
     "interface_impedances",
@@ -71,8 +76,10 @@ __all__ = [
     "pwl_impedance_cascade",
 ]
 
-#: direct integration requires |Im c| >= SWITCH_FACTOR * speed scale when
-#: critical layers exist at Re c (below that, use limiting_solution)
+#: on the real axis, direct integration requires |Im c| >= SWITCH_FACTOR *
+#: speed scale when critical layers exist at Re c (below that, use
+#: limiting_solution); profiles with ``complex_path`` shoot along an indented
+#: path instead and are not refused
 SWITCH_FACTOR = 1e-7
 
 #: relative floor on |y(0)| below which the interface normalization fails
@@ -108,7 +115,7 @@ def _has_layers(u_range: Optional[tuple[float, float]], c_r: float) -> bool:
 
 def _check_switch(profile: ShearProfile, c: complex, scale: float,
                   u_range: Optional[tuple[float, float]]) -> None:
-    """Refuse a direct solve too close to a critical-layer singularity."""
+    """Refuse a real-axis solve too close to a critical-layer singularity."""
     ci = c.imag
     # Zero-curvature coefficients are identically k^2 and piecewise-linear
     # ones are regular inside every segment (only the kink speeds are
@@ -122,8 +129,59 @@ def _check_switch(profile: ShearProfile, c: complex, scale: float,
             f"|Im c|={abs(ci):g} below switch threshold "
             f"{SWITCH_FACTOR * scale:g}; use limiting_solution")
     if ci == 0.0 and len(find_critical_points(profile, c.real)) > 0:
-        raise NearSingularCoefficient(
-            "real wave speed with critical layers; use limiting_solution")
+        raise _real_speed_refused()
+
+
+def _real_speed_refused() -> NearSingularCoefficient:
+    return NearSingularCoefficient(
+        "real wave speed with critical layers; use limiting_solution")
+
+
+def _bumps(profile: ShearProfile, c: complex, scale: float,
+           u_range: Optional[tuple[float, float]], bounds: list[float],
+           sign_ci: Optional[int]) -> tuple[tuple[float, float, float, float], ...]:
+    """The indentations (lo, hi, s, depth) of one element's shooting path.
+
+    Lin's rule: the path x(t) = t + i depth b(t) passes each critical layer
+    s at Re c on the side away from the singularity of the coefficient, at
+    sign(depth) = -sign(c_I U'(s)), with c_I's sign taken from ``sign_ci``
+    for a real c.  Each bump lives on the stretch [lo, hi] between the
+    breakpoints, cut at the midpoints between adjacent layers, that holds
+    its layer; it is pinned to the real axis at both ends, and |depth| is
+    half the layer's distance to the nearer end or to the next complex root
+    of U = Re c, whichever is less.  A layer gets no bump when the
+    singularity already lies farther off the axis than the bump would reach.
+    Profiles without ``complex_path`` shoot on the real axis, where
+    :func:`_check_switch` refuses a wave speed too close to a layer.
+    """
+    if not profile.complex_path:
+        _check_switch(profile, c, scale, u_range)
+        return ()
+    ci = c.imag
+    if not _has_layers(u_range, c.real):
+        return ()
+    if ci == 0.0:
+        # the validated scan: the path must pass a real speed's layers
+        found = find_critical_points(profile, c.real)
+        if found and sign_ci is None:
+            raise _real_speed_refused()
+        est = [(layer.position, layer.u_prime) for layer in found]
+        side = sign_ci
+    else:
+        est = profile.path_layers(c.real)
+        side = 1.0 if ci > 0.0 else -1.0
+    out = []
+    for j, (s, up) in enumerate(est):
+        lo = max(b for b in bounds if b <= s)
+        hi = min(b for b in bounds if b >= s)
+        if j > 0:
+            lo = max(lo, 0.5 * (est[j - 1][0] + s))
+        if j + 1 < len(est):
+            hi = min(hi, 0.5 * (s + est[j + 1][0]))
+        a = 0.5 * min(s - lo, hi - s, profile.path_reach(s))
+        if a > 0.0 and abs(ci) < a * abs(up):
+            out.append((lo, hi, s, -math.copysign(a, side * up)))
+    return tuple(out)
 
 
 def _kink_denominator(profile: ShearProfile, x: float, c: complex,
@@ -227,6 +285,9 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
         Wavenumber (nonzero).
     c : complex
         Wave speed.  Im c may vanish only when Re c has no critical layer.
+        On a profile with ``complex_path`` the solve runs along Lin's
+        indented path (see :func:`impedance_outcomes`) unless a trace is
+        wanted.
     tol : float
         Relative tolerance of the adaptive integrator.
     init : pair of complex
@@ -244,8 +305,9 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
     InfiniteDomain
         If h_plus is not finite.
     NearSingularCoefficient
-        If |Im c| is below the direct/limiting switch threshold while Re c is
-        a critical value, or the coefficient becomes near-singular en route.
+        If c is real and Re c a critical value, or, on the real axis, |Im c|
+        is below the direct/limiting switch threshold while Re c is a critical
+        value, or the coefficient becomes near-singular en route.
     DegenerateAtInterface
         If |y(0)| < 1e-12 * sup |y| (channel-type eigenfunction).
     """
@@ -358,15 +420,18 @@ def integrate_rayleigh_batch(profile: ShearProfile, k, cs,
 
 
 def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
-           init=None, trace: Optional[list] = None
-           ) -> tuple[np.ndarray, np.ndarray, dict]:
+           init=None, trace: Optional[list] = None,
+           sign_ci: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, dict]:
     """Shoot every (k, c) element from the lid down to the interface.
 
     Returns ``(y, n_steps, errors)``: (y(0), y'(0)) per element, NaN where
     the element failed; its accepted points; and, by element index, the error
-    of each failed element.  Each segment between breakpoints is one
-    :func:`_advance` of every element.  When ``trace`` is a list, the
-    (x2, y, y') of every accepted point of element 0 is appended to it.
+    of each failed element.  Each element runs along its own path (see
+    :func:`_bumps`, which takes ``sign_ci``), cut into legs at
+    the breakpoints and at the ends of its bumps, and leg j of every element
+    is one :func:`_advance`.  When ``trace`` is a list, the (x2, y, y') of
+    every accepted point of element 0 is appended to it; a trace samples the
+    real column, so a traced solve is not indented.
     """
     n = cs.size
     y = np.empty((2, n), dtype=complex)
@@ -384,9 +449,15 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
 
     u_range = _u_range(profile)
     scales = [_speed_scale(profile, complex(c), u_range) for c in cs]
+    bounds = _segment_bounds(profile)
+    bumps = [()] * n
     for i, c in enumerate(cs):
         try:
-            _check_switch(profile, complex(c), scales[i], u_range)
+            if trace is None:
+                bumps[i] = _bumps(profile, complex(c), scales[i], u_range,
+                                  bounds, sign_ci)
+            else:
+                _check_switch(profile, complex(c), scales[i], u_range)
         except WindwavesError as exc:
             fail(i, exc)
 
@@ -395,12 +466,13 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     kk = ks * ks
 
     def coeff(x: np.ndarray):
-        # U for the path guard, and q = U''/(U - c) + k^2, at altitudes x of
-        # shape (..., n)
-        u = profile.value(x) if track else None
+        # U for the path guard, no path weight, and q = U''/(U - c) + k^2,
+        # at real altitudes x of shape (..., n)
         if curved:
-            return u, profile.curvature(x) / (u - cs) + kk
-        return u, np.broadcast_to(kk, x.shape)
+            u, upp = profile.value_and_curvature(x)
+            return u, None, upp / (u - cs) + kk
+        u = profile.value(x) if track else None
+        return u, None, np.broadcast_to(kk, x.shape)
 
     sup_y = np.abs(y[0])
     dist = np.full(n, math.inf)
@@ -414,23 +486,25 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
 
     n_steps = np.zeros(n, dtype=int)
     jumps = _kink_jump_map(profile)
-    bounds = _segment_bounds(profile)
+    tops, bots, depth, peak = _legs(bounds, bumps)
     with np.errstate(all="ignore"):  # failed elements may overflow
-        for top, bot in zip(bounds, bounds[1:]):
+        for top, bot, a, m in zip(tops, bots, depth, peak):
             if not np.count_nonzero(alive):
                 break
-            n_steps += _advance(coeff, np.full(n, top), bot, y, alive, fail,
-                                tol, watch)
-            if bot in jumps:
-                for i in np.flatnonzero(alive):
-                    try:
-                        denom = _kink_denominator(profile, bot, complex(cs[i]),
-                                                  scales[i])
-                    except WindwavesError as exc:
-                        fail(i, exc)
-                        continue
-                    # y'(x-) = y'(x+) - [U'] y / (U - c)
-                    y[1, i] = y[1, i] - jumps[bot] * y[0, i] / denom
+            leg = coeff if not np.count_nonzero(a) else \
+                _path_coeff(profile, cs, kk, bot, top - bot, m, a)
+            n_steps += _advance(leg, top, bot, y, alive, fail, tol, watch)
+            for i in np.flatnonzero(alive & (top > bot)) if jumps else ():
+                if bot[i] not in jumps:
+                    continue
+                try:
+                    denom = _kink_denominator(profile, bot[i], complex(cs[i]),
+                                              scales[i])
+                except WindwavesError as exc:
+                    fail(i, exc)
+                    continue
+                # y'(x-) = y'(x+) - [U'] y / (U - c)
+                y[1, i] = y[1, i] - jumps[bot[i]] * y[0, i] / denom
 
     for i in np.flatnonzero(alive):
         try:
@@ -442,33 +516,106 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     return y, n_steps, errors
 
 
+def _legs(bounds: list[float], bumps: list[tuple]) -> tuple[np.ndarray, ...]:
+    """Each element's legs, as (n_legs, n) arrays of tops, bottoms, bump
+    depths and bump peaks (the layer's place in the leg, from 0 at the bottom
+    to 1 at the top; 1/2 where the depth is 0).
+
+    An element's breakpoints are ``bounds`` and the ends of its bumps; one
+    with fewer legs than another ends on zero-length legs at 0.
+    """
+    n = len(bumps)
+    cuts = [sorted(set(bounds).union(*[(lo, hi) for lo, hi, _, _ in b]),
+                   reverse=True) for b in bumps]
+    n_legs = max(len(c) for c in cuts) - 1
+    tops, bots = np.zeros((n_legs, n)), np.zeros((n_legs, n))
+    depth, peak = np.zeros((n_legs, n)), np.full((n_legs, n), 0.5)
+    for i, (cut, bump) in enumerate(zip(cuts, bumps)):
+        tops[:len(cut) - 1, i], bots[:len(cut) - 1, i] = cut[:-1], cut[1:]
+        for lo, hi, s, a in bump:
+            j = cut.index(hi)
+            depth[j, i], peak[j, i] = a, (s - lo) / (hi - lo)
+    return tops, bots, depth, peak
+
+
+def _path_coeff(profile: ShearProfile, cs: np.ndarray, kk: np.ndarray,
+                lo: np.ndarray, width: np.ndarray, peak: np.ndarray,
+                depth: np.ndarray):
+    """``coeff`` of a leg on which some elements are indented.
+
+    Element i runs along x(t) = t + i depth_i b_i(u), u = (t - lo_i)/width_i,
+    where b = (u/m)^p ((1-u)/(1-m))^q is 1 at the layer's place m and
+    vanishes at u = 0 and 1.  The integers p = 1 <= q or q = 1 <= p, rounded
+    from p/q = m/(1-m), put the bump's top within 4% of 1 and near m; as a
+    polynomial, b is smooth up to the pinned ends, where a fractional power
+    would spoil the step control.  The equation in t
+    is (y, y')' = x'(t) (y', q(x(t)) y), so ``coeff`` returns U(x), the path
+    weight x' and x' q.  Elements with depth 0 are evaluated at real t, so
+    that their values do not depend on the others.
+    """
+    bent = depth != 0.0
+    width = np.where(width > 0.0, width, 1.0)  # zero-length legs stand still
+    p = np.fmax(1.0, np.round(peak / (1.0 - peak)))
+    q = np.fmax(1.0, np.round((1.0 - peak) / peak))
+    rv, rw = 1.0 / peak, 1.0 / (1.0 - peak)
+    sv, sw = p * rv / width, q * rw / width
+    lift = 1j * depth
+
+    def coeff(t: np.ndarray):
+        u = np.clip((t - lo) / width, 0.0, 1.0)
+        v, w = u * rv, (1.0 - u) * rw
+        # v^(p-1) w^(q-1) by exp and log (``**`` takes a faster route for a
+        # one-element batch, which would change the last bit); the floor
+        # keeps log finite at the pinned ends, where p - 1 or q - 1 may be 0
+        vw = np.exp((p - 1.0) * np.log(np.fmax(v, 1e-300))
+                    + (q - 1.0) * np.log(np.fmax(w, 1e-300)))
+        b = vw * v * w
+        db = vw * (sv * w - sw * v)
+        x = t + lift * b
+        dx = 1.0 + lift * db
+        if bent.all():
+            uu, upp = profile.value_and_curvature(x)
+        else:
+            uu = np.empty(t.shape, dtype=complex)
+            upp = np.empty(t.shape, dtype=complex)
+            uu[..., bent], upp[..., bent] = \
+                profile.value_and_curvature(x[..., bent])
+            uu[..., ~bent], upp[..., ~bent] = \
+                profile.value_and_curvature(t[..., ~bent])
+        return uu, dx, dx * (upp / (uu - cs) + kk)
+
+    return coeff
+
+
 def _advance(coeff, top: np.ndarray, bot, y: np.ndarray, alive: np.ndarray,
              fail, tol: float, watch=None) -> np.ndarray:
     """Step every live element of ``y`` from its ``top[i]`` down to ``bot[i]``.
 
-    ``coeff(x)`` gives (U or None, q) at altitudes x of shape (..., n), and
-    ``y`` holds (y, y') per element and is updated in place.  Each pass tries
-    one DOP853 step of every element that is alive and short of its bottom,
-    on the element's own step size; the others step by zero, so no array is
-    ever compacted.  An element whose step size collapses is handed to
-    ``fail(i, error)``, which must clear ``alive[i]``.  ``watch(ok, t, u)``
-    is called with the elements that accepted a point, the altitudes and U
-    there: at the top, then after each pass.  Returns the accepted points
-    per element, the start point included, as ``solve_ivp`` counts ``t``; an
-    element with ``top[i] == bot[i]`` does not move and counts none.
+    ``coeff(t)`` gives (U or None, w or None, w q) at path parameters t of
+    shape (..., n), where w = x'(t) is the weight of the element's path
+    (None on the real axis, where it is 1), and ``y`` holds (y, y') per
+    element and is updated in place.  Each pass tries one DOP853 step of
+    every element that is alive and short of its bottom, on the element's
+    own step size; the others step by zero, so no array is ever compacted.
+    An element whose step size collapses is handed to ``fail(i, error)``,
+    which must clear ``alive[i]``.  ``watch(ok, t, u)`` is called with the
+    elements that accepted a point, the parameters and U there: at the top,
+    then after each pass.  Returns the accepted points per element, the
+    start point included, as ``solve_ivp`` counts ``t``; an element with
+    ``top[i] == bot[i]`` does not move and counts none.
     """
     n = y.shape[1]
     rtol, atol = tol, tol * 1e-3
     live = alive & (top > bot)
     t = np.array(top, dtype=float)
-    u, q = coeff(t)
-    f = np.array([y[1], q * y[0]])  # the derivative at t
+    u, w, wq = coeff(t)
+    f = np.array([y[1] if w is None else w * y[1], wq * y[0]])  # at t
     n_steps = live.astype(int)
     if watch is not None:
         watch(live, t, u)
     stages = np.empty((_DOP_STAGES + 1, 2, n), dtype=complex)
-    # (1, q) at the stage abscissae: a stage derivative (y', q y) is the
-    # reversed stage state times them
+    # (w, w q) at the stage abscissae: a stage derivative w (y', q y) is the
+    # reversed stage state times them; w stays 1 on the real axis
     weights = np.ones((_DOP_STAGES - 1, 2, n), dtype=complex)
     h_abs = _initial_step(coeff, t, bot, y, f, live, rtol, atol)
     rejected = np.zeros(n, dtype=bool)
@@ -512,14 +659,16 @@ def _advance(coeff, top: np.ndarray, bot, y: np.ndarray, alive: np.ndarray,
 def _dop853_step(coeff, t: np.ndarray, h: np.ndarray, y: np.ndarray,
                  f: np.ndarray, stages: np.ndarray, weights: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """One DOP853 step of (y, y')' = (y', q y) from t down to t - h, per element.
+    """One DOP853 step of (y, y')' = w (y', q y) from t down to t - h, per element.
 
     ``f`` is the derivative at t.  ``stages`` is filled with h times the
     stage derivatives, which spares a scaling per stage.  q does not depend
     on y, so the coefficient is evaluated at every stage abscissa at once.
     Returns the state and its derivative at t - h, and U(t - h).
     """
-    u, weights[:, 1] = coeff(t - _DOP_C * h)
+    u, w, weights[:, 1] = coeff(t - _DOP_C * h)
+    if w is not None:
+        weights[:, 0] = w
     scaled = weights * h
     np.multiply(f, h, out=stages[0])
     for s in range(1, _DOP_STAGES):
@@ -566,8 +715,9 @@ def _initial_step(coeff, t0, t_bound, y0, f0, live, rtol, atol) -> np.ndarray:
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.where(live, np.fmin(h0, interval), 0.0)
     y1 = y0 - h0 * f0
-    q1 = coeff(t0 - h0)[1]
-    d2 = _rms(np.stack((y1[1] - f0[0], q1 * y1[0] - f0[1])) / sc) / h0
+    _, w1, wq1 = coeff(t0 - h0)
+    dy1 = y1[1] if w1 is None else w1 * y1[1]
+    d2 = _rms(np.stack((dy1 - f0[0], wq1 * y1[0] - f0[1])) / sc) / h0
     dmax = np.fmax(d1, d2)
     h1 = np.where(dmax <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / dmax) ** (-_ERROR_EXPONENT))
@@ -637,7 +787,8 @@ def interface_impedances(profile: ShearProfile, k, cs,
 
 
 def impedance_outcomes(profile: ShearProfile, k, cs,
-                       tol: float = _DEFAULT_TOL) -> tuple[np.ndarray, dict]:
+                       tol: float = _DEFAULT_TOL, *,
+                       sign_ci: Optional[int] = None) -> tuple[np.ndarray, dict]:
     """Impedances of (k, c) pairs, and the error of each pair that failed.
 
     Closed forms, where exact, are evaluated pair by pair: vorticity-free
@@ -647,11 +798,21 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
     value its pair gets alone.  A failed pair's impedance is NaN, and
     ``errors`` maps its index to the error :func:`interface_impedance` raises
     for it.
+
+    On a profile with ``complex_path``, every pair shoots along Lin's path,
+    indented around the critical layers at Re c (see :func:`_bumps`).  A
+    real c with critical layers then gets the limit Im c -> 0 from the side
+    ``sign_ci`` (+1 or -1), which :func:`limiting_solution` also computes;
+    without ``sign_ci`` such a pair is refused.
     """
+    if sign_ci not in (None, -1, 1):
+        raise ValueError("sign_ci must be +1, -1 or None")
+    ks, cs = np.broadcast_arrays(np.asarray(k, dtype=float),
+                                 np.asarray(cs, dtype=complex))
+    if np.any(ks == 0.0):
+        raise ValueError("wavenumber k must be nonzero")
     if profile.zero_curvature or (isinstance(profile, PiecewiseLinearProfile)
                                   and math.isinf(profile.h_plus)):
-        ks, cs = np.broadcast_arrays(np.asarray(k, dtype=float),
-                                     np.asarray(cs, dtype=complex))
         imps = np.full(cs.shape, complex("nan"))
         errors = {}
         for i, (kv, c) in enumerate(zip(ks.tolist(), cs.tolist())):
@@ -663,8 +824,8 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
             except WindwavesError as exc:
                 errors[i] = exc
         return imps, errors
-    ks, cs = _pairs(profile, k, cs)
-    y, _, errors = _shoot(profile, ks, cs, tol)
+    ks, cs = _pairs(profile, ks, cs)
+    y, _, errors = _shoot(profile, ks, cs, tol, sign_ci=sign_ci)
     with np.errstate(invalid="ignore"):  # NaN / NaN for the failed pairs
         return y[1] / y[0], errors
 
@@ -863,13 +1024,20 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     """Solve the Rayleigh equation in the limiting sense for real c_r.
 
     Away from critical layers the real-coefficient equation is integrated
-    directly; each layer s_j is crossed on [s_j - delta, s_j + delta] with the
-    two-solution Frobenius log-series, the branch fixed so that y' jumps by
-    i sign_ci pi U''(s_j)/|U'(s_j)| y(s_j).  The result is normalized to
-    y*(0) = 1, so ``impedance`` equals y*'(0).  ``layers`` passes in the
-    result of ``find_critical_points(profile, c_r)`` when the caller holds it
-    already; the layers are scanned for otherwise.  This is the one-pair case
-    of :func:`limiting_solutions`.
+    directly on ``solve_ivp``, in legs from the lid to the first patch,
+    between patches and from the last patch to the interface, cut at the
+    overflow chunk edges and at the breakpoints of the direct solver (spline
+    knots, kinks).  Each layer s_j is crossed on [s_j - delta, s_j + delta]
+    with the two-solution Frobenius log-series, the branch fixed so that y'
+    jumps by i sign_ci pi U''(s_j)/|U'(s_j)| y(s_j).  The result is
+    normalized to y*(0) = 1, so ``impedance`` equals y*'(0).  ``layers``
+    passes in the result of ``find_critical_points(profile, c_r)`` when the
+    caller holds it already; the layers are scanned for otherwise.
+
+    This route gives the per-layer jump data (``jumps``) that the growth
+    constant's layer terms need.  The impedance alone is cheaper along Lin's
+    indented path (:func:`impedance_outcomes` with ``sign_ci``), which is an
+    independent check of this one.
 
     Raises
     ------
@@ -878,102 +1046,23 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     DegenerateAtInterface
         If the unnormalized solution vanishes at the interface.
     """
-    sols, errors = limiting_solutions(
-        profile, [k], [c_r], sign_ci, tol, delta_loc=delta_loc,
-        layers=None if layers is None else [layers])
-    _raise_first(errors)
-    return sols[0]
-
-
-def limiting_solutions(profile: ShearProfile, k, c_r, sign_ci: int,
-                       tol: float = _DEFAULT_TOL, *,
-                       delta_loc: float | None = None,
-                       layers: Sequence[CriticalLayerSet] | None = None
-                       ) -> tuple[list[Optional[LimitSolution]], dict]:
-    """:func:`limiting_solution` of (k, c_r) pairs, ``k`` broadcast against ``c_r``.
-
-    Each pair is planned on its own: its critical layers (``layers[i]`` when
-    given, one scan otherwise), its series patches, and its legs, the spans
-    lid -> s_m + delta_m, s_m - delta_m -> s_(m-1) + delta_(m-1), ...,
-    s_1 - delta_1 -> 0 cut at the overflow chunk edges and at the
-    breakpoints of the direct solver (spline knots, kinks).  Leg j of every
-    pair is shot in one call of the DOP853 loop of
-    :func:`integrate_rayleigh_batch`, a pair with fewer legs standing still;
-    between legs each pair is rescaled, jumped at a kink and crossed at a
-    layer on its own.  All arithmetic is elementwise, so in a batch of two or
-    more pairs a pair's result does not depend on its batch.  A batch of one
-    pair steps its legs on ``solve_ivp``, which is faster for one pair.
-
-    Returns ``(solutions, errors)``: a failed pair's solution is None, and
-    ``errors`` maps its index to the error :func:`limiting_solution` raises
-    for it.
-    """
     if sign_ci not in (-1, 1):
         raise ValueError("sign_ci must be +1 or -1")
-    ks, c_rs = np.broadcast_arrays(np.asarray(k, dtype=float),
-                                   np.asarray(c_r, dtype=float))
-    if ks.ndim != 1:
-        raise ValueError("k and c_r must broadcast to a 1-d array")
-    if np.any(ks == 0.0):
+    if k == 0.0:
         raise ValueError("wavenumber k must be nonzero")
     if not math.isfinite(profile.h_plus):
         raise InfiniteDomain("limiting solver needs a finite air column")
-
-    n = ks.size
-    errors: dict[int, WindwavesError] = {}
-    runs: list[Optional[_LimitRun]] = [None] * n
-    for i, (kv, cv) in enumerate(zip(ks.tolist(), c_rs.tolist())):
-        try:
-            found = find_critical_points(profile, cv) if layers is None \
-                else layers[i]
-            runs[i] = _LimitRun(profile, kv, cv, sign_ci, found, delta_loc)
-        except WindwavesError as exc:
-            errors[i] = exc
-    alive = np.array([run is not None for run in runs])
-
-    def fail(i: int, exc: WindwavesError) -> None:
-        errors.setdefault(int(i), exc)
-        alive[i] = False
-
-    kk = ks * ks
-
-    def coeff(x: np.ndarray):
-        return None, profile.curvature(x) / (profile.value(x) - c_rs) + kk
-
-    y = np.zeros((2, n), dtype=complex)
-    y[1] = 1.0
-    n_steps = np.zeros(n, dtype=int)
-    n_legs = max((len(run.legs) for run in runs if run is not None), default=0)
-    with np.errstate(all="ignore"):  # failed elements may overflow
-        for j in range(n_legs):
-            busy = [i for i in np.flatnonzero(alive) if j < len(runs[i].legs)]
-            tops, bots = np.zeros(n), np.zeros(n)
-            for i in busy:
-                tops[i], bots[i], _ = runs[i].legs[j]
-            if n > 1:
-                n_steps += _advance(coeff, tops, bots, y, alive, fail, tol)
-            elif busy:
-                try:
-                    y[:, 0], steps = runs[0].solve(tops[0], bots[0],
-                                                   y[:, 0].copy(), tol)
-                    n_steps[0] += steps
-                except WindwavesError as exc:
-                    fail(0, exc)
-            for i in busy:
-                if not alive[i]:
-                    continue
-                try:
-                    y[:, i] = runs[i].after_leg(j, y[:, i].copy())
-                except WindwavesError as exc:
-                    fail(i, exc)
-
-    sols: list[Optional[LimitSolution]] = [None] * n
-    for i in np.flatnonzero(alive):
-        try:
-            sols[i] = runs[i].finish(y[:, i], int(n_steps[i]))
-        except WindwavesError as exc:
-            fail(i, exc)
-    return sols, errors
+    if layers is None:
+        layers = find_critical_points(profile, c_r)
+    run = _LimitRun(profile, k, c_r, sign_ci, layers, delta_loc)
+    y = np.array([0.0, 1.0], dtype=complex)
+    n_steps = 0
+    with np.errstate(all="ignore"):
+        for j, (top, bot, _) in enumerate(run.legs):
+            y, steps = run.solve(top, bot, y, tol)
+            n_steps += steps
+            y = run.after_leg(j, y.copy())
+    return run.finish(y, n_steps)
 
 
 class _LimitRun:

@@ -14,7 +14,14 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from windwaves.profiles import PiecewiseLinearProfile, TabulatedProfile
+from scipy.interpolate import CubicSpline
+
+from windwaves.profiles import (
+    PiecewiseLinearProfile,
+    TabulatedProfile,
+    TanhProfile,
+    find_critical_points,
+)
 
 
 def gbs_step(f, x0: float, y0: np.ndarray, big_h: float, n_sub: int) -> np.ndarray:
@@ -98,6 +105,92 @@ def scipy_impedance(profile, k: float, c: complex, tol: float) -> complex:
         y = sol.y[:, -1].copy()
         if bot in jumps:
             y[1] -= jumps[bot] * y[0] / (profile.value(bot) - c)
+    return complex(y[1] / y[0])
+
+
+def _complex_wind(profile):
+    """(U, U'') at one complex altitude, from the profile's parameters."""
+    if isinstance(profile, TanhProfile):
+        um, d = profile.u_max, profile.d
+
+        def wind(z):
+            t = cmath.tanh(z / d)
+            return um * t, -2.0 * um / d ** 2 * t * (1.0 - t * t)
+
+        return wind
+    if isinstance(profile, TabulatedProfile):
+        # a spline of its own from the samples, its pieces by Horner's rule
+        spline = CubicSpline(profile.x2, profile.u, bc_type="not-a-knot")
+        xs, coef = spline.x, spline.c
+
+        def wind(z):
+            j = min(max(int(np.searchsorted(xs, z.real, side="right")) - 1, 0),
+                    xs.size - 2)
+            a, b, c, d = coef[:, j]
+            t = z - xs[j]
+            return ((a * t + b) * t + c) * t + d, 6.0 * a * t + 2.0 * b
+
+        return wind
+    raise TypeError(f"no complex evaluation for {profile!r}")
+
+
+def contour_impedance_oracle(profile, k: float, c: complex, tol: float,
+                             sign_ci: int | None = None) -> complex:
+    """y'(0)/y(0) by scipy's DOP853 along a path indented around each layer.
+
+    Lin's rule with a bump of its own: around each critical layer s at Re c
+    the path is x(t) = t - i side a sin^2(pi (t - s + r) / (2 r)) on
+    [s - r, s + r], side = sign(c_I U'(s)) (sign(sign_ci U'(s)) at c_I = 0),
+    pinned to the real axis at both ends, with a = r/2 and r a quarter of the
+    distance to the nearer of 0, h_plus, a spline knot and a neighbouring
+    layer.  Along the bump, (y, y')' = x'(t) (y', q(x(t)) y) in t.  One
+    ``solve_ivp`` run (rtol = tol, atol = 1e-3 tol) per piece between h_plus,
+    the knots of a table, the bump ends and 0.  A tanh wind is evaluated by
+    ``cmath``, a table by Horner's rule on a spline built here from its
+    samples.  The layer positions come from the package's validated scan,
+    :func:`find_critical_points`; a wrong one would show as a mismatch.
+    """
+    wind = _complex_wind(profile)
+    stops = {profile.h_plus, 0.0}
+    if isinstance(profile, TabulatedProfile):
+        stops.update(float(x) for x in profile.x2[1:-1])
+    layers = find_critical_points(profile, c.real)
+    if layers and c.imag == 0.0 and sign_ci is None:
+        raise ValueError("a real c with layers needs sign_ci")
+    side = sign_ci if c.imag == 0.0 else math.copysign(1.0, c.imag)
+    pos = list(layers.positions)
+    bumps = {}  # bump start (its upper end) -> (s, r, signed depth)
+    for j, layer in enumerate(layers):
+        s = layer.position
+        near = [abs(s - x) for x in stops]
+        near += [0.5 * abs(s - o) for o in pos[:j] + pos[j + 1:]]
+        r = 0.25 * min(near)
+        bumps[s + r] = (s, r, -side * math.copysign(0.5 * r, layer.u_prime))
+        stops.update((s - r, s + r))
+
+    def real_rhs(x, y):
+        u, upp = wind(complex(x))
+        q = upp / (u - c) + k * k
+        return [y[1], q * y[0]]
+
+    def bump_rhs(s, r, a):
+        def f(t, y):
+            phase = math.pi * (t - s + r) / (2.0 * r)
+            z = t + 1j * a * math.sin(phase) ** 2
+            dz = 1.0 + 1j * a * math.pi / (2.0 * r) * math.sin(2.0 * phase)
+            u, upp = wind(z)
+            q = upp / (u - c) + k * k
+            return [dz * y[1], dz * q * y[0]]
+        return f
+
+    y = np.array([0.0, 1.0], dtype=complex)
+    edges = sorted(stops, reverse=True)
+    for top, bot in zip(edges, edges[1:]):
+        f = bump_rhs(*bumps[top]) if top in bumps else real_rhs
+        sol = solve_ivp(f, (top, bot), y, method="DOP853",
+                        rtol=tol, atol=1e-3 * tol)
+        assert sol.success, sol.message
+        y = sol.y[:, -1].copy()
     return complex(y[1] / y[0])
 
 

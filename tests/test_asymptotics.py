@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from windwaves.asymptotics import (
@@ -15,8 +16,11 @@ from windwaves.profiles import (
     AnalyticProfile,
     ConstantProfile,
     LinearShearProfile,
+    TabulatedProfile,
     TanhProfile,
 )
+
+from oracles import contour_impedance_oracle
 
 
 def params_with(**kw):
@@ -133,11 +137,17 @@ class TestGrowthConstants:
     KS = [0.05, 0.3, 0.8, 1.5, 3.0]  # c_k leaves the range of U at 0.05
 
     def test_one_k_equals_miles_c_sharp(self):
+        # the indented path and the Frobenius route agree to the tolerance
         p = params_with(h_plus=5.0)
         for k in self.KS[1:]:
             results, errors = growth_constants(TANH, p, [k])
             assert errors == {}
-            assert results[0] == miles_c_sharp(TANH, p, k)
+            got, want = results[0], miles_c_sharp(TANH, p, k)
+            assert (got.k, got.c_k, got.f_i0, got.sufficient_signs_hold) == \
+                (want.k, want.c_k, want.f_i0, want.sufficient_signs_hold)
+            assert [l.position for l in got.layers] == \
+                [l.position for l in want.layers]
+            assert abs(got.c_sharp - want.c_sharp) <= 1e-8 * abs(want.c_sharp)
 
     def test_batch_matches_miles_c_sharp(self):
         p = params_with(h_plus=5.0)
@@ -151,9 +161,26 @@ class TestGrowthConstants:
         for k, got in zip(self.KS[1:], results[1:]):
             want = miles_c_sharp(TANH, p, k, tol=1e-12)
             assert (got.k, got.c_k, got.f_i0) == (want.k, want.c_k, want.f_i0)
-            assert abs(got.c_sharp - want.c_sharp) <= 1e-9 * abs(want.c_sharp)
+            # the Frobenius route's own error is ~1e-9 (1.07e-9 at k = 0.3);
+            # an independent shoot holds the path to 1e-9
+            assert abs(got.c_sharp - want.c_sharp) <= 1e-8 * abs(want.c_sharp)
+            oracle = got.f_i0 * contour_impedance_oracle(
+                TANH, k, complex(got.c_k), 1e-12, +1).imag
+            assert abs(got.c_sharp - oracle) <= 1e-9 * abs(oracle)
             assert got.layers[0].u1 == pytest.approx(want.layers[0].u1,
-                                                     rel=1e-9)
+                                                     rel=1e-8)
+
+    def test_two_layers_take_the_frobenius_route(self):
+        # the path gives only the sum of the layer terms
+        x = np.linspace(0.0, 5.0, 48)
+        jet = TabulatedProfile(x, 8.0 * math.e * x * np.exp(-x))
+        p = params_with(h_plus=5.0)
+        with pytest.warns(UserWarning, match="sufficient sign hypotheses"):
+            results, errors = growth_constants(jet, p, [1.0])
+            want = miles_c_sharp(jet, p, 1.0)
+        assert errors == {}
+        assert len(results[0].layers) == 2
+        assert results[0] == want
 
     def test_sign_hypothesis_warning(self):
         p = params_with(h_plus=2.0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from windwaves.errors import (
     DegenerateAtInterface,
@@ -27,14 +28,19 @@ from windwaves.rayleigh import (
     integrate_wronskian,
     interface_impedance,
     limiting_solution,
-    limiting_solutions,
     pwl_impedance_cascade,
     uniform_flow_impedance,
 )
 
-from oracles import impedance_oracle, scipy_impedance
+from oracles import contour_impedance_oracle, impedance_oracle, scipy_impedance
 
 TANH = TanhProfile(10.0, 1.0, 5.0)
+
+#: the same wind as an AnalyticProfile, which shoots on the real axis
+REAL_AXIS_TANH = AnalyticProfile(
+    f=lambda x: 10.0 * math.tanh(x), df=lambda x: 10.0 / math.cosh(x) ** 2,
+    d2f=lambda x: -20.0 * math.tanh(x) / math.cosh(x) ** 2, h_plus=5.0,
+    name="tanh")
 
 
 def ramp_with_channel_mode():
@@ -83,10 +89,29 @@ class TestDirectIntegration:
             integrate_rayleigh(ConstantProfile(5.0), 1.0, 1.0 + 1.0j)
 
     def test_switch_threshold_enforced(self):
+        # on the real axis; a profile with complex_path is indented instead
         with pytest.raises(NearSingularCoefficient):
-            integrate_rayleigh(TANH, 1.0, 3.0 + 1e-9j)
+            integrate_rayleigh(REAL_AXIS_TANH, 1.0, 3.0 + 1e-9j)
         with pytest.raises(NearSingularCoefficient):
             integrate_rayleigh(TANH, 1.0, 3.0 + 0.0j)
+
+    def test_indented_path_below_switch_threshold(self):
+        c = 3.0 + 1e-9j
+        got = integrate_rayleigh(TANH, 1.0, c, tol=1e-12).impedance
+        want = contour_impedance_oracle(TANH, 1.0, c, tol=1e-12)
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_trace_keeps_the_real_axis(self):
+        # a trace samples the real column, so its solve is not indented
+        with pytest.raises(NearSingularCoefficient):
+            integrate_rayleigh(TANH, 1.0, 3.0 + 1e-9j, want_trace=True)
+
+    def test_indented_step_count(self):
+        # the real axis takes 156 points here: the layer sits 1.6e-5 off it
+        sol = integrate_rayleigh(TANH, 3.0, 1.8076 + 1.5778e-4j, tol=1e-10)
+        assert sol.n_steps <= 80
+        again = integrate_rayleigh(TANH, 3.0, 1.8076 + 1.5778e-4j, tol=1e-10)
+        assert again.n_steps == sol.n_steps
 
     def test_real_c_outside_range_is_fine(self):
         sol = integrate_rayleigh(TANH, 1.0, 12.0 + 0.0j)
@@ -195,12 +220,13 @@ class TestBatch:
 
     def test_failing_member_leaves_the_others(self):
         cs = [3.0 + 0.2j, 3.0 + 1e-9j, 2.0 - 0.1j]
-        imps, errors = impedance_outcomes(TANH, [1.0, 1.0, 0.7], cs)
+        imps, errors = impedance_outcomes(REAL_AXIS_TANH, [1.0, 1.0, 0.7], cs)
         assert list(errors) == [1]
         assert isinstance(errors[1], NearSingularCoefficient)
         assert np.isnan(imps[1])
         for i in (0, 2):
-            solo = integrate_rayleigh_batch(TANH, [1.0, 1.0, 0.7][i], [cs[i]])
+            solo = integrate_rayleigh_batch(REAL_AXIS_TANH, [1.0, 1.0, 0.7][i],
+                                            [cs[i]])
             assert imps[i] == solo.impedance[0]
 
     @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
@@ -229,9 +255,9 @@ class TestBatch:
     def test_near_singular_member_raises_scalar_error(self):
         cs = [3.0 + 0.2j, 3.0 + 1e-9j, 12.0 + 0.0j]
         with pytest.raises(NearSingularCoefficient) as scalar:
-            integrate_rayleigh(TANH, 1.0, cs[1])
+            integrate_rayleigh(REAL_AXIS_TANH, 1.0, cs[1])
         with pytest.raises(NearSingularCoefficient) as batch:
-            integrate_rayleigh_batch(TANH, 1.0, cs)
+            integrate_rayleigh_batch(REAL_AXIS_TANH, 1.0, cs)
         assert str(batch.value) == str(scalar.value)
 
     def test_first_failure_in_input_order_wins(self):
@@ -269,6 +295,13 @@ class TestUniformImpedance:
     def test_dispatcher_uses_closed_form(self):
         imp = interface_impedance(ConstantProfile(4.0), 2.0, 1.0 + 1.0j)
         assert imp == -2.0
+
+    @pytest.mark.parametrize("profile", [
+        ConstantProfile(4.0, h_plus=5.0), PiecewiseLinearProfile.ramp(2.0, 1.0),
+        TANH], ids=["uniform", "unbounded-ramp", "tanh"])
+    def test_zero_wavenumber_refused_on_every_route(self, profile):
+        with pytest.raises(ValueError, match="wavenumber k must be nonzero"):
+            interface_impedance(profile, 0.0, 1.0 + 1.0j)
 
 
 class TestPiecewiseLinear:
@@ -420,84 +453,183 @@ JET = AnalyticProfile(f=_jet_derivative(0), df=_jet_derivative(1),
                       d4f=_jet_derivative(4), h_plus=5.0, name="jet")
 
 
+#: the jet sampled at 48 altitudes: a table, so it shoots along the indented
+#: path, with the same layer counts on the pairs of TestLimitingBatch
+JET_TABLE = TabulatedProfile(np.linspace(0.0, 5.0, 48),
+                             JET.value(np.linspace(0.0, 5.0, 48)))
+
+
+def w_sum(lim):
+    """W*(0) = Im y*'(0) from the per-layer jumps of a limiting solution.
+
+    W* vanishes at the lid and jumps by sign pi U'' u1 / |U'| (above minus
+    below) at each layer, so W*(0) is minus the sum of the jumps.
+    """
+    return -sum(lim.sign_ci * math.pi * layer.u_double_prime * jump.u1
+                / abs(layer.u_prime) for layer, jump in zip(lim.layers, lim.jumps))
+
+
 class TestLimitingBatch:
+    """The limit Im c -> 0+- shot along the indented path, in one kernel
+    batch, against the Frobenius ``limiting_solution``."""
+
     # (k, c_r) pairs; on the jet they hold 1, 2, 2, 2, 0 and 2 layers
     KS = [0.4, 1.2, 2.5, 1.0, 0.7, 1.7]
     CS = [0.5, 2.0, 4.0, 6.0, 9.0, 3.0]
 
     @staticmethod
-    def assert_close(got, want, rel):
-        assert abs(got.impedance - want.impedance) <= rel * abs(want.impedance)
-        assert len(got.jumps) == len(want.jumps)
-        for a, b in zip(got.jumps, want.jumps):
-            assert a.position == b.position
-            for name in ("u1", "w_above", "w_below"):
-                va, vb = getattr(a, name), getattr(b, name)
-                assert abs(va - vb) <= rel * abs(vb), name
+    def assert_close(imp, lim, rel):
+        # the impedance, and the jump data through W*(0) = Im y*'(0)
+        assert abs(imp - lim.impedance) <= rel * abs(lim.impedance)
+        assert abs(imp.imag - w_sum(lim)) <= rel * abs(lim.impedance)
 
-    @pytest.mark.parametrize("profile", [TANH, TestBatch.TABLE, JET],
+    @pytest.mark.parametrize("profile", [TANH, TestBatch.TABLE, JET_TABLE],
                              ids=["tanh", "table", "jet"])
     def test_matches_scalar_limiting_solution(self, profile):
-        sols, errors = limiting_solutions(profile, self.KS, self.CS, +1,
-                                          tol=1e-12)
+        imps, errors = impedance_outcomes(profile, self.KS, self.CS, 1e-12,
+                                          sign_ci=+1)
         assert errors == {}
-        for k, c, sol in zip(self.KS, self.CS, sols):
-            want = limiting_solution(profile, k, c, +1, tol=1e-12)
-            self.assert_close(sol, want, 1e-9)
+        for k, c, imp in zip(self.KS, self.CS, imps):
+            self.assert_close(imp, limiting_solution(profile, k, c, +1,
+                                                     tol=1e-12), 1e-9)
 
     def test_mixes_zero_one_and_two_layers(self):
-        sols, errors = limiting_solutions(JET, self.KS, self.CS, -1, tol=1e-12)
+        imps, errors = impedance_outcomes(JET_TABLE, self.KS, self.CS, 1e-12,
+                                          sign_ci=-1)
         assert errors == {}
-        assert [len(s.jumps) for s in sols] == [1, 2, 2, 2, 0, 2]
-        for k, c, sol in zip(self.KS, self.CS, sols):
-            self.assert_close(sol, limiting_solution(JET, k, c, -1, tol=1e-12),
-                              1e-9)
+        lims = [limiting_solution(JET_TABLE, k, c, -1, tol=1e-12)
+                for k, c in zip(self.KS, self.CS)]
+        assert [len(lim.jumps) for lim in lims] == [1, 2, 2, 2, 0, 2]
+        for imp, lim in zip(imps, lims):
+            self.assert_close(imp, lim, 1e-9)
 
-    @pytest.mark.parametrize("profile", [TANH, TestBatch.TABLE, JET],
+    @pytest.mark.parametrize("profile", [TANH, TestBatch.TABLE, JET_TABLE],
                              ids=["tanh", "table", "jet"])
     def test_member_equals_solo_bitwise(self, profile):
-        # one pair alone steps on solve_ivp, so the solo run on the batched
-        # loop is the pair run twice over
-        sols, _ = limiting_solutions(profile, self.KS, self.CS, +1)
-        for k, c, sol in zip(self.KS, self.CS, sols):
-            solo, _ = limiting_solutions(profile, [k, k], [c, c], +1)
-            assert solo[0].impedance == sol.impedance
-            assert solo[0].n_steps == sol.n_steps
-            assert solo[0].jumps == sol.jumps
+        imps, _ = impedance_outcomes(profile, self.KS, self.CS, sign_ci=+1)
+        for k, c, imp in zip(self.KS, self.CS, imps):
+            solo, _ = impedance_outcomes(profile, k, [c], sign_ci=+1)
+            assert solo[0] == imp
 
     def test_failing_member_leaves_the_others(self):
         # c_r = U(0) = 0 is refused by the layer scan
-        sols, errors = limiting_solutions(TANH, [1.0, 0.5, 2.0],
-                                          [3.0, 0.0, 6.0], +1)
+        imps, errors = impedance_outcomes(TANH, [1.0, 0.5, 2.0],
+                                          [3.0, 0.0, 6.0], sign_ci=+1)
         assert list(errors) == [1]
         assert isinstance(errors[1], EndpointCritical)
-        assert sols[1] is None
+        assert np.isnan(imps[1])
         with pytest.raises(EndpointCritical):
             limiting_solution(TANH, 0.5, 0.0, +1)
-        rest, _ = limiting_solutions(TANH, [1.0, 2.0], [3.0, 6.0], +1)
-        for got, want in zip([sols[0], sols[2]], rest):
-            assert got.impedance == want.impedance
-            assert got.jumps == want.jumps
+        rest, _ = impedance_outcomes(TANH, [1.0, 2.0], [3.0, 6.0], sign_ci=+1)
+        assert imps[[0, 2]].tolist() == rest.tolist()
 
     @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
     def test_table_meets_its_tolerance(self, batched):
-        # the spline knots, where U''' jumps, end the legs
+        # the spline knots, where U''' jumps, end the legs of both routes
         for n in (16, 40):
             x = np.linspace(0.0, 5.0, n)
             table = TabulatedProfile(x, 10.0 * np.tanh(x))
             ks, cs = [1.2, 0.5, 2.5], [6.0, 3.0, 8.0]
             if batched:
-                got, _ = limiting_solutions(table, ks, cs, +1, tol=1e-10)
+                got, _ = impedance_outcomes(table, ks, cs, 1e-10, sign_ci=+1)
+                ref, _ = impedance_outcomes(table, ks, cs, 1e-13, sign_ci=+1)
             else:
-                got = [limiting_solution(table, k, c, +1, tol=1e-10)
+                got = [limiting_solution(table, k, c, +1, tol=1e-10).impedance
                        for k, c in zip(ks, cs)]
-            for k, c, sol in zip(ks, cs, got):
-                ref = limiting_solution(table, k, c, +1, tol=1e-13).impedance
-                assert abs(sol.impedance - ref) <= 1e-9 * abs(ref), (n, k, c)
+                ref = [limiting_solution(table, k, c, +1, tol=1e-13).impedance
+                       for k, c in zip(ks, cs)]
+            for k, c, imp, want in zip(ks, cs, got, ref):
+                assert abs(imp - want) <= 1e-9 * abs(want), (n, k, c)
+
+    def test_real_speed_needs_a_side(self):
+        with pytest.raises(NearSingularCoefficient, match="real wave speed"):
+            interface_impedance(TANH, 1.0, 3.0 + 0.0j)
+        with pytest.raises(ValueError, match="sign_ci"):
+            impedance_outcomes(TANH, 1.0, [3.0], sign_ci=0)
 
     def test_infinite_domain_rejected(self):
         with pytest.raises(InfiniteDomain):
-            limiting_solutions(ConstantProfile(5.0), [1.0, 2.0], 5.0, +1)
+            limiting_solution(ConstantProfile(5.0), 1.0, 5.0, +1)
+
+
+def _tanh_table(n: int) -> TabulatedProfile:
+    x = np.linspace(0.0, 5.0, n)
+    return TabulatedProfile(x, 10.0 * np.tanh(x))
+
+
+class TestContourOracle:
+    """The kernel's indented path against plain ``solve_ivp`` along a bump
+    of the oracle's own, near the real axis and in the limit."""
+
+    CIS = [1e-6, 1e-4, 1e-2]
+    CASES = [
+        (TANH, [(0.3, 5.7), (1.0, 3.13), (3.0, 1.81)]),
+        (TestBatch.TABLE, [(0.3, 5.7), (1.0, 3.13), (3.0, 1.81)]),
+        (_tanh_table(40), [(0.3, 5.7), (1.0, 3.13), (3.0, 1.81)]),
+        # one layer near the interface, and two
+        (JET_TABLE, [(0.4, 0.5), (1.2, 2.0), (2.5, 6.0)]),
+    ]
+
+    @pytest.mark.parametrize("profile, pairs", CASES,
+                             ids=["tanh", "table16", "table40", "jet"])
+    def test_kernel_matches_oracle(self, profile, pairs):
+        for sign in (+1, -1):
+            ks = [k for k, _ in pairs]
+            cs = [complex(c, 0.0) for _, c in pairs]
+            if sign > 0:
+                ks += [k for k, _ in pairs for _ in self.CIS]
+                cs += [complex(c, ci) for _, c in pairs for ci in self.CIS]
+            imps, errors = impedance_outcomes(profile, ks, cs, 1e-12,
+                                              sign_ci=sign)
+            assert errors == {}
+            for k, c, imp in zip(ks, cs, imps):
+                want = contour_impedance_oracle(profile, k, c, 1e-12, sign)
+                assert abs(imp - want) <= 1e-9 * abs(want), (k, c, sign)
+                if c.imag == 0.0:
+                    lim = limiting_solution(profile, k, c.real, sign,
+                                            tol=1e-12).impedance
+                    assert abs(imp - lim) <= 1e-9 * abs(lim), (k, c, sign)
+
+
+#: profiles that shoot along the indented path
+PATH_PROFILES = st.sampled_from([TANH, TestBatch.TABLE, _tanh_table(40)])
+
+
+class TestMetamorphic:
+    @given(profile=PATH_PROFILES, k=st.floats(0.3, 3.0),
+           c_r=st.floats(0.5, 9.5), log_ci=st.floats(-6.0, -2.0))
+    @settings(max_examples=12, deadline=None)
+    def test_conjugate_speed_conjugate_residual(self, profile, k, c_r, log_ci):
+        from windwaves.dispersion import FluidParams, make_miles_residual
+
+        params = FluidParams(rho_plus=1.22, rho_minus=1000.0, g=9.8,
+                             h_plus=5.0)
+        residual = make_miles_residual(profile, params, k, tol=1e-12)
+        c = complex(c_r, 10.0 ** log_ci)
+        up, dn = residual(c), residual(c.conjugate())
+        assert abs(dn - up.conjugate()) <= 1e-9 * abs(up)
+
+    @given(profile=PATH_PROFILES, k=st.floats(0.3, 3.0),
+           c_r=st.floats(0.5, 9.5))
+    @settings(max_examples=12, deadline=None)
+    def test_limits_from_both_sides_are_conjugate(self, profile, k, c_r):
+        up, _ = impedance_outcomes(profile, k, [c_r], 1e-12, sign_ci=+1)
+        dn, _ = impedance_outcomes(profile, k, [c_r], 1e-12, sign_ci=-1)
+        assert abs(dn[0] - up[0].conjugate()) <= 1e-9 * abs(up[0])
+
+    @given(profile=PATH_PROFILES, k=st.floats(0.3, 3.0),
+           c_r=st.floats(0.5, 9.5), log_ci=st.floats(-6.0, -2.0),
+           log_mod=st.floats(-3.0, 3.0), arg=st.floats(-math.pi, math.pi))
+    @settings(max_examples=12, deadline=None)
+    def test_impedance_ignores_lid_scale(self, profile, k, c_r, log_ci,
+                                         log_mod, arg):
+        c = complex(c_r, 10.0 ** log_ci)
+        lam = 10.0 ** log_mod * complex(math.cos(arg), math.sin(arg))
+        base = integrate_rayleigh_batch(profile, k, [c], tol=1e-12)
+        scaled = integrate_rayleigh_batch(profile, k, [c], tol=1e-12,
+                                          init=[(0.0, lam)])
+        assert abs(scaled.impedance[0] - base.impedance[0]) \
+            <= 1e-9 * abs(base.impedance[0])
 
 
 class TestImpedanceLimitCheck:
