@@ -90,14 +90,16 @@ def _sufficient_signs_hold(c_k: float, layers: CriticalLayerSet) -> bool:
 
 def miles_c_sharp(profile: ShearProfile, params: FluidParams, k: float,
                   branch: int = +1, tol: float = 1e-10) -> MilesAsymptotics:
-    """Assemble the growth constant from the limiting Rayleigh solution.
+    """The growth constant at one wavenumber: :func:`growth_constants` of [k].
 
-    Runs the Frobenius limiting solver (:func:`~windwaves.rayleigh.
-    limiting_solution`) at c_R = c_k with sign(Im c) = +1, normalizes |y|^2
-    to 1 at the interface and sums the per-layer terms.  When the sufficient
-    sign hypotheses (c_k U''(s_j) <= 0, strict at one of the top two layers)
-    fail, a warning is issued and the sign of the assembled bracket remains
-    the authoritative predicate.
+    On a profile with ``complex_path`` (tanh, tables) whose c_k has one
+    critical layer with U'' != 0, c_sharp comes from one kernel shoot along
+    Lin's indented path; every other case runs the Frobenius limiting solver
+    (:func:`~windwaves.rayleigh.limiting_solution`) at c_R = c_k with
+    sign(Im c) = +1, normalizes |y|^2 to 1 at the interface and sums the
+    per-layer terms.  When the sufficient sign hypotheses (c_k U''(s_j) <= 0,
+    strict at one of the top two layers) fail, a warning is issued and the
+    sign of the assembled bracket remains the authoritative predicate.
 
     Raises
     ------
@@ -105,10 +107,10 @@ def miles_c_sharp(profile: ShearProfile, params: FluidParams, k: float,
         If c_k is outside the range of the wind profile; no unstable speed
         can then bifurcate from c_k at small eps.
     """
-    c_k, layers = _layers_at_ck(profile, params, k, branch)
-    limit = limiting_solution(profile, k, c_k, +1, tol, layers=layers)
-    return _assemble(profile, params, k, branch, c_k, layers,
-                     [jump.u1 for jump in limit.jumps])
+    results, errors = _growth_constants(profile, params, [k], branch, tol)
+    if errors:
+        raise errors[0]
+    return results[0]
 
 
 def growth_constants(profile: ShearProfile, params: FluidParams, ks,
@@ -124,13 +126,23 @@ def growth_constants(profile: ShearProfile, params: FluidParams, ks,
 
         c_sharp = f_I0 Im y*'(0),   u1(s) = -Im y*'(0) |U'(s)| / (pi U''(s)).
 
-    Every other wavenumber takes :func:`miles_c_sharp`, whose layer terms
-    need the per-layer jumps of the Frobenius route.  The two agree to the
-    solver tolerance.  Returns ``(results, errors)``: a failed wavenumber's
-    result is None, and ``errors`` maps its index to the error
-    :func:`miles_c_sharp` raises there.  The sign-hypothesis warning is
-    issued for each wavenumber that fails the hypotheses.
+    Every other wavenumber (other profiles, two or more layers, a layer at an
+    inflection point) takes the Frobenius limiting solver, whose per-layer
+    jumps give the layer terms.  Where both apply, the two routes differ by
+    up to ~1e-9 relative whatever the tolerance: the path stays within a few
+    1e-12 of an independent contour shoot at tol 1e-12, the Frobenius route
+    does not.  Returns ``(results, errors)``: a failed wavenumber's result
+    is None, and ``errors`` maps its index to the error :func:`miles_c_sharp`
+    raises there.  The sign-hypothesis warning is issued for each wavenumber
+    that fails the hypotheses.
     """
+    return _growth_constants(profile, params, ks, branch, tol)
+
+
+def _growth_constants(profile, params, ks, branch, tol):
+    """The body of :func:`growth_constants`; both public functions call it
+    directly, so that the warnings of :func:`_layers_at_ck` name their
+    caller."""
     ks = list(ks)
     results: list[Optional[MilesAsymptotics]] = [None] * len(ks)
     errors: dict[int, WindwavesError] = {}
@@ -173,8 +185,8 @@ def growth_constants(profile: ShearProfile, params: FluidParams, ks,
 def _layers_at_ck(profile, params, k, branch):
     """c_k and its critical layers; warns when the sign hypotheses fail.
 
-    Called straight from the public functions, so that stacklevel 3 names
-    their caller in the warning.
+    Called from :func:`_growth_constants`, which the public functions call
+    directly, so that stacklevel 4 names their caller in the warning.
     """
     c_k = ck(params, k, branch)
     layers = find_critical_points(profile, c_k)
@@ -185,7 +197,7 @@ def _layers_at_ck(profile, params, k, branch):
     if not _sufficient_signs_hold(c_k, layers):
         warnings.warn(
             "sufficient sign hypotheses on c_k U'' fail; the assembled "
-            "bracket still decides instability", stacklevel=3)
+            "bracket still decides instability", stacklevel=4)
     return c_k, layers
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DegenerateShear,
@@ -439,6 +438,9 @@ class TabulatedProfile(ShearProfile):
         self.x2 = x2
         self.u = u
         self.h_plus = float(x2[-1])
+        # imported here, so that a run without a table never loads scipy
+        from scipy.interpolate import CubicSpline
+
         self._spline = CubicSpline(x2, u, bc_type="not-a-knot")
         self._d1 = self._spline.derivative(1)
         self._d2 = self._spline.derivative(2)

@@ -26,18 +26,23 @@ Three regimes are covered:
 * ``limiting_solution``: the Im c -> 0 limit across critical layers on the
   real axis, crossed with local log-series patches and the explicit
   derivative jump i sign(c_I) pi U''(s)/|U'(s)| y(s).  It gives the
-  per-layer jump data, and its impedance is an independent check of the
+  per-layer jump data, so it serves the growth constant wherever the path
+  does not (profiles without ``complex_path``, two or more layers, a layer
+  at an inflection point), and its impedance is an independent check of the
   indented path's.
+
+The kernel needs numpy alone; the last two solvers step on scipy's
+``solve_ivp``, imported when they first run.
 """
 from __future__ import annotations
 
+import importlib.util
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.integrate._ivp import dop853_coefficients
 
 from .errors import (
     DegenerateAtInterface,
@@ -331,19 +336,35 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
 # Batched direct solves: many (k, c) pairs, each on its own step sequence
 # ---------------------------------------------------------------------------
 
+def _dop853_coefficients():
+    """scipy's DOP853 tableau module, executed from its file.
+
+    ``find_spec`` of a top-level package locates it without importing it, so
+    the ``__init__`` of ``scipy`` and ``scipy.integrate``, most of the import
+    time of a fresh process, never runs; the file itself imports only numpy.
+    """
+    root = Path(importlib.util.find_spec("scipy").origin).parent
+    spec = importlib.util.spec_from_file_location(
+        "windwaves._dop853_coefficients",
+        root / "integrate" / "_ivp" / "dop853_coefficients.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.5), shaped
 # to weight a (stage, component, element) array.  The weighted stage sums are
 # elementwise products and sums, so no BLAS call, and so no BLAS thread
 # hand-off, sits in the step loop, and no element's arithmetic depends on
 # another's.
-_DOP_STAGES = dop853_coefficients.N_STAGES
+_TABLEAU = _dop853_coefficients()
+_DOP_STAGES = _TABLEAU.N_STAGES
 # abscissae of stages 1 .. N_STAGES - 1; the last one is 1, the step's end
-_DOP_C = dop853_coefficients.C[1:_DOP_STAGES, None]
-_DOP_A = [dop853_coefficients.A[s, :s, None, None] for s in range(_DOP_STAGES)]
-_DOP_B = dop853_coefficients.B[:, None, None]
+_DOP_C = _TABLEAU.C[1:_DOP_STAGES, None]
+_DOP_A = [_TABLEAU.A[s, :s, None, None] for s in range(_DOP_STAGES)]
+_DOP_B = _TABLEAU.B[:, None, None]
 # the order-5 and order-3 error estimators, stacked
-_DOP_E = np.stack((dop853_coefficients.E5,
-                   dop853_coefficients.E3))[:, :, None, None]
+_DOP_E = np.stack((_TABLEAU.E5, _TABLEAU.E3))[:, :, None, None]
 # scipy's step-size controller; the embedded error estimate is of order 7
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
@@ -895,6 +916,8 @@ def integrate_wronskian(profile: ShearProfile, k: float, c: complex,
         return [2.0 * u[1], a * u[0] + u[2], 2.0 * a * u[1] + 2.0 * b * u[3],
                 b * u[0]]
 
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(rhs, (h, 0.0), np.asarray(init, dtype=float),
                     method="DOP853", rtol=tol, atol=tol * 1e-3,
                     dense_output=True)
@@ -1034,10 +1057,13 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     passes in the result of ``find_critical_points(profile, c_r)`` when the
     caller holds it already; the layers are scanned for otherwise.
 
-    This route gives the per-layer jump data (``jumps``) that the growth
-    constant's layer terms need.  The impedance alone is cheaper along Lin's
-    indented path (:func:`impedance_outcomes` with ``sign_ci``), which is an
-    independent check of this one.
+    This route gives the per-layer jump data (``jumps``), from which the
+    growth constant is assembled wherever the indented path, which gives only
+    the sum of the layer terms, does not serve: profiles without
+    ``complex_path``, two or more layers, a layer at an inflection point.
+    The impedance alone is cheaper along Lin's indented path
+    (:func:`impedance_outcomes` with ``sign_ci``), which is an independent
+    check of this one.  Its legs step on scipy's ``solve_ivp``.
 
     Raises
     ------
@@ -1122,6 +1148,8 @@ class _LimitRun:
     def solve(self, top: float, bot: float, state: np.ndarray,
               tol: float) -> tuple[np.ndarray, int]:
         """One leg on ``solve_ivp``: the state at ``bot`` and the points taken."""
+        from scipy.integrate import solve_ivp
+
         profile, k, c_r = self.profile, self.k, self.c_r
 
         def rhs(x, y):

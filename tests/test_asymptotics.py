@@ -18,7 +18,9 @@ from windwaves.profiles import (
     LinearShearProfile,
     TabulatedProfile,
     TanhProfile,
+    find_critical_points,
 )
+from windwaves.rayleigh import limiting_solution
 
 from oracles import contour_impedance_oracle
 
@@ -31,6 +33,31 @@ def params_with(**kw):
 
 
 TANH = TanhProfile(10.0, 1.0, 5.0)
+
+
+def frobenius_c_sharp(profile, params, k, tol=1e-10):
+    """c_sharp and the per-layer u1 assembled from the jumps of the Frobenius
+    limiting solve, independently of the indented path."""
+    c_k = ck(params, k)
+    layers = find_critical_points(profile, c_k)
+    limit = limiting_solution(profile, k, c_k, +1, tol, layers=layers)
+    u1s = [jump.u1 for jump in limit.jumps]
+    fi0 = f_I0(profile, params, k)
+    c_sharp = sum(-math.pi * fi0 * layer.u_double_prime * u1
+                  / abs(layer.u_prime) for layer, u1 in zip(layers, u1s))
+    return c_sharp, u1s
+
+
+def convex(kind):
+    """U = 5 x^2 on [0, 2]: U'' > 0 at the layer, so with c_k > 0 the
+    sufficient sign hypotheses fail.  The table takes the indented path, the
+    analytic profile the Frobenius route."""
+    if kind == "table":
+        x = np.linspace(0.0, 2.0, 24)
+        return TabulatedProfile(x, 5.0 * x * x)
+    return AnalyticProfile(f=lambda x: 5.0 * x * x, df=lambda x: 10.0 * x,
+                           d2f=lambda x: 10.0, d3f=lambda x: 0.0,
+                           d4f=lambda x: 0.0, h_plus=2.0, name="convex")
 
 
 class TestFI0:
@@ -63,7 +90,7 @@ class TestMilesCSharp:
         assert asym.c_sharp > 0.0
         assert asym.unstable
         assert asym.sufficient_signs_hold
-        # assembled from the limiting solution with u1(0) = 1
+        # assembled from the layer term with u1(0) = 1
         want = -math.pi * asym.f_i0 * layer.u_double_prime * layer.u1 / abs(
             layer.u_prime)
         assert asym.c_sharp == pytest.approx(want, rel=1e-12)
@@ -137,17 +164,19 @@ class TestGrowthConstants:
     KS = [0.05, 0.3, 0.8, 1.5, 3.0]  # c_k leaves the range of U at 0.05
 
     def test_one_k_equals_miles_c_sharp(self):
-        # the indented path and the Frobenius route agree to the tolerance
+        # miles_c_sharp is the one-k case; the indented path and the
+        # Frobenius route agree to ~1e-9
         p = params_with(h_plus=5.0)
         for k in self.KS[1:]:
             results, errors = growth_constants(TANH, p, [k])
             assert errors == {}
-            got, want = results[0], miles_c_sharp(TANH, p, k)
-            assert (got.k, got.c_k, got.f_i0, got.sufficient_signs_hold) == \
-                (want.k, want.c_k, want.f_i0, want.sufficient_signs_hold)
+            got = results[0]
+            assert got == miles_c_sharp(TANH, p, k)
+            assert got.c_k == ck(p, k) and got.f_i0 == f_I0(TANH, p, k)
             assert [l.position for l in got.layers] == \
-                [l.position for l in want.layers]
-            assert abs(got.c_sharp - want.c_sharp) <= 1e-8 * abs(want.c_sharp)
+                list(find_critical_points(TANH, got.c_k).positions)
+            want, _ = frobenius_c_sharp(TANH, p, k)
+            assert abs(got.c_sharp - want) <= 1e-8 * abs(want)
 
     def test_batch_matches_miles_c_sharp(self):
         p = params_with(h_plus=5.0)
@@ -159,16 +188,15 @@ class TestGrowthConstants:
         assert str(errors[0]) == str(scalar.value)
         assert results[0] is None
         for k, got in zip(self.KS[1:], results[1:]):
-            want = miles_c_sharp(TANH, p, k, tol=1e-12)
-            assert (got.k, got.c_k, got.f_i0) == (want.k, want.c_k, want.f_i0)
+            assert got == miles_c_sharp(TANH, p, k, tol=1e-12)
+            want, u1s = frobenius_c_sharp(TANH, p, k, tol=1e-12)
             # the Frobenius route's own error is ~1e-9 (1.07e-9 at k = 0.3);
             # an independent shoot holds the path to 1e-9
-            assert abs(got.c_sharp - want.c_sharp) <= 1e-8 * abs(want.c_sharp)
+            assert abs(got.c_sharp - want) <= 1e-8 * abs(want)
             oracle = got.f_i0 * contour_impedance_oracle(
                 TANH, k, complex(got.c_k), 1e-12, +1).imag
             assert abs(got.c_sharp - oracle) <= 1e-9 * abs(oracle)
-            assert got.layers[0].u1 == pytest.approx(want.layers[0].u1,
-                                                     rel=1e-8)
+            assert got.layers[0].u1 == pytest.approx(u1s[0], rel=1e-8)
 
     def test_two_layers_take_the_frobenius_route(self):
         # the path gives only the sum of the layer terms
@@ -181,17 +209,30 @@ class TestGrowthConstants:
         assert errors == {}
         assert len(results[0].layers) == 2
         assert results[0] == want
+        assert [l.u1 for l in want.layers] == frobenius_c_sharp(jet, p, 1.0)[1]
 
     def test_sign_hypothesis_warning(self):
         p = params_with(h_plus=2.0)
-        convex = AnalyticProfile(f=lambda x: 5.0 * x * x, df=lambda x: 10.0 * x,
-                                 d2f=lambda x: 10.0, d3f=lambda x: 0.0,
-                                 d4f=lambda x: 0.0, h_plus=2.0, name="convex")
         with pytest.warns(UserWarning, match="sufficient sign hypotheses"):
-            results, errors = growth_constants(convex, p, [1.0, 2.0])
+            results, errors = growth_constants(convex("analytic"), p,
+                                               [1.0, 2.0])
         assert errors == {}
         assert all(r.c_sharp < 0.0 and not r.sufficient_signs_hold
                    for r in results)
+
+    @pytest.mark.parametrize("kind", ["analytic", "table"])
+    @pytest.mark.parametrize("call", ["growth_constants", "miles_c_sharp"])
+    def test_sign_hypothesis_warning_names_the_caller(self, call, kind):
+        p = params_with(h_plus=2.0)
+        with pytest.warns(UserWarning,
+                          match="sufficient sign hypotheses") as record:
+            if call == "growth_constants":
+                results, errors = growth_constants(convex(kind), p, [1.0])
+                assert errors == {}
+            else:
+                results = [miles_c_sharp(convex(kind), p, 1.0)]
+        assert results[0].c_sharp < 0.0
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestUnstableBand:

@@ -299,6 +299,23 @@ class TestScanK:
             assert (entry.classification == UNSTABLE) == expected_unstable, entry
             assert entry.c.imag >= 0.0
 
+    @pytest.mark.parametrize("L, V", [(2.0, 1.0), (1.0, 3.0), (0.5, 2.5)])
+    def test_dimensional_scaling(self, L, V):
+        # x2 -> L x2, U -> V U, g -> V^2 g / L, sigma -> V^2 L sigma and
+        # k -> k / L leave the problem unchanged in scaled units: c -> V c
+        ks = [0.3, 0.8, 1.5, 3.0]
+        p = params_with(h_plus=5.0, sigma=0.07)
+        scaled = params_with(h_plus=5.0 * L, sigma=0.07 * V * V * L,
+                             g=9.8 * V * V / L)
+        base = scan_k(TanhProfile(10.0, 1.0, 5.0), p, ks)
+        moved = scan_k(TanhProfile(10.0 * V, L, 5.0 * L), scaled,
+                       [k / L for k in ks])
+        for a, b in zip(base.entries, moved.entries):
+            assert a.converged and b.converged, (a, b)
+            want = V * a.c
+            assert abs(b.c - want) <= 1e-9 * abs(want), (a, b)
+            assert abs(b.c.imag - want.imag) <= 1e-8 * abs(want.imag), (a, b)
+
     def test_no_layer_anywhere_gives_stable_sweep(self):
         p = params_with()
         prof = ConstantProfile(0.5)  # max U far below every c_k in the range

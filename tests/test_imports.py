@@ -1,0 +1,79 @@
+"""What a tanh CLI run imports: numpy, not scipy."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import windwaves
+from windwaves import rayleigh
+
+FLUIDS = """
+[fluids]
+rho_plus = 1.22
+rho_minus = 1000.0
+g = 9.8
+sigma = 0
+h_plus = 5.0
+"""
+
+
+def tanh(u_max):
+    return f"[profile]\nkind = tanh\nu_max = {u_max}\nd = 1.0\nh_plus = 5.0\n"
+
+
+JOBS = {
+    "sweep": tanh(10.0) + "[mode]\nk_min = 0.3\nk_max = 3.0\nn = 4\n"
+                          "[run]\ncommand = sweep\n",
+    "certify": tanh(1.0) + "[mode]\nk = 1.0\n[certify]\nepsilon = 1e-3\n"
+                           "[run]\ncommand = certify-stable\n",
+    "asym": tanh(10.0) + "[mode]\nk = 1.3\n[run]\ncommand = asym\n",
+}
+
+SCRIPT = """\
+import json, sys
+import windwaves.cli
+statuses = [windwaves.cli.main(["--config", path, "--output", path + ".csv"])
+            for path in sys.argv[1:]]
+print(json.dumps({"statuses": statuses,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_tanh_jobs_import_no_scipy(tmp_path):
+    paths = []
+    for name, text in JOBS.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(FLUIDS + text, encoding="utf-8")
+        paths.append(str(path))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(windwaves.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", SCRIPT, *paths], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report == {"statuses": [0, 0, 0], "scipy": []}
+    for path in paths:
+        assert Path(path + ".csv").read_text(encoding="utf-8").strip()
+
+
+def test_tableau_is_scipys_bit_for_bit():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    n = ref.N_STAGES
+    want = {
+        "C": [ref.C[1:n, None]],
+        "A": [ref.A[s, :s, None, None] for s in range(n)],
+        "B": [ref.B[:, None, None]],
+        "E": [np.stack((ref.E5, ref.E3))[:, :, None, None]],
+    }
+    got = {"C": [rayleigh._DOP_C], "A": rayleigh._DOP_A,
+           "B": [rayleigh._DOP_B], "E": [rayleigh._DOP_E]}
+    for name in want:
+        assert len(got[name]) == len(want[name]), name
+        for a, b in zip(got[name], want[name]):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
