@@ -61,6 +61,7 @@ from .eigensolver import (
     count_roots,
     find_root,
     multistart_roots,
+    root_counts,
     scan_k,
 )
 from .asymptotics import (

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .dispersion import FluidParams, ck, make_miles_residual
-from .eigensolver import count_roots
+from .eigensolver import root_counts
 from .errors import HypothesisViolated, NoCriticalLayer, WindwavesError
 from .profiles import CriticalLayerSet, ShearProfile, find_critical_points
 from .rayleigh import impedance_outcomes, limiting_solution
@@ -300,10 +300,15 @@ def necessity_certificate(profile: ShearProfile, params: FluidParams, k: float,
 
     Requires c_k outside the range of U, with the search radius capped at a
     quarter of the margin min |c_k - U| (the regime where real-axis
-    confinement of nearby eigenvalues is guaranteed).  The certificate runs
-    the winding-number count over the two rectangles
+    confinement of nearby eigenvalues is guaranteed).  The certificate counts
+    the roots in the two rectangles
 
-        |Re c - c_k| <= radius,  im_floor <= +/- Im c <= radius.
+        |Re c - c_k| <= radius,  im_floor <= +/- Im c <= radius
+
+    in lockstep (:func:`~windwaves.eigensolver.root_counts`): one kernel
+    batch shoots both contours, and one more each refinement level of both.
+    The counts, and the error raised, are those of two separate
+    :func:`~windwaves.eigensolver.count_roots` calls.
 
     Raises
     ------
@@ -329,10 +334,10 @@ def necessity_certificate(profile: ShearProfile, params: FluidParams, k: float,
                          h_minus=params.h_minus)
     residual = make_miles_residual(profile, scaled, k, tol=rayleigh_tol)
 
-    upper = count_roots(residual, (c_k - search_radius, c_k + search_radius,
-                                   im_floor, search_radius), n_boundary)
-    lower = count_roots(residual, (c_k - search_radius, c_k + search_radius,
-                                   -search_radius, -im_floor), n_boundary)
+    lo, hi = c_k - search_radius, c_k + search_radius
+    upper, lower = root_counts(
+        residual, [(lo, hi, im_floor, search_radius),
+                   (lo, hi, -search_radius, -im_floor)], n_boundary)
     return StabilityCertificate(k=k, epsilon=epsilon, c_k=c_k, margin=margin,
                                 search_radius=search_radius,
                                 count_upper=upper, count_lower=lower)

@@ -28,6 +28,7 @@ __all__ = [
     "ScanStrategy",
     "find_root",
     "count_roots",
+    "root_counts",
     "multistart_roots",
     "continue_in_epsilon",
     "scan_k",
@@ -187,31 +188,53 @@ def count_roots(residual: Callable[[complex], complex],
                 zero_floor_rel: float = 1e-13) -> int:
     """Winding number of the residual around a rectangle (root count inside).
 
-    ``rectangle`` is (re_min, re_max, im_min, im_max).  The boundary is walked
-    counterclockwise with n_boundary samples per side; every adjacent pair
-    whose phase difference exceeds pi/2 is split into ``REFINE_SPLIT`` equal
-    parts, all flagged pairs of one level together, up to ``max_levels``
-    halvings of the original spacing (each level counts as
-    log2(REFINE_SPLIT) of them).
+    The one-rectangle case of :func:`root_counts`, which documents the
+    count, its arguments and its errors.
+    """
+    return root_counts(residual, [rectangle], n_boundary,
+                       max_levels=max_levels, zero_floor_rel=zero_floor_rel)[0]
+
+
+def root_counts(residual: Callable[[complex], complex],
+                rectangles: Sequence[tuple[float, float, float, float]],
+                n_boundary: int = 64, *, max_levels: int = 48,
+                zero_floor_rel: float = 1e-13) -> list[int]:
+    """Winding numbers of the residual around rectangles, counted in lockstep.
+
+    Each rectangle is (re_min, re_max, im_min, im_max).  Its boundary is
+    walked counterclockwise with n_boundary samples per side; every adjacent
+    pair whose phase difference exceeds pi/2 is split into ``REFINE_SPLIT``
+    equal parts, all flagged pairs of one level together, up to
+    ``max_levels`` halvings of the original spacing (each level counts as
+    log2(REFINE_SPLIT) of them).  Each rectangle has its own zero floor,
+    ``zero_floor_rel`` times the largest |residual| on its contour, and its
+    own refinement.  The rectangles run round by round: the first round
+    evaluates all contours, and each later round the next level of every
+    rectangle that still has flagged pairs.
 
     When ``residual`` has a ``batch`` attribute (as the residuals of
     :func:`~windwaves.dispersion.make_miles_residual` do), ``batch(cs)`` must
-    map a 1-d array of wave speeds to the array of residuals; the contour and
-    then each refinement level are evaluated in one call.  A batched value of
+    map a 1-d array of wave speeds to the array of residuals, and each round
+    is one call.  A batched value of
     :func:`~windwaves.dispersion.make_miles_residual` does not depend on its
-    batch, so the count does not depend on how the points are grouped.  Other
-    residuals are evaluated point by point.
+    batch, so the counts do not depend on how the points are grouped.  Other
+    residuals are evaluated point by point.  When a round's evaluation
+    raises a :class:`~windwaves.errors.WindwavesError`, each rectangle's
+    points are evaluated on their own, so each meets the error it meets
+    alone.  Returns the counts in the order of ``rectangles``.
 
     Raises
     ------
+    ValueError
+        If a rectangle has no positive extent, before any evaluation.
     BoundaryZero
-        If |residual| at a boundary point falls below the relative floor.
+        If |residual| at a boundary point falls below the floor.
     PhaseJumpUnresolved
         If refinement cannot bring all phase jumps under pi/2.
+
+    Of several failing rectangles, the first in order raises, as it would in
+    separate :func:`count_roots` calls.
     """
-    re0, re1, im0, im1 = rectangle
-    if not (re1 > re0 and im1 > im0):
-        raise ValueError("rectangle must have positive extent")
     batch = getattr(residual, "batch", None)
 
     def evaluate(zs: list[complex]) -> list[complex]:
@@ -219,13 +242,56 @@ def count_roots(residual: Callable[[complex], complex],
             return [residual(z) for z in zs]
         return [complex(v) for v in batch(np.array(zs, dtype=complex))]
 
+    counts: list[Optional[int]] = [None] * len(rectangles)
+    errors: dict[int, WindwavesError] = {}
+    live = {}  # index -> (winding generator, the points it waits for)
+    for i, rectangle in enumerate(rectangles):
+        winding = _winding(rectangle, n_boundary, max_levels, zero_floor_rel)
+        live[i] = (winding, next(winding))
+
+    while live:
+        rows = list(live.items())
+        try:
+            joint = evaluate([z for _, (_, zs) in rows for z in zs])
+        except WindwavesError:
+            joint = None
+        pos = 0
+        for i, (winding, zs) in rows:
+            span = slice(pos, pos + len(zs))
+            pos += len(zs)
+            try:
+                vals = evaluate(zs) if joint is None else joint[span]
+                live[i] = (winding, winding.send(vals))
+            except StopIteration as done:
+                del live[i]
+                counts[i] = done.value
+            except WindwavesError as exc:
+                del live[i]
+                errors[i] = exc
+    if errors:
+        raise errors[min(errors)]
+    return counts
+
+
+def _winding(rectangle: tuple[float, float, float, float], n_boundary: int,
+             max_levels: int, zero_floor_rel: float
+             ) -> Generator[list[complex], list[complex], int]:
+    """One rectangle's count of :func:`root_counts` as a generator.
+
+    It checks the rectangle, yields the contour and then the inner points of
+    each refinement level, is sent their residuals, and returns the count.
+    """
+    re0, re1, im0, im1 = rectangle
+    if not (re1 > re0 and im1 > im0):
+        raise ValueError("rectangle must have positive extent")
+
     corners = [complex(re0, im0), complex(re1, im0),
                complex(re1, im1), complex(re0, im1)]
     pts: list[complex] = []
     for a, b in zip(corners, corners[1:] + corners[:1]):
         for j in range(n_boundary):
             pts.append(a + (b - a) * (j / n_boundary))
-    vals = evaluate(pts)
+    vals = yield pts
 
     floor = zero_floor_rel * max(abs(v) for v in vals)
 
@@ -257,7 +323,7 @@ def count_roots(residual: Callable[[complex], complex],
         depth += _REFINE_DEPTH
         inner = [a + (b - a) * (j / REFINE_SPLIT)
                  for a, _, b, _ in flagged for j in range(1, REFINE_SPLIT)]
-        inner_vals = evaluate(inner)
+        inner_vals = yield inner
         check_floor(inner, inner_vals)
         pending = []
         for i, (a, fa, b, fb) in enumerate(flagged):

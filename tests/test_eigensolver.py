@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from windwaves import dispersion
 from windwaves.asymptotics import necessity_certificate
 from windwaves.dispersion import (
     FluidParams,
@@ -20,6 +21,7 @@ from windwaves.eigensolver import (
     count_roots,
     find_root,
     multistart_roots,
+    root_counts,
     scan_k,
 )
 from windwaves.errors import (
@@ -211,6 +213,119 @@ def test_certificate_counts_match_pointwise_path(u_max, d, k):
         == cert.count_upper == 0
     assert count_roots(pointwise, (lo, hi, -radius, -im_floor), 24) \
         == cert.count_lower == 0
+
+
+def test_certificate_one_batch_per_round(monkeypatch):
+    # the two rectangles run in lockstep: one shoot holds both contours, and
+    # each later one the next refinement level of both
+    eps, im_floor, k, n = 1.22e-3, 1e-10, 1.2, 24
+    p = params_with(h_plus=5.0)
+    prof = TanhProfile(1.0, 1.0, 5.0)
+    c_k = ck(p, k)
+    radius = 0.25 * (c_k - math.tanh(5.0))
+    residual = make_miles_residual(prof, params_with(rho_plus=eps * 1000.0,
+                                                     h_plus=5.0), k)
+    lo, hi = c_k - radius, c_k + radius
+    alone = []  # the batch sizes of each rectangle counted on its own
+    for rect in [(lo, hi, im_floor, radius), (lo, hi, -radius, -im_floor)]:
+        calls = []
+
+        def recorded(c):
+            raise AssertionError("count_roots must evaluate through .batch")
+
+        def batch(cs, calls=calls):
+            calls.append(len(cs))
+            return residual.batch(cs)
+
+        recorded.batch = batch
+        assert count_roots(recorded, rect, n) == 0
+        alone.append(calls)
+
+    sizes = []
+    shoot = dispersion.interface_impedances
+
+    def counted(profile, k, cs, tol):
+        sizes.append(len(cs))
+        return shoot(profile, k, cs, tol)
+
+    monkeypatch.setattr(dispersion, "interface_impedances", counted)
+    necessity_certificate(prof, p, k, eps, radius, n_boundary=n,
+                          im_floor=im_floor)
+    levels = max(len(calls) for calls in alone) - 1
+    assert all(len(calls) > 1 for calls in alone)  # both rectangles refine
+    assert sizes[0] == 2 * 4 * n
+    assert len(sizes) == 1 + levels
+    assert sizes[1:] == [sum(calls[r] for calls in alone if r < len(calls))
+                         for r in range(1, 1 + levels)]
+
+
+def sqrt_left_fails(c):
+    """sqrt, with a residual error left of Re c = -0.5."""
+    if c.real < -0.5:
+        raise NoConvergence(f"no residual at {c}")
+    return cmath.sqrt(c)
+
+
+class TestRootCounts:
+    """:func:`root_counts` gives, rectangle by rectangle, what separate
+    :func:`count_roots` calls give, counts and errors alike."""
+
+    def cases(self):
+        kh = kh_residual(params_with(rho_plus=300.0, sigma=0.05), 2.0, 4.0)
+        k, g = 1.0, 9.8
+        gamma0 = math.sqrt(g / k)
+        mu = gamma0 / (1.0 - (1.0 - math.exp(-2.0)) / 2.0)
+        poly = np.array(pwl_dispersion(mu, 1.0, FluidParams(
+            rho_plus=1.0, rho_minus=1000.0, g=g), k).cubic.coeffs)
+        p = params_with(rho_plus=1e-9 * 1000.0)
+        c_k = ck(p, 1.0)
+        yield kh, [(-4.0, 4.0, -2.0, 2.0), (-4.0, 4.0, 1e-3, 2.0),
+                   (-4.0, 4.0, -2.0, -1e-3)], 64
+        yield (lambda c: complex(np.polyval(poly, c)),
+               [(gamma0 - 0.5, gamma0 + 0.5, -0.5, 0.5),
+                (gamma0 - 0.5, gamma0 + 0.5, 1e-10, 0.5),
+                (gamma0 + 0.1, gamma0 + 0.5, -0.5, 0.5)], 64)
+        yield (lambda c: residual_miles(c, -1.0, p, 1.0, 5.0, 0.0),
+               [(-2.0 * c_k, 2.0 * c_k, -c_k, c_k),
+                (0.0, 2.0 * c_k, 1e-10, c_k), (0.0, 2.0 * c_k, -c_k, c_k)], 96)
+
+    @pytest.mark.parametrize("wrap", [lambda f: f, batched],
+                             ids=["scalar", "batch"])
+    def test_lockstep_equals_sequential(self, wrap):
+        for residual, rects, n in self.cases():
+            alone = [count_roots(residual, rect, n) for rect in rects]
+            assert root_counts(wrap(residual), rects, n) == alone
+            assert len(set(alone)) > 1
+
+    @pytest.mark.parametrize("wrap", [lambda f: f, batched],
+                             ids=["scalar", "batch"])
+    def test_first_failing_rectangle_raises(self, wrap):
+        jump = (-0.4, -0.1, -1.0, 1.0)  # across sqrt's cut
+        zero = (0.0, 1.0, -0.5, 0.5)    # sqrt(0) = 0 on the left edge
+        broken = (-2.0, -1.0, -1.0, 1.0)  # every residual fails
+        fine = (1.0, 2.0, -1.0, 1.0)
+        residual = wrap(sqrt_left_fails)
+        kw = dict(max_levels=8)
+        with pytest.raises(PhaseJumpUnresolved, match="after 8 levels"):
+            count_roots(sqrt_left_fails, jump, **kw)
+        for first, error in [(jump, PhaseJumpUnresolved), (zero, BoundaryZero),
+                             (broken, NoConvergence)]:
+            for second in (jump, zero, broken, fine):
+                with pytest.raises(error):
+                    root_counts(residual, [first, second], **kw)
+                with pytest.raises(error):
+                    root_counts(residual, [fine, first, second], **kw)
+        assert root_counts(residual, [fine, fine], **kw) == [0, 0]
+
+    @pytest.mark.parametrize("wrap", [lambda f: f, batched],
+                             ids=["scalar", "batch"])
+    def test_bad_rectangle_raises_before_any_evaluation(self, wrap):
+        def residual(c):
+            raise AssertionError("a residual was evaluated")
+
+        with pytest.raises(ValueError, match="positive extent"):
+            root_counts(wrap(residual), [(0.0, 1.0, 0.0, 1.0),
+                                         (0.0, 1.0, 1.0, 0.0)])
 
 
 class TestContinueInEpsilon:
