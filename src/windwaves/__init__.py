@@ -18,7 +18,6 @@ from .profiles import (
     ShearProfile,
     TabulatedProfile,
     TanhProfile,
-    evaluate,
     find_critical_points,
     load_tabulated,
 )
@@ -46,7 +45,6 @@ from .dispersion import (
     closed_form_shear_roots,
     dn_symbol,
     kh_threshold,
-    make_general_residual,
     make_miles_residual,
     pwl_dispersion,
     residual_general,

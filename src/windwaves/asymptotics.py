@@ -128,10 +128,10 @@ def growth_constants(profile: ShearProfile, params: FluidParams, ks,
 
     Every other wavenumber (other profiles, two or more layers, a layer at an
     inflection point) takes the Frobenius limiting solver, whose per-layer
-    jumps give the layer terms.  Where both apply, the two routes differ by
-    up to ~1e-9 relative whatever the tolerance: the path stays within a few
-    1e-12 of an independent contour shoot at tol 1e-12, the Frobenius route
-    does not.  Returns ``(results, errors)``: a failed wavenumber's result
+    jumps give the layer terms.  Where both apply, the two routes agree to
+    about the tolerance, down to a floor of a few 1e-12 relative that the
+    Frobenius patch radius sets; the path stays within a few 1e-12 of an
+    independent contour shoot at tol 1e-12.  Returns ``(results, errors)``: a failed wavenumber's result
     is None, and ``errors`` maps its index to the error :func:`miles_c_sharp`
     raises there.  The sign-hypothesis warning is issued for each wavenumber
     that fails the hypotheses.

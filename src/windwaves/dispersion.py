@@ -50,7 +50,6 @@ __all__ = [
     "make_miles_residual",
     "miles_residuals",
     "residual_general",
-    "make_general_residual",
     "kh_threshold",
     "closed_form_shear_roots",
     "pwl_dispersion",
@@ -323,12 +322,6 @@ def _sheared_water_flux(w: ShearProfile, params: FluidParams, k: float,
     w_xi0 = a_coef * w_from_A[1] + w_fixed[1]
     # back to x2: dW/dx2 = -dW/dxi; Y2'(0) = W'(0)|x2 - k^2 gamma-(0)
     return -w_xi0 - k * k * gamma0_m
-
-
-def make_general_residual(params: FluidParams, k: float, u_plus: ShearProfile,
-                          u_minus: Optional[ShearProfile] = None,
-                          tol: float = 1e-10) -> Callable[[complex], complex]:
-    return lambda c: residual_general(c, params, k, u_plus, u_minus, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -389,8 +389,6 @@ class ScanStrategy:
     tol: float = 1e-11
     max_iter: int = 60
     rayleigh_tol: float = 1e-10
-    #: imaginary seed offset as a multiple of eps * c_sharp (when available)
-    seed_fraction: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -458,8 +456,7 @@ def _lockstep(profile, params, ks: list[float],
         c_k = ck(params, k, strategy.branch)
         seed = complex(c_k)  # no layer or degenerate: on the real axis
         if asym is not None:
-            seed = c_k + 1j * strategy.seed_fraction * params.epsilon * \
-                max(asym.c_sharp, 0.0)
+            seed = c_k + 1j * params.epsilon * max(asym.c_sharp, 0.0)
         chain = _muller(seed, tol=strategy.tol, max_iter=strategy.max_iter,
                         scale=params.g, k=k, unstable_tol=1e-8, spread=1e-4)
         chains[i] = (chain, next(chain))

@@ -35,7 +35,6 @@ __all__ = [
     "TabulatedProfile",
     "CriticalLayer",
     "CriticalLayerSet",
-    "evaluate",
     "find_critical_points",
     "load_tabulated",
 ]
@@ -273,6 +272,12 @@ class PiecewiseLinearProfile(ShearProfile):
             "U'' of a piecewise-linear profile is a sum of point masses; "
             "use the kink jump conditions instead"
         )
+
+    def derivative3(self, x2):
+        return 0.0
+
+    def derivative4(self, x2):
+        return 0.0
 
     def kinks(self) -> list[tuple[float, float]]:
         """Interior kink altitudes with the U' jump (above minus below)."""
@@ -563,26 +568,6 @@ def load_tabulated(path) -> TabulatedProfile:
     return TabulatedProfile(xs, us)
 
 
-def evaluate(profile: ShearProfile, x2: float, order: int = 0) -> float:
-    """Evaluate U (order 0), U' (order 1) or U'' (order 2) at x2.
-
-    Raises
-    ------
-    OutOfDomain
-        If x2 lies outside [0, h_plus].
-    OrderUnavailable
-        If order=2 on a piecewise-linear profile, or order not in {0, 1, 2}.
-    """
-    profile._check_domain(x2)
-    if order == 0:
-        return profile.value(x2)
-    if order == 1:
-        return profile.slope(x2)
-    if order == 2:
-        return profile.curvature(x2)
-    raise OrderUnavailable(f"order must be 0, 1 or 2, got {order}")
-
-
 @dataclass(frozen=True)
 class CriticalLayer:
     """One critical altitude: U(position) = target phase speed."""
@@ -631,7 +616,7 @@ def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
 
 def _curvature_or_zero(profile: ShearProfile, s: float) -> float:
     try:
-        return evaluate(profile, s, 2)
+        return profile.curvature(s)
     except OrderUnavailable:
         return 0.0  # interior of a linear segment
 

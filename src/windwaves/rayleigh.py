@@ -24,15 +24,17 @@ Three regimes are covered:
 * ``integrate_wronskian``: the real 4-vector (|y|^2, Re y'conj(y), |y'|^2,
   Im y'conj(y)) whose last component carries the destabilizing phase.
 * ``limiting_solution``: the Im c -> 0 limit across critical layers on the
-  real axis, crossed with local log-series patches and the explicit
-  derivative jump i sign(c_I) pi U''(s)/|U'(s)| y(s).  It gives the
-  per-layer jump data, so it serves the growth constant wherever the path
-  does not (profiles without ``complex_path``, two or more layers, a layer
-  at an inflection point), and its impedance is an independent check of the
+  real axis, shot on the kernel's one-element step loop between the layers
+  and crossed with local log-series patches and the explicit derivative
+  jump i sign(c_I) pi U''(s)/|U'(s)| y(s).  It gives the per-layer jump
+  data, so it serves the growth constant wherever the path does not
+  (profiles without ``complex_path``, two or more layers, a layer at an
+  inflection point), and its impedance is an independent check of the
   indented path's.
 
-The kernel needs numpy alone; the last two solvers step on scipy's
-``solve_ivp``, imported when they first run.
+The kernel, and with it the limiting solver, needs numpy alone;
+``integrate_wronskian`` steps on scipy's ``solve_ivp``, imported when it
+first runs.
 """
 from __future__ import annotations
 
@@ -54,6 +56,7 @@ from .errors import (
     WindwavesError,
 )
 from .profiles import (
+    CriticalLayer,
     CriticalLayerSet,
     PiecewiseLinearProfile,
     ShearProfile,
@@ -483,18 +486,8 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
             fail(i, exc)
 
     track = not profile.zero_curvature
-    curved = track and not isinstance(profile, PiecewiseLinearProfile)
     kk = ks * ks
-
-    def coeff(x: np.ndarray):
-        # U for the path guard, no path weight, and q = U''/(U - c) + k^2,
-        # at real altitudes x of shape (..., n)
-        if curved:
-            u, upp = profile.value_and_curvature(x)
-            return u, None, upp / (u - cs) + kk
-        u = profile.value(x) if track else None
-        return u, None, np.broadcast_to(kk, x.shape)
-
+    coeff = _real_coeff(profile, cs, kk)
     sup_y = np.abs(y[0])
     dist = np.full(n, math.inf)
 
@@ -557,6 +550,22 @@ def _legs(bounds: list[float], bumps: list[tuple]) -> tuple[np.ndarray, ...]:
             j = cut.index(hi)
             depth[j, i], peak[j, i] = a, (s - lo) / (hi - lo)
     return tops, bots, depth, peak
+
+
+def _real_coeff(profile: ShearProfile, cs: np.ndarray, kk: np.ndarray):
+    """``coeff`` of the real axis: U for the path guard (None where U'' = 0),
+    no path weight, and q = U''/(U - c) + k^2 at real altitudes x of shape
+    (..., n); q = k^2 inside the pieces of a piecewise-linear wind."""
+    if profile.zero_curvature:
+        return lambda x: (None, None, np.broadcast_to(kk, x.shape))
+    if isinstance(profile, PiecewiseLinearProfile):
+        return lambda x: (profile.value(x), None, np.broadcast_to(kk, x.shape))
+
+    def coeff(x: np.ndarray):
+        u, upp = profile.value_and_curvature(x)
+        return u, None, upp / (u - cs) + kk
+
+    return coeff
 
 
 def _path_coeff(profile: ShearProfile, cs: np.ndarray, kk: np.ndarray,
@@ -622,7 +631,7 @@ def _advance(coeff, top: np.ndarray, bot, y: np.ndarray, alive: np.ndarray,
     which must clear ``alive[i]``.  ``watch(ok, t, u)`` is called with the
     elements that accepted a point, the parameters and U there: at the top,
     then after each pass.  Returns the accepted points per element, the
-    start point included, as ``solve_ivp`` counts ``t``; an element with
+    start point included, as scipy's integrators count ``t``; an element with
     ``top[i] == bot[i]`` does not move and counts none.
     """
     n = y.shape[1]
@@ -647,9 +656,13 @@ def _advance(coeff, top: np.ndarray, bot, y: np.ndarray, alive: np.ndarray,
         min_step = 10.0 * (t - np.nextafter(t, -np.inf))
         if np.count_nonzero(rejected):
             for i in np.flatnonzero(rejected & (h_abs < min_step)):
+                overflow = "" if np.isfinite(err[i]) else (
+                    " The attempted step overflowed: a direct shoot grows "
+                    "like exp(|k| h_plus), past the float range once "
+                    "|k| h_plus exceeds ~700.")
                 fail(i, NearSingularCoefficient(
                     "integration failed: Required step size is less than "
-                    "spacing between numbers."))
+                    "spacing between numbers." + overflow))
             live &= alive
         if not np.count_nonzero(live):
             return n_steps
@@ -900,12 +913,8 @@ def integrate_wronskian(profile: ShearProfile, k: float, c: complex,
         raise InfiniteDomain("Wronskian integration needs a finite air column")
 
     u_range = _u_range(profile)
-    scale = _speed_scale(profile, c, u_range)
+    _check_switch(profile, c, _speed_scale(profile, c, u_range), u_range)
     cr, ci = c.real, c.imag
-    if abs(ci) < SWITCH_FACTOR * scale * (1.0 - 1e-9) and _has_layers(u_range, cr):
-        if ci != 0.0 or len(find_critical_points(profile, cr)) > 0:
-            raise NearSingularCoefficient(
-                "wave speed too close to the critical-layer singularity")
 
     def rhs(x, u):
         du = profile.value(x) - cr
@@ -940,8 +949,10 @@ class _SeriesPatch:
 
     phi1 = t + c2 t^2 + c3 t^3 (analytic, index 1) and
     phi2 = 1 + d2 t^2 + d3 t^3 + b_{-1} phi1 log|t| (index 0), where
-    t = x2 - s and b_{-1} = U''(s)/U'(s).  Truncation error at the patch edge
-    is O((b t)^4 log t) with b the coefficient scale.
+    t = x2 - s and b_{-1} = U''(s)/U'(s).  At the patch edge t = delta the
+    truncated derivatives are off by O(b^4 t^3 log t), with b the
+    coefficient scale, and the matched solution's error scales as delta^3:
+    it falls ~7.6x per halving of delta.
     """
 
     s: float
@@ -974,10 +985,10 @@ class _SeriesPatch:
                          [self.dphi1(t), self.dphi2(t)]], dtype=complex)
 
 
-def _build_patch(profile: ShearProfile, s: float, k: float,
+def _build_patch(profile: ShearProfile, layer: CriticalLayer, k: float,
                  delta_cap: float) -> _SeriesPatch:
-    u1 = profile.slope(s)
-    u2 = profile.curvature(s)
+    """The patch at one layer, with U'(s) and U''(s) from the layer scan."""
+    s, u1, u2 = layer.position, layer.u_prime, layer.u_double_prime
     u3 = profile.derivative3(s)
     u4 = profile.derivative4(s)
     a1 = u2 / (2.0 * u1)
@@ -989,10 +1000,12 @@ def _build_patch(profile: ShearProfile, s: float, k: float,
     c3 = (bm1 * c2 + b0) / 6.0
     d2 = 0.5 * (b0 - 3.0 * bm1 * c2)
     d3 = (b1 + bm1 * d2 - 5.0 * bm1 * c3) / 6.0
-    # shrink the patch until the quartic tail of the series is negligible
+    # shrink the patch until the truncation error is a few 1e-12 relative
+    # (7e-4 left ~1e-9); below ~5e-5 the gain drowns in the rounding near
+    # the singularity
     bscale = max(abs(bm1), abs(b0) ** 0.5, abs(b1) ** (1.0 / 3.0), abs(k),
                  1.0 / profile.h_plus)
-    delta = min(delta_cap, 7e-4 / bscale)
+    delta = min(delta_cap, 1e-4 / bscale)
     return _SeriesPatch(s=s, u_prime=u1, u_double_prime=u2, bm1=bm1,
                         c2=c2, c3=c3, d2=d2, d3=d3, delta=delta)
 
@@ -1024,10 +1037,6 @@ class LimitSolution:
     n_steps: int = 0
     method: str = "limiting"
 
-    @property
-    def u1_at_layers(self) -> tuple[float, ...]:
-        return tuple(j.u1 for j in self.jumps)
-
     def w_jump_defects(self) -> tuple[float, ...]:
         """Relative defect of W*(s+) - W*(s-) against the jump formula."""
         out = []
@@ -1046,16 +1055,18 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
                       layers: CriticalLayerSet | None = None) -> LimitSolution:
     """Solve the Rayleigh equation in the limiting sense for real c_r.
 
-    Away from critical layers the real-coefficient equation is integrated
-    directly on ``solve_ivp``, in legs from the lid to the first patch,
-    between patches and from the last patch to the interface, cut at the
-    overflow chunk edges and at the breakpoints of the direct solver (spline
-    knots, kinks).  Each layer s_j is crossed on [s_j - delta, s_j + delta]
-    with the two-solution Frobenius log-series, the branch fixed so that y'
-    jumps by i sign_ci pi U''(s_j)/|U'(s_j)| y(s_j).  The result is
-    normalized to y*(0) = 1, so ``impedance`` equals y*'(0).  ``layers``
-    passes in the result of ``find_critical_points(profile, c_r)`` when the
-    caller holds it already; the layers are scanned for otherwise.
+    Away from critical layers the real-coefficient equation is shot on the
+    real axis by the kernel's one-element :func:`_advance`, with the
+    coefficient of the direct solver, in legs from the lid to the first
+    patch, between patches and from the last patch to the interface, cut at
+    the overflow chunk edges (|k| span <= 300, renormalized after each) and
+    at the breakpoints of the direct solver (spline knots, kinks).  Each
+    layer s_j is crossed on [s_j - delta, s_j + delta] with the two-solution
+    Frobenius log-series, the branch fixed so that y' jumps by
+    i sign_ci pi U''(s_j)/|U'(s_j)| y(s_j).  The result is normalized to
+    y*(0) = 1, so ``impedance`` equals y*'(0).  ``layers`` passes in the
+    result of ``find_critical_points(profile, c_r)`` when the caller holds it
+    already; the layers are scanned for otherwise.
 
     This route gives the per-layer jump data (``jumps``), from which the
     growth constant is assembled wherever the indented path, which gives only
@@ -1063,7 +1074,7 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     ``complex_path``, two or more layers, a layer at an inflection point.
     The impedance alone is cheaper along Lin's indented path
     (:func:`impedance_outcomes` with ``sign_ci``), which is an independent
-    check of this one.  Its legs step on scipy's ``solve_ivp``.
+    check of this one.
 
     Raises
     ------
@@ -1076,149 +1087,111 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
         raise ValueError("sign_ci must be +1 or -1")
     if k == 0.0:
         raise ValueError("wavenumber k must be nonzero")
-    if not math.isfinite(profile.h_plus):
+    h = profile.h_plus
+    if not math.isfinite(h):
         raise InfiniteDomain("limiting solver needs a finite air column")
     if layers is None:
         layers = find_critical_points(profile, c_r)
-    run = _LimitRun(profile, k, c_r, sign_ci, layers, delta_loc)
-    y = np.array([0.0, 1.0], dtype=complex)
+    patches = []
+    if len(layers):
+        positions = list(layers.positions)
+        min_gap = min([positions[0], h - positions[-1]]
+                      + [b - a for a, b in zip(positions, positions[1:])])
+        for layer in layers:
+            patch = _build_patch(profile, layer, k,
+                                 min(0.05 * h, 0.25 * min_gap))
+            if delta_loc is not None:
+                patch = replace(patch, delta=float(delta_loc))
+            if patch.delta <= 1e-12 * h:
+                raise SeriesRadiusTooSmall(
+                    f"series radius {patch.delta:g} collapsed at layer "
+                    f"{layer.position}")
+            if 2.0 * patch.delta >= min_gap:
+                raise SeriesRadiusTooSmall(
+                    f"patches of half-width {patch.delta:g} overlap "
+                    f"(min gap {min_gap:g})")
+            patches.append(patch)
+
+    # the spans between the patches, from the lid down; each is cut into
+    # chunks, because the solution grows like e^{|k| span} and must be
+    # renormalized before it overflows, and at the breakpoints
+    breaks = _segment_bounds(profile)
+    edges = [h] + [x for p in reversed(patches)
+                   for x in (p.s + p.delta, p.s - p.delta)] + [0.0]
+    legs: list[tuple[float, float, Optional[_SeriesPatch]]] = []
+    for m, (x_from, x_to) in enumerate(zip(edges[::2], edges[1::2])):
+        n_chunks = max(1, int(math.ceil(abs(k) * (x_from - x_to) / 300.0)))
+        cuts = set(np.linspace(x_from, x_to, n_chunks + 1).tolist())
+        cuts.update(b for b in breaks if x_to < b < x_from)
+        cuts = sorted(cuts, reverse=True)
+        legs += [(a, b, None) for a, b in zip(cuts, cuts[1:])]
+        if m < len(patches):  # the patch crossed at the bottom of the span
+            legs[-1] = (cuts[-2], cuts[-1], patches[-1 - m])
+
+    coeff = _real_coeff(profile, np.array([c_r], dtype=float),
+                        np.array([k * k], dtype=float))
+    kinks = _kink_jump_map(profile)
+    y = np.array([[0.0], [1.0]], dtype=complex)  # (y, y') of the one element
+
+    def fail(i: int, exc: WindwavesError) -> None:
+        raise exc
+
     n_steps = 0
+    log_scale = 0.0  # true state = stored state * exp(log_scale)
+    raw_jumps = []  # per-layer records with the scale at recording time
     with np.errstate(all="ignore"):
-        for j, (top, bot, _) in enumerate(run.legs):
-            y, steps = run.solve(top, bot, y, tol)
-            n_steps += steps
-            y = run.after_leg(j, y.copy())
-    return run.finish(y, n_steps)
+        for top, bot, patch in legs:
+            n_steps += int(_advance(coeff, np.array([top]), bot, y,
+                                    np.ones(1, dtype=bool), fail, tol)[0])
+            if bot in kinks:
+                denom = _kink_denominator(
+                    profile, bot, complex(c_r),
+                    _speed_scale(profile, complex(c_r), _u_range(profile)))
+                # y'(x-) = y'(x+) - [U'] y / (U - c)
+                y[1] -= kinks[bot] * y[0] / denom
+            log_scale += _renormalize(y)
+            if patch is None:
+                continue
+            state = y[:, 0]
+            w_above = float(np.imag(state[1] * np.conj(state[0])))
+            # match (A+, B) on the upper edge, jump the analytic amplitude,
+            # re-emit the state on the lower edge
+            a_plus, b_coef = np.linalg.solve(patch.matrix(patch.delta), state)
+            a_minus = a_plus - 1j * sign_ci * math.pi * (
+                patch.u_double_prime / abs(patch.u_prime)) * b_coef
+            y[:, 0] = patch.matrix(-patch.delta) @ np.array([a_minus, b_coef])
+            w_below = float(np.imag(y[1, 0] * np.conj(y[0, 0])))
+            raw_jumps.append((patch, b_coef, w_above, w_below, log_scale))
+            log_scale += _renormalize(y)
+
+    # normalize to y*(0) = 1 and assemble the layer records
+    y0, yp0 = complex(y[0, 0]), complex(y[1, 0])
+    if abs(y0) < INTERFACE_FLOOR * max(1.0, abs(yp0)):
+        raise DegenerateAtInterface("limiting solution vanishes at the interface")
+    jumps = []
+    for patch, b_coef, w_above, w_below, lsc in reversed(raw_jumps):
+        # restore the recording-time scale relative to the interface value
+        rel = math.exp(min(lsc - log_scale, 300.0))
+        y_val = (b_coef / y0) * rel
+        dyp = 1j * sign_ci * math.pi * (
+            patch.u_double_prime / abs(patch.u_prime)) * y_val
+        rel2 = rel * rel / abs(y0) ** 2
+        jumps.append(LayerJump(position=patch.s, y_value=y_val,
+                               delta_yprime=dyp, u1=abs(b_coef) ** 2 * rel2,
+                               w_above=w_above * rel2, w_below=w_below * rel2))
+    return LimitSolution(c_r=c_r, sign_ci=sign_ci, k=k, layers=layers,
+                         impedance=yp0 / y0, y0=1.0 + 0.0j, yp0=yp0 / y0,
+                         jumps=tuple(jumps), n_steps=n_steps)
 
 
-class _LimitRun:
-    """One (k, c_r) pair of a limiting solve: its legs, and what happens
-    between them (rescaling, kink jumps, the crossing of a layer's patch)."""
-
-    def __init__(self, profile: ShearProfile, k: float, c_r: float,
-                 sign_ci: int, layers: CriticalLayerSet,
-                 delta_loc: float | None):
-        h = profile.h_plus
-        patches = []
-        if len(layers):
-            positions = list(layers.positions)
-            gaps = [positions[0]] \
-                + [b - a for a, b in zip(positions, positions[1:])] \
-                + [h - positions[-1]]
-            min_gap = min(gaps)
-            for layer in layers:
-                cap = min(0.05 * h, 0.25 * min_gap)
-                patch = _build_patch(profile, layer.position, k, cap)
-                if delta_loc is not None:
-                    patch = replace(patch, delta=float(delta_loc))
-                if patch.delta <= 1e-12 * h:
-                    raise SeriesRadiusTooSmall(
-                        f"series radius {patch.delta:g} collapsed at layer "
-                        f"{layer.position}")
-                if 2.0 * patch.delta >= min_gap:
-                    raise SeriesRadiusTooSmall(
-                        f"patches of half-width {patch.delta:g} overlap "
-                        f"(min gap {min_gap:g})")
-                patches.append(patch)
-
-        self.profile, self.k, self.c_r = profile, k, c_r
-        self.sign_ci, self.layers = sign_ci, layers
-        self.kinks = _kink_jump_map(profile)
-        self.log_scale = 0.0  # true state = stored state * exp(log_scale)
-        self.raw_jumps = []  # per-layer records with the scale at recording time
-
-        # the spans between the patches, from the lid down; each is cut into
-        # chunks, because the solution grows like e^{|k| span} and must be
-        # renormalized before it overflows, and at the breakpoints
-        breaks = _segment_bounds(profile)
-        edges = [h] + [x for p in reversed(patches)
-                       for x in (p.s + p.delta, p.s - p.delta)] + [0.0]
-        #: (top, bottom, the patch crossed at the bottom or None)
-        self.legs: list[tuple[float, float, Optional[_SeriesPatch]]] = []
-        for m, (x_from, x_to) in enumerate(zip(edges[::2], edges[1::2])):
-            span = abs(x_from - x_to)
-            n_chunks = max(1, int(math.ceil(abs(k) * span / 300.0)))
-            cuts = set(np.linspace(x_from, x_to, n_chunks + 1).tolist())
-            cuts.update(b for b in breaks if x_to < b < x_from)
-            cuts = sorted(cuts, reverse=True)
-            self.legs += [(a, b, None) for a, b in zip(cuts, cuts[1:])]
-            if m < len(patches):
-                self.legs[-1] = (cuts[-2], cuts[-1], patches[-1 - m])
-
-    def solve(self, top: float, bot: float, state: np.ndarray,
-              tol: float) -> tuple[np.ndarray, int]:
-        """One leg on ``solve_ivp``: the state at ``bot`` and the points taken."""
-        from scipy.integrate import solve_ivp
-
-        profile, k, c_r = self.profile, self.k, self.c_r
-
-        def rhs(x, y):
-            qq = profile.curvature(x) / (profile.value(x) - c_r) + k * k
-            return [y[1], qq * y[0]]
-
-        sol = solve_ivp(rhs, (top, bot), state, method="DOP853",
-                        rtol=tol, atol=tol * 1e-3)
-        if not sol.success:  # pragma: no cover
-            raise NearSingularCoefficient(f"integration failed: {sol.message}")
-        return sol.y[:, -1], sol.t.size
-
-    def _rescale(self, state: np.ndarray) -> np.ndarray:
-        m = max(abs(state[0]), abs(state[1]))
-        if m > 1e6 or (0.0 < m < 1e-6):
-            state = state / m
-            self.log_scale += math.log(m)
-        return state
-
-    def after_leg(self, j: int, state: np.ndarray) -> np.ndarray:
-        """The state at the top of leg j + 1, from the one at the bottom of j."""
-        _, bot, patch = self.legs[j]
-        if bot in self.kinks:
-            scale = _speed_scale(self.profile, complex(self.c_r),
-                                 _u_range(self.profile))
-            denom = _kink_denominator(self.profile, bot, complex(self.c_r),
-                                      scale)
-            # y'(x-) = y'(x+) - [U'] y / (U - c)
-            state[1] = state[1] - self.kinks[bot] * state[0] / denom
-        state = self._rescale(state)
-        if patch is None:
-            return state
-        delta = patch.delta
-        w_above = float(np.imag(state[1] * np.conj(state[0])))
-        # match (A+, B) on the upper edge, jump the analytic amplitude,
-        # re-emit the state on the lower edge
-        a_plus, b_coef = np.linalg.solve(patch.matrix(delta), state)
-        a_minus = a_plus - 1j * self.sign_ci * math.pi * (
-            patch.u_double_prime / abs(patch.u_prime)) * b_coef
-        state = patch.matrix(-delta) @ np.array([a_minus, b_coef])
-        w_below = float(np.imag(state[1] * np.conj(state[0])))
-        self.raw_jumps.append((patch, b_coef, w_above, w_below, self.log_scale))
-        return self._rescale(state)
-
-    def finish(self, state: np.ndarray, n_steps: int) -> LimitSolution:
-        """Normalize to y*(0) = 1 and assemble the layer records."""
-        y0, yp0 = complex(state[0]), complex(state[1])
-        if abs(y0) < INTERFACE_FLOOR * max(1.0, abs(yp0)):
-            raise DegenerateAtInterface(
-                "limiting solution vanishes at the interface")
-
-        jumps = []
-        for patch, b_coef, w_above, w_below, lsc in reversed(self.raw_jumps):
-            # restore the recording-time scale relative to the interface value
-            rel = math.exp(min(lsc - self.log_scale, 300.0))
-            y_val = (b_coef / y0) * rel
-            dyp = 1j * self.sign_ci * math.pi * (
-                patch.u_double_prime / abs(patch.u_prime)) * y_val
-            rel2 = rel * rel / abs(y0) ** 2
-            jumps.append(LayerJump(position=patch.s, y_value=y_val,
-                                   delta_yprime=dyp,
-                                   u1=abs(b_coef) ** 2 * rel2,
-                                   w_above=w_above * rel2,
-                                   w_below=w_below * rel2))
-
-        return LimitSolution(c_r=self.c_r, sign_ci=self.sign_ci, k=self.k,
-                             layers=self.layers, impedance=yp0 / y0,
-                             y0=1.0 + 0.0j, yp0=yp0 / y0, jumps=tuple(jumps),
-                             n_steps=n_steps)
+def _renormalize(y: np.ndarray) -> float:
+    """Divide ``y`` in place by its largest magnitude when that is far from
+    1, and return the log of the divisor (0 when it is left alone)."""
+    m = float(np.max(np.abs(y)))
+    if m > 1e6 or 0.0 < m < 1e-6:
+        y /= m
+        return math.log(m)
+    return 0.0
 
 
 @dataclass

@@ -4,7 +4,10 @@ import math
 import pytest
 
 from windwaves.cli import dump_config, main, parse_config
+from windwaves.dispersion import FluidParams, ck
 from windwaves.errors import ConfigError
+from windwaves.profiles import PiecewiseLinearProfile
+from windwaves.rayleigh import pwl_impedance_cascade
 
 BASE = """
 [fluids]
@@ -147,6 +150,27 @@ command = kh
         data_rows = [l for l in out.strip().splitlines()
                      if l and not l.startswith("#")][1:]
         assert len(data_rows) == 1
+
+    def test_asym_on_piecewise_linear_wind(self, tmp_path, capsys):
+        # U'' vanishes at the layer inside the ramp, so the layer's term and
+        # c_sharp are 0; below the layer y'' = k^2 y with y(0) = 1, y'(0) = Z
+        text = BASE.replace("command = solve", "command = asym").replace(
+            "kind = tanh\nu_max = 10.0\nd = 1.0",
+            "kind = pwl\nmu = 10.0\nx2_star = 1.0")
+        with pytest.warns(UserWarning, match="sufficient sign"):
+            assert main(["--config", write_config(tmp_path, text),
+                         "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "c_sharp = 0" in payload["notes"]
+        [(s, u_prime, u_double_prime, u1, term)] = payload["rows"]
+        assert (u_double_prime, term) == (0.0, 0.0)
+        k = 1.0
+        profile = PiecewiseLinearProfile.ramp(10.0, 1.0, h_plus=5.0)
+        c_k = ck(FluidParams(1.22, 1000.0, 9.8, h_plus=5.0), k)
+        assert s == pytest.approx(c_k / 10.0, rel=1e-12)
+        z = pwl_impedance_cascade(profile, k, c_k).real
+        want = (math.cosh(k * s) + z * math.sinh(k * s) / k) ** 2
+        assert abs(u1 - want) <= 1e-8
 
     def test_certify_stable(self, tmp_path, capsys):
         text = BASE.replace("u_max = 10.0", "u_max = 1.5").replace(

@@ -1,4 +1,4 @@
-"""What a tanh CLI run imports: numpy, not scipy."""
+"""What a tanh CLI run and the limiting route import: numpy, not scipy."""
 import json
 import os
 import subprocess
@@ -77,3 +77,28 @@ def test_tableau_is_scipys_bit_for_bit():
         for a, b in zip(got[name], want[name]):
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name
+
+
+LIMIT_SCRIPT = """\
+import json, sys
+from windwaves import AnalyticProfile, FluidParams, limiting_solution, miles_c_sharp
+parabola = AnalyticProfile(f=lambda x: 4.0 * x * (1.0 - 0.5 * x),
+                           df=lambda x: 4.0 - 4.0 * x, d2f=lambda x: -4.0,
+                           h_plus=2.0, name="parabola")
+lim = limiting_solution(parabola, 1.0, 1.5, +1)
+# g = 2.25 puts c_k near 1.5, below U's maximum 2: two layers
+asym = miles_c_sharp(parabola, FluidParams(1.22, 1000.0, 2.25, h_plus=2.0), 1.0)
+print(json.dumps({"jumps": [len(lim.jumps), len(asym.layers)],
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_limiting_route_imports_no_scipy():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(windwaves.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", LIMIT_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report == {"jumps": [2, 2], "scipy": []}

@@ -18,7 +18,6 @@ from windwaves.profiles import (
     ShearProfile,
     TabulatedProfile,
     TanhProfile,
-    evaluate,
     find_critical_points,
     load_tabulated,
 )
@@ -41,28 +40,26 @@ def parabola_profile(h=2.0):
 
 class TestEvaluate:
     def test_constant(self):
-        assert evaluate(ConstantProfile(5.0), 0.3, 0) == 5.0
+        assert ConstantProfile(5.0).value(0.3) == 5.0
 
     def test_linear_slope(self):
-        assert evaluate(LinearShearProfile(0.0, 2.0), 0.7, 1) == 2.0
+        assert LinearShearProfile(0.0, 2.0).slope(0.7) == 2.0
 
     def test_tanh_curvature_at_origin(self):
-        assert evaluate(TanhProfile(10.0, 1.0, 5.0), 0.0, 2) == 0.0
+        assert TanhProfile(10.0, 1.0, 5.0).curvature(0.0) == 0.0
 
     def test_out_of_domain(self):
-        with pytest.raises(OutOfDomain):
-            evaluate(TanhProfile(10.0, 1.0, 5.0), 5.5, 0)
-        with pytest.raises(OutOfDomain):
-            evaluate(TanhProfile(10.0, 1.0, 5.0), -0.1, 0)
+        prof = TanhProfile(10.0, 1.0, 5.0)
+        for method in (prof.value, prof.slope, prof.curvature):
+            with pytest.raises(OutOfDomain):
+                method(5.5)
+            with pytest.raises(OutOfDomain):
+                method(-0.1)
 
     def test_pwl_second_derivative_refused(self):
         pwl = PiecewiseLinearProfile.ramp(2.0, 1.0, h_plus=4.0)
         with pytest.raises(OrderUnavailable):
-            evaluate(pwl, 0.5, 2)
-
-    def test_bad_order(self):
-        with pytest.raises(OrderUnavailable):
-            evaluate(ConstantProfile(1.0), 0.0, 3)
+            pwl.curvature(0.5)
 
 
 class TestDerivatives:

@@ -433,6 +433,26 @@ class TestLimitingSolution:
         lim = limiting_solution(TANH, 1.0, 3.0, +1)
         assert lim.jumps[0].w_above == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("k, c_r", [(0.5, 3.0), (0.3, 5.0), (1.0, 3.0)])
+    def test_patch_error_below_tolerance_floor(self, k, c_r):
+        # the patch radius sets an error floor that tol cannot lower
+        lim = limiting_solution(TANH, k, c_r, +1, tol=1e-13)
+        imps, errors = impedance_outcomes(TANH, k, [c_r], 1e-13, sign_ci=+1)
+        assert errors == {}
+        assert abs(lim.impedance - imps[0]) <= 1e-11 * abs(imps[0])
+
+    def test_renormalizes_past_direct_overflow(self):
+        # no layer at c = 12; the direct shoot grows like exp(|k| h+), which
+        # passes the float range between k = 140 and 150 on this column
+        direct = integrate_rayleigh(TANH, 140.0, 12.0 + 0.0j).impedance
+        lim = limiting_solution(TANH, 140.0, 12.0, +1).impedance
+        assert abs(lim - direct) <= 1e-10 * abs(direct)
+        with pytest.raises(NearSingularCoefficient, match="overflowed"):
+            integrate_rayleigh(TANH, 150.0, 12.0 + 0.0j)
+        lim = limiting_solution(TANH, 150.0, 12.0, +1).impedance
+        assert lim.imag == 0.0
+        assert abs(lim + 150.0) <= 1e-4
+
     def test_series_radius_validation(self):
         with pytest.raises(SeriesRadiusTooSmall):
             limiting_solution(TANH, 1.0, 3.0, +1, delta_loc=2.0)
