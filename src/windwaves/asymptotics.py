@@ -225,14 +225,13 @@ def _assemble(profile, params, k, branch, c_k, layers,
 
 def unstable_band(profile: ShearProfile, params: FluidParams,
                   k_range: tuple[float, float], n_samples: int = 64,
-                  branch: int = +1, tol: float = 1e-10,
-                  refine_rel: float = 1e-3) -> list[tuple[float, float]]:
+                  branch: int = +1, tol: float = 1e-10) -> list[tuple[float, float]]:
     """Maximal k-intervals where the growth constant is positive.
 
     Samples c_sharp on a log grid over ``k_range`` with
     :func:`growth_constants`; a sample where c_k leaves the range of U (or
     the solver fails) counts as stable.  Sign changes are bracketed by
-    bisection to relative width ``refine_rel``, on the same function.
+    bisection to relative width 1e-3, on the same function.
     """
     k_lo, k_hi = k_range
     if not (0.0 < k_lo < k_hi):
@@ -252,7 +251,7 @@ def unstable_band(profile: ShearProfile, params: FluidParams,
         # bisect the predicate boundary between unstable a and stable b (or
         # vice versa)
         pa = sharp(a) > 0.0
-        while (b - a) > refine_rel * a:
+        while (b - a) > 1e-3 * a:
             m = math.sqrt(a * b)
             if (sharp(m) > 0.0) == pa:
                 a = m

@@ -21,7 +21,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from io import StringIO
 from pathlib import Path
 from typing import Optional, Sequence
@@ -513,11 +513,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = parse_config(text)
         if args.command:
-            cfg = _replace(cfg, command=args.command)
+            cfg = replace(cfg, command=args.command)
         if args.output:
-            cfg = _replace(cfg, output=args.output)
+            cfg = replace(cfg, output=args.output)
         if args.fmt:
-            cfg = _replace(cfg, fmt=args.fmt)
+            cfg = replace(cfg, fmt=args.fmt)
         if args.dump_config:
             sys.stdout.write(dump_config(cfg))
             return 0
@@ -525,11 +525,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-
-def _replace(cfg: RunConfig, **kw) -> RunConfig:
-    from dataclasses import replace as dc_replace
-    return dc_replace(cfg, **kw)
 
 
 if __name__ == "__main__":

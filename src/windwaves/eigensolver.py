@@ -17,6 +17,7 @@ from .errors import (
     BoundaryZero,
     BranchLost,
     NoConvergence,
+    NoCriticalLayer,
     PhaseJumpUnresolved,
     WindwavesError,
 )
@@ -57,27 +58,26 @@ class EigenResult:
         return self.k * self.c.imag
 
 
-def _classify(c: complex, unstable_tol: float) -> str:
-    return UNSTABLE if c.imag > unstable_tol * max(1.0, abs(c.real)) else NEUTRAL
+def _classify(c: complex) -> str:
+    return UNSTABLE if c.imag > 1e-8 * max(1.0, abs(c.real)) else NEUTRAL
 
 
 def find_root(residual: Callable[[complex], complex], c_init: complex, *,
               tol: float = 1e-11, max_iter: int = 50, scale: float = 1.0,
-              k: Optional[float] = None, unstable_tol: float = 1e-8,
-              spread: float = 1e-4) -> EigenResult:
+              k: Optional[float] = None) -> EigenResult:
     """Muller iteration in the complex plane from a single seed.
 
     Convergence requires |residual| <= tol * scale together with a relative
     step below 1e-12 (or a residual at rounding level).  ``scale`` carries the
-    dimensional normalization, typically g.
+    dimensional normalization, typically g.  Muller starts 1e-4 relative
+    around the seed; Im c > 1e-8 max(1, |Re c|) classifies a root unstable.
 
     Raises
     ------
     NoConvergence
         After max_iter Muller steps.
     """
-    chain = _muller(c_init, tol=tol, max_iter=max_iter, scale=scale, k=k,
-                    unstable_tol=unstable_tol, spread=spread)
+    chain = _muller(c_init, tol=tol, max_iter=max_iter, scale=scale, k=k)
     try:
         wanted = next(chain)
         while True:
@@ -87,8 +87,7 @@ def find_root(residual: Callable[[complex], complex], c_init: complex, *,
 
 
 def _muller(c_init: complex, *, tol: float, max_iter: int, scale: float,
-            k: Optional[float], unstable_tol: float, spread: float
-            ) -> Generator[list[complex], list[complex], EigenResult]:
+            k: Optional[float]) -> Generator[list[complex], list[complex], EigenResult]:
     """Muller's iteration as a generator, for :func:`find_root` and :func:`scan_k`.
 
     It yields the list of wave speeds whose residuals it needs next (the
@@ -98,14 +97,14 @@ def _muller(c_init: complex, *, tol: float, max_iter: int, scale: float,
     :func:`find_root`.
     """
     floor = tol * scale
-    h0 = spread * max(abs(c_init), 1.0)
+    h0 = 1e-4 * max(abs(c_init), 1.0)
     xs = [c_init + h0, c_init - h0, c_init]
     fs = yield xs
 
     for x, f in zip(xs, fs):
         if f == 0.0:
             return EigenResult(c=x, residual_norm=0.0, iterations=0,
-                               classification=_classify(x, unstable_tol), k=k)
+                               classification=_classify(x), k=k)
 
     n_iter = 0
     while n_iter < max_iter:
@@ -133,14 +132,14 @@ def _muller(c_init: complex, *, tol: float, max_iter: int, scale: float,
                                  or abs(f3) <= 1e-3 * floor):
             return EigenResult(c=x3, residual_norm=abs(f3) / scale,
                                iterations=n_iter,
-                               classification=_classify(x3, unstable_tol), k=k)
+                               classification=_classify(x3), k=k)
 
     # accept a stagnated iterate whose residual still meets the tolerance
     best = min(zip(xs, fs), key=lambda t: abs(t[1]))
     if abs(best[1]) <= floor:
         return EigenResult(c=best[0], residual_norm=abs(best[1]) / scale,
                            iterations=n_iter,
-                           classification=_classify(best[0], unstable_tol), k=k)
+                           classification=_classify(best[0]), k=k)
     raise NoConvergence(
         f"no root after {n_iter} Muller steps from {c_init} "
         f"(best |residual|/scale = {abs(best[1]) / scale:g})")
@@ -184,21 +183,19 @@ _REFINE_DEPTH = REFINE_SPLIT.bit_length() - 1
 
 def count_roots(residual: Callable[[complex], complex],
                 rectangle: tuple[float, float, float, float],
-                n_boundary: int = 64, *, max_levels: int = 48,
-                zero_floor_rel: float = 1e-13) -> int:
+                n_boundary: int = 64, *, max_levels: int = 48) -> int:
     """Winding number of the residual around a rectangle (root count inside).
 
     The one-rectangle case of :func:`root_counts`, which documents the
     count, its arguments and its errors.
     """
     return root_counts(residual, [rectangle], n_boundary,
-                       max_levels=max_levels, zero_floor_rel=zero_floor_rel)[0]
+                       max_levels=max_levels)[0]
 
 
 def root_counts(residual: Callable[[complex], complex],
                 rectangles: Sequence[tuple[float, float, float, float]],
-                n_boundary: int = 64, *, max_levels: int = 48,
-                zero_floor_rel: float = 1e-13) -> list[int]:
+                n_boundary: int = 64, *, max_levels: int = 48) -> list[int]:
     """Winding numbers of the residual around rectangles, counted in lockstep.
 
     Each rectangle is (re_min, re_max, im_min, im_max).  Its boundary is
@@ -207,7 +204,7 @@ def root_counts(residual: Callable[[complex], complex],
     equal parts, all flagged pairs of one level together, up to
     ``max_levels`` halvings of the original spacing (each level counts as
     log2(REFINE_SPLIT) of them).  Each rectangle has its own zero floor,
-    ``zero_floor_rel`` times the largest |residual| on its contour, and its
+    1e-13 times the largest |residual| on its contour, and its
     own refinement.  The rectangles run round by round: the first round
     evaluates all contours, and each later round the next level of every
     rectangle that still has flagged pairs.
@@ -246,7 +243,7 @@ def root_counts(residual: Callable[[complex], complex],
     errors: dict[int, WindwavesError] = {}
     live = {}  # index -> (winding generator, the points it waits for)
     for i, rectangle in enumerate(rectangles):
-        winding = _winding(rectangle, n_boundary, max_levels, zero_floor_rel)
+        winding = _winding(rectangle, n_boundary, max_levels)
         live[i] = (winding, next(winding))
 
     while live:
@@ -274,8 +271,7 @@ def root_counts(residual: Callable[[complex], complex],
 
 
 def _winding(rectangle: tuple[float, float, float, float], n_boundary: int,
-             max_levels: int, zero_floor_rel: float
-             ) -> Generator[list[complex], list[complex], int]:
+             max_levels: int) -> Generator[list[complex], list[complex], int]:
     """One rectangle's count of :func:`root_counts` as a generator.
 
     It checks the rectangle, yields the contour and then the inner points of
@@ -293,7 +289,7 @@ def _winding(rectangle: tuple[float, float, float, float], n_boundary: int,
             pts.append(a + (b - a) * (j / n_boundary))
     vals = yield pts
 
-    floor = zero_floor_rel * max(abs(v) for v in vals)
+    floor = 1e-13 * max(abs(v) for v in vals)
 
     def check_floor(zs: list[complex], fs: list[complex]) -> None:
         for z, v in zip(zs, fs):
@@ -420,12 +416,13 @@ def scan_k(profile, params, k_list: Sequence[float],
 
     Each entry seeds Muller at c_k plus the asymptotic growth offset
     i eps c_sharp when a critical layer exists; failures are recorded in the
-    curve without aborting the sweep.  The Muller chains of all wavenumbers
-    run in lockstep: each round evaluates the wave speeds every live chain
-    asks for (the starting triples, then one point per chain) in one
-    :func:`~windwaves.dispersion.miles_residuals` call, whose batched
-    impedances do not depend on the batch.  The asymptotic seeds of all
-    wavenumbers come from one growth-constant call
+    curve without aborting the sweep, and a failed row's message names the
+    error of its growth constant unless c_k has no layer.  The Muller chains
+    of all wavenumbers run in lockstep: each round evaluates the wave speeds
+    every live chain asks for (the starting triples, then one point per
+    chain) in one :func:`~windwaves.dispersion.miles_residuals` call, whose
+    batched impedances do not depend on the batch.  The asymptotic seeds of
+    all wavenumbers come from one growth-constant call
     (:func:`~windwaves.asymptotics.growth_constants`): on a profile with
     ``complex_path``, one kernel batch at the real speeds c_k along Lin's
     indented path, the same shoot that the Muller rounds take at complex c.
@@ -450,15 +447,15 @@ def _lockstep(profile, params, ks: list[float],
 
     entries: list[Optional[GrowthEntry]] = [None] * len(ks)
     chains = {}  # index -> (Muller generator, the wave speeds it waits for)
-    asyms, _ = growth_constants(profile, params, ks, strategy.branch,
-                                tol=strategy.rayleigh_tol)
+    asyms, seed_errors = growth_constants(profile, params, ks, strategy.branch,
+                                          tol=strategy.rayleigh_tol)
     for i, (k, asym) in enumerate(zip(ks, asyms)):
         c_k = ck(params, k, strategy.branch)
         seed = complex(c_k)  # no layer or degenerate: on the real axis
         if asym is not None:
             seed = c_k + 1j * params.epsilon * max(asym.c_sharp, 0.0)
         chain = _muller(seed, tol=strategy.tol, max_iter=strategy.max_iter,
-                        scale=params.g, k=k, unstable_tol=1e-8, spread=1e-4)
+                        scale=params.g, k=k)
         chains[i] = (chain, next(chain))
 
     while chains:
@@ -489,11 +486,14 @@ def _lockstep(profile, params, ks: list[float],
                 entries[i] = GrowthEntry(
                     k=ks[i], c=c, growth_rate=ks[i] * c.imag,
                     residual_norm=done.value.residual_norm, converged=True,
-                    classification=_classify(c, 1e-8))
+                    classification=_classify(c))
             except WindwavesError as exc:
                 del chains[i]
+                message, seed_error = str(exc), seed_errors.get(i)
+                if seed_error and not isinstance(seed_error, NoCriticalLayer):
+                    message += f" (seed: {seed_error})"
                 entries[i] = GrowthEntry(
                     k=ks[i], c=complex("nan"), growth_rate=float("nan"),
                     residual_norm=float("nan"), converged=False,
-                    classification=DEGENERATE, message=str(exc))
+                    classification=DEGENERATE, message=message)
     return entries

@@ -45,6 +45,9 @@ ROOT_SCAN_GRID = 4096
 #: |U'(s)| must exceed this multiple of (max U - min U)/h_plus at every root
 DEGENERACY_FACTOR = 1e-8
 
+#: c_r this close to U(0) or U(h_plus), relative to the speed scale, is critical
+ENDPOINT_RTOL = 1e-10
+
 
 def _lib(x2):
     """numpy for an array of altitudes, math for one altitude."""
@@ -417,12 +420,43 @@ class AnalyticProfile(ShearProfile):
         return f"AnalyticProfile(name={self.name!r}, h_plus={self.h_plus})"
 
 
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (4, n-1) coefficients of the not-a-knot cubic spline through
+    (x, y), laid out as scipy's ``CubicSpline.c``: the knot slopes m solve
+    scipy's tridiagonal system by one sweep, which needs no pivoting, since
+    the interior rows are diagonally dominant once m[0] is eliminated."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # row i: sub[i] m[i-1] + diag[i] m[i] + sup[i] m[i+1] = rhs[i]; the end
+    # rows make U''' continuous across the second and last-but-one knots
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    sub = np.r_[0.0, dx[1:], d1].tolist()
+    diag = np.r_[dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]].tolist()
+    sup = np.r_[d0, dx[:-1], 0.0].tolist()
+    m = np.r_[  # rhs, the slopes once swept
+        ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0,
+        3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+        (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1,
+    ].tolist()
+    for i in range(1, len(m)):
+        w = sub[i] / diag[i - 1]
+        diag[i] -= w * sup[i - 1]
+        m[i] -= w * m[i - 1]
+    m[-1] /= diag[-1]
+    for i in range(len(m) - 2, -1, -1):
+        m[i] = (m[i] - sup[i] * m[i + 1]) / diag[i]
+    m = np.array(m)
+    t = (m[:-1] + m[1:] - 2.0 * slope) / dx
+    return np.array([t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]])
+
+
 class TabulatedProfile(ShearProfile):
     """Measured wind samples interpolated by a C2 cubic spline.
 
     Not-a-knot end conditions avoid injecting artificial curvature at the
-    endpoints.  Needs at least 4 strictly increasing sample altitudes starting
-    at 0.
+    endpoints.  The coefficients are scipy's ``CubicSpline`` ones, computed
+    in numpy, and every altitude, real or complex, is evaluated by Horner's
+    rule.  Needs at least 4 strictly increasing sample altitudes starting at 0.
     """
 
     kind = "tabulated"
@@ -443,18 +477,11 @@ class TabulatedProfile(ShearProfile):
         self.x2 = x2
         self.u = u
         self.h_plus = float(x2[-1])
-        # imported here, so that a run without a table never loads scipy
-        from scipy.interpolate import CubicSpline
-
-        self._spline = CubicSpline(x2, u, bc_type="not-a-knot")
-        self._d1 = self._spline.derivative(1)
-        self._d2 = self._spline.derivative(2)
-        self._d3 = self._spline.derivative(3)
+        self._c = _not_a_knot(x2, u)
         # the knots and the interior extrema of the pieces: U is monotone
         # between consecutive nodes, so each sign change of U - c_r over
         # them brackets exactly one layer
-        a, b, c = 3.0 * self._spline.c[0], 2.0 * self._spline.c[1], \
-            self._spline.c[2]
+        a, b, c = 3.0 * self._c[0], 2.0 * self._c[1], self._c[2]
         with np.errstate(all="ignore"):  # NaN where U' has no real root
             sq = np.sqrt(b * b - 4.0 * a * c)
             # the roots of U' = a t^2 + b t + c on each piece
@@ -463,47 +490,42 @@ class TabulatedProfile(ShearProfile):
         base, span = np.tile(x2[:-1], 3), np.tile(np.diff(x2), 3)
         inside = (t > 0.0) & (t < span)
         self._nodes = np.unique(np.concatenate((x2, base[inside] + t[inside])))
-        self._node_u = self._spline(self._nodes)
+        self._node_u = self._horner(self._nodes)[0]
 
     def _piece(self, x):
         """Index of the spline piece that holds the altitude (real part of) x."""
         return np.clip(np.searchsorted(self.x2, np.real(x), side="right") - 1,
                        0, self.x2.size - 2)
 
-    def _horner(self, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(U, U'') at complex altitudes, by Horner's rule on the piece
-        picked by the real part."""
+    def _horner(self, x2):
+        """(U, U'') at real or complex x2, by Horner's rule on the piece of Re x2."""
         j = self._piece(x2)
-        a, b, c, d = self._spline.c[:, j]
+        a, b, c, d = self._c[:, j]
         t = x2 - self.x2[j]
-        return ((a * t + b) * t + c) * t + d, 6.0 * a * t + 2.0 * b
+        u, upp = ((a * t + b) * t + c) * t + d, 6.0 * a * t + 2.0 * b
+        return (u, upp) if isinstance(x2, np.ndarray) else (float(u), float(upp))
 
     def value(self, x2):
         self._check_domain(x2)
-        if np.iscomplexobj(x2):
-            return self._horner(x2)[0]
-        out = self._spline(x2)
-        return out if isinstance(x2, np.ndarray) else float(out)
+        return self._horner(x2)[0]
 
     def value_and_curvature(self, x2):
-        if np.iscomplexobj(x2):
-            self._check_domain(x2)
-            return self._horner(x2)
-        return self.value(x2), self.curvature(x2)
+        self._check_domain(x2)
+        return self._horner(x2)
 
     def slope(self, x2):
         self._check_domain(x2)
-        return float(self._d1(x2))
+        j = self._piece(x2)
+        a, b, c, _ = self._c[:, j]
+        t = x2 - self.x2[j]
+        return float((3.0 * a * t + 2.0 * b) * t + c)
 
     def curvature(self, x2):
         self._check_domain(x2)
-        if np.iscomplexobj(x2):
-            return self._horner(x2)[1]
-        out = self._d2(x2)
-        return out if isinstance(x2, np.ndarray) else float(out)
+        return self._horner(x2)[1]
 
     def derivative3(self, x2):
-        return float(self._d3(x2))
+        return 6.0 * float(self._c[0, self._piece(x2)])
 
     def derivative4(self, x2):
         return 0.0  # cubic pieces
@@ -521,15 +543,11 @@ class TabulatedProfile(ShearProfile):
                 # Newton on the monotone cubic from the chord's root, kept
                 # inside the bracket
                 s = lo + (hi - lo) * float(f[i] / (f[i] - f[i + 1]))
-                j = int(self._piece(0.5 * (lo + hi)))
-                a, b, c, d = self._spline.c[:, j].tolist()
                 for _ in range(4):
-                    t = s - float(self.x2[j])
-                    slope = (3.0 * a * t + 2.0 * b) * t + c
+                    slope = self.slope(s)
                     if slope == 0.0:
                         break
-                    s = min(max(s - (((a * t + b) * t + c) * t + d - c_r)
-                                / slope, lo), hi)
+                    s = min(max(s - (self.value(s) - c_r) / slope, lo), hi)
             if 0.0 < s < self.h_plus:
                 out.append((s, self.slope(s)))
         return tuple(out)
@@ -538,7 +556,7 @@ class TabulatedProfile(ShearProfile):
         # the other two roots of the piece's cubic: divide (t - t_s) out of
         # a t^3 + b t^2 + c t + (d - U(s)) and solve the quadratic
         j = int(self._piece(s))
-        a, b, c, _ = self._spline.c[:, j].tolist()
+        a, b, c, _ = self._c[:, j].tolist()
         ts = s - float(self.x2[j])
         b1 = b + a * ts
         c1 = c + ts * b1
@@ -621,21 +639,19 @@ def _curvature_or_zero(profile: ShearProfile, s: float) -> float:
         return 0.0  # interior of a linear segment
 
 
-def find_critical_points(profile: ShearProfile, c_r: float, *,
-                         grid_n: int = ROOT_SCAN_GRID,
-                         degeneracy_factor: float = DEGENERACY_FACTOR,
-                         endpoint_rtol: float = 1e-10) -> CriticalLayerSet:
+def find_critical_points(profile: ShearProfile, c_r: float) -> CriticalLayerSet:
     """Locate all interior altitudes where U equals the real phase speed c_r.
 
-    Roots are bracketed by a sign scan on a dense grid, tightened by bisection
-    and polished with two guarded Newton steps, then annotated with U' and U''.
+    Roots are bracketed by a sign scan on ``ROOT_SCAN_GRID`` grid cells,
+    tightened by bisection and polished with three guarded Newton steps,
+    then annotated with U' and U''.
 
     Raises
     ------
     EndpointCritical
-        If c_r matches U(0) or U(h_plus) to within tolerance.
+        If c_r matches U(0) or U(h_plus) to within ``ENDPOINT_RTOL``.
     DegenerateShear
-        If |U'(s)| at any root falls below the regular-value threshold.
+        If |U'(s)| at any root falls below the ``DEGENERACY_FACTOR`` threshold.
     """
     if not math.isfinite(c_r):
         raise ValueError("c_r must be finite")
@@ -643,18 +659,18 @@ def find_critical_points(profile: ShearProfile, c_r: float, *,
     if isinstance(profile, ConstantProfile) or (
         not math.isfinite(profile.h_plus) and profile.zero_curvature
     ):
-        return _critical_points_unbounded(profile, c_r, endpoint_rtol)
+        return _critical_points_unbounded(profile, c_r)
 
     h = profile.h_plus
     if not math.isfinite(h):
         raise OutOfDomain("root scan requires a finite air column")
 
-    xs = np.linspace(0.0, h, grid_n + 1)
+    xs = np.linspace(0.0, h, ROOT_SCAN_GRID + 1)
     fs = profile.value(xs) - c_r
     umin, umax = float(fs.min() + c_r), float(fs.max() + c_r)
     speed_scale = max(1.0, abs(c_r), umax - umin)
 
-    if abs(fs[0]) <= endpoint_rtol * speed_scale or abs(fs[-1]) <= endpoint_rtol * speed_scale:
+    if abs(fs[0]) <= ENDPOINT_RTOL * speed_scale or abs(fs[-1]) <= ENDPOINT_RTOL * speed_scale:
         raise EndpointCritical(
             f"c_r={c_r} equals U at an endpoint (U(0)={fs[0]+c_r}, U(h+)={fs[-1]+c_r})"
         )
@@ -687,13 +703,13 @@ def find_critical_points(profile: ShearProfile, c_r: float, *,
 
     # de-duplicate (clustered brackets around one root) and sort
     polished.sort()
-    spacing = h / grid_n
+    spacing = h / ROOT_SCAN_GRID
     unique: list[float] = []
     for s in polished:
         if not unique or s - unique[-1] > spacing:
             unique.append(s)
 
-    threshold = degeneracy_factor * max(umax - umin, 1e-300) / h
+    threshold = DEGENERACY_FACTOR * max(umax - umin, 1e-300) / h
     layers = []
     for s in unique:
         if not (0.0 < s < h):
@@ -714,24 +730,24 @@ def find_critical_points(profile: ShearProfile, c_r: float, *,
     return CriticalLayerSet(tuple(layers), c_r)
 
 
-def _critical_points_unbounded(profile: ShearProfile, c_r: float,
-                               endpoint_rtol: float) -> CriticalLayerSet:
+def _critical_points_unbounded(profile: ShearProfile, c_r: float
+                               ) -> CriticalLayerSet:
     # closed-form roots for the two kinds that may live on [0, inf)
     scale = max(1.0, abs(c_r))
     if isinstance(profile, ConstantProfile):
-        if abs(profile.u0 - c_r) <= endpoint_rtol * scale:
+        if abs(profile.u0 - c_r) <= ENDPOINT_RTOL * scale:
             raise DegenerateShear("uniform wind equal to c_r: every altitude critical")
         return CriticalLayerSet((), c_r)
     if isinstance(profile, LinearShearProfile):
         if profile.mu == 0.0:
-            if abs(profile.u0 - c_r) <= endpoint_rtol * scale:
+            if abs(profile.u0 - c_r) <= ENDPOINT_RTOL * scale:
                 raise DegenerateShear("degenerate zero-shear profile at c_r")
             return CriticalLayerSet((), c_r)
         s = (c_r - profile.u0) / profile.mu
         if s < 0.0 or s > profile.h_plus:
             return CriticalLayerSet((), c_r)
-        if abs(s) <= endpoint_rtol * max(1.0, profile.h_plus if math.isfinite(profile.h_plus) else 1.0) \
-                or (math.isfinite(profile.h_plus) and abs(s - profile.h_plus) <= endpoint_rtol * profile.h_plus):
+        if abs(s) <= ENDPOINT_RTOL * max(1.0, profile.h_plus if math.isfinite(profile.h_plus) else 1.0) \
+                or (math.isfinite(profile.h_plus) and abs(s - profile.h_plus) <= ENDPOINT_RTOL * profile.h_plus):
             raise EndpointCritical(f"critical point at column endpoint x2={s}")
         return CriticalLayerSet((CriticalLayer(s, profile.mu, 0.0),), c_r)
     raise OutOfDomain("unbounded domain supported only for uniform/constant-shear")

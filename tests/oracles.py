@@ -3,7 +3,8 @@
 Everything here is deliberately built from different machinery than the
 package under test: a fixed-step extrapolated-midpoint integrator of order 8
 instead of the adaptive production integrator, scipy's own ``solve_ivp``
-instead of the package's DOP853 step loop, plain bisection for roots,
+instead of the package's DOP853 step loop, scipy's ``CubicSpline`` instead
+of the package's not-a-knot sweep for a table, plain bisection for roots,
 textbook quadratic formulas for the closed-form dispersion relations.
 """
 from __future__ import annotations

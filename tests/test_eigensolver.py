@@ -475,7 +475,8 @@ class TestScanK:
         assert all("finite air column" in e.message for e in curve.entries)
 
     def test_failed_row_reports_scalar_message(self):
-        from windwaves.errors import WindwavesError
+        from windwaves.asymptotics import miles_c_sharp
+        from windwaves.errors import EndpointCritical, WindwavesError
 
         p = params_with(h_plus=5.0)
         prof = TanhProfile(10.0, 1.0, 5.0)
@@ -484,11 +485,22 @@ class TestScanK:
         k_bad = p.g / prof.value(5.0) ** 2
         with pytest.raises(WindwavesError) as scalar:
             self.scalar_chain(prof, p, k_bad)
+        with pytest.raises(EndpointCritical) as seed:
+            miles_c_sharp(prof, p, k_bad)
         good = [0.3, 1.0, 3.0]
         curve = scan_k(prof, p, good + [k_bad])
         alone = scan_k(prof, p, good)
         bad = [e for e in curve.entries if e.k == k_bad]
         assert len(bad) == 1 and not bad[0].converged
-        assert bad[0].message == str(scalar.value)
+        assert bad[0].message == f"{scalar.value} (seed: {seed.value})"
         rest = [e for e in curve.entries if e.k != k_bad]
         assert [(e.k, e.c) for e in rest] == [(e.k, e.c) for e in alone.entries]
+
+    def test_failed_row_names_why_its_seed_failed(self):
+        # past |k| h+ ~ 700 the growth constant's direct shoot overflows; the
+        # row keeps that error next to the Muller chain's own
+        p = params_with(h_plus=5.0, sigma=0.074)
+        curve = scan_k(TanhProfile(10.0, 1.0, 5.0), p, [100.0, 150.0])
+        assert [e.converged for e in curve.entries] == [True, False]
+        assert curve.entries[0].message == ""
+        assert "overflowed" in curve.entries[1].message

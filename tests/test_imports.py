@@ -1,5 +1,7 @@
-"""What a tanh CLI run and the limiting route import: numpy, not scipy."""
+"""What a CLI run on a tanh or table wind and the limiting route import:
+numpy, not scipy."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,12 +26,16 @@ def tanh(u_max):
     return f"[profile]\nkind = tanh\nu_max = {u_max}\nd = 1.0\nh_plus = 5.0\n"
 
 
+TABLE = "[profile]\nkind = table\npath = {table}\n"
+
 JOBS = {
     "sweep": tanh(10.0) + "[mode]\nk_min = 0.3\nk_max = 3.0\nn = 4\n"
                           "[run]\ncommand = sweep\n",
     "certify": tanh(1.0) + "[mode]\nk = 1.0\n[certify]\nepsilon = 1e-3\n"
                            "[run]\ncommand = certify-stable\n",
     "asym": tanh(10.0) + "[mode]\nk = 1.3\n[run]\ncommand = asym\n",
+    "table-solve": TABLE + "[mode]\nk = 1.2\n[run]\ncommand = solve\n",
+    "table-asym": TABLE + "[mode]\nk = 1.3\n[run]\ncommand = asym\n",
 }
 
 SCRIPT = """\
@@ -43,11 +49,16 @@ print(json.dumps({"statuses": statuses,
 """
 
 
-def test_tanh_jobs_import_no_scipy(tmp_path):
+def test_cli_jobs_import_no_scipy(tmp_path):
+    table = tmp_path / "wind.table"  # 40 samples of the tanh (10, 1, 5) wind
+    table.write_text("".join(f"{x!r} {10.0 * math.tanh(x)!r}\n"
+                             for x in np.linspace(0.0, 5.0, 40).tolist()),
+                     encoding="utf-8")
     paths = []
     for name, text in JOBS.items():
         path = tmp_path / f"{name}.ini"
-        path.write_text(FLUIDS + text, encoding="utf-8")
+        path.write_text(FLUIDS + text.format(table=table.as_posix()),
+                        encoding="utf-8")
         paths.append(str(path))
     env = dict(os.environ,
                PYTHONPATH=str(Path(windwaves.__file__).resolve().parents[1]))
@@ -55,7 +66,7 @@ def test_tanh_jobs_import_no_scipy(tmp_path):
                          capture_output=True, text=True, check=True,
                          timeout=300)
     report = json.loads(out.stdout.splitlines()[-1])
-    assert report == {"statuses": [0, 0, 0], "scipy": []}
+    assert report == {"statuses": [0] * len(JOBS), "scipy": []}
     for path in paths:
         assert Path(path + ".csv").read_text(encoding="utf-8").strip()
 

@@ -130,6 +130,27 @@ class TestTabulated:
         with pytest.raises(ValueError):
             TabulatedProfile([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("n, jitter", [(n, jitter) for n in (4, 5, 16, 64)
+                                           for jitter in (0.0, 0.4)]
+                             + [(2000, 0.4)])
+    def test_matches_scipy_cubic_spline(self, n, jitter):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(n)
+        xs = np.linspace(0.0, 5.0, n)
+        xs[1:-1] += jitter * xs[1] * rng.uniform(-1.0, 1.0, n - 2)
+        us = 10.0 * np.tanh(xs) + 0.1 * rng.standard_normal(n)
+        prof = TabulatedProfile(xs, us)
+        ref = CubicSpline(xs, us, bc_type="not-a-knot")
+        # the knots, h_plus among them, and a grid between
+        at = np.sort(np.concatenate((xs, np.linspace(0.0, 5.0, 1000)[1:-1])))
+        got = (prof.value(at), [prof.slope(x) for x in at.tolist()],
+               prof.curvature(at), [prof.derivative3(x) for x in at.tolist()])
+        for order, values in enumerate(got):
+            want = ref(at, order)
+            err = np.max(np.abs(np.asarray(values) - want))
+            assert err <= 1e-13 * np.max(np.abs(want)), (order, err)
+
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "wind.txt"
         path.write_text(
