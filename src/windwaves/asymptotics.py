@@ -35,6 +35,9 @@ __all__ = [
     "necessity_certificate",
 ]
 
+#: the path resolves a layer term |Im y*'(0)| >= PATH_RESOLUTION tol |y*'(0)|
+PATH_RESOLUTION = 1e3
+
 
 def f_I0(profile: ShearProfile, params: FluidParams, k: float,
          branch: int = +1) -> float:
@@ -90,16 +93,12 @@ def _sufficient_signs_hold(c_k: float, layers: CriticalLayerSet) -> bool:
 
 def miles_c_sharp(profile: ShearProfile, params: FluidParams, k: float,
                   branch: int = +1, tol: float = 1e-10) -> MilesAsymptotics:
-    """The growth constant at one wavenumber: :func:`growth_constants` of [k].
+    """The growth constant at one wavenumber: :func:`growth_constants` of [k],
+    which describes the indented-path and Frobenius routes.
 
-    On a profile with ``complex_path`` (tanh, tables) whose c_k has one
-    critical layer with U'' != 0, c_sharp comes from one kernel shoot along
-    Lin's indented path; every other case runs the Frobenius limiting solver
-    (:func:`~windwaves.rayleigh.limiting_solution`) at c_R = c_k with
-    sign(Im c) = +1, normalizes |y|^2 to 1 at the interface and sums the
-    per-layer terms.  When the sufficient sign hypotheses (c_k U''(s_j) <= 0,
-    strict at one of the top two layers) fail, a warning is issued and the
-    sign of the assembled bracket remains the authoritative predicate.
+    When the sufficient sign hypotheses (c_k U''(s_j) <= 0, strict at one of
+    the top two layers) fail, a warning is issued and the sign of the
+    assembled bracket remains the authoritative predicate.
 
     Raises
     ------
@@ -127,14 +126,16 @@ def growth_constants(profile: ShearProfile, params: FluidParams, ks,
         c_sharp = f_I0 Im y*'(0),   u1(s) = -Im y*'(0) |U'(s)| / (pi U''(s)).
 
     Every other wavenumber (other profiles, two or more layers, a layer at an
-    inflection point) takes the Frobenius limiting solver, whose per-layer
-    jumps give the layer terms.  Where both apply, the two routes agree to
-    about the tolerance, down to a floor of a few 1e-12 relative that the
-    Frobenius patch radius sets; the path stays within a few 1e-12 of an
-    independent contour shoot at tol 1e-12.  Returns ``(results, errors)``: a failed wavenumber's result
-    is None, and ``errors`` maps its index to the error :func:`miles_c_sharp`
-    raises there.  The sign-hypothesis warning is issued for each wavenumber
-    that fails the hypotheses.
+    inflection point, and a path row whose |Im y*'(0)| is below
+    ``PATH_RESOLUTION`` tol |y*'(0)|, lost in the rounding of |y*'(0)|)
+    takes the Frobenius limiting solver, whose per-layer jumps give the layer
+    terms.  Where both apply, the two routes agree to about the tolerance,
+    down to a floor of a few 1e-12 relative that the Frobenius patch radius
+    sets; the path stays within a few 1e-12 of an independent contour shoot
+    at tol 1e-12.  Returns ``(results, errors)``: a failed wavenumber's
+    result is None, and ``errors`` maps its index to the error
+    :func:`miles_c_sharp` raises there.  The sign-hypothesis warning is
+    issued for each wavenumber that fails the hypotheses.
     """
     return _growth_constants(profile, params, ks, branch, tol)
 
@@ -146,39 +147,40 @@ def _growth_constants(profile, params, ks, branch, tol):
     ks = list(ks)
     results: list[Optional[MilesAsymptotics]] = [None] * len(ks)
     errors: dict[int, WindwavesError] = {}
-    path = {}  # index -> (c_k, layers) of the wavenumbers shot on the path
+    at_ck = {}  # index -> (c_k, layers)
     for i, k in enumerate(ks):
         try:
-            c_k, layers = _layers_at_ck(profile, params, k, branch)
-            if profile.complex_path and len(layers) == 1 \
-                    and layers.layers[0].u_double_prime != 0.0:
-                path[i] = c_k, layers
-                continue
-            limit = limiting_solution(profile, k, c_k, +1, tol, layers=layers)
-            results[i] = _assemble(profile, params, k, branch, c_k, layers,
-                                   [jump.u1 for jump in limit.jumps])
+            at_ck[i] = _layers_at_ck(profile, params, k, branch)
         except WindwavesError as exc:
             errors[i] = exc
-
-    rows = list(path)
-    if not rows:
-        return results, errors
-    try:
-        imps, failed = impedance_outcomes(
-            profile, [ks[i] for i in rows], [path[i][0] for i in rows], tol,
-            sign_ci=+1)
-    except WindwavesError as exc:  # the whole batch, e.g. no finite column
-        imps, failed = None, dict.fromkeys(range(len(rows)), exc)
-    for j, i in enumerate(rows):
-        if j in failed:
-            errors[i] = failed[j]
-            continue
-        c_k, layers = path[i]
-        layer = layers.layers[0]
-        u1 = -imps[j].imag * abs(layer.u_prime) / (math.pi
-                                                   * layer.u_double_prime)
-        results[i] = _assemble(profile, params, ks[i], branch, c_k, layers,
-                               [u1])
+    rows = [i for i, (_, layers) in at_ck.items() if profile.complex_path
+            and len(layers) == 1 and layers.layers[0].u_double_prime != 0.0]
+    u1s = {}  # index -> |y*(s_j)|^2 per layer
+    if rows:
+        try:
+            imps, failed = impedance_outcomes(
+                profile, [ks[i] for i in rows], [at_ck[i][0] for i in rows],
+                tol, sign_ci=+1)
+        except WindwavesError as exc:  # the whole batch, e.g. no finite column
+            imps, failed = None, dict.fromkeys(range(len(rows)), exc)
+        for j, i in enumerate(rows):
+            if j in failed:
+                errors[i] = failed[j]
+                del at_ck[i]
+            elif abs(imps[j].imag) >= PATH_RESOLUTION * tol * abs(imps[j]):
+                layer = at_ck[i][1].layers[0]
+                u1s[i] = [-imps[j].imag * abs(layer.u_prime)
+                          / (math.pi * layer.u_double_prime)]
+    for i, (c_k, layers) in at_ck.items():
+        try:
+            if i not in u1s:
+                limit = limiting_solution(profile, ks[i], c_k, +1, tol,
+                                          layers=layers)
+                u1s[i] = [jump.u1 for jump in limit.jumps]
+            results[i] = _assemble(profile, params, ks[i], branch, c_k,
+                                   layers, u1s[i])
+        except WindwavesError as exc:
+            errors[i] = exc
     return results, errors
 
 

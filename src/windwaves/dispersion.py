@@ -34,7 +34,7 @@ from .errors import IncompatibleDepths, RequiresSurfaceTension
 from .profiles import PiecewiseLinearProfile, ShearProfile
 from .rayleigh import (
     impedance_outcomes,
-    integrate_rayleigh_batch,
+    integrate_rayleigh,
     interface_impedance,
     interface_impedances,
 )
@@ -297,29 +297,22 @@ def _sheared_water_flux(w: ShearProfile, params: FluidParams, k: float,
 
     In the depth variable xi = -x2 the auxiliary field W = Y2 + dgamma/dx2
     solves the Rayleigh equation with profile w(xi); the wall data combine the
-    bottom condition on Y2 with the sheet potential's wall trace.  The two
-    basis shoots run as one batch, under the guards of the direct solver, so a
+    bottom condition on Y2 with the sheet potential's wall trace.  One shoot
+    v from wall data (1, 0) runs under the guards of the direct solver, so a
     solve that fails raises (``NearSingularCoefficient`` near a water critical
     layer or when the integrator gives up).
     """
     ak = abs(k)
-    sech = 0.0 if math.isinf(params.h_minus) else 1.0 / math.cosh(ak * params.h_minus)
-    gamma_wall = gamma0_m * sech
-
-    # basis solutions with wall data (1, 0) and (0, 1) in the xi variable
-    basis = integrate_rayleigh_batch(w, k, [c, c], tol,
-                                     init=[(1.0, 0.0), (0.0, 1.0)])
-    v1, v2 = np.stack((basis.y0, basis.yp0), axis=1)
-
-    # wall data in xi: W(hm) = A (unknown), dW/dxi(hm) = +k^2 gamma_wall
+    decay = math.exp(-ak * params.h_minus)  # sech = 2 decay/(1 + decay^2)
+    # wall data in xi: W(hm) = A (unknown), dW/dxi(hm) = -k^2 gamma-(hm)
     # (Y2' = 0 at the wall in x2, and d/dx2 = -d/dxi)
-    wp_wall = -(k * k) * gamma_wall  # in xi variable: dW/dxi = -dW/dx2
-    w_from_A = v1
-    w_fixed = wp_wall * v2
+    wp_wall = -(k * k) * gamma0_m * 2.0 * decay / (1.0 + decay * decay)
     # interface value in x2: W(0) = Y2(0) + dgamma/dx2(0) = y2_0 + |k| tm gamma0_m
-    target = y2_0 + ak * params.tanh_minus(k) * gamma0_m
-    a_coef = (target - w_fixed[0]) / w_from_A[0]
-    w_xi0 = a_coef * w_from_A[1] + w_fixed[1]
+    w_0 = y2_0 + ak * params.tanh_minus(k) * gamma0_m
+    # the Wronskian of v and W is wp_wall at the wall and constant, so
+    # W'(0) = W(0) v'(0)/v(0) + wp_wall/v(0), the last term 0 past the float range
+    v = integrate_rayleigh(w, k, c, tol, init=(1.0, 0.0))
+    w_xi0 = w_0 * v.impedance + (wp_wall / v.y0 if math.isfinite(abs(v.y0)) else 0.0)
     # back to x2: dW/dx2 = -dW/dxi; Y2'(0) = W'(0)|x2 - k^2 gamma-(0)
     return -w_xi0 - k * k * gamma0_m
 

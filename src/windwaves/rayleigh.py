@@ -32,15 +32,16 @@ Three regimes are covered:
   inflection point), and its impedance is an independent check of the
   indented path's.
 
-The kernel, and with it the limiting solver, needs numpy alone;
-``integrate_wronskian`` steps on scipy's ``solve_ivp``, imported when it
-first runs.
+The kernel rescales each element's state as it grows like e^{|k| x} (see
+:func:`_advance`), so it runs at any |k| h+.  It, and with it the limiting
+solver, needs numpy alone; ``integrate_wronskian`` steps on scipy's
+``solve_ivp``, imported when it first runs.
 """
 from __future__ import annotations
 
 import importlib.util
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -321,16 +322,18 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
     """
     ks, cs = _pairs(profile, k, [c])
     points = [] if want_trace else None
-    y, n_steps, errors = _shoot(profile, ks, cs, tol, [init], points)
+    y, log_scale, n_steps, errors = _shoot(profile, ks, cs, tol, [init],
+                                           points)
     _raise_first(errors)
-    y0, yp0 = complex(y[0, 0]), complex(y[1, 0])
+    y0, yp0 = _unscaled(y[:, 0], log_scale[0]).tolist()
     trace = None
     if want_trace:
         # the points run down from the lid; a breakpoint appears once from
         # each side, which a kink jump sets apart
         x2, ys, yps = np.array(points[::-1]).T
         trace = RayleighTrace(x2=x2.real, y=ys, yp=yps)
-    return RayleighSolution(c=c, k=k, y0=y0, yp0=yp0, impedance=yp0 / y0,
+    return RayleighSolution(c=c, k=k, y0=y0, yp0=yp0,
+                            impedance=complex(y[1, 0]) / complex(y[0, 0]),
                             method="direct", n_steps=int(n_steps[0]),
                             trace=trace)
 
@@ -371,6 +374,7 @@ _DOP_E = np.stack((_TABLEAU.E5, _TABLEAU.E3))[:, :, None, None]
 # scipy's step-size controller; the embedded error estimate is of order 7
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
+_RESCALE = 1e100  # |(y, y')| past which _advance rescales an element
 
 
 @dataclass
@@ -437,25 +441,27 @@ def integrate_rayleigh_batch(profile: ShearProfile, k, cs,
         :func:`integrate_rayleigh` raises it for that element alone.
     """
     ks, cs = _pairs(profile, k, cs)
-    y, n_steps, errors = _shoot(profile, ks, cs, tol, init)
+    y, log_scale, n_steps, errors = _shoot(profile, ks, cs, tol, init)
     _raise_first(errors)
-    return RayleighBatch(c=cs, k=ks, y0=y[0], yp0=y[1], impedance=y[1] / y[0],
+    y0, yp0 = _unscaled(y, log_scale)
+    return RayleighBatch(c=cs, k=ks, y0=y0, yp0=yp0, impedance=y[1] / y[0],
                          n_steps=n_steps)
 
 
 def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
-           init=None, trace: Optional[list] = None,
-           sign_ci: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, dict]:
+           init=None, trace: Optional[list] = None, sign_ci: Optional[int] = None
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Shoot every (k, c) element from the lid down to the interface.
 
-    Returns ``(y, n_steps, errors)``: (y(0), y'(0)) per element, NaN where
-    the element failed; its accepted points; and, by element index, the error
-    of each failed element.  Each element runs along its own path (see
-    :func:`_bumps`, which takes ``sign_ci``), cut into legs at
-    the breakpoints and at the ends of its bumps, and leg j of every element
-    is one :func:`_advance`.  When ``trace`` is a list, the (x2, y, y') of
-    every accepted point of element 0 is appended to it; a trace samples the
-    real column, so a traced solve is not indented.
+    Returns ``(y, log_scale, n_steps, errors)``: (y(0), y'(0)) per element
+    in the kernel's scale (see :func:`_advance`), NaN where the element
+    failed; its accepted points; and, by element index, the error of each
+    failed element.  Each element runs along its own path (see
+    :func:`_bumps`, which takes ``sign_ci``), cut into legs at the
+    breakpoints and at the ends of its bumps, and leg j of every element is
+    one :func:`_advance`.  When ``trace`` is a list, the (x2, y, y') of every
+    accepted point of element 0 is appended to it; a trace samples the real
+    column, so a traced solve is not indented.
     """
     n = cs.size
     y = np.empty((2, n), dtype=complex)
@@ -488,15 +494,15 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     track = not profile.zero_curvature
     kk = ks * ks
     coeff = _real_coeff(profile, cs, kk)
+    log_scale = np.zeros(n)
     sup_y = np.abs(y[0])
     dist = np.full(n, math.inf)
 
     def watch(ok: np.ndarray, t: np.ndarray, u: Optional[np.ndarray]) -> None:
-        np.maximum(sup_y, np.abs(y[0]), out=sup_y)
         if track:
             np.fmin(dist, np.abs(u - cs), out=dist, where=ok)
         if trace is not None and ok[0]:
-            trace.append((t[0], y[0, 0], y[1, 0]))
+            trace.append((t[0], *_unscaled(y[:, 0], log_scale[0])))
 
     n_steps = np.zeros(n, dtype=int)
     jumps = _kink_jump_map(profile)
@@ -507,7 +513,8 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
                 break
             leg = coeff if not np.count_nonzero(a) else \
                 _path_coeff(profile, cs, kk, bot, top - bot, m, a)
-            n_steps += _advance(leg, top, bot, y, alive, fail, tol, watch)
+            n_steps += _advance(leg, top, bot, y, alive, fail, tol, log_scale,
+                                sup_y, watch)
             for i in np.flatnonzero(alive & (top > bot)) if jumps else ():
                 if bot[i] not in jumps:
                     continue
@@ -527,7 +534,18 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
         except WindwavesError as exc:
             fail(i, exc)
     y[:, ~alive] = np.nan
-    return y, n_steps, errors
+    return y, log_scale, n_steps, errors
+
+
+def _unscaled(v: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
+    """``v`` e^log_scale: inf past the float range, never NaN (each part is
+    scaled alone, and by halves, so that no finite product overflows)."""
+    out = np.empty(np.shape(v), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.exp(0.5 * log_scale)
+        out.real, out.imag = (np.where(p == 0.0, 0.0, p * half * half)
+                              for p in (v.real, v.imag))
+    return out
 
 
 def _legs(bounds: list[float], bumps: list[tuple]) -> tuple[np.ndarray, ...]:
@@ -618,7 +636,8 @@ def _path_coeff(profile: ShearProfile, cs: np.ndarray, kk: np.ndarray,
 
 
 def _advance(coeff, top: np.ndarray, bot, y: np.ndarray, alive: np.ndarray,
-             fail, tol: float, watch=None) -> np.ndarray:
+             fail, tol: float, log_scale: np.ndarray, sup_y: np.ndarray,
+             watch=None) -> np.ndarray:
     """Step every live element of ``y`` from its ``top[i]`` down to ``bot[i]``.
 
     ``coeff(t)`` gives (U or None, w or None, w q) at path parameters t of
@@ -628,11 +647,14 @@ def _advance(coeff, top: np.ndarray, bot, y: np.ndarray, alive: np.ndarray,
     every element that is alive and short of its bottom, on the element's
     own step size; the others step by zero, so no array is ever compacted.
     An element whose step size collapses is handed to ``fail(i, error)``,
-    which must clear ``alive[i]``.  ``watch(ok, t, u)`` is called with the
-    elements that accepted a point, the parameters and U there: at the top,
-    then after each pass.  Returns the accepted points per element, the
-    start point included, as scipy's integrators count ``t``; an element with
-    ``top[i] == bot[i]`` does not move and counts none.
+    which must clear ``alive[i]``.  An element whose (y, y') passes
+    ``_RESCALE`` after a step is divided by its magnitude, whose log is added
+    to ``log_scale[i]``: the true state is y e^log_scale.  ``sup_y`` is each
+    element's largest accepted |y|, in y's scale.  ``watch(ok, t, u)`` is
+    called with the elements that accepted a point, the parameters and U
+    there: at the top, then after each pass.  Returns the accepted points per
+    element, the start point included, as scipy's integrators count ``t``; an
+    element with ``top[i] == bot[i]`` does not move and counts none.
     """
     n = y.shape[1]
     rtol, atol = tol, tol * 1e-3
@@ -656,13 +678,9 @@ def _advance(coeff, top: np.ndarray, bot, y: np.ndarray, alive: np.ndarray,
         min_step = 10.0 * (t - np.nextafter(t, -np.inf))
         if np.count_nonzero(rejected):
             for i in np.flatnonzero(rejected & (h_abs < min_step)):
-                overflow = "" if np.isfinite(err[i]) else (
-                    " The attempted step overflowed: a direct shoot grows "
-                    "like exp(|k| h_plus), past the float range once "
-                    "|k| h_plus exceeds ~700.")
                 fail(i, NearSingularCoefficient(
                     "integration failed: Required step size is less than "
-                    "spacing between numbers." + overflow))
+                    "spacing between numbers."))
             live &= alive
         if not np.count_nonzero(live):
             return n_steps
@@ -670,7 +688,8 @@ def _advance(coeff, top: np.ndarray, bot, y: np.ndarray, alive: np.ndarray,
         t_new = np.maximum(t - h_abs, bot)
         h = np.where(live, t - t_new, 0.0)
         y_new, f_new, u = _dop853_step(coeff, t, h, y, f, stages, weights)
-        err = _error_norm(stages, y, y_new, rtol, atol)
+        mag = np.maximum(np.abs(y), np.abs(y_new))
+        err = _error_norm(stages, mag, rtol, atol)
         ok = live & (err < 1.0)
         # err = 0 makes factor inf, which fmin caps at _MAX_FACTOR; a step
         # retried after a rejection may not grow; a NaN err (an overflow)
@@ -684,6 +703,15 @@ def _advance(coeff, top: np.ndarray, bot, y: np.ndarray, alive: np.ndarray,
         np.copyto(t, t_new, where=ok)
         np.copyto(y, y_new, where=ok)
         np.copyto(f, f_new, where=ok)
+        np.maximum(sup_y, np.abs(y[0]), out=sup_y)
+        # fmax skips the NaN of a trial step past the float range
+        if np.fmax.reduce(mag, axis=None) > _RESCALE:
+            peak = np.fmax(mag[0], mag[1])
+            m = np.where(ok & (peak > _RESCALE), peak, 1.0)
+            y /= m
+            f /= m  # f is linear in y
+            sup_y /= m
+            log_scale += np.log(m)
         n_steps += ok
         if watch is not None:
             watch(ok, t, u)
@@ -717,17 +745,17 @@ def _dop853_step(coeff, t: np.ndarray, h: np.ndarray, y: np.ndarray,
     return y_new, f_new, None if u is None else u[-1]
 
 
-def _error_norm(stages, y, y_new, rtol, atol) -> np.ndarray:
-    """scipy's DOP853 error norm, one value per element.
+def _error_norm(stages, mag, rtol, atol) -> np.ndarray:
+    """scipy's DOP853 error norm per element, ``mag`` max(|y|, |y_new|).
 
     The stages carry a factor h, so the squared norms carry h^2, and scipy's
     |h| e5 / sqrt(2 (e5 + 0.01 e3)) is e5 / sqrt(2 (e5 + 0.01 e3)) in them.
     """
-    sc = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+    sc = atol + mag * rtol
     e = np.abs(np.add.reduce(_DOP_E * stages, axis=1) / sc) ** 2
     e5, e3 = e[:, 0] + e[:, 1]
     denom = e5 + 0.01 * e3
-    # a NaN from an overflowed element must reject the step, not pass as 0
+    # a NaN from an element that overflows must reject the step, not pass as 0
     return np.where(denom == 0.0, 0.0, e5 / np.sqrt(2.0 * denom))
 
 
@@ -859,7 +887,7 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
                 errors[i] = exc
         return imps, errors
     ks, cs = _pairs(profile, ks, cs)
-    y, _, errors = _shoot(profile, ks, cs, tol, sign_ci=sign_ci)
+    y, _, _, errors = _shoot(profile, ks, cs, tol, sign_ci=sign_ci)
     with np.errstate(invalid="ignore"):  # NaN / NaN for the failed pairs
         return y[1] / y[0], errors
 
@@ -1051,35 +1079,34 @@ class LimitSolution:
 
 def limiting_solution(profile: ShearProfile, k: float, c_r: float,
                       sign_ci: int, tol: float = _DEFAULT_TOL, *,
-                      delta_loc: float | None = None,
                       layers: CriticalLayerSet | None = None) -> LimitSolution:
     """Solve the Rayleigh equation in the limiting sense for real c_r.
 
     Away from critical layers the real-coefficient equation is shot on the
-    real axis by the kernel's one-element :func:`_advance`, with the
-    coefficient of the direct solver, in legs from the lid to the first
-    patch, between patches and from the last patch to the interface, cut at
-    the overflow chunk edges (|k| span <= 300, renormalized after each) and
-    at the breakpoints of the direct solver (spline knots, kinks).  Each
-    layer s_j is crossed on [s_j - delta, s_j + delta] with the two-solution
-    Frobenius log-series, the branch fixed so that y' jumps by
-    i sign_ci pi U''(s_j)/|U'(s_j)| y(s_j).  The result is normalized to
-    y*(0) = 1, so ``impedance`` equals y*'(0).  ``layers`` passes in the
-    result of ``find_critical_points(profile, c_r)`` when the caller holds it
-    already; the layers are scanned for otherwise.
+    real axis by the kernel's one-element :func:`_advance`, which rescales
+    the state as it grows, with the coefficient of the direct solver, in
+    legs from the lid to the first patch, between patches and from the last
+    patch to the interface, cut at the breakpoints of the direct solver
+    (spline knots, kinks).  Each layer s_j is crossed on
+    [s_j - delta, s_j + delta] with the two-solution Frobenius log-series,
+    the branch fixed so that y' jumps by i sign_ci pi U''(s_j)/|U'(s_j)|
+    y(s_j).  The result is normalized to y*(0) = 1, so ``impedance`` equals
+    y*'(0).  ``layers`` passes in the result of
+    ``find_critical_points(profile, c_r)`` when the caller holds it already;
+    the layers are scanned for otherwise.
 
     This route gives the per-layer jump data (``jumps``), from which the
     growth constant is assembled wherever the indented path, which gives only
     the sum of the layer terms, does not serve: profiles without
-    ``complex_path``, two or more layers, a layer at an inflection point.
-    The impedance alone is cheaper along Lin's indented path
-    (:func:`impedance_outcomes` with ``sign_ci``), which is an independent
-    check of this one.
+    ``complex_path``, two or more layers, a layer at an inflection point, a
+    layer term below the path's rounding.  The impedance alone is cheaper
+    along Lin's indented path (:func:`impedance_outcomes` with ``sign_ci``),
+    which is an independent check of this one.
 
     Raises
     ------
     SeriesRadiusTooSmall
-        If the series patches of adjacent layers would overlap.
+        If the series radius at a layer collapses (|k| too large).
     DegenerateAtInterface
         If the unnormalized solution vanishes at the interface.
     """
@@ -1092,38 +1119,23 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
         raise InfiniteDomain("limiting solver needs a finite air column")
     if layers is None:
         layers = find_critical_points(profile, c_r)
-    patches = []
-    if len(layers):
-        positions = list(layers.positions)
-        min_gap = min([positions[0], h - positions[-1]]
-                      + [b - a for a, b in zip(positions, positions[1:])])
-        for layer in layers:
-            patch = _build_patch(profile, layer, k,
-                                 min(0.05 * h, 0.25 * min_gap))
-            if delta_loc is not None:
-                patch = replace(patch, delta=float(delta_loc))
-            if patch.delta <= 1e-12 * h:
-                raise SeriesRadiusTooSmall(
-                    f"series radius {patch.delta:g} collapsed at layer "
-                    f"{layer.position}")
-            if 2.0 * patch.delta >= min_gap:
-                raise SeriesRadiusTooSmall(
-                    f"patches of half-width {patch.delta:g} overlap "
-                    f"(min gap {min_gap:g})")
-            patches.append(patch)
+    # the cap keeps each patch clear of its neighbours and the column's ends
+    ends = [0.0, *layers.positions, h]
+    cap = min([0.05 * h] + [0.25 * (b - a) for a, b in zip(ends, ends[1:])])
+    patches = [_build_patch(profile, layer, k, cap) for layer in layers]
+    for patch in patches:
+        if patch.delta <= 1e-12 * h:
+            raise SeriesRadiusTooSmall(
+                f"series radius {patch.delta:g} collapsed at layer {patch.s}")
 
-    # the spans between the patches, from the lid down; each is cut into
-    # chunks, because the solution grows like e^{|k| span} and must be
-    # renormalized before it overflows, and at the breakpoints
+    # the spans between the patches, from the lid down, cut at the breakpoints
     breaks = _segment_bounds(profile)
     edges = [h] + [x for p in reversed(patches)
                    for x in (p.s + p.delta, p.s - p.delta)] + [0.0]
     legs: list[tuple[float, float, Optional[_SeriesPatch]]] = []
     for m, (x_from, x_to) in enumerate(zip(edges[::2], edges[1::2])):
-        n_chunks = max(1, int(math.ceil(abs(k) * (x_from - x_to) / 300.0)))
-        cuts = set(np.linspace(x_from, x_to, n_chunks + 1).tolist())
-        cuts.update(b for b in breaks if x_to < b < x_from)
-        cuts = sorted(cuts, reverse=True)
+        cuts = sorted({x_from, x_to}.union(b for b in breaks if x_to < b < x_from),
+                      reverse=True)
         legs += [(a, b, None) for a, b in zip(cuts, cuts[1:])]
         if m < len(patches):  # the patch crossed at the bottom of the span
             legs[-1] = (cuts[-2], cuts[-1], patches[-1 - m])
@@ -1137,19 +1149,19 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
         raise exc
 
     n_steps = 0
-    log_scale = 0.0  # true state = stored state * exp(log_scale)
+    log_scale = np.zeros(1)  # true state = stored state * exp(log_scale)
     raw_jumps = []  # per-layer records with the scale at recording time
     with np.errstate(all="ignore"):
         for top, bot, patch in legs:
             n_steps += int(_advance(coeff, np.array([top]), bot, y,
-                                    np.ones(1, dtype=bool), fail, tol)[0])
+                                    np.ones(1, bool), fail, tol, log_scale,
+                                    np.zeros(1))[0])
             if bot in kinks:
                 denom = _kink_denominator(
                     profile, bot, complex(c_r),
                     _speed_scale(profile, complex(c_r), _u_range(profile)))
                 # y'(x-) = y'(x+) - [U'] y / (U - c)
                 y[1] -= kinks[bot] * y[0] / denom
-            log_scale += _renormalize(y)
             if patch is None:
                 continue
             state = y[:, 0]
@@ -1161,8 +1173,8 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
                 patch.u_double_prime / abs(patch.u_prime)) * b_coef
             y[:, 0] = patch.matrix(-patch.delta) @ np.array([a_minus, b_coef])
             w_below = float(np.imag(y[1, 0] * np.conj(y[0, 0])))
-            raw_jumps.append((patch, b_coef, w_above, w_below, log_scale))
-            log_scale += _renormalize(y)
+            raw_jumps.append((patch, b_coef, w_above, w_below,
+                              float(log_scale[0])))
 
     # normalize to y*(0) = 1 and assemble the layer records
     y0, yp0 = complex(y[0, 0]), complex(y[1, 0])
@@ -1171,7 +1183,7 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     jumps = []
     for patch, b_coef, w_above, w_below, lsc in reversed(raw_jumps):
         # restore the recording-time scale relative to the interface value
-        rel = math.exp(min(lsc - log_scale, 300.0))
+        rel = math.exp(min(lsc - float(log_scale[0]), 300.0))
         y_val = (b_coef / y0) * rel
         dyp = 1j * sign_ci * math.pi * (
             patch.u_double_prime / abs(patch.u_prime)) * y_val
@@ -1182,16 +1194,6 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     return LimitSolution(c_r=c_r, sign_ci=sign_ci, k=k, layers=layers,
                          impedance=yp0 / y0, y0=1.0 + 0.0j, yp0=yp0 / y0,
                          jumps=tuple(jumps), n_steps=n_steps)
-
-
-def _renormalize(y: np.ndarray) -> float:
-    """Divide ``y`` in place by its largest magnitude when that is far from
-    1, and return the log of the divisor (0 when it is left alone)."""
-    m = float(np.max(np.abs(y)))
-    if m > 1e6 or 0.0 < m < 1e-6:
-        y /= m
-        return math.log(m)
-    return 0.0
 
 
 @dataclass

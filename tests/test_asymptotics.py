@@ -211,6 +211,19 @@ class TestGrowthConstants:
         assert results[0] == want
         assert [l.u1 for l in want.layers] == frobenius_c_sharp(jet, p, 1.0)[1]
 
+    def test_capillary_range_keeps_the_frobenius_sign(self):
+        # around the capillary-gravity minimum (k ~ 364) |k| h+ runs to 5000;
+        # at k 300 and 1000 Im y*'(0) sits below the rounding of |y*'(0)|,
+        # and the rows take the Frobenius route
+        p = params_with(h_plus=5.0, sigma=0.074)
+        ks = [150.0, 300.0, 1000.0]
+        results, errors = growth_constants(TANH, p, ks)
+        assert errors == {}
+        for k, got in zip(ks, results):
+            want, _ = frobenius_c_sharp(TANH, p, k)
+            assert want > 0.0 and got.unstable
+            assert abs(got.c_sharp - want) <= 1e-8 * want
+
     def test_sign_hypothesis_warning(self):
         p = params_with(h_plus=2.0)
         with pytest.warns(UserWarning, match="sufficient sign hypotheses"):

@@ -23,7 +23,7 @@ from windwaves.profiles import (
     LinearShearProfile,
     TanhProfile,
 )
-from windwaves.rayleigh import interface_impedance
+from windwaves.rayleigh import integrate_rayleigh_batch, interface_impedance
 
 from oracles import miles_quadratic_coeffs, quadratic_roots, two_stream_roots
 
@@ -321,6 +321,36 @@ class TestResidualGeneral:
         a = residual_general(c, p, k, air, water_closed)
         b = residual_general(c, p, k, air, water_general)
         assert abs(a - b) <= 1e-7 * max(abs(a), p.g)
+
+    @pytest.mark.parametrize("k, c", [(0.5, 3.0 + 0.3j), (2.0, 0.3 + 0.05j),
+                                      (20.0, 3.0 + 0.3j)])
+    def test_sheared_water_flux_matches_two_basis_shoot(self, k, c):
+        # one shoot and the Wronskian against the basis shoots from wall
+        # data (1, 0) and (0, 1), combined to meet W(0) at the interface
+        from windwaves.dispersion import _sheared_water_flux
+
+        p = params_with(h_plus=5.0, h_minus=2.0)
+        water = TanhProfile(0.5, 0.3, 2.0)
+        gamma0_m, y2_0 = 0.4 - 0.1j, 1.5 + 0.2j
+        got = _sheared_water_flux(water, p, k, c, gamma0_m, y2_0, 1e-12)
+        basis = integrate_rayleigh_batch(water, k, [c, c], 1e-12,
+                                         init=[(1.0, 0.0), (0.0, 1.0)])
+        wp_wall = -k * k * gamma0_m / math.cosh(k * 2.0)
+        w_0 = y2_0 + k * math.tanh(k * 2.0) * gamma0_m
+        a = (w_0 - wp_wall * basis.y0[1]) / basis.y0[0]
+        want = -(a * basis.yp0[0] + wp_wall * basis.yp0[1]) - k * k * gamma0_m
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_sheared_water_past_float_range_of_cosh(self):
+        # |k| h- = 1000: the wall is e^-1000 away, so the residual is the one
+        # of a 5 m column to rounding
+        air = TanhProfile(10.0, 0.2, 1.0)
+        k, c = 100.0, 0.3 + 0.01j
+        res = [residual_general(c, params_with(h_plus=1.0, h_minus=hm), k,
+                                air, TanhProfile(0.5, 0.3, hm))
+               for hm in (10.0, 5.0)]
+        assert cmath.isfinite(res[0])
+        assert abs(res[0] - res[1]) <= 1e-9 * abs(res[1])
 
     def test_unbounded_vortical_air_rejected(self):
         prof = TanhProfile(10.0, 1.0, 5.0)

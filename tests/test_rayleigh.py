@@ -271,9 +271,9 @@ class TestBatch:
                                      tol=1e-13)
 
     def test_overflowing_member_fails_like_scalar(self):
-        # lid data this large overflows on the way down; the NaN must fail
+        # infinite lid data makes NaN on the first step; the NaN must fail
         # the element, not pass the error control as a zero error
-        c, huge = 3.0 + 0.2j, (0.0, 1e308)
+        c, huge = 3.0 + 0.2j, (0.0, math.inf)
         with pytest.raises(NearSingularCoefficient, match="integration failed") \
                 as scalar, np.errstate(all="ignore"):
             integrate_rayleigh(TANH, 1.0, c, init=huge)
@@ -442,22 +442,25 @@ class TestLimitingSolution:
         assert abs(lim.impedance - imps[0]) <= 1e-11 * abs(imps[0])
 
     def test_renormalizes_past_direct_overflow(self):
-        # no layer at c = 12; the direct shoot grows like exp(|k| h+), which
+        # no layer at c = 12; the solution grows like exp(|k| h+), which
         # passes the float range between k = 140 and 150 on this column
         direct = integrate_rayleigh(TANH, 140.0, 12.0 + 0.0j).impedance
         lim = limiting_solution(TANH, 140.0, 12.0, +1).impedance
         assert abs(lim - direct) <= 1e-10 * abs(direct)
-        with pytest.raises(NearSingularCoefficient, match="overflowed"):
-            integrate_rayleigh(TANH, 150.0, 12.0 + 0.0j)
+        ks = np.array([150.0, 300.0, 1000.0, 3000.0])
+        batch = integrate_rayleigh_batch(TANH, ks, [12.0] * 4)
+        assert np.all(np.abs(batch.impedance + ks) <= 1e-4)
+        # the lid normalization is past the float range: inf, never NaN
+        assert np.all(np.isneginf(batch.y0.real) & (batch.y0.imag == 0.0))
         lim = limiting_solution(TANH, 150.0, 12.0, +1).impedance
         assert lim.imag == 0.0
         assert abs(lim + 150.0) <= 1e-4
 
     def test_series_radius_validation(self):
-        with pytest.raises(SeriesRadiusTooSmall):
-            limiting_solution(TANH, 1.0, 3.0, +1, delta_loc=2.0)
-        with pytest.raises(SeriesRadiusTooSmall):
-            limiting_solution(TANH, 1.0, 3.0, +1, delta_loc=0.0)
+        # the radius shrinks like 1e-4 / |k| and collapses before any step
+        with pytest.raises(SeriesRadiusTooSmall,
+                           match="series radius 1e-13 collapsed"):
+            limiting_solution(TANH, 1e9, 3.0, +1)
 
 
 def _jet_derivative(n: int):
@@ -646,10 +649,12 @@ class TestMetamorphic:
         c = complex(c_r, 10.0 ** log_ci)
         lam = 10.0 ** log_mod * complex(math.cos(arg), math.sin(arg))
         base = integrate_rayleigh_batch(profile, k, [c], tol=1e-12)
-        scaled = integrate_rayleigh_batch(profile, k, [c], tol=1e-12,
-                                          init=[(0.0, lam)])
-        assert abs(scaled.impedance[0] - base.impedance[0]) \
-            <= 1e-9 * abs(base.impedance[0])
+        # lid data near the float range are rescaled, not overflowed
+        for init in ((0.0, lam), (0.0, 1e308)):
+            scaled = integrate_rayleigh_batch(profile, k, [c], tol=1e-12,
+                                              init=[init])
+            assert abs(scaled.impedance[0] - base.impedance[0]) \
+                <= 1e-9 * abs(base.impedance[0])
 
 
 class TestImpedanceLimitCheck:
