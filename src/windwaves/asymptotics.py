@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .dispersion import FluidParams, ck, make_miles_residual
-from .eigensolver import root_counts
+from .eigensolver import root_counts, square_roots_real
 from .errors import HypothesisViolated, NoCriticalLayer, WindwavesError
 from .profiles import CriticalLayerSet, ShearProfile, find_critical_points
 from .rayleigh import impedance_outcomes, limiting_solution
@@ -286,6 +286,9 @@ class StabilityCertificate:
     search_radius: float
     count_upper: int
     count_lower: int
+    #: "square" when one round decided, "rectangles" when the two
+    #: rectangles were counted
+    route: str
 
     @property
     def certified_stable_near_ck(self) -> bool:
@@ -301,14 +304,30 @@ def necessity_certificate(profile: ShearProfile, params: FluidParams, k: float,
 
     Requires c_k outside the range of U, with the search radius capped at a
     quarter of the margin min |c_k - U| (the regime where real-axis
-    confinement of nearby eigenvalues is guaranteed).  The certificate counts
-    the roots in the two rectangles
+    confinement of nearby eigenvalues is guaranteed).  There U - c does not
+    vanish for real c near c_k, so the Rayleigh equation is regular with real
+    coefficients and the residual is real on the real axis.  The certificate
+    first tries one round (:func:`~windwaves.eigensolver.square_roots_real`):
+    one kernel batch shoots the contour of the square
+
+        |Re c - c_k| <= radius,  |Im c| <= radius
+
+    together with n_boundary + 1 real samples of [c_k - radius,
+    c_k + radius].  When the winding number around the square equals the
+    number of sign changes among the samples, every root in the square is
+    real and simple, so both counts are 0 and ``route`` is "square".  That
+    claim covers the whole square, |Im c| < im_floor included.
+
+    Any other outcome (the two numbers differ, a sample value is not real or
+    is at the contour's zero floor, or the round raises a
+    :class:`~windwaves.errors.WindwavesError`) falls back to counting the
+    roots in the two rectangles
 
         |Re c - c_k| <= radius,  im_floor <= +/- Im c <= radius
 
-    in lockstep (:func:`~windwaves.eigensolver.root_counts`): one kernel
-    batch shoots both contours, and one more each refinement level of both.
-    The counts, and the error raised, are those of two separate
+    in lockstep (:func:`~windwaves.eigensolver.root_counts`), and ``route``
+    is "rectangles".  Only there does im_floor apply.  Their counts, and the
+    error raised, are those of two separate
     :func:`~windwaves.eigensolver.count_roots` calls.
 
     Raises
@@ -335,10 +354,16 @@ def necessity_certificate(profile: ShearProfile, params: FluidParams, k: float,
                          h_minus=params.h_minus)
     residual = make_miles_residual(profile, scaled, k, tol=rayleigh_tol)
 
-    lo, hi = c_k - search_radius, c_k + search_radius
-    upper, lower = root_counts(
-        residual, [(lo, hi, im_floor, search_radius),
-                   (lo, hi, -search_radius, -im_floor)], n_boundary)
+    if square_roots_real(residual, c_k, search_radius, n_boundary):
+        upper = lower = 0
+        route = "square"
+    else:
+        lo, hi = c_k - search_radius, c_k + search_radius
+        upper, lower = root_counts(
+            residual, [(lo, hi, im_floor, search_radius),
+                       (lo, hi, -search_radius, -im_floor)], n_boundary)
+        route = "rectangles"
     return StabilityCertificate(k=k, epsilon=epsilon, c_k=c_k, margin=margin,
                                 search_radius=search_radius,
-                                count_upper=upper, count_lower=lower)
+                                count_upper=upper, count_lower=lower,
+                                route=route)

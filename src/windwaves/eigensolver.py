@@ -30,6 +30,7 @@ __all__ = [
     "find_root",
     "count_roots",
     "root_counts",
+    "square_roots_real",
     "multistart_roots",
     "continue_in_epsilon",
     "scan_k",
@@ -179,11 +180,15 @@ def multistart_roots(residual: Callable[[complex], complex],
 #: parts; a level spends log2(REFINE_SPLIT) of ``max_levels``
 REFINE_SPLIT = 16
 _REFINE_DEPTH = REFINE_SPLIT.bit_length() - 1
+_MAX_LEVELS = 48
+#: a contour point whose |residual| is at most this times the largest
+#: |residual| on the contour counts as a zero
+_ZERO_FLOOR = 1e-13
 
 
 def count_roots(residual: Callable[[complex], complex],
                 rectangle: tuple[float, float, float, float],
-                n_boundary: int = 64, *, max_levels: int = 48) -> int:
+                n_boundary: int = 64, *, max_levels: int = _MAX_LEVELS) -> int:
     """Winding number of the residual around a rectangle (root count inside).
 
     The one-rectangle case of :func:`root_counts`, which documents the
@@ -195,7 +200,8 @@ def count_roots(residual: Callable[[complex], complex],
 
 def root_counts(residual: Callable[[complex], complex],
                 rectangles: Sequence[tuple[float, float, float, float]],
-                n_boundary: int = 64, *, max_levels: int = 48) -> list[int]:
+                n_boundary: int = 64, *,
+                max_levels: int = _MAX_LEVELS) -> list[int]:
     """Winding numbers of the residual around rectangles, counted in lockstep.
 
     Each rectangle is (re_min, re_max, im_min, im_max).  Its boundary is
@@ -232,13 +238,7 @@ def root_counts(residual: Callable[[complex], complex],
     Of several failing rectangles, the first in order raises, as it would in
     separate :func:`count_roots` calls.
     """
-    batch = getattr(residual, "batch", None)
-
-    def evaluate(zs: list[complex]) -> list[complex]:
-        if batch is None:
-            return [residual(z) for z in zs]
-        return [complex(v) for v in batch(np.array(zs, dtype=complex))]
-
+    evaluate = _evaluator(residual)
     counts: list[Optional[int]] = [None] * len(rectangles)
     errors: dict[int, WindwavesError] = {}
     live = {}  # index -> (winding generator, the points it waits for)
@@ -270,6 +270,66 @@ def root_counts(residual: Callable[[complex], complex],
     return counts
 
 
+def square_roots_real(residual: Callable[[complex], complex], center: float,
+                      radius: float, n_boundary: int) -> bool:
+    """Whether every root in a square on the real axis is real and simple.
+
+    The square is |Re c - center| <= radius, |Im c| <= radius, and the
+    residual must be real on its real segment, as a residual with real
+    coefficients is.  N is the winding number around the square, counted as
+    :func:`root_counts` counts it by default; S is the number of sign
+    changes among the n_boundary + 1 real samples at the abscissae of the
+    square's bottom side and its far corner.  Each sign change brackets a
+    real root (the intermediate value theorem), and N counts every root in
+    the square with multiplicity (the argument principle; Delves & Lyness
+    1967), so N >= S, and N == S leaves no room for a non-real or a multiple
+    root.
+
+    The contour and the real samples are evaluated in one call, one
+    ``residual.batch`` call when the residual has one; a flagged pair of the
+    contour costs one more call per refinement level, as in
+    :func:`root_counts`.  Returns False, and raises nothing, when one round
+    cannot decide: N != S, a sample value whose imaginary part is not 0 or
+    whose modulus is at or below the contour's zero floor, or a
+    :class:`~windwaves.errors.WindwavesError` from an evaluation or the count.
+
+    Raises
+    ------
+    ValueError
+        If the radius is not positive, before any evaluation.
+    """
+    lo, hi = center - radius, center + radius
+    winding = _winding((lo, hi, -radius, radius), n_boundary, _MAX_LEVELS)
+    contour = next(winding)
+    axis = [complex(z.real, 0.0) for z in contour[:n_boundary]] + [complex(hi)]
+    evaluate = _evaluator(residual)
+    try:
+        vals = evaluate(contour + axis)
+        ring, line = vals[:len(contour)], vals[len(contour):]
+        floor = _ZERO_FLOOR * max(abs(v) for v in ring)
+        if any(v.imag != 0.0 or abs(v) <= floor for v in line):
+            return False
+        wanted = winding.send(ring)
+        while True:
+            wanted = winding.send(evaluate(wanted))
+    except StopIteration as done:
+        n_roots = done.value
+    except WindwavesError:
+        return False
+    signs = sum((a.real > 0.0) != (b.real > 0.0) for a, b in zip(line, line[1:]))
+    return n_roots == signs
+
+
+def _evaluator(residual: Callable[[complex], complex]
+               ) -> Callable[[list[complex]], list[complex]]:
+    """Evaluate a list of wave speeds in one ``residual.batch`` call, or
+    point by point when the residual has no ``batch``."""
+    batch = getattr(residual, "batch", None)
+    if batch is None:
+        return lambda zs: [residual(z) for z in zs]
+    return lambda zs: [complex(v) for v in batch(np.array(zs, dtype=complex))]
+
+
 def _winding(rectangle: tuple[float, float, float, float], n_boundary: int,
              max_levels: int) -> Generator[list[complex], list[complex], int]:
     """One rectangle's count of :func:`root_counts` as a generator.
@@ -289,7 +349,7 @@ def _winding(rectangle: tuple[float, float, float, float], n_boundary: int,
             pts.append(a + (b - a) * (j / n_boundary))
     vals = yield pts
 
-    floor = 1e-13 * max(abs(v) for v in vals)
+    floor = _ZERO_FLOOR * max(abs(v) for v in vals)
 
     def check_floor(zs: list[complex], fs: list[complex]) -> None:
         for z, v in zip(zs, fs):

@@ -235,6 +235,7 @@ def test_acceptance_8_necessity():
                                      im_floor=1e-10)
         assert cert.count_upper == 0, (eps, cert)
         assert cert.count_lower == 0, (eps, cert)
+        assert cert.route == "square", (eps, cert)
 
 
 @acceptance(9, "ramp-profile growth scales like sqrt(eps) with the derived "

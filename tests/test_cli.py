@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from windwaves import asymptotics
 from windwaves.cli import dump_config, main, parse_config
 from windwaves.dispersion import FluidParams, ck
 from windwaves.errors import ConfigError
@@ -183,6 +184,27 @@ epsilon = 0.001
         row = lines[-1].split(",")
         assert row[-1] == "1"  # certified
         assert row[5] == "0" and row[6] == "0"
+
+    def test_certify_stable_output_same_on_either_route(self, tmp_path, capsys,
+                                                       monkeypatch):
+        text = BASE.replace("u_max = 10.0", "u_max = 1.5").replace(
+            "command = solve", "command = certify-stable") + """
+[certify]
+epsilon = 0.001
+"""
+        path = write_config(tmp_path, text)
+        square = asymptotics.square_roots_real
+        decided = []
+        monkeypatch.setattr(asymptotics, "square_roots_real",
+                            lambda *args, **kwargs: decided.append(
+                                square(*args, **kwargs)) or decided[-1])
+        assert main(["--config", path]) == 0
+        one_round = capsys.readouterr().out
+        monkeypatch.setattr(asymptotics, "square_roots_real",
+                            lambda *args, **kwargs: False)
+        assert main(["--config", path]) == 0
+        assert decided == [True]
+        assert capsys.readouterr().out == one_round
 
     def test_certify_failure_exit_code(self, tmp_path):
         # c_k inside the range of U: hypothesis violated -> solver failure (3)

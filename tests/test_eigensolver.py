@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from windwaves import dispersion
+from windwaves import asymptotics, dispersion
 from windwaves.asymptotics import necessity_certificate
 from windwaves.dispersion import (
     FluidParams,
@@ -196,8 +196,9 @@ class TestCountRoots:
 @pytest.mark.parametrize("u_max, d, k", [(0.5, 0.6, 0.5), (1.0, 1.0, 1.2),
                                          (1.5, 1.4, 2.0)])
 def test_certificate_counts_match_pointwise_path(u_max, d, k):
-    # certify-stable's two rectangles, with edges 1e-10 from the real root
-    # near c_k: the batched count equals the point-by-point one
+    # the certificate decides in one round, and certify-stable's two
+    # rectangles, with edges 1e-10 from the real root near c_k, counted point
+    # by point agree with it
     eps, im_floor = 1.22e-3, 1e-10
     p = params_with(h_plus=5.0)
     prof = TanhProfile(u_max, d, 5.0)
@@ -205,6 +206,7 @@ def test_certificate_counts_match_pointwise_path(u_max, d, k):
     radius = 0.25 * (c_k - u_max * math.tanh(5.0 / d))
     cert = necessity_certificate(prof, p, k, eps, radius, n_boundary=24,
                                  im_floor=im_floor)
+    assert cert.route == "square"
     residual = make_miles_residual(prof, params_with(rho_plus=eps * 1000.0,
                                                      h_plus=5.0), k)
     pointwise = lambda c: residual(c)  # no .batch attribute
@@ -216,8 +218,10 @@ def test_certificate_counts_match_pointwise_path(u_max, d, k):
 
 
 def test_certificate_one_batch_per_round(monkeypatch):
-    # the two rectangles run in lockstep: one shoot holds both contours, and
-    # each later one the next refinement level of both
+    # the certificate decides in one shoot of the square's contour and its
+    # n + 1 axis samples; counted directly, the two rectangles run in
+    # lockstep: one shoot holds both contours, and each later one the next
+    # refinement level of both
     eps, im_floor, k, n = 1.22e-3, 1e-10, 1.2, 24
     p = params_with(h_plus=5.0)
     prof = TanhProfile(1.0, 1.0, 5.0)
@@ -226,8 +230,9 @@ def test_certificate_one_batch_per_round(monkeypatch):
     residual = make_miles_residual(prof, params_with(rho_plus=eps * 1000.0,
                                                      h_plus=5.0), k)
     lo, hi = c_k - radius, c_k + radius
+    rects = [(lo, hi, im_floor, radius), (lo, hi, -radius, -im_floor)]
     alone = []  # the batch sizes of each rectangle counted on its own
-    for rect in [(lo, hi, im_floor, radius), (lo, hi, -radius, -im_floor)]:
+    for rect in rects:
         calls = []
 
         def recorded(c):
@@ -249,14 +254,62 @@ def test_certificate_one_batch_per_round(monkeypatch):
         return shoot(profile, k, cs, tol)
 
     monkeypatch.setattr(dispersion, "interface_impedances", counted)
-    necessity_certificate(prof, p, k, eps, radius, n_boundary=n,
-                          im_floor=im_floor)
+    cert = necessity_certificate(prof, p, k, eps, radius, n_boundary=n,
+                                 im_floor=im_floor)
+    assert cert.route == "square"
+    assert sizes == [4 * n + n + 1]
+
+    sizes.clear()
+    assert root_counts(residual, rects, n) == [0, 0]
     levels = max(len(calls) for calls in alone) - 1
     assert all(len(calls) > 1 for calls in alone)  # both rectangles refine
     assert sizes[0] == 2 * 4 * n
     assert len(sizes) == 1 + levels
     assert sizes[1:] == [sum(calls[r] for calls in alone if r < len(calls))
                          for r in range(1, 1 + levels)]
+
+
+def raises_on_axis(c, c_k, r):
+    """A simple root at c_k + 0.1 r, and a residual error on the axis."""
+    if c.imag == 0.0 and abs(c.real - c_k) < r:
+        raise NoConvergence(f"no residual at {c}")
+    return c - c_k - 0.1 * r
+
+
+def mid_sample(c_k, r, n=48):
+    """The middle axis sample of the certificate's square, bit for bit."""
+    lo, hi = c_k - r, c_k + r
+    return lo + (hi - lo) * (n // 2 / n)
+
+
+@pytest.mark.parametrize("f, route", [
+    (lambda c, c_k, r: (c - c_k + 0.45 * r) * (c - c_k - 0.1 * r)
+     * (c - c_k - 0.7 * r), "square"),
+    (lambda c, c_k, r: (c - c_k) ** 2 + (0.3 * r) ** 2, "rectangles"),
+    (lambda c, c_k, r: (c - c_k - 0.2 * r) ** 2, "rectangles"),
+    (lambda c, c_k, r: (c - c_k - r / 240) * (c - c_k - r / 120), "rectangles"),
+    (lambda c, c_k, r: c - c_k - 0.1 * r + 1e-3j * r, "rectangles"),
+    (raises_on_axis, "rectangles"),
+    (lambda c, c_k, r: c - mid_sample(c_k, r), "rectangles"),
+], ids=["three-simple-real-roots", "conjugate-pair", "double-real-root",
+        "real-roots-closer-than-samples", "complex-on-axis", "axis-error",
+        "zero-at-a-sample"])
+def test_certificate_route_on_synthetic_residuals(monkeypatch, f, route):
+    # one round decides only when every root in the square is real and
+    # simple; any other residual gets the two rectangles' counts
+    p, k, im_floor = params_with(h_plus=5.0), 1.0, 1e-10
+    c_k = ck(p, k)
+    r = 0.25 * (c_k - 1.5 * math.tanh(5.0))
+    residual = batched(lambda c: f(c, c_k, r))
+    monkeypatch.setattr(asymptotics, "make_miles_residual",
+                        lambda *args, **kwargs: residual)
+    lo, hi = c_k - r, c_k + r
+    want = root_counts(residual, [(lo, hi, im_floor, r),
+                                  (lo, hi, -r, -im_floor)], 48)
+    cert = necessity_certificate(TanhProfile(1.5, 1.0, 5.0), p, k, 1e-3, r,
+                                 im_floor=im_floor)
+    assert cert.route == route
+    assert [cert.count_upper, cert.count_lower] == want
 
 
 def sqrt_left_fails(c):
