@@ -160,7 +160,7 @@ def _growth_constants(profile, params, ks, branch, tol):
         try:
             imps, failed = impedance_outcomes(
                 profile, [ks[i] for i in rows], [at_ck[i][0] for i in rows],
-                tol, sign_ci=+1)
+                tol, sign_ci=+1, layers=[at_ck[i][1] for i in rows])
         except WindwavesError as exc:  # the whole batch, e.g. no finite column
             imps, failed = None, dict.fromkeys(range(len(rows)), exc)
         for j, i in enumerate(rows):

@@ -32,12 +32,7 @@ import numpy as np
 
 from .errors import IncompatibleDepths, RequiresSurfaceTension
 from .profiles import PiecewiseLinearProfile, ShearProfile
-from .rayleigh import (
-    impedance_outcomes,
-    integrate_rayleigh,
-    interface_impedance,
-    interface_impedances,
-)
+from .rayleigh import impedance_outcomes, integrate_rayleigh, interface_impedance
 
 __all__ = [
     "FluidParams",
@@ -162,25 +157,27 @@ def make_miles_residual(profile: ShearProfile, params: FluidParams, k: float,
     vorticity-free and unbounded piecewise profiles, the ODE otherwise).
 
     The returned residual carries a ``batch(cs) -> ndarray`` attribute that
-    evaluates a 1-d array of wave speeds at once.  Where the impedance comes
-    from the ODE, ``batch`` shoots every wave speed in one loop
-    (:func:`~windwaves.rayleigh.interface_impedances`); closed forms and an
-    ``impedance_fn`` are evaluated point by point.  A batched value does not
-    depend on the other members of its batch, and ``batch`` raises the error
-    of the first failing point.  The residual itself is the one-point batch.
+    evaluates a 1-d array of wave speeds at once.  Without ``impedance_fn``,
+    ``batch`` shoots all its wave speeds in one
+    :func:`~windwaves.rayleigh.impedance_outcomes` loop; an ``impedance_fn``
+    is evaluated point by point.  A batched value does not depend on the
+    other members of its batch, and ``batch`` raises the error of the first
+    failing point in input order.  The residual itself is the one-point batch.
     """
     _check_depth_consistency(profile, params)
     u0 = profile.value(0.0)
     up0 = profile.slope(0.0)
-    if impedance_fn is None:
-        impedances = lambda cs: interface_impedances(profile, k, cs, tol)
-    else:
-        impedances = lambda cs: np.array([impedance_fn(complex(c)) for c in cs],
-                                         dtype=complex)
 
     def batch(cs) -> np.ndarray:
         cs = np.asarray(cs, dtype=complex)
-        return residual_miles(cs, impedances(cs), params, k, u0, up0)
+        if impedance_fn is None:
+            imps, errors = impedance_outcomes(profile, k, cs, tol)
+            if errors:  # the first failing point in input order
+                raise errors[min(errors)]
+        else:
+            imps = np.array([impedance_fn(complex(c)) for c in cs],
+                            dtype=complex)
+        return residual_miles(cs, imps, params, k, u0, up0)
 
     def residual(c: complex) -> complex:
         return complex(batch([c])[0])

@@ -11,16 +11,16 @@ rescaling of the initial data.
 
 Three regimes are covered:
 
-* ``integrate_rayleigh_batch``: many (k, c) pairs in one DOP853 step loop of
+* ``impedance_outcomes``: many (k, c) pairs in one DOP853 step loop of
   elementwise numpy, each pair on its own step sizes.  On a profile that
   evaluates at complex altitudes (``complex_path``: tanh, tables) each pair
   shoots along Lin's path, indented into the complex plane around the
   critical layers at Re c on the side away from the singularity, so one
   solver covers Im c large down to Im c = 0+- (the limit, with the side
   given by ``sign_ci``).  Other curved profiles shoot on the real axis and
-  are refused too close to a layer.  ``integrate_rayleigh``,
-  ``interface_impedance`` and ``interface_impedances`` are its one-element
-  and closed-form-dispatching cases.
+  are refused too close to a layer.  It is the one batch entry into the
+  kernel; ``interface_impedance`` (one pair) and ``integrate_rayleigh`` (one
+  element, with lid data and a trace) are the scalar entries.
 * ``integrate_wronskian``: the real 4-vector (|y|^2, Re y'conj(y), |y'|^2,
   Im y'conj(y)) whose last component carries the destabilizing phase.
 * ``limiting_solution``: the Im c -> 0 limit across critical layers on the
@@ -67,19 +67,16 @@ from .profiles import (
 
 __all__ = [
     "RayleighSolution",
-    "RayleighBatch",
     "RayleighTrace",
     "WronskianPath",
     "LayerJump",
     "LimitSolution",
     "ConvergenceReport",
     "integrate_rayleigh",
-    "integrate_rayleigh_batch",
     "integrate_wronskian",
     "limiting_solution",
     "impedance_limit_check",
     "interface_impedance",
-    "interface_impedances",
     "impedance_outcomes",
     "uniform_flow_impedance",
     "pwl_impedance_cascade",
@@ -148,7 +145,8 @@ def _real_speed_refused() -> NearSingularCoefficient:
 
 def _bumps(profile: ShearProfile, c: complex, scale: float,
            u_range: Optional[tuple[float, float]], bounds: list[float],
-           sign_ci: Optional[int]) -> tuple[tuple[float, float, float, float], ...]:
+           sign_ci: Optional[int], layers: Optional[CriticalLayerSet] = None
+           ) -> tuple[tuple[float, float, float, float], ...]:
     """The indentations (lo, hi, s, depth) of one element's shooting path.
 
     Lin's rule: the path x(t) = t + i depth b(t) passes each critical layer
@@ -160,6 +158,7 @@ def _bumps(profile: ShearProfile, c: complex, scale: float,
     half the layer's distance to the nearer end or to the next complex root
     of U = Re c, whichever is less.  A layer gets no bump when the
     singularity already lies farther off the axis than the bump would reach.
+    A real c's layers are scanned for unless ``layers`` holds them.
     Profiles without ``complex_path`` shoot on the real axis, where
     :func:`_check_switch` refuses a wave speed too close to a layer.
     """
@@ -171,7 +170,8 @@ def _bumps(profile: ShearProfile, c: complex, scale: float,
         return ()
     if ci == 0.0:
         # the validated scan: the path must pass a real speed's layers
-        found = find_critical_points(profile, c.real)
+        found = find_critical_points(profile, c.real) if layers is None \
+            else layers
         if found and sign_ci is None:
             raise _real_speed_refused()
         est = [(layer.position, layer.u_prime) for layer in found]
@@ -283,8 +283,8 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
                        want_trace: bool = False) -> RayleighSolution:
     """Integrate the Rayleigh equation from the lid down to the interface.
 
-    The one-element case of :func:`integrate_rayleigh_batch`: the result is
-    bit for bit the one its (k, c) pair gets in any batch.
+    The one-element case of the step loop of :func:`impedance_outcomes`:
+    (y(0), y'(0)) is bit for bit the state its pair reaches in any batch.
 
     Parameters
     ----------
@@ -320,10 +320,9 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
     DegenerateAtInterface
         If |y(0)| < 1e-12 * sup |y| (channel-type eigenfunction).
     """
-    ks, cs = _pairs(profile, k, [c])
+    ks, cs = _pairs(k, [c])
     points = [] if want_trace else None
-    y, log_scale, n_steps, errors = _shoot(profile, ks, cs, tol, [init],
-                                           points)
+    y, log_scale, n_steps, errors = _shoot(profile, ks, cs, tol, init, points)
     _raise_first(errors)
     y0, yp0 = _unscaled(y[:, 0], log_scale[0]).tolist()
     trace = None
@@ -334,8 +333,7 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
         trace = RayleighTrace(x2=x2.real, y=ys, yp=yps)
     return RayleighSolution(c=c, k=k, y0=y0, yp0=yp0,
                             impedance=complex(y[1, 0]) / complex(y[0, 0]),
-                            method="direct", n_steps=int(n_steps[0]),
-                            trace=trace)
+                            n_steps=int(n_steps[0]), trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -377,20 +375,7 @@ _ERROR_EXPONENT = -1.0 / 8.0
 _RESCALE = 1e100  # |(y, y')| past which _advance rescales an element
 
 
-@dataclass
-class RayleighBatch:
-    """Interface data of direct Rayleigh solves, one per (k, c) pair."""
-
-    c: np.ndarray
-    k: np.ndarray
-    y0: np.ndarray
-    yp0: np.ndarray
-    impedance: np.ndarray
-    #: accepted points per element, the start point of each segment included
-    n_steps: np.ndarray
-
-
-def _pairs(profile: ShearProfile, k, cs) -> tuple[np.ndarray, np.ndarray]:
+def _pairs(k, cs) -> tuple[np.ndarray, np.ndarray]:
     """Validated 1-d arrays of wavenumbers and wave speeds, broadcast together."""
     ks, cs = np.broadcast_arrays(np.asarray(k, dtype=float),
                                  np.asarray(cs, dtype=complex))
@@ -398,9 +383,6 @@ def _pairs(profile: ShearProfile, k, cs) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("k and cs must broadcast to a 1-d array")
     if np.any(ks == 0.0):
         raise ValueError("wavenumber k must be nonzero")
-    if not math.isfinite(profile.h_plus):
-        raise InfiniteDomain("direct integration needs a finite air column; "
-                             "uniform-vorticity impedances have closed forms")
     return ks, cs
 
 
@@ -410,65 +392,29 @@ def _raise_first(errors: dict) -> None:
         raise errors[min(errors)]
 
 
-def integrate_rayleigh_batch(profile: ShearProfile, k, cs,
-                             tol: float = _DEFAULT_TOL, *,
-                             init=None) -> RayleighBatch:
-    """Integrate the Rayleigh equation for many (k, c) pairs in one step loop.
-
-    Every element is integrated from the lid to the interface by scipy's
-    DOP853 (tableau, error norm at ``rtol = tol``, ``atol = tol * 1e-3``, step
-    controller and starting step) with a step size and an accept/reject
-    decision of its own, stopping at the breakpoints (kinks, where y' jumps,
-    and spline knots).  Each pass of the loop tries one step of every
-    element, and the profile is evaluated once per pass, at every stage
-    abscissa of every element, in one array call.  All arithmetic is
-    elementwise, so an element's result does not depend on its batch: it is
-    bit for bit the one it gets alone.
-
-    Parameters
-    ----------
-    k : float or array_like of float
-        Wavenumbers, broadcast against ``cs``.
-    cs : array_like of complex, shape (n,)
-        Wave speeds.
-    init : array_like of complex, shape (n, 2), optional
-        Lid data (y, y') per element; (0, 1) for every element by default.
-
-    Raises
-    ------
-    WindwavesError
-        The error of the first failing element in input order, as
-        :func:`integrate_rayleigh` raises it for that element alone.
-    """
-    ks, cs = _pairs(profile, k, cs)
-    y, log_scale, n_steps, errors = _shoot(profile, ks, cs, tol, init)
-    _raise_first(errors)
-    y0, yp0 = _unscaled(y, log_scale)
-    return RayleighBatch(c=cs, k=ks, y0=y0, yp0=yp0, impedance=y[1] / y[0],
-                         n_steps=n_steps)
-
-
 def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
-           init=None, trace: Optional[list] = None, sign_ci: Optional[int] = None
+           init=(0.0, 1.0), trace: Optional[list] = None,
+           sign_ci: Optional[int] = None,
+           layers: Optional[Sequence[CriticalLayerSet]] = None
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Shoot every (k, c) element from the lid down to the interface.
+    """Shoot every (k, c) element from the lid data ``init`` to the interface.
 
     Returns ``(y, log_scale, n_steps, errors)``: (y(0), y'(0)) per element
     in the kernel's scale (see :func:`_advance`), NaN where the element
     failed; its accepted points; and, by element index, the error of each
     failed element.  Each element runs along its own path (see
-    :func:`_bumps`, which takes ``sign_ci``), cut into legs at the
-    breakpoints and at the ends of its bumps, and leg j of every element is
-    one :func:`_advance`.  When ``trace`` is a list, the (x2, y, y') of every
-    accepted point of element 0 is appended to it; a trace samples the real
-    column, so a traced solve is not indented.
+    :func:`_bumps`, which takes ``sign_ci`` and element i's ``layers[i]``),
+    cut into legs at the breakpoints and at the ends of its bumps, and leg j
+    of every element is one :func:`_advance`.  When ``trace`` is a list, the
+    (x2, y, y') of every accepted point of element 0 is appended to it; a
+    trace samples the real column, so a traced solve is not indented.
     """
+    if not math.isfinite(profile.h_plus):
+        raise InfiniteDomain("direct integration needs a finite air column; "
+                             "uniform-vorticity impedances have closed forms")
     n = cs.size
     y = np.empty((2, n), dtype=complex)
-    if init is None:
-        y[0], y[1] = 0.0, 1.0
-    else:
-        y[:] = np.asarray(init, dtype=complex).reshape(n, 2).T
+    y[0], y[1] = init
 
     alive = np.ones(n, dtype=bool)
     errors: dict[int, WindwavesError] = {}
@@ -485,7 +431,8 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
         try:
             if trace is None:
                 bumps[i] = _bumps(profile, complex(c), scales[i], u_range,
-                                  bounds, sign_ci)
+                                  bounds, sign_ci,
+                                  None if layers is None else layers[i])
             else:
                 _check_switch(profile, complex(c), scales[i], u_range)
         except WindwavesError as exc:
@@ -832,47 +779,50 @@ def pwl_impedance_cascade(profile: PiecewiseLinearProfile, k: float,
 
 def interface_impedance(profile: ShearProfile, k: float, c: complex,
                         tol: float = _DEFAULT_TOL) -> complex:
-    """y'(0)/y(0): the one-pair case of :func:`interface_impedances`."""
-    return complex(interface_impedances(profile, k, [c], tol)[0])
-
-
-def interface_impedances(profile: ShearProfile, k, cs,
-                         tol: float = _DEFAULT_TOL) -> np.ndarray:
-    """:func:`interface_impedance` of (k, c) pairs, ``k`` broadcast against ``cs``.
-
-    Raises the error of the first failing pair in input order; see
-    :func:`impedance_outcomes` for the form that reports every pair.
-    """
-    imps, errors = impedance_outcomes(profile, k, cs, tol)
+    """y'(0)/y(0) of one pair: :func:`impedance_outcomes` of [c], raising
+    the pair's error."""
+    imps, errors = impedance_outcomes(profile, k, [c], tol)
     _raise_first(errors)
-    return imps
+    return complex(imps[0])
 
 
 def impedance_outcomes(profile: ShearProfile, k, cs,
                        tol: float = _DEFAULT_TOL, *,
-                       sign_ci: Optional[int] = None) -> tuple[np.ndarray, dict]:
-    """Impedances of (k, c) pairs, and the error of each pair that failed.
+                       sign_ci: Optional[int] = None,
+                       layers: Optional[Sequence[CriticalLayerSet]] = None
+                       ) -> tuple[np.ndarray, dict]:
+    """Impedances y'(0)/y(0) of (k, c) pairs, ``k`` broadcast against ``cs``,
+    and the error of each pair that failed.
 
     Closed forms, where exact, are evaluated pair by pair: vorticity-free
     profiles (:func:`uniform_flow_impedance`) and piecewise-linear ones on an
-    unbounded column (:func:`pwl_impedance_cascade`).  ODE impedances are
-    shot in one :func:`integrate_rayleigh_batch` loop, so each equals the
-    value its pair gets alone.  A failed pair's impedance is NaN, and
-    ``errors`` maps its index to the error :func:`interface_impedance` raises
-    for it.
+    unbounded column (:func:`pwl_impedance_cascade`).  Every other pair is
+    shot in one step loop of scipy's DOP853, at rtol ``tol`` and atol
+    ``tol * 1e-3``, on a step size of its own (see :func:`_advance`); the
+    arithmetic is elementwise, so a pair's impedance is bit for bit the one
+    it gets alone.  A failed pair's impedance is NaN, and ``errors`` maps its index
+    to the error :func:`interface_impedance` raises for it; a caller that
+    raises the first error in input order raises ``errors[min(errors)]``.
 
     On a profile with ``complex_path``, every pair shoots along Lin's path,
     indented around the critical layers at Re c (see :func:`_bumps`).  A
     real c with critical layers then gets the limit Im c -> 0 from the side
     ``sign_ci`` (+1 or -1), which :func:`limiting_solution` also computes;
-    without ``sign_ci`` such a pair is refused.
+    without ``sign_ci`` such a pair is refused.  ``layers`` passes in, one
+    per pair, ``find_critical_points(profile, Re c)`` when the caller holds
+    it already; the path of a real c scans for its layers otherwise.
+
+    Raises
+    ------
+    ValueError
+        For a ``sign_ci`` other than +1, -1 or None, a zero wavenumber, or
+        ``k`` and ``cs`` that do not broadcast to a 1-d array.
+    InfiniteDomain
+        If the pairs are shot and h_plus is not finite.
     """
     if sign_ci not in (None, -1, 1):
         raise ValueError("sign_ci must be +1, -1 or None")
-    ks, cs = np.broadcast_arrays(np.asarray(k, dtype=float),
-                                 np.asarray(cs, dtype=complex))
-    if np.any(ks == 0.0):
-        raise ValueError("wavenumber k must be nonzero")
+    ks, cs = _pairs(k, cs)
     if profile.zero_curvature or (isinstance(profile, PiecewiseLinearProfile)
                                   and math.isinf(profile.h_plus)):
         imps = np.full(cs.shape, complex("nan"))
@@ -886,8 +836,8 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
             except WindwavesError as exc:
                 errors[i] = exc
         return imps, errors
-    ks, cs = _pairs(profile, ks, cs)
-    y, _, _, errors = _shoot(profile, ks, cs, tol, sign_ci=sign_ci)
+    y, _, _, errors = _shoot(profile, ks, cs, tol, sign_ci=sign_ci,
+                             layers=layers)
     with np.errstate(invalid="ignore"):  # NaN / NaN for the failed pairs
         return y[1] / y[0], errors
 
@@ -1108,7 +1058,7 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     SeriesRadiusTooSmall
         If the series radius at a layer collapses (|k| too large).
     DegenerateAtInterface
-        If the unnormalized solution vanishes at the interface.
+        If |y(0)| < 1e-12 * sup |y| over the legs (channel-type mode).
     """
     if sign_ci not in (-1, 1):
         raise ValueError("sign_ci must be +1 or -1")
@@ -1143,6 +1093,9 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     coeff = _real_coeff(profile, np.array([c_r], dtype=float),
                         np.array([k * k], dtype=float))
     kinks = _kink_jump_map(profile)
+    # the kink guard's speed scale; only kinked profiles need it sampled
+    scale = _speed_scale(profile, complex(c_r), _u_range(profile)) \
+        if kinks else 1.0
     y = np.array([[0.0], [1.0]], dtype=complex)  # (y, y') of the one element
 
     def fail(i: int, exc: WindwavesError) -> None:
@@ -1150,16 +1103,15 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
 
     n_steps = 0
     log_scale = np.zeros(1)  # true state = stored state * exp(log_scale)
+    sup_y = np.zeros(1)  # the largest |y| of all legs, in y's scale
     raw_jumps = []  # per-layer records with the scale at recording time
     with np.errstate(all="ignore"):
         for top, bot, patch in legs:
             n_steps += int(_advance(coeff, np.array([top]), bot, y,
                                     np.ones(1, bool), fail, tol, log_scale,
-                                    np.zeros(1))[0])
+                                    sup_y)[0])
             if bot in kinks:
-                denom = _kink_denominator(
-                    profile, bot, complex(c_r),
-                    _speed_scale(profile, complex(c_r), _u_range(profile)))
+                denom = _kink_denominator(profile, bot, complex(c_r), scale)
                 # y'(x-) = y'(x+) - [U'] y / (U - c)
                 y[1] -= kinks[bot] * y[0] / denom
             if patch is None:
@@ -1178,8 +1130,7 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
 
     # normalize to y*(0) = 1 and assemble the layer records
     y0, yp0 = complex(y[0, 0]), complex(y[1, 0])
-    if abs(y0) < INTERFACE_FLOOR * max(1.0, abs(yp0)):
-        raise DegenerateAtInterface("limiting solution vanishes at the interface")
+    _check_interface(y0, yp0, float(sup_y[0]))
     jumps = []
     for patch, b_coef, w_above, w_below, lsc in reversed(raw_jumps):
         # restore the recording-time scale relative to the interface value
@@ -1219,8 +1170,8 @@ def impedance_limit_check(profile: ShearProfile, k: float, c_r: float,
                           tol: float = _DEFAULT_TOL) -> ConvergenceReport:
     """Compare direct impedances at c_r + i c_I against the limiting value.
 
-    The direct impedances are one :func:`interface_impedances` batch, which
-    raises the error of the first failing c_I.  ``ci_sequence`` must be
+    The direct impedances are one :func:`impedance_outcomes` batch, of which
+    the error of the first failing c_I is raised.  ``ci_sequence`` must be
     positive and decreasing.  The fitted slope is the least-squares log-log
     rate; it is omitted when fewer than two points are supplied.
     """
@@ -1231,8 +1182,10 @@ def impedance_limit_check(profile: ShearProfile, k: float, c_r: float,
         raise ValueError("ci_sequence must be decreasing")
 
     limit = limiting_solution(profile, k, c_r, sign_ci, tol)
-    imps = interface_impedances(
-        profile, k, [complex(c_r, sign_ci * ci) for ci in cis], tol).tolist()
+    imps, failed = impedance_outcomes(
+        profile, k, [complex(c_r, sign_ci * ci) for ci in cis], tol)
+    _raise_first(failed)
+    imps = imps.tolist()
     errs = [abs(imp - limit.impedance) for imp in imps]
 
     slope = None

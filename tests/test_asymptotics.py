@@ -198,6 +198,32 @@ class TestGrowthConstants:
             assert abs(got.c_sharp - oracle) <= 1e-9 * abs(oracle)
             assert got.layers[0].u1 == pytest.approx(u1s[0], rel=1e-8)
 
+    def test_each_wavenumber_scans_once(self, monkeypatch):
+        # the path rows shoot with the layers found at c_k, as the Frobenius
+        # rows solve with them, and the impedance does not change
+        from windwaves import asymptotics, rayleigh
+
+        scans = []
+
+        def counted(profile, c_r):
+            scans.append(c_r)
+            return find_critical_points(profile, c_r)
+
+        for module in (asymptotics, rayleigh):
+            monkeypatch.setattr(module, "find_critical_points", counted)
+        p = params_with(h_plus=5.0)
+        ks = self.KS[1:]
+        results, errors = growth_constants(TANH, p, ks)
+        assert errors == {}
+        assert len(scans) == len(ks)
+        cks = [got.c_k for got in results]
+        layers = [find_critical_points(TANH, c_k) for c_k in cks]
+        given, _ = rayleigh.impedance_outcomes(TANH, ks, cks, sign_ci=+1,
+                                               layers=layers)
+        scanned, _ = rayleigh.impedance_outcomes(TANH, ks, cks, sign_ci=+1)
+        assert len(scans) == 2 * len(ks)
+        assert given.tobytes() == scanned.tobytes()
+
     def test_two_layers_take_the_frobenius_route(self):
         # the path gives only the sum of the layer terms
         x = np.linspace(0.0, 5.0, 48)

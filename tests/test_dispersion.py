@@ -23,7 +23,7 @@ from windwaves.profiles import (
     LinearShearProfile,
     TanhProfile,
 )
-from windwaves.rayleigh import integrate_rayleigh_batch, interface_impedance
+from windwaves.rayleigh import integrate_rayleigh, interface_impedance
 
 from oracles import miles_quadratic_coeffs, quadratic_roots, two_stream_roots
 
@@ -333,12 +333,12 @@ class TestResidualGeneral:
         water = TanhProfile(0.5, 0.3, 2.0)
         gamma0_m, y2_0 = 0.4 - 0.1j, 1.5 + 0.2j
         got = _sheared_water_flux(water, p, k, c, gamma0_m, y2_0, 1e-12)
-        basis = integrate_rayleigh_batch(water, k, [c, c], 1e-12,
-                                         init=[(1.0, 0.0), (0.0, 1.0)])
+        v, u = (integrate_rayleigh(water, k, c, 1e-12, init=init)
+                for init in ((1.0, 0.0), (0.0, 1.0)))
         wp_wall = -k * k * gamma0_m / math.cosh(k * 2.0)
         w_0 = y2_0 + k * math.tanh(k * 2.0) * gamma0_m
-        a = (w_0 - wp_wall * basis.y0[1]) / basis.y0[0]
-        want = -(a * basis.yp0[0] + wp_wall * basis.yp0[1]) - k * k * gamma0_m
+        a = (w_0 - wp_wall * u.y0) / v.y0
+        want = -(a * v.yp0 + wp_wall * u.yp0) - k * k * gamma0_m
         assert abs(got - want) <= 1e-10 * abs(want)
 
     def test_sheared_water_past_float_range_of_cosh(self):

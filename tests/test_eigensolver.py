@@ -247,13 +247,13 @@ def test_certificate_one_batch_per_round(monkeypatch):
         alone.append(calls)
 
     sizes = []
-    shoot = dispersion.interface_impedances
+    shoot = dispersion.impedance_outcomes
 
     def counted(profile, k, cs, tol):
         sizes.append(len(cs))
         return shoot(profile, k, cs, tol)
 
-    monkeypatch.setattr(dispersion, "interface_impedances", counted)
+    monkeypatch.setattr(dispersion, "impedance_outcomes", counted)
     cert = necessity_certificate(prof, p, k, eps, radius, n_boundary=n,
                                  im_floor=im_floor)
     assert cert.route == "square"

@@ -1,8 +1,10 @@
 """What a CLI run on a tanh or table wind and the limiting route import:
 numpy, not scipy."""
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +71,16 @@ def test_cli_jobs_import_no_scipy(tmp_path):
     assert report == {"statuses": [0] * len(JOBS), "scipy": []}
     for path in paths:
         assert Path(path + ".csv").read_text(encoding="utf-8").strip()
+
+
+def test_public_names_resolve():
+    # tools that walk the public names, such as the benchmark's tracer,
+    # getattr each one: a stale entry would break them
+    for info in pkgutil.iter_modules(windwaves.__path__):
+        module = importlib.import_module(f"windwaves.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert missing == [], info.name
 
 
 def test_tableau_is_scipys_bit_for_bit():

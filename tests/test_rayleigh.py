@@ -24,7 +24,6 @@ from windwaves.rayleigh import (
     impedance_limit_check,
     impedance_outcomes,
     integrate_rayleigh,
-    integrate_rayleigh_batch,
     integrate_wronskian,
     interface_impedance,
     limiting_solution,
@@ -121,6 +120,9 @@ class TestDirectIntegration:
         prof, c = ramp_with_channel_mode()
         with pytest.raises(DegenerateAtInterface):
             integrate_rayleigh(prof, 1.0, c, tol=1e-13)
+        # c is real: the limiting solve meets the same interface guard
+        with pytest.raises(DegenerateAtInterface):
+            limiting_solution(prof, 1.0, c.real, +1, tol=1e-13)
 
     def test_trace_csv(self, tmp_path):
         sol = integrate_rayleigh(TANH, 1.0, 3.0 + 0.5j, want_trace=True)
@@ -175,8 +177,9 @@ class TestBatch:
               for im in (-0.3, 0.05, 0.5)]
         # tol 1e-12 keeps both solves well inside the 1e-9 bound on every
         # profile; the spline knots are breakpoints of both paths
-        batch = integrate_rayleigh_batch(profile, 1.2, cs, tol=1e-12)
-        for c, imp in zip(cs, batch.impedance):
+        imps, errors = impedance_outcomes(profile, 1.2, cs, tol=1e-12)
+        assert errors == {}
+        for c, imp in zip(cs, imps):
             want = scipy_impedance(profile, 1.2, c, tol=1e-12)
             assert abs(imp - want) <= 1e-9 * abs(want), c
 
@@ -186,9 +189,9 @@ class TestBatch:
         cs = [complex(re, im) for re in (1.0, 3.0, 6.0)
               for im in (-0.3, 0.05, 0.5)]
         ks = [0.4, 1.2, 2.5] * 3
-        batch = integrate_rayleigh_batch(profile, ks, cs, tol=1e-12)
-        assert batch.k.tolist() == ks
-        for k, c, imp in zip(ks, cs, batch.impedance):
+        imps, errors = impedance_outcomes(profile, ks, cs, tol=1e-12)
+        assert errors == {}
+        for k, c, imp in zip(ks, cs, imps):
             want = scipy_impedance(profile, k, c, tol=1e-12)
             assert abs(imp - want) <= 1e-9 * abs(want), (k, c)
 
@@ -197,10 +200,10 @@ class TestBatch:
     def test_scalar_is_one_element_batch(self, profile):
         for c in (1.0 - 0.3j, 3.0 + 0.05j, 6.0 + 0.5j):
             solo = integrate_rayleigh(profile, 1.2, c)
-            batch = integrate_rayleigh_batch(profile, 1.2, [c])
-            assert solo.y0 == batch.y0[0]
-            assert solo.yp0 == batch.yp0[0]
-            assert solo.n_steps == batch.n_steps[0]
+            imps, _ = impedance_outcomes(profile, 1.2, [c])
+            # no rescaling on this column, so y(0) and y'(0) are the batch's
+            # state, and the batch's array division of them is its impedance
+            assert imps[0] == np.divide([solo.yp0], [solo.y0])[0]
 
     @pytest.mark.parametrize("profile", [TANH, TABLE, EXP],
                              ids=["tanh", "table", "analytic"])
@@ -209,14 +212,11 @@ class TestBatch:
         n = 12
         ks = rng.uniform(0.2, 3.0, n)
         cs = rng.uniform(1.0, 7.0, n) + 1j * rng.uniform(-0.5, 0.5, n)
-        init = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-        batch = integrate_rayleigh_batch(profile, ks, cs, init=init)
+        imps, errors = impedance_outcomes(profile, ks, cs)
+        assert errors == {}
         for i in range(n):
-            solo = integrate_rayleigh_batch(profile, ks[i], cs[i:i + 1],
-                                            init=init[i:i + 1])
-            assert solo.y0[0] == batch.y0[i]
-            assert solo.yp0[0] == batch.yp0[i]
-            assert solo.n_steps[0] == batch.n_steps[i]
+            solo, _ = impedance_outcomes(profile, ks[i], cs[i:i + 1])
+            assert solo[0] == imps[i]
 
     def test_failing_member_leaves_the_others(self):
         cs = [3.0 + 0.2j, 3.0 + 1e-9j, 2.0 - 0.1j]
@@ -225,9 +225,9 @@ class TestBatch:
         assert isinstance(errors[1], NearSingularCoefficient)
         assert np.isnan(imps[1])
         for i in (0, 2):
-            solo = integrate_rayleigh_batch(REAL_AXIS_TANH, [1.0, 1.0, 0.7][i],
-                                            [cs[i]])
-            assert imps[i] == solo.impedance[0]
+            solo, _ = impedance_outcomes(REAL_AXIS_TANH, [1.0, 1.0, 0.7][i],
+                                         [cs[i]])
+            assert imps[i] == solo[0]
 
     @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
     def test_table_meets_its_tolerance(self, batched):
@@ -235,7 +235,8 @@ class TestBatch:
         cs = [complex(re, im) for re in (1.0, 3.0, 6.0)
               for im in (-0.3, 0.05, 0.5)]
         if batched:
-            got = integrate_rayleigh_batch(self.TABLE, 1.2, cs, tol=1e-10).impedance
+            got, errors = impedance_outcomes(self.TABLE, 1.2, cs, tol=1e-10)
+            assert errors == {}
         else:
             got = [integrate_rayleigh(self.TABLE, 1.2, c, tol=1e-10).impedance
                    for c in cs]
@@ -245,30 +246,37 @@ class TestBatch:
 
     def test_per_element_init(self):
         cs = [3.0 + 0.05j, 2.0 - 0.2j]
-        base = integrate_rayleigh_batch(TANH, 1.0, cs)
+        base = [integrate_rayleigh(TANH, 1.0, c) for c in cs]
         lam = 2.0 - 3.0j
-        scaled = integrate_rayleigh_batch(TANH, 1.0, cs,
-                                          init=[(0.0, lam), (0.0, 1.0)])
-        assert np.allclose(scaled.y0, [lam * base.y0[0], base.y0[1]], rtol=1e-9)
-        assert np.allclose(scaled.impedance, base.impedance, rtol=1e-9)
+        scaled = [integrate_rayleigh(TANH, 1.0, c, init=init)
+                  for c, init in zip(cs, [(0.0, lam), (0.0, 1.0)])]
+        assert np.allclose([s.y0 for s in scaled],
+                           [lam * base[0].y0, base[1].y0], rtol=1e-9)
+        assert np.allclose([s.impedance for s in scaled],
+                           [b.impedance for b in base], rtol=1e-9)
 
     def test_near_singular_member_raises_scalar_error(self):
         cs = [3.0 + 0.2j, 3.0 + 1e-9j, 12.0 + 0.0j]
         with pytest.raises(NearSingularCoefficient) as scalar:
             integrate_rayleigh(REAL_AXIS_TANH, 1.0, cs[1])
-        with pytest.raises(NearSingularCoefficient) as batch:
-            integrate_rayleigh_batch(REAL_AXIS_TANH, 1.0, cs)
-        assert str(batch.value) == str(scalar.value)
+        _, errors = impedance_outcomes(REAL_AXIS_TANH, 1.0, cs)
+        assert list(errors) == [1]
+        assert type(errors[1]) is type(scalar.value)
+        assert str(errors[1]) == str(scalar.value)
 
     def test_first_failure_in_input_order_wins(self):
+        # the residual's batch raises the first of the batch's errors
+        from windwaves.dispersion import FluidParams, make_miles_residual
+
         prof, c_channel = ramp_with_channel_mode()
         kink_speed = complex(prof.value(1.0))
+        params = FluidParams(rho_plus=1.22, rho_minus=1000.0, g=9.8,
+                             h_plus=prof.h_plus)
+        residual = make_miles_residual(prof, params, 1.0, tol=1e-13)
         with pytest.raises(DegenerateAtInterface):
-            integrate_rayleigh_batch(prof, 1.0, [2.0 + 0.5j, c_channel,
-                                                 kink_speed], tol=1e-13)
+            residual.batch([2.0 + 0.5j, c_channel, kink_speed])
         with pytest.raises(NearSingularCoefficient, match="kink speed"):
-            integrate_rayleigh_batch(prof, 1.0, [kink_speed, c_channel],
-                                     tol=1e-13)
+            residual.batch([kink_speed, c_channel])
 
     def test_overflowing_member_fails_like_scalar(self):
         # infinite lid data makes NaN on the first step; the NaN must fail
@@ -277,13 +285,18 @@ class TestBatch:
         with pytest.raises(NearSingularCoefficient, match="integration failed") \
                 as scalar, np.errstate(all="ignore"):
             integrate_rayleigh(TANH, 1.0, c, init=huge)
-        with pytest.raises(NearSingularCoefficient) as batch:
-            integrate_rayleigh_batch(TANH, 1.0, [c, c], init=[(0.0, 1.0), huge])
-        assert str(batch.value) == str(scalar.value)
+        # in either component
+        with pytest.raises(NearSingularCoefficient) as other:
+            integrate_rayleigh(TANH, 1.0, c, init=huge[::-1])
+        assert str(other.value) == str(scalar.value)
 
     def test_infinite_domain_rejected(self):
         with pytest.raises(InfiniteDomain):
-            integrate_rayleigh_batch(ConstantProfile(5.0), 1.0, [1.0 + 1.0j])
+            integrate_rayleigh(ConstantProfile(5.0), 1.0, 1.0 + 1.0j)
+        # only the closed forms reach an unbounded column
+        with pytest.raises(InfiniteDomain):
+            impedance_outcomes(TanhProfile(10.0, 1.0, math.inf), 1.0,
+                               [1.0 + 1.0j])
 
 
 class TestUniformImpedance:
@@ -448,10 +461,12 @@ class TestLimitingSolution:
         lim = limiting_solution(TANH, 140.0, 12.0, +1).impedance
         assert abs(lim - direct) <= 1e-10 * abs(direct)
         ks = np.array([150.0, 300.0, 1000.0, 3000.0])
-        batch = integrate_rayleigh_batch(TANH, ks, [12.0] * 4)
-        assert np.all(np.abs(batch.impedance + ks) <= 1e-4)
+        imps, errors = impedance_outcomes(TANH, ks, [12.0] * 4)
+        assert errors == {}
+        assert np.all(np.abs(imps + ks) <= 1e-4)
         # the lid normalization is past the float range: inf, never NaN
-        assert np.all(np.isneginf(batch.y0.real) & (batch.y0.imag == 0.0))
+        y0 = np.array([integrate_rayleigh(TANH, k, 12.0).y0 for k in ks])
+        assert np.all(np.isneginf(y0.real) & (y0.imag == 0.0))
         lim = limiting_solution(TANH, 150.0, 12.0, +1).impedance
         assert lim.imag == 0.0
         assert abs(lim + 150.0) <= 1e-4
@@ -648,13 +663,11 @@ class TestMetamorphic:
                                          log_mod, arg):
         c = complex(c_r, 10.0 ** log_ci)
         lam = 10.0 ** log_mod * complex(math.cos(arg), math.sin(arg))
-        base = integrate_rayleigh_batch(profile, k, [c], tol=1e-12)
+        base = integrate_rayleigh(profile, k, c, tol=1e-12).impedance
         # lid data near the float range are rescaled, not overflowed
         for init in ((0.0, lam), (0.0, 1e308)):
-            scaled = integrate_rayleigh_batch(profile, k, [c], tol=1e-12,
-                                              init=[init])
-            assert abs(scaled.impedance[0] - base.impedance[0]) \
-                <= 1e-9 * abs(base.impedance[0])
+            scaled = integrate_rayleigh(profile, k, c, tol=1e-12, init=init)
+            assert abs(scaled.impedance - base) <= 1e-9 * abs(base)
 
 
 class TestImpedanceLimitCheck:
