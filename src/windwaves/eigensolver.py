@@ -341,12 +341,14 @@ def _winding(rectangle: tuple[float, float, float, float], n_boundary: int,
     if not (re1 > re0 and im1 > im0):
         raise ValueError("rectangle must have positive extent")
 
-    corners = [complex(re0, im0), complex(re1, im0),
-               complex(re1, im1), complex(re0, im1)]
-    pts: list[complex] = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        for j in range(n_boundary):
-            pts.append(a + (b - a) * (j / n_boundary))
+    # counterclockwise from (re0, im0); the sides share their abscissae and
+    # ordinates, so a rectangle symmetric about the real axis is made of
+    # exact conjugate pairs
+    xs, ys = _ticks(re0, re1, n_boundary), _ticks(im0, im1, n_boundary)
+    pts = ([complex(x, im0) for x in xs[:-1]]
+           + [complex(re1, y) for y in ys[:-1]]
+           + [complex(x, im1) for x in xs[:0:-1]]
+           + [complex(re0, y) for y in ys[:0:-1]])
     vals = yield pts
 
     floor = _ZERO_FLOOR * max(abs(v) for v in vals)
@@ -394,6 +396,13 @@ def _winding(rectangle: tuple[float, float, float, float], n_boundary: int,
         raise PhaseJumpUnresolved(
             f"non-integer winding number {winding:.4f}")
     return int(count)
+
+
+def _ticks(lo: float, hi: float, n: int) -> list[float]:
+    """n + 1 equally spaced points from lo to hi, taken from the midpoint, so
+    that an interval symmetric about 0 gets ticks symmetric about 0."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return [lo] + [mid + half * ((2 * j - n) / n) for j in range(1, n)] + [hi]
 
 
 def continue_in_epsilon(residual_family: Callable[[float], Callable[[complex], complex]],

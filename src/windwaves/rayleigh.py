@@ -246,7 +246,6 @@ class RayleighSolution:
     y0: complex
     yp0: complex
     impedance: complex
-    method: str = "direct"
     n_steps: int = 0
     trace: Optional[RayleighTrace] = None
 
@@ -321,16 +320,17 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
         If |y(0)| < 1e-12 * sup |y| (channel-type eigenfunction).
     """
     ks, cs = _pairs(k, [c])
-    points = [] if want_trace else None
-    y, log_scale, n_steps, errors = _shoot(profile, ks, cs, tol, init, points)
+    nodes = {} if want_trace else None
+    y, log_scale, n_steps, errors = _shoot(profile, ks, cs, tol, init, nodes,
+                                           indent=not want_trace)
     _raise_first(errors)
     y0, yp0 = _unscaled(y[:, 0], log_scale[0]).tolist()
     trace = None
     if want_trace:
-        # the points run down from the lid; a breakpoint appears once from
-        # each side, which a kink jump sets apart
-        x2, ys, yps = np.array(points[::-1]).T
-        trace = RayleighTrace(x2=x2.real, y=ys, yp=yps)
+        # the nodes run down from the lid; a kink appears once from each side
+        x2, _, states, scales, _ = nodes[0]
+        ys, yps = _unscaled(states, scales)[:, ::-1]
+        trace = RayleighTrace(x2=x2[::-1], y=ys, yp=yps)
     return RayleighSolution(c=c, k=k, y0=y0, yp0=yp0,
                             impedance=complex(y[1, 0]) / complex(y[0, 0]),
                             n_steps=int(n_steps[0]), trace=trace)
@@ -357,22 +357,28 @@ def _dop853_coefficients():
 
 
 # The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.5), shaped
-# to weight a (stage, component, element) array.  The weighted stage sums are
-# elementwise products and sums, so no BLAS call, and so no BLAS thread
-# hand-off, sits in the step loop, and no element's arithmetic depends on
-# another's.
+# to weight a (stage, row, column, step) array of stage matrices.  The
+# weighted stage sums are elementwise products and sums, so no BLAS call,
+# and so no BLAS thread hand-off, sits in the kernel, and no step's
+# arithmetic depends on another's.
 _TABLEAU = _dop853_coefficients()
 _DOP_STAGES = _TABLEAU.N_STAGES
-# abscissae of stages 1 .. N_STAGES - 1; the last one is 1, the step's end
-_DOP_C = _TABLEAU.C[1:_DOP_STAGES, None]
-_DOP_A = [_TABLEAU.A[s, :s, None, None] for s in range(_DOP_STAGES)]
-_DOP_B = _TABLEAU.B[:, None, None]
-# the order-5 and order-3 error estimators, stacked
-_DOP_E = np.stack((_TABLEAU.E5, _TABLEAU.E3))[:, :, None, None]
+# abscissae of stages 0 .. N_STAGES - 1: 0 at the step's start, 1 at its end
+_DOP_C = _TABLEAU.C[:_DOP_STAGES, None]
+# the nonzero (stage, weight) terms of each stage's sum and of the solution
+_DOP_A = [[(j, a) for j, a in enumerate(_TABLEAU.A[s, :s].tolist()) if a]
+          for s in range(_DOP_STAGES)]
+_DOP_B = [(j, b) for j, b in enumerate(_TABLEAU.B.tolist()) if b]
+# the order-5 and order-3 error estimators
+_DOP_E = [[(j, e) for j, e in enumerate(est.tolist()) if e]
+          for est in (_TABLEAU.E5, _TABLEAU.E3)]
+_EYE = np.eye(2, dtype=complex)[:, :, None]
 # scipy's step-size controller; the embedded error estimate is of order 7
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_SAFETY, _MIN_FACTOR = 0.9, 0.2
 _ERROR_EXPONENT = -1.0 / 8.0
-_RESCALE = 1e100  # |(y, y')| past which _advance rescales an element
+_RESCALE = 1e100  # a product or lid state past this is divided by its size
+_CHUNK = 1024  # steps per propagator build, which bounds its memory
+_BEND_STEP = 1.0  # the first mesh's spacing in asinh((t - s) / depth) on a bump
 
 
 def _pairs(k, cs) -> tuple[np.ndarray, np.ndarray]:
@@ -393,29 +399,28 @@ def _raise_first(errors: dict) -> None:
 
 
 def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
-           init=(0.0, 1.0), trace: Optional[list] = None,
+           init=(0.0, 1.0), nodes: Optional[dict] = None,
            sign_ci: Optional[int] = None,
-           layers: Optional[Sequence[CriticalLayerSet]] = None
+           layers: Optional[Sequence[CriticalLayerSet]] = None,
+           indent: bool = True
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Shoot every (k, c) element from the lid data ``init`` to the interface.
 
     Returns ``(y, log_scale, n_steps, errors)``: (y(0), y'(0)) per element
-    in the kernel's scale (see :func:`_advance`), NaN where the element
-    failed; its accepted points; and, by element index, the error of each
-    failed element.  Each element runs along its own path (see
-    :func:`_bumps`, which takes ``sign_ci`` and element i's ``layers[i]``),
-    cut into legs at the breakpoints and at the ends of its bumps, and leg j
-    of every element is one :func:`_advance`.  When ``trace`` is a list, the
-    (x2, y, y') of every accepted point of element 0 is appended to it; a
-    trace samples the real column, so a traced solve is not indented.
+    in the kernel's scale (the true state is y e^log_scale), NaN where the
+    element failed; its accepted points (see :func:`_integrate`); and, by
+    element index, the error of each failed element.  Each element runs
+    along its own path (see :func:`_bumps`, which takes ``sign_ci`` and
+    element i's ``layers[i]``), one mesh from the lid to the interface whose
+    fixed nodes are the breakpoints and the ends of its bumps; at a kink the
+    derivative jump is one more step of the mesh.  ``nodes`` receives the
+    final meshes (see :func:`_integrate`).  Without ``indent`` every element
+    shoots on the real axis, as a trace samples the real column.
     """
     if not math.isfinite(profile.h_plus):
         raise InfiniteDomain("direct integration needs a finite air column; "
                              "uniform-vorticity impedances have closed forms")
     n = cs.size
-    y = np.empty((2, n), dtype=complex)
-    y[0], y[1] = init
-
     alive = np.ones(n, dtype=bool)
     errors: dict[int, WindwavesError] = {}
 
@@ -426,53 +431,47 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     u_range = _u_range(profile)
     scales = [_speed_scale(profile, complex(c), u_range) for c in cs]
     bounds = _segment_bounds(profile)
-    bumps = [()] * n
-    for i, c in enumerate(cs):
+    jumps = _kink_jump_map(profile)
+    # each live element's segments down its column: (owner, top, bottom,
+    # bump depth, bump peak), and the jump matrices of the kinks by segment
+    segments: list[tuple[int, float, float, float, float]] = []
+    joints: dict[int, np.ndarray] = {}
+    for i, c in enumerate(cs.tolist()):
         try:
-            if trace is None:
-                bumps[i] = _bumps(profile, complex(c), scales[i], u_range,
-                                  bounds, sign_ci,
-                                  None if layers is None else layers[i])
+            if indent:
+                bumps = _bumps(profile, c, scales[i], u_range, bounds, sign_ci,
+                               None if layers is None else layers[i])
             else:
-                _check_switch(profile, complex(c), scales[i], u_range)
+                _check_switch(profile, c, scales[i], u_range)
+                bumps = ()
+            kinks = {x: _kink_denominator(profile, x, c, scales[i])
+                     for x in jumps}
         except WindwavesError as exc:
             fail(i, exc)
-
-    track = not profile.zero_curvature
-    kk = ks * ks
-    coeff = _real_coeff(profile, cs, kk)
-    log_scale = np.zeros(n)
-    sup_y = np.abs(y[0])
-    dist = np.full(n, math.inf)
-
-    def watch(ok: np.ndarray, t: np.ndarray, u: Optional[np.ndarray]) -> None:
-        if track:
-            np.fmin(dist, np.abs(u - cs), out=dist, where=ok)
-        if trace is not None and ok[0]:
-            trace.append((t[0], *_unscaled(y[:, 0], log_scale[0])))
-
-    n_steps = np.zeros(n, dtype=int)
-    jumps = _kink_jump_map(profile)
-    tops, bots, depth, peak = _legs(bounds, bumps)
-    with np.errstate(all="ignore"):  # failed elements may overflow
-        for top, bot, a, m in zip(tops, bots, depth, peak):
-            if not np.count_nonzero(alive):
-                break
-            leg = coeff if not np.count_nonzero(a) else \
-                _path_coeff(profile, cs, kk, bot, top - bot, m, a)
-            n_steps += _advance(leg, top, bot, y, alive, fail, tol, log_scale,
-                                sup_y, watch)
-            for i in np.flatnonzero(alive & (top > bot)) if jumps else ():
-                if bot[i] not in jumps:
-                    continue
-                try:
-                    denom = _kink_denominator(profile, bot[i], complex(cs[i]),
-                                              scales[i])
-                except WindwavesError as exc:
-                    fail(i, exc)
-                    continue
+            continue
+        cuts = sorted(set(bounds).union(*[(lo, hi) for lo, hi, _, _ in bumps]),
+                      reverse=True)
+        bent = {hi: (a, (s - lo) / (hi - lo)) for lo, hi, s, a in bumps}
+        for top, bot in zip(cuts, cuts[1:]):
+            segments.append((i, top, bot, *bent.get(top, (0.0, 0.5))))
+            if bot in kinks:
                 # y'(x-) = y'(x+) - [U'] y / (U - c)
-                y[1, i] = y[1, i] - jumps[bot[i]] * y[0, i] / denom
+                joints[len(segments)] = np.array(
+                    [[1.0, 0.0], [-jumps[bot] / kinks[bot], 1.0]])
+                segments.append((i, bot, bot, 0.0, 0.5))
+
+    owner, top, bot, depth, peak = (np.array(v) for v in zip(*segments)) \
+        if segments else (np.zeros(0, dtype=int), *np.zeros((4, 0)))
+    coeff = _coefficient(profile, cs[owner], ks[owner] ** 2, bot, top - bot,
+                         peak, depth)
+    fixed = np.zeros(owner.size, dtype=bool)
+    fixed[list(joints)] = True
+    first = _first_mesh(top, bot, ks[owner], depth, peak, fixed)
+    y = np.empty((2, n), dtype=complex)
+    y[0], y[1] = init
+    with np.errstate(all="ignore"):  # failed elements may overflow
+        y, log_scale, sup_y, dist, n_steps = _integrate(
+            coeff, owner, joints, first, y, tol, fail, nodes)
 
     for i in np.flatnonzero(alive):
         try:
@@ -482,6 +481,19 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
             fail(i, exc)
     y[:, ~alive] = np.nan
     return y, log_scale, n_steps, errors
+
+
+def _final_mesh(profile: ShearProfile, k: float, c: complex,
+                tol: float = _DEFAULT_TOL, sign_ci: Optional[int] = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of one pair's final mesh, down its path's parameter, and
+    each step's DOP853 error norm on it; for tests of the kernel."""
+    nodes: dict = {}
+    _, _, _, errors = _shoot(profile, *_pairs(k, [c]), tol, nodes=nodes,
+                             sign_ci=sign_ci)
+    _raise_first(errors)
+    t, _, _, _, norms = nodes[0]
+    return t, norms
 
 
 def _unscaled(v: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
@@ -495,242 +507,351 @@ def _unscaled(v: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
     return out
 
 
-def _legs(bounds: list[float], bumps: list[tuple]) -> tuple[np.ndarray, ...]:
-    """Each element's legs, as (n_legs, n) arrays of tops, bottoms, bump
-    depths and bump peaks (the layer's place in the leg, from 0 at the bottom
-    to 1 at the top; 1/2 where the depth is 0).
+def _first_mesh(top: np.ndarray, bot: np.ndarray, k: np.ndarray,
+                depth: np.ndarray, peak: np.ndarray, fixed: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first mesh of segments from ``top`` down to ``bot``, as the
+    segment, start and end of each step, in segment order.
 
-    An element's breakpoints are ``bounds`` and the ends of its bumps; one
-    with fewer legs than another ends on zero-length legs at 0.
+    A fixed segment is one step.  A leg is cut into max(3 |k|, 2) equal
+    steps per unit of its width: DOP853 meets tol 1e-10 on e^{|k| x} at
+    about |k| h = 1/3, and the wind's own scale is about 1.  A bump's leg is cut also at s + |depth| sinh(v), v equally
+    spaced by about ``_BEND_STEP``, which grades the steps with the distance
+    from its layer s, at ``peak`` of the leg.
     """
-    n = len(bumps)
-    cuts = [sorted(set(bounds).union(*[(lo, hi) for lo, hi, _, _ in b]),
-                   reverse=True) for b in bumps]
-    n_legs = max(len(c) for c in cuts) - 1
-    tops, bots = np.zeros((n_legs, n)), np.zeros((n_legs, n))
-    depth, peak = np.zeros((n_legs, n)), np.full((n_legs, n), 0.5)
-    for i, (cut, bump) in enumerate(zip(cuts, bumps)):
-        tops[:len(cut) - 1, i], bots[:len(cut) - 1, i] = cut[:-1], cut[1:]
-        for lo, hi, s, a in bump:
-            j = cut.index(hi)
-            depth[j, i], peak[j, i] = a, (s - lo) / (hi - lo)
-    return tops, bots, depth, peak
+    width = top - bot
+    seg, t0, t1 = _cut(top, bot, np.where(
+        fixed, 1, np.ceil(width * np.fmax(3.0 * np.abs(k), 2.0)).clip(1)
+    ).astype(int))
+    bent = depth[seg] != 0.0
+    if not np.count_nonzero(bent):
+        return seg, t0, t1
+    legs = np.flatnonzero(depth != 0.0)
+    a, s = np.abs(depth[legs]), bot[legs] + peak[legs] * width[legs]
+    lo, hi = np.arcsinh((bot[legs] - s) / a), np.arcsinh((top[legs] - s) / a)
+    n = np.ceil((hi - lo) / _BEND_STEP).astype(int)
+    i, v, _ = _cut(hi, lo, n)
+    inner = np.r_[False, i[1:] == i[:-1]]  # each v but the top one
+    i, v = i[inner], v[inner]
+    graded = s[i] + a[i] * np.sinh(v)
+    # the nodes of each bent leg, down the column, once
+    at = np.concatenate((seg[bent], legs, legs[i]))
+    t = np.concatenate((t0[bent], bot[legs], graded))
+    keep = (t <= top[at]) & (t >= bot[at])
+    at, t = at[keep], t[keep]
+    order = np.lexsort((-t, at))
+    at, t = at[order], t[order]
+    fresh = np.r_[True, (at[1:] != at[:-1]) | (t[1:] != t[:-1])]
+    at, t = at[fresh], t[fresh]
+    step = np.flatnonzero(at[1:] == at[:-1])
+    seg = np.concatenate((seg[~bent], at[step]))
+    order = np.argsort(seg, kind="stable")
+    return (seg[order], np.concatenate((t0[~bent], t[step]))[order],
+            np.concatenate((t1[~bent], t[step + 1]))[order])
 
 
-def _real_coeff(profile: ShearProfile, cs: np.ndarray, kk: np.ndarray):
-    """``coeff`` of the real axis: U for the path guard (None where U'' = 0),
-    no path weight, and q = U''/(U - c) + k^2 at real altitudes x of shape
-    (..., n); q = k^2 inside the pieces of a piecewise-linear wind."""
+def _coefficient(profile: ShearProfile, c: np.ndarray, kk: np.ndarray,
+                 lo: np.ndarray, width: np.ndarray, peak: np.ndarray,
+                 depth: np.ndarray):
+    """``coeff(t, j)``: (U - c or None, path weight w or None, w q) at path
+    parameters t of shape (stages, m) on segments j of shape (m,).
+
+    ``c``, ``kk`` = k^2 and the bump of each segment hold one entry per
+    segment.  A segment with depth 0 runs on the real axis, where w = 1 and
+    q = U''/(U - c) + k^2 (k^2 inside the pieces of a piecewise-linear wind;
+    U is not tracked where U'' = 0).  A bent one runs along x(t) = t + i
+    depth b(u), u = (t - lo)/width, where b = (u/m)^p ((1-u)/(1-m))^q is 1
+    at the layer's place m = ``peak`` and vanishes at u = 0 and 1.  The
+    integers p = 1 <= q or q = 1 <= p, rounded from p/q = m/(1-m), put the
+    bump's top within 4% of 1 and near m; as a polynomial, b is smooth up to
+    the pinned ends, where a fractional power would spoil the step control.
+    The equation in t is (y, y')' = x'(t) (y', q(x(t)) y), so w = x'.  Each
+    step's values depend on its own t and segment alone.
+    """
     if profile.zero_curvature:
-        return lambda x: (None, None, np.broadcast_to(kk, x.shape))
+        return lambda t, j: (None, None, np.broadcast_to(kk[j], t.shape))
     if isinstance(profile, PiecewiseLinearProfile):
-        return lambda x: (profile.value(x), None, np.broadcast_to(kk, x.shape))
+        return lambda t, j: (profile.value(t) - c[j], None,
+                             np.broadcast_to(kk[j], t.shape))
 
-    def coeff(x: np.ndarray):
-        u, upp = profile.value_and_curvature(x)
-        return u, None, upp / (u - cs) + kk
+    def on_axis(t, j):
+        u, upp = profile.value_and_curvature(t)
+        du = u - c[j]
+        return du, upp / du + kk[j]
 
-    return coeff
-
-
-def _path_coeff(profile: ShearProfile, cs: np.ndarray, kk: np.ndarray,
-                lo: np.ndarray, width: np.ndarray, peak: np.ndarray,
-                depth: np.ndarray):
-    """``coeff`` of a leg on which some elements are indented.
-
-    Element i runs along x(t) = t + i depth_i b_i(u), u = (t - lo_i)/width_i,
-    where b = (u/m)^p ((1-u)/(1-m))^q is 1 at the layer's place m and
-    vanishes at u = 0 and 1.  The integers p = 1 <= q or q = 1 <= p, rounded
-    from p/q = m/(1-m), put the bump's top within 4% of 1 and near m; as a
-    polynomial, b is smooth up to the pinned ends, where a fractional power
-    would spoil the step control.  The equation in t
-    is (y, y')' = x'(t) (y', q(x(t)) y), so ``coeff`` returns U(x), the path
-    weight x' and x' q.  Elements with depth 0 are evaluated at real t, so
-    that their values do not depend on the others.
-    """
-    bent = depth != 0.0
-    width = np.where(width > 0.0, width, 1.0)  # zero-length legs stand still
+    width = np.where(width > 0.0, width, 1.0)  # joints are never evaluated
     p = np.fmax(1.0, np.round(peak / (1.0 - peak)))
     q = np.fmax(1.0, np.round((1.0 - peak) / peak))
     rv, rw = 1.0 / peak, 1.0 / (1.0 - peak)
     sv, sw = p * rv / width, q * rw / width
     lift = 1j * depth
 
-    def coeff(t: np.ndarray):
-        u = np.clip((t - lo) / width, 0.0, 1.0)
-        v, w = u * rv, (1.0 - u) * rw
-        # v^(p-1) w^(q-1) by exp and log (``**`` takes a faster route for a
-        # one-element batch, which would change the last bit); the floor
+    def along(t: np.ndarray, j: np.ndarray):
+        u = np.clip((t - lo[j]) / width[j], 0.0, 1.0)
+        v, s = u * rv[j], (1.0 - u) * rw[j]
+        # v^(p-1) s^(q-1) by exp and log (``**`` takes a faster route for a
+        # one-element array, which would change the last bit); the floor
         # keeps log finite at the pinned ends, where p - 1 or q - 1 may be 0
-        vw = np.exp((p - 1.0) * np.log(np.fmax(v, 1e-300))
-                    + (q - 1.0) * np.log(np.fmax(w, 1e-300)))
-        b = vw * v * w
-        db = vw * (sv * w - sw * v)
-        x = t + lift * b
-        dx = 1.0 + lift * db
+        vs = np.exp((p[j] - 1.0) * np.log(np.fmax(v, 1e-300))
+                    + (q[j] - 1.0) * np.log(np.fmax(s, 1e-300)))
+        dx = 1.0 + lift[j] * (vs * (sv[j] * s - sw[j] * v))
+        uu, upp = profile.value_and_curvature(t + lift[j] * (vs * v * s))
+        du = uu - c[j]
+        return du, dx, dx * (upp / du + kk[j])
+
+    def coeff(t: np.ndarray, j: np.ndarray):
+        bent = depth[j] != 0.0
+        if not np.count_nonzero(bent):
+            du, q = on_axis(t, j)
+            return du, None, q
         if bent.all():
-            uu, upp = profile.value_and_curvature(x)
-        else:
-            uu = np.empty(t.shape, dtype=complex)
-            upp = np.empty(t.shape, dtype=complex)
-            uu[..., bent], upp[..., bent] = \
-                profile.value_and_curvature(x[..., bent])
-            uu[..., ~bent], upp[..., ~bent] = \
-                profile.value_and_curvature(t[..., ~bent])
-        return uu, dx, dx * (upp / (uu - cs) + kk)
+            return along(t, j)
+        du = np.empty(t.shape, dtype=complex)
+        w = np.ones(t.shape, dtype=complex)
+        wq = np.empty(t.shape, dtype=complex)
+        flat = ~bent
+        du[:, flat], wq[:, flat] = on_axis(t[:, flat], j[flat])
+        du[:, bent], w[:, bent], wq[:, bent] = along(t[:, bent], j[bent])
+        return du, w, wq
 
     return coeff
 
 
-def _advance(coeff, top: np.ndarray, bot, y: np.ndarray, alive: np.ndarray,
-             fail, tol: float, log_scale: np.ndarray, sup_y: np.ndarray,
-             watch=None) -> np.ndarray:
-    """Step every live element of ``y`` from its ``top[i]`` down to ``bot[i]``.
+def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
+               y: np.ndarray, tol: float, fail, nodes: Optional[dict] = None):
+    """Integrate each element's (y, y') from its lid state down its segments.
 
-    ``coeff(t)`` gives (U or None, w or None, w q) at path parameters t of
-    shape (..., n), where w = x'(t) is the weight of the element's path
-    (None on the real axis, where it is 1), and ``y`` holds (y, y') per
-    element and is updated in place.  Each pass tries one DOP853 step of
-    every element that is alive and short of its bottom, on the element's
-    own step size; the others step by zero, so no array is ever compacted.
-    An element whose step size collapses is handed to ``fail(i, error)``,
-    which must clear ``alive[i]``.  An element whose (y, y') passes
-    ``_RESCALE`` after a step is divided by its magnitude, whose log is added
-    to ``log_scale[i]``: the true state is y e^log_scale.  ``sup_y`` is each
-    element's largest accepted |y|, in y's scale.  ``watch(ok, t, u)`` is
-    called with the elements that accepted a point, the parameters and U
-    there: at the top, then after each pass.  Returns the accepted points per
-    element, the start point included, as scipy's integrators count ``t``; an
-    element with ``top[i] == bot[i]`` does not move and counts none.
+    Segment s belongs to element ``owner[s]``; an element's segments are
+    consecutive and run down its column, and ``owner`` does not decrease.  A
+    segment in ``joints`` maps the state by its fixed 2x2 matrix; any other
+    is a leg of the equation ``coeff`` gives (see :func:`_coefficient`).
+    ``first`` is the first mesh, (segment, start, end) of each step, in
+    segment order and down each segment (see :func:`_first_mesh`).  Each
+    step is a 2x2 DOP853 propagator, all built at once
+    (:func:`_propagators`), and an element's states at its nodes are the
+    prefix products of its steps (:func:`_chain`).  Each step whose DOP853
+    error norm on the state the products give, at rtol ``tol`` and atol
+    ``tol * 1e-3``, is >= 1 (or NaN) is cut into ceil(1 / factor) equal
+    steps, factor being scipy's step-size factor, and the products and norms
+    are redone, until no step of the element fails.  An element whose step
+    would be cut below 10 ulp of its start is handed to ``fail(i, error)``.
+    Each element's mesh and arithmetic depend on that element alone: the
+    products are grouped by step index, and a batch is padded by steps of
+    exactly I.
+
+    ``y`` holds the lid states, one column per element.  Returns (y, log
+    scale, sup |y|, min |U - c|, accepted points) per element: the state at
+    the interface is y e^log_scale, NaN where the element failed; sup |y| is
+    over the accepted points, in y's scale; the accepted points are the
+    nodes, the lid included, and a joint adds one.  When ``nodes`` is a
+    dict, ``nodes[i]`` is set to element i's (node parameters, segment of
+    each step, states at the nodes, their log scales, error norm of each
+    step) if it succeeds.
     """
     n = y.shape[1]
     rtol, atol = tol, tol * 1e-3
-    live = alive & (top > bot)
-    t = np.array(top, dtype=float)
-    u, w, wq = coeff(t)
-    f = np.array([y[1] if w is None else w * y[1], wq * y[0]])  # at t
-    n_steps = live.astype(int)
-    if watch is not None:
-        watch(live, t, u)
-    stages = np.empty((_DOP_STAGES + 1, 2, n), dtype=complex)
-    # (w, w q) at the stage abscissae: a stage derivative w (y', q y) is the
-    # reversed stage state times them; w stays 1 on the real axis
-    weights = np.ones((_DOP_STAGES - 1, 2, n), dtype=complex)
-    h_abs = _initial_step(coeff, t, bot, y, f, live, rtol, atol)
-    rejected = np.zeros(n, dtype=bool)
-    while True:
-        # scipy's controller: a retried step below min_step gives up, and a
-        # new one starts at min_step or above (which a retried one that did
-        # not give up already is)
-        min_step = 10.0 * (t - np.nextafter(t, -np.inf))
-        if np.count_nonzero(rejected):
-            for i in np.flatnonzero(rejected & (h_abs < min_step)):
-                fail(i, NearSingularCoefficient(
-                    "integration failed: Required step size is less than "
-                    "spacing between numbers."))
-            live &= alive
-        if not np.count_nonzero(live):
-            return n_steps
-        h_abs = np.fmax(h_abs, min_step)
-        t_new = np.maximum(t - h_abs, bot)
-        h = np.where(live, t - t_new, 0.0)
-        y_new, f_new, u = _dop853_step(coeff, t, h, y, f, stages, weights)
-        mag = np.maximum(np.abs(y), np.abs(y_new))
-        err = _error_norm(stages, mag, rtol, atol)
-        ok = live & (err < 1.0)
-        # err = 0 makes factor inf, which fmin caps at _MAX_FACTOR; a step
-        # retried after a rejection may not grow; a NaN err (an overflow)
-        # shrinks the step by _MIN_FACTOR, as in scipy
-        factor = _SAFETY * err ** _ERROR_EXPONENT
-        grow = np.fmin(_MAX_FACTOR, factor)
-        np.fmin(grow, 1.0, out=grow, where=rejected)
-        rejected = live ^ ok  # ok is a subset of live
-        np.fmax(_MIN_FACTOR, factor, out=grow, where=rejected)
-        h_abs = h * grow
-        np.copyto(t, t_new, where=ok)
-        np.copyto(y, y_new, where=ok)
-        np.copyto(f, f_new, where=ok)
-        np.maximum(sup_y, np.abs(y[0]), out=sup_y)
-        # fmax skips the NaN of a trial step past the float range
-        if np.fmax.reduce(mag, axis=None) > _RESCALE:
-            peak = np.fmax(mag[0], mag[1])
-            m = np.where(ok & (peak > _RESCALE), peak, 1.0)
-            y /= m
-            f /= m  # f is linear in y
-            sup_y /= m
-            log_scale += np.log(m)
-        n_steps += ok
-        if watch is not None:
-            watch(ok, t, u)
-        live &= t > bot
+    out_y = np.full((2, n), complex("nan"))
+    out_scale, out_sup = np.zeros(n), np.zeros(n)
+    out_dist, out_count = np.full(n, math.inf), np.zeros(n, dtype=int)
+    # a lid state past _RESCALE starts rescaled; one that is not finite has
+    # no finite step
+    size = np.abs(y).max(axis=0)
+    lid_scale = np.where(size > _RESCALE, np.log(size), 0.0)
+    y = y / np.where(size > _RESCALE, size, 1.0)
+    live = np.isfinite(size)
+    for i in np.flatnonzero(~live):
+        if np.any(owner == i):
+            fail(i, _collapse())
+    seg, t0, t1 = first
+    keep = live[owner[seg]]
+    seg, t0, t1 = seg[keep], t0[keep], t1[keep]
+    prop = np.empty((2, 2, seg.size), dtype=complex)
+    err = np.zeros((2, 2, 2, seg.size), dtype=complex)
+    dist = np.full(seg.size, math.inf)
+    fresh = np.ones(seg.size, dtype=bool)
+    for s, matrix in joints.items():
+        prop[..., seg == s] = np.asarray(matrix)[..., None]
+        fresh[seg == s] = False
+    while seg.size:
+        todo = np.flatnonzero(fresh)
+        for j in range(0, todo.size, _CHUNK):
+            idx = todo[j:j + _CHUNK]
+            prop[..., idx], err[..., idx], dist[idx] = _propagators(
+                coeff, t0[idx], t0[idx] - t1[idx], seg[idx])
+        # one row per element, padded by I
+        elem = owner[seg]
+        heads = np.flatnonzero(np.r_[True, elem[1:] != elem[:-1]])
+        counts = np.diff(np.r_[heads, elem.size])
+        rows = elem[heads]
+        row = np.repeat(np.arange(rows.size), counts)
+        col = np.arange(elem.size) - heads[row]
+        chain = np.zeros((2, 2, rows.size, counts.max()), dtype=complex)
+        chain[0, 0] = chain[1, 1] = 1.0
+        chain[:, :, row, col] = prop
+        scale = np.zeros(chain.shape[2:])
+        _chain(chain, scale)
+        lid = y[:, rows, None]
+        states = np.concatenate((lid, _apply(chain, lid)), axis=2)
+        scales = np.concatenate((np.zeros((rows.size, 1)), scale), axis=1) \
+            + lid_scale[rows, None]
+        start = states[:, row, col]
+        norm = _error_norms(prop, err, start, rtol, atol)
+        # a state past a NaN step waits for that step's refinement
+        bad = (norm >= 1.0) | (np.isnan(norm) & np.isfinite(start).all(axis=0))
+        factor = np.fmax(_MIN_FACTOR, _SAFETY * norm ** _ERROR_EXPONENT)
+        cuts = np.where(bad, np.ceil(1.0 / factor), 1.0).astype(int)
+        collapse = bad & ((t0 - t1) / cuts
+                          < 10.0 * (t0 - np.nextafter(t0, -np.inf)))
+        dead = np.zeros(rows.size, dtype=bool)
+        dead[row[collapse]] = True
+        for i in rows[dead]:
+            fail(i, _collapse())
+        settled = np.bincount(row[bad], minlength=rows.size) == 0
+        done = np.flatnonzero(settled)
+        i, last = rows[done], counts[done]
+        out_y[:, i] = states[:, done, last]
+        out_scale[i] = scales[done, last]
+        grow = np.abs(states[0, done]) * np.exp(scales[done]
+                                                - out_scale[i, None])
+        out_sup[i] = np.where(np.arange(grow.shape[1]) <= last[:, None],
+                              grow, 0.0).max(axis=1)
+        out_dist[i] = np.minimum.reduceat(dist, heads)[done]
+        out_count[i] = last + 1
+        for r in done.tolist() if nodes is not None else ():
+            mine = slice(heads[r], heads[r] + counts[r])
+            nodes[rows[r]] = (np.append(t0[mine], t1[mine.stop - 1]),
+                              seg[mine], states[:, r, :counts[r] + 1],
+                              scales[r, :counts[r] + 1], norm[mine])
+        parent, t0, t1 = _cut(t0, t1, np.where(settled[row] | dead[row], 0,
+                                               cuts))
+        seg, prop, err, dist = (seg[parent], prop[..., parent],
+                                err[..., parent], dist[parent])
+        fresh = cuts[parent] > 1
+    return out_y, out_scale, out_sup, out_dist, out_count
 
 
-def _dop853_step(coeff, t: np.ndarray, h: np.ndarray, y: np.ndarray,
-                 f: np.ndarray, stages: np.ndarray, weights: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """One DOP853 step of (y, y')' = w (y', q y) from t down to t - h, per element.
+def _collapse() -> NearSingularCoefficient:
+    return NearSingularCoefficient(
+        "integration failed: Required step size is less than spacing "
+        "between numbers.")
 
-    ``f`` is the derivative at t.  ``stages`` is filled with h times the
-    stage derivatives, which spares a scaling per stage.  q does not depend
-    on y, so the coefficient is evaluated at every stage abscissa at once.
-    Returns the state and its derivative at t - h, and U(t - h).
+
+def _cut(t0: np.ndarray, t1: np.ndarray, reps: np.ndarray
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut each step, from t0[i] down to t1[i], into reps[i] equal steps
+    (none where 0).  Returns the index of each new step's parent and its
+    ends; a cut is the same float as the end of one step and the start of
+    the next."""
+    parent = np.repeat(np.arange(reps.size), reps)
+    n = reps[parent]
+    piece = np.arange(parent.size) - (np.cumsum(reps) - reps)[parent]
+    top, bot = t0[parent], t1[parent]
+    span = top - bot
+    return (parent, top - (piece / n) * span,
+            np.where(piece + 1 == n, bot, top - ((piece + 1) / n) * span))
+
+
+def _apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The 2x2 matrices of ``a``, whose axes are (..., row, column,
+    *v.shape[1:]), times the vectors of ``v``."""
+    head = (slice(None),) * (a.ndim - v.ndim)
+    return a[head + (0,)] * v[0] + a[head + (1,)] * v[1]
+
+
+def _propagators(coeff, t0: np.ndarray, h: np.ndarray, seg: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """DOP853's steps of (y, y')' = w (y', q y) from t0 down to t0 - h on
+    segments seg, as matrices.
+
+    The equation is linear in (y, y'), and w and q do not depend on it, so
+    stage s of a step is a 2x2 matrix K_s, h w_s (Y_s[1], q_s Y_s[0]) with
+    Y_s = I - sum_j A_sj K_j: the vector form of the step run on both
+    columns of I at once.  Returns (M, E, dist): M (2, 2, m) maps the state
+    at t0 to the state at t0 - h, E (2, 2, 2, m) maps it to the order-5 and
+    order-3 error estimates times h, and dist is min |U - c| at the step's
+    two ends (inf where U is not tracked).  A step of h = 0 is exactly I.
     """
-    u, w, weights[:, 1] = coeff(t - _DOP_C * h)
-    if w is not None:
-        weights[:, 0] = w
-    scaled = weights * h
-    np.multiply(f, h, out=stages[0])
+    du, w, wq = coeff(t0 - _DOP_C * h, seg)
+    scaled = np.empty((_DOP_STAGES, 2, 1, h.size), dtype=complex)
+    scaled[:, 0, 0] = h if w is None else w * h
+    scaled[:, 1, 0] = wq * h
+    stages = np.empty((_DOP_STAGES + 1, 2, 2, h.size), dtype=complex)
+    # the real weights act on the real and imaginary parts alike
+    parts = stages.view(float)
+    acc = np.empty(parts.shape[1:])
+    spare = np.empty_like(acc)
+    y = acc.view(complex)
+    np.multiply(_EYE[::-1], scaled[0], out=stages[0])
     for s in range(1, _DOP_STAGES):
-        acc = np.add.reduce(_DOP_A[s] * stages[:s], axis=0)
-        np.subtract(y, acc, out=acc)
-        np.multiply(acc[::-1], scaled[s - 1], out=stages[s])
-    y_new = np.add.reduce(_DOP_B * stages[:-1], axis=0)
-    np.subtract(y, y_new, out=y_new)
-    # the last stage abscissa is t - h
-    f_new = y_new[::-1] * weights[-1]
-    np.multiply(f_new, h, out=stages[-1])
-    return y_new, f_new, None if u is None else u[-1]
+        _weigh(parts, _DOP_A[s], acc, spare)
+        np.subtract(_EYE, y, out=y)
+        np.multiply(y[::-1], scaled[s], out=stages[s])
+    prop = np.subtract(_EYE, _weigh(parts, _DOP_B, acc, spare).view(complex))
+    # the last stage abscissa is t0 - h
+    np.multiply(prop[::-1], scaled[-1], out=stages[-1])
+    err = np.empty((2,) + parts.shape[1:])
+    for est, out in zip(_DOP_E, err):
+        _weigh(parts, est, out, spare)
+    err = err.view(complex)
+    dist = np.full(h.size, math.inf) if du is None else \
+        np.fmin(np.abs(du[0]), np.abs(du[-1]))
+    return prop, err, dist
 
 
-def _error_norm(stages, mag, rtol, atol) -> np.ndarray:
-    """scipy's DOP853 error norm per element, ``mag`` max(|y|, |y_new|).
+def _weigh(parts: np.ndarray, terms: list, out: np.ndarray,
+           spare: np.ndarray) -> np.ndarray:
+    """The sum of weight * parts[j] over the (j, weight) ``terms``, in
+    order, into ``out``."""
+    (j, weight), *rest = terms
+    np.multiply(parts[j], weight, out=out)
+    for j, weight in rest:
+        out += np.multiply(parts[j], weight, out=spare)
+    return out
 
-    The stages carry a factor h, so the squared norms carry h^2, and scipy's
-    |h| e5 / sqrt(2 (e5 + 0.01 e3)) is e5 / sqrt(2 (e5 + 0.01 e3)) in them.
+
+def _error_norms(prop: np.ndarray, err: np.ndarray, y: np.ndarray,
+                 rtol: float, atol: float) -> np.ndarray:
+    """scipy's DOP853 error norm of each step from its start state y.
+
+    The estimates carry a factor h (see :func:`_propagators`), so the
+    squared norms carry h^2, and scipy's |h| e5 / sqrt(2 (e5 + 0.01 e3)) is
+    e5 / sqrt(2 (e5 + 0.01 e3)) in them.
     """
-    sc = atol + mag * rtol
-    e = np.abs(np.add.reduce(_DOP_E * stages, axis=1) / sc) ** 2
+    sc = atol + np.maximum(np.abs(y), np.abs(_apply(prop, y))) * rtol
+    e = np.abs(_apply(err, y) / sc) ** 2
     e5, e3 = e[:, 0] + e[:, 1]
     denom = e5 + 0.01 * e3
     # a NaN from an element that overflows must reject the step, not pass as 0
     return np.where(denom == 0.0, 0.0, e5 / np.sqrt(2.0 * denom))
 
 
-def _rms(v: np.ndarray) -> np.ndarray:
-    """Per-element RMS norm over the two state components."""
-    return np.sqrt(0.5 * (np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2))
+def _chain(chain: np.ndarray, scale: np.ndarray) -> None:
+    """Prefix products along the last axis of (2, 2, rows, steps) matrices,
+    in place: step j becomes the product of steps j, j - 1, ..., 0, and
+    ``scale[:, j]`` the log of the factor divided out of it.
 
-
-def _initial_step(coeff, t0, t_bound, y0, f0, live, rtol, atol) -> np.ndarray:
-    """scipy's starting-step heuristic, per element (0 for the others).
-
-    fmin and fmax ignore a NaN, so an element whose derivative overflows at
-    the lid still gets a finite first step, and then fails the step control
-    as it does in scipy.
+    Hillis & Steele (1986): in round d, the product of the 2^d steps that
+    end at j takes the one of the 2^d steps before them, so the grouping of
+    every product is fixed by j alone.  A product with a part past
+    ``_RESCALE`` is divided by its largest part, whose log its scale gains.
     """
-    interval = t0 - t_bound
-    sc = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / sc), _rms(f0 / sc)
-    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-    h0 = np.where(live, np.fmin(h0, interval), 0.0)
-    y1 = y0 - h0 * f0
-    _, w1, wq1 = coeff(t0 - h0)
-    dy1 = y1[1] if w1 is None else w1 * y1[1]
-    d2 = _rms(np.stack((dy1 - f0[0], wq1 * y1[0] - f0[1])) / sc) / h0
-    dmax = np.fmax(d1, d2)
-    h1 = np.where(dmax <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / dmax) ** (-_ERROR_EXPONENT))
-    return np.fmin(np.fmin(100.0 * h0, h1), interval)
+    width = chain.shape[-1]
+    shift = 1
+    while shift < width:
+        later, earlier = chain[..., shift:], chain[..., :-shift]
+        prod = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+        logs = scale[:, shift:] + scale[:, :-shift]
+        # a product's size is its largest real or imaginary part; fmax skips
+        # the NaN of a failed element
+        parts = np.abs(prod.view(float))
+        if np.fmax.reduce(parts, axis=None) > _RESCALE:
+            size = parts.max(axis=(0, 1)).reshape(logs.shape + (2,)).max(axis=-1)
+            big = np.where(size > _RESCALE, size, 1.0)
+            prod /= big
+            logs += np.log(big)
+        chain[..., shift:] = prod
+        scale[:, shift:] = logs
+        shift *= 2
 
 
 def pwl_impedance_cascade(profile: PiecewiseLinearProfile, k: float,
@@ -794,13 +915,16 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
     """Impedances y'(0)/y(0) of (k, c) pairs, ``k`` broadcast against ``cs``,
     and the error of each pair that failed.
 
-    Closed forms, where exact, are evaluated pair by pair: vorticity-free
-    profiles (:func:`uniform_flow_impedance`) and piecewise-linear ones on an
+    A pair with Im c < 0 is the mirror image of (k, conj c): its impedance
+    is the conjugate of that pair's, bit for bit, and each distinct (k, c)
+    with Im c >= 0 is computed once.  Closed forms, where exact, are
+    evaluated pair by pair: vorticity-free profiles
+    (:func:`uniform_flow_impedance`) and piecewise-linear ones on an
     unbounded column (:func:`pwl_impedance_cascade`).  Every other pair is
-    shot in one step loop of scipy's DOP853, at rtol ``tol`` and atol
-    ``tol * 1e-3``, on a step size of its own (see :func:`_advance`); the
-    arithmetic is elementwise, so a pair's impedance is bit for bit the one
-    it gets alone.  A failed pair's impedance is NaN, and ``errors`` maps its index
+    shot in one batch of the kernel (:func:`_integrate`), whose DOP853
+    steps meet rtol ``tol`` and atol ``tol * 1e-3``; each pair's mesh and
+    arithmetic are its own, so its impedance is bit for bit the one it gets
+    alone.  A failed pair's impedance is NaN, and ``errors`` maps its index
     to the error :func:`interface_impedance` raises for it; a caller that
     raises the first error in input order raises ``errors[min(errors)]``.
 
@@ -823,6 +947,12 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
     if sign_ci not in (None, -1, 1):
         raise ValueError("sign_ci must be +1, -1 or None")
     ks, cs = _pairs(k, cs)
+    below = cs.imag < 0.0
+    # adding 0 turns an imaginary part of -0 into +0
+    upper = np.where(below, cs.conj(), cs) + 0.0
+    _, first, which = np.unique(np.stack((ks, upper.real, upper.imag)),
+                                axis=1, return_index=True, return_inverse=True)
+    ks, cs = ks[first], upper[first]
     if profile.zero_curvature or (isinstance(profile, PiecewiseLinearProfile)
                                   and math.isinf(profile.h_plus)):
         imps = np.full(cs.shape, complex("nan"))
@@ -835,11 +965,16 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
                     imps[i] = pwl_impedance_cascade(profile, kv, c)
             except WindwavesError as exc:
                 errors[i] = exc
-        return imps, errors
-    y, _, _, errors = _shoot(profile, ks, cs, tol, sign_ci=sign_ci,
-                             layers=layers)
-    with np.errstate(invalid="ignore"):  # NaN / NaN for the failed pairs
-        return y[1] / y[0], errors
+    else:
+        y, _, _, errors = _shoot(profile, ks, cs, tol, sign_ci=sign_ci,
+                                 layers=None if layers is None
+                                 else [layers[i] for i in first])
+        with np.errstate(invalid="ignore"):  # NaN / NaN for the failed pairs
+            imps = y[1] / y[0]
+    imps = imps[which]
+    np.conjugate(imps, out=imps, where=below)
+    return imps, {i: errors[j] for i, j in enumerate(which.tolist())
+                  if j in errors}
 
 
 # ---------------------------------------------------------------------------
@@ -988,6 +1123,16 @@ def _build_patch(profile: ShearProfile, layer: CriticalLayer, k: float,
                         c2=c2, c3=c3, d2=d2, d3=d3, delta=delta)
 
 
+def _crossing(patch: _SeriesPatch, sign_ci: int) -> np.ndarray:
+    """The map of (y, y') from the patch's upper edge to its lower one:
+    match (A+, B) there, jump the analytic amplitude to A- = A+ - i sign_ci
+    pi U''(s)/|U'(s)| B, and re-emit the state at s - delta."""
+    jump = np.array([[1.0, -1j * sign_ci * math.pi * patch.u_double_prime
+                      / abs(patch.u_prime)], [0.0, 1.0]])
+    return patch.matrix(-patch.delta) @ jump @ np.linalg.inv(
+        patch.matrix(patch.delta))
+
+
 @dataclass(frozen=True)
 class LayerJump:
     """Per-layer record of the limiting solution (y*(0) = 1 normalization)."""
@@ -1013,7 +1158,6 @@ class LimitSolution:
     yp0: complex
     jumps: tuple[LayerJump, ...]
     n_steps: int = 0
-    method: str = "limiting"
 
     def w_jump_defects(self) -> tuple[float, ...]:
         """Relative defect of W*(s+) - W*(s-) against the jump formula."""
@@ -1078,55 +1222,67 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
             raise SeriesRadiusTooSmall(
                 f"series radius {patch.delta:g} collapsed at layer {patch.s}")
 
-    # the spans between the patches, from the lid down, cut at the breakpoints
+    # the spans between the patches, from the lid down, cut at the
+    # breakpoints; a kink's jump and a patch's crossing are joints
     breaks = _segment_bounds(profile)
     edges = [h] + [x for p in reversed(patches)
                    for x in (p.s + p.delta, p.s - p.delta)] + [0.0]
-    legs: list[tuple[float, float, Optional[_SeriesPatch]]] = []
-    for m, (x_from, x_to) in enumerate(zip(edges[::2], edges[1::2])):
-        cuts = sorted({x_from, x_to}.union(b for b in breaks if x_to < b < x_from),
-                      reverse=True)
-        legs += [(a, b, None) for a, b in zip(cuts, cuts[1:])]
-        if m < len(patches):  # the patch crossed at the bottom of the span
-            legs[-1] = (cuts[-2], cuts[-1], patches[-1 - m])
-
-    coeff = _real_coeff(profile, np.array([c_r], dtype=float),
-                        np.array([k * k], dtype=float))
     kinks = _kink_jump_map(profile)
     # the kink guard's speed scale; only kinked profiles need it sampled
     scale = _speed_scale(profile, complex(c_r), _u_range(profile)) \
         if kinks else 1.0
-    y = np.array([[0.0], [1.0]], dtype=complex)  # (y, y') of the one element
+    top: list[float] = []
+    bot: list[float] = []
+    joints: dict[int, np.ndarray] = {}
+    crossings: dict[int, _SeriesPatch] = {}
+    for m, (x_from, x_to) in enumerate(zip(edges[::2], edges[1::2])):
+        cuts = sorted({x_from, x_to}.union(b for b in breaks if x_to < b < x_from),
+                      reverse=True)
+        for a, b in zip(cuts, cuts[1:]):
+            top.append(a)
+            bot.append(b)
+            if b in kinks:
+                denom = _kink_denominator(profile, b, complex(c_r), scale)
+                # y'(x-) = y'(x+) - [U'] y / (U - c)
+                joints[len(top)] = np.array([[1.0, 0.0],
+                                             [-kinks[b] / denom, 1.0]])
+                top.append(b)
+                bot.append(b)
+        if m < len(patches):  # the patch crossed at the bottom of the span
+            patch = patches[-1 - m]
+            crossings[len(top)] = patch
+            joints[len(top)] = _crossing(patch, sign_ci)
+            top.append(patch.s + patch.delta)
+            bot.append(patch.s - patch.delta)
+
+    top, bot = np.array(top), np.array(bot)
+    n_seg = top.size
+    coeff = _coefficient(profile, np.full(n_seg, float(c_r)),
+                         np.full(n_seg, float(k * k)), bot, top - bot,
+                         np.full(n_seg, 0.5), np.zeros(n_seg))
 
     def fail(i: int, exc: WindwavesError) -> None:
         raise exc
 
-    n_steps = 0
-    log_scale = np.zeros(1)  # true state = stored state * exp(log_scale)
-    sup_y = np.zeros(1)  # the largest |y| of all legs, in y's scale
-    raw_jumps = []  # per-layer records with the scale at recording time
+    fixed = np.zeros(n_seg, dtype=bool)
+    fixed[list(joints)] = True
+    first = _first_mesh(top, bot, np.full(n_seg, float(k)), np.zeros(n_seg),
+                        np.full(n_seg, 0.5), fixed)
+    nodes: dict = {}
     with np.errstate(all="ignore"):
-        for top, bot, patch in legs:
-            n_steps += int(_advance(coeff, np.array([top]), bot, y,
-                                    np.ones(1, bool), fail, tol, log_scale,
-                                    sup_y)[0])
-            if bot in kinks:
-                denom = _kink_denominator(profile, bot, complex(c_r), scale)
-                # y'(x-) = y'(x+) - [U'] y / (U - c)
-                y[1] -= kinks[bot] * y[0] / denom
-            if patch is None:
-                continue
-            state = y[:, 0]
-            w_above = float(np.imag(state[1] * np.conj(state[0])))
-            # match (A+, B) on the upper edge, jump the analytic amplitude,
-            # re-emit the state on the lower edge
-            a_plus, b_coef = np.linalg.solve(patch.matrix(patch.delta), state)
-            a_minus = a_plus - 1j * sign_ci * math.pi * (
-                patch.u_double_prime / abs(patch.u_prime)) * b_coef
-            y[:, 0] = patch.matrix(-patch.delta) @ np.array([a_minus, b_coef])
-            w_below = float(np.imag(y[1, 0] * np.conj(y[0, 0])))
-            raw_jumps.append((patch, b_coef, w_above, w_below,
-                              float(log_scale[0])))
+        y, log_scale, sup_y, _, n_steps = _integrate(
+            coeff, np.zeros(n_seg, dtype=int), joints, first,
+            np.array([[0.0], [1.0]], dtype=complex), tol, fail, nodes)
+    _, seg, states, scales, _ = nodes[0]
+    raw_jumps = []  # per-layer records with the scale at recording time
+    for j in np.flatnonzero(np.isin(seg, list(crossings))).tolist():
+        patch, state = crossings[int(seg[j])], states[:, j]
+        w_above = float(np.imag(state[1] * np.conj(state[0])))
+        # the log-series amplitude B on the upper edge
+        _, b_coef = np.linalg.solve(patch.matrix(patch.delta), state)
+        below = joints[int(seg[j])] @ state
+        w_below = float(np.imag(below[1] * np.conj(below[0])))
+        raw_jumps.append((patch, b_coef, w_above, w_below, float(scales[j])))
 
     # normalize to y*(0) = 1 and assemble the layer records
     y0, yp0 = complex(y[0, 0]), complex(y[1, 0])
@@ -1144,7 +1300,7 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
                                w_above=w_above * rel2, w_below=w_below * rel2))
     return LimitSolution(c_r=c_r, sign_ci=sign_ci, k=k, layers=layers,
                          impedance=yp0 / y0, y0=1.0 + 0.0j, yp0=yp0 / y0,
-                         jumps=tuple(jumps), n_steps=n_steps)
+                         jumps=tuple(jumps), n_steps=int(n_steps[0]))
 
 
 @dataclass
