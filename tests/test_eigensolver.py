@@ -17,6 +17,7 @@ from windwaves.eigensolver import (
     NEUTRAL,
     UNSTABLE,
     ScanStrategy,
+    _winding,
     continue_in_epsilon,
     count_roots,
     find_root,
@@ -215,6 +216,32 @@ def test_certificate_counts_match_pointwise_path(u_max, d, k):
         == cert.count_upper == 0
     assert count_roots(pointwise, (lo, hi, -radius, -im_floor), 24) \
         == cert.count_lower == 0
+
+
+def test_certificate_square_shoots_each_conjugate_pair_once(monkeypatch):
+    # the square is symmetric about the real axis as exact conjugate pairs,
+    # and a pair below the axis is shot as its conjugate: of the 4 n contour
+    # points and n + 1 axis samples, 3 n are distinct
+    from windwaves import rayleigh
+
+    eps, k, n = 1.22e-3, 1.2, 24
+    p = params_with(h_plus=5.0)
+    prof = TanhProfile(1.0, 1.0, 5.0)
+    radius = 0.25 * (ck(p, k) - math.tanh(5.0))
+    contour = next(_winding((ck(p, k) - radius, ck(p, k) + radius, -radius,
+                             radius), n, 8))
+    assert {z.conjugate() for z in contour} == set(contour)
+    sizes = []
+    shoot = rayleigh._shoot
+
+    def counted(profile, ks, cs, *args, **kwargs):
+        sizes.append(cs.size)
+        return shoot(profile, ks, cs, *args, **kwargs)
+
+    monkeypatch.setattr(rayleigh, "_shoot", counted)
+    cert = necessity_certificate(prof, p, k, eps, radius, n_boundary=n)
+    assert cert.route == "square"
+    assert sizes == [3 * n]
 
 
 def test_certificate_one_batch_per_round(monkeypatch):

@@ -20,6 +20,7 @@ from windwaves.profiles import (
     TabulatedProfile,
     TanhProfile,
 )
+from windwaves import rayleigh
 from windwaves.rayleigh import (
     impedance_limit_check,
     impedance_outcomes,
@@ -133,7 +134,9 @@ class TestDirectIntegration:
         assert np.all(np.diff(sol.trace.x2) >= 0)
 
     @pytest.mark.parametrize("profile", [TANH, PiecewiseLinearProfile(
-        [0.0, 1.0, 2.5], [3.0, 1.0, 0.0], h_plus=4.0)], ids=["tanh", "kinked"])
+        [0.0, 1.0, 2.5], [3.0, 1.0, 0.0], h_plus=4.0), TabulatedProfile(
+            np.linspace(0.0, 5.0, 16), 10.0 * np.tanh(np.linspace(0.0, 5.0, 16)))],
+        ids=["tanh", "kinked", "table"])
     def test_trace_spans_column_and_ends_at_interface(self, profile):
         sol = integrate_rayleigh(profile, 1.2, 2.0 + 0.3j, want_trace=True)
         tr = sol.trace
@@ -297,6 +300,80 @@ class TestBatch:
         with pytest.raises(InfiniteDomain):
             impedance_outcomes(TanhProfile(10.0, 1.0, math.inf), 1.0,
                                [1.0 + 1.0j])
+
+
+#: a wind whose U'' has a double pole at x2 = 1 + sqrt 2, which no step
+#: can cross (and no float node hits)
+POLE = AnalyticProfile(f=lambda x: x, df=lambda x: 1.0,
+                       d2f=lambda x: (x - 1.0 - math.sqrt(2.0)) ** -2,
+                       h_plus=5.0, name="pole")
+
+
+class TestKernel:
+    """The mesh kernel: every accepted step passes DOP853's error test, and
+    a batch member's mesh and arithmetic are its own."""
+
+    @pytest.mark.parametrize("profile", [TANH, TestBatch.TABLE,
+                                         TestBatch.KINKED],
+                             ids=["tanh", "table", "kinked"])
+    def test_mixed_batch_equals_solo_bitwise(self, profile):
+        # k 150 needs ~50 times the steps of k 0.3, so the short meshes are
+        # padded by steps of I in the batch's prefix products
+        ks = [0.3, 150.0, 0.3, 150.0, 1.2]
+        cs = [3.0 + 0.2j, 3.0 + 0.2j, 6.0 - 0.1j, 12.0 + 0.0j, 2.0 + 1e-3j]
+        imps, errors = impedance_outcomes(profile, ks, cs)
+        assert errors == {}
+        for k, c, imp in zip(ks, cs, imps):
+            solo, _ = impedance_outcomes(profile, k, [c])
+            assert solo.view(float).tolist() == [imp.real, imp.imag]
+        lengths = [rayleigh._final_mesh(profile, k, c)[0].size
+                   for k, c in zip(ks, cs)]
+        assert max(lengths) > 10 * min(lengths)
+
+    @pytest.mark.parametrize("profile, k, c, sign_ci", [
+        (TANH, 1.0, 3.0 + 0.05j, None),
+        (TANH, 3.0, 1.8076 + 1.5778e-4j, None),  # a bump near the layer
+        (TANH, 1.2, 3.0 + 0.0j, 1),  # the limit along the path
+        (TANH, 300.0, 12.0 + 0.0j, None),  # past the float range
+        (REAL_AXIS_TANH, 1.0, 3.0 + 1e-3j, None),
+        (TestBatch.TABLE, 1.2, 6.0 + 0.0j, -1),
+        (TestBatch.KINKED, 1.2, 2.0 - 0.3j, None),
+    ], ids=["tanh", "bump", "limit", "large-k", "real-axis", "table",
+            "kinked"])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_every_step_passes_the_error_test(self, profile, k, c, sign_ci,
+                                              tol):
+        t, norms = rayleigh._final_mesh(profile, k, c, tol, sign_ci)
+        assert t[0] == profile.h_plus and t[-1] == 0.0
+        assert np.all(np.diff(t) <= 0.0)
+        assert norms.size == t.size - 1
+        assert np.all(norms < 1.0)
+        if sign_ci is None:  # the accepted points are the nodes
+            assert integrate_rayleigh(profile, k, c, tol).n_steps == t.size
+
+    def test_step_collapse_is_refused(self):
+        with pytest.raises(NearSingularCoefficient,
+                           match="Required step size is less than spacing"):
+            integrate_rayleigh(POLE, 1.0, 20.0 + 1.0j)
+        imps, errors = impedance_outcomes(POLE, 1.0, [20.0 + 1.0j, 20.0 - 1.0j])
+        assert list(errors) == [0, 1] and np.all(np.isnan(imps))
+
+    @pytest.mark.parametrize("profile", [
+        ConstantProfile(4.0, h_plus=5.0), LinearShearProfile(0.0, 2.0, h_plus=3.0),
+        PiecewiseLinearProfile.ramp(2.0, 1.0), TestBatch.KINKED, TANH,
+        TestBatch.TABLE, TestBatch.EXP, REAL_AXIS_TANH],
+        ids=["uniform", "linear", "unbounded-ramp", "kinked", "tanh", "table",
+             "analytic", "real-axis-tanh"])
+    def test_conjugate_speeds_give_conjugate_impedances_bitwise(self, profile):
+        ks = [0.4, 1.2, 2.5, 1.2]
+        cs = np.array([3.0 + 0.2j, 1.0 + 1e-3j, 6.0 + 0.5j, 12.0 + 2.0j])
+        up, errors = impedance_outcomes(profile, ks, cs)
+        dn, _ = impedance_outcomes(profile, ks, cs.conj())
+        assert errors == {}
+        assert np.conj(up).view(float).tolist() == dn.view(float).tolist()
+        # a batch of both shoots each pair once and gives the same bits
+        both, _ = impedance_outcomes(profile, ks + ks, np.r_[cs, cs.conj()])
+        assert both.view(float).tolist() == np.r_[up, dn].view(float).tolist()
 
 
 class TestUniformImpedance:
