@@ -11,31 +11,36 @@ rescaling of the initial data.
 
 Three regimes are covered:
 
-* ``impedance_outcomes``: many (k, c) pairs in one DOP853 step loop of
-  elementwise numpy, each pair on its own step sizes.  On a profile that
-  evaluates at complex altitudes (``complex_path``: tanh, tables) each pair
-  shoots along Lin's path, indented into the complex plane around the
-  critical layers at Re c on the side away from the singularity, so one
-  solver covers Im c large down to Im c = 0+- (the limit, with the side
-  given by ``sign_ci``).  Other curved profiles shoot on the real axis and
-  are refused too close to a layer.  It is the one batch entry into the
-  kernel; ``interface_impedance`` (one pair) and ``integrate_rayleigh`` (one
+* ``impedance_outcomes``: many (k, c) pairs in one batch of the kernel.
+  The equation is linear in (y, y') and its coefficient does not depend on
+  y, so each DOP853 step of a pair is a fixed 2x2 matrix.  The kernel
+  (:func:`_integrate`) builds every step of every pair at once, chains them
+  by prefix products into the states at all nodes, and cuts every step that
+  fails DOP853's error test, round by round, until none does; each pair's
+  mesh and arithmetic are its own.  On a profile that evaluates at complex
+  altitudes (``complex_path``: tanh, tables) each pair shoots along Lin's
+  path, indented into the complex plane around the critical layers at Re c
+  on the side away from the singularity, so one solver covers Im c large
+  down to Im c = 0+- (the limit, with the side given by ``sign_ci``).
+  Other curved profiles shoot on the real axis and are refused too close to
+  a layer.  It is the one batch entry into the kernel;
+  ``interface_impedance`` (one pair) and ``integrate_rayleigh`` (one
   element, with lid data and a trace) are the scalar entries.
 * ``integrate_wronskian``: the real 4-vector (|y|^2, Re y'conj(y), |y'|^2,
   Im y'conj(y)) whose last component carries the destabilizing phase.
 * ``limiting_solution``: the Im c -> 0 limit across critical layers on the
-  real axis, shot on the kernel's one-element step loop between the layers
-  and crossed with local log-series patches and the explicit derivative
-  jump i sign(c_I) pi U''(s)/|U'(s)| y(s).  It gives the per-layer jump
-  data, so it serves the growth constant wherever the path does not
-  (profiles without ``complex_path``, two or more layers, a layer at an
-  inflection point), and its impedance is an independent check of the
-  indented path's.
+  real axis, shot on the kernel as one element whose mesh runs between the
+  layers and crosses each with a local log-series patch and the explicit
+  derivative jump i sign(c_I) pi U''(s)/|U'(s)| y(s), one more 2x2 matrix.
+  It gives the per-layer jump data, so it serves the growth constant
+  wherever the path does not (profiles without ``complex_path``, two or
+  more layers, a layer at an inflection point), and its impedance is an
+  independent check of the indented path's.
 
-The kernel rescales each element's state as it grows like e^{|k| x} (see
-:func:`_advance`), so it runs at any |k| h+.  It, and with it the limiting
-solver, needs numpy alone; ``integrate_wronskian`` steps on scipy's
-``solve_ivp``, imported when it first runs.
+The prefix products carry a log scale (see :func:`_chain`), so the kernel
+runs at any |k| h+.  It, and with it the limiting solver, needs numpy
+alone; ``integrate_wronskian`` steps on scipy's ``solve_ivp``, imported
+when it first runs.
 """
 from __future__ import annotations
 
@@ -193,13 +198,15 @@ def _bumps(profile: ShearProfile, c: complex, scale: float,
     return tuple(out)
 
 
-def _kink_denominator(profile: ShearProfile, x: float, c: complex,
-                      scale: float) -> complex:
-    """U(x) - c at a kink, refused when the wave speed equals the kink speed."""
+def _kink_joint(profile: ShearProfile, x: float, jump: float, c: complex,
+                scale: float) -> np.ndarray:
+    """The derivative jump y'(x-) = y'(x+) - [U'] y / (U - c) at a kink of
+    slope jump [U'] = ``jump``, as a map of (y, y'); refused when the wave
+    speed equals the kink speed."""
     denom = profile.value(x) - c
     if abs(denom) < 1e-12 * scale:
         raise NearSingularCoefficient(f"wave speed equals the kink speed U({x})")
-    return denom
+    return np.array([[1.0, 0.0], [-jump / denom, 1.0]])
 
 
 def _check_path(min_coeff_dist: float, scale: float) -> None:
@@ -282,7 +289,7 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
                        want_trace: bool = False) -> RayleighSolution:
     """Integrate the Rayleigh equation from the lid down to the interface.
 
-    The one-element case of the step loop of :func:`impedance_outcomes`:
+    The one-element case of the kernel of :func:`impedance_outcomes`:
     (y(0), y'(0)) is bit for bit the state its pair reaches in any batch.
 
     Parameters
@@ -444,8 +451,8 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
             else:
                 _check_switch(profile, c, scales[i], u_range)
                 bumps = ()
-            kinks = {x: _kink_denominator(profile, x, c, scales[i])
-                     for x in jumps}
+            kinks = {x: _kink_joint(profile, x, jump, c, scales[i])
+                     for x, jump in jumps.items()}
         except WindwavesError as exc:
             fail(i, exc)
             continue
@@ -455,18 +462,14 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
         for top, bot in zip(cuts, cuts[1:]):
             segments.append((i, top, bot, *bent.get(top, (0.0, 0.5))))
             if bot in kinks:
-                # y'(x-) = y'(x+) - [U'] y / (U - c)
-                joints[len(segments)] = np.array(
-                    [[1.0, 0.0], [-jumps[bot] / kinks[bot], 1.0]])
+                joints[len(segments)] = kinks[bot]
                 segments.append((i, bot, bot, 0.0, 0.5))
 
     owner, top, bot, depth, peak = (np.array(v) for v in zip(*segments)) \
         if segments else (np.zeros(0, dtype=int), *np.zeros((4, 0)))
     coeff = _coefficient(profile, cs[owner], ks[owner] ** 2, bot, top - bot,
                          peak, depth)
-    fixed = np.zeros(owner.size, dtype=bool)
-    fixed[list(joints)] = True
-    first = _first_mesh(top, bot, ks[owner], depth, peak, fixed)
+    first = _first_mesh(top, bot, ks[owner], depth, peak, joints)
     y = np.empty((2, n), dtype=complex)
     y[0], y[1] = init
     with np.errstate(all="ignore"):  # failed elements may overflow
@@ -508,21 +511,22 @@ def _unscaled(v: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
 
 
 def _first_mesh(top: np.ndarray, bot: np.ndarray, k: np.ndarray,
-                depth: np.ndarray, peak: np.ndarray, fixed: np.ndarray
+                depth: np.ndarray, peak: np.ndarray, joints: dict
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first mesh of segments from ``top`` down to ``bot``, as the
     segment, start and end of each step, in segment order.
 
-    A fixed segment is one step.  A leg is cut into max(3 |k|, 2) equal
-    steps per unit of its width: DOP853 meets tol 1e-10 on e^{|k| x} at
-    about |k| h = 1/3, and the wind's own scale is about 1.  A bump's leg is cut also at s + |depth| sinh(v), v equally
-    spaced by about ``_BEND_STEP``, which grades the steps with the distance
-    from its layer s, at ``peak`` of the leg.
+    A joint is one step.  A leg is cut into max(3 |k|, 2) equal steps per
+    unit of its width: DOP853 meets tol 1e-10 on e^{|k| x} at about
+    |k| h = 1/3, and the wind's own scale is about 1.  A bump's leg is cut
+    also at s + |depth| sinh(v), v equally spaced by at most ``_BEND_STEP``,
+    which grades the steps with the distance from its layer s, at ``peak``
+    of the leg.
     """
     width = top - bot
-    seg, t0, t1 = _cut(top, bot, np.where(
-        fixed, 1, np.ceil(width * np.fmax(3.0 * np.abs(k), 2.0)).clip(1)
-    ).astype(int))
+    steps = np.ceil(width * np.fmax(3.0 * np.abs(k), 2.0)).clip(1).astype(int)
+    steps[list(joints)] = 1
+    seg, t0, t1 = _cut(top, bot, steps)
     bent = depth[seg] != 0.0
     if not np.count_nonzero(bent):
         return seg, t0, t1
@@ -1177,15 +1181,14 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     """Solve the Rayleigh equation in the limiting sense for real c_r.
 
     Away from critical layers the real-coefficient equation is shot on the
-    real axis by the kernel's one-element :func:`_advance`, which rescales
-    the state as it grows, with the coefficient of the direct solver, in
-    legs from the lid to the first patch, between patches and from the last
-    patch to the interface, cut at the breakpoints of the direct solver
-    (spline knots, kinks).  Each layer s_j is crossed on
-    [s_j - delta, s_j + delta] with the two-solution Frobenius log-series,
-    the branch fixed so that y' jumps by i sign_ci pi U''(s_j)/|U'(s_j)|
-    y(s_j).  The result is normalized to y*(0) = 1, so ``impedance`` equals
-    y*'(0).  ``layers`` passes in the result of
+    real axis by the kernel (:func:`_integrate`), as one element, with the
+    coefficient of the direct solver, in legs from the lid to the first
+    patch, between patches and from the last patch to the interface, cut at
+    the breakpoints of the direct solver (spline knots, kinks).  Each layer
+    s_j is crossed on [s_j - delta, s_j + delta] with the two-solution
+    Frobenius log-series, the branch fixed so that y' jumps by i sign_ci pi
+    U''(s_j)/|U'(s_j)| y(s_j).  The result is normalized to y*(0) = 1, so
+    ``impedance`` equals y*'(0).  ``layers`` passes in the result of
     ``find_critical_points(profile, c_r)`` when the caller holds it already;
     the layers are scanned for otherwise.
 
@@ -1231,31 +1234,25 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     # the kink guard's speed scale; only kinked profiles need it sampled
     scale = _speed_scale(profile, complex(c_r), _u_range(profile)) \
         if kinks else 1.0
-    top: list[float] = []
-    bot: list[float] = []
+    legs: list[tuple[float, float]] = []
     joints: dict[int, np.ndarray] = {}
     crossings: dict[int, _SeriesPatch] = {}
     for m, (x_from, x_to) in enumerate(zip(edges[::2], edges[1::2])):
         cuts = sorted({x_from, x_to}.union(b for b in breaks if x_to < b < x_from),
                       reverse=True)
         for a, b in zip(cuts, cuts[1:]):
-            top.append(a)
-            bot.append(b)
+            legs.append((a, b))
             if b in kinks:
-                denom = _kink_denominator(profile, b, complex(c_r), scale)
-                # y'(x-) = y'(x+) - [U'] y / (U - c)
-                joints[len(top)] = np.array([[1.0, 0.0],
-                                             [-kinks[b] / denom, 1.0]])
-                top.append(b)
-                bot.append(b)
+                joints[len(legs)] = _kink_joint(profile, b, kinks[b],
+                                                complex(c_r), scale)
+                legs.append((b, b))
         if m < len(patches):  # the patch crossed at the bottom of the span
             patch = patches[-1 - m]
-            crossings[len(top)] = patch
-            joints[len(top)] = _crossing(patch, sign_ci)
-            top.append(patch.s + patch.delta)
-            bot.append(patch.s - patch.delta)
+            crossings[len(legs)] = patch
+            joints[len(legs)] = _crossing(patch, sign_ci)
+            legs.append((patch.s + patch.delta, patch.s - patch.delta))
 
-    top, bot = np.array(top), np.array(bot)
+    top, bot = np.array(legs).T
     n_seg = top.size
     coeff = _coefficient(profile, np.full(n_seg, float(c_r)),
                          np.full(n_seg, float(k * k)), bot, top - bot,
@@ -1264,10 +1261,8 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     def fail(i: int, exc: WindwavesError) -> None:
         raise exc
 
-    fixed = np.zeros(n_seg, dtype=bool)
-    fixed[list(joints)] = True
     first = _first_mesh(top, bot, np.full(n_seg, float(k)), np.zeros(n_seg),
-                        np.full(n_seg, 0.5), fixed)
+                        np.full(n_seg, 0.5), joints)
     nodes: dict = {}
     with np.errstate(all="ignore"):
         y, log_scale, sup_y, _, n_steps = _integrate(
