@@ -385,6 +385,7 @@ _SAFETY, _MIN_FACTOR = 0.9, 0.2
 _ERROR_EXPONENT = -1.0 / 8.0
 _RESCALE = 1e100  # a product or lid state past this is divided by its size
 _CHUNK = 1024  # steps per propagator build, which bounds its memory
+_MAX_STEPS = 2 ** 18  # an element's mesh, which bounds the kernel's memory
 _BEND_STEP = 1.0  # the first mesh's spacing in asinh((t - s) / depth) on a bump
 
 
@@ -524,7 +525,9 @@ def _first_mesh(top: np.ndarray, bot: np.ndarray, k: np.ndarray,
     of the leg.
     """
     width = top - bot
-    steps = np.ceil(width * np.fmax(3.0 * np.abs(k), 2.0)).clip(1).astype(int)
+    # past _MAX_STEPS the kernel refuses the element
+    steps = np.ceil(width * np.fmax(3.0 * np.abs(k), 2.0)).clip(
+        1, _MAX_STEPS + 1).astype(int)
     steps[list(joints)] = 1
     seg, t0, t1 = _cut(top, bot, steps)
     bent = depth[seg] != 0.0
@@ -653,7 +656,8 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
     step) if it succeeds.
     """
     n = y.shape[1]
-    rtol, atol = tol, tol * 1e-3
+    # scipy's floor on rtol: below it rounding alone fails the error test
+    rtol, atol = max(tol, 100.0 * np.finfo(float).eps), tol * 1e-3
     out_y = np.full((2, n), complex("nan"))
     out_scale, out_sup = np.zeros(n), np.zeros(n)
     out_dist, out_count = np.full(n, math.inf), np.zeros(n, dtype=int)
@@ -662,12 +666,13 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
     size = np.abs(y).max(axis=0)
     lid_scale = np.where(size > _RESCALE, np.log(size), 0.0)
     y = y / np.where(size > _RESCALE, size, 1.0)
-    live = np.isfinite(size)
-    for i in np.flatnonzero(~live):
-        if np.any(owner == i):
-            fail(i, _collapse())
     seg, t0, t1 = first
-    keep = live[owner[seg]]
+    steps = np.bincount(owner[seg], minlength=n)
+    for i in np.flatnonzero(~np.isfinite(size) & (steps > 0)):
+        fail(i, _collapse())
+    for i in np.flatnonzero(np.isfinite(size) & (steps > _MAX_STEPS)):
+        fail(i, _too_many())
+    keep = (np.isfinite(size) & (steps <= _MAX_STEPS))[owner[seg]]
     seg, t0, t1 = seg[keep], t0[keep], t1[keep]
     prop = np.empty((2, 2, seg.size), dtype=complex)
     err = np.zeros((2, 2, 2, seg.size), dtype=complex)
@@ -710,6 +715,10 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
         dead[row[collapse]] = True
         for i in rows[dead]:
             fail(i, _collapse())
+        huge = ~dead & (np.bincount(row, cuts) > _MAX_STEPS)
+        for i in rows[huge]:
+            fail(i, _too_many())
+        dead |= huge
         settled = np.bincount(row[bad], minlength=rows.size) == 0
         done = np.flatnonzero(settled)
         i, last = rows[done], counts[done]
@@ -738,6 +747,11 @@ def _collapse() -> NearSingularCoefficient:
     return NearSingularCoefficient(
         "integration failed: Required step size is less than spacing "
         "between numbers.")
+
+
+def _too_many() -> NearSingularCoefficient:
+    return NearSingularCoefficient(
+        f"integration failed: more than {_MAX_STEPS} steps")
 
 
 def _cut(t0: np.ndarray, t1: np.ndarray, reps: np.ndarray

@@ -358,6 +358,17 @@ class TestKernel:
         imps, errors = impedance_outcomes(POLE, 1.0, [20.0 + 1.0j, 20.0 - 1.0j])
         assert list(errors) == [0, 1] and np.all(np.isnan(imps))
 
+    def test_mesh_is_bounded(self):
+        # below scipy's floor on rtol the error test still passes: the mesh
+        # does not grow without end
+        sol = integrate_rayleigh(TANH, 1.0, 3.0 + 0.5j, tol=0.0)
+        ref = integrate_rayleigh(TANH, 1.0, 3.0 + 0.5j, tol=1e-13)
+        assert abs(sol.impedance - ref.impedance) <= 1e-12 * abs(ref.impedance)
+        # a mesh past 2^18 steps is refused, not built
+        imps, errors = impedance_outcomes(TANH, [1.0, 1e9], [12.0, 12.0])
+        assert list(errors) == [1] and np.isfinite(imps[0])
+        assert str(errors[1]) == "integration failed: more than 262144 steps"
+
     @pytest.mark.parametrize("profile", [
         ConstantProfile(4.0, h_plus=5.0), LinearShearProfile(0.0, 2.0, h_plus=3.0),
         PiecewiseLinearProfile.ramp(2.0, 1.0), TestBatch.KINKED, TANH,
