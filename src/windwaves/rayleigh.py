@@ -529,32 +529,20 @@ def _first_mesh(top: np.ndarray, bot: np.ndarray, k: np.ndarray,
     steps = np.ceil(width * np.fmax(3.0 * np.abs(k), 2.0)).clip(
         1, _MAX_STEPS + 1).astype(int)
     steps[list(joints)] = 1
-    seg, t0, t1 = _cut(top, bot, steps)
-    bent = depth[seg] != 0.0
-    if not np.count_nonzero(bent):
-        return seg, t0, t1
-    legs = np.flatnonzero(depth != 0.0)
+    seg, t0, _ = _cut(top, bot, steps)
+    legs = np.flatnonzero(depth)
     a, s = np.abs(depth[legs]), bot[legs] + peak[legs] * width[legs]
     lo, hi = np.arcsinh((bot[legs] - s) / a), np.arcsinh((top[legs] - s) / a)
-    n = np.ceil((hi - lo) / _BEND_STEP).astype(int)
-    i, v, _ = _cut(hi, lo, n)
-    inner = np.r_[False, i[1:] == i[:-1]]  # each v but the top one
-    i, v = i[inner], v[inner]
+    i, v, _ = _cut(hi, lo, np.ceil((hi - lo) / _BEND_STEP).astype(int))
     graded = s[i] + a[i] * np.sinh(v)
-    # the nodes of each bent leg, down the column, once
-    at = np.concatenate((seg[bent], legs, legs[i]))
-    t = np.concatenate((t0[bent], bot[legs], graded))
-    keep = (t <= top[at]) & (t >= bot[at])
-    at, t = at[keep], t[keep]
-    order = np.lexsort((-t, at))
-    at, t = at[order], t[order]
-    fresh = np.r_[True, (at[1:] != at[:-1]) | (t[1:] != t[:-1])]
-    at, t = at[fresh], t[fresh]
-    step = np.flatnonzero(at[1:] == at[:-1])
-    seg = np.concatenate((seg[~bent], at[step]))
-    order = np.argsort(seg, kind="stable")
-    return (seg[order], np.concatenate((t0[~bent], t[step]))[order],
-            np.concatenate((t1[~bent], t[step + 1]))[order])
+    inside = (v < hi[i]) & (graded > bot[legs[i]])  # the leg's ends are nodes
+    # each step ends where the next starts, or at its segment's bottom
+    seg = np.concatenate((seg, legs[i][inside]))
+    t0 = np.concatenate((t0, graded[inside]))
+    order = np.lexsort((-t0, seg))
+    seg, t0 = seg[order], t0[order]
+    last = np.r_[seg[1:] != seg[:-1], True]
+    return seg, t0, np.where(last, bot[seg], np.r_[t0[1:], 0.0])
 
 
 def _coefficient(profile: ShearProfile, c: np.ndarray, kk: np.ndarray,
