@@ -159,8 +159,8 @@ def make_miles_residual(profile: ShearProfile, params: FluidParams, k: float,
     The returned residual carries a ``batch(cs) -> ndarray`` attribute that
     evaluates a 1-d array of wave speeds at once.  Without ``impedance_fn``,
     ``batch`` shoots all its wave speeds in one
-    :func:`~windwaves.rayleigh.impedance_outcomes` loop; an ``impedance_fn``
-    is evaluated point by point.  A batched value does not depend on the
+    :func:`~windwaves.rayleigh.impedance_outcomes` batch; an
+    ``impedance_fn`` is evaluated point by point.  A batched value does not depend on the
     other members of its batch, and ``batch`` raises the error of the first
     failing point in input order.  The residual itself is the one-point batch.
     """
@@ -191,7 +191,7 @@ def miles_residuals(profile: ShearProfile, params: FluidParams, k, cs,
                     tol: float = 1e-10) -> tuple[np.ndarray, dict]:
     """Quiescent-ocean residuals of (k, c) pairs, ``k`` broadcast against ``cs``.
 
-    The ODE impedances of all pairs, whatever their k, are shot in one loop
+    The ODE impedances of all pairs, whatever their k, are shot in one batch
     (:func:`~windwaves.rayleigh.impedance_outcomes`), and each value equals
     the one its pair gets alone.  Returns ``(values, errors)``: a failed
     pair's value is NaN, and ``errors`` maps its index to the error the
