@@ -386,7 +386,7 @@ _ERROR_EXPONENT = -1.0 / 8.0
 _RESCALE = 1e100  # a product or lid state past this is divided by its size
 _CHUNK = 1024  # steps per propagator build, which bounds its memory
 _MAX_STEPS = 2 ** 18  # an element's mesh, which bounds the kernel's memory
-_BEND_STEP = 1.0  # the first mesh's spacing in asinh((t - s) / depth) on a bump
+_BEND_STEP = 1.0  # the first mesh's spacing in asinh((t - s)/depth) on bumps
 
 
 def _pairs(k, cs) -> tuple[np.ndarray, np.ndarray]:
@@ -851,7 +851,7 @@ def _chain(chain: np.ndarray, scale: np.ndarray) -> None:
         # the NaN of a failed element
         parts = np.abs(prod.view(float))
         if np.fmax.reduce(parts, axis=None) > _RESCALE:
-            size = parts.max(axis=(0, 1)).reshape(logs.shape + (2,)).max(axis=-1)
+            size = parts.max(axis=(0, 1)).reshape(*logs.shape, 2).max(axis=-1)
             big = np.where(size > _RESCALE, size, 1.0)
             prod /= big
             logs += np.log(big)
