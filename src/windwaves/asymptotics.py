@@ -140,10 +140,13 @@ def growth_constants(profile: ShearProfile, params: FluidParams, ks,
     return _growth_constants(profile, params, ks, branch, tol)
 
 
-def _growth_constants(profile, params, ks, branch, tol):
+def _growth_constants(profile, params, ks, branch, tol, meshes=None):
     """The body of :func:`growth_constants`; both public functions call it
     directly, so that the warnings of :func:`_layers_at_ck` name their
-    caller."""
+    caller.  When ``meshes`` is a dict, ``meshes[i]`` is set to the final
+    mesh of wavenumber i's shoot along the path where it was shot (None
+    where that failed), for a later shoot at a nearby wave speed to start
+    from (see :func:`~windwaves.rayleigh.impedance_outcomes`)."""
     ks = list(ks)
     results: list[Optional[MilesAsymptotics]] = [None] * len(ks)
     errors: dict[int, WindwavesError] = {}
@@ -157,12 +160,16 @@ def _growth_constants(profile, params, ks, branch, tol):
             and len(layers) == 1 and layers.layers[0].u_double_prime != 0.0]
     u1s = {}  # index -> |y*(s_j)|^2 per layer
     if rows:
+        shot = None if meshes is None else [None] * len(rows)
         try:
             imps, failed = impedance_outcomes(
                 profile, [ks[i] for i in rows], [at_ck[i][0] for i in rows],
-                tol, sign_ci=+1, layers=[at_ck[i][1] for i in rows])
+                tol, sign_ci=+1, layers=[at_ck[i][1] for i in rows],
+                meshes=shot)
         except WindwavesError as exc:  # the whole batch, e.g. no finite column
             imps, failed = None, dict.fromkeys(range(len(rows)), exc)
+        if meshes is not None:
+            meshes.update(zip(rows, shot))
         for j, i in enumerate(rows):
             if j in failed:
                 errors[i] = failed[j]
@@ -187,7 +194,8 @@ def _growth_constants(profile, params, ks, branch, tol):
 def _layers_at_ck(profile, params, k, branch):
     """c_k and its critical layers; warns when the sign hypotheses fail.
 
-    Called from :func:`_growth_constants`, which the public functions call
+    Called from :func:`_growth_constants`, which the public functions (and
+    :func:`~windwaves.eigensolver.scan_k` through its lockstep) call
     directly, so that stacklevel 4 names their caller in the warning.
     """
     c_k = ck(params, k, branch)

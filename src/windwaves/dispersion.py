@@ -188,21 +188,25 @@ def make_miles_residual(profile: ShearProfile, params: FluidParams, k: float,
 
 
 def miles_residuals(profile: ShearProfile, params: FluidParams, k, cs,
-                    tol: float = 1e-10) -> tuple[np.ndarray, dict]:
+                    tol: float = 1e-10, *, meshes: Optional[list] = None
+                    ) -> tuple[np.ndarray, dict]:
     """Quiescent-ocean residuals of (k, c) pairs, ``k`` broadcast against ``cs``.
 
     The ODE impedances of all pairs, whatever their k, are shot in one batch
     (:func:`~windwaves.rayleigh.impedance_outcomes`), and each value equals
-    the one its pair gets alone.  Returns ``(values, errors)``: a failed
-    pair's value is NaN, and ``errors`` maps its index to the error the
-    scalar residual of :func:`make_miles_residual` raises there.
+    the one its pair gets alone, given its start mesh.  ``meshes``, one entry
+    per pair, passes the start meshes in and the final meshes out, as
+    :func:`~windwaves.rayleigh.impedance_outcomes` describes.  Returns
+    ``(values, errors)``: a failed pair's value is NaN, and ``errors`` maps
+    its index to the error the scalar residual of :func:`make_miles_residual`
+    raises there.
     """
     _check_depth_consistency(profile, params)
     u0 = profile.value(0.0)
     up0 = profile.slope(0.0)
     ks, cs = np.broadcast_arrays(np.asarray(k, dtype=float),
                                  np.asarray(cs, dtype=complex))
-    imps, errors = impedance_outcomes(profile, ks, cs, tol)
+    imps, errors = impedance_outcomes(profile, ks, cs, tol, meshes=meshes)
     vals = np.array([residual_miles(c, imp, params, kv, u0, up0) for kv, c, imp
                      in zip(ks.tolist(), cs.tolist(), imps.tolist())],
                     dtype=complex)

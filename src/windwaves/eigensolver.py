@@ -495,6 +495,13 @@ def scan_k(profile, params, k_list: Sequence[float],
     (:func:`~windwaves.asymptotics.growth_constants`): on a profile with
     ``complex_path``, one kernel batch at the real speeds c_k along Lin's
     indented path, the same shoot that the Muller rounds take at complex c.
+    Each chain's shoots start from its last final mesh: the starting triple
+    from its seed's, each later point from its last point's.  The Muller
+    points lie close together, so that mesh already passes the kernel's
+    error test and a round costs one pass of the kernel, not the three of a
+    fresh mesh.  The meshes live inside one call, and each row's depend on
+    its own chain alone, so a row's entry does not depend on its neighbours
+    and a repeated call gives the same entries bit for bit.
     """
     ks = [float(k) for k in k_list]
     if not ks or any(k <= 0.0 for k in ks):
@@ -510,14 +517,18 @@ def scan_k(profile, params, k_list: Sequence[float],
 
 def _lockstep(profile, params, ks: list[float],
               strategy: ScanStrategy) -> list[GrowthEntry]:
-    """One Muller chain per wavenumber, all evaluated round by round."""
-    from .asymptotics import growth_constants
+    """One Muller chain per wavenumber, all evaluated round by round; each
+    chain's shoots start from the final mesh of its last shoot, the first
+    ones from its seed's."""
+    from .asymptotics import _growth_constants
     from .dispersion import ck, miles_residuals
 
     entries: list[Optional[GrowthEntry]] = [None] * len(ks)
     chains = {}  # index -> (Muller generator, the wave speeds it waits for)
-    asyms, seed_errors = growth_constants(profile, params, ks, strategy.branch,
-                                          tol=strategy.rayleigh_tol)
+    meshes: dict[int, np.ndarray] = {}  # index -> the chain's last final mesh
+    asyms, seed_errors = _growth_constants(profile, params, ks,
+                                           strategy.branch,
+                                           strategy.rayleigh_tol, meshes)
     for i, (k, asym) in enumerate(zip(ks, asyms)):
         c_k = ck(params, k, strategy.branch)
         seed = complex(c_k)  # no layer or degenerate: on the real axis
@@ -531,15 +542,19 @@ def _lockstep(profile, params, ks: list[float],
         rows = list(chains.items())
         pair_ks = [ks[i] for i, (_, wanted) in rows for _ in wanted]
         pair_cs = [c for _, (_, wanted) in rows for c in wanted]
+        pair_meshes = [meshes.get(i) for i, (_, wanted) in rows
+                       for _ in wanted]
         try:
             vals, errors = miles_residuals(profile, params, pair_ks, pair_cs,
-                                           tol=strategy.rayleigh_tol)
+                                           tol=strategy.rayleigh_tol,
+                                           meshes=pair_meshes)
         except WindwavesError as exc:  # the whole round, e.g. no finite column
             vals, errors = None, dict.fromkeys(range(len(pair_cs)), exc)
         pos = 0
         for i, (chain, wanted) in rows:
             span = range(pos, pos + len(wanted))
             pos += len(wanted)
+            meshes[i] = pair_meshes[span[-1]]
             failed = [errors[j] for j in span if j in errors]
             try:
                 if failed:

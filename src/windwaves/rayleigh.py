@@ -17,11 +17,13 @@ Three regimes are covered:
   (:func:`_integrate`) builds every step of every pair at once, chains them
   by prefix products into the states at all nodes, and cuts every step that
   fails DOP853's error test, round by round, until none does; each pair's
-  mesh and arithmetic are its own.  On a profile that evaluates at complex
-  altitudes (``complex_path``: tanh, tables) each pair shoots along Lin's
-  path, indented into the complex plane around the critical layers at Re c
-  on the side away from the singularity, so one solver covers Im c large
-  down to Im c = 0+- (the limit, with the side given by ``sign_ci``).
+  mesh and arithmetic are its own.  A pair may start from an earlier
+  shoot's final mesh, which at a nearby wave speed passes the test at once.
+  On a profile that evaluates at complex altitudes (``complex_path``: tanh,
+  tables) each pair shoots along Lin's path, indented into the complex
+  plane around the critical layers at Re c on the side away from the
+  singularity, so one solver covers Im c large down to Im c = 0+- (the
+  limit, with the side given by ``sign_ci``).
   Other curved profiles shoot on the real axis and are refused too close to
   a layer.  It is the one batch entry into the kernel;
   ``interface_impedance`` (one pair) and ``integrate_rayleigh`` (one
@@ -290,7 +292,8 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
     """Integrate the Rayleigh equation from the lid down to the interface.
 
     The one-element case of the kernel of :func:`impedance_outcomes`:
-    (y(0), y'(0)) is bit for bit the state its pair reaches in any batch.
+    (y(0), y'(0)) is bit for bit the state its pair reaches in any batch
+    that gives it no start mesh.
 
     Parameters
     ----------
@@ -410,7 +413,7 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
            init=(0.0, 1.0), nodes: Optional[dict] = None,
            sign_ci: Optional[int] = None,
            layers: Optional[Sequence[CriticalLayerSet]] = None,
-           indent: bool = True
+           indent: bool = True, meshes: Optional[list] = None
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Shoot every (k, c) element from the lid data ``init`` to the interface.
 
@@ -423,7 +426,11 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     fixed nodes are the breakpoints and the ends of its bumps; at a kink the
     derivative jump is one more step of the mesh.  ``nodes`` receives the
     final meshes (see :func:`_integrate`).  Without ``indent`` every element
-    shoots on the real axis, as a trace samples the real column.
+    shoots on the real axis, as a trace samples the real column.  ``meshes``,
+    one entry per element, holds the node parameters each element's first
+    mesh starts from, or None for the uniform and graded one (see
+    :func:`_first_mesh`); each entry is replaced by the element's final node
+    parameters, or by None where it failed.
     """
     if not math.isfinite(profile.h_plus):
         raise InfiniteDomain("direct integration needs a finite air column; "
@@ -470,12 +477,15 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
         if segments else (np.zeros(0, dtype=int), *np.zeros((4, 0)))
     coeff = _coefficient(profile, cs[owner], ks[owner] ** 2, bot, top - bot,
                          peak, depth)
-    first = _first_mesh(top, bot, ks[owner], depth, peak, joints)
+    start = None if meshes is None else \
+        {i: m for i, m in enumerate(meshes) if m is not None}
+    first = _first_mesh(top, bot, ks[owner], depth, peak, joints, owner, start)
+    final = None if meshes is None else {}
     y = np.empty((2, n), dtype=complex)
     y[0], y[1] = init
     with np.errstate(all="ignore"):  # failed elements may overflow
         y, log_scale, sup_y, dist, n_steps = _integrate(
-            coeff, owner, joints, first, y, tol, fail, nodes)
+            coeff, owner, joints, first, y, tol, fail, nodes, final)
 
     for i in np.flatnonzero(alive):
         try:
@@ -484,17 +494,21 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
         except WindwavesError as exc:
             fail(i, exc)
     y[:, ~alive] = np.nan
+    if meshes is not None:
+        meshes[:] = [final[i] if alive[i] else None for i in range(n)]
     return y, log_scale, n_steps, errors
 
 
 def _final_mesh(profile: ShearProfile, k: float, c: complex,
-                tol: float = _DEFAULT_TOL, sign_ci: Optional[int] = None
+                tol: float = _DEFAULT_TOL, sign_ci: Optional[int] = None,
+                start: Optional[np.ndarray] = None
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The nodes of one pair's final mesh, down its path's parameter, and
-    each step's DOP853 error norm on it; for tests of the kernel."""
+    each step's DOP853 error norm on it, the shoot starting from the nodes
+    ``start`` if given; for tests of the kernel."""
     nodes: dict = {}
     _, _, _, errors = _shoot(profile, *_pairs(k, [c]), tol, nodes=nodes,
-                             sign_ci=sign_ci)
+                             sign_ci=sign_ci, meshes=[start])
     _raise_first(errors)
     t, _, _, _, norms = nodes[0]
     return t, norms
@@ -512,7 +526,9 @@ def _unscaled(v: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
 
 
 def _first_mesh(top: np.ndarray, bot: np.ndarray, k: np.ndarray,
-                depth: np.ndarray, peak: np.ndarray, joints: dict
+                depth: np.ndarray, peak: np.ndarray, joints: dict,
+                owner: Optional[np.ndarray] = None,
+                start: Optional[dict] = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first mesh of segments from ``top`` down to ``bot``, as the
     segment, start and end of each step, in segment order.
@@ -523,12 +539,21 @@ def _first_mesh(top: np.ndarray, bot: np.ndarray, k: np.ndarray,
     also at s + |depth| sinh(v), v equally spaced by at most ``_BEND_STEP``,
     which grades the steps with the distance from its layer s, at ``peak``
     of the leg.
+
+    ``start`` maps an element (of ``owner``, the element of each segment)
+    to the node parameters of a mesh, descending, such as an earlier shoot's
+    final mesh: each leg of that element is cut at the nodes that lie
+    strictly inside it instead, neither uniformly nor graded.
     """
     width = top - bot
     # past _MAX_STEPS the kernel refuses the element
     steps = np.ceil(width * np.fmax(3.0 * np.abs(k), 2.0)).clip(
         1, _MAX_STEPS + 1).astype(int)
     steps[list(joints)] = 1
+    if start:
+        warm = np.isin(owner, list(start))
+        steps[warm] = 1
+        depth = np.where(warm, 0.0, depth)  # nor graded
     seg, t0, _ = _cut(top, bot, steps)
     legs = np.flatnonzero(depth)
     a, s = np.abs(depth[legs]), bot[legs] + peak[legs] * width[legs]
@@ -539,10 +564,40 @@ def _first_mesh(top: np.ndarray, bot: np.ndarray, k: np.ndarray,
     # each step ends where the next starts, or at its segment's bottom
     seg = np.concatenate((seg, legs[i][inside]))
     t0 = np.concatenate((t0, graded[inside]))
+    if start:
+        # a joint has no inside
+        given = _inner_nodes(top, bot, owner, start, warm & (width > 0.0))
+        seg, t0 = np.concatenate((seg, given[0])), np.concatenate((t0, given[1]))
     order = np.lexsort((-t0, seg))
     seg, t0 = seg[order], t0[order]
     last = np.r_[seg[1:] != seg[:-1], True]
     return seg, t0, np.where(last, bot[seg], np.r_[t0[1:], 0.0])
+
+
+def _inner_nodes(top: np.ndarray, bot: np.ndarray, owner: np.ndarray,
+                 start: dict, legs: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of ``start[owner[j]]`` strictly inside each leg j of the
+    mask ``legs``, as (leg, node) arrays.
+
+    The nodes of all elements are searched at once, under the key
+    element + i (-node): numpy orders complex numbers by their real part,
+    then their imaginary part, so the keys ascend, and no node is rounded.
+    """
+    elems = sorted(start)
+    nodes = np.concatenate([start[e] for e in elems])
+    key = np.empty(nodes.size, dtype=complex)
+    key.real = np.repeat(elems, [start[e].size for e in elems])
+    key.imag = -nodes
+    j = np.flatnonzero(legs)
+    ends = np.empty((2, j.size), dtype=complex)
+    ends.real = owner[j]
+    ends.imag = -top[j], -bot[j]
+    first = np.searchsorted(key, ends[0], side="right")
+    count = np.searchsorted(key, ends[1], side="left") - first
+    pick = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count,
+                                              count)
+    return np.repeat(j, count), nodes[pick]
 
 
 def _coefficient(profile: ShearProfile, c: np.ndarray, kk: np.ndarray,
@@ -613,7 +668,8 @@ def _coefficient(profile: ShearProfile, c: np.ndarray, kk: np.ndarray,
 
 
 def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
-               y: np.ndarray, tol: float, fail, nodes: Optional[dict] = None):
+               y: np.ndarray, tol: float, fail, nodes: Optional[dict] = None,
+               meshes: Optional[dict] = None):
     """Integrate each element's (y, y') from its lid state down its segments.
 
     Segment s belongs to element ``owner[s]``; an element's segments are
@@ -621,7 +677,8 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
     segment in ``joints`` maps the state by its fixed 2x2 matrix; any other
     is a leg of the equation ``coeff`` gives (see :func:`_coefficient`).
     ``first`` is the first mesh, (segment, start, end) of each step, in
-    segment order and down each segment (see :func:`_first_mesh`).  Each
+    segment order and down each segment (see :func:`_first_mesh`); the
+    rounds below treat it alike wherever it came from.  Each
     step is a 2x2 DOP853 propagator, all built at once
     (:func:`_propagators`), and an element's states at its nodes are the
     prefix products of its steps (:func:`_chain`).  Each step whose DOP853
@@ -641,7 +698,9 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
     nodes, the lid included, and a joint adds one.  When ``nodes`` is a
     dict, ``nodes[i]`` is set to element i's (node parameters, segment of
     each step, states at the nodes, their log scales, error norm of each
-    step) if it succeeds.
+    step) if it succeeds, and when ``meshes`` is, ``meshes[i]`` to its node
+    parameters alone, which is what a later shoot starts from (see
+    :func:`_first_mesh`).
     """
     n = y.shape[1]
     # scipy's floor on rtol: below it rounding alone fails the error test
@@ -723,6 +782,9 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
             nodes[rows[r]] = (np.append(t0[mine], t1[mine.stop - 1]),
                               seg[mine], states[:, r, :counts[r] + 1],
                               scales[r, :counts[r] + 1], norm[mine])
+        for r in done.tolist() if meshes is not None else ():
+            mine = slice(heads[r], heads[r] + counts[r])
+            meshes[rows[r]] = np.append(t0[mine], t1[mine.stop - 1])
         parent, t0, t1 = _cut(t0, t1, np.where(settled[row] | dead[row], 0,
                                                cuts))
         seg, prop, err, dist = (seg[parent], prop[..., parent],
@@ -916,7 +978,8 @@ def interface_impedance(profile: ShearProfile, k: float, c: complex,
 def impedance_outcomes(profile: ShearProfile, k, cs,
                        tol: float = _DEFAULT_TOL, *,
                        sign_ci: Optional[int] = None,
-                       layers: Optional[Sequence[CriticalLayerSet]] = None
+                       layers: Optional[Sequence[CriticalLayerSet]] = None,
+                       meshes: Optional[list] = None
                        ) -> tuple[np.ndarray, dict]:
     """Impedances y'(0)/y(0) of (k, c) pairs, ``k`` broadcast against ``cs``,
     and the error of each pair that failed.
@@ -930,9 +993,21 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
     shot in one batch of the kernel (:func:`_integrate`), whose DOP853
     steps meet rtol ``tol`` and atol ``tol * 1e-3``; each pair's mesh and
     arithmetic are its own, so its impedance is bit for bit the one it gets
-    alone.  A failed pair's impedance is NaN, and ``errors`` maps its index
-    to the error :func:`interface_impedance` raises for it; a caller that
-    raises the first error in input order raises ``errors[min(errors)]``.
+    alone, given its start mesh.  A failed pair's impedance is NaN, and
+    ``errors`` maps its index to the error :func:`interface_impedance`
+    raises for it; a caller that raises the first error in input order
+    raises ``errors[min(errors)]``.
+
+    ``meshes``, when given, is a list with one entry per pair: the node
+    parameters a pair's shoot starts from (see :func:`_first_mesh`), or None
+    for the uniform and graded first mesh.  Each entry is replaced by its
+    pair's final node parameters, None where the pair failed or took a
+    closed form, so a chain of nearby wave speeds hands each shoot its
+    predecessor's mesh, which already passes the error test there and needs
+    one round of the kernel.  The final mesh passes the same test from any
+    start.  A pair with Im c < 0 starts from and returns the mesh of its
+    mirror image, and a repeated pair is shot once, from the entry of its
+    first occurrence.
 
     On a profile with ``complex_path``, every pair shoots along Lin's path,
     indented around the critical layers at Re c (see :func:`_bumps`).  A
@@ -963,6 +1038,7 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
                                   and math.isinf(profile.h_plus)):
         imps = np.full(cs.shape, complex("nan"))
         errors = {}
+        shot = [None] * cs.size
         for i, (kv, c) in enumerate(zip(ks.tolist(), cs.tolist())):
             try:
                 if profile.zero_curvature:
@@ -972,11 +1048,15 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
             except WindwavesError as exc:
                 errors[i] = exc
     else:
+        shot = None if meshes is None else [meshes[i] for i in first]
         y, _, _, errors = _shoot(profile, ks, cs, tol, sign_ci=sign_ci,
                                  layers=None if layers is None
-                                 else [layers[i] for i in first])
+                                 else [layers[i] for i in first],
+                                 meshes=shot)
         with np.errstate(invalid="ignore"):  # NaN / NaN for the failed pairs
             imps = y[1] / y[0]
+    if meshes is not None:
+        meshes[:] = [shot[j] for j in which.tolist()]
     imps = imps[which]
     np.conjugate(imps, out=imps, where=below)
     return imps, {i: errors[j] for i, j in enumerate(which.tolist())
