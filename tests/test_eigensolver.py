@@ -548,6 +548,44 @@ class TestScanK:
                 want = want.conjugate()
             assert abs(entry.c - want) <= 1e-9 * abs(want), entry
 
+    def test_muller_rounds_start_from_the_chain_mesh(self, monkeypatch):
+        # the kernel runs one _chain per refinement round
+        from windwaves import rayleigh
+
+        rounds = []
+        chain, integrate = rayleigh._chain, rayleigh._integrate
+
+        def counted_chain(*args):
+            rounds[-1] += 1
+            return chain(*args)
+
+        def counted_integrate(*args, **kwargs):
+            rounds.append(0)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(rayleigh, "_chain", counted_chain)
+        monkeypatch.setattr(rayleigh, "_integrate", counted_integrate)
+        p = params_with(h_plus=5.0)
+        prof = TanhProfile(10.0, 1.0, 5.0)
+        ks = [0.3, 0.9, 1.5, 3.0]
+        asymptotics.growth_constants(prof, p, ks)
+        seed = list(rounds)
+        rounds.clear()
+        curve = scan_k(prof, p, ks)
+        assert all(e.converged for e in curve.entries)
+        # the seed shoot starts cold; each Muller round, from its chain's
+        # last mesh, passes the error test at once
+        assert len(seed) == 1 and rounds[0] == seed[0] > 1
+        assert len(rounds) > 2 and rounds[1:] == [1] * (len(rounds) - 1)
+
+    def test_repeated_sweep_is_bitwise_equal(self):
+        p = params_with(h_plus=5.0)
+        prof = TanhProfile(10.0, 1.0, 5.0)
+        ks = [0.3, 0.9, 1.5, 3.0]
+        first, again = scan_k(prof, p, ks), scan_k(prof, p, ks)
+        assert [repr(e) for e in first.entries] == \
+            [repr(e) for e in again.entries]
+
     def test_unbounded_curved_column_fails_every_row(self):
         # the whole lockstep round fails, and each row says why
         curve = scan_k(TanhProfile(10.0, 1.0, math.inf), params_with(), [0.5, 1.0])

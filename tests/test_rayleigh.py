@@ -351,6 +351,64 @@ class TestKernel:
         if sign_ci is None:  # the accepted points are the nodes
             assert integrate_rayleigh(profile, k, c, tol).n_steps == t.size
 
+    # (profile, k, c, the wave speed c0 whose final mesh the shoot starts
+    # from, sign_ci of c0): c0 far off, with its layer, and so its bump's
+    # ends, elsewhere, or nearby, as a Muller chain hands its meshes on
+    STARTED = [
+        (TANH, 1.0, 3.0 + 0.05j, 5.0 + 0.02j, None),
+        (TANH, 1.0, 3.0 + 0.05j, 3.0003 + 0.0501j, None),
+        (TANH, 3.0, 1.8076 + 1.5778e-4j, 1.8076 + 0.0j, 1),  # from a seed
+        (TestBatch.TABLE, 1.2, 6.0 + 0.01j, 4.0 + 0.0j, 1),
+        (TestBatch.TABLE, 1.2, 6.0 + 0.01j, 6.0006 + 0.01j, None),
+        (TestBatch.KINKED, 1.2, 2.0 - 0.3j, 0.5 + 0.1j, None),
+    ]
+    STARTED_IDS = ["tanh-moved", "tanh-near", "tanh-seed", "table-moved",
+                   "table-near", "kinked"]
+
+    @pytest.mark.parametrize("profile, k, c, c0, sign_ci", STARTED,
+                             ids=STARTED_IDS)
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_every_started_step_passes_the_error_test(self, profile, k, c,
+                                                      c0, sign_ci, tol):
+        start, _ = rayleigh._final_mesh(profile, k, c0, sign_ci=sign_ci)
+        t, norms = rayleigh._final_mesh(profile, k, c, tol, start=start)
+        assert t[0] == profile.h_plus and t[-1] == 0.0
+        assert np.all(np.diff(t) <= 0.0)
+        assert norms.size == t.size - 1
+        assert np.all(norms < 1.0)
+
+    @pytest.mark.parametrize("profile", [TANH, TestBatch.TABLE,
+                                         TestBatch.KINKED],
+                             ids=["tanh", "table", "kinked"])
+    def test_started_pair_in_a_batch_equals_solo_bitwise(self, profile):
+        start, _ = rayleigh._final_mesh(profile, 1.2, 3.0 + 0.1j)
+        ks = [0.3, 1.2, 150.0, 1.2, 1.2]
+        cs = [3.0 + 0.2j, 3.001 + 0.1j, 3.0 + 0.2j, 3.0 - 0.1j, 2.0 + 1e-3j]
+        starts = [None, start, None, start, None]
+        meshes = list(starts)
+        imps, errors = impedance_outcomes(profile, ks, cs, meshes=meshes)
+        assert errors == {}
+        for k, c, s, imp, final in zip(ks, cs, starts, imps, meshes):
+            solo_mesh = [s]
+            solo, _ = impedance_outcomes(profile, k, [c], meshes=solo_mesh)
+            assert solo.view(float).tolist() == [imp.real, imp.imag]
+            assert solo_mesh[0].tolist() == final.tolist()
+        # without a start mesh, a pair gets the bits it gets with no meshes
+        cold, _ = impedance_outcomes(profile, ks, cs)
+        assert [cold[i] for i in (0, 2, 4)] == [imps[i] for i in (0, 2, 4)]
+
+    @pytest.mark.parametrize("profile, k, c, c0, sign_ci", STARTED,
+                             ids=STARTED_IDS)
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    def test_started_shoot_agrees_with_cold(self, profile, k, c, c0, sign_ci,
+                                            tol):
+        # the worst case measured is 0.111 tol (tanh-moved at tol 1e-8), so
+        # the bound 0.3 tol leaves a margin of 2.7
+        meshes = [rayleigh._final_mesh(profile, k, c0, tol, sign_ci)[0]]
+        warm, _ = impedance_outcomes(profile, k, [c], tol, meshes=meshes)
+        cold, _ = impedance_outcomes(profile, k, [c], tol)
+        assert abs(warm[0] - cold[0]) <= 0.3 * tol * abs(cold[0])
+
     def test_step_collapse_is_refused(self):
         with pytest.raises(NearSingularCoefficient,
                            match="Required step size is less than spacing"):
