@@ -40,10 +40,7 @@ from .dispersion import (
     FluidParams,
     KhThreshold,
     PwlClosedForm,
-    ShearRoots,
     ck,
-    closed_form_shear_roots,
-    dn_symbol,
     kh_threshold,
     make_miles_residual,
     pwl_dispersion,
@@ -58,7 +55,6 @@ from .eigensolver import (
     continue_in_epsilon,
     count_roots,
     find_root,
-    multistart_roots,
     root_counts,
     scan_k,
 )

@@ -23,7 +23,6 @@ tolerance dimensionless.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -37,16 +36,13 @@ from .rayleigh import impedance_outcomes, integrate_rayleigh, interface_impedanc
 __all__ = [
     "FluidParams",
     "KhThreshold",
-    "ShearRoots",
     "PwlClosedForm",
-    "dn_symbol",
     "ck",
     "residual_miles",
     "make_miles_residual",
     "miles_residuals",
     "residual_general",
     "kh_threshold",
-    "closed_form_shear_roots",
     "pwl_dispersion",
 ]
 
@@ -86,21 +82,6 @@ class FluidParams:
 
     def tanh_minus(self, k: float) -> float:
         return 1.0 if math.isinf(self.h_minus) else math.tanh(abs(k) * self.h_minus)
-
-
-def dn_symbol(params: FluidParams, k: float, side: str = "combined") -> float:
-    """Dirichlet-Neumann symbol |k| tanh(|k| h) per side, or the rho-weighted sum."""
-    if k == 0.0:
-        raise ValueError("wavenumber k must be nonzero")
-    ak = abs(k)
-    if side == "+":
-        return ak * params.tanh_plus(k)
-    if side == "-":
-        return ak * params.tanh_minus(k)
-    if side == "combined":
-        return (ak * params.tanh_plus(k) / params.rho_plus
-                + ak * params.tanh_minus(k) / params.rho_minus)
-    raise ValueError("side must be '+', '-' or 'combined'")
 
 
 def ck(params: FluidParams, k: float, branch: int = +1) -> float:
@@ -371,42 +352,6 @@ def kh_threshold(params: FluidParams, k_lo: float = 1e-3, k_hi: float = 1e6,
             f2 = u0_sq(c2)
     lk = 0.5 * (a + b)
     return KhThreshold(u0_min=math.sqrt(u0_sq(lk)), k_crit=math.exp(lk))
-
-
-@dataclass(frozen=True)
-class ShearRoots:
-    """Roots of the constant-shear (vortex sheet + uniform vorticity) quadratic."""
-
-    c_plus: complex
-    c_minus: complex
-    stable: bool
-
-    def __iter__(self):
-        return iter((self.c_plus, self.c_minus))
-
-
-def closed_form_shear_roots(u0: float, mu: float, params: FluidParams,
-                            k: float, im_tol: float = 1e-12) -> ShearRoots:
-    """Wave speeds for U+ = u0 + mu x2 over quiescent deep water (h = inf).
-
-        g(1-eps) + sigma k^2/rho- = eps (u0-c)^2 |k| + eps mu (u0-c) + c^2 |k|
-
-    Stability holds iff both roots are real.
-    """
-    eps = params.epsilon
-    ak = abs(k)
-    a = (1.0 + eps) * ak
-    b = -2.0 * eps * ak * u0 - eps * mu
-    c0 = (eps * ak * u0 * u0 + eps * mu * u0
-          - params.g * (1.0 - eps) - params.sigma * k * k / params.rho_minus)
-    disc = b * b - 4.0 * a * c0
-    sq = cmath.sqrt(complex(disc))
-    r1 = (-b + sq) / (2.0 * a)
-    r2 = (-b - sq) / (2.0 * a)
-    if r1.real < r2.real:
-        r1, r2 = r2, r1
-    stable = abs(r1.imag) <= im_tol and abs(r2.imag) <= im_tol
-    return ShearRoots(c_plus=r1, c_minus=r2, stable=stable)
 
 
 @dataclass(frozen=True)

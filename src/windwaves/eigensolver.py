@@ -31,7 +31,6 @@ __all__ = [
     "count_roots",
     "root_counts",
     "square_roots_real",
-    "multistart_roots",
     "continue_in_epsilon",
     "scan_k",
 ]
@@ -144,36 +143,6 @@ def _muller(c_init: complex, *, tol: float, max_iter: int, scale: float,
     raise NoConvergence(
         f"no root after {n_iter} Muller steps from {c_init} "
         f"(best |residual|/scale = {abs(best[1]) / scale:g})")
-
-
-def multistart_roots(residual: Callable[[complex], complex],
-                     rectangle: tuple[float, float, float, float],
-                     grid: int = 5, *, tol: float = 1e-11, scale: float = 1.0,
-                     max_iter: int = 40) -> list[complex]:
-    """Distinct converged roots inside a rectangle from a seed grid.
-
-    Cross-check companion of :func:`count_roots`: on well-separated zero sets
-    the number of distinct roots found from a grid x grid seed array equals
-    the winding-number count.
-    """
-    re0, re1, im0, im1 = rectangle
-    found: list[complex] = []
-    sep = 1e-6 * max(re1 - re0, im1 - im0)
-    for i in range(grid):
-        for j in range(grid):
-            seed = complex(re0 + (re1 - re0) * (i + 0.5) / grid,
-                           im0 + (im1 - im0) * (j + 0.5) / grid)
-            try:
-                res = find_root(residual, seed, tol=tol, scale=scale,
-                                max_iter=max_iter)
-            except WindwavesError:
-                continue
-            c = res.c
-            if not (re0 <= c.real <= re1 and im0 <= c.imag <= im1):
-                continue
-            if all(abs(c - other) > sep for other in found):
-                found.append(c)
-    return found
 
 
 #: each refinement level splits a flagged boundary interval into this many

@@ -14,10 +14,11 @@ Three regimes are covered:
 * ``impedance_outcomes``: many (k, c) pairs in one batch of the kernel.
   The equation is linear in (y, y') and its coefficient does not depend on
   y, so each DOP853 step of a pair is a fixed 2x2 matrix.  The kernel
-  (:func:`_integrate`) builds every step of every pair at once, chains them
-  by prefix products into the states at all nodes, and cuts every step that
-  fails DOP853's error test, round by round, until none does; each pair's
-  mesh and arithmetic are its own.  A pair may start from an earlier
+  (:func:`_integrate`) builds every step of every pair at once, each
+  weighted stage sum in one elementwise pass and never through BLAS, chains
+  them by prefix products into the states at all nodes, and cuts every step
+  that fails DOP853's error test, round by round, until none does; each
+  pair's mesh and arithmetic are its own.  A pair may start from an earlier
   shoot's final mesh, which at a nearby wave speed passes the test at once.
   On a profile that evaluates at complex altitudes (``complex_path``: tanh,
   tables) each pair shoots along Lin's path, indented into the complex
@@ -366,27 +367,26 @@ def _dop853_coefficients():
     return module
 
 
-# The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.5), shaped
-# to weight a (stage, row, column, step) array of stage matrices.  The
-# weighted stage sums are elementwise products and sums, so no BLAS call,
-# and so no BLAS thread hand-off, sits in the kernel, and no step's
-# arithmetic depends on another's.
+# The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.5), as
+# dense rows that weight a (stage, row, column, step) array of stage matrices
+# (see :func:`_propagators`).
 _TABLEAU = _dop853_coefficients()
 _DOP_STAGES = _TABLEAU.N_STAGES
 # abscissae of stages 0 .. N_STAGES - 1: 0 at the step's start, 1 at its end
 _DOP_C = _TABLEAU.C[:_DOP_STAGES, None]
-# the nonzero (stage, weight) terms of each stage's sum and of the solution
-_DOP_A = [[(j, a) for j, a in enumerate(_TABLEAU.A[s, :s].tolist()) if a]
-          for s in range(_DOP_STAGES)]
-_DOP_B = [(j, b) for j, b in enumerate(_TABLEAU.B.tolist()) if b]
-# the order-5 and order-3 error estimators
-_DOP_E = [[(j, e) for j, e in enumerate(est.tolist()) if e]
-          for est in (_TABLEAU.E5, _TABLEAU.E3)]
+# the weights of each stage's sum over the stages before it, and of the
+# solution's over all stages
+_DOP_A = [_TABLEAU.A[s, :s] for s in range(_DOP_STAGES)]
+_DOP_B = _TABLEAU.B
+# the order-5 and order-3 error estimators, over the stages and the last
+# stage at t0 - h
+_DOP_E = np.stack((_TABLEAU.E5, _TABLEAU.E3))
 _EYE = np.eye(2, dtype=complex)[:, :, None]
 # scipy's step-size controller; the embedded error estimate is of order 7
 _SAFETY, _MIN_FACTOR = 0.9, 0.2
 _ERROR_EXPONENT = -1.0 / 8.0
 _RESCALE = 1e100  # a product or lid state past this is divided by its size
+_RTOL_FLOOR = 100.0 * np.finfo(float).eps
 _CHUNK = 1024  # steps per propagator build, which bounds its memory
 _MAX_STEPS = 2 ** 18  # an element's mesh, which bounds the kernel's memory
 _BEND_STEP = 1.0  # the first mesh's spacing in asinh((t - s)/depth) on bumps
@@ -444,22 +444,22 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
         alive[i] = False
 
     u_range = _u_range(profile)
-    scales = [_speed_scale(profile, complex(c), u_range) for c in cs]
+    scales = np.fmax(_speed_scale(profile, 0j, u_range), np.abs(cs.real))
     bounds = _segment_bounds(profile)
     jumps = _kink_jump_map(profile)
     # each live element's segments down its column: (owner, top, bottom,
     # bump depth, bump peak), and the jump matrices of the kinks by segment
     segments: list[tuple[int, float, float, float, float]] = []
     joints: dict[int, np.ndarray] = {}
-    for i, c in enumerate(cs.tolist()):
+    for i, (c, scale) in enumerate(zip(cs.tolist(), scales.tolist())):
         try:
             if indent:
-                bumps = _bumps(profile, c, scales[i], u_range, bounds, sign_ci,
+                bumps = _bumps(profile, c, scale, u_range, bounds, sign_ci,
                                None if layers is None else layers[i])
             else:
-                _check_switch(profile, c, scales[i], u_range)
+                _check_switch(profile, c, scale, u_range)
                 bumps = ()
-            kinks = {x: _kink_joint(profile, x, jump, c, scales[i])
+            kinks = {x: _kink_joint(profile, x, jump, c, scale)
                      for x, jump in jumps.items()}
         except WindwavesError as exc:
             fail(i, exc)
@@ -487,9 +487,13 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
         y, log_scale, sup_y, dist, n_steps = _integrate(
             coeff, owner, joints, first, y, tol, fail, nodes, final)
 
-    for i in np.flatnonzero(alive):
+    # only an element that may fail either check is checked alone
+    y0, yp0 = np.abs(y)
+    maybe = ~((dist >= 1e-10 * scales)
+              & (y0 >= INTERFACE_FLOOR * np.fmax(sup_y, yp0)))
+    for i in np.flatnonzero(alive & maybe):
         try:
-            _check_path(float(dist[i]), scales[i])
+            _check_path(float(dist[i]), float(scales[i]))
             _check_interface(complex(y[0, i]), complex(y[1, i]), float(sup_y[i]))
         except WindwavesError as exc:
             fail(i, exc)
@@ -551,27 +555,32 @@ def _first_mesh(top: np.ndarray, bot: np.ndarray, k: np.ndarray,
         1, _MAX_STEPS + 1).astype(int)
     steps[list(joints)] = 1
     if start:
-        warm = np.isin(owner, list(start))
+        warm = np.array([i in start for i in owner.tolist()], dtype=bool)
         steps[warm] = 1
         depth = np.where(warm, 0.0, depth)  # nor graded
-    seg, t0, _ = _cut(top, bot, steps)
     legs = np.flatnonzero(depth)
     a, s = np.abs(depth[legs]), bot[legs] + peak[legs] * width[legs]
     lo, hi = np.arcsinh((bot[legs] - s) / a), np.arcsinh((top[legs] - s) / a)
-    i, v, _ = _cut(hi, lo, np.ceil((hi - lo) / _BEND_STEP).astype(int))
-    graded = s[i] + a[i] * np.sinh(v)
-    inside = (v < hi[i]) & (graded > bot[legs[i]])  # the leg's ends are nodes
-    # each step ends where the next starts, or at its segment's bottom
-    seg = np.concatenate((seg, legs[i][inside]))
-    t0 = np.concatenate((t0, graded[inside]))
+    # the uniform steps of every segment and the graded ones of every leg
+    # in one cut, which cuts each alone
+    i, t0, _ = _cut(np.concatenate((top, hi)), np.concatenate((bot, lo)),
+                    np.concatenate((steps, np.ceil((hi - lo) / _BEND_STEP)
+                                    .astype(int))))
+    n = steps.sum()
+    j, v = i[n:] - top.size, t0[n:]
+    graded = s[j] + a[j] * np.sinh(v)
+    inside = (v < hi[j]) & (graded > bot[legs[j]])  # the leg's ends are nodes
+    seg = np.concatenate((i[:n], legs[j][inside]))
+    t0 = np.concatenate((t0[:n], graded[inside]))
     if start:
         # a joint has no inside
         given = _inner_nodes(top, bot, owner, start, warm & (width > 0.0))
         seg, t0 = np.concatenate((seg, given[0])), np.concatenate((t0, given[1]))
     order = np.lexsort((-t0, seg))
     seg, t0 = seg[order], t0[order]
-    last = np.r_[seg[1:] != seg[:-1], True]
-    return seg, t0, np.where(last, bot[seg], np.r_[t0[1:], 0.0])
+    # each step ends where the next starts, or at its segment's bottom
+    last = np.concatenate((seg[1:] != seg[:-1], [True]))
+    return seg, t0, np.where(last, bot[seg], np.concatenate((t0[1:], [0.0])))
 
 
 def _inner_nodes(top: np.ndarray, bot: np.ndarray, owner: np.ndarray,
@@ -704,22 +713,24 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
     """
     n = y.shape[1]
     # scipy's floor on rtol: below it rounding alone fails the error test
-    rtol, atol = max(tol, 100.0 * np.finfo(float).eps), tol * 1e-3
+    rtol, atol = max(tol, _RTOL_FLOOR), tol * 1e-3
     out_y = np.full((2, n), complex("nan"))
     out_scale, out_sup = np.zeros(n), np.zeros(n)
     out_dist, out_count = np.full(n, math.inf), np.zeros(n, dtype=int)
     # a lid state past _RESCALE starts rescaled; one that is not finite has
     # no finite step
     size = np.abs(y).max(axis=0)
-    lid_scale = np.where(size > _RESCALE, np.log(size), 0.0)
-    y = y / np.where(size > _RESCALE, size, 1.0)
+    big = size > _RESCALE
+    lid_scale = np.where(big, np.log(size), 0.0)
+    y = y / np.where(big, size, 1.0)
     seg, t0, t1 = first
     steps = np.bincount(owner[seg], minlength=n)
-    for i in np.flatnonzero(~np.isfinite(size) & (steps > 0)):
+    finite = np.isfinite(size)
+    for i in np.flatnonzero(~finite & (steps > 0)):
         fail(i, _collapse())
-    for i in np.flatnonzero(np.isfinite(size) & (steps > _MAX_STEPS)):
+    for i in np.flatnonzero(finite & (steps > _MAX_STEPS)):
         fail(i, _too_many())
-    keep = (np.isfinite(size) & (steps <= _MAX_STEPS))[owner[seg]]
+    keep = (finite & (steps <= _MAX_STEPS))[owner[seg]]
     seg, t0, t1 = seg[keep], t0[keep], t1[keep]
     prop = np.empty((2, 2, seg.size), dtype=complex)
     err = np.zeros((2, 2, 2, seg.size), dtype=complex)
@@ -736,28 +747,35 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
                 coeff, t0[idx], t0[idx] - t1[idx], seg[idx])
         # one row per element, padded by I
         elem = owner[seg]
-        heads = np.flatnonzero(np.r_[True, elem[1:] != elem[:-1]])
-        counts = np.diff(np.r_[heads, elem.size])
+        head = np.empty(elem.size, dtype=bool)
+        head[0] = True
+        np.not_equal(elem[1:], elem[:-1], out=head[1:])
+        row = np.cumsum(head) - 1
+        heads = np.flatnonzero(head)
+        counts = np.bincount(row)
         rows = elem[heads]
-        row = np.repeat(np.arange(rows.size), counts)
         col = np.arange(elem.size) - heads[row]
-        chain = np.zeros((2, 2, rows.size, counts.max()), dtype=complex)
-        chain[0, 0] = chain[1, 1] = 1.0
+        chain = np.empty((2, 2, rows.size, counts.max()), dtype=complex)
+        chain[...] = _EYE[..., None]
         chain[:, :, row, col] = prop
-        scale = np.zeros(chain.shape[2:])
-        _chain(chain, scale)
+        # the state at the lid has no step and the lid's scale
+        scales = np.zeros((rows.size, chain.shape[-1] + 1))
+        _chain(chain, scales[:, 1:])
+        scales += lid_scale[rows, None]
         lid = y[:, rows, None]
         states = np.concatenate((lid, _apply(chain, lid)), axis=2)
-        scales = np.concatenate((np.zeros((rows.size, 1)), scale), axis=1) \
-            + lid_scale[rows, None]
         start = states[:, row, col]
         norm = _error_norms(prop, err, start, rtol, atol)
-        # a state past a NaN step waits for that step's refinement
-        bad = (norm >= 1.0) | (np.isnan(norm) & np.isfinite(start).all(axis=0))
-        factor = np.fmax(_MIN_FACTOR, _SAFETY * norm ** _ERROR_EXPONENT)
-        cuts = np.where(bad, np.ceil(1.0 / factor), 1.0).astype(int)
-        collapse = bad & ((t0 - t1) / cuts
-                          < 10.0 * (t0 - np.nextafter(t0, -np.inf)))
+        # a state past a NaN step waits for that step's refinement; only a
+        # failing step is cut
+        bad = np.flatnonzero((norm >= 1.0)
+                             | (np.isnan(norm) & np.isfinite(start).all(axis=0)))
+        factor = np.fmax(_MIN_FACTOR, _SAFETY * norm[bad] ** _ERROR_EXPONENT)
+        cuts = np.ones(seg.size, dtype=int)
+        cuts[bad] = np.ceil(1.0 / factor)
+        top = t0[bad]
+        collapse = bad[(top - t1[bad]) / cuts[bad]
+                       < 10.0 * (top - np.nextafter(top, -np.inf))]
         dead = np.zeros(rows.size, dtype=bool)
         dead[row[collapse]] = True
         for i in rows[dead]:
@@ -768,15 +786,16 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
         dead |= huge
         settled = np.bincount(row[bad], minlength=rows.size) == 0
         done = np.flatnonzero(settled)
-        i, last = rows[done], counts[done]
-        out_y[:, i] = states[:, done, last]
-        out_scale[i] = scales[done, last]
-        grow = np.abs(states[0, done]) * np.exp(scales[done]
-                                                - out_scale[i, None])
-        out_sup[i] = np.where(np.arange(grow.shape[1]) <= last[:, None],
-                              grow, 0.0).max(axis=1)
-        out_dist[i] = np.minimum.reduceat(dist, heads)[done]
-        out_count[i] = last + 1
+        if done.size:
+            i, last = rows[done], counts[done]
+            out_y[:, i] = states[:, done, last]
+            out_scale[i] = scales[done, last]
+            grow = np.abs(states[0, done]) * np.exp(scales[done]
+                                                    - out_scale[i, None])
+            out_sup[i] = np.where(np.arange(grow.shape[1]) <= last[:, None],
+                                  grow, 0.0).max(axis=1)
+            out_dist[i] = np.minimum.reduceat(dist, heads)[done]
+            out_count[i] = last + 1
         for r in done.tolist() if nodes is not None else ():
             mine = slice(heads[r], heads[r] + counts[r])
             nodes[rows[r]] = (np.append(t0[mine], t1[mine.stop - 1]),
@@ -785,8 +804,10 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
         for r in done.tolist() if meshes is not None else ():
             mine = slice(heads[r], heads[r] + counts[r])
             meshes[rows[r]] = np.append(t0[mine], t1[mine.stop - 1])
-        parent, t0, t1 = _cut(t0, t1, np.where(settled[row] | dead[row], 0,
-                                               cuts))
+        settled |= dead
+        if settled.all():
+            break
+        parent, t0, t1 = _cut(t0, t1, np.where(settled[row], 0, cuts))
         seg, prop, err, dist = (seg[parent], prop[..., parent],
                                 err[..., parent], dist[parent])
         fresh = cuts[parent] > 1
@@ -838,6 +859,19 @@ def _propagators(coeff, t0: np.ndarray, h: np.ndarray, seg: np.ndarray
     at t0 to the state at t0 - h, E (2, 2, 2, m) maps it to the order-5 and
     order-3 error estimates times h, and dist is min |U - c| at the step's
     two ends (inf where U is not tracked).  A step of h = 0 is exactly I.
+
+    Each weighted sum over the stages, of each Y_s, of M and of both error
+    estimates, is one ``np.einsum`` pass over the float view (``optimize``
+    stays False, numpy's default): it adds the products term by term, in
+    stage order, from +0, each element alone, so a step's bits are those of
+    the sum taken term by term and do not depend on its chunk or its place
+    in it.  BLAS (``@``, ``np.dot``, ``tensordot``) is never used: OpenBLAS
+    0.3.31's dgemv fuses multiplies and adds, which moves the last bit of
+    20-65% of these sums, and a BLAS routine may block a sum by its place in
+    the batch or split it between threads.  A zero weight adds 0 times a finite part, which changes nothing (0 times
+    inf only reaches a step whose norm is NaN anyway).  Where every term is
+    -0 the sum is +0; every sum enters as I minus it or through |.|, so no
+    result depends on the sign.
     """
     du, w, wq = coeff(t0 - _DOP_C * h, seg)
     scaled = np.empty((_DOP_STAGES, 2, 1, h.size), dtype=complex)
@@ -846,35 +880,20 @@ def _propagators(coeff, t0: np.ndarray, h: np.ndarray, seg: np.ndarray
     stages = np.empty((_DOP_STAGES + 1, 2, 2, h.size), dtype=complex)
     # the real weights act on the real and imaginary parts alike
     parts = stages.view(float)
-    acc = np.empty(parts.shape[1:])
-    spare = np.empty_like(acc)
-    y = acc.view(complex)
+    y = np.empty(stages.shape[1:], dtype=complex)
     np.multiply(_EYE[::-1], scaled[0], out=stages[0])
     for s in range(1, _DOP_STAGES):
-        _weigh(parts, _DOP_A[s], acc, spare)
+        np.einsum("j,j...->...", _DOP_A[s], parts[:s], out=y.view(float))
         np.subtract(_EYE, y, out=y)
         np.multiply(y[::-1], scaled[s], out=stages[s])
-    prop = np.subtract(_EYE, _weigh(parts, _DOP_B, acc, spare).view(complex))
+    np.einsum("j,j...->...", _DOP_B, parts[:-1], out=y.view(float))
+    prop = np.subtract(_EYE, y, out=y)
     # the last stage abscissa is t0 - h
     np.multiply(prop[::-1], scaled[-1], out=stages[-1])
-    err = np.empty((2,) + parts.shape[1:])
-    for est, out in zip(_DOP_E, err):
-        _weigh(parts, est, out, spare)
-    err = err.view(complex)
+    err = np.einsum("ej,j...->e...", _DOP_E, parts).view(complex)
     dist = np.full(h.size, math.inf) if du is None else \
         np.fmin(np.abs(du[0]), np.abs(du[-1]))
     return prop, err, dist
-
-
-def _weigh(parts: np.ndarray, terms: list, out: np.ndarray,
-           spare: np.ndarray) -> np.ndarray:
-    """The sum of weight * parts[j] over the (j, weight) ``terms``, in
-    order, into ``out``."""
-    (j, weight), *rest = terms
-    np.multiply(parts[j], weight, out=out)
-    for j, weight in rest:
-        out += np.multiply(parts[j], weight, out=spare)
-    return out
 
 
 def _error_norms(prop: np.ndarray, err: np.ndarray, y: np.ndarray,
@@ -896,29 +915,38 @@ def _error_norms(prop: np.ndarray, err: np.ndarray, y: np.ndarray,
 def _chain(chain: np.ndarray, scale: np.ndarray) -> None:
     """Prefix products along the last axis of (2, 2, rows, steps) matrices,
     in place: step j becomes the product of steps j, j - 1, ..., 0, and
-    ``scale[:, j]`` the log of the factor divided out of it.
+    ``scale[:, j]``, 0 on entry, the log of the factor divided out of it.
 
     Hillis & Steele (1986): in round d, the product of the 2^d steps that
     end at j takes the one of the 2^d steps before them, so the grouping of
     every product is fixed by j alone.  A product with a part past
     ``_RESCALE`` is divided by its largest part, whose log its scale gains.
+    No product is looked at while the parts of every product are known to
+    stay below ``_RESCALE``: with parts of at most b in every factor, 8 b^2
+    bounds them, rounding included, and the bound starts from the steps.
     """
     width = chain.shape[-1]
+    # fmax skips the NaN of a failed element, which is never rescaled
+    bound = float(np.fmax.reduce(np.abs(chain.view(float)), axis=None))
     shift = 1
     while shift < width:
         later, earlier = chain[..., shift:], chain[..., :-shift]
         prod = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
-        logs = scale[:, shift:] + scale[:, :-shift]
-        # a product's size is its largest real or imaginary part; fmax skips
-        # the NaN of a failed element
-        parts = np.abs(prod.view(float))
-        if np.fmax.reduce(parts, axis=None) > _RESCALE:
-            size = parts.max(axis=(0, 1)).reshape(*logs.shape, 2).max(axis=-1)
-            big = np.where(size > _RESCALE, size, 1.0)
-            prod /= big
-            logs += np.log(big)
+        bound = 8.0 * bound * bound
+        # until the bound passes _RESCALE, no product was rescaled, and
+        # every scale is 0
+        if not bound <= _RESCALE:
+            logs = scale[:, shift:] + scale[:, :-shift]
+            # a product's size is its largest real or imaginary part
+            parts = np.abs(prod.view(float))
+            if np.fmax.reduce(parts, axis=None) > _RESCALE:
+                size = parts.max(axis=(0, 1)).reshape(*logs.shape, 2).max(
+                    axis=-1)
+                big = np.where(size > _RESCALE, size, 1.0)
+                prod /= big
+                logs += np.log(big)
+            scale[:, shift:] = logs
         chain[..., shift:] = prod
-        scale[:, shift:] = logs
         shift *= 2
 
 
@@ -1029,11 +1057,18 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
         raise ValueError("sign_ci must be +1, -1 or None")
     ks, cs = _pairs(k, cs)
     below = cs.imag < 0.0
+    upper = np.where(below, cs.conj(), cs)
+    # equal pairs are adjacent in a stable sort, the first occurrence first,
+    # and -0 equals +0
+    order = np.lexsort((upper.imag, upper.real, ks))
+    key = np.stack((ks, upper.real, upper.imag))[:, order]
+    head = np.ones(cs.size, dtype=bool)
+    head[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
+    first = order[head]
+    which = np.empty(cs.size, dtype=int)
+    which[order] = np.cumsum(head) - 1
     # adding 0 turns an imaginary part of -0 into +0
-    upper = np.where(below, cs.conj(), cs) + 0.0
-    _, first, which = np.unique(np.stack((ks, upper.real, upper.imag)),
-                                axis=1, return_index=True, return_inverse=True)
-    ks, cs = ks[first], upper[first]
+    ks, cs = ks[first], upper[first] + 0.0
     if profile.zero_curvature or (isinstance(profile, PiecewiseLinearProfile)
                                   and math.isinf(profile.h_plus)):
         imps = np.full(cs.shape, complex("nan"))

@@ -11,12 +11,17 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from scipy.interpolate import CubicSpline
 
+from windwaves.dispersion import FluidParams
+from windwaves.eigensolver import find_root
+from windwaves.errors import WindwavesError
 from windwaves.profiles import (
     PiecewiseLinearProfile,
     TabulatedProfile,
@@ -262,3 +267,70 @@ def two_stream_roots(params, k: float, u0: float, w0: float) -> tuple[complex, c
     b = -2.0 * (rp * u0 + rm * w0)
     c0 = rp * u0 * u0 + rm * w0 * w0 - rhs
     return quadratic_roots(a, b, c0)
+
+
+@dataclass(frozen=True)
+class ShearRoots:
+    """Roots of the constant-shear (vortex sheet + uniform vorticity) quadratic."""
+
+    c_plus: complex
+    c_minus: complex
+    stable: bool
+
+    def __iter__(self):
+        return iter((self.c_plus, self.c_minus))
+
+
+def closed_form_shear_roots(u0: float, mu: float, params: FluidParams,
+                            k: float, im_tol: float = 1e-12) -> ShearRoots:
+    """Wave speeds for U+ = u0 + mu x2 over quiescent deep water (h = inf).
+
+        g(1-eps) + sigma k^2/rho- = eps (u0-c)^2 |k| + eps mu (u0-c) + c^2 |k|
+
+    Stability holds iff both roots are real.
+    """
+    eps = params.epsilon
+    ak = abs(k)
+    a = (1.0 + eps) * ak
+    b = -2.0 * eps * ak * u0 - eps * mu
+    c0 = (eps * ak * u0 * u0 + eps * mu * u0
+          - params.g * (1.0 - eps) - params.sigma * k * k / params.rho_minus)
+    disc = b * b - 4.0 * a * c0
+    sq = cmath.sqrt(complex(disc))
+    r1 = (-b + sq) / (2.0 * a)
+    r2 = (-b - sq) / (2.0 * a)
+    if r1.real < r2.real:
+        r1, r2 = r2, r1
+    stable = abs(r1.imag) <= im_tol and abs(r2.imag) <= im_tol
+    return ShearRoots(c_plus=r1, c_minus=r2, stable=stable)
+
+
+def multistart_roots(residual: Callable[[complex], complex],
+                     rectangle: tuple[float, float, float, float],
+                     grid: int = 5, *, tol: float = 1e-11, scale: float = 1.0,
+                     max_iter: int = 40) -> list[complex]:
+    """Distinct converged roots inside a rectangle from a seed grid.
+
+    Cross-check companion of
+    :func:`~windwaves.eigensolver.count_roots`: on well-separated zero sets
+    the number of distinct roots found from a grid x grid seed array equals
+    the winding-number count.
+    """
+    re0, re1, im0, im1 = rectangle
+    found: list[complex] = []
+    sep = 1e-6 * max(re1 - re0, im1 - im0)
+    for i in range(grid):
+        for j in range(grid):
+            seed = complex(re0 + (re1 - re0) * (i + 0.5) / grid,
+                           im0 + (im1 - im0) * (j + 0.5) / grid)
+            try:
+                res = find_root(residual, seed, tol=tol, scale=scale,
+                                max_iter=max_iter)
+            except WindwavesError:
+                continue
+            c = res.c
+            if not (re0 <= c.real <= re1 and im0 <= c.imag <= im1):
+                continue
+            if all(abs(c - other) > sep for other in found):
+                found.append(c)
+    return found

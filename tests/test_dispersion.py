@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from windwaves.dispersion import (
     FluidParams,
     ck,
-    closed_form_shear_roots,
-    dn_symbol,
     kh_threshold,
     make_miles_residual,
     pwl_dispersion,
@@ -25,7 +23,12 @@ from windwaves.profiles import (
 )
 from windwaves.rayleigh import integrate_rayleigh, interface_impedance
 
-from oracles import miles_quadratic_coeffs, quadratic_roots, two_stream_roots
+from oracles import (
+    closed_form_shear_roots,
+    miles_quadratic_coeffs,
+    quadratic_roots,
+    two_stream_roots,
+)
 
 DEEP = FluidParams(rho_plus=1.22, rho_minus=1000.0, g=9.8, sigma=0.0)
 
@@ -48,23 +51,6 @@ class TestFluidParams:
             FluidParams(rho_plus=1.0, rho_minus=2.0, g=9.8, sigma=-1.0)
         with pytest.raises(ValueError):
             FluidParams(rho_plus=1.0, rho_minus=2.0, g=9.8, h_plus=0.0)
-
-
-class TestDnSymbol:
-    def test_infinite_depth_plus(self):
-        assert dn_symbol(params_with(), 2.0, "+") == 2.0
-
-    def test_finite_depth_minus(self):
-        assert dn_symbol(params_with(h_minus=1.0), 1.0, "-") == pytest.approx(
-            math.tanh(1.0))
-
-    def test_combined(self):
-        p = params_with(rho_plus=1.0, rho_minus=2.0)
-        assert dn_symbol(p, 1.0, "combined") == pytest.approx(1.5)
-
-    def test_zero_k_rejected(self):
-        with pytest.raises(ValueError):
-            dn_symbol(params_with(), 0.0)
 
 
 class TestCk:

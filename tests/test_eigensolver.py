@@ -21,7 +21,6 @@ from windwaves.eigensolver import (
     continue_in_epsilon,
     count_roots,
     find_root,
-    multistart_roots,
     root_counts,
     scan_k,
 )
@@ -33,7 +32,7 @@ from windwaves.errors import (
 )
 from windwaves.profiles import ConstantProfile, TanhProfile
 
-from oracles import quadratic_roots
+from oracles import multistart_roots, quadratic_roots
 
 
 def params_with(**kw):

@@ -86,13 +86,6 @@ def test_public_names_resolve():
 def test_tableau_is_scipys_bit_for_bit():
     from scipy.integrate._ivp import dop853_coefficients as ref
 
-    def dense(terms, size):
-        # the kernel keeps only the nonzero (stage, weight) terms of a sum
-        row = np.zeros(size)
-        for j, weight in terms:
-            row[j] = weight
-        return row
-
     n = ref.N_STAGES
     want = {
         "C": [ref.C[:n, None]],
@@ -100,10 +93,11 @@ def test_tableau_is_scipys_bit_for_bit():
         "B": [ref.B],
         "E": [ref.E5, ref.E3],
     }
+    # the kernel keeps each sum's weights as one dense row
     got = {"C": [rayleigh._DOP_C],
-           "A": [dense(terms, s) for s, terms in enumerate(rayleigh._DOP_A)],
-           "B": [dense(rayleigh._DOP_B, n)],
-           "E": [dense(terms, n + 1) for terms in rayleigh._DOP_E]}
+           "A": rayleigh._DOP_A,
+           "B": [rayleigh._DOP_B],
+           "E": list(rayleigh._DOP_E)}
     for name in want:
         assert len(got[name]) == len(want[name]), name
         for a, b in zip(got[name], want[name]):

@@ -409,6 +409,68 @@ class TestKernel:
         cold, _ = impedance_outcomes(profile, k, [c], tol)
         assert abs(warm[0] - cold[0]) <= 0.3 * tol * abs(cold[0])
 
+    # (profile, c, the segment's lo, width, layer place and bump depth)
+    CHUNKS = [
+        (TANH, 3.0 + 1e-3j, 0.0, 1.0, math.atanh(0.3), -0.1),
+        (TANH, 3.0 + 0.2j, 0.0, 5.0, 0.5, 0.0),
+        (TestBatch.TABLE, 6.0 + 0.01j, 0.0, 5.0, 0.5, 0.0),
+    ]
+
+    @staticmethod
+    def per_term_steps(coeff, t0, h, seg):
+        """(M, E) of DOP853's steps with each weighted sum taken term by
+        term, in stage order from +0, each product rounded alone: the
+        arithmetic of the kernel's stage sums, whatever routine takes them."""
+        tab, eye = rayleigh._TABLEAU, np.eye(2, dtype=complex)[:, :, None]
+        _, w, wq = coeff(t0 - rayleigh._DOP_C * h, seg)
+        scaled = np.stack(np.broadcast_arrays(h if w is None else w * h,
+                                              wq * h), axis=1)[:, :, None]
+        parts = [(eye[::-1] * scaled[0]).view(float)]
+
+        def weigh(weights):
+            total = np.zeros(parts[0].shape)
+            for weight, part in zip(weights, parts):
+                total = total + weight * part
+            return total.view(complex)
+
+        for s in range(1, rayleigh._DOP_STAGES):
+            parts.append(((eye - weigh(tab.A[s, :s]))[::-1]
+                          * scaled[s]).view(float))
+        m = eye - weigh(tab.B)
+        parts.append((m[::-1] * scaled[-1]).view(float))
+        return m, np.stack([weigh(tab.E5), weigh(tab.E3)])
+
+    @pytest.mark.parametrize("profile, c, lo, width, peak, depth", CHUNKS,
+                             ids=["tanh-bump", "tanh-axis", "table"])
+    @pytest.mark.parametrize("n", [1, 7, 1023, 1024, 1025])
+    def test_propagators_do_not_depend_on_their_chunk(self, profile, c, lo,
+                                                      width, peak, depth, n):
+        # the stage sums are elementwise: a step's (M, E, dist) is the same
+        # bits built alone, in a chunk of n and at another offset, and
+        # (M, E) those of sums taken term by term
+        coeff = rayleigh._coefficient(
+            profile, np.array([c]), np.array([1.44]), np.array([lo]),
+            np.array([width]), np.array([peak]), np.array([depth]))
+        t0 = lo + width - width * np.arange(n) / n
+        h = t0 - np.r_[t0[1:], lo]
+        seg = np.zeros(n, dtype=int)
+
+        def steps(built, pick):
+            return [tuple(a[..., i].tobytes() for a in built) for i in pick]
+
+        together = steps(rayleigh._propagators(coeff, t0, h, seg), range(n))
+        m, e = self.per_term_steps(coeff, t0, h, seg)
+        assert [step[:2] for step in together] == steps((m, e), range(n))
+        # three other steps sit before them
+        shifted = rayleigh._propagators(
+            coeff, np.r_[lo + width * np.array([0.9, 0.6, 0.3]), t0],
+            np.r_[np.full(3, 0.1 * width), h], np.r_[np.zeros(3, int), seg])
+        assert steps(shifted, range(3, n + 3)) == together
+        alone = [steps(rayleigh._propagators(coeff, t0[i:i + 1], h[i:i + 1],
+                                             seg[i:i + 1]), [0])[0]
+                 for i in range(n)]
+        assert alone == together
+
     def test_step_collapse_is_refused(self):
         with pytest.raises(NearSingularCoefficient,
                            match="Required step size is less than spacing"):
