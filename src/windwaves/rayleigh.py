@@ -758,7 +758,7 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
         chain = np.empty((2, 2, rows.size, counts.max()), dtype=complex)
         chain[...] = _EYE[..., None]
         chain[:, :, row, col] = prop
-        # the state at the lid has no step and the lid's scale
+        # column 0 holds the lid's state, which no step precedes
         scales = np.zeros((rows.size, chain.shape[-1] + 1))
         _chain(chain, scales[:, 1:])
         scales += lid_scale[rows, None]
