@@ -8,11 +8,18 @@ Python float back.  Profiles with ``complex_path`` also evaluate arrays of
 complex altitudes, so that the Rayleigh solver can shoot along a path
 indented around a critical layer.  Profiles are immutable after construction
 and safe to share between concurrent solves.
+
+The package has one critical-layer finder, :meth:`ShearProfile.path_layers`.
+It brackets the layers between altitudes where U is monotone (a table's
+knots and interior extrema, a piecewise-linear profile's nodes, otherwise a
+uniform grid) and polishes each; tanh has a closed form.
+:func:`find_critical_points` validates what it returns.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -74,8 +81,8 @@ class ShearProfile:
     #: True when U'' vanishes identically (uniform or constant shear)
     zero_curvature: bool = False
     #: True when ``value`` and ``curvature`` take arrays of complex altitudes
-    #: (the domain check applies to the real part) and ``path_layers`` and
-    #: ``path_reach`` are implemented
+    #: (the domain check applies to the real part) and ``path_reach`` is
+    #: implemented
     complex_path: bool = False
 
     def value(self, x2: float) -> float:
@@ -110,10 +117,58 @@ class ShearProfile:
     def path_layers(self, c_r: float) -> tuple[tuple[float, float], ...]:
         """(s, U'(s)) of every interior critical layer at c_r, ascending in s.
 
-        A fast estimate for placing an indented path, not the validated scan
-        of :func:`find_critical_points`; profiles with ``complex_path`` only.
+        The package's one critical-layer finder, for every profile on a
+        finite column.  Each interval between consecutive monotone nodes
+        (``_monotone_nodes``) over which U - c_r changes sign, or is zero at
+        the left node, holds one layer.  Its root is polished by Newton from
+        the chord's root, with a bisection step wherever Newton would leave
+        the bracket.  On the default grid, two layers inside one cell are
+        missed.  :func:`find_critical_points` validates what this returns.
         """
-        raise NotImplementedError
+        if not math.isfinite(self.h_plus):
+            raise OutOfDomain("root scan requires a finite air column")
+        xs, us = self._monotone_nodes()
+        f = us - c_r
+        below = f < 0.0
+        hits = (f[:-1] == 0.0) | ((f[1:] != 0.0) & (below[:-1] != below[1:]))
+        out = []
+        for i in np.flatnonzero(hits).tolist():
+            s = float(xs[i]) if f[i] == 0.0 else self._polish(
+                c_r, float(xs[i]), float(xs[i + 1]), float(f[i]), float(f[i + 1]))
+            if 0.0 < s < self.h_plus:
+                out.append((s, self.slope(s)))
+        return tuple(out)
+
+    def _monotone_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Altitudes from 0 to h_plus between which U is monotone, and U at
+        them: by default the ``ROOT_SCAN_GRID`` cells of a uniform grid."""
+        xs = np.linspace(0.0, self.h_plus, ROOT_SCAN_GRID + 1)
+        return xs, self.value(xs)
+
+    def _polish(self, c_r: float, lo: float, hi: float, f_lo: float,
+                f_hi: float) -> float:
+        """The root of U - c_r in [lo, hi], where it takes the opposite-signed
+        values f_lo and f_hi: Newton from the chord's root, bisecting wherever
+        Newton would leave the bracket, until the residual or the step reaches
+        rounding."""
+        eps = sys.float_info.epsilon
+        s = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        for _ in range(100):
+            f = self.value(s) - c_r
+            if abs(f) <= eps * abs(c_r):
+                break
+            if (f < 0.0) == (f_lo < 0.0):
+                lo = s
+            else:
+                hi = s
+            slope = self.slope(s)
+            nxt = s - f / slope if slope != 0.0 else lo  # flat: bisect
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            if abs(nxt - s) <= eps * abs(s):
+                break
+            s = nxt
+        return s
 
     def path_reach(self, s: float) -> float:
         """Distance from s to the nearest other complex root of U(x) = U(s).
@@ -294,6 +349,10 @@ class PiecewiseLinearProfile(ShearProfile):
             raise OutOfDomain("cannot bound an unbounded piecewise profile")
         vals = list(self._node_values) + [self.value(self.h_plus)]
         return min(vals), max(vals)
+
+    def _monotone_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        return (np.array(self.nodes + (self.h_plus,)),
+                np.array(self._node_values + (self.value(self.h_plus),)))
 
     def __repr__(self):
         return (f"PiecewiseLinearProfile(nodes={self.nodes}, slopes={self.slopes}, "
@@ -493,9 +552,9 @@ class TabulatedProfile(ShearProfile):
         self._node_u = self._horner(self._nodes)[0]
 
     def _piece(self, x):
-        """Index of the spline piece that holds the altitude (real part of) x."""
-        return np.clip(np.searchsorted(self.x2, np.real(x), side="right") - 1,
-                       0, self.x2.size - 2)
+        """Index of the spline piece that holds the altitude (real part of) x:
+        the count of interior knots at or below it."""
+        return np.searchsorted(self.x2[1:-1], np.real(x), side="right")
 
     def _horner(self, x2):
         """(U, U'') at real or complex x2, by Horner's rule on the piece of Re x2."""
@@ -530,27 +589,12 @@ class TabulatedProfile(ShearProfile):
     def derivative4(self, x2):
         return 0.0  # cubic pieces
 
-    def path_layers(self, c_r: float) -> tuple[tuple[float, float], ...]:
-        f = self._node_u - c_r
-        below = f < 0.0
-        hits = (f[:-1] == 0.0) | ((f[1:] != 0.0) & (below[:-1] != below[1:]))
-        out = []
-        for i in np.flatnonzero(hits).tolist():
-            lo, hi = float(self._nodes[i]), float(self._nodes[i + 1])
-            if f[i] == 0.0:
-                s = lo
-            else:
-                # Newton on the monotone cubic from the chord's root, kept
-                # inside the bracket
-                s = lo + (hi - lo) * float(f[i] / (f[i] - f[i + 1]))
-                for _ in range(4):
-                    slope = self.slope(s)
-                    if slope == 0.0:
-                        break
-                    s = min(max(s - (self.value(s) - c_r) / slope, lo), hi)
-            if 0.0 < s < self.h_plus:
-                out.append((s, self.slope(s)))
-        return tuple(out)
+    def u_bounds(self, n: int = 0) -> tuple[float, float]:
+        """Exact (min U, max U): the extremes of U at the monotone nodes."""
+        return float(self._node_u.min()), float(self._node_u.max())
+
+    def _monotone_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._nodes, self._node_u
 
     def path_reach(self, s: float) -> float:
         # the other two roots of the piece's cubic: divide (t - t_s) out of
@@ -616,22 +660,6 @@ class CriticalLayerSet:
         return tuple(layer.position for layer in self.layers)
 
 
-def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
-    # plain bisection; f(a) and f(b) have opposite signs
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            break
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
 def _curvature_or_zero(profile: ShearProfile, s: float) -> float:
     try:
         return profile.curvature(s)
@@ -642,16 +670,17 @@ def _curvature_or_zero(profile: ShearProfile, s: float) -> float:
 def find_critical_points(profile: ShearProfile, c_r: float) -> CriticalLayerSet:
     """Locate all interior altitudes where U equals the real phase speed c_r.
 
-    Roots are bracketed by a sign scan on ``ROOT_SCAN_GRID`` grid cells,
-    tightened by bisection and polished with three guarded Newton steps,
-    then annotated with U' and U''.
+    The layers are those of ``profile.path_layers(c_r)``, at the same
+    positions, validated against the endpoints, the degeneracy threshold and
+    the residual of the polish, then annotated with U''.
 
     Raises
     ------
     EndpointCritical
         If c_r matches U(0) or U(h_plus) to within ``ENDPOINT_RTOL``.
     DegenerateShear
-        If |U'(s)| at any root falls below the ``DEGENERACY_FACTOR`` threshold.
+        If |U'(s)| at any root falls below the ``DEGENERACY_FACTOR`` threshold,
+        or if |U(s) - c_r| exceeds 1e-12 max(1, |c_r|).
     """
     if not math.isfinite(c_r):
         raise ValueError("c_r must be finite")
@@ -665,56 +694,17 @@ def find_critical_points(profile: ShearProfile, c_r: float) -> CriticalLayerSet:
     if not math.isfinite(h):
         raise OutOfDomain("root scan requires a finite air column")
 
-    xs = np.linspace(0.0, h, ROOT_SCAN_GRID + 1)
-    fs = profile.value(xs) - c_r
-    umin, umax = float(fs.min() + c_r), float(fs.max() + c_r)
+    u0, uh = profile.value(0.0), profile.value(h)
+    umin, umax = profile.u_bounds()
     speed_scale = max(1.0, abs(c_r), umax - umin)
-
-    if abs(fs[0]) <= ENDPOINT_RTOL * speed_scale or abs(fs[-1]) <= ENDPOINT_RTOL * speed_scale:
+    if abs(u0 - c_r) <= ENDPOINT_RTOL * speed_scale or abs(uh - c_r) <= ENDPOINT_RTOL * speed_scale:
         raise EndpointCritical(
-            f"c_r={c_r} equals U at an endpoint (U(0)={fs[0]+c_r}, U(h+)={fs[-1]+c_r})"
+            f"c_r={c_r} equals U at an endpoint (U(0)={u0}, U(h+)={uh})"
         )
-
-    f = lambda x: profile.value(x) - c_r
-    roots: list[float] = []
-    # cells with a zero at the left node or a sign change across them
-    below = fs < 0.0
-    hits = (fs[:-1] == 0.0) | ((fs[1:] != 0.0) & (below[:-1] != below[1:]))
-    for i in np.flatnonzero(hits):
-        a, b, fa, fb = float(xs[i]), float(xs[i + 1]), float(fs[i]), float(fs[i + 1])
-        if fa == 0.0:
-            # exact node hit; tangencies are caught by the slope threshold below
-            roots.append(a)
-        else:
-            roots.append(_bisect(f, a, b, fa, fb))
-
-    # Newton polish, guarded to stay inside the column
-    polished = []
-    for s in roots:
-        for _ in range(3):
-            ds = profile.slope(s)
-            if ds == 0.0:
-                break
-            step = f(s) / ds
-            s_new = s - step
-            if 0.0 < s_new < h:
-                s = s_new
-        polished.append(s)
-
-    # de-duplicate (clustered brackets around one root) and sort
-    polished.sort()
-    spacing = h / ROOT_SCAN_GRID
-    unique: list[float] = []
-    for s in polished:
-        if not unique or s - unique[-1] > spacing:
-            unique.append(s)
 
     threshold = DEGENERACY_FACTOR * max(umax - umin, 1e-300) / h
     layers = []
-    for s in unique:
-        if not (0.0 < s < h):
-            raise EndpointCritical(f"critical point at column endpoint x2={s}")
-        up = profile.slope(s)
+    for s, up in profile.path_layers(c_r):
         if abs(up) <= threshold:
             raise DegenerateShear(
                 f"|U'({s})| = {abs(up):g} below regular-value threshold {threshold:g}"

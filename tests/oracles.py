@@ -221,6 +221,15 @@ def bisect_root(f, a: float, b: float, n_iter: int = 200) -> float:
     return 0.5 * (a + b)
 
 
+def spline_extremes(profile: TabulatedProfile) -> tuple[float, float]:
+    """(min U, max U) of a table, taken at its knots and at the roots of U'
+    of scipy's spline through the same samples."""
+    turns = CubicSpline(profile.x2, profile.u).derivative().roots(extrapolate=False)
+    inside = turns[(turns > 0.0) & (turns < profile.h_plus)]
+    us = profile.value(np.concatenate((profile.x2, inside)))
+    return float(us.min()), float(us.max())
+
+
 def quadratic_roots(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
     """Roots of a*x^2 + b*x + c = 0 via the numerically careful formula."""
     disc = cmath.sqrt(b * b - 4.0 * a * c)

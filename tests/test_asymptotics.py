@@ -11,7 +11,7 @@ from windwaves.asymptotics import (
     unstable_band,
 )
 from windwaves.dispersion import FluidParams, ck
-from windwaves.errors import HypothesisViolated, NoCriticalLayer
+from windwaves.errors import HypothesisViolated, NoCriticalLayer, WindwavesError
 from windwaves.profiles import (
     AnalyticProfile,
     ConstantProfile,
@@ -22,7 +22,7 @@ from windwaves.profiles import (
 )
 from windwaves.rayleigh import limiting_solution
 
-from oracles import contour_impedance_oracle
+from oracles import contour_impedance_oracle, spline_extremes
 
 
 def params_with(**kw):
@@ -110,6 +110,38 @@ class TestMilesCSharp:
         p = params_with(h_plus=5.0)
         with pytest.raises(NoCriticalLayer):
             miles_c_sharp(ConstantProfile(5.0, h_plus=5.0), p, 1.0)
+
+    @staticmethod
+    def jet_table():
+        # 10 sin(0.9 pi x / 5) at nine knots: one interior maximum of the
+        # spline, between the knots 2.5 and 3.125
+        x = np.linspace(0.0, 5.0, 9)
+        return TabulatedProfile(x, 10.0 * np.sin(0.9 * np.pi * x / 5.0))
+
+    def test_two_layers_just_below_a_table_maximum(self):
+        # c_k 1e-8 below the spline's maximum has two layers, and c_sharp
+        # scales as the gap to the power 3/2: 1e-6 times its value at a gap
+        # of 1e-4
+        prof = self.jet_table()
+        p = params_with()
+        top = spline_extremes(prof)[1]
+        wide = miles_c_sharp(prof, p, p.g / (top - 1e-4) ** 2)
+        near = miles_c_sharp(prof, p, p.g / (top - 1e-8) ** 2)
+        assert len(wide.layers) == len(near.layers) == 2
+        assert near.c_sharp == pytest.approx(1e-6 * wide.c_sharp, rel=1e-2)
+        assert near.c_sharp == pytest.approx(4.032e-13, rel=1e-2)
+
+    def test_closer_to_a_table_maximum_is_not_called_layerless(self):
+        # 1e-10 below the maximum the layers are still there: two terms, or
+        # a typed failure of the shoot, but never "no critical layer"
+        prof = self.jet_table()
+        p = params_with()
+        try:
+            asym = miles_c_sharp(prof, p, p.g / (spline_extremes(prof)[1] - 1e-10) ** 2)
+        except WindwavesError as exc:
+            assert not isinstance(exc, NoCriticalLayer)
+        else:
+            assert len(asym.layers) == 2
 
     def test_negative_branch_recomputed_not_sign_flipped(self):
         # c_k < 0 lies outside the range of a one-signed wind: the negative

@@ -22,7 +22,7 @@ from windwaves.profiles import (
     load_tabulated,
 )
 
-from oracles import bisect_root
+from oracles import bisect_root, spline_extremes
 
 
 def parabola_profile(h=2.0):
@@ -260,6 +260,9 @@ class ScalarGrid(ShearProfile):
     def curvature(self, x2):
         return self.inner.curvature(x2)
 
+    def path_layers(self, c_r):
+        return self.inner.path_layers(c_r)
+
 
 TABLE = TabulatedProfile(np.linspace(0.0, 5.0, 16),
                          10.0 * np.tanh(np.linspace(0.0, 5.0, 16)))
@@ -303,3 +306,97 @@ def test_pwl_and_constant_array_evaluation():
     assert ConstantProfile(5.0).curvature(xs).tolist() == [0.0] * xs.size
     with pytest.raises(OutOfDomain):
         ramp.value(np.array([1.0, 4.5]))
+
+
+def jet_table():
+    """Nine knots of 10 sin(0.9 pi x / 5) on [0, 5]: one interior maximum,
+    9.9995507187 at x2 2.77755, between the knots 2.5 and 3.125."""
+    xs = np.linspace(0.0, 5.0, 9)
+    return TabulatedProfile(xs, 10.0 * np.sin(0.9 * np.pi * xs / 5.0))
+
+
+def oracle_roots(prof, c_r, n=20001):
+    """Every root of U - c_r bracketed on a uniform grid of n points, by
+    bisection."""
+    xs = np.linspace(0.0, prof.h_plus, n)
+    fs = prof.value(xs) - c_r
+    f = lambda x: prof.value(x) - c_r
+    cells = np.flatnonzero((fs[:-1] < 0.0) != (fs[1:] < 0.0)).tolist()
+    return [bisect_root(f, float(xs[i]), float(xs[i + 1])) for i in cells]
+
+
+def root_tol(c_r, u_prime):
+    """1e-12, plus twice the width ulp(c_r) / |U'| over which the computed
+    U - c_r can be zero: no finder that evaluates U in double precision
+    places a root better than that, nor does the bisection oracle."""
+    return 1e-12 + 2.0 * np.finfo(float).eps * abs(c_r) / abs(u_prime)
+
+
+_X48 = np.linspace(0.0, 5.0, 48)
+FINDER_CASES = {
+    "tanh": TanhProfile(10.0, 1.0, 5.0),
+    "table48": TabulatedProfile(_X48, 8.0 * math.e * _X48 * np.exp(-_X48)),
+    "jet_table": jet_table(),
+    "parabola": parabola_profile(),
+    "ramp": PiecewiseLinearProfile.ramp(2.0, 1.0, h_plus=4.0),
+    "pwl": PiecewiseLinearProfile([0.0, 1.0, 2.5], [3.0, 1.0, -1.0], h_plus=4.2),
+}
+
+
+class TestOneFinder:
+    """``path_layers`` is the one critical-layer finder, and
+    ``find_critical_points`` validates what it returns."""
+
+    @pytest.mark.parametrize("name", sorted(FINDER_CASES))
+    def test_positions_are_path_layers_and_match_bisection(self, name):
+        prof = FINDER_CASES[name]
+        umin, umax = prof.u_bounds()
+        for c_r in np.linspace(umin, umax, 25)[1:-1].tolist():
+            layers = find_critical_points(prof, c_r)
+            assert [(l.position, l.u_prime) for l in layers] == \
+                list(prof.path_layers(c_r))
+            want = oracle_roots(prof, c_r)
+            assert len(layers) == len(want) > 0
+            for layer, s in zip(layers, want):
+                assert abs(layer.position - s) <= root_tol(c_r, layer.u_prime)
+
+    @pytest.mark.parametrize("gap", [1e-8, 1e-10])
+    def test_two_layers_just_below_a_table_maximum(self, gap):
+        prof = jet_table()
+        c_r = spline_extremes(prof)[1] - gap
+        layers = find_critical_points(prof, c_r)
+        assert len(layers) == 2
+        peak = 2.7775503577428085
+        f = lambda x: prof.value(x) - c_r
+        for layer, (a, b) in zip(layers, [(2.5, peak), (peak, 3.125)]):
+            s = bisect_root(f, a, b)
+            assert abs(layer.position - s) <= root_tol(c_r, layer.u_prime)
+
+    def test_degenerate_at_the_exact_table_maximum(self):
+        prof = jet_table()
+        with pytest.raises(DegenerateShear):
+            find_critical_points(prof, spline_extremes(prof)[1])
+
+    def test_tanh_evaluates_a_handful_of_altitudes(self, monkeypatch):
+        seen = []
+        for name in ("value", "slope"):
+            method = getattr(TanhProfile, name)
+
+            def counted(self, x2, method=method):
+                seen.append(np.size(x2))
+                return method(self, x2)
+
+            monkeypatch.setattr(TanhProfile, name, counted)
+        layers = find_critical_points(TanhProfile(10.0, 1.0, 5.0), 7.0)
+        assert len(layers) == 1
+        assert 0 < sum(seen) <= 16
+
+    @pytest.mark.parametrize("name", ["table48", "jet_table"])
+    def test_table_bounds_are_the_spline_extremes(self, name):
+        prof = FINDER_CASES[name]
+        umin, umax = prof.u_bounds()
+        want = spline_extremes(prof)
+        assert umin == pytest.approx(want[0], rel=1e-15, abs=1e-15)
+        assert umax == pytest.approx(want[1], rel=1e-15)
+        us = prof.value(np.linspace(0.0, prof.h_plus, 100001))
+        assert umin <= us.min() and us.max() <= umax
