@@ -11,8 +11,15 @@ asym            growth-constant report with the per-layer table
 certify-stable  off-axis root count near c_k (no-critical-layer regime)
 pwl             piecewise-linear ramp cubic over a list of density ratios
 
+Sections [fluids], [mode], [solver], [pwl] and [certify] are dataclasses
+(``_SECTIONS``): each key is a field, read as the field's type, and a field
+without a default is a required key.  [profile] takes ``kind`` and that
+kind's keys (``_PROFILE_KINDS``).  [run] ignores keys it does not read; an
+unknown key anywhere else, or an unknown section, is an error.
+
 Exit status: 0 success (including sweeps with annotated per-row failures),
-2 configuration error, 3 solver failure.
+2 configuration error (a malformed config, a profile its class refuses, an
+unwritable output), 3 solver failure.
 """
 from __future__ import annotations
 
@@ -21,10 +28,10 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from io import StringIO
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 from .asymptotics import miles_c_sharp, necessity_certificate
 from .dispersion import FluidParams, ck, kh_threshold, pwl_dispersion
@@ -51,32 +58,16 @@ def _fmt(x: float) -> str:
 @dataclass(frozen=True)
 class ProfileConfig:
     kind: str
-    params: tuple[tuple[str, float], ...] = ()
-    table: Optional[str] = None
-
-    def get(self, name: str) -> float:
-        for key, val in self.params:
-            if key == name:
-                return val
-        raise ConfigError(f"profile option '{name}' missing for kind={self.kind}")
+    #: the kind's keys and their values, in ``_PROFILE_KINDS`` order
+    params: tuple[tuple[str, float | str], ...] = ()
 
     def build(self) -> ShearProfile:
-        if self.kind == "constant":
-            return ConstantProfile(self.get("u0"), h_plus=self.get("h_plus"))
-        if self.kind == "linear":
-            return LinearShearProfile(self.get("u0"), self.get("mu"),
-                                      h_plus=self.get("h_plus"))
-        if self.kind == "tanh":
-            return TanhProfile(self.get("u_max"), self.get("d"),
-                               h_plus=self.get("h_plus"))
-        if self.kind == "pwl":
-            return PiecewiseLinearProfile.ramp(self.get("mu"), self.get("x2_star"),
-                                               h_plus=self.get("h_plus"))
-        if self.kind == "table":
-            if self.table is None:
-                raise ConfigError("table profile needs 'path'")
-            return load_tabulated(self.table)
-        raise ConfigError(f"unknown profile kind '{self.kind}'")
+        """The profile; one that its class refuses, or a table that cannot
+        be read, is a ConfigError."""
+        try:
+            return _PROFILE_KINDS[self.kind][0](**dict(self.params))
+        except (ValueError, OSError) as exc:
+            raise ConfigError(f"bad {self.kind} profile: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -108,13 +99,6 @@ class ModeConfig:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-11
-    max_iter: int = 60
-    rayleigh_tol: float = 1e-10
-
-
-@dataclass(frozen=True)
 class PwlConfig:
     mu: float
     x2_star: float
@@ -134,7 +118,7 @@ class RunConfig:
     profile: Optional[ProfileConfig]
     mode: ModeConfig
     command: str
-    solver: SolverConfig = SolverConfig()
+    solver: ScanStrategy = ScanStrategy()
     output: Optional[str] = None
     fmt: str = "csv"
     branch: int = +1
@@ -142,25 +126,77 @@ class RunConfig:
     certify: Optional[CertifyConfig] = None
 
 
-_FLUID_KEYS = ("rho_plus", "rho_minus", "g", "sigma", "h_plus", "h_minus")
-_PROFILE_KINDS = {
-    "constant": ("u0", "h_plus"),
-    "linear": ("u0", "mu", "h_plus"),
-    "tanh": ("u_max", "d", "h_plus"),
-    "pwl": ("mu", "x2_star", "h_plus"),
-    "table": (),
+#: how a key's text becomes a value of its field's annotated type
+_PARSERS = {float: float, Optional[float]: float, int: int, str: str,
+            tuple[float, ...]: lambda text: tuple(map(float, text.split()))}
+
+
+def _keys(cls, skip: tuple[str, ...] = ()) -> dict:
+    """Each field of cls but skip: the parser of its type, and its default
+    (``MISSING`` for a required key)."""
+    hints = get_type_hints(cls)
+    return {f.name: (_PARSERS[hints[f.name]], f.default)
+            for f in fields(cls) if f.name not in skip}
+
+
+#: each section that is one dataclass: the class and its keys; each is also
+#: the name of its RunConfig field
+_SECTIONS = {
+    "fluids": (FluidParams, _keys(FluidParams)),
+    "mode": (ModeConfig, _keys(ModeConfig)),
+    "solver": (ScanStrategy, _keys(ScanStrategy, skip=("branch",))),
+    "pwl": (PwlConfig, _keys(PwlConfig)),
+    "certify": (CertifyConfig, _keys(CertifyConfig)),
 }
 
 
-def _getfloat(sec, key: str, default: Optional[float] = None) -> float:
+def _profile_keys(*names: str) -> dict:
+    return {name: (str if name in ("kind", "path") else float, MISSING)
+            for name in ("kind",) + names}
+
+
+#: each profile kind: its constructor and its [profile] keys
+_PROFILE_KINDS = {
+    "constant": (ConstantProfile, _profile_keys("u0", "h_plus")),
+    "linear": (LinearShearProfile, _profile_keys("u0", "mu", "h_plus")),
+    "tanh": (TanhProfile, _profile_keys("u_max", "d", "h_plus")),
+    "pwl": (PiecewiseLinearProfile.ramp, _profile_keys("mu", "x2_star", "h_plus")),
+    "table": (load_tabulated, _profile_keys("path")),
+}
+
+
+def _value(sec, key: str, parse, default=MISSING):
+    """Key of the section, parsed, or default if the key is absent."""
     if key not in sec:
-        if default is None:
+        if default is MISSING:
             raise ConfigError(f"missing '{key}' in [{sec.name}]")
         return default
     try:
-        return float(sec[key])
+        return parse(sec[key])
     except ValueError as exc:
-        raise ConfigError(f"bad float for '{key}' in [{sec.name}]: {sec[key]!r}") from exc
+        raise ConfigError(
+            f"bad value for '{key}' in [{sec.name}]: {sec[key]!r}") from exc
+
+
+def _read(sec, keys: dict) -> dict:
+    """The section's values by key; an unknown key is an error."""
+    for key in sec:
+        if key not in keys:
+            raise ConfigError(f"unknown key '{key}' in [{sec.name}]")
+    return {key: _value(sec, key, parse, default)
+            for key, (parse, default) in keys.items()}
+
+
+def _section(cp, name: str, absent=None):
+    """Section name of cp as its dataclass, or absent if cp has none."""
+    if name not in cp:
+        return absent
+    cls, keys = _SECTIONS[name]
+    values = _read(cp[name], keys)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[{name}]: {exc}") from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -170,156 +206,72 @@ def parse_config(text: str) -> RunConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config: {exc}") from exc
+    for name in cp.sections():
+        if name not in _SECTIONS and name not in ("profile", "run"):
+            raise ConfigError(f"unknown section [{name}]")
 
-    if "fluids" not in cp:
+    fluids = _section(cp, "fluids")
+    if fluids is None:
         raise ConfigError("missing [fluids] section")
-    fl = cp["fluids"]
-    for key in fl:
-        if key not in _FLUID_KEYS:
-            raise ConfigError(f"unknown key '{key}' in [fluids]")
-    try:
-        fluids = FluidParams(
-            rho_plus=_getfloat(fl, "rho_plus"),
-            rho_minus=_getfloat(fl, "rho_minus"),
-            g=_getfloat(fl, "g"),
-            sigma=_getfloat(fl, "sigma", 0.0),
-            h_plus=_getfloat(fl, "h_plus", math.inf),
-            h_minus=_getfloat(fl, "h_minus", math.inf),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    mode = _section(cp, "mode", ModeConfig())
+    if mode.k is not None and (mode.k_min is not None or mode.k_max is not None):
+        raise ConfigError("give either k or a k range, not both")
+    pwl = _section(cp, "pwl")
+    if pwl is not None and not pwl.eps_list:
+        raise ConfigError("[pwl] needs a whitespace-separated eps_list")
 
     profile = None
     if "profile" in cp:
-        sec = cp["profile"]
-        kind = sec.get("kind", "")
+        kind = cp["profile"].get("kind", "")
         if kind not in _PROFILE_KINDS:
             raise ConfigError(f"unknown profile kind '{kind}'")
-        if kind == "table":
-            path = sec.get("path")
-            if not path:
-                raise ConfigError("table profile needs 'path'")
-            if not Path(path).exists():
-                raise ConfigError(f"profile table not found: {path}")
-            profile = ProfileConfig(kind=kind, table=path)
-        else:
-            wanted = _PROFILE_KINDS[kind]
-            for key in sec:
-                if key != "kind" and key not in wanted:
-                    raise ConfigError(f"unknown key '{key}' for {kind} profile")
-            params = tuple((name, _getfloat(sec, name)) for name in wanted)
-            profile = ProfileConfig(kind=kind, params=params)
+        params = _read(cp["profile"], _PROFILE_KINDS[kind][1])
+        del params["kind"]
+        if kind == "table" and not Path(params["path"]).is_file():
+            raise ConfigError(f"profile table not found: {params['path']}")
+        profile = ProfileConfig(kind=kind, params=tuple(params.items()))
 
     if "run" not in cp or "command" not in cp["run"]:
         raise ConfigError("missing [run] command")
     rn = cp["run"]
-    command = rn["command"].strip()
+    command = rn["command"]
     if command not in COMMANDS:
         raise ConfigError(f"unknown command '{command}' (choose from {COMMANDS})")
-
-    mode = ModeConfig()
-    if "mode" in cp:
-        sec = cp["mode"]
-        for key in sec:
-            if key not in ("k", "k_min", "k_max", "n", "spacing"):
-                raise ConfigError(f"unknown key '{key}' in [mode]")
-        if "k" in sec and ("k_min" in sec or "k_max" in sec):
-            raise ConfigError("give either k or a k range, not both")
-        mode = ModeConfig(
-            k=_getfloat(sec, "k") if "k" in sec else None,
-            k_min=_getfloat(sec, "k_min") if "k_min" in sec else None,
-            k_max=_getfloat(sec, "k_max") if "k_max" in sec else None,
-            n=int(sec.get("n", "0")),
-            spacing=sec.get("spacing", "linear"),
-        )
-
-    solver = SolverConfig()
-    if "solver" in cp:
-        sec = cp["solver"]
-        for key in sec:
-            if key not in ("tol", "max_iter", "rayleigh_tol"):
-                raise ConfigError(f"unknown key '{key}' in [solver]")
-        solver = SolverConfig(
-            tol=_getfloat(sec, "tol", 1e-11),
-            max_iter=int(sec.get("max_iter", "60")),
-            rayleigh_tol=_getfloat(sec, "rayleigh_tol", 1e-10),
-        )
-
-    pwl_cfg = None
-    if "pwl" in cp:
-        sec = cp["pwl"]
-        eps_raw = sec.get("eps_list", "").split()
-        if not eps_raw:
-            raise ConfigError("[pwl] needs a whitespace-separated eps_list")
-        pwl_cfg = PwlConfig(mu=_getfloat(sec, "mu"),
-                            x2_star=_getfloat(sec, "x2_star"),
-                            eps_list=tuple(float(e) for e in eps_raw))
-
-    certify_cfg = None
-    if "certify" in cp:
-        sec = cp["certify"]
-        certify_cfg = CertifyConfig(
-            epsilon=_getfloat(sec, "epsilon"),
-            radius_fraction=_getfloat(sec, "radius_fraction", 1.0),
-            im_floor=_getfloat(sec, "im_floor", 1e-10),
-        )
-
-    fmt = rn.get("format", "csv").strip()
+    fmt = rn.get("format", RunConfig.fmt)
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format '{fmt}'")
-    output = rn.get("output", "").strip() or None
-    branch = int(rn.get("branch", "1"))
+    branch = _value(rn, "branch", int, RunConfig.branch)
     if branch not in (1, -1):
         raise ConfigError("branch must be 1 or -1")
 
     return RunConfig(fluids=fluids, profile=profile, mode=mode, command=command,
-                     solver=solver, output=output, fmt=fmt, branch=branch,
-                     pwl=pwl_cfg, certify=certify_cfg)
+                     solver=_section(cp, "solver", RunConfig.solver),
+                     output=rn.get("output") or None, fmt=fmt, branch=branch,
+                     pwl=pwl, certify=_section(cp, "certify"))
+
+
+def _text(value) -> str:
+    """A value as INI text that parses back to it."""
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, tuple):
+        return " ".join(_text(v) for v in value)
+    return str(value)
 
 
 def dump_config(cfg: RunConfig) -> str:
     """Serialize a RunConfig back to normalized INI (parse-stable)."""
-    out = StringIO()
-    fl = cfg.fluids
-    out.write("[fluids]\n")
-    for key in _FLUID_KEYS:
-        out.write(f"{key} = {_fmt(getattr(fl, key))}\n")
+    sections = {name: [(key, getattr(getattr(cfg, name), key)) for key in keys]
+                for name, (_, keys) in _SECTIONS.items()
+                if getattr(cfg, name) is not None}
     if cfg.profile is not None:
-        out.write("\n[profile]\n")
-        out.write(f"kind = {cfg.profile.kind}\n")
-        if cfg.profile.table is not None:
-            out.write(f"path = {cfg.profile.table}\n")
-        for name, val in cfg.profile.params:
-            out.write(f"{name} = {_fmt(val)}\n")
-    out.write("\n[mode]\n")
-    if cfg.mode.k is not None:
-        out.write(f"k = {_fmt(cfg.mode.k)}\n")
-    elif cfg.mode.k_min is not None:
-        out.write(f"k_min = {_fmt(cfg.mode.k_min)}\n")
-        out.write(f"k_max = {_fmt(cfg.mode.k_max)}\n")
-        out.write(f"n = {cfg.mode.n}\n")
-        out.write(f"spacing = {cfg.mode.spacing}\n")
-    out.write("\n[solver]\n")
-    out.write(f"tol = {_fmt(cfg.solver.tol)}\n")
-    out.write(f"max_iter = {cfg.solver.max_iter}\n")
-    out.write(f"rayleigh_tol = {_fmt(cfg.solver.rayleigh_tol)}\n")
-    if cfg.pwl is not None:
-        out.write("\n[pwl]\n")
-        out.write(f"mu = {_fmt(cfg.pwl.mu)}\n")
-        out.write(f"x2_star = {_fmt(cfg.pwl.x2_star)}\n")
-        out.write(f"eps_list = {' '.join(_fmt(e) for e in cfg.pwl.eps_list)}\n")
-    if cfg.certify is not None:
-        out.write("\n[certify]\n")
-        out.write(f"epsilon = {_fmt(cfg.certify.epsilon)}\n")
-        out.write(f"radius_fraction = {_fmt(cfg.certify.radius_fraction)}\n")
-        out.write(f"im_floor = {_fmt(cfg.certify.im_floor)}\n")
-    out.write("\n[run]\n")
-    out.write(f"command = {cfg.command}\n")
-    out.write(f"format = {cfg.fmt}\n")
-    out.write(f"branch = {cfg.branch}\n")
-    if cfg.output:
-        out.write(f"output = {cfg.output}\n")
-    return out.getvalue()
+        sections["profile"] = [("kind", cfg.profile.kind), *cfg.profile.params]
+    sections["run"] = [("command", cfg.command), ("format", cfg.fmt),
+                       ("branch", cfg.branch), ("output", cfg.output)]
+    return "\n".join(
+        f"[{name}]\n" + "".join(f"{key} = {_text(value)}\n"
+                                for key, value in items if value is not None)
+        for name, items in sections.items())
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +299,10 @@ def _require_profile(cfg: RunConfig) -> ShearProfile:
 
 
 def _solve_rows(cfg: RunConfig, ks: Sequence[float]):
-    profile = _require_profile(cfg)
-    strategy = ScanStrategy(branch=cfg.branch, tol=cfg.solver.tol,
-                            max_iter=cfg.solver.max_iter,
-                            rayleigh_tol=cfg.solver.rayleigh_tol)
-    curve = scan_k(profile, cfg.fluids, ks, strategy)
-    rows = []
-    for e in curve.entries:
-        rows.append((e.k, e.c.real, e.c.imag, e.growth_rate, e.residual_norm,
-                     int(e.converged)))
-    return curve, rows
+    curve = scan_k(_require_profile(cfg), cfg.fluids, ks,
+                   replace(cfg.solver, branch=cfg.branch))
+    return curve, [(e.k, e.c.real, e.c.imag, e.growth_rate, e.residual_norm,
+                    int(e.converged)) for e in curve.entries]
 
 
 def _cmd_solve(cfg: RunConfig):
@@ -484,7 +430,10 @@ def run(cfg: RunConfig) -> int:
     text = (_render_csv(header, rows, comments) if cfg.fmt == "csv"
             else _render_json(cfg.command, header, rows, comments))
     if cfg.output:
-        Path(cfg.output).write_text(text, encoding="utf-8")
+        try:
+            Path(cfg.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write the output: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -315,43 +315,20 @@ class KhThreshold:
         return 2.0 * math.pi / self.k_crit
 
 
-def kh_threshold(params: FluidParams, k_lo: float = 1e-3, k_hi: float = 1e6,
-                 iters: int = 200) -> KhThreshold:
-    """Minimize over k the uniform wind speed at marginal KH stability.
+def kh_threshold(params: FluidParams) -> KhThreshold:
+    """The slowest uniform wind at marginal KH stability, in closed form.
 
-    The marginal curve is U0^2(k) = (rho+ + rho-)/(rho+ rho-) *
-    [g (rho- - rho+)/k + sigma k], unimodal in k for sigma > 0; the minimum is
-    located by golden-section search on log k.
+    The marginal curve U0^2(k) = (rho+ + rho-)/(rho+ rho-) *
+    [g (rho- - rho+)/k + sigma k] is least at k* = sqrt(g (rho- - rho+)/sigma),
+    where U0^2 = (rho+ + rho-)/(rho+ rho-) * 2 sqrt(g sigma (rho- - rho+)).
     """
     if params.sigma <= 0.0:
         raise RequiresSurfaceTension(
             "sigma = 0: every positive wind is unstable at large k")
-
-    rp, rm = params.rho_plus, params.rho_minus
-    pref = (rp + rm) / (rp * rm)
-
-    def u0_sq(lk: float) -> float:
-        kk = math.exp(lk)
-        return pref * (params.g * (rm - rp) / kk + params.sigma * kk)
-
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(k_lo), math.log(k_hi)
-    c1 = b - phi * (b - a)
-    c2 = a + phi * (b - a)
-    f1, f2 = u0_sq(c1), u0_sq(c2)
-    for _ in range(iters):
-        if b - a < 1e-14:
-            break
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = u0_sq(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = u0_sq(c2)
-    lk = 0.5 * (a + b)
-    return KhThreshold(u0_min=math.sqrt(u0_sq(lk)), k_crit=math.exp(lk))
+    rp, rm, g, sigma = params.rho_plus, params.rho_minus, params.g, params.sigma
+    u0_sq = (rp + rm) / (rp * rm) * 2.0 * math.sqrt(g * sigma * (rm - rp))
+    return KhThreshold(u0_min=math.sqrt(u0_sq),
+                       k_crit=math.sqrt(g * (rm - rp) / sigma))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -127,7 +128,7 @@ class ShearProfile:
         """
         if not math.isfinite(self.h_plus):
             raise OutOfDomain("root scan requires a finite air column")
-        xs, us = self._monotone_nodes()
+        xs, us = self._monotone_nodes
         f = us - c_r
         below = f < 0.0
         hits = (f[:-1] == 0.0) | ((f[1:] != 0.0) & (below[:-1] != below[1:]))
@@ -139,9 +140,11 @@ class ShearProfile:
                 out.append((s, self.slope(s)))
         return tuple(out)
 
+    @cached_property
     def _monotone_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Altitudes from 0 to h_plus between which U is monotone, and U at
-        them: by default the ``ROOT_SCAN_GRID`` cells of a uniform grid."""
+        them: by default the ``ROOT_SCAN_GRID`` cells of a uniform grid,
+        evaluated once per profile (profiles are immutable)."""
         xs = np.linspace(0.0, self.h_plus, ROOT_SCAN_GRID + 1)
         return xs, self.value(xs)
 
@@ -182,11 +185,13 @@ class ShearProfile:
         span = self.h_plus if math.isfinite(self.h_plus) else 1.0
         return 1e-4 * max(span, 1.0)
 
-    def u_bounds(self, n: int = ROOT_SCAN_GRID + 1) -> tuple[float, float]:
-        """Sampled (min U, max U) over the column; exact for unbounded kinds."""
+    def u_bounds(self) -> tuple[float, float]:
+        """(min U, max U) over the column: U's extremes at the monotone
+        nodes, which hold a table's or a piecewise-linear profile's extrema
+        and sample the others; closed forms override."""
         if not math.isfinite(self.h_plus):
-            raise OutOfDomain("cannot sample an unbounded profile")
-        us = self.value(np.linspace(0.0, self.h_plus, n))
+            raise OutOfDomain("cannot bound a profile on [0, inf)")
+        us = self._monotone_nodes[1]
         return float(us.min()), float(us.max())
 
     def _check_domain(self, x2) -> None:
@@ -227,7 +232,7 @@ class ConstantProfile(ShearProfile):
     def derivative4(self, x2):
         return 0.0
 
-    def u_bounds(self, n: int = 0) -> tuple[float, float]:
+    def u_bounds(self) -> tuple[float, float]:
         return self.u0, self.u0
 
 
@@ -257,7 +262,7 @@ class LinearShearProfile(ShearProfile):
     def derivative4(self, x2):
         return 0.0
 
-    def u_bounds(self, n: int = 0) -> tuple[float, float]:
+    def u_bounds(self) -> tuple[float, float]:
         if not math.isfinite(self.h_plus):
             raise OutOfDomain("cannot bound a constant-shear profile on [0, inf)")
         ends = (self.u0, self.u0 + self.mu * self.h_plus)
@@ -344,12 +349,7 @@ class PiecewiseLinearProfile(ShearProfile):
             for i in range(1, len(self.nodes))
         ]
 
-    def u_bounds(self, n: int = 0) -> tuple[float, float]:
-        if not math.isfinite(self.h_plus):
-            raise OutOfDomain("cannot bound an unbounded piecewise profile")
-        vals = list(self._node_values) + [self.value(self.h_plus)]
-        return min(vals), max(vals)
-
+    @cached_property
     def _monotone_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.array(self.nodes + (self.h_plus,)),
                 np.array(self._node_values + (self.value(self.h_plus),)))
@@ -399,7 +399,7 @@ class TanhProfile(ShearProfile):
         s2 = 1.0 - t * t
         return 8.0 * self.u_max / self.d**4 * s2 * t * (2.0 * s2 - t * t)
 
-    def u_bounds(self, n: int = 0) -> tuple[float, float]:
+    def u_bounds(self) -> tuple[float, float]:
         ends = (0.0, self.u_max * math.tanh(self.h_plus / self.d))
         return min(ends), max(ends)
 
@@ -548,8 +548,8 @@ class TabulatedProfile(ShearProfile):
                                 np.where(a == 0.0, -c / b, np.nan)))
         base, span = np.tile(x2[:-1], 3), np.tile(np.diff(x2), 3)
         inside = (t > 0.0) & (t < span)
-        self._nodes = np.unique(np.concatenate((x2, base[inside] + t[inside])))
-        self._node_u = self._horner(self._nodes)[0]
+        nodes = np.unique(np.concatenate((x2, base[inside] + t[inside])))
+        self._monotone_nodes = nodes, self._horner(nodes)[0]
 
     def _piece(self, x):
         """Index of the spline piece that holds the altitude (real part of) x:
@@ -588,13 +588,6 @@ class TabulatedProfile(ShearProfile):
 
     def derivative4(self, x2):
         return 0.0  # cubic pieces
-
-    def u_bounds(self, n: int = 0) -> tuple[float, float]:
-        """Exact (min U, max U): the extremes of U at the monotone nodes."""
-        return float(self._node_u.min()), float(self._node_u.max())
-
-    def _monotone_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._nodes, self._node_u
 
     def path_reach(self, s: float) -> float:
         # the other two roots of the piece's cubic: divide (t - t_s) out of

@@ -103,9 +103,9 @@ _DEFAULT_TOL = 1e-10
 
 
 def _u_range(profile: ShearProfile) -> Optional[tuple[float, float]]:
-    """Sampled (min U, max U), or None for a profile that cannot be sampled."""
+    """``profile.u_bounds()``, or None for a profile on [0, inf)."""
     try:
-        return profile.u_bounds(513)
+        return profile.u_bounds()
     except OutOfDomain:
         return None
 

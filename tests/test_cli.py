@@ -324,3 +324,67 @@ command = solve
         assert main(["--config", write_config(tmp_path, text)]) == 0
         out = capsys.readouterr().out
         assert "no critical layer" in out
+
+
+CK = BASE.replace("command = solve", "command = ck")
+TANH = "kind = tanh\nu_max = 10.0\nd = 1.0\nh_plus = 5.0"
+MALFORMED = {
+    "non_integer_n": CK.replace("k = 1.0", "k_min = 0.5\nk_max = 2.0\nn = four"),
+    "non_integer_max_iter": CK + "\n[solver]\nmax_iter = 6.5\n",
+    "non_integer_branch": CK + "branch = x\n",
+    "non_number_in_eps_list":
+        CK + "\n[pwl]\nmu = 5.0\nx2_star = 1.0\neps_list = 0.01 zz\n",
+    "unknown_key_in_pwl":
+        CK + "\n[pwl]\nmu = 5.0\nx2_star = 1.0\neps_list = 0.01\nbogus = 1\n",
+    "unknown_key_in_certify":
+        CK + "\n[certify]\nepsilon = 0.001\nradius_frac = 0.5\n",
+    "unknown_section": CK + "\n[solvr]\ntol = 1e-9\n",
+    "ramp_kink_at_column_top": BASE.replace("command = solve", "command = asym")
+        .replace(TANH, "kind = pwl\nmu = 10.0\nx2_star = 5.0\nh_plus = 5.0"),
+}
+
+
+def assert_config_error(status, capsys):
+    assert status == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("config error: ")
+
+
+class TestMalformedInput:
+    """Every malformed input exits 2 with one 'config error:' line."""
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_config(self, tmp_path, capsys, name):
+        path = write_config(tmp_path, MALFORMED[name])
+        assert_config_error(main(["--config", path]), capsys)
+
+    @pytest.mark.parametrize("rows", [
+        "0 0\n1 1\n0.5 2\n5 3\n",  # altitudes not increasing
+        "0 0\n1 1\n5 3\n",  # fewer than 4 rows
+        "0 0\n1 fast\n2 2\n5 3\n",  # a bad line
+    ], ids=["non_increasing", "three_rows", "bad_line"])
+    def test_malformed_table(self, tmp_path, capsys, rows):
+        table = tmp_path / "wind.txt"
+        table.write_text(rows)
+        text = BASE.replace("command = solve", "command = asym").replace(
+            TANH, f"kind = table\npath = {table}")
+        assert_config_error(main(["--config", write_config(tmp_path, text)]),
+                            capsys)
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        path = write_config(tmp_path, CK)
+        out = str(tmp_path / "missing" / "out.csv")
+        assert_config_error(main(["--config", path, "--output", out]), capsys)
+
+    def test_run_ignores_unread_keys(self, tmp_path, capsys):
+        path = write_config(tmp_path, CK + "jobs = 4\n")
+        assert main(["--config", path]) == 0
+        assert capsys.readouterr().out.startswith("k,c_plus,c_minus")
+
+    def test_dump_lists_every_default(self):
+        cfg = parse_config(CK)
+        dumped = dump_config(cfg)
+        for line in ("n = 0", "spacing = linear", "max_iter = 60",
+                     "sigma = 0", "branch = 1"):
+            assert line in dumped.splitlines()
+        assert parse_config(dumped) == cfg

@@ -151,6 +151,22 @@ class TestKhThreshold:
         roots = closed_form_shear_roots(th.u0_min, 0.0, p, th.k_crit)
         assert abs(roots.c_plus - roots.c_minus) <= 1e-4 * abs(roots.c_plus)
 
+    @pytest.mark.parametrize("sigma, k_star, u0_star",
+                             [(1e-9, 3.13e6, 0.0717), (1e-12, 9.90e7, 0.01275)])
+    def test_minimum_beyond_any_bracket(self, sigma, k_star, u0_star):
+        # k* = sqrt(g drho / sigma) lies past 1e6 rad/m at tiny sigma
+        p = FluidParams(rho_plus=1.22, rho_minus=1000.0, g=9.81, sigma=sigma)
+        th = kh_threshold(p)
+        assert th.k_crit == pytest.approx(k_star, rel=3e-3)
+        assert th.u0_min == pytest.approx(u0_star, rel=3e-3)
+
+        def u0_sq(k):  # the marginal curve
+            return (1001.22 / 1220.0) * (9.81 * (1000.0 - 1.22) / k + sigma * k)
+
+        assert th.u0_min ** 2 == pytest.approx(u0_sq(th.k_crit), rel=1e-12)
+        assert u0_sq(th.k_crit) < min(u0_sq(0.999 * th.k_crit),
+                                      u0_sq(1.001 * th.k_crit))
+
 
 class TestClosedFormShearRoots:
     def test_mu_zero_reduces_to_kh(self):

@@ -391,6 +391,22 @@ class TestOneFinder:
         assert len(layers) == 1
         assert 0 < sum(seen) <= 16
 
+    def test_default_grid_evaluated_once_per_profile(self):
+        calls = []
+
+        def jet(x):  # 8 t e^(1 - t): peak 8 at t = 1
+            calls.append(x)
+            return 8.0 * x * math.exp(1.0 - x)
+
+        prof = AnalyticProfile(
+            f=jet, df=lambda x: 8.0 * (1.0 - x) * math.exp(1.0 - x),
+            d2f=lambda x: 8.0 * (x - 2.0) * math.exp(1.0 - x), h_plus=4.0)
+        first = find_critical_points(prof, 5.0)
+        assert len(first) == 2
+        assert find_critical_points(prof, 5.0) == first
+        # one default grid of 4097 altitudes, and the polish's few
+        assert len(calls) <= 4097 + 64
+
     @pytest.mark.parametrize("name", ["table48", "jet_table"])
     def test_table_bounds_are_the_spline_extremes(self, name):
         prof = FINDER_CASES[name]
