@@ -26,7 +26,6 @@ from .rayleigh import (
     LayerJump,
     LimitSolution,
     RayleighSolution,
-    RayleighTrace,
     WronskianPath,
     impedance_limit_check,
     integrate_rayleigh,
@@ -50,7 +49,6 @@ from .dispersion import (
 from .eigensolver import (
     EigenResult,
     GrowthCurve,
-    GrowthEntry,
     ScanStrategy,
     continue_in_epsilon,
     count_roots,

@@ -161,13 +161,9 @@ def _growth_constants(profile, params, ks, branch, tol, meshes=None):
     u1s = {}  # index -> |y*(s_j)|^2 per layer
     if rows:
         shot = None if meshes is None else [None] * len(rows)
-        try:
-            imps, failed = impedance_outcomes(
-                profile, [ks[i] for i in rows], [at_ck[i][0] for i in rows],
-                tol, sign_ci=+1, layers=[at_ck[i][1] for i in rows],
-                meshes=shot)
-        except WindwavesError as exc:  # the whole batch, e.g. no finite column
-            imps, failed = None, dict.fromkeys(range(len(rows)), exc)
+        imps, failed = impedance_outcomes(
+            profile, [ks[i] for i in rows], [at_ck[i][0] for i in rows],
+            tol, sign_ci=+1, layers=[at_ck[i][1] for i in rows], meshes=shot)
         if meshes is not None:
             meshes.update(zip(rows, shot))
         for j, i in enumerate(rows):

@@ -79,17 +79,25 @@ class ModeConfig:
     spacing: str = "linear"
 
     def k_values(self) -> list[float]:
+        """The wavenumbers, each finite and nonzero."""
         if self.k is not None:
-            return [self.k]
-        if self.k_min is None or self.k_max is None or self.n < 2:
+            ks = [self.k]
+        elif self.k_min is None or self.k_max is None or self.n < 2:
             raise ConfigError("mode needs either k, or k_min/k_max/n >= 2")
-        if self.spacing == "linear":
+        elif self.spacing == "linear":
             step = (self.k_max - self.k_min) / (self.n - 1)
-            return [self.k_min + i * step for i in range(self.n)]
-        if self.spacing == "log":
-            ratio = self.k_max / self.k_min
-            return [self.k_min * ratio ** (i / (self.n - 1)) for i in range(self.n)]
-        raise ConfigError(f"unknown spacing '{self.spacing}'")
+            ks = [self.k_min + i * step for i in range(self.n)]
+        elif self.spacing == "log":
+            ratio = self.k_max / self.k_min if self.k_min else 0.0
+            if not ratio > 0.0:
+                raise ConfigError("log spacing needs k_min and k_max of one "
+                                  "sign")
+            ks = [self.k_min * ratio ** (i / (self.n - 1)) for i in range(self.n)]
+        else:
+            raise ConfigError(f"unknown spacing '{self.spacing}'")
+        if not all(k != 0.0 and math.isfinite(k) for k in ks):
+            raise ConfigError("wavenumber k must be finite and nonzero")
+        return ks
 
     def single_k(self) -> float:
         ks = self.k_values()
@@ -299,6 +307,8 @@ def _require_profile(cfg: RunConfig) -> ShearProfile:
 
 
 def _solve_rows(cfg: RunConfig, ks: Sequence[float]):
+    if min(ks) <= 0.0:
+        raise ConfigError(f"command '{cfg.command}' needs every k > 0")
     curve = scan_k(_require_profile(cfg), cfg.fluids, ks,
                    replace(cfg.solver, branch=cfg.branch))
     return curve, [(e.k, e.c.real, e.c.imag, e.growth_rate, e.residual_norm,
@@ -372,8 +382,11 @@ def _cmd_pwl(cfg: RunConfig):
     rows = []
     comments = []
     for i, eps in enumerate(cfg.pwl.eps_list):
-        d = pwl_dispersion(cfg.pwl.mu, cfg.pwl.x2_star, cfg.fluids, k,
-                           epsilon=eps)
+        try:
+            d = pwl_dispersion(cfg.pwl.mu, cfg.pwl.x2_star, cfg.fluids, k,
+                               epsilon=eps)
+        except ValueError as exc:  # fluids or a ramp the closed form refuses
+            raise ConfigError(f"pwl: {exc}") from exc
         if i == 0:
             comments += [f"alpha = {_fmt(d.cubic.alpha)}",
                          f"beta = {_fmt(d.cubic.beta)}",

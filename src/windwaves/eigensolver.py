@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
@@ -25,7 +25,6 @@ from .errors import (
 __all__ = [
     "EigenResult",
     "GrowthCurve",
-    "GrowthEntry",
     "ScanStrategy",
     "find_root",
     "count_roots",
@@ -42,13 +41,17 @@ DEGENERATE = "Degenerate"
 
 @dataclass(frozen=True)
 class EigenResult:
-    """One converged (or classified) complex wave speed."""
+    """One complex wave speed that a Muller chain converged to, or, in a
+    :class:`GrowthCurve`, a failed row: ``converged`` False, c and the
+    residual NaN, and ``message`` naming the error."""
 
     c: complex
     residual_norm: float
     iterations: int
     classification: str
     k: Optional[float] = None
+    converged: bool = True
+    message: str = ""
 
     @property
     def growth_rate(self) -> Optional[float]:
@@ -425,23 +428,11 @@ class ScanStrategy:
     rayleigh_tol: float = 1e-10
 
 
-@dataclass(frozen=True)
-class GrowthEntry:
-    k: float
-    c: complex
-    growth_rate: float
-    residual_norm: float
-    converged: bool
-    classification: str
-    message: str = ""
-
-
 @dataclass
 class GrowthCurve:
-    """Per-wavenumber eigenvalues of one profile + parameter snapshot."""
+    """Per-wavenumber eigenvalues of one profile, in ascending k."""
 
-    entries: list[GrowthEntry]
-    metadata: dict = field(default_factory=dict)
+    entries: list[EigenResult]
 
     def unstable_ks(self) -> list[float]:
         return [e.k for e in self.entries
@@ -453,8 +444,10 @@ def scan_k(profile, params, k_list: Sequence[float],
     """Solve the quiescent-ocean dispersion relation at every wavenumber.
 
     Each entry seeds Muller at c_k plus the asymptotic growth offset
-    i eps c_sharp when a critical layer exists; failures are recorded in the
-    curve without aborting the sweep, and a failed row's message names the
+    i eps c_sharp when a critical layer exists.  A row is the
+    :class:`EigenResult` its chain returns, conjugated into the upper
+    half-plane when Im c < 0; a failed row is recorded in the curve without
+    aborting the sweep, with ``converged`` False, and its message names the
     error of its growth constant unless c_k has no layer.  The Muller chains
     of all wavenumbers run in lockstep: each round evaluates the wave speeds
     every live chain asks for (the starting triples, then one point per
@@ -478,21 +471,18 @@ def scan_k(profile, params, k_list: Sequence[float],
 
     entries = _lockstep(profile, params, ks, strategy)
     order = sorted(range(len(ks)), key=lambda i: ks[i])
-    entries = [entries[i] for i in order]
-    metadata = {"profile": repr(profile), "params": repr(params),
-                "branch": strategy.branch}
-    return GrowthCurve(entries=entries, metadata=metadata)
+    return GrowthCurve(entries=[entries[i] for i in order])
 
 
 def _lockstep(profile, params, ks: list[float],
-              strategy: ScanStrategy) -> list[GrowthEntry]:
+              strategy: ScanStrategy) -> list[EigenResult]:
     """One Muller chain per wavenumber, all evaluated round by round; each
     chain's shoots start from the final mesh of its last shoot, the first
     ones from its seed's."""
     from .asymptotics import _growth_constants
     from .dispersion import ck, miles_residuals
 
-    entries: list[Optional[GrowthEntry]] = [None] * len(ks)
+    entries: list[Optional[EigenResult]] = [None] * len(ks)
     chains = {}  # index -> (Muller generator, the wave speeds it waits for)
     meshes: dict[int, np.ndarray] = {}  # index -> the chain's last final mesh
     asyms, seed_errors = _growth_constants(profile, params, ks,
@@ -513,12 +503,9 @@ def _lockstep(profile, params, ks: list[float],
         pair_cs = [c for _, (_, wanted) in rows for c in wanted]
         pair_meshes = [meshes.get(i) for i, (_, wanted) in rows
                        for _ in wanted]
-        try:
-            vals, errors = miles_residuals(profile, params, pair_ks, pair_cs,
-                                           tol=strategy.rayleigh_tol,
-                                           meshes=pair_meshes)
-        except WindwavesError as exc:  # the whole round, e.g. no finite column
-            vals, errors = None, dict.fromkeys(range(len(pair_cs)), exc)
+        vals, errors = miles_residuals(profile, params, pair_ks, pair_cs,
+                                       tol=strategy.rayleigh_tol,
+                                       meshes=pair_meshes)
         pos = 0
         for i, (chain, wanted) in rows:
             span = range(pos, pos + len(wanted))
@@ -533,20 +520,18 @@ def _lockstep(profile, params, ks: list[float],
                 chains[i] = (chain, wanted)
             except StopIteration as done:
                 del chains[i]
-                c = done.value.c
-                if c.imag < 0.0:
-                    c = c.conjugate()  # report the upper-half representative
-                entries[i] = GrowthEntry(
-                    k=ks[i], c=c, growth_rate=ks[i] * c.imag,
-                    residual_norm=done.value.residual_norm, converged=True,
-                    classification=_classify(c))
+                row = done.value
+                if row.c.imag < 0.0:  # report the upper-half representative
+                    c = row.c.conjugate()
+                    row = replace(row, c=c, classification=_classify(c))
+                entries[i] = row
             except WindwavesError as exc:
                 del chains[i]
                 message, seed_error = str(exc), seed_errors.get(i)
                 if seed_error and not isinstance(seed_error, NoCriticalLayer):
                     message += f" (seed: {seed_error})"
-                entries[i] = GrowthEntry(
-                    k=ks[i], c=complex("nan"), growth_rate=float("nan"),
-                    residual_norm=float("nan"), converged=False,
-                    classification=DEGENERATE, message=message)
+                entries[i] = EigenResult(
+                    c=complex("nan"), residual_norm=float("nan"), iterations=0,
+                    classification=DEGENERATE, k=ks[i], converged=False,
+                    message=message)
     return entries

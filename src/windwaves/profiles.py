@@ -715,7 +715,8 @@ def find_critical_points(profile: ShearProfile, c_r: float) -> CriticalLayerSet:
 
 def _critical_points_unbounded(profile: ShearProfile, c_r: float
                                ) -> CriticalLayerSet:
-    # closed-form roots for the two kinds that may live on [0, inf)
+    # closed-form roots for the two kinds that may live on [0, inf); a
+    # LinearShearProfile reaches here only on [0, inf)
     scale = max(1.0, abs(c_r))
     if isinstance(profile, ConstantProfile):
         if abs(profile.u0 - c_r) <= ENDPOINT_RTOL * scale:
@@ -727,10 +728,9 @@ def _critical_points_unbounded(profile: ShearProfile, c_r: float
                 raise DegenerateShear("degenerate zero-shear profile at c_r")
             return CriticalLayerSet((), c_r)
         s = (c_r - profile.u0) / profile.mu
-        if s < 0.0 or s > profile.h_plus:
+        if s < 0.0:
             return CriticalLayerSet((), c_r)
-        if abs(s) <= ENDPOINT_RTOL * max(1.0, profile.h_plus if math.isfinite(profile.h_plus) else 1.0) \
-                or (math.isfinite(profile.h_plus) and abs(s - profile.h_plus) <= ENDPOINT_RTOL * profile.h_plus):
+        if s <= ENDPOINT_RTOL:
             raise EndpointCritical(f"critical point at column endpoint x2={s}")
         return CriticalLayerSet((CriticalLayer(s, profile.mu, 0.0),), c_r)
     raise OutOfDomain("unbounded domain supported only for uniform/constant-shear")

@@ -27,8 +27,9 @@ Three regimes are covered:
   limit, with the side given by ``sign_ci``).
   Other curved profiles shoot on the real axis and are refused too close to
   a layer.  It is the one batch entry into the kernel;
-  ``interface_impedance`` (one pair) and ``integrate_rayleigh`` (one
-  element, with lid data and a trace) are the scalar entries.
+  ``interface_impedance`` is its one-pair case, and ``integrate_rayleigh``
+  shoots one element on the kernel from given lid data, with no closed form
+  and no conjugation.
 * ``integrate_wronskian``: the real 4-vector (|y|^2, Re y'conj(y), |y'|^2,
   Im y'conj(y)) whose last component carries the destabilizing phase.
 * ``limiting_solution``: the Im c -> 0 limit across critical layers on the
@@ -75,7 +76,6 @@ from .profiles import (
 
 __all__ = [
     "RayleighSolution",
-    "RayleighTrace",
     "WronskianPath",
     "LayerJump",
     "LimitSolution",
@@ -225,29 +225,6 @@ def _check_interface(y0: complex, yp0: complex, sup_y: float) -> None:
 
 
 @dataclass
-class RayleighTrace:
-    """Sampled (x2, y, y') path of one solve, ordered by increasing x2."""
-
-    x2: np.ndarray
-    y: np.ndarray
-    yp: np.ndarray
-
-    def write_csv(self, path) -> None:
-        """Dump the trace with the derived Wronskian quantities."""
-        u1 = np.abs(self.y) ** 2
-        u2 = np.real(self.yp * np.conj(self.y))
-        u3 = np.abs(self.yp) ** 2
-        w = np.imag(self.yp * np.conj(self.y))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x2,re_y,im_y,re_yp,im_yp,u1,u2,u3,w\n")
-            for i in range(self.x2.size):
-                row = (self.x2[i], self.y[i].real, self.y[i].imag,
-                       self.yp[i].real, self.yp[i].imag,
-                       u1[i], u2[i], u3[i], w[i])
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-@dataclass
 class RayleighSolution:
     """Interface data of one direct Rayleigh solve."""
 
@@ -257,7 +234,6 @@ class RayleighSolution:
     yp0: complex
     impedance: complex
     n_steps: int = 0
-    trace: Optional[RayleighTrace] = None
 
 
 def uniform_flow_impedance(k: float, h_plus: float) -> float:
@@ -288,13 +264,17 @@ def _kink_jump_map(profile: ShearProfile) -> dict[float, float]:
 
 def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
                        tol: float = _DEFAULT_TOL, *,
-                       init: tuple[complex, complex] = (0.0, 1.0),
-                       want_trace: bool = False) -> RayleighSolution:
+                       init: tuple[complex, complex] = (0.0, 1.0)
+                       ) -> RayleighSolution:
     """Integrate the Rayleigh equation from the lid down to the interface.
 
-    The one-element case of the kernel of :func:`impedance_outcomes`:
-    (y(0), y'(0)) is bit for bit the state its pair reaches in any batch
-    that gives it no start mesh.
+    One element shot on the kernel of :func:`impedance_outcomes`, along the
+    same path, from the lid data ``init``: (y(0), y'(0)) is bit for bit the
+    state that element reaches in any batch of the kernel that gives it no
+    start mesh.  Its impedance agrees with :func:`impedance_outcomes` to
+    rounding, not bit for bit: it shoots c itself when Im c < 0 (not
+    conj c), it shoots where a closed form exists (a profile with zero
+    curvature), and it divides in Python's complex arithmetic, not numpy's.
 
     Parameters
     ----------
@@ -305,15 +285,12 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
     c : complex
         Wave speed.  Im c may vanish only when Re c has no critical layer.
         On a profile with ``complex_path`` the solve runs along Lin's
-        indented path (see :func:`impedance_outcomes`) unless a trace is
-        wanted.
+        indented path (see :func:`impedance_outcomes`).
     tol : float
         Relative tolerance of the adaptive integrator.
     init : pair of complex
         Initial data (y, y') at the lid; the default (0, 1) matches the
         normalization used throughout.  The impedance does not depend on it.
-    want_trace : bool
-        Record (x2, y, y') at every accepted point of the integrator.
 
     Returns
     -------
@@ -330,21 +307,13 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
     DegenerateAtInterface
         If |y(0)| < 1e-12 * sup |y| (channel-type eigenfunction).
     """
-    ks, cs = _pairs(k, [c])
-    nodes = {} if want_trace else None
-    y, log_scale, n_steps, errors = _shoot(profile, ks, cs, tol, init, nodes,
-                                           indent=not want_trace)
+    y, log_scale, n_steps, errors = _shoot(profile, *_pairs(k, [c]), tol,
+                                           init)
     _raise_first(errors)
     y0, yp0 = _unscaled(y[:, 0], log_scale[0]).tolist()
-    trace = None
-    if want_trace:
-        # the nodes run down from the lid; a kink appears once from each side
-        x2, _, states, scales, _ = nodes[0]
-        ys, yps = _unscaled(states, scales)[:, ::-1]
-        trace = RayleighTrace(x2=x2[::-1], y=ys, yp=yps)
     return RayleighSolution(c=c, k=k, y0=y0, yp0=yp0,
                             impedance=complex(y[1, 0]) / complex(y[0, 0]),
-                            n_steps=int(n_steps[0]), trace=trace)
+                            n_steps=int(n_steps[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -413,29 +382,33 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
            init=(0.0, 1.0), nodes: Optional[dict] = None,
            sign_ci: Optional[int] = None,
            layers: Optional[Sequence[CriticalLayerSet]] = None,
-           indent: bool = True, meshes: Optional[list] = None
+           meshes: Optional[list] = None
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Shoot every (k, c) element from the lid data ``init`` to the interface.
 
     Returns ``(y, log_scale, n_steps, errors)``: (y(0), y'(0)) per element
     in the kernel's scale (the true state is y e^log_scale), NaN where the
     element failed; its accepted points (see :func:`_integrate`); and, by
-    element index, the error of each failed element.  Each element runs
-    along its own path (see :func:`_bumps`, which takes ``sign_ci`` and
-    element i's ``layers[i]``), one mesh from the lid to the interface whose
-    fixed nodes are the breakpoints and the ends of its bumps; at a kink the
-    derivative jump is one more step of the mesh.  ``nodes`` receives the
-    final meshes (see :func:`_integrate`).  Without ``indent`` every element
-    shoots on the real axis, as a trace samples the real column.  ``meshes``,
-    one entry per element, holds the node parameters each element's first
-    mesh starts from, or None for the uniform and graded one (see
-    :func:`_first_mesh`); each entry is replaced by the element's final node
-    parameters, or by None where it failed.
+    element index, the error of each failed element, which on a column
+    without a finite lid is ``InfiniteDomain`` for every element.  Each
+    element runs along its own path (see :func:`_bumps`, which takes
+    ``sign_ci`` and element i's ``layers[i]``), one mesh from the lid to the
+    interface whose fixed nodes are the breakpoints and the ends of its
+    bumps; at a kink the derivative jump is one more step of the mesh.
+    ``nodes`` receives the final meshes (see :func:`_integrate`).
+    ``meshes``, one entry per element, holds the node parameters each
+    element's first mesh starts from, or None for the uniform and graded one
+    (see :func:`_first_mesh`); each entry is replaced by the element's final
+    node parameters, or by None where it failed.
     """
-    if not math.isfinite(profile.h_plus):
-        raise InfiniteDomain("direct integration needs a finite air column; "
-                             "uniform-vorticity impedances have closed forms")
     n = cs.size
+    if not math.isfinite(profile.h_plus):
+        exc = InfiniteDomain("direct integration needs a finite air column; "
+                             "uniform-vorticity impedances have closed forms")
+        if meshes is not None:
+            meshes[:] = [None] * n
+        return (np.full((2, n), complex("nan")), np.zeros(n),
+                np.zeros(n, dtype=int), dict.fromkeys(range(n), exc))
     alive = np.ones(n, dtype=bool)
     errors: dict[int, WindwavesError] = {}
 
@@ -453,12 +426,8 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     joints: dict[int, np.ndarray] = {}
     for i, (c, scale) in enumerate(zip(cs.tolist(), scales.tolist())):
         try:
-            if indent:
-                bumps = _bumps(profile, c, scale, u_range, bounds, sign_ci,
-                               None if layers is None else layers[i])
-            else:
-                _check_switch(profile, c, scale, u_range)
-                bumps = ()
+            bumps = _bumps(profile, c, scale, u_range, bounds, sign_ci,
+                           None if layers is None else layers[i])
             kinks = {x: _kink_joint(profile, x, jump, c, scale)
                      for x, jump in jumps.items()}
         except WindwavesError as exc:
@@ -1023,8 +992,9 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
     arithmetic are its own, so its impedance is bit for bit the one it gets
     alone, given its start mesh.  A failed pair's impedance is NaN, and
     ``errors`` maps its index to the error :func:`interface_impedance`
-    raises for it; a caller that raises the first error in input order
-    raises ``errors[min(errors)]``.
+    raises for it (``InfiniteDomain`` for a pair shot on an unbounded
+    column); a caller that raises the first error in input order raises
+    ``errors[min(errors)]``.
 
     ``meshes``, when given, is a list with one entry per pair: the node
     parameters a pair's shoot starts from (see :func:`_first_mesh`), or None
@@ -1050,8 +1020,6 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
     ValueError
         For a ``sign_ci`` other than +1, -1 or None, a zero wavenumber, or
         ``k`` and ``cs`` that do not broadcast to a 1-d array.
-    InfiniteDomain
-        If the pairs are shot and h_plus is not finite.
     """
     if sign_ci not in (None, -1, 1):
         raise ValueError("sign_ci must be +1, -1 or None")

@@ -328,6 +328,12 @@ command = solve
 
 CK = BASE.replace("command = solve", "command = ck")
 TANH = "kind = tanh\nu_max = 10.0\nd = 1.0\nh_plus = 5.0"
+PWL = BASE.replace("command = solve", "command = pwl") + """
+[pwl]
+mu = 5.51
+x2_star = 1.0
+eps_list = 0.01
+"""
 MALFORMED = {
     "non_integer_n": CK.replace("k = 1.0", "k_min = 0.5\nk_max = 2.0\nn = four"),
     "non_integer_max_iter": CK + "\n[solver]\nmax_iter = 6.5\n",
@@ -341,6 +347,16 @@ MALFORMED = {
     "unknown_section": CK + "\n[solvr]\ntol = 1e-9\n",
     "ramp_kink_at_column_top": BASE.replace("command = solve", "command = asym")
         .replace(TANH, "kind = pwl\nmu = 10.0\nx2_star = 5.0\nh_plus = 5.0"),
+    "zero_k": CK.replace("k = 1.0", "k = 0"),
+    "non_finite_k": BASE.replace("k = 1.0", "k = nan"),
+    "log_spacing_from_zero":
+        CK.replace("k = 1.0", "k_min = 0\nk_max = 2.0\nn = 3\nspacing = log"),
+    "sweep_below_zero": BASE.replace("command = solve", "command = sweep")
+        .replace("k = 1.0", "k_min = -1.0\nk_max = 2.0\nn = 3"),
+    "solve_negative_k": BASE.replace("k = 1.0", "k = -1.0"),
+    "pwl_finite_column": PWL,
+    "pwl_surface_tension": PWL.replace("sigma = 0.0\nh_plus = 5.0\n",
+                                       "sigma = 0.074\n"),
 }
 
 
@@ -375,6 +391,11 @@ class TestMalformedInput:
         path = write_config(tmp_path, CK)
         out = str(tmp_path / "missing" / "out.csv")
         assert_config_error(main(["--config", path, "--output", out]), capsys)
+
+    def test_negative_k_keeps_working(self, tmp_path, capsys):
+        path = write_config(tmp_path, CK.replace("k = 1.0", "k = -1.0"))
+        assert main(["--config", path]) == 0
+        assert capsys.readouterr().out.startswith("k,c_plus,c_minus")
 
     def test_run_ignores_unread_keys(self, tmp_path, capsys):
         path = write_config(tmp_path, CK + "jobs = 4\n")

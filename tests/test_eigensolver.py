@@ -16,6 +16,7 @@ from windwaves.dispersion import (
 from windwaves.eigensolver import (
     NEUTRAL,
     UNSTABLE,
+    EigenResult,
     ScanStrategy,
     _winding,
     continue_in_epsilon,
@@ -510,6 +511,15 @@ class TestScanK:
             assert abs(b.c - want) <= 1e-9 * abs(want), (a, b)
             assert abs(b.c.imag - want.imag) <= 1e-8 * abs(want.imag), (a, b)
 
+    def test_converged_row_is_its_chains_result(self):
+        p = params_with(h_plus=5.0)
+        curve = scan_k(TanhProfile(10.0, 1.0, 5.0), p, [0.3, 1.0, 3.0])
+        for entry in curve.entries:
+            assert isinstance(entry, EigenResult)
+            assert entry.converged and entry.message == "", entry
+            assert entry.iterations >= 1
+            assert entry.growth_rate == entry.k * entry.c.imag
+
     def test_no_layer_anywhere_gives_stable_sweep(self):
         p = params_with()
         prof = ConstantProfile(0.5)  # max U far below every c_k in the range
@@ -586,7 +596,7 @@ class TestScanK:
             [repr(e) for e in again.entries]
 
     def test_unbounded_curved_column_fails_every_row(self):
-        # the whole lockstep round fails, and each row says why
+        # every pair of the lockstep round fails, and each row says why
         curve = scan_k(TanhProfile(10.0, 1.0, math.inf), params_with(), [0.5, 1.0])
         assert [e.converged for e in curve.entries] == [False, False]
         assert all("finite air column" in e.message for e in curve.entries)

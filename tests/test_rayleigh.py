@@ -101,11 +101,6 @@ class TestDirectIntegration:
         want = contour_impedance_oracle(TANH, 1.0, c, tol=1e-12)
         assert abs(got - want) <= 1e-9 * abs(want)
 
-    def test_trace_keeps_the_real_axis(self):
-        # a trace samples the real column, so its solve is not indented
-        with pytest.raises(NearSingularCoefficient):
-            integrate_rayleigh(TANH, 1.0, 3.0 + 1e-9j, want_trace=True)
-
     def test_indented_step_count(self):
         # the real axis takes 156 points here: the layer sits 1.6e-5 off it
         sol = integrate_rayleigh(TANH, 3.0, 1.8076 + 1.5778e-4j, tol=1e-10)
@@ -125,27 +120,16 @@ class TestDirectIntegration:
         with pytest.raises(DegenerateAtInterface):
             limiting_solution(prof, 1.0, c.real, +1, tol=1e-13)
 
-    def test_trace_csv(self, tmp_path):
-        sol = integrate_rayleigh(TANH, 1.0, 3.0 + 0.5j, want_trace=True)
-        path = tmp_path / "trace.csv"
-        sol.trace.write_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "x2,re_y,im_y,re_yp,im_yp,u1,u2,u3,w"
-        assert np.all(np.diff(sol.trace.x2) >= 0)
-
-    @pytest.mark.parametrize("profile", [TANH, PiecewiseLinearProfile(
+    @pytest.mark.parametrize("profile", [PiecewiseLinearProfile(
         [0.0, 1.0, 2.5], [3.0, 1.0, 0.0], h_plus=4.0), TabulatedProfile(
             np.linspace(0.0, 5.0, 16), 10.0 * np.tanh(np.linspace(0.0, 5.0, 16)))],
-        ids=["tanh", "kinked", "table"])
-    def test_trace_spans_column_and_ends_at_interface(self, profile):
-        sol = integrate_rayleigh(profile, 1.2, 2.0 + 0.3j, want_trace=True)
-        tr = sol.trace
-        assert np.all(np.diff(tr.x2) >= 0)
-        assert tr.x2[0] == 0.0 and tr.x2[-1] == profile.h_plus
-        assert (tr.y[-1], tr.yp[-1]) == (0.0, 1.0)  # the lid data
-        assert tr.y[0] == sol.y0 and tr.yp[0] == sol.yp0
-        # one row per accepted point: every segment's start point included
-        assert tr.x2.size == sol.n_steps
+        ids=["kinked", "table"])
+    def test_steps_count_the_final_mesh_nodes(self, profile):
+        # one accepted point per node, the lid's included; a kink's jump is
+        # one more node
+        sol = integrate_rayleigh(profile, 1.2, 2.0 + 0.3j)
+        t, _ = rayleigh._final_mesh(profile, 1.2, 2.0 + 0.3j)
+        assert sol.n_steps == t.size
 
 
 class UnboundedSampling(TanhProfile):
@@ -296,10 +280,13 @@ class TestBatch:
     def test_infinite_domain_rejected(self):
         with pytest.raises(InfiniteDomain):
             integrate_rayleigh(ConstantProfile(5.0), 1.0, 1.0 + 1.0j)
-        # only the closed forms reach an unbounded column
-        with pytest.raises(InfiniteDomain):
-            impedance_outcomes(TanhProfile(10.0, 1.0, math.inf), 1.0,
-                               [1.0 + 1.0j])
+        # only the closed forms reach an unbounded column; every pair shot
+        # there fails alone
+        imps, errors = impedance_outcomes(TanhProfile(10.0, 1.0, math.inf),
+                                          1.0, [1.0 + 1.0j, 2.0 - 0.5j])
+        assert np.isnan(imps).all()
+        assert sorted(errors) == [0, 1]
+        assert all(isinstance(e, InfiniteDomain) for e in errors.values())
 
 
 #: a wind whose U'' has a double pole at x2 = 1 + sqrt 2, which no step
