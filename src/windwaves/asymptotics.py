@@ -191,8 +191,8 @@ def _layers_at_ck(profile, params, k, branch):
     """c_k and its critical layers; warns when the sign hypotheses fail.
 
     Called from :func:`_growth_constants`, which the public functions (and
-    :func:`~windwaves.eigensolver.scan_k` through its lockstep) call
-    directly, so that stacklevel 4 names their caller in the warning.
+    :func:`~windwaves.eigensolver.scan_k`) call directly, so that
+    stacklevel 4 names their caller in the warning.
     """
     c_k = ck(params, k, branch)
     layers = find_critical_points(profile, c_k)

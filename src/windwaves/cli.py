@@ -119,6 +119,13 @@ class CertifyConfig:
     radius_fraction: float = 1.0
     im_floor: float = 1e-10
 
+    def __post_init__(self):
+        # each comparison is False for a NaN
+        if not (0.0 < self.epsilon < 1.0 and 0.0 < self.radius_fraction <= 1.0
+                and self.im_floor >= 0.0):
+            raise ValueError("need 0 < epsilon < 1, 0 < radius_fraction <= 1 "
+                             "and im_floor >= 0")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -364,10 +371,13 @@ def _cmd_certify(cfg: RunConfig):
     umin, umax = profile.u_bounds()
     margin = min(abs(c_k - umin), abs(c_k - umax))
     radius = 0.25 * margin * cfg.certify.radius_fraction
-    cert = necessity_certificate(profile, cfg.fluids, k, cfg.certify.epsilon,
-                                 radius, branch=cfg.branch,
-                                 im_floor=cfg.certify.im_floor,
-                                 rayleigh_tol=cfg.solver.rayleigh_tol)
+    try:
+        cert = necessity_certificate(
+            profile, cfg.fluids, k, cfg.certify.epsilon, radius,
+            branch=cfg.branch, im_floor=cfg.certify.im_floor,
+            rayleigh_tol=cfg.solver.rayleigh_tol)
+    except ValueError as exc:  # e.g. a radius not above im_floor
+        raise ConfigError(f"certify-stable: {exc}") from exc
     rows = [(cert.k, cert.epsilon, cert.c_k, cert.margin, cert.search_radius,
              cert.count_upper, cert.count_lower,
              int(cert.certified_stable_near_ck))]

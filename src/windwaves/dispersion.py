@@ -23,6 +23,7 @@ tolerance dimensionless.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -77,11 +78,19 @@ class FluidParams:
     def epsilon(self) -> float:
         return self.rho_plus / self.rho_minus
 
-    def tanh_plus(self, k: float) -> float:
-        return 1.0 if math.isinf(self.h_plus) else math.tanh(abs(k) * self.h_plus)
+    def tanh_plus(self, k):
+        return _column_tanh(k, self.h_plus)
 
-    def tanh_minus(self, k: float) -> float:
-        return 1.0 if math.isinf(self.h_minus) else math.tanh(abs(k) * self.h_minus)
+    def tanh_minus(self, k):
+        return _column_tanh(k, self.h_minus)
+
+
+def _column_tanh(k, h: float):
+    """tanh(|k| h) by math, or 1 for an unbounded column, per element of k."""
+    if np.ndim(k):  # one math call per distinct |k|
+        aks, which = np.unique(np.abs(k), return_inverse=True)
+        return np.array([_column_tanh(ak, h) for ak in aks.tolist()])[which]
+    return 1.0 if math.isinf(h) else math.tanh(abs(k) * h)
 
 
 def ck(params: FluidParams, k: float, branch: int = +1) -> float:
@@ -99,6 +108,9 @@ def ck(params: FluidParams, k: float, branch: int = +1) -> float:
 def residual_miles(c: complex, impedance: complex, params: FluidParams,
                    k: float, u0: float, up0: float) -> complex:
     """Quiescent-ocean dispersion residual; zero iff -ikc is an eigenvalue.
+
+    Scalars give a Python complex; arrays ``c``, ``impedance`` and ``k`` of
+    one shape give the array of the pairs' residuals.
 
     Parameters
     ----------
@@ -129,39 +141,21 @@ def _check_depth_consistency(profile: ShearProfile, params: FluidParams) -> None
 
 
 def make_miles_residual(profile: ShearProfile, params: FluidParams, k: float,
-                        tol: float = 1e-10,
-                        impedance_fn: Optional[Callable[[complex], complex]] = None,
-                        ) -> Callable[[complex], complex]:
-    """Wire the air-column impedance into the quiescent-ocean residual.
+                        tol: float = 1e-10) -> Callable[[complex], complex]:
+    """Wire the air-column impedance into the quiescent-ocean residual at k.
 
-    ``impedance_fn`` overrides the default dispatch (closed forms for
-    vorticity-free and unbounded piecewise profiles, the ODE otherwise).
-
-    The returned residual carries a ``batch(cs) -> ndarray`` attribute that
-    evaluates a 1-d array of wave speeds at once.  Without ``impedance_fn``,
-    ``batch`` shoots all its wave speeds in one
-    :func:`~windwaves.rayleigh.impedance_outcomes` batch; an
-    ``impedance_fn`` is evaluated point by point.  A batched value does not depend on the
-    other members of its batch, and ``batch`` raises the error of the first
-    failing point in input order.  The residual itself is the one-point batch.
+    The residual carries ``batch(cs) -> (values, errors)``, which is
+    :func:`miles_residuals` at this k; the residual itself is the one-point
+    batch, and raises its point's error.
     """
     _check_depth_consistency(profile, params)
-    u0 = profile.value(0.0)
-    up0 = profile.slope(0.0)
-
-    def batch(cs) -> np.ndarray:
-        cs = np.asarray(cs, dtype=complex)
-        if impedance_fn is None:
-            imps, errors = impedance_outcomes(profile, k, cs, tol)
-            if errors:  # the first failing point in input order
-                raise errors[min(errors)]
-        else:
-            imps = np.array([impedance_fn(complex(c)) for c in cs],
-                            dtype=complex)
-        return residual_miles(cs, imps, params, k, u0, up0)
+    batch = functools.partial(miles_residuals, profile, params, k, tol=tol)
 
     def residual(c: complex) -> complex:
-        return complex(batch([c])[0])
+        vals, errors = batch([c])
+        if errors:
+            raise errors[0]
+        return complex(vals[0])
 
     # a function attribute, so wrappers made with functools.wraps keep it
     residual.batch = batch
@@ -173,25 +167,21 @@ def miles_residuals(profile: ShearProfile, params: FluidParams, k, cs,
                     ) -> tuple[np.ndarray, dict]:
     """Quiescent-ocean residuals of (k, c) pairs, ``k`` broadcast against ``cs``.
 
-    The ODE impedances of all pairs, whatever their k, are shot in one batch
-    (:func:`~windwaves.rayleigh.impedance_outcomes`), and each value equals
-    the one its pair gets alone, given its start mesh.  ``meshes``, one entry
-    per pair, passes the start meshes in and the final meshes out, as
-    :func:`~windwaves.rayleigh.impedance_outcomes` describes.  Returns
-    ``(values, errors)``: a failed pair's value is NaN, and ``errors`` maps
-    its index to the error the scalar residual of :func:`make_miles_residual`
-    raises there.
+    The impedances of all pairs, whatever their k, come from one
+    :func:`~windwaves.rayleigh.impedance_outcomes` call, and one
+    :func:`residual_miles` evaluation over the arrays gives the residuals,
+    so each value is the one its pair gets alone, given its start mesh.
+    ``meshes``, one entry per pair, passes the start meshes in and the final
+    meshes out, as :func:`~windwaves.rayleigh.impedance_outcomes` describes.
+    Returns ``(values, errors)``: a failed pair's value is NaN, and
+    ``errors`` maps its index to the pair's error.
     """
     _check_depth_consistency(profile, params)
-    u0 = profile.value(0.0)
-    up0 = profile.slope(0.0)
     ks, cs = np.broadcast_arrays(np.asarray(k, dtype=float),
                                  np.asarray(cs, dtype=complex))
     imps, errors = impedance_outcomes(profile, ks, cs, tol, meshes=meshes)
-    vals = np.array([residual_miles(c, imp, params, kv, u0, up0) for kv, c, imp
-                     in zip(ks.tolist(), cs.tolist(), imps.tolist())],
-                    dtype=complex)
-    return vals, errors
+    return residual_miles(cs, imps, params, ks, profile.value(0.0),
+                          profile.slope(0.0)), errors
 
 
 # ---------------------------------------------------------------------------

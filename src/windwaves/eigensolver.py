@@ -3,6 +3,10 @@
 Residual evaluations typically cost an ODE solve, so the local iteration is
 derivative-free (Muller's three-point method) and the global counting tool is
 an argument-principle winding number with adaptive boundary refinement.
+
+Each finder is a generator that yields the wave speeds it needs next.  One
+driver, :func:`_rounds`, runs any number of them with one evaluation per
+round, which returns the values and the error of each failed point.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from .errors import (
     PhaseJumpUnresolved,
     WindwavesError,
 )
+from .rayleigh import _raise_first
 
 __all__ = [
     "EigenResult",
@@ -74,31 +79,27 @@ def find_root(residual: Callable[[complex], complex], c_init: complex, *,
     step below 1e-12 (or a residual at rounding level).  ``scale`` carries the
     dimensional normalization, typically g.  Muller starts 1e-4 relative
     around the seed; Im c > 1e-8 max(1, |Re c|) classifies a root unstable.
+    A residual with a ``batch`` (see :func:`root_counts`) gets the starting
+    triple in one call, and each later point in one more.
 
     Raises
     ------
     NoConvergence
         After max_iter Muller steps.
+    WindwavesError
+        The residual's error at the first failed point.
     """
     chain = _muller(c_init, tol=tol, max_iter=max_iter, scale=scale, k=k)
-    try:
-        wanted = next(chain)
-        while True:
-            wanted = chain.send([residual(x) for x in wanted])
-    except StopIteration as done:
-        return done.value
+    results, errors = _rounds(_evaluator(residual), [chain])
+    _raise_first(errors)
+    return results[0]
 
 
 def _muller(c_init: complex, *, tol: float, max_iter: int, scale: float,
             k: Optional[float]) -> Generator[list[complex], list[complex], EigenResult]:
-    """Muller's iteration as a generator, for :func:`find_root` and :func:`scan_k`.
-
-    It yields the list of wave speeds whose residuals it needs next (the
-    starting triple, then one point per step), is sent their residuals, and
-    returns its :class:`EigenResult`.  A residual error thrown into it ends
-    the iteration with that error, as a raising residual ends
-    :func:`find_root`.
-    """
+    """Muller's iteration as a generator, for :func:`find_root` and
+    :func:`scan_k`: it yields the starting triple, then one point per step,
+    and returns its :class:`EigenResult`."""
     floor = tol * scale
     h0 = 1e-4 * max(abs(c_init), 1.0)
     xs = [c_init + h0, c_init - h0, c_init]
@@ -182,21 +183,18 @@ def root_counts(residual: Callable[[complex], complex],
     equal parts, all flagged pairs of one level together, up to
     ``max_levels`` halvings of the original spacing (each level counts as
     log2(REFINE_SPLIT) of them).  Each rectangle has its own zero floor,
-    1e-13 times the largest |residual| on its contour, and its
-    own refinement.  The rectangles run round by round: the first round
-    evaluates all contours, and each later round the next level of every
-    rectangle that still has flagged pairs.
+    1e-13 times the largest |residual| on its contour, and its own
+    refinement.  The rectangles run round by round: the first round evaluates
+    all contours, and each later round the next level of every rectangle that
+    still has flagged pairs.
 
     When ``residual`` has a ``batch`` attribute (as the residuals of
-    :func:`~windwaves.dispersion.make_miles_residual` do), ``batch(cs)`` must
-    map a 1-d array of wave speeds to the array of residuals, and each round
-    is one call.  A batched value of
-    :func:`~windwaves.dispersion.make_miles_residual` does not depend on its
-    batch, so the counts do not depend on how the points are grouped.  Other
-    residuals are evaluated point by point.  When a round's evaluation
-    raises a :class:`~windwaves.errors.WindwavesError`, each rectangle's
-    points are evaluated on their own, so each meets the error it meets
-    alone.  Returns the counts in the order of ``rectangles``.
+    :func:`~windwaves.dispersion.make_miles_residual` do, whose values do not
+    depend on the batch), ``batch(cs)`` maps a 1-d array of wave speeds to
+    ``(values, errors)``, the error of each failed point by its index, and
+    each round is one call.  Other residuals are evaluated point by point.
+    A rectangle with a failed point ends with that point's error, and none
+    is evaluated again on its own.  Returns the counts in rectangle order.
 
     Raises
     ------
@@ -206,40 +204,16 @@ def root_counts(residual: Callable[[complex], complex],
         If |residual| at a boundary point falls below the floor.
     PhaseJumpUnresolved
         If refinement cannot bring all phase jumps under pi/2.
+    WindwavesError
+        The residual's error at a rectangle's first failed point.
 
     Of several failing rectangles, the first in order raises, as it would in
     separate :func:`count_roots` calls.
     """
-    evaluate = _evaluator(residual)
-    counts: list[Optional[int]] = [None] * len(rectangles)
-    errors: dict[int, WindwavesError] = {}
-    live = {}  # index -> (winding generator, the points it waits for)
-    for i, rectangle in enumerate(rectangles):
-        winding = _winding(rectangle, n_boundary, max_levels)
-        live[i] = (winding, next(winding))
-
-    while live:
-        rows = list(live.items())
-        try:
-            joint = evaluate([z for _, (_, zs) in rows for z in zs])
-        except WindwavesError:
-            joint = None
-        pos = 0
-        for i, (winding, zs) in rows:
-            span = slice(pos, pos + len(zs))
-            pos += len(zs)
-            try:
-                vals = evaluate(zs) if joint is None else joint[span]
-                live[i] = (winding, winding.send(vals))
-            except StopIteration as done:
-                del live[i]
-                counts[i] = done.value
-            except WindwavesError as exc:
-                del live[i]
-                errors[i] = exc
-    if errors:
-        raise errors[min(errors)]
-    return counts
+    results, errors = _rounds(_evaluator(residual), [
+        _winding(rectangle, n_boundary, max_levels) for rectangle in rectangles])
+    _raise_first(errors)
+    return results
 
 
 def square_roots_real(residual: Callable[[complex], complex], center: float,
@@ -257,9 +231,9 @@ def square_roots_real(residual: Callable[[complex], complex], center: float,
     1967), so N >= S, and N == S leaves no room for a non-real or a multiple
     root.
 
-    The contour and the real samples are evaluated in one call, one
+    The first round evaluates the contour and the real samples, one
     ``residual.batch`` call when the residual has one; a flagged pair of the
-    contour costs one more call per refinement level, as in
+    contour costs one more round per refinement level, as in
     :func:`root_counts`.  Returns False, and raises nothing, when one round
     cannot decide: N != S, a sample value whose imaginary part is not 0 or
     whose modulus is at or below the contour's zero floor, or a
@@ -270,59 +244,111 @@ def square_roots_real(residual: Callable[[complex], complex], center: float,
     ValueError
         If the radius is not positive, before any evaluation.
     """
+    results, errors = _rounds(_evaluator(residual),
+                              [_square(center, radius, n_boundary)])
+    return not errors and results[0]
+
+
+def _square(center: float, radius: float, n_boundary: int
+            ) -> Generator[list[complex], list[complex], bool]:
+    """The decision of :func:`square_roots_real` as a generator."""
     lo, hi = center - radius, center + radius
-    winding = _winding((lo, hi, -radius, radius), n_boundary, _MAX_LEVELS)
-    contour = next(winding)
+    contour = _contour((lo, hi, -radius, radius), n_boundary)
     axis = [complex(z.real, 0.0) for z in contour[:n_boundary]] + [complex(hi)]
-    evaluate = _evaluator(residual)
-    try:
-        vals = evaluate(contour + axis)
-        ring, line = vals[:len(contour)], vals[len(contour):]
-        floor = _ZERO_FLOOR * max(abs(v) for v in ring)
-        if any(v.imag != 0.0 or abs(v) <= floor for v in line):
-            return False
-        wanted = winding.send(ring)
-        while True:
-            wanted = winding.send(evaluate(wanted))
-    except StopIteration as done:
-        n_roots = done.value
-    except WindwavesError:
+    vals = yield contour + axis
+    ring, line = vals[:len(contour)], vals[len(contour):]
+    floor = _ZERO_FLOOR * max(abs(v) for v in ring)
+    if any(v.imag != 0.0 or abs(v) <= floor for v in line):
         return False
     signs = sum((a.real > 0.0) != (b.real > 0.0) for a, b in zip(line, line[1:]))
-    return n_roots == signs
+    return (yield from _refined(contour, ring, _MAX_LEVELS)) == signs
 
 
-def _evaluator(residual: Callable[[complex], complex]
-               ) -> Callable[[list[complex]], list[complex]]:
-    """Evaluate a list of wave speeds in one ``residual.batch`` call, or
-    point by point when the residual has no ``batch``."""
+def _rounds(evaluate: Callable, generators: Sequence[Generator]
+            ) -> tuple[list, dict[int, WindwavesError]]:
+    """Run generators round by round, with one ``evaluate`` call per round.
+
+    Each generator yields the points it needs next, is sent their values as
+    Python complex numbers, and returns its result; all start before the
+    first evaluation.  ``evaluate(owners, points)``, where generator
+    ``owners[j]`` asks for ``points[j]``, returns the values and each failed
+    point's error by index.  A generator ends with its first failed point's
+    error, or the :class:`~windwaves.errors.WindwavesError` it raises.
+    Returns the results (None where failed) and the errors by generator.
+    """
+    results, errors = [None] * len(generators), {}
+    live = {i: (gen, next(gen)) for i, gen in enumerate(generators)}
+    while live:
+        rows = list(live.items())
+        vals, failed = evaluate([i for i, (_, zs) in rows for _ in zs],
+                                [z for _, (_, zs) in rows for z in zs])
+        pos = 0
+        for i, (gen, zs) in rows:
+            span = range(pos, pos + len(zs))
+            pos += len(zs)
+            first = next((j for j in span if j in failed), None)
+            try:
+                if first is None:
+                    live[i] = (gen, gen.send(vals[span.start:span.stop]))
+                    continue
+                errors[i] = failed[first]
+            except StopIteration as done:
+                results[i] = done.value
+            except WindwavesError as exc:
+                errors[i] = exc
+            del live[i]
+            gen.close()
+    return results, errors
+
+
+def _evaluator(residual: Callable[[complex], complex]) -> Callable:
+    """The ``evaluate`` of :func:`_rounds`: one ``residual.batch`` call, or
+    point by point with each point's error caught."""
     batch = getattr(residual, "batch", None)
-    if batch is None:
-        return lambda zs: [residual(z) for z in zs]
-    return lambda zs: [complex(v) for v in batch(np.array(zs, dtype=complex))]
+    if batch is not None:
+        def evaluate(owners, zs):
+            vals, errors = batch(np.array(zs, dtype=complex))
+            return vals.tolist(), errors
+        return evaluate
+
+    def evaluate(owners, zs):
+        vals, errors = [], {}
+        for j, z in enumerate(zs):
+            try:
+                vals.append(residual(z))
+            except WindwavesError as exc:
+                vals.append(complex("nan"))
+                errors[j] = exc
+        return vals, errors
+    return evaluate
 
 
 def _winding(rectangle: tuple[float, float, float, float], n_boundary: int,
              max_levels: int) -> Generator[list[complex], list[complex], int]:
-    """One rectangle's count of :func:`root_counts` as a generator.
+    """One rectangle's count of :func:`root_counts` as a generator."""
+    pts = _contour(rectangle, n_boundary)
+    return (yield from _refined(pts, (yield pts), max_levels))
 
-    It checks the rectangle, yields the contour and then the inner points of
-    each refinement level, is sent their residuals, and returns the count.
-    """
+
+def _contour(rectangle: tuple[float, float, float, float],
+             n_boundary: int) -> list[complex]:
+    """The rectangle's boundary samples, counterclockwise from its corner."""
     re0, re1, im0, im1 = rectangle
     if not (re1 > re0 and im1 > im0):
         raise ValueError("rectangle must have positive extent")
 
-    # counterclockwise from (re0, im0); the sides share their abscissae and
-    # ordinates, so a rectangle symmetric about the real axis is made of
-    # exact conjugate pairs
+    # the sides share their abscissae and ordinates, so a rectangle
+    # symmetric about the real axis is made of exact conjugate pairs
     xs, ys = _ticks(re0, re1, n_boundary), _ticks(im0, im1, n_boundary)
-    pts = ([complex(x, im0) for x in xs[:-1]]
-           + [complex(re1, y) for y in ys[:-1]]
-           + [complex(x, im1) for x in xs[:0:-1]]
-           + [complex(re0, y) for y in ys[:0:-1]])
-    vals = yield pts
+    return ([complex(x, im0) for x in xs[:-1]]
+            + [complex(re1, y) for y in ys[:-1]]
+            + [complex(x, im1) for x in xs[:0:-1]]
+            + [complex(re0, y) for y in ys[:0:-1]])
 
+
+def _refined(pts: list[complex], vals: list[complex], max_levels: int
+             ) -> Generator[list[complex], list[complex], int]:
+    """The winding number around the contour pts of residuals vals."""
     floor = _ZERO_FLOOR * max(abs(v) for v in vals)
 
     def check_floor(zs: list[complex], fs: list[complex]) -> None:
@@ -465,73 +491,46 @@ def scan_k(profile, params, k_list: Sequence[float],
     its own chain alone, so a row's entry does not depend on its neighbours
     and a repeated call gives the same entries bit for bit.
     """
+    from .asymptotics import _growth_constants
+    from .dispersion import ck, miles_residuals
+
     ks = [float(k) for k in k_list]
     if not ks or any(k <= 0.0 for k in ks):
         raise ValueError("k_list must be nonempty and positive")
 
-    entries = _lockstep(profile, params, ks, strategy)
-    order = sorted(range(len(ks)), key=lambda i: ks[i])
-    return GrowthCurve(entries=[entries[i] for i in order])
-
-
-def _lockstep(profile, params, ks: list[float],
-              strategy: ScanStrategy) -> list[EigenResult]:
-    """One Muller chain per wavenumber, all evaluated round by round; each
-    chain's shoots start from the final mesh of its last shoot, the first
-    ones from its seed's."""
-    from .asymptotics import _growth_constants
-    from .dispersion import ck, miles_residuals
-
-    entries: list[Optional[EigenResult]] = [None] * len(ks)
-    chains = {}  # index -> (Muller generator, the wave speeds it waits for)
     meshes: dict[int, np.ndarray] = {}  # index -> the chain's last final mesh
     asyms, seed_errors = _growth_constants(profile, params, ks,
                                            strategy.branch,
                                            strategy.rayleigh_tol, meshes)
-    for i, (k, asym) in enumerate(zip(ks, asyms)):
+    chains = []
+    for k, asym in zip(ks, asyms):
         c_k = ck(params, k, strategy.branch)
         seed = complex(c_k)  # no layer or degenerate: on the real axis
         if asym is not None:
             seed = c_k + 1j * params.epsilon * max(asym.c_sharp, 0.0)
-        chain = _muller(seed, tol=strategy.tol, max_iter=strategy.max_iter,
-                        scale=params.g, k=k)
-        chains[i] = (chain, next(chain))
+        chains.append(_muller(seed, tol=strategy.tol,
+                              max_iter=strategy.max_iter, scale=params.g, k=k))
 
-    while chains:
-        rows = list(chains.items())
-        pair_ks = [ks[i] for i, (_, wanted) in rows for _ in wanted]
-        pair_cs = [c for _, (_, wanted) in rows for c in wanted]
-        pair_meshes = [meshes.get(i) for i, (_, wanted) in rows
-                       for _ in wanted]
-        vals, errors = miles_residuals(profile, params, pair_ks, pair_cs,
+    def evaluate(owners, cs):
+        pair_meshes = [meshes.get(i) for i in owners]
+        vals, errors = miles_residuals(profile, params,
+                                       [ks[i] for i in owners], cs,
                                        tol=strategy.rayleigh_tol,
                                        meshes=pair_meshes)
-        pos = 0
-        for i, (chain, wanted) in rows:
-            span = range(pos, pos + len(wanted))
-            pos += len(wanted)
-            meshes[i] = pair_meshes[span[-1]]
-            failed = [errors[j] for j in span if j in errors]
-            try:
-                if failed:
-                    wanted = chain.throw(failed[0])
-                else:
-                    wanted = chain.send([complex(vals[j]) for j in span])
-                chains[i] = (chain, wanted)
-            except StopIteration as done:
-                del chains[i]
-                row = done.value
-                if row.c.imag < 0.0:  # report the upper-half representative
-                    c = row.c.conjugate()
-                    row = replace(row, c=c, classification=_classify(c))
-                entries[i] = row
-            except WindwavesError as exc:
-                del chains[i]
-                message, seed_error = str(exc), seed_errors.get(i)
-                if seed_error and not isinstance(seed_error, NoCriticalLayer):
-                    message += f" (seed: {seed_error})"
-                entries[i] = EigenResult(
-                    c=complex("nan"), residual_norm=float("nan"), iterations=0,
-                    classification=DEGENERATE, k=ks[i], converged=False,
-                    message=message)
-    return entries
+        meshes.update(zip(owners, pair_meshes))  # each chain's last point's
+        return vals.tolist(), errors
+
+    rows, errors = _rounds(evaluate, chains)
+    for i, row in enumerate(rows):
+        if i in errors:
+            message, seed_error = str(errors[i]), seed_errors.get(i)
+            if seed_error and not isinstance(seed_error, NoCriticalLayer):
+                message += f" (seed: {seed_error})"
+            rows[i] = EigenResult(
+                c=complex("nan"), residual_norm=float("nan"), iterations=0,
+                classification=DEGENERATE, k=ks[i], converged=False,
+                message=message)
+        elif row.c.imag < 0.0:  # report the upper-half representative
+            c = row.c.conjugate()
+            rows[i] = replace(row, c=c, classification=_classify(c))
+    return GrowthCurve(entries=sorted(rows, key=lambda row: row.k))

@@ -271,10 +271,10 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
     One element shot on the kernel of :func:`impedance_outcomes`, along the
     same path, from the lid data ``init``: (y(0), y'(0)) is bit for bit the
     state that element reaches in any batch of the kernel that gives it no
-    start mesh.  Its impedance agrees with :func:`impedance_outcomes` to
-    rounding, not bit for bit: it shoots c itself when Im c < 0 (not
-    conj c), it shoots where a closed form exists (a profile with zero
-    curvature), and it divides in Python's complex arithmetic, not numpy's.
+    start mesh, and its impedance is numpy's quotient of that state, as in
+    :func:`impedance_outcomes`, except where it shoots c itself when Im c < 0
+    (not conj c), or where a closed form exists (zero curvature): there the
+    two agree to rounding, not bit for bit.
 
     Parameters
     ----------
@@ -312,7 +312,7 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
     _raise_first(errors)
     y0, yp0 = _unscaled(y[:, 0], log_scale[0]).tolist()
     return RayleighSolution(c=c, k=k, y0=y0, yp0=yp0,
-                            impedance=complex(y[1, 0]) / complex(y[0, 0]),
+                            impedance=complex(y[1, 0] / y[0, 0]),
                             n_steps=int(n_steps[0]))
 
 

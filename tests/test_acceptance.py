@@ -18,6 +18,7 @@ from windwaves.dispersion import (
     make_miles_residual,
     pwl_dispersion,
     residual_general,
+    residual_miles,
 )
 from windwaves.eigensolver import continue_in_epsilon, find_root
 from windwaves.profiles import (
@@ -117,8 +118,8 @@ def test_acceptance_2_closed_form_grid():
                         else:
                             imp_fn = lambda c, k=k, h=h_plus: complex(
                                 uniform_flow_impedance(k, h))
-                        residual = make_miles_residual(prof, p, k,
-                                                       impedance_fn=imp_fn)
+                        residual = lambda c: residual_miles(
+                            c, imp_fn(c), p, k, u0, up0)
                         for root in (r1, r2):
                             seed = root * (1.0 + 1e-4) + 1e-6
                             res = find_root(residual, seed, tol=1e-12,

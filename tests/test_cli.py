@@ -334,6 +334,12 @@ mu = 5.51
 x2_star = 1.0
 eps_list = 0.01
 """
+#: certify-stable on a wind below c_k, which certifies
+CERTIFY = BASE.replace("u_max = 10.0", "u_max = 1.5").replace(
+    "command = solve", "command = certify-stable") + """
+[certify]
+epsilon = 0.001
+"""
 MALFORMED = {
     "non_integer_n": CK.replace("k = 1.0", "k_min = 0.5\nk_max = 2.0\nn = four"),
     "non_integer_max_iter": CK + "\n[solver]\nmax_iter = 6.5\n",
@@ -357,6 +363,17 @@ MALFORMED = {
     "pwl_finite_column": PWL,
     "pwl_surface_tension": PWL.replace("sigma = 0.0\nh_plus = 5.0\n",
                                        "sigma = 0.074\n"),
+    "certify_zero_epsilon": CERTIFY.replace("epsilon = 0.001", "epsilon = 0"),
+    "certify_epsilon_above_one":
+        CERTIFY.replace("epsilon = 0.001", "epsilon = 2"),
+    "certify_nan_epsilon": CERTIFY.replace("epsilon = 0.001", "epsilon = nan"),
+    "certify_zero_radius_fraction": CERTIFY + "radius_fraction = 0\n",
+    "certify_negative_radius_fraction": CERTIFY + "radius_fraction = -1\n",
+    "certify_nan_radius_fraction": CERTIFY + "radius_fraction = nan\n",
+    "certify_radius_fraction_above_one": CERTIFY + "radius_fraction = 2\n",
+    "certify_negative_im_floor": CERTIFY + "im_floor = -1e-10\n",
+    "certify_nan_im_floor": CERTIFY + "im_floor = nan\n",
+    "certify_im_floor_above_radius": CERTIFY + "im_floor = 1\n",
 }
 
 

@@ -30,6 +30,7 @@ from windwaves.errors import (
     BranchLost,
     NoConvergence,
     PhaseJumpUnresolved,
+    WindwavesError,
 )
 from windwaves.profiles import ConstantProfile, TanhProfile
 
@@ -89,9 +90,32 @@ class TestFindRoot:
         with pytest.raises(NoConvergence):
             find_root(lambda c: 1.0 + 0.0 * c, 0.0j, tol=1e-11, max_iter=10)
 
+    def test_batch_residual_gives_the_pointwise_result(self):
+        # the starting triple in one batch call, then one point per call,
+        # and bit for bit the root of the scalar residual
+        p = params_with(h_plus=5.0)
+        k = 1.0
+        residual = make_miles_residual(TanhProfile(10.0, 1.0, 5.0), p, k)
+        calls = []
+
+        def recorded(c):
+            raise AssertionError("find_root must evaluate through .batch")
+
+        def batch(cs):
+            calls.append(len(cs))
+            return residual.batch(cs)
+
+        recorded.batch = batch
+        seed = ck(p, k) + 0.01j
+        got = find_root(recorded, seed, scale=p.g, k=k)
+        assert calls[0] == 3 and calls[1:] == [1] * got.iterations
+        pointwise = find_root(lambda c: residual(c), seed, scale=p.g, k=k)
+        assert repr(got) == repr(pointwise)
+
 
 def batched(residual):
-    """The residual behind a ``batch`` attribute only; a scalar call fails."""
+    """The residual behind a ``batch`` attribute only; a scalar call fails.
+    ``batch`` returns ``(values, errors)``, each point's error caught."""
     calls = []
 
     def scalar(c):
@@ -99,7 +123,14 @@ def batched(residual):
 
     def batch(cs):
         calls.append(len(cs))
-        return np.array([residual(complex(c)) for c in cs])
+        vals, errors = [], {}
+        for j, c in enumerate(cs):
+            try:
+                vals.append(residual(complex(c)))
+            except WindwavesError as exc:
+                vals.append(complex("nan"))
+                errors[j] = exc
+        return np.array(vals, dtype=complex), errors
 
     scalar.batch = batch
     scalar.calls = calls
@@ -276,9 +307,9 @@ def test_certificate_one_batch_per_round(monkeypatch):
     sizes = []
     shoot = dispersion.impedance_outcomes
 
-    def counted(profile, k, cs, tol):
+    def counted(profile, k, cs, tol, **kwargs):
         sizes.append(len(cs))
-        return shoot(profile, k, cs, tol)
+        return shoot(profile, k, cs, tol, **kwargs)
 
     monkeypatch.setattr(dispersion, "impedance_outcomes", counted)
     cert = necessity_certificate(prof, p, k, eps, radius, n_boundary=n,
@@ -396,6 +427,25 @@ class TestRootCounts:
                 with pytest.raises(error):
                     root_counts(residual, [fine, first, second], **kw)
         assert root_counts(residual, [fine, fine], **kw) == [0, 0]
+
+    def test_failing_rectangle_costs_no_extra_call(self):
+        # one batch call per round: the failing rectangle ends with its
+        # error, the other refines from the same calls, and no rectangle is
+        # evaluated again on its own
+        def residual(c):  # a root 1e-10 below the fine rectangle
+            if c.real < -0.5:
+                raise NoConvergence(f"no residual at {c}")
+            return c - (1.53 - 1e-10j)
+
+        broken, fine, n = (-2.0, -1.0, 0.0, 1.0), (1.0, 2.0, 0.0, 1.0), 8
+        alone = batched(residual)
+        assert count_roots(alone, fine, n) == 0
+        assert len(alone.calls) > 1
+        for rects in ([broken, fine], [fine, broken]):
+            joint = batched(residual)
+            with pytest.raises(NoConvergence):
+                root_counts(joint, rects, n)
+            assert joint.calls == [2 * 4 * n] + alone.calls[1:]
 
     @pytest.mark.parametrize("wrap", [lambda f: f, batched],
                              ids=["scalar", "batch"])
