@@ -140,13 +140,15 @@ def growth_constants(profile: ShearProfile, params: FluidParams, ks,
     return _growth_constants(profile, params, ks, branch, tol)
 
 
-def _growth_constants(profile, params, ks, branch, tol, meshes=None):
+def _growth_constants(profile, params, ks, branch, tol, shots=None):
     """The body of :func:`growth_constants`; both public functions call it
     directly, so that the warnings of :func:`_layers_at_ck` name their
-    caller.  When ``meshes`` is a dict, ``meshes[i]`` is set to the final
-    mesh of wavenumber i's shoot along the path where it was shot (None
-    where that failed), for a later shoot at a nearby wave speed to start
-    from (see :func:`~windwaves.rayleigh.impedance_outcomes`)."""
+    caller.  When ``shots`` is a dict, ``shots[i]`` is set to wavenumber
+    i's final mesh along the path (None where not shot there or failed),
+    for a later shoot at a nearby wave speed to start from (see
+    :func:`~windwaves.rayleigh.impedance_outcomes`), and its limit
+    impedance y*'(0) at c_k + i0 from the route of its growth constant
+    (None where neither route succeeded)."""
     ks = list(ks)
     results: list[Optional[MilesAsymptotics]] = [None] * len(ks)
     errors: dict[int, WindwavesError] = {}
@@ -159,18 +161,21 @@ def _growth_constants(profile, params, ks, branch, tol, meshes=None):
     rows = [i for i, (_, layers) in at_ck.items() if profile.complex_path
             and len(layers) == 1 and layers.layers[0].u_double_prime != 0.0]
     u1s = {}  # index -> |y*(s_j)|^2 per layer
+    meshes, limits = {}, {}  # index -> final path mesh, y*'(0) at c_k
     if rows:
-        shot = None if meshes is None else [None] * len(rows)
+        shot = None if shots is None else [None] * len(rows)
         imps, failed = impedance_outcomes(
             profile, [ks[i] for i in rows], [at_ck[i][0] for i in rows],
             tol, sign_ci=+1, layers=[at_ck[i][1] for i in rows], meshes=shot)
-        if meshes is not None:
+        if shots is not None:
             meshes.update(zip(rows, shot))
         for j, i in enumerate(rows):
             if j in failed:
                 errors[i] = failed[j]
                 del at_ck[i]
-            elif abs(imps[j].imag) >= PATH_RESOLUTION * tol * abs(imps[j]):
+                continue
+            limits[i] = complex(imps[j])
+            if abs(imps[j].imag) >= PATH_RESOLUTION * tol * abs(imps[j]):
                 layer = at_ck[i][1].layers[0]
                 u1s[i] = [-imps[j].imag * abs(layer.u_prime)
                           / (math.pi * layer.u_double_prime)]
@@ -180,10 +185,14 @@ def _growth_constants(profile, params, ks, branch, tol, meshes=None):
                 limit = limiting_solution(profile, ks[i], c_k, +1, tol,
                                           layers=layers)
                 u1s[i] = [jump.u1 for jump in limit.jumps]
+                limits[i] = limit.impedance
             results[i] = _assemble(profile, params, ks[i], branch, c_k,
                                    layers, u1s[i])
         except WindwavesError as exc:
             errors[i] = exc
+    if shots is not None:
+        shots.update((i, (meshes.get(i), limits.get(i)))
+                     for i in range(len(ks)))
     return results, errors
 
 

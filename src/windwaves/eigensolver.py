@@ -96,14 +96,30 @@ def find_root(residual: Callable[[complex], complex], c_init: complex, *,
 
 
 def _muller(c_init: complex, *, tol: float, max_iter: int, scale: float,
-            k: Optional[float]) -> Generator[list[complex], list[complex], EigenResult]:
+            k: Optional[float], known: Optional[tuple[complex, complex]] = None
+            ) -> Generator[list[complex], list[complex], EigenResult]:
     """Muller's iteration as a generator, for :func:`find_root` and
-    :func:`scan_k`: it yields the starting triple, then one point per step,
-    and returns its :class:`EigenResult`."""
+    :func:`scan_k`: it yields its start, then one point per step, and
+    returns its :class:`EigenResult`.
+
+    The start is the triple c_init +/- h0, c_init, h0 = 1e-4 max(|c_init|, 1).
+    A ``known`` pair (c0, f(c0)) with |c_init - c0| >= 1e-6 max(|c0|, 1)
+    replaces it by c_init, then the secant point from (c0, c_init), or
+    c_init + h0 where f(c_init) == f(c0), and Muller goes on from those
+    three.  The sweep's f(c0) is good to about its Rayleigh tolerance, so
+    the secant slope of a closer pair would be mostly that error.
+    """
     floor = tol * scale
     h0 = 1e-4 * max(abs(c_init), 1.0)
-    xs = [c_init + h0, c_init - h0, c_init]
-    fs = yield xs
+    if known is None or abs(c_init - known[0]) < 1e-6 * max(abs(known[0]), 1.0):
+        xs = [c_init + h0, c_init - h0, c_init]
+        fs = yield xs
+    else:
+        x0, f0 = known
+        f1, = yield [c_init]
+        x2 = c_init + h0 if f1 == f0 else c_init - f1 * (c_init - x0) / (f1 - f0)
+        f2, = yield [x2]
+        xs, fs = [x0, c_init, x2], [f0, f1, f2]
 
     for x, f in zip(xs, fs):
         if f == 0.0:
@@ -303,7 +319,8 @@ def _rounds(evaluate: Callable, generators: Sequence[Generator]
 
 def _evaluator(residual: Callable[[complex], complex]) -> Callable:
     """The ``evaluate`` of :func:`_rounds`: one ``residual.batch`` call, or
-    point by point with each point's error caught."""
+    point by point with each point's error caught, skipping the later points
+    of an owner whose earlier point failed, which :func:`_rounds` ends."""
     batch = getattr(residual, "batch", None)
     if batch is not None:
         def evaluate(owners, zs):
@@ -312,13 +329,16 @@ def _evaluator(residual: Callable[[complex], complex]) -> Callable:
         return evaluate
 
     def evaluate(owners, zs):
-        vals, errors = [], {}
-        for j, z in enumerate(zs):
+        vals, errors = [complex("nan")] * len(zs), {}
+        failed = set()  # owners with a failed point
+        for j, (owner, z) in enumerate(zip(owners, zs)):
+            if owner in failed:
+                continue
             try:
-                vals.append(residual(z))
+                vals[j] = residual(z)
             except WindwavesError as exc:
-                vals.append(complex("nan"))
                 errors[j] = exc
+                failed.add(owner)
         return vals, errors
     return evaluate
 
@@ -476,15 +496,19 @@ def scan_k(profile, params, k_list: Sequence[float],
     aborting the sweep, with ``converged`` False, and its message names the
     error of its growth constant unless c_k has no layer.  The Muller chains
     of all wavenumbers run in lockstep: each round evaluates the wave speeds
-    every live chain asks for (the starting triples, then one point per
-    chain) in one :func:`~windwaves.dispersion.miles_residuals` call, whose
+    every live chain asks for (each chain's start, then one point per chain)
+    in one :func:`~windwaves.dispersion.miles_residuals` call, whose
     batched impedances do not depend on the batch.  The asymptotic seeds of
     all wavenumbers come from one growth-constant call
     (:func:`~windwaves.asymptotics.growth_constants`): on a profile with
     ``complex_path``, one kernel batch at the real speeds c_k along Lin's
     indented path, the same shoot that the Muller rounds take at complex c.
-    Each chain's shoots start from its last final mesh: the starting triple
-    from its seed's, each later point from its last point's.  The Muller
+    That shoot, or the Frobenius solution, also gives the limit impedance
+    at c_k + i0, so a row with a growth constant starts from the residual
+    there as the known pair of :func:`_muller`: one point, the seed, in its
+    first round, not the triple's three (a real seed keeps the triple).
+    Each chain's shoots start from its last final mesh: the first from its
+    seed shoot's, each later point from its last point's.  The Muller
     points lie close together, so that mesh already passes the kernel's
     error test and a round costs one pass of the kernel, not the three of a
     fresh mesh.  The meshes live inside one call, and each row's depend on
@@ -492,24 +516,30 @@ def scan_k(profile, params, k_list: Sequence[float],
     and a repeated call gives the same entries bit for bit.
     """
     from .asymptotics import _growth_constants
-    from .dispersion import ck, miles_residuals
+    from .dispersion import ck, miles_residuals, residual_miles
 
     ks = [float(k) for k in k_list]
     if not ks or any(k <= 0.0 for k in ks):
         raise ValueError("k_list must be nonempty and positive")
 
-    meshes: dict[int, np.ndarray] = {}  # index -> the chain's last final mesh
+    shots: dict[int, tuple] = {}  # index -> (mesh, y*'(0) at c_k)
     asyms, seed_errors = _growth_constants(profile, params, ks,
                                            strategy.branch,
-                                           strategy.rayleigh_tol, meshes)
+                                           strategy.rayleigh_tol, shots)
+    # index -> the chain's last final mesh
+    meshes = {i: mesh for i, (mesh, _) in shots.items()}
+    u0, up0 = profile.value(0.0), profile.slope(0.0)
     chains = []
-    for k, asym in zip(ks, asyms):
+    for i, (k, asym) in enumerate(zip(ks, asyms)):
         c_k = ck(params, k, strategy.branch)
-        seed = complex(c_k)  # no layer or degenerate: on the real axis
+        seed, known = complex(c_k), None  # no layer or degenerate: real
         if asym is not None:
             seed = c_k + 1j * params.epsilon * max(asym.c_sharp, 0.0)
+            known = (complex(c_k), complex(residual_miles(
+                c_k, shots[i][1], params, k, u0, up0)))
         chains.append(_muller(seed, tol=strategy.tol,
-                              max_iter=strategy.max_iter, scale=params.g, k=k))
+                              max_iter=strategy.max_iter, scale=params.g, k=k,
+                              known=known))
 
     def evaluate(owners, cs):
         pair_meshes = [meshes.get(i) for i in owners]

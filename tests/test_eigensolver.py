@@ -18,6 +18,9 @@ from windwaves.eigensolver import (
     UNSTABLE,
     EigenResult,
     ScanStrategy,
+    _evaluator,
+    _muller,
+    _rounds,
     _winding,
     continue_in_epsilon,
     count_roots,
@@ -32,7 +35,7 @@ from windwaves.errors import (
     PhaseJumpUnresolved,
     WindwavesError,
 )
-from windwaves.profiles import ConstantProfile, TanhProfile
+from windwaves.profiles import ConstantProfile, TabulatedProfile, TanhProfile
 
 from oracles import multistart_roots, quadratic_roots
 
@@ -111,6 +114,51 @@ class TestFindRoot:
         assert calls[0] == 3 and calls[1:] == [1] * got.iterations
         pointwise = find_root(lambda c: residual(c), seed, scale=p.g, k=k)
         assert repr(got) == repr(pointwise)
+
+
+class TestMullerKnownPair:
+    """A Muller chain that starts from a known (c0, f(c0)) pair."""
+
+    root, other = 1.0 + 0.2j, 5.0 - 1.0j
+
+    def f(self, c):
+        return (c - self.root) * (c - self.other)
+
+    def run(self, seed, known):
+        """The chain's result and the points it asked for, round by round."""
+        rounds = []
+
+        def evaluate(owners, zs):
+            rounds.append(zs)
+            return _evaluator(self.f)(owners, zs)
+
+        chain = _muller(seed, tol=1e-12, max_iter=50, scale=1.0, k=None,
+                        known=known)
+        results, errors = _rounds(evaluate, [chain])
+        assert not errors
+        assert abs(results[0].c - self.root) <= 1e-12
+        return results[0], rounds
+
+    def test_secant_start_converges(self):
+        c0, seed = 1.0 + 0.0j, 1.1 + 0.1j
+        got, rounds = self.run(seed, (c0, self.f(c0)))
+        # the seed alone, then the secant point from (c0, seed)
+        f0, f1 = self.f(c0), self.f(seed)
+        assert rounds[:2] == [[seed], [seed - f1 * (seed - c0) / (f1 - f0)]]
+        assert [len(zs) for zs in rounds[2:]] == [1] * got.iterations
+
+    def test_equal_values_take_the_triples_point(self):
+        # f(c0) == f(seed) has no secant: the second point is seed + h0
+        seed = 1.1 + 0.1j
+        _, rounds = self.run(seed, (0.9 + 0.0j, self.f(seed)))
+        assert rounds[:2] == [[seed], [seed + 1e-4 * abs(seed)]]
+
+    def test_close_pair_keeps_the_triple(self):
+        # within 1e-6 max(|c0|, 1) of c_init the pair is ignored
+        seed = 1.1 + 0.1j
+        _, rounds = self.run(seed, (seed - 0.9e-6 * abs(seed), 1.0 + 0.0j))
+        h0 = 1e-4 * abs(seed)
+        assert rounds[0] == [seed + h0, seed - h0, seed]
 
 
 def batched(residual):
@@ -447,6 +495,20 @@ class TestRootCounts:
                 root_counts(joint, rects, n)
             assert joint.calls == [2 * 4 * n] + alone.calls[1:]
 
+    def test_failed_rectangle_skips_its_later_points(self):
+        # point by point, a rectangle's first failed point ends it, and its
+        # other points are not evaluated
+        calls = []
+
+        def residual(c):
+            calls.append(c)
+            return sqrt_left_fails(c)
+
+        with pytest.raises(NoConvergence):
+            root_counts(residual, [(-2.0, -1.0, -1.0, 1.0),
+                                   (1.0, 2.0, -1.0, 1.0)], 64)
+        assert len(calls) == 1 + 4 * 64
+
     @pytest.mark.parametrize("wrap", [lambda f: f, batched],
                              ids=["scalar", "batch"])
     def test_bad_rectangle_raises_before_any_evaluation(self, wrap):
@@ -597,14 +659,85 @@ class TestScanK:
                          max_iter=strategy.max_iter, scale=p.g, k=k)
 
     def test_lockstep_matches_per_k_find_root(self):
+        # find_root starts from the triple; a sweep row with a growth
+        # constant starts from its seed shoot at c_k and a secant step
         p = params_with(h_plus=5.0)
         prof = TanhProfile(10.0, 1.0, 5.0)
-        ks = [0.05, 0.12, 0.3, 1.0, 3.0]
+        ks = [0.05, 0.12] + np.linspace(0.3, 3.0, 12).tolist()
         curve = scan_k(prof, p, ks)
         for entry in curve.entries:
             want = self.scalar_chain(prof, p, entry.k).c
             if want.imag < 0.0:
                 want = want.conjugate()
+            assert abs(entry.c - want) <= 1e-9 * abs(want), entry
+
+    @staticmethod
+    def shot_sizes(monkeypatch):
+        """The number of wave speeds in each residual round, as it grows."""
+        sizes = []
+        shoot = dispersion.impedance_outcomes
+
+        def counted(profile, k, cs, tol, **kwargs):
+            sizes.append(len(cs))
+            return shoot(profile, k, cs, tol, **kwargs)
+
+        monkeypatch.setattr(dispersion, "impedance_outcomes", counted)
+        return sizes
+
+    def test_seeded_rows_start_from_the_seed_alone(self, monkeypatch):
+        # the seed stage's limit impedance gives each seeded row its residual
+        # at c_k, so its first round shoots the seed alone
+        p = params_with(h_plus=5.0)
+        prof = TanhProfile(10.0, 1.0, 5.0)
+        ks = np.linspace(0.3, 3.0, 12).tolist()
+        sizes = self.shot_sizes(monkeypatch)
+        curve = scan_k(prof, p, ks)
+        assert all(e.converged for e in curve.entries)
+        assert sizes[0] == len(ks)
+        swept = sum(sizes)
+        sizes.clear()
+        for k in ks:  # find_root starts from the triple
+            self.scalar_chain(prof, p, k)
+        assert swept <= 0.8 * sum(sizes)
+
+    def test_rows_without_a_secant_start_from_the_triple(self, monkeypatch):
+        sizes = self.shot_sizes(monkeypatch)
+        prof = TanhProfile(10.0, 1.0, 5.0)
+        # c_k = 14 at k 0.05 is above U's maximum: no seed stage
+        curve = scan_k(prof, params_with(h_plus=5.0), [0.05, 0.3, 1.0])
+        assert all(e.converged for e in curve.entries)
+        assert sizes[0] == 3 + 1 + 1
+        # at eps 1e-6, eps c_sharp is 1.3e-7 at k 3, below the spacing
+        # guard 1e-6 c_k = 1.8e-6
+        sizes.clear()
+        p = params_with(h_plus=5.0, rho_plus=1e-3)
+        assert p.epsilon * asymptotics.miles_c_sharp(prof, p, 3.0).c_sharp \
+            < 1e-6 * ck(p, 3.0)
+        curve = scan_k(prof, p, [3.0])
+        assert curve.entries[0].converged
+        assert sizes[0] == 3
+
+    @pytest.mark.filterwarnings("ignore:sufficient sign hypotheses")
+    @pytest.mark.parametrize("us", [
+        lambda x: 10.0 * np.tanh(x),
+        lambda x: 8.0 * math.e * x * np.exp(-x),  # c_sharp < 0 near k 0.55
+    ], ids=["tanh48", "table48"])
+    def test_table_rows_match_find_root(self, us):
+        # as test_lockstep_matches_per_k_find_root, on 48-knot tables;
+        # a row fails where find_root fails
+        xs = np.linspace(0.0, 5.0, 48)
+        prof = TabulatedProfile(xs, us(xs))
+        p = params_with(h_plus=5.0)
+        curve = scan_k(prof, p, np.linspace(0.3, 3.0, 12).tolist())
+        for entry in curve.entries:
+            try:
+                want = self.scalar_chain(prof, p, entry.k).c
+            except WindwavesError:
+                assert not entry.converged, entry
+                continue
+            if want.imag < 0.0:
+                want = want.conjugate()
+            assert entry.converged, entry
             assert abs(entry.c - want) <= 1e-9 * abs(want), entry
 
     def test_muller_rounds_start_from_the_chain_mesh(self, monkeypatch):
