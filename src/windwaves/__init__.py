@@ -12,7 +12,6 @@ from .profiles import (
     AnalyticProfile,
     ConstantProfile,
     CriticalLayer,
-    CriticalLayerSet,
     LinearShearProfile,
     PiecewiseLinearProfile,
     ShearProfile,

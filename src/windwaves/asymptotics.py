@@ -21,7 +21,7 @@ from typing import Optional
 from .dispersion import FluidParams, ck, make_miles_residual
 from .eigensolver import root_counts, square_roots_real
 from .errors import HypothesisViolated, NoCriticalLayer, WindwavesError
-from .profiles import CriticalLayerSet, ShearProfile, find_critical_points
+from .profiles import CriticalLayer, ShearProfile, find_critical_points
 from .rayleigh import impedance_outcomes, limiting_solution
 
 __all__ = [
@@ -82,7 +82,8 @@ class MilesAsymptotics:
         return self.c_k + 1j * eps * self.c_sharp
 
 
-def _sufficient_signs_hold(c_k: float, layers: CriticalLayerSet) -> bool:
+def _sufficient_signs_hold(c_k: float, layers: tuple[CriticalLayer, ...]
+                           ) -> bool:
     m = len(layers)
     vals = [c_k * layer.u_double_prime for layer in layers]
     if any(v > 0.0 for v in vals):
@@ -159,7 +160,7 @@ def _growth_constants(profile, params, ks, branch, tol, shots=None):
         except WindwavesError as exc:
             errors[i] = exc
     rows = [i for i, (_, layers) in at_ck.items() if profile.complex_path
-            and len(layers) == 1 and layers.layers[0].u_double_prime != 0.0]
+            and len(layers) == 1 and layers[0].u_double_prime != 0.0]
     u1s = {}  # index -> |y*(s_j)|^2 per layer
     meshes, limits = {}, {}  # index -> final path mesh, y*'(0) at c_k
     if rows:
@@ -176,7 +177,7 @@ def _growth_constants(profile, params, ks, branch, tol, shots=None):
                 continue
             limits[i] = complex(imps[j])
             if abs(imps[j].imag) >= PATH_RESOLUTION * tol * abs(imps[j]):
-                layer = at_ck[i][1].layers[0]
+                layer = at_ck[i][1][0]
                 u1s[i] = [-imps[j].imag * abs(layer.u_prime)
                           / (math.pi * layer.u_double_prime)]
     for i, (c_k, layers) in at_ck.items():

@@ -359,10 +359,6 @@ class PwlDispersion:
     cubic: PwlClosedForm
     roots: tuple[complex, complex, complex]
 
-    @property
-    def impedance_fn(self) -> Callable[[complex], complex]:
-        return self.cubic.impedance
-
 
 def pwl_dispersion(mu: float, x2_star: float, params: FluidParams, k: float,
                    epsilon: Optional[float] = None) -> PwlDispersion:

@@ -1,7 +1,9 @@
 """Shear velocity profiles U(x2) on the air column [0, h_plus].
 
 Every profile exposes the wind speed and its first two derivatives plus
-critical-point queries (altitudes where U equals a given phase speed).
+critical-point queries (altitudes where U equals a given phase speed), and
+where its pieces meet: ``kinks`` gives the jumps of U', and the private
+``_breaks`` the altitudes at which the solvers stop a shoot.
 ``value`` and ``curvature`` also take a numpy array of altitudes and return
 the array of values; a Python float still gets the ``math`` evaluation and a
 Python float back.  Profiles with ``complex_path`` also evaluate arrays of
@@ -42,7 +44,6 @@ __all__ = [
     "AnalyticProfile",
     "TabulatedProfile",
     "CriticalLayer",
-    "CriticalLayerSet",
     "find_critical_points",
     "load_tabulated",
 ]
@@ -70,15 +71,17 @@ def _const(x2, v: float):
 class ShearProfile:
     """Base class: a wind profile on [0, h_plus].
 
-    Subclasses set ``kind``, ``smoothness_class`` and ``h_plus`` and implement
-    ``value``, ``slope`` and ``curvature``; ``value`` and ``curvature`` accept
-    an array of altitudes as well as a float.  ``h_plus = inf`` is permitted
-    only for uniform and constant-shear profiles.
+    Subclasses set ``kind`` and ``h_plus`` and implement ``value``,
+    ``slope`` and ``curvature``; ``value`` and ``curvature`` accept an array
+    of altitudes as well as a float.  ``h_plus = inf`` is permitted only for
+    uniform and constant-shear profiles.
     """
 
     kind: str = "abstract"
-    smoothness_class: str = "C2"
     h_plus: float = math.inf
+    #: the interior altitudes where the wind's pieces meet, at which every
+    #: shoot stops (a table's knots, a piecewise-linear profile's kinks)
+    _breaks: tuple[float, ...] = ()
     #: True when U'' vanishes identically (uniform or constant shear)
     zero_curvature: bool = False
     #: True when ``value`` and ``curvature`` take arrays of complex altitudes
@@ -173,6 +176,11 @@ class ShearProfile:
             s = nxt
         return s
 
+    def kinks(self) -> list[tuple[float, float]]:
+        """Interior kink altitudes with the U' jump (above minus below): none
+        unless U' is discontinuous."""
+        return []
+
     def path_reach(self, s: float) -> float:
         """Distance from s to the nearest other complex root of U(x) = U(s).
 
@@ -214,7 +222,6 @@ class ConstantProfile(ShearProfile):
     u0: float
     h_plus: float = math.inf
     kind = "constant"
-    smoothness_class = "C4"
     zero_curvature = True
 
     def value(self, x2):
@@ -244,7 +251,6 @@ class LinearShearProfile(ShearProfile):
     mu: float
     h_plus: float = math.inf
     kind = "linear"
-    smoothness_class = "C4"
     zero_curvature = True
 
     def value(self, x2):
@@ -280,7 +286,6 @@ class PiecewiseLinearProfile(ShearProfile):
     """
 
     kind = "piecewise_linear"
-    smoothness_class = "C0_1"
     zero_curvature = False
 
     def __init__(self, nodes: Sequence[float], slopes: Sequence[float], u0: float = 0.0,
@@ -296,6 +301,7 @@ class PiecewiseLinearProfile(ShearProfile):
         if nodes[-1] >= h_plus:
             raise ValueError("all nodes must lie below h_plus")
         self.nodes = tuple(nodes)
+        self._breaks = self.nodes[1:]
         self.slopes = tuple(slopes)
         self.u0 = float(u0)
         self.h_plus = float(h_plus)
@@ -367,7 +373,6 @@ class TanhProfile(ShearProfile):
     d: float
     h_plus: float
     kind = "tanh"
-    smoothness_class = "C4"
     complex_path = True
 
     def value(self, x2):
@@ -440,18 +445,15 @@ class AnalyticProfile(ShearProfile):
     """
 
     kind = "analytic"
-    smoothness_class = "C4"
 
     def __init__(self, f: Callable[[float], float], df, d2f, h_plus: float,
-                 d3f=None, d4f=None, name: str = "analytic",
-                 smoothness_class: str = "C4"):
+                 d3f=None, d4f=None, name: str = "analytic"):
         if not math.isfinite(h_plus):
             raise ValueError("AnalyticProfile requires a finite h_plus")
         self._f, self._df, self._d2f = f, df, d2f
         self._d3f, self._d4f = d3f, d4f
         self.h_plus = float(h_plus)
         self.name = name
-        self.smoothness_class = smoothness_class
 
     def value(self, x2):
         self._check_domain(x2)
@@ -519,7 +521,6 @@ class TabulatedProfile(ShearProfile):
     """
 
     kind = "tabulated"
-    smoothness_class = "C2"
     complex_path = True
 
     def __init__(self, x2: Sequence[float], u: Sequence[float]):
@@ -536,6 +537,9 @@ class TabulatedProfile(ShearProfile):
         self.x2 = x2
         self.u = u
         self.h_plus = float(x2[-1])
+        # U''' jumps at the knots, which the error estimate does not see
+        # coming: stepping across them misses the tolerance 100-fold
+        self._breaks = tuple(x2[1:-1].tolist())
         self._c = _not_a_knot(x2, u)
         # the knots and the interior extrema of the pieces: U is monotone
         # between consecutive nodes, so each sign change of U - c_r over
@@ -632,27 +636,6 @@ class CriticalLayer:
     u_double_prime: float
 
 
-@dataclass(frozen=True)
-class CriticalLayerSet:
-    """All interior critical layers for one real phase speed."""
-
-    layers: tuple[CriticalLayer, ...]
-    target: float
-
-    def __len__(self):
-        return len(self.layers)
-
-    def __iter__(self):
-        return iter(self.layers)
-
-    def __bool__(self):
-        return bool(self.layers)
-
-    @property
-    def positions(self) -> tuple[float, ...]:
-        return tuple(layer.position for layer in self.layers)
-
-
 def _curvature_or_zero(profile: ShearProfile, s: float) -> float:
     try:
         return profile.curvature(s)
@@ -660,8 +643,10 @@ def _curvature_or_zero(profile: ShearProfile, s: float) -> float:
         return 0.0  # interior of a linear segment
 
 
-def find_critical_points(profile: ShearProfile, c_r: float) -> CriticalLayerSet:
-    """Locate all interior altitudes where U equals the real phase speed c_r.
+def find_critical_points(profile: ShearProfile, c_r: float
+                         ) -> tuple[CriticalLayer, ...]:
+    """Every interior critical layer at the real phase speed c_r, as a tuple
+    ascending in altitude.
 
     The layers are those of ``profile.path_layers(c_r)``, at the same
     positions, validated against the endpoints, the degeneracy threshold and
@@ -710,27 +695,27 @@ def find_critical_points(profile: ShearProfile, c_r: float) -> CriticalLayerSet:
             raise DegenerateShear(
                 f"root polish stalled at x2={layer.position} (residual {resid:g})"
             )
-    return CriticalLayerSet(tuple(layers), c_r)
+    return tuple(layers)
 
 
 def _critical_points_unbounded(profile: ShearProfile, c_r: float
-                               ) -> CriticalLayerSet:
+                               ) -> tuple[CriticalLayer, ...]:
     # closed-form roots for the two kinds that may live on [0, inf); a
     # LinearShearProfile reaches here only on [0, inf)
     scale = max(1.0, abs(c_r))
     if isinstance(profile, ConstantProfile):
         if abs(profile.u0 - c_r) <= ENDPOINT_RTOL * scale:
             raise DegenerateShear("uniform wind equal to c_r: every altitude critical")
-        return CriticalLayerSet((), c_r)
+        return ()
     if isinstance(profile, LinearShearProfile):
         if profile.mu == 0.0:
             if abs(profile.u0 - c_r) <= ENDPOINT_RTOL * scale:
                 raise DegenerateShear("degenerate zero-shear profile at c_r")
-            return CriticalLayerSet((), c_r)
+            return ()
         s = (c_r - profile.u0) / profile.mu
         if s < 0.0:
-            return CriticalLayerSet((), c_r)
+            return ()
         if s <= ENDPOINT_RTOL:
             raise EndpointCritical(f"critical point at column endpoint x2={s}")
-        return CriticalLayerSet((CriticalLayer(s, profile.mu, 0.0),), c_r)
+        return (CriticalLayer(s, profile.mu, 0.0),)
     raise OutOfDomain("unbounded domain supported only for uniform/constant-shear")

@@ -61,16 +61,13 @@ from .errors import (
     InfiniteDomain,
     NearSingularCoefficient,
     OrderUnavailable,
-    OutOfDomain,
     SeriesRadiusTooSmall,
     WindwavesError,
 )
 from .profiles import (
     CriticalLayer,
-    CriticalLayerSet,
     PiecewiseLinearProfile,
     ShearProfile,
-    TabulatedProfile,
     find_critical_points,
 )
 
@@ -102,33 +99,18 @@ INTERFACE_FLOOR = 1e-12
 _DEFAULT_TOL = 1e-10
 
 
-def _u_range(profile: ShearProfile) -> Optional[tuple[float, float]]:
-    """``profile.u_bounds()``, or None for a profile on [0, inf)."""
-    try:
-        return profile.u_bounds()
-    except OutOfDomain:
-        return None
+def _speed_scale(c: complex, u_range: tuple[float, float]) -> float:
+    return max(1.0, u_range[1] - u_range[0], abs(c.real))
 
 
-def _speed_scale(profile: ShearProfile, c: complex,
-                 u_range: Optional[tuple[float, float]]) -> float:
-    if u_range is None:
-        span = abs(profile.value(0.0))
-    else:
-        span = u_range[1] - u_range[0]
-    return max(1.0, span, abs(c.real))
-
-
-def _has_layers(u_range: Optional[tuple[float, float]], c_r: float) -> bool:
+def _has_layers(u_range: tuple[float, float], c_r: float) -> bool:
     # cheap range test; an exact scan only follows for real c
-    if u_range is None:
-        return False
     umin, umax = u_range
     return umin - 1e-12 <= c_r <= umax + 1e-12
 
 
 def _check_switch(profile: ShearProfile, c: complex, scale: float,
-                  u_range: Optional[tuple[float, float]]) -> None:
+                  u_range: tuple[float, float]) -> None:
     """Refuse a real-axis solve too close to a critical-layer singularity."""
     ci = c.imag
     # Zero-curvature coefficients are identically k^2 and piecewise-linear
@@ -152,8 +134,9 @@ def _real_speed_refused() -> NearSingularCoefficient:
 
 
 def _bumps(profile: ShearProfile, c: complex, scale: float,
-           u_range: Optional[tuple[float, float]], bounds: list[float],
-           sign_ci: Optional[int], layers: Optional[CriticalLayerSet] = None
+           u_range: tuple[float, float], bounds: list[float],
+           sign_ci: Optional[int],
+           layers: Optional[tuple[CriticalLayer, ...]] = None
            ) -> tuple[tuple[float, float, float, float], ...]:
     """The indentations (lo, hi, s, depth) of one element's shooting path.
 
@@ -245,21 +228,9 @@ def uniform_flow_impedance(k: float, h_plus: float) -> float:
 
 
 def _segment_bounds(profile: ShearProfile) -> list[float]:
-    """Integration breakpoints, descending from h_plus to 0."""
-    pts = [profile.h_plus, 0.0]
-    if isinstance(profile, PiecewiseLinearProfile):
-        pts.extend(x for x, _ in profile.kinks() if 0.0 < x < profile.h_plus)
-    elif isinstance(profile, TabulatedProfile):
-        # U''' jumps at the spline knots, which the error estimate does not
-        # see coming: stepping across them misses the tolerance 100-fold
-        pts.extend(float(x) for x in profile.x2[1:-1])
-    return sorted(set(pts), reverse=True)
-
-
-def _kink_jump_map(profile: ShearProfile) -> dict[float, float]:
-    if isinstance(profile, PiecewiseLinearProfile):
-        return dict(profile.kinks())
-    return {}
+    """Integration breakpoints, descending from h_plus to 0: the column's
+    ends and the profile's breaks."""
+    return sorted({profile.h_plus, 0.0, *profile._breaks}, reverse=True)
 
 
 def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
@@ -381,7 +352,7 @@ def _raise_first(errors: dict) -> None:
 def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
            init=(0.0, 1.0), nodes: Optional[dict] = None,
            sign_ci: Optional[int] = None,
-           layers: Optional[Sequence[CriticalLayerSet]] = None,
+           layers: Optional[Sequence[tuple[CriticalLayer, ...]]] = None,
            meshes: Optional[list] = None
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Shoot every (k, c) element from the lid data ``init`` to the interface.
@@ -416,10 +387,10 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
         errors.setdefault(int(i), exc)
         alive[i] = False
 
-    u_range = _u_range(profile)
-    scales = np.fmax(_speed_scale(profile, 0j, u_range), np.abs(cs.real))
+    u_range = profile.u_bounds()
+    scales = np.fmax(_speed_scale(0j, u_range), np.abs(cs.real))
     bounds = _segment_bounds(profile)
-    jumps = _kink_jump_map(profile)
+    jumps = dict(profile.kinks())
     # each live element's segments down its column: (owner, top, bottom,
     # bump depth, bump peak), and the jump matrices of the kinks by segment
     segments: list[tuple[int, float, float, float, float]] = []
@@ -470,21 +441,6 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     if meshes is not None:
         meshes[:] = [final[i] if alive[i] else None for i in range(n)]
     return y, log_scale, n_steps, errors
-
-
-def _final_mesh(profile: ShearProfile, k: float, c: complex,
-                tol: float = _DEFAULT_TOL, sign_ci: Optional[int] = None,
-                start: Optional[np.ndarray] = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes of one pair's final mesh, down its path's parameter, and
-    each step's DOP853 error norm on it, the shoot starting from the nodes
-    ``start`` if given; for tests of the kernel."""
-    nodes: dict = {}
-    _, _, _, errors = _shoot(profile, *_pairs(k, [c]), tol, nodes=nodes,
-                             sign_ci=sign_ci, meshes=[start])
-    _raise_first(errors)
-    t, _, _, _, norms = nodes[0]
-    return t, norms
 
 
 def _unscaled(v: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
@@ -975,7 +931,7 @@ def interface_impedance(profile: ShearProfile, k: float, c: complex,
 def impedance_outcomes(profile: ShearProfile, k, cs,
                        tol: float = _DEFAULT_TOL, *,
                        sign_ci: Optional[int] = None,
-                       layers: Optional[Sequence[CriticalLayerSet]] = None,
+                       layers: Optional[Sequence[tuple[CriticalLayer, ...]]] = None,
                        meshes: Optional[list] = None
                        ) -> tuple[np.ndarray, dict]:
     """Impedances y'(0)/y(0) of (k, c) pairs, ``k`` broadcast against ``cs``,
@@ -1114,8 +1070,8 @@ def integrate_wronskian(profile: ShearProfile, k: float, c: complex,
     if not math.isfinite(h):
         raise InfiniteDomain("Wronskian integration needs a finite air column")
 
-    u_range = _u_range(profile)
-    _check_switch(profile, c, _speed_scale(profile, c, u_range), u_range)
+    u_range = profile.u_bounds()
+    _check_switch(profile, c, _speed_scale(c, u_range), u_range)
     cr, ci = c.real, c.imag
 
     def rhs(x, u):
@@ -1241,7 +1197,7 @@ class LimitSolution:
     c_r: float
     sign_ci: int
     k: float
-    layers: CriticalLayerSet
+    layers: tuple[CriticalLayer, ...]
     impedance: complex
     y0: complex
     yp0: complex
@@ -1262,7 +1218,8 @@ class LimitSolution:
 
 def limiting_solution(profile: ShearProfile, k: float, c_r: float,
                       sign_ci: int, tol: float = _DEFAULT_TOL, *,
-                      layers: CriticalLayerSet | None = None) -> LimitSolution:
+                      layers: tuple[CriticalLayer, ...] | None = None
+                      ) -> LimitSolution:
     """Solve the Rayleigh equation in the limiting sense for real c_r.
 
     Away from critical layers the real-coefficient equation is shot on the
@@ -1302,7 +1259,7 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     if layers is None:
         layers = find_critical_points(profile, c_r)
     # the cap keeps each patch clear of its neighbours and the column's ends
-    ends = [0.0, *layers.positions, h]
+    ends = [0.0, *(layer.position for layer in layers), h]
     cap = min([0.05 * h] + [0.25 * (b - a) for a, b in zip(ends, ends[1:])])
     patches = [_build_patch(profile, layer, k, cap) for layer in layers]
     for patch in patches:
@@ -1315,10 +1272,9 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     breaks = _segment_bounds(profile)
     edges = [h] + [x for p in reversed(patches)
                    for x in (p.s + p.delta, p.s - p.delta)] + [0.0]
-    kinks = _kink_jump_map(profile)
+    kinks = dict(profile.kinks())
     # the kink guard's speed scale; only kinked profiles need it sampled
-    scale = _speed_scale(profile, complex(c_r), _u_range(profile)) \
-        if kinks else 1.0
+    scale = _speed_scale(complex(c_r), profile.u_bounds()) if kinks else 1.0
     legs: list[tuple[float, float]] = []
     joints: dict[int, np.ndarray] = {}
     crossings: dict[int, _SeriesPatch] = {}

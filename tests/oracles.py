@@ -164,7 +164,7 @@ def contour_impedance_oracle(profile, k: float, c: complex, tol: float,
     if layers and c.imag == 0.0 and sign_ci is None:
         raise ValueError("a real c with layers needs sign_ci")
     side = sign_ci if c.imag == 0.0 else math.copysign(1.0, c.imag)
-    pos = list(layers.positions)
+    pos = [layer.position for layer in layers]
     bumps = {}  # bump start (its upper end) -> (s, r, signed depth)
     for j, layer in enumerate(layers):
         s = layer.position

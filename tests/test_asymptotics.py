@@ -206,7 +206,7 @@ class TestGrowthConstants:
             assert got == miles_c_sharp(TANH, p, k)
             assert got.c_k == ck(p, k) and got.f_i0 == f_I0(TANH, p, k)
             assert [l.position for l in got.layers] == \
-                list(find_critical_points(TANH, got.c_k).positions)
+                [layer.position for layer in find_critical_points(TANH, got.c_k)]
             want, _ = frobenius_c_sharp(TANH, p, k)
             assert abs(got.c_sharp - want) <= 1e-8 * abs(want)
 

@@ -255,21 +255,21 @@ class TestPwlDispersion:
             prev_dev = dev
         assert prev_dev <= 0.02
 
-    def test_impedance_fn_matches_cascade(self):
+    def test_cubic_impedance_matches_cascade(self):
         from windwaves.profiles import PiecewiseLinearProfile
         from windwaves.rayleigh import pwl_impedance_cascade
         d = pwl_dispersion(self.mu, self.x2s, self.params(1e-3), self.k)
         prof = PiecewiseLinearProfile.ramp(self.mu, self.x2s)
         for c in (2.0 + 0.3j, 4.0 - 0.1j):
-            assert abs(d.impedance_fn(c) - pwl_impedance_cascade(prof, self.k, c)
-                       ) <= 1e-12 * abs(d.impedance_fn(c))
+            assert abs(d.cubic.impedance(c) - pwl_impedance_cascade(prof, self.k, c)
+                       ) <= 1e-12 * abs(d.cubic.impedance(c))
 
     def test_roots_solve_miles_residual(self):
         eps = 1e-3
         p = self.params(eps)
         d = pwl_dispersion(self.mu, self.x2s, p, self.k)
         for r in d.roots:
-            resid = residual_miles(r, d.impedance_fn(r), p, self.k, 0.0, self.mu)
+            resid = residual_miles(r, d.cubic.impedance(r), p, self.k, 0.0, self.mu)
             assert abs(resid) <= 1e-9 * p.g
 
     def test_validation(self):
@@ -282,6 +282,15 @@ class TestPwlDispersion:
 
 
 class TestResidualGeneral:
+    def test_unbounded_sheared_column_refused(self):
+        # no wall to shoot from: the air column, then the water column
+        p, c, k = params_with(), 3.0 + 0.3j, 1.0
+        with pytest.raises(IncompatibleDepths, match="air column"):
+            residual_general(c, p, k, TanhProfile(10.0, 1.0, math.inf))
+        with pytest.raises(IncompatibleDepths, match="water column"):
+            residual_general(c, p, k, ConstantProfile(5.0),
+                             TanhProfile(1.0, 1.0, math.inf))
+
     def test_two_stream_matches_textbook_quadratic(self):
         p = params_with(rho_plus=300.0, sigma=0.05)
         k, u0, w0 = 2.0, 4.0, 1.0

@@ -178,7 +178,7 @@ class TestCriticalPoints:
         target = 10.0 * math.tanh(1.0)
         layers = find_critical_points(prof, target)
         assert len(layers) == 1
-        assert layers.layers[0].position == pytest.approx(1.0, abs=1e-10)
+        assert layers[0].position == pytest.approx(1.0, abs=1e-10)
 
     def test_linear_out_of_range(self):
         prof = LinearShearProfile(0.0, 2.0, h_plus=3.0)
@@ -192,10 +192,10 @@ class TestCriticalPoints:
         s2 = bisect_root(f, 1.0, 2.0)
         layers = find_critical_points(prof, c_r)
         assert len(layers) == 2
-        assert layers.positions[0] == pytest.approx(s1, abs=1e-12)
-        assert layers.positions[1] == pytest.approx(s2, abs=1e-12)
-        assert layers.layers[0].u_prime == pytest.approx(4.0 - 4.0 * s1, rel=1e-10)
-        assert layers.layers[1].u_double_prime == -4.0
+        assert layers[0].position == pytest.approx(s1, abs=1e-12)
+        assert layers[1].position == pytest.approx(s2, abs=1e-12)
+        assert layers[0].u_prime == pytest.approx(4.0 - 4.0 * s1, rel=1e-10)
+        assert layers[1].u_double_prime == -4.0
 
     def test_endpoint_critical(self):
         prof = TanhProfile(10.0, 1.0, 5.0)
@@ -216,7 +216,20 @@ class TestCriticalPoints:
     def test_unbounded_linear(self):
         prof = LinearShearProfile(1.0, 2.0)
         layers = find_critical_points(prof, 7.0)
-        assert layers.positions == (3.0,)
+        assert tuple(layer.position for layer in layers) == (3.0,)
+
+    @pytest.mark.parametrize("mu, c_r", [(0.0, 2.0), (2.0, 0.5)],
+                             ids=["no-shear", "below-the-interface"])
+    def test_unbounded_linear_without_layer(self, mu, c_r):
+        # U = 1 + mu x2 on [0, inf) meets 2.0 nowhere, and 0.5 at x2 < 0
+        assert len(find_critical_points(LinearShearProfile(1.0, mu), c_r)) == 0
+
+    def test_unbounded_linear_degenerate_and_endpoint(self):
+        with pytest.raises(DegenerateShear):
+            find_critical_points(LinearShearProfile(1.0, 0.0), 1.0)
+        # the layer at x2 = 5e-13 sits on the interface
+        with pytest.raises(EndpointCritical):
+            find_critical_points(LinearShearProfile(1.0, 2.0), 1.0 + 1e-12)
 
     @given(
         u_max=st.floats(2.0, 50.0),
@@ -237,7 +250,7 @@ class TestCriticalPoints:
     def test_roots_sorted_distinct(self):
         prof = parabola_profile()
         layers = find_critical_points(prof, 1.0)
-        pos = layers.positions
+        pos = tuple(layer.position for layer in layers)
         assert list(pos) == sorted(pos)
         assert all(b - a > 2.0 / 4096 for a, b in zip(pos, pos[1:]))
 

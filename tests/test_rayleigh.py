@@ -43,6 +43,19 @@ REAL_AXIS_TANH = AnalyticProfile(
     name="tanh")
 
 
+def final_mesh(profile, k, c, tol=1e-10, sign_ci=None, start=None):
+    """The nodes of one pair's final mesh, down its path's parameter, and
+    each step's DOP853 error norm on it, the shoot starting from the nodes
+    ``start`` if given."""
+    nodes = {}
+    _, _, _, errors = rayleigh._shoot(profile, *rayleigh._pairs(k, [c]), tol,
+                                      nodes=nodes, sign_ci=sign_ci,
+                                      meshes=[start])
+    rayleigh._raise_first(errors)
+    t, _, _, _, norms = nodes[0]
+    return t, norms
+
+
 def ramp_with_channel_mode():
     # the shear-then-uniform ramp has a genuine channel mode: y(0) = 0 at
     # c = U* - mu sinh(k(h-x*)) sinh(k x*) / sinh(k h) (pole of y'(0)/y(0))
@@ -95,6 +108,16 @@ class TestDirectIntegration:
         with pytest.raises(NearSingularCoefficient):
             integrate_rayleigh(TANH, 1.0, 3.0 + 0.0j)
 
+    @pytest.mark.parametrize("sign_ci", [None, 1, -1])
+    def test_real_axis_refuses_real_speed_with_layers(self, sign_ci):
+        # without complex_path no side of the layer is reached, so sign_ci
+        # does not help
+        imps, errors = impedance_outcomes(REAL_AXIS_TANH, 1.0, [3.0],
+                                          sign_ci=sign_ci)
+        assert np.isnan(imps[0]) and sorted(errors) == [0]
+        assert isinstance(errors[0], NearSingularCoefficient)
+        assert "real wave speed with critical layers" in str(errors[0])
+
     def test_indented_path_below_switch_threshold(self):
         c = 3.0 + 1e-9j
         got = integrate_rayleigh(TANH, 1.0, c, tol=1e-12).impedance
@@ -128,7 +151,7 @@ class TestDirectIntegration:
         # one accepted point per node, the lid's included; a kink's jump is
         # one more node
         sol = integrate_rayleigh(profile, 1.2, 2.0 + 0.3j)
-        t, _ = rayleigh._final_mesh(profile, 1.2, 2.0 + 0.3j)
+        t, _ = final_mesh(profile, 1.2, 2.0 + 0.3j)
         assert sol.n_steps == t.size
 
 
@@ -140,8 +163,8 @@ class UnboundedSampling(TanhProfile):
 
 
 def test_u_bounds_error_propagates():
-    # only OutOfDomain means "cannot sample"; any other error is a bug in the
-    # profile and must not switch the near-singular guard off
+    # an error of u_bounds is a bug in the profile and must not switch the
+    # near-singular guard off
     prof = UnboundedSampling(10.0, 1.0, 5.0)
     with pytest.raises(ValueError, match="broken u_bounds"):
         integrate_rayleigh(prof, 1.0, 3.0 + 1e-9j)
@@ -327,7 +350,7 @@ class TestKernel:
         for k, c, imp in zip(ks, cs, imps):
             solo, _ = impedance_outcomes(profile, k, [c])
             assert solo.view(float).tolist() == [imp.real, imp.imag]
-        lengths = [rayleigh._final_mesh(profile, k, c)[0].size
+        lengths = [final_mesh(profile, k, c)[0].size
                    for k, c in zip(ks, cs)]
         assert max(lengths) > 10 * min(lengths)
 
@@ -344,7 +367,7 @@ class TestKernel:
     @pytest.mark.parametrize("tol", [1e-8, 1e-12])
     def test_every_step_passes_the_error_test(self, profile, k, c, sign_ci,
                                               tol):
-        t, norms = rayleigh._final_mesh(profile, k, c, tol, sign_ci)
+        t, norms = final_mesh(profile, k, c, tol, sign_ci)
         assert t[0] == profile.h_plus and t[-1] == 0.0
         assert np.all(np.diff(t) <= 0.0)
         assert norms.size == t.size - 1
@@ -371,8 +394,8 @@ class TestKernel:
     @pytest.mark.parametrize("tol", [1e-8, 1e-12])
     def test_every_started_step_passes_the_error_test(self, profile, k, c,
                                                       c0, sign_ci, tol):
-        start, _ = rayleigh._final_mesh(profile, k, c0, sign_ci=sign_ci)
-        t, norms = rayleigh._final_mesh(profile, k, c, tol, start=start)
+        start, _ = final_mesh(profile, k, c0, sign_ci=sign_ci)
+        t, norms = final_mesh(profile, k, c, tol, start=start)
         assert t[0] == profile.h_plus and t[-1] == 0.0
         assert np.all(np.diff(t) <= 0.0)
         assert norms.size == t.size - 1
@@ -382,7 +405,7 @@ class TestKernel:
                                          TestBatch.KINKED],
                              ids=["tanh", "table", "kinked"])
     def test_started_pair_in_a_batch_equals_solo_bitwise(self, profile):
-        start, _ = rayleigh._final_mesh(profile, 1.2, 3.0 + 0.1j)
+        start, _ = final_mesh(profile, 1.2, 3.0 + 0.1j)
         ks = [0.3, 1.2, 150.0, 1.2, 1.2]
         cs = [3.0 + 0.2j, 3.001 + 0.1j, 3.0 + 0.2j, 3.0 - 0.1j, 2.0 + 1e-3j]
         starts = [None, start, None, start, None]
@@ -405,7 +428,7 @@ class TestKernel:
                                             tol):
         # the worst case measured is 0.111 tol (tanh-moved at tol 1e-8), so
         # the bound 0.3 tol leaves a margin of 2.7
-        meshes = [rayleigh._final_mesh(profile, k, c0, tol, sign_ci)[0]]
+        meshes = [final_mesh(profile, k, c0, tol, sign_ci)[0]]
         warm, _ = impedance_outcomes(profile, k, [c], tol, meshes=meshes)
         cold, _ = impedance_outcomes(profile, k, [c], tol)
         assert abs(warm[0] - cold[0]) <= 0.3 * tol * abs(cold[0])
@@ -539,6 +562,31 @@ class TestPiecewiseLinear:
             want = -k * (c - alpha) / (c - beta)
             assert abs(got - want) <= 1e-12 * abs(want)
 
+    def test_unbounded_ramp_at_its_kink_speed_fails_alone(self):
+        # U(x2*) = mu x2* = 2: the kink's jump -[U'] y / (U - c) is singular
+        prof = PiecewiseLinearProfile.ramp(2.0, 1.0)
+        imps, errors = impedance_outcomes(prof, 1.0, [2.0, 1.0 + 0.5j])
+        assert sorted(errors) == [0]
+        assert isinstance(errors[0], NearSingularCoefficient)
+        assert np.isnan(imps[0])
+        assert imps[1] == pwl_impedance_cascade(prof, 1.0, 1.0 + 0.5j)
+
+    def test_cascade_without_kinks_decays(self):
+        prof = PiecewiseLinearProfile([0.0], [2.0])
+        assert pwl_impedance_cascade(prof, -3.0, 1.0 + 0.5j) == -3.0
+
+    @pytest.mark.parametrize("k", [10.0, 20.0])
+    def test_cascade_renormalizes_past_1e100(self, k):
+        # |y| grows by ~e^{25 k} between the kinks, past 1e100 at the lower
+        # one; at k 20 the unrescaled state would overflow on the way down
+        nodes, slopes, c = [0.0, 25.0, 50.0], [1.0, 0.5, 0.0], 3.0 + 0.5j
+        got = pwl_impedance_cascade(PiecewiseLinearProfile(nodes, slopes),
+                                    k, c)
+        # h+ = 90 stands in for infinity: e^{-80 k} is far below rounding
+        want = interface_impedance(
+            PiecewiseLinearProfile(nodes, slopes, h_plus=90.0), k, c)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_ode_with_kink_jump_matches_rational_form(self):
         mu, x2s, k = 5.0, 1.0, 1.0
         prof = PiecewiseLinearProfile.ramp(mu, x2s, h_plus=30.0)
@@ -627,7 +675,7 @@ class TestLimitingSolution:
 
     def test_limit_imag_equals_w_formula(self):
         lim = limiting_solution(TANH, 1.0, 3.0, +1, tol=1e-12)
-        layer = lim.layers.layers[0]
+        layer = lim.layers[0]
         formula = -math.pi * layer.u_double_prime * lim.jumps[0].u1 / abs(layer.u_prime)
         assert lim.impedance.imag == pytest.approx(formula, rel=1e-8)
 
