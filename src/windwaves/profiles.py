@@ -701,7 +701,8 @@ def find_critical_points(profile: ShearProfile, c_r: float
 def _critical_points_unbounded(profile: ShearProfile, c_r: float
                                ) -> tuple[CriticalLayer, ...]:
     # closed-form roots for the two kinds that may live on [0, inf); a
-    # LinearShearProfile reaches here only on [0, inf)
+    # LinearShearProfile reaches here only on [0, inf), and any other
+    # zero-curvature profile there (a subclass of ShearProfile) is refused
     scale = max(1.0, abs(c_r))
     if isinstance(profile, ConstantProfile):
         if abs(profile.u0 - c_r) <= ENDPOINT_RTOL * scale:

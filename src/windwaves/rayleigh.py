@@ -33,9 +33,9 @@ Three regimes are covered:
 * ``integrate_wronskian``: the real 4-vector (|y|^2, Re y'conj(y), |y'|^2,
   Im y'conj(y)) whose last component carries the destabilizing phase.
 * ``limiting_solution``: the Im c -> 0 limit across critical layers on the
-  real axis, shot on the kernel as one element whose mesh runs between the
-  layers and crosses each with a local log-series patch and the explicit
-  derivative jump i sign(c_I) pi U''(s)/|U'(s)| y(s), one more 2x2 matrix.
+  real axis, one element of the direct solver's column builder whose mesh
+  runs between the layers and crosses each with a local log-series patch
+  and the explicit derivative jump i sign(c_I) pi U''(s)/|U'(s)| y(s).
   It gives the per-layer jump data, so it serves the growth constant
   wherever the path does not (profiles without ``complex_path``, two or
   more layers, a layer at an inflection point), and its impedance is an
@@ -227,12 +227,6 @@ def uniform_flow_impedance(k: float, h_plus: float) -> float:
     return -ak / math.tanh(ak * h_plus)
 
 
-def _segment_bounds(profile: ShearProfile) -> list[float]:
-    """Integration breakpoints, descending from h_plus to 0: the column's
-    ends and the profile's breaks."""
-    return sorted({profile.h_plus, 0.0, *profile._breaks}, reverse=True)
-
-
 def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
                        tol: float = _DEFAULT_TOL, *,
                        init: tuple[complex, complex] = (0.0, 1.0)
@@ -353,7 +347,8 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
            init=(0.0, 1.0), nodes: Optional[dict] = None,
            sign_ci: Optional[int] = None,
            layers: Optional[Sequence[tuple[CriticalLayer, ...]]] = None,
-           meshes: Optional[list] = None
+           meshes: Optional[list] = None,
+           crossings: Optional[Sequence[dict]] = None
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Shoot every (k, c) element from the lid data ``init`` to the interface.
 
@@ -366,6 +361,13 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     ``sign_ci`` and element i's ``layers[i]``), one mesh from the lid to the
     interface whose fixed nodes are the breakpoints and the ends of its
     bumps; at a kink the derivative jump is one more step of the mesh.
+    ``crossings``, one entry per element, shoots each on the real axis
+    instead, with no bumps, across its layers' patches (see
+    :func:`limiting_solution`): entry i maps each patch's top s + delta to
+    (s - delta, its 2x2 map of (y, y')), one more step.  A break strictly
+    inside a patch is no cut, and a kink there no joint.  A patch's edges
+    sit near its layer by design, so such a shoot skips the check on
+    min |U - c| along the path; the interface check stays.
     ``nodes`` receives the final meshes (see :func:`_integrate`).
     ``meshes``, one entry per element, holds the node parameters each
     element's first mesh starts from, or None for the uniform and graded one
@@ -389,25 +391,33 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
 
     u_range = profile.u_bounds()
     scales = np.fmax(_speed_scale(0j, u_range), np.abs(cs.real))
-    bounds = _segment_bounds(profile)
+    # the column's ends and the profile's breaks, descending
+    bounds = sorted({profile.h_plus, 0.0, *profile._breaks}, reverse=True)
     jumps = dict(profile.kinks())
     # each live element's segments down its column: (owner, top, bottom,
-    # bump depth, bump peak), and the jump matrices of the kinks by segment
+    # bump depth, bump peak), and the matrices of the joints (kinks'
+    # jumps, patches' crossings) by segment
     segments: list[tuple[int, float, float, float, float]] = []
     joints: dict[int, np.ndarray] = {}
     for i, (c, scale) in enumerate(zip(cs.tolist(), scales.tolist())):
+        patches = {} if crossings is None else crossings[i]
         try:
-            bumps = _bumps(profile, c, scale, u_range, bounds, sign_ci,
-                           None if layers is None else layers[i])
+            bumps = () if crossings is not None else _bumps(
+                profile, c, scale, u_range, bounds, sign_ci,
+                None if layers is None else layers[i])
+            cuts = set(bounds).union(*[(lo, hi) for lo, hi, _, _ in bumps])
+            for hi, (lo, _) in patches.items():
+                cuts = {x for x in cuts if not lo < x < hi} | {lo, hi}
             kinks = {x: _kink_joint(profile, x, jump, c, scale)
-                     for x, jump in jumps.items()}
+                     for x, jump in jumps.items() if x in cuts}
         except WindwavesError as exc:
             fail(i, exc)
             continue
-        cuts = sorted(set(bounds).union(*[(lo, hi) for lo, hi, _, _ in bumps]),
-                      reverse=True)
+        cuts = sorted(cuts, reverse=True)
         bent = {hi: (a, (s - lo) / (hi - lo)) for lo, hi, s, a in bumps}
         for top, bot in zip(cuts, cuts[1:]):
+            if top in patches:
+                joints[len(segments)] = patches[top][1]
             segments.append((i, top, bot, *bent.get(top, (0.0, 0.5))))
             if bot in kinks:
                 joints[len(segments)] = kinks[bot]
@@ -420,12 +430,12 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     start = None if meshes is None else \
         {i: m for i, m in enumerate(meshes) if m is not None}
     first = _first_mesh(top, bot, ks[owner], depth, peak, joints, owner, start)
-    final = None if meshes is None else {}
+    nodes = {} if nodes is None and meshes is not None else nodes
     y = np.empty((2, n), dtype=complex)
     y[0], y[1] = init
     with np.errstate(all="ignore"):  # failed elements may overflow
         y, log_scale, sup_y, dist, n_steps = _integrate(
-            coeff, owner, joints, first, y, tol, fail, nodes, final)
+            coeff, owner, joints, first, y, tol, fail, nodes)
 
     # only an element that may fail either check is checked alone
     y0, yp0 = np.abs(y)
@@ -433,13 +443,14 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
               & (y0 >= INTERFACE_FLOOR * np.fmax(sup_y, yp0)))
     for i in np.flatnonzero(alive & maybe):
         try:
-            _check_path(float(dist[i]), float(scales[i]))
+            if crossings is None:
+                _check_path(float(dist[i]), float(scales[i]))
             _check_interface(complex(y[0, i]), complex(y[1, i]), float(sup_y[i]))
         except WindwavesError as exc:
             fail(i, exc)
     y[:, ~alive] = np.nan
     if meshes is not None:
-        meshes[:] = [final[i] if alive[i] else None for i in range(n)]
+        meshes[:] = [nodes[i][0] if alive[i] else None for i in range(n)]
     return y, log_scale, n_steps, errors
 
 
@@ -456,18 +467,17 @@ def _unscaled(v: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
 
 def _first_mesh(top: np.ndarray, bot: np.ndarray, k: np.ndarray,
                 depth: np.ndarray, peak: np.ndarray, joints: dict,
-                owner: Optional[np.ndarray] = None,
-                start: Optional[dict] = None
+                owner: np.ndarray, start: Optional[dict]
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first mesh of segments from ``top`` down to ``bot``, as the
     segment, start and end of each step, in segment order.
 
-    A joint is one step.  A leg is cut into max(3 |k|, 2) equal steps per
-    unit of its width: DOP853 meets tol 1e-10 on e^{|k| x} at about
-    |k| h = 1/3, and the wind's own scale is about 1.  A bump's leg is cut
-    also at s + |depth| sinh(v), v equally spaced by at most ``_BEND_STEP``,
-    which grades the steps with the distance from its layer s, at ``peak``
-    of the leg.
+    A joint (a kink's jump, a patch's crossing) is one step.  A leg is cut
+    into max(3 |k|, 2) equal steps per unit of its width: DOP853 meets tol
+    1e-10 on e^{|k| x} at about |k| h = 1/3, and the wind's own scale is
+    about 1.  A bump's leg is cut also at s + |depth| sinh(v), v equally
+    spaced by at most ``_BEND_STEP``, which grades the steps with the
+    distance from its layer s, at ``peak`` of the leg.
 
     ``start`` maps an element (of ``owner``, the element of each segment)
     to the node parameters of a mesh, descending, such as an earlier shoot's
@@ -483,6 +493,7 @@ def _first_mesh(top: np.ndarray, bot: np.ndarray, k: np.ndarray,
         warm = np.array([i in start for i in owner.tolist()], dtype=bool)
         steps[warm] = 1
         depth = np.where(warm, 0.0, depth)  # nor graded
+        warm[list(joints)] = False  # a joint has no inside
     legs = np.flatnonzero(depth)
     a, s = np.abs(depth[legs]), bot[legs] + peak[legs] * width[legs]
     lo, hi = np.arcsinh((bot[legs] - s) / a), np.arcsinh((top[legs] - s) / a)
@@ -498,8 +509,7 @@ def _first_mesh(top: np.ndarray, bot: np.ndarray, k: np.ndarray,
     seg = np.concatenate((i[:n], legs[j][inside]))
     t0 = np.concatenate((t0[:n], graded[inside]))
     if start:
-        # a joint has no inside
-        given = _inner_nodes(top, bot, owner, start, warm & (width > 0.0))
+        given = _inner_nodes(top, bot, owner, start, warm)
         seg, t0 = np.concatenate((seg, given[0])), np.concatenate((t0, given[1]))
     order = np.lexsort((-t0, seg))
     seg, t0 = seg[order], t0[order]
@@ -602,8 +612,7 @@ def _coefficient(profile: ShearProfile, c: np.ndarray, kk: np.ndarray,
 
 
 def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
-               y: np.ndarray, tol: float, fail, nodes: Optional[dict] = None,
-               meshes: Optional[dict] = None):
+               y: np.ndarray, tol: float, fail, nodes: Optional[dict]):
     """Integrate each element's (y, y') from its lid state down its segments.
 
     Segment s belongs to element ``owner[s]``; an element's segments are
@@ -632,9 +641,8 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
     nodes, the lid included, and a joint adds one.  When ``nodes`` is a
     dict, ``nodes[i]`` is set to element i's (node parameters, segment of
     each step, states at the nodes, their log scales, error norm of each
-    step) if it succeeds, and when ``meshes`` is, ``meshes[i]`` to its node
-    parameters alone, which is what a later shoot starts from (see
-    :func:`_first_mesh`).
+    step) if it succeeds; the node parameters are what a later shoot starts
+    from (see :func:`_first_mesh`).
     """
     n = y.shape[1]
     # scipy's floor on rtol: below it rounding alone fails the error test
@@ -726,9 +734,6 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
             nodes[rows[r]] = (np.append(t0[mine], t1[mine.stop - 1]),
                               seg[mine], states[:, r, :counts[r] + 1],
                               scales[r, :counts[r] + 1], norm[mine])
-        for r in done.tolist() if meshes is not None else ():
-            mine = slice(heads[r], heads[r] + counts[r])
-            meshes[rows[r]] = np.append(t0[mine], t1[mine.stop - 1])
         settled |= dead
         if settled.all():
             break
@@ -884,8 +889,7 @@ def pwl_impedance_cascade(profile: PiecewiseLinearProfile, k: float,
     topmost segment carries the decaying solution e^{-|k| x2}.
     """
     ak = abs(k)
-    kinks = sorted(((x, j) for x, j in profile.kinks()
-                    if 0.0 < x < profile.h_plus), reverse=True)
+    kinks = sorted(profile.kinks(), reverse=True)
     if math.isinf(profile.h_plus):
         if not kinks:
             return -ak
@@ -1222,14 +1226,13 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
                       ) -> LimitSolution:
     """Solve the Rayleigh equation in the limiting sense for real c_r.
 
-    Away from critical layers the real-coefficient equation is shot on the
-    real axis by the kernel (:func:`_integrate`), as one element, with the
-    coefficient of the direct solver, in legs from the lid to the first
-    patch, between patches and from the last patch to the interface, cut at
-    the breakpoints of the direct solver (spline knots, kinks).  Each layer
-    s_j is crossed on [s_j - delta, s_j + delta] with the two-solution
-    Frobenius log-series, the branch fixed so that y' jumps by i sign_ci pi
-    U''(s_j)/|U'(s_j)| y(s_j).  The result is normalized to y*(0) = 1, so
+    One element shot on the real axis by the column builder of the direct
+    solver (:func:`_shoot`), with its coefficient and its breakpoints
+    (spline knots, kinks), whose crossings are the layers' patches: each
+    layer s_j is crossed on [s_j - delta, s_j + delta] by one joint, the
+    two-solution Frobenius log-series with the branch fixed so that y'
+    jumps by i sign_ci pi U''(s_j)/|U'(s_j)| y(s_j).  A patch is never cut
+    at a break inside it.  The result is normalized to y*(0) = 1, so
     ``impedance`` equals y*'(0).  ``layers`` passes in the result of
     ``find_critical_points(profile, c_r)`` when the caller holds it already;
     the layers are scanned for otherwise.
@@ -1244,10 +1247,18 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
 
     Raises
     ------
+    ValueError
+        For a ``sign_ci`` other than +1 or -1, or a zero wavenumber.
+    InfiniteDomain
+        If h_plus is not finite.
     SeriesRadiusTooSmall
         If the series radius at a layer collapses (|k| too large).
+    NearSingularCoefficient
+        If a step collapses below the spacing of floats, the mesh needs
+        more than 2^18 steps, or c_r equals the speed of a kink outside the
+        patches.
     DegenerateAtInterface
-        If |y(0)| < 1e-12 * sup |y| over the legs (channel-type mode).
+        If |y(0)| < 1e-12 * sup |y| over the mesh (channel-type mode).
     """
     if sign_ci not in (-1, 1):
         raise ValueError("sign_ci must be +1 or -1")
@@ -1267,66 +1278,31 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
             raise SeriesRadiusTooSmall(
                 f"series radius {patch.delta:g} collapsed at layer {patch.s}")
 
-    # the spans between the patches, from the lid down, cut at the
-    # breakpoints; a kink's jump and a patch's crossing are joints
-    breaks = _segment_bounds(profile)
-    edges = [h] + [x for p in reversed(patches)
-                   for x in (p.s + p.delta, p.s - p.delta)] + [0.0]
-    kinks = dict(profile.kinks())
-    # the kink guard's speed scale; only kinked profiles need it sampled
-    scale = _speed_scale(complex(c_r), profile.u_bounds()) if kinks else 1.0
-    legs: list[tuple[float, float]] = []
-    joints: dict[int, np.ndarray] = {}
-    crossings: dict[int, _SeriesPatch] = {}
-    for m, (x_from, x_to) in enumerate(zip(edges[::2], edges[1::2])):
-        cuts = sorted({x_from, x_to}.union(b for b in breaks if x_to < b < x_from),
-                      reverse=True)
-        for a, b in zip(cuts, cuts[1:]):
-            legs.append((a, b))
-            if b in kinks:
-                joints[len(legs)] = _kink_joint(profile, b, kinks[b],
-                                                complex(c_r), scale)
-                legs.append((b, b))
-        if m < len(patches):  # the patch crossed at the bottom of the span
-            patch = patches[-1 - m]
-            crossings[len(legs)] = patch
-            joints[len(legs)] = _crossing(patch, sign_ci)
-            legs.append((patch.s + patch.delta, patch.s - patch.delta))
-
-    top, bot = np.array(legs).T
-    n_seg = top.size
-    coeff = _coefficient(profile, np.full(n_seg, float(c_r)),
-                         np.full(n_seg, float(k * k)), bot, top - bot,
-                         np.full(n_seg, 0.5), np.zeros(n_seg))
-
-    def fail(i: int, exc: WindwavesError) -> None:
-        raise exc
-
-    first = _first_mesh(top, bot, np.full(n_seg, float(k)), np.zeros(n_seg),
-                        np.full(n_seg, 0.5), joints)
+    # each patch is crossed from s + delta to s - delta by one joint
+    crossing = {p.s + p.delta: (p.s - p.delta, _crossing(p, sign_ci))
+                for p in patches}
     nodes: dict = {}
-    with np.errstate(all="ignore"):
-        y, log_scale, sup_y, _, n_steps = _integrate(
-            coeff, np.zeros(n_seg, dtype=int), joints, first,
-            np.array([[0.0], [1.0]], dtype=complex), tol, fail, nodes)
-    _, seg, states, scales, _ = nodes[0]
-    raw_jumps = []  # per-layer records with the scale at recording time
-    for j in np.flatnonzero(np.isin(seg, list(crossings))).tolist():
-        patch, state = crossings[int(seg[j])], states[:, j]
-        w_above = float(np.imag(state[1] * np.conj(state[0])))
-        # the log-series amplitude B on the upper edge
-        _, b_coef = np.linalg.solve(patch.matrix(patch.delta), state)
-        below = joints[int(seg[j])] @ state
-        w_below = float(np.imag(below[1] * np.conj(below[0])))
-        raw_jumps.append((patch, b_coef, w_above, w_below, float(scales[j])))
+    y, log_scale, n_steps, errors = _shoot(
+        profile, np.array([float(k)]), np.array([float(c_r)]), tol,
+        nodes=nodes, crossings=[crossing])
+    _raise_first(errors)
+    t, _, states, scales, _ = nodes[0]
 
     # normalize to y*(0) = 1 and assemble the layer records
     y0, yp0 = complex(y[0, 0]), complex(y[1, 0])
-    _check_interface(y0, yp0, float(sup_y[0]))
     jumps = []
-    for patch, b_coef, w_above, w_below, lsc in reversed(raw_jumps):
-        # restore the recording-time scale relative to the interface value
-        rel = math.exp(min(lsc - float(log_scale[0]), 300.0))
+    for patch in patches:
+        top = patch.s + patch.delta
+        # the state on the patch's upper edge, after a kink's jump there
+        j = np.flatnonzero(t == top)[-1]
+        state = states[:, j]
+        w_above = float(np.imag(state[1] * np.conj(state[0])))
+        # the log-series amplitude B on the upper edge
+        _, b_coef = np.linalg.solve(patch.matrix(patch.delta), state)
+        below = crossing[top][1] @ state
+        w_below = float(np.imag(below[1] * np.conj(below[0])))
+        # restore the node's scale relative to the interface value
+        rel = math.exp(min(float(scales[j]) - float(log_scale[0]), 300.0))
         y_val = (b_coef / y0) * rel
         dyp = 1j * sign_ci * math.pi * (
             patch.u_double_prime / abs(patch.u_prime)) * y_val

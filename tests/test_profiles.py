@@ -231,6 +231,17 @@ class TestCriticalPoints:
         with pytest.raises(EndpointCritical):
             find_critical_points(LinearShearProfile(1.0, 2.0), 1.0 + 1e-12)
 
+    def test_unbounded_zero_curvature_subclass_refused(self):
+        # a user's zero-curvature wind on [0, inf) has no closed-form roots
+        class Calm(ShearProfile):
+            zero_curvature = True
+
+            def value(self, x2):
+                return 1.0
+
+        with pytest.raises(OutOfDomain, match="unbounded domain"):
+            find_critical_points(Calm(), 1.0)
+
     @given(
         u_max=st.floats(2.0, 50.0),
         d=st.floats(0.3, 3.0),

@@ -42,6 +42,10 @@ REAL_AXIS_TANH = AnalyticProfile(
     d2f=lambda x: -20.0 * math.tanh(x) / math.cosh(x) ** 2, h_plus=5.0,
     name="tanh")
 
+X48 = np.linspace(0.0, 5.0, 48)
+#: jet48: 8 e x e^-x at 48 knots on [0, 5], two layers for c in (0.73, 8)
+JET48 = TabulatedProfile(X48, 8.0 * math.e * X48 * np.exp(-X48))
+
 
 def final_mesh(profile, k, c, tol=1e-10, sign_ci=None, start=None):
     """The nodes of one pair's final mesh, down its path's parameter, and
@@ -733,6 +737,26 @@ class TestLimitingSolution:
         with pytest.raises(SeriesRadiusTooSmall,
                            match="series radius 1e-13 collapsed"):
             limiting_solution(TANH, 1e9, 3.0, +1)
+
+    @pytest.mark.parametrize("offset", [1e-7, -1e-7, 1e-5, -1e-5])
+    @pytest.mark.parametrize("knot", [3, 5, 8])
+    def test_patch_spanning_a_knot_matches_the_path(self, knot, offset):
+        # the lower layer's patch spans the knot, which is no cut of it: a
+        # patch cut there is off by up to 0.15 or fails
+        c_r = float(JET48.value(X48[knot] + offset))
+        lim = limiting_solution(JET48, 1.0, c_r, +1, tol=1e-12)
+        imps, errors = impedance_outcomes(JET48, 1.0, [c_r], 1e-12, sign_ci=+1)
+        assert errors == {}
+        assert abs(lim.impedance - imps[0]) <= 1e-6 * abs(imps[0])
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-12, -1e-12])
+    @pytest.mark.parametrize("knot", [3, 5, 8])
+    def test_layer_at_a_knot_is_crossed(self, knot, offset):
+        # too close to the knot for a bump of the path; the patch crosses it
+        c_r = float(JET48.value(X48[knot] + offset))
+        lim = limiting_solution(JET48, 1.0, c_r, +1, tol=1e-12)
+        assert len(lim.jumps) == 2
+        assert max(lim.w_jump_defects()) <= 1e-8
 
 
 def _jet_derivative(n: int):
