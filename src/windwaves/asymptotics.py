@@ -98,8 +98,8 @@ def miles_c_sharp(profile: ShearProfile, params: FluidParams, k: float,
     which describes the indented-path and Frobenius routes.
 
     When the sufficient sign hypotheses (c_k U''(s_j) <= 0, strict at one of
-    the top two layers) fail, a warning is issued and the sign of the
-    assembled bracket remains the authoritative predicate.
+    the top two layers) fail at a curved layer, a warning is issued and the
+    sign of the assembled bracket remains the authoritative predicate.
 
     Raises
     ------
@@ -198,7 +198,8 @@ def _growth_constants(profile, params, ks, branch, tol, shots=None):
 
 
 def _layers_at_ck(profile, params, k, branch):
-    """c_k and its critical layers; warns when the sign hypotheses fail.
+    """c_k and its critical layers; warns when the sign hypotheses fail
+    while some layer has U'' != 0 (with every layer term 0 they say nothing).
 
     Called from :func:`_growth_constants`, which the public functions (and
     :func:`~windwaves.eigensolver.scan_k`) call directly, so that
@@ -210,7 +211,8 @@ def _layers_at_ck(profile, params, k, branch):
         raise NoCriticalLayer(
             f"c_k = {c_k:g} outside the range of U: provably no "
             "bifurcation from c_k for small density ratio")
-    if not _sufficient_signs_hold(c_k, layers):
+    if not _sufficient_signs_hold(c_k, layers) and any(
+            layer.u_double_prime != 0.0 for layer in layers):
         warnings.warn(
             "sufficient sign hypotheses on c_k U'' fail; the assembled "
             "bracket still decides instability", stacklevel=4)

@@ -14,15 +14,15 @@ Three regimes are covered:
 * ``impedance_outcomes``: many (k, c) pairs in one batch of the kernel.
   The equation is linear in (y, y') and its coefficient does not depend on
   y, so each DOP853 step of a pair is a fixed 2x2 matrix.  The kernel
-  (:func:`_integrate`) builds every step of every pair at once, each
-  weighted stage sum in one elementwise pass and never through BLAS, chains
+  (:func:`_integrate`) builds every step of every pair at once, each sum
+  over the stages it weighs in one elementwise pass, never by BLAS, chains
   them by prefix products into the states at all nodes, and cuts every step
   that fails DOP853's error test, round by round, until none does; each
   pair's mesh and arithmetic are its own.  A pair may start from an earlier
   shoot's final mesh, which at a nearby wave speed passes the test at once.
   On a profile that evaluates at complex altitudes (``complex_path``: tanh,
   tables) each pair shoots along Lin's path, indented into the complex
-  plane around the critical layers at Re c on the side away from the
+  plane only across each critical layer at Re c, on the side away from the
   singularity, so one solver covers Im c large down to Im c = 0+- (the
   limit, with the side given by ``sign_ci``).
   Other curved profiles shoot on the real axis and are refused too close to
@@ -137,18 +137,20 @@ def _bumps(profile: ShearProfile, c: complex, scale: float,
            u_range: tuple[float, float], bounds: list[float],
            sign_ci: Optional[int],
            layers: Optional[tuple[CriticalLayer, ...]] = None
-           ) -> tuple[tuple[float, float, float, float], ...]:
-    """The indentations (lo, hi, s, depth) of one element's shooting path.
+           ) -> tuple[tuple[float, float, float], ...]:
+    """The indentations (lo, hi, depth) of one element's shooting path.
 
     Lin's rule: the path x(t) = t + i depth b(t) passes each critical layer
     s at Re c on the side away from the singularity of the coefficient, at
     sign(depth) = -sign(c_I U'(s)), with c_I's sign taken from ``sign_ci``
-    for a real c.  Each bump lives on the stretch [lo, hi] between the
-    breakpoints, cut at the midpoints between adjacent layers, that holds
-    its layer; it is pinned to the real axis at both ends, and |depth| is
-    half the layer's distance to the nearer end or to the next complex root
-    of U = Re c, whichever is less.  A layer gets no bump when the
-    singularity already lies farther off the axis than the bump would reach.
+    for a real c.  |depth| = a is half the layer's distance to the nearer
+    end of its stretch (the span between breakpoints, cut at the midpoints
+    between adjacent layers, that holds it) or to the next complex root of
+    U = Re c, whichever is less.  The bump, pinned to the real axis at both
+    ends, spans [s - 2a, s + 2a] (an end that reaches the stretch's is that
+    end), so bumps neither overlap nor cross a break.  A layer gets no bump
+    when the singularity already lies farther off the axis than the bump
+    would reach.
     A real c's layers are scanned for unless ``layers`` holds them.
     Profiles without ``complex_path`` shoot on the real axis, where
     :func:`_check_switch` refuses a wave speed too close to a layer.
@@ -180,7 +182,9 @@ def _bumps(profile: ShearProfile, c: complex, scale: float,
             hi = min(hi, 0.5 * (s + est[j + 1][0]))
         a = 0.5 * min(s - lo, hi - s, profile.path_reach(s))
         if a > 0.0 and abs(ci) < a * abs(up):
-            out.append((lo, hi, s, -math.copysign(a, side * up)))
+            out.append((lo if 2.0 * a >= s - lo else s - 2.0 * a,
+                        hi if 2.0 * a >= hi - s else s + 2.0 * a,
+                        -math.copysign(a, side * up)))
     return tuple(out)
 
 
@@ -302,19 +306,31 @@ def _dop853_coefficients():
 
 
 # The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.5), as
-# dense rows that weight a (stage, row, column, step) array of stage matrices
-# (see :func:`_propagators`).
+# the weights of slices of a (slot, row, column, step) array of stage
+# matrices (see :func:`_propagators`).
 _TABLEAU = _dop853_coefficients()
 _DOP_STAGES = _TABLEAU.N_STAGES
 # abscissae of stages 0 .. N_STAGES - 1: 0 at the step's start, 1 at its end
 _DOP_C = _TABLEAU.C[:_DOP_STAGES, None]
-# the weights of each stage's sum over the stages before it, and of the
-# solution's over all stages
-_DOP_A = [_TABLEAU.A[s, :s] for s in range(_DOP_STAGES)]
-_DOP_B = _TABLEAU.B
-# the order-5 and order-3 error estimators, over the stages and the last
-# stage at t0 - h
-_DOP_E = np.stack((_TABLEAU.E5, _TABLEAU.E3))
+# stage s sits in slot _SLOT[s], and slot j holds stage _SLOT[j]: in the
+# order 2, 1, 0, 3, ..., 11 the stages that each sum weights are adjacent
+_SLOT = np.r_[2, 1, 0, 3:_DOP_STAGES]
+
+
+def _weighted(weights: np.ndarray) -> tuple[slice, np.ndarray]:
+    """The adjacent slots spanning every weighted stage, and their weights."""
+    used = np.flatnonzero(np.atleast_2d(weights[..., _SLOT]).any(axis=0))
+    span = slice(int(used[0]), int(used[-1]) + 1)
+    return span, weights[..., _SLOT[span]]
+
+
+# each stage's sum over the stages before it, for stages 1 .. N_STAGES - 1
+_DOP_A = [_weighted(_TABLEAU.A[s, :_DOP_STAGES])
+          for s in range(1, _DOP_STAGES)]
+# the solution's sum and the order-5 and order-3 error estimators, which
+# give the last stage, at t0 - h, no weight
+_DOP_SUMS = _weighted(np.stack((_TABLEAU.B, _TABLEAU.E5[:_DOP_STAGES],
+                                _TABLEAU.E3[:_DOP_STAGES])))
 _EYE = np.eye(2, dtype=complex)[:, :, None]
 # scipy's step-size controller; the embedded error estimate is of order 7
 _SAFETY, _MIN_FACTOR = 0.9, 0.2
@@ -395,9 +411,9 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     bounds = sorted({profile.h_plus, 0.0, *profile._breaks}, reverse=True)
     jumps = dict(profile.kinks())
     # each live element's segments down its column: (owner, top, bottom,
-    # bump depth, bump peak), and the matrices of the joints (kinks'
-    # jumps, patches' crossings) by segment
-    segments: list[tuple[int, float, float, float, float]] = []
+    # bump depth), and the matrices of the joints (kinks' jumps, patches'
+    # crossings) by segment
+    segments: list[tuple[int, float, float, float]] = []
     joints: dict[int, np.ndarray] = {}
     for i, (c, scale) in enumerate(zip(cs.tolist(), scales.tolist())):
         patches = {} if crossings is None else crossings[i]
@@ -405,7 +421,7 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
             bumps = () if crossings is not None else _bumps(
                 profile, c, scale, u_range, bounds, sign_ci,
                 None if layers is None else layers[i])
-            cuts = set(bounds).union(*[(lo, hi) for lo, hi, _, _ in bumps])
+            cuts = set(bounds).union(*[(lo, hi) for lo, hi, _ in bumps])
             for hi, (lo, _) in patches.items():
                 cuts = {x for x in cuts if not lo < x < hi} | {lo, hi}
             kinks = {x: _kink_joint(profile, x, jump, c, scale)
@@ -414,22 +430,22 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
             fail(i, exc)
             continue
         cuts = sorted(cuts, reverse=True)
-        bent = {hi: (a, (s - lo) / (hi - lo)) for lo, hi, s, a in bumps}
+        bent = {hi: a for _, hi, a in bumps}
         for top, bot in zip(cuts, cuts[1:]):
             if top in patches:
                 joints[len(segments)] = patches[top][1]
-            segments.append((i, top, bot, *bent.get(top, (0.0, 0.5))))
+            segments.append((i, top, bot, bent.get(top, 0.0)))
             if bot in kinks:
                 joints[len(segments)] = kinks[bot]
-                segments.append((i, bot, bot, 0.0, 0.5))
+                segments.append((i, bot, bot, 0.0))
 
-    owner, top, bot, depth, peak = (np.array(v) for v in zip(*segments)) \
-        if segments else (np.zeros(0, dtype=int), *np.zeros((4, 0)))
+    owner, top, bot, depth = (np.array(v) for v in zip(*segments)) \
+        if segments else (np.zeros(0, dtype=int), *np.zeros((3, 0)))
     coeff = _coefficient(profile, cs[owner], ks[owner] ** 2, bot, top - bot,
-                         peak, depth)
+                         depth)
     start = None if meshes is None else \
         {i: m for i, m in enumerate(meshes) if m is not None}
-    first = _first_mesh(top, bot, ks[owner], depth, peak, joints, owner, start)
+    first = _first_mesh(top, bot, ks[owner], depth, joints, owner, start)
     nodes = {} if nodes is None and meshes is not None else nodes
     y = np.empty((2, n), dtype=complex)
     y[0], y[1] = init
@@ -466,8 +482,8 @@ def _unscaled(v: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
 
 
 def _first_mesh(top: np.ndarray, bot: np.ndarray, k: np.ndarray,
-                depth: np.ndarray, peak: np.ndarray, joints: dict,
-                owner: np.ndarray, start: Optional[dict]
+                depth: np.ndarray, joints: dict, owner: np.ndarray,
+                start: Optional[dict]
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first mesh of segments from ``top`` down to ``bot``, as the
     segment, start and end of each step, in segment order.
@@ -477,7 +493,7 @@ def _first_mesh(top: np.ndarray, bot: np.ndarray, k: np.ndarray,
     1e-10 on e^{|k| x} at about |k| h = 1/3, and the wind's own scale is
     about 1.  A bump's leg is cut also at s + |depth| sinh(v), v equally
     spaced by at most ``_BEND_STEP``, which grades the steps with the
-    distance from its layer s, at ``peak`` of the leg.
+    distance from the leg's middle s, its layer (see :func:`_bumps`).
 
     ``start`` maps an element (of ``owner``, the element of each segment)
     to the node parameters of a mesh, descending, such as an earlier shoot's
@@ -495,7 +511,7 @@ def _first_mesh(top: np.ndarray, bot: np.ndarray, k: np.ndarray,
         depth = np.where(warm, 0.0, depth)  # nor graded
         warm[list(joints)] = False  # a joint has no inside
     legs = np.flatnonzero(depth)
-    a, s = np.abs(depth[legs]), bot[legs] + peak[legs] * width[legs]
+    a, s = np.abs(depth[legs]), 0.5 * (top[legs] + bot[legs])
     lo, hi = np.arcsinh((bot[legs] - s) / a), np.arcsinh((top[legs] - s) / a)
     # the uniform steps of every segment and the graded ones of every leg
     # in one cut, which cuts each alone
@@ -545,22 +561,19 @@ def _inner_nodes(top: np.ndarray, bot: np.ndarray, owner: np.ndarray,
 
 
 def _coefficient(profile: ShearProfile, c: np.ndarray, kk: np.ndarray,
-                 lo: np.ndarray, width: np.ndarray, peak: np.ndarray,
-                 depth: np.ndarray):
+                 lo: np.ndarray, width: np.ndarray, depth: np.ndarray):
     """``coeff(t, j)``: (U - c or None, path weight w or None, w q) at path
     parameters t of shape (stages, m) on segments j of shape (m,).
 
-    ``c``, ``kk`` = k^2 and the bump of each segment hold one entry per
-    segment.  A segment with depth 0 runs on the real axis, where w = 1 and
-    q = U''/(U - c) + k^2 (k^2 inside the pieces of a piecewise-linear wind;
-    U is not tracked where U'' = 0).  A bent one runs along x(t) = t + i
-    depth b(u), u = (t - lo)/width, where b = (u/m)^p ((1-u)/(1-m))^q is 1
-    at the layer's place m = ``peak`` and vanishes at u = 0 and 1.  The
-    integers p = 1 <= q or q = 1 <= p, rounded from p/q = m/(1-m), put the
-    bump's top within 4% of 1 and near m; as a polynomial, b is smooth up to
-    the pinned ends, where a fractional power would spoil the step control.
-    The equation in t is (y, y')' = x'(t) (y', q(x(t)) y), so w = x'.  Each
-    step's values depend on its own t and segment alone.
+    ``c``, ``kk`` = k^2 and the bump depth of each segment hold one entry
+    per segment.  A segment with depth 0 runs on the real axis, where w = 1
+    and q = U''/(U - c) + k^2 (k^2 inside the pieces of a piecewise-linear
+    wind; U is not tracked where U'' = 0), with U at real altitudes.  A bent
+    one runs along x(t) = t + i depth b(u), u = (t - lo)/width, where the
+    parabola b = 4 u (1 - u) is 1 at the segment's middle, where its layer
+    lies (see :func:`_bumps`), and vanishes at u = 0 and 1.  The equation in
+    t is (y, y')' = x'(t) (y', q(x(t)) y), so w = x'.  Each step's values
+    depend on its own t and segment alone.
     """
     if profile.zero_curvature:
         return lambda t, j: (None, None, np.broadcast_to(kk[j], t.shape))
@@ -574,22 +587,14 @@ def _coefficient(profile: ShearProfile, c: np.ndarray, kk: np.ndarray,
         return du, upp / du + kk[j]
 
     width = np.where(width > 0.0, width, 1.0)  # joints are never evaluated
-    p = np.fmax(1.0, np.round(peak / (1.0 - peak)))
-    q = np.fmax(1.0, np.round((1.0 - peak) / peak))
-    rv, rw = 1.0 / peak, 1.0 / (1.0 - peak)
-    sv, sw = p * rv / width, q * rw / width
-    lift = 1j * depth
+    # x = t + lift u (1 - u) and x' = 1 + tilt (1 - 2 u)
+    lift = 4j * depth
+    tilt = lift / width
 
     def along(t: np.ndarray, j: np.ndarray):
-        u = np.clip((t - lo[j]) / width[j], 0.0, 1.0)
-        v, s = u * rv[j], (1.0 - u) * rw[j]
-        # v^(p-1) s^(q-1) by exp and log (``**`` takes a faster route for a
-        # one-element array, which would change the last bit); the floor
-        # keeps log finite at the pinned ends, where p - 1 or q - 1 may be 0
-        vs = np.exp((p[j] - 1.0) * np.log(np.fmax(v, 1e-300))
-                    + (q[j] - 1.0) * np.log(np.fmax(s, 1e-300)))
-        dx = 1.0 + lift[j] * (vs * (sv[j] * s - sw[j] * v))
-        uu, upp = profile.value_and_curvature(t + lift[j] * (vs * v * s))
+        u = (t - lo[j]) / width[j]
+        dx = 1.0 + tilt[j] * (1.0 - 2.0 * u)
+        uu, upp = profile.value_and_curvature(t + lift[j] * (u * (1.0 - u)))
         du = uu - c[j]
         return du, dx, dx * (upp / du + kk[j])
 
@@ -790,37 +795,37 @@ def _propagators(coeff, t0: np.ndarray, h: np.ndarray, seg: np.ndarray
     order-3 error estimates times h, and dist is min |U - c| at the step's
     two ends (inf where U is not tracked).  A step of h = 0 is exactly I.
 
-    Each weighted sum over the stages, of each Y_s, of M and of both error
-    estimates, is one ``np.einsum`` pass over the float view (``optimize``
-    stays False, numpy's default): it adds the products term by term, in
-    stage order, from +0, each element alone, so a step's bits are those of
-    the sum taken term by term and do not depend on its chunk or its place
-    in it.  BLAS (``@``, ``np.dot``, ``tensordot``) is never used: OpenBLAS
-    0.3.31's dgemv fuses multiplies and adds, which moves the last bit of
-    20-65% of these sums, and a BLAS routine may block a sum by its place in
-    the batch or split it between threads.  A zero weight adds 0 times a finite part, which changes nothing (0 times
-    inf only reaches a step whose norm is NaN anyway).  Where every term is
-    -0 the sum is +0; every sum enters as I minus it or through |.|, so no
-    result depends on the sign.
+    Each weighted sum, of each Y_s and of M and both estimates together, is
+    one ``np.einsum`` pass over the float view of the adjacent slots that
+    hold its weighted stages (``optimize`` stays False, numpy's default):
+    it adds the products term by term, in slot order, from +0, each element
+    alone, so a step's bits do not depend on its chunk or its place in it,
+    and are those of the sum over all stages in stage order: the slot order
+    swaps only the first two nonzero terms, whose sum commutes, and a zero
+    weight adds 0 times a finite part, which changes nothing (0 times inf
+    only reaches a step whose norm is NaN anyway).  Where every term is -0
+    the sum is +0; every sum enters as I minus it or through |.|, so no
+    result depends on the sign.  BLAS (``@``, ``np.dot``, ``tensordot``) is
+    never used: OpenBLAS 0.3.31's dgemv fuses multiplies and adds, which
+    moves the last bit of 20-65% of these sums, and a BLAS routine may
+    block a sum by its place in the batch or split it between threads.
     """
     du, w, wq = coeff(t0 - _DOP_C * h, seg)
     scaled = np.empty((_DOP_STAGES, 2, 1, h.size), dtype=complex)
     scaled[:, 0, 0] = h if w is None else w * h
     scaled[:, 1, 0] = wq * h
-    stages = np.empty((_DOP_STAGES + 1, 2, 2, h.size), dtype=complex)
+    stages = np.empty((_DOP_STAGES, 2, 2, h.size), dtype=complex)
     # the real weights act on the real and imaginary parts alike
     parts = stages.view(float)
     y = np.empty(stages.shape[1:], dtype=complex)
-    np.multiply(_EYE[::-1], scaled[0], out=stages[0])
-    for s in range(1, _DOP_STAGES):
-        np.einsum("j,j...->...", _DOP_A[s], parts[:s], out=y.view(float))
+    np.multiply(_EYE[::-1], scaled[0], out=stages[_SLOT[0]])
+    for s, (span, weights) in enumerate(_DOP_A, 1):
+        np.einsum("j,j...->...", weights, parts[span], out=y.view(float))
         np.subtract(_EYE, y, out=y)
-        np.multiply(y[::-1], scaled[s], out=stages[s])
-    np.einsum("j,j...->...", _DOP_B, parts[:-1], out=y.view(float))
-    prop = np.subtract(_EYE, y, out=y)
-    # the last stage abscissa is t0 - h
-    np.multiply(prop[::-1], scaled[-1], out=stages[-1])
-    err = np.einsum("ej,j...->e...", _DOP_E, parts).view(complex)
+        np.multiply(y[::-1], scaled[s], out=stages[_SLOT[s]])
+    span, weights = _DOP_SUMS
+    sums = np.einsum("ej,j...->e...", weights, parts[span]).view(complex)
+    prop, err = np.subtract(_EYE, sums[0], out=sums[0]), sums[1:]
     dist = np.full(h.size, math.inf) if du is None else \
         np.fmin(np.abs(du[0]), np.abs(du[-1]))
     return prop, err, dist
@@ -1269,8 +1274,9 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
         raise InfiniteDomain("limiting solver needs a finite air column")
     if layers is None:
         layers = find_critical_points(profile, c_r)
-    # the cap keeps each patch clear of its neighbours and the column's ends
-    ends = [0.0, *(layer.position for layer in layers), h]
+    # the cap keeps each patch clear of its neighbours, the kinks and the ends
+    ends = sorted([0.0, *(layer.position for layer in layers),
+                   *(x for x, _ in profile.kinks()), h])
     cap = min([0.05 * h] + [0.25 * (b - a) for a, b in zip(ends, ends[1:])])
     patches = [_build_patch(profile, layer, k, cap) for layer in layers]
     for patch in patches:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,13 +99,16 @@ class TestMilesCSharp:
 
     def test_pure_shear_layer_contributes_nothing(self):
         # critical layer exists but U'' = 0 everywhere; the strict-sign
-        # hypothesis of the sufficient criterion fails, hence the warning
+        # hypothesis of the sufficient criterion fails, but with every layer
+        # term 0 the hypotheses say nothing: no warning
         p = params_with(h_plus=2.0)
         prof = LinearShearProfile(0.0, 5.0, h_plus=2.0)  # range [0, 10]
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
             asym = miles_c_sharp(prof, p, 1.0)
         assert asym.c_sharp == 0.0
         assert not asym.unstable
+        assert not asym.sufficient_signs_hold
 
     def test_no_critical_layer_raises(self):
         p = params_with(h_plus=5.0)

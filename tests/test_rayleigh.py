@@ -437,11 +437,11 @@ class TestKernel:
         cold, _ = impedance_outcomes(profile, k, [c], tol)
         assert abs(warm[0] - cold[0]) <= 0.3 * tol * abs(cold[0])
 
-    # (profile, c, the segment's lo, width, layer place and bump depth)
+    # (profile, c, the segment's lo, width and bump depth)
     CHUNKS = [
-        (TANH, 3.0 + 1e-3j, 0.0, 1.0, math.atanh(0.3), -0.1),
-        (TANH, 3.0 + 0.2j, 0.0, 5.0, 0.5, 0.0),
-        (TestBatch.TABLE, 6.0 + 0.01j, 0.0, 5.0, 0.5, 0.0),
+        (TANH, 3.0 + 1e-3j, 0.0, 2.0 * math.atanh(0.3), -0.1),
+        (TANH, 3.0 + 0.2j, 0.0, 5.0, 0.0),
+        (TestBatch.TABLE, 6.0 + 0.01j, 0.0, 5.0, 0.0),
     ]
 
     @staticmethod
@@ -468,17 +468,17 @@ class TestKernel:
         parts.append((m[::-1] * scaled[-1]).view(float))
         return m, np.stack([weigh(tab.E5), weigh(tab.E3)])
 
-    @pytest.mark.parametrize("profile, c, lo, width, peak, depth", CHUNKS,
+    @pytest.mark.parametrize("profile, c, lo, width, depth", CHUNKS,
                              ids=["tanh-bump", "tanh-axis", "table"])
     @pytest.mark.parametrize("n", [1, 7, 1023, 1024, 1025])
     def test_propagators_do_not_depend_on_their_chunk(self, profile, c, lo,
-                                                      width, peak, depth, n):
+                                                      width, depth, n):
         # the stage sums are elementwise: a step's (M, E, dist) is the same
         # bits built alone, in a chunk of n and at another offset, and
         # (M, E) those of sums taken term by term
         coeff = rayleigh._coefficient(
             profile, np.array([c]), np.array([1.44]), np.array([lo]),
-            np.array([width]), np.array([peak]), np.array([depth]))
+            np.array([width]), np.array([depth]))
         t0 = lo + width - width * np.arange(n) / n
         h = t0 - np.r_[t0[1:], lo]
         seg = np.zeros(n, dtype=int)
@@ -758,6 +758,26 @@ class TestLimitingSolution:
         assert len(lim.jumps) == 2
         assert max(lim.w_jump_defects()) <= 1e-8
 
+    #: U falls from 3 to 1 at the kink x = 1 and on to -1 at 2.5
+    KINKED = PiecewiseLinearProfile([0.0, 1.0, 2.5], [3.0, 1.0, -1.0],
+                                    h_plus=4.2)
+
+    @pytest.mark.parametrize("offset", [1e-5, -1e-5, 1e-6, -1e-6, 1e-3])
+    def test_kink_beside_a_layer_keeps_its_jump(self, offset):
+        # the patch stops short of the kink, whose jump a patch spanning
+        # it would drop: the limit then reads -0.97711, 26% off
+        c_r = float(self.KINKED.value(1.0 + offset))
+        lim = limiting_solution(self.KINKED, 1.0, c_r, +1, tol=1e-12)
+        near = interface_impedance(self.KINKED, 1.0, complex(c_r, 1e-10),
+                                   tol=1e-12)
+        assert abs(lim.impedance - near) <= 1e-6 * abs(near)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-13])
+    def test_layer_at_a_kink_is_refused(self, offset):
+        c_r = float(self.KINKED.value(1.0 + offset))
+        with pytest.raises(SeriesRadiusTooSmall):
+            limiting_solution(self.KINKED, 1.0, c_r, +1, tol=1e-12)
+
 
 def _jet_derivative(n: int):
     # U = 8 (x/L) e^(1 - x/L) with L = 1, peaking at 8 m/s at x2 = 1:
@@ -876,21 +896,29 @@ def _tanh_table(n: int) -> TabulatedProfile:
     return TabulatedProfile(x, 10.0 * np.tanh(x))
 
 
+#: tanh48: 10 tanh(x) at 48 knots on [0, 5]
+TANH48 = _tanh_table(48)
+
+
 class TestContourOracle:
     """The kernel's indented path against plain ``solve_ivp`` along a bump
     of the oracle's own, near the real axis and in the limit."""
 
-    CIS = [1e-6, 1e-4, 1e-2]
+    CIS = [1e-6, 1e-4, 1e-2, 0.3]
     CASES = [
         (TANH, [(0.3, 5.7), (1.0, 3.13), (3.0, 1.81)]),
         (TestBatch.TABLE, [(0.3, 5.7), (1.0, 3.13), (3.0, 1.81)]),
         (_tanh_table(40), [(0.3, 5.7), (1.0, 3.13), (3.0, 1.81)]),
         # one layer near the interface, and two
         (JET_TABLE, [(0.4, 0.5), (1.2, 2.0), (2.5, 6.0)]),
+        # a layer at 0.05, inside the first knot interval of the table
+        (TANH, [(1.0, 0.5), (3.0, 0.5)]),
+        (TANH48, [(1.0, 0.5), (0.3, 9.9)]),
     ]
 
     @pytest.mark.parametrize("profile, pairs", CASES,
-                             ids=["tanh", "table16", "table40", "jet"])
+                             ids=["tanh", "table16", "table40", "jet",
+                                  "tanh-low", "table48"])
     def test_kernel_matches_oracle(self, profile, pairs):
         for sign in (+1, -1):
             ks = [k for k, _ in pairs]
@@ -908,6 +936,98 @@ class TestContourOracle:
                     lim = limiting_solution(profile, k, c.real, sign,
                                             tol=1e-12).impedance
                     assert abs(imp - lim) <= 1e-9 * abs(lim), (k, c, sign)
+
+
+class TestIndentation:
+    """Each bump of Lin's path spans [s - 2a, s + 2a] around its layer s,
+    a = |depth|, inside the layer's stretch; the rest of the column runs on
+    the real axis."""
+
+    @staticmethod
+    def bumps(profile, c, sign_ci=None):
+        bounds = sorted({profile.h_plus, 0.0, *profile._breaks}, reverse=True)
+        return rayleigh._bumps(profile, c, 10.0, profile.u_bounds(), bounds,
+                               sign_ci), bounds
+
+    @staticmethod
+    def segments(monkeypatch, profile, k, c, sign_ci=None):
+        """(lo, width, depth) of each segment of one pair's shoot."""
+        seen = []
+        coefficient = rayleigh._coefficient
+
+        def spy(profile, c, kk, lo, width, depth):
+            seen.append(np.stack((lo, width, depth)))
+            return coefficient(profile, c, kk, lo, width, depth)
+
+        monkeypatch.setattr(rayleigh, "_coefficient", spy)
+        imps, errors = impedance_outcomes(profile, k, [c], sign_ci=sign_ci)
+        assert errors == {} and np.isfinite(imps[0])
+        [segs] = seen
+        return segs.T.tolist()
+
+    # layers at 0.05 (by the interface), 2.65 (mid-column) and 4.95 (by the
+    # lid)
+    @pytest.mark.parametrize("c", [0.5 + 1e-3j, 9.9 + 1e-3j, 9.999 + 1e-6j,
+                                   0.5, 9.9, 9.999])
+    @pytest.mark.parametrize("profile", [TANH, TANH48], ids=["tanh", "tanh48"])
+    def test_bump_spans_twice_its_depth(self, monkeypatch, profile, c):
+        c = complex(c)
+        sign_ci = None if c.imag else +1
+        (bump,), bounds = self.bumps(profile, c, sign_ci)
+        lo, hi, depth = bump
+        [(s, _)] = profile.path_layers(c.real)
+        below = max(b for b in bounds if b <= s)
+        above = min(b for b in bounds if b >= s)
+        a = abs(depth)
+        assert a == 0.5 * min(s - below, above - s, profile.path_reach(s))
+        # an end that reaches the stretch's is the stretch's end itself
+        assert lo == (below if 2.0 * a == s - below else s - 2.0 * a)
+        assert hi == (above if 2.0 * a == above - s else s + 2.0 * a)
+        assert below <= lo < s < hi <= above
+        # one bent segment, the bump; the others run on the real axis and,
+        # with it, tile the column
+        segs = self.segments(monkeypatch, profile, 1.0, c, sign_ci)
+        assert [(x, x + w, d) for x, w, d in segs if d != 0.0] == [bump]
+        tops = sorted(x + w for x, w, _ in segs)
+        assert sorted(x for x, _, _ in segs)[1:] == tops[:-1]
+        assert (min(x for x, _, _ in segs), tops[-1]) == (0.0, 5.0)
+
+    @pytest.mark.parametrize("c_r", [7.999, 7.99, 4.0])
+    def test_two_layers_bumps_do_not_overlap(self, monkeypatch, c_r):
+        # at 7.999 both layers lie between knots 9 and 10, and their
+        # stretches meet at the midpoint between them
+        (low, high), _ = self.bumps(JET48, complex(c_r), +1)
+        (s1, _), (s2, _) = JET48.path_layers(c_r)
+        assert low[0] < s1 < low[1] <= high[0] < s2 < high[1]
+        for (lo, hi, depth), s in ((low, s1), (high, s2)):
+            assert abs(depth) == pytest.approx(0.25 * (hi - lo), rel=1e-12)
+            assert 0.5 * (lo + hi) == pytest.approx(s, rel=1e-12)
+        segs = self.segments(monkeypatch, JET48, 1.0, complex(c_r), +1)
+        assert [(x, x + w, d) for x, w, d in segs if d != 0.0] == [high, low]
+
+    def test_slot_weights_scatter_back_to_the_tableau(self):
+        tab, n, slot = rayleigh._TABLEAU, rayleigh._DOP_STAGES, rayleigh._SLOT
+        assert slot[slot].tolist() == list(range(n))
+
+        def scatter(span, weights):
+            # each stage's weight, 0 where its slot is left out
+            dense = np.zeros(weights.shape[:-1] + (n,))
+            dense[..., slot[span]] = weights
+            return dense
+
+        reads = 0
+        for s, (span, weights) in enumerate(rayleigh._DOP_A, 1):
+            assert np.all(slot[span] < s)  # built before stage s
+            assert scatter(span, weights).tobytes() == tab.A[s, :n].tobytes()
+            reads += weights.size
+        assert len(rayleigh._DOP_A) == n - 1
+        span, weights = rayleigh._DOP_SUMS
+        b, e5, e3 = scatter(span, weights)
+        assert b.tobytes() == tab.B.tobytes()
+        # the last stage, at t0 - h, is left out: the estimators weigh it 0
+        assert e5.tobytes() == tab.E5[:n].tobytes() and tab.E5[n] == 0.0
+        assert e3.tobytes() == tab.E3[:n].tobytes() and tab.E3[n] == 0.0
+        assert reads + weights.shape[1] == 62
 
 
 #: profiles that shoot along the indented path
