@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import IncompatibleDepths, RequiresSurfaceTension
-from .profiles import PiecewiseLinearProfile, ShearProfile
+from .profiles import ShearProfile
 from .rayleigh import impedance_outcomes, integrate_rayleigh, interface_impedance
 
 __all__ = [
@@ -199,7 +199,8 @@ def residual_general(c: complex, params: FluidParams, k: float,
     The interface amplitude is normalized to ik z = 1.  ``u_minus`` follows
     the mirrored-column convention: it is a profile of the water speed as a
     function of depth below the interface (so the physical shear at the
-    interface is -u_minus.slope(0)).  ``None`` means quiescent water.
+    interface is -u_minus.slope(0)).  ``None`` means quiescent water, and
+    a zero-curvature water profile without kinks is as calm.
 
     The sheet potential gamma is harmonic, so adding its vertical derivative
     to Y2 homogenizes both column problems; each column then needs only the
@@ -218,7 +219,8 @@ def residual_general(c: complex, params: FluidParams, k: float,
         from).
     """
     _check_depth_consistency(u_plus, params)
-    if u_minus is not None and not u_minus.zero_curvature:
+    calm = u_minus is None or (u_minus.zero_curvature and not u_minus.kinks())
+    if not calm:
         hm = u_minus.h_plus
         if math.isinf(hm) != math.isinf(params.h_minus) or (
                 math.isfinite(hm) and abs(hm - params.h_minus) > 1e-9 * max(1.0, hm)):
@@ -242,15 +244,13 @@ def residual_general(c: complex, params: FluidParams, k: float,
     y2_0 = mean_u - c
 
     # air column
-    if not math.isfinite(params.h_plus) and not (
-            u_plus.zero_curvature
-            or isinstance(u_plus, PiecewiseLinearProfile)):
+    if not math.isfinite(params.h_plus) and not u_plus.zero_curvature:
         raise IncompatibleDepths("unbounded air column with interior vorticity")
     imp_air = interface_impedance(u_plus, k, c, tol)
     y2p_air = imp_air * (u0p - c) - k * k * gamma0_p
 
     # water column
-    if u_minus is None or u_minus.zero_curvature:
+    if calm:
         y2p_water = ak * tm * y2_0
     else:
         if not math.isfinite(params.h_minus):
@@ -330,8 +330,12 @@ class PwlClosedForm:
     With sigma = 0 and both columns unbounded, the ramp's rational impedance
     y'(0) = -k (c-alpha)/(c-beta) turns the dispersion relation into
 
-        f(c, eps) = (c - sqrt(g/k)) (c^2 - eps mu c / k - g(1-eps)/k)
-                    + eps c^2 (c - alpha) = 0.
+        f(c, eps) = (c - beta) (c^2 - eps mu c / k - g(1-eps)/k)
+                    + eps c^2 (c - alpha) = 0
+
+    for any ramp.  At eps = 0 its roots are beta and +-sqrt(g/k); the tuned
+    ramp, beta = sqrt(g/k), has the double root that eps splits by
+    O(sqrt(eps)).
     """
 
     mu: float
@@ -347,8 +351,7 @@ class PwlClosedForm:
 
     def f(self, c: complex, eps: Optional[float] = None) -> complex:
         eps = self.epsilon if eps is None else eps
-        gamma0 = math.sqrt(self.g / self.k)
-        return ((c - gamma0) * (c * c - eps * self.mu * c / self.k
+        return ((c - self.beta) * (c * c - eps * self.mu * c / self.k
                                 - self.g * (1.0 - eps) / self.k)
                 + eps * c * c * (c - self.alpha))
 
@@ -368,7 +371,7 @@ def pwl_dispersion(mu: float, x2_star: float, params: FluidParams, k: float,
 
     Requires sigma = 0 and unbounded columns.  Roots come from the companion
     matrix of the cubic, polished by two Newton steps (robust near the eps = 0
-    double root at sqrt(g/k)).
+    double root of the tuned ramp, beta = sqrt(g/k)).
     """
     if params.sigma != 0.0:
         raise ValueError("the ramp closed form requires sigma = 0")
@@ -383,13 +386,12 @@ def pwl_dispersion(mu: float, x2_star: float, params: FluidParams, k: float,
     e2 = math.exp(-2.0 * ak * x2_star)
     alpha = u_star - mu / (2.0 * ak) * (1.0 + e2)
     beta = u_star - mu / (2.0 * ak) * (1.0 - e2)
-    gamma0 = math.sqrt(params.g / ak)
     gk = params.g / ak
 
     a3 = 1.0 + eps
-    a2 = -(eps * mu / ak + gamma0 + eps * alpha)
-    a1 = -gk * (1.0 - eps) + gamma0 * eps * mu / ak
-    a0 = gamma0 * gk * (1.0 - eps)
+    a2 = -(eps * mu / ak + beta + eps * alpha)
+    a1 = -gk * (1.0 - eps) + beta * eps * mu / ak
+    a0 = beta * gk * (1.0 - eps)
     coeffs = (a3, a2, a1, a0)
 
     closed = PwlClosedForm(mu=mu, x2_star=x2_star, k=ak, g=params.g,

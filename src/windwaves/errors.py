@@ -12,9 +12,9 @@ class OutOfDomain(WindwavesError):
 class OrderUnavailable(WindwavesError):
     """Requested derivative order exceeds the profile's smoothness.
 
-    Piecewise-linear profiles carry delta masses in U'' and therefore never
-    support pointwise second-derivative evaluation; their curvature enters the
-    solvers only through derivative jump conditions.
+    A wind with kinks carries delta masses in U'', which enter the solvers
+    only through derivative jump conditions; the Wronskian system, which
+    needs U'' pointwise, refuses it.
     """
 
 

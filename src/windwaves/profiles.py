@@ -28,12 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateShear,
-    EndpointCritical,
-    OrderUnavailable,
-    OutOfDomain,
-)
+from .errors import DegenerateShear, EndpointCritical, OutOfDomain
 
 __all__ = [
     "ShearProfile",
@@ -73,8 +68,9 @@ class ShearProfile:
 
     Subclasses set ``kind`` and ``h_plus`` and implement ``value``,
     ``slope`` and ``curvature``; ``value`` and ``curvature`` accept an array
-    of altitudes as well as a float.  ``h_plus = inf`` is permitted only for
-    uniform and constant-shear profiles.
+    of altitudes as well as a float.  The solvers take ``h_plus = inf`` only
+    for profiles with ``zero_curvature`` (uniform, constant shear, piecewise
+    linear), whose impedance there has a closed form.
     """
 
     kind: str = "abstract"
@@ -82,7 +78,9 @@ class ShearProfile:
     #: the interior altitudes where the wind's pieces meet, at which every
     #: shoot stops (a table's knots, a piecewise-linear profile's kinks)
     _breaks: tuple[float, ...] = ()
-    #: True when U'' vanishes identically (uniform or constant shear)
+    #: True when U'' = 0 between the kinks, so that ``curvature`` is 0 and
+    #: the wind's vorticity, if any, sits in the point masses of ``kinks``
+    #: (uniform, constant shear, piecewise linear)
     zero_curvature: bool = False
     #: True when ``value`` and ``curvature`` take arrays of complex altitudes
     #: (the domain check applies to the real part) and ``path_reach`` is
@@ -233,12 +231,6 @@ class ConstantProfile(ShearProfile):
     def curvature(self, x2):
         return _const(x2, 0.0)
 
-    def derivative3(self, x2):
-        return 0.0
-
-    def derivative4(self, x2):
-        return 0.0
-
     def u_bounds(self) -> tuple[float, float]:
         return self.u0, self.u0
 
@@ -262,12 +254,6 @@ class LinearShearProfile(ShearProfile):
     def curvature(self, x2):
         return _const(x2, 0.0)
 
-    def derivative3(self, x2):
-        return 0.0
-
-    def derivative4(self, x2):
-        return 0.0
-
     def u_bounds(self) -> tuple[float, float]:
         if not math.isfinite(self.h_plus):
             raise OutOfDomain("cannot bound a constant-shear profile on [0, inf)")
@@ -280,13 +266,13 @@ class PiecewiseLinearProfile(ShearProfile):
 
     ``nodes`` lists the kink altitudes starting at 0; segment ``i`` spans
     ``[nodes[i], nodes[i+1]]`` (the last segment extends to ``h_plus``, which
-    may be infinite) and carries shear rate ``slopes[i]``.  U'' exists only as
-    point masses at the interior nodes, so curvature evaluation is refused;
-    the derivative jump data is exposed through :meth:`kinks` instead.
+    may be infinite) and carries shear rate ``slopes[i]``.  U'' is 0 inside
+    every segment; its point masses at the interior nodes are the U' jumps
+    of :meth:`kinks`.
     """
 
     kind = "piecewise_linear"
-    zero_curvature = False
+    zero_curvature = True
 
     def __init__(self, nodes: Sequence[float], slopes: Sequence[float], u0: float = 0.0,
                  h_plus: float = math.inf):
@@ -337,16 +323,8 @@ class PiecewiseLinearProfile(ShearProfile):
         return self.slopes[self._segment(x2)]
 
     def curvature(self, x2):
-        raise OrderUnavailable(
-            "U'' of a piecewise-linear profile is a sum of point masses; "
-            "use the kink jump conditions instead"
-        )
-
-    def derivative3(self, x2):
-        return 0.0
-
-    def derivative4(self, x2):
-        return 0.0
+        self._check_domain(x2)
+        return _const(x2, 0.0)
 
     def kinks(self) -> list[tuple[float, float]]:
         """Interior kink altitudes with the U' jump (above minus below)."""
@@ -636,13 +614,6 @@ class CriticalLayer:
     u_double_prime: float
 
 
-def _curvature_or_zero(profile: ShearProfile, s: float) -> float:
-    try:
-        return profile.curvature(s)
-    except OrderUnavailable:
-        return 0.0  # interior of a linear segment
-
-
 def find_critical_points(profile: ShearProfile, c_r: float
                          ) -> tuple[CriticalLayer, ...]:
     """Every interior critical layer at the real phase speed c_r, as a tuple
@@ -687,7 +658,7 @@ def find_critical_points(profile: ShearProfile, c_r: float
             raise DegenerateShear(
                 f"|U'({s})| = {abs(up):g} below regular-value threshold {threshold:g}"
             )
-        layers.append(CriticalLayer(s, up, _curvature_or_zero(profile, s)))
+        layers.append(CriticalLayer(s, up, profile.curvature(s)))
 
     for layer in layers:
         resid = abs(profile.value(layer.position) - c_r)
@@ -702,7 +673,8 @@ def _critical_points_unbounded(profile: ShearProfile, c_r: float
                                ) -> tuple[CriticalLayer, ...]:
     # closed-form roots for the two kinds that may live on [0, inf); a
     # LinearShearProfile reaches here only on [0, inf), and any other
-    # zero-curvature profile there (a subclass of ShearProfile) is refused
+    # zero-curvature profile there (a piecewise-linear one, a subclass of
+    # ShearProfile) is refused
     scale = max(1.0, abs(c_r))
     if isinstance(profile, ConstantProfile):
         if abs(profile.u0 - c_r) <= ENDPOINT_RTOL * scale:

@@ -64,12 +64,7 @@ from .errors import (
     SeriesRadiusTooSmall,
     WindwavesError,
 )
-from .profiles import (
-    CriticalLayer,
-    PiecewiseLinearProfile,
-    ShearProfile,
-    find_critical_points,
-)
+from .profiles import CriticalLayer, ShearProfile, find_critical_points
 
 __all__ = [
     "RayleighSolution",
@@ -113,12 +108,10 @@ def _check_switch(profile: ShearProfile, c: complex, scale: float,
                   u_range: tuple[float, float]) -> None:
     """Refuse a real-axis solve too close to a critical-layer singularity."""
     ci = c.imag
-    # Zero-curvature coefficients are identically k^2 and piecewise-linear
-    # ones are regular inside every segment (only the kink speeds are
-    # dangerous, and those are guarded at the jumps); elsewhere a critical
-    # layer at Re c makes the coefficient singular.
-    if profile.zero_curvature or isinstance(profile, PiecewiseLinearProfile) \
-            or abs(ci) >= SWITCH_FACTOR * scale * (1.0 - 1e-9):
+    # A zero-curvature coefficient is k^2 between the kinks (only the kink
+    # speeds are dangerous, and those are guarded at the jumps); elsewhere a
+    # critical layer at Re c makes the coefficient singular.
+    if profile.zero_curvature or abs(ci) >= SWITCH_FACTOR * scale * (1.0 - 1e-9):
         return
     if abs(ci) > 0.0 and _has_layers(u_range, c.real):
         raise NearSingularCoefficient(
@@ -242,8 +235,8 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
     state that element reaches in any batch of the kernel that gives it no
     start mesh, and its impedance is numpy's quotient of that state, as in
     :func:`impedance_outcomes`, except where it shoots c itself when Im c < 0
-    (not conj c), or where a closed form exists (zero curvature): there the
-    two agree to rounding, not bit for bit.
+    (not conj c), or where a closed form exists (a zero-curvature wind
+    without kinks): there the two agree to rounding, not bit for bit.
 
     Parameters
     ----------
@@ -567,8 +560,8 @@ def _coefficient(profile: ShearProfile, c: np.ndarray, kk: np.ndarray,
 
     ``c``, ``kk`` = k^2 and the bump depth of each segment hold one entry
     per segment.  A segment with depth 0 runs on the real axis, where w = 1
-    and q = U''/(U - c) + k^2 (k^2 inside the pieces of a piecewise-linear
-    wind; U is not tracked where U'' = 0), with U at real altitudes.  A bent
+    and q = U''/(U - c) + k^2 (k^2 where U'' = 0 between the kinks, and U is
+    not tracked there), with U at real altitudes.  A bent
     one runs along x(t) = t + i depth b(u), u = (t - lo)/width, where the
     parabola b = 4 u (1 - u) is 1 at the segment's middle, where its layer
     lies (see :func:`_bumps`), and vanishes at u = 0 and 1.  The equation in
@@ -577,9 +570,6 @@ def _coefficient(profile: ShearProfile, c: np.ndarray, kk: np.ndarray,
     """
     if profile.zero_curvature:
         return lambda t, j: (None, None, np.broadcast_to(kk[j], t.shape))
-    if isinstance(profile, PiecewiseLinearProfile):
-        return lambda t, j: (profile.value(t) - c[j], None,
-                             np.broadcast_to(kk[j], t.shape))
 
     def on_axis(t, j):
         u, upp = profile.value_and_curvature(t)
@@ -885,47 +875,47 @@ def _chain(chain: np.ndarray, scale: np.ndarray) -> None:
         shift *= 2
 
 
-def pwl_impedance_cascade(profile: PiecewiseLinearProfile, k: float,
+def pwl_impedance_cascade(profile: ShearProfile, k: float,
                           c: complex) -> complex:
-    """Closed-form impedance of a piecewise-linear profile.
+    """Closed-form impedance of a zero-curvature wind, linear between its
+    kinks.
 
-    Each segment solves y'' = k^2 y exactly; interior kinks contribute the
-    derivative jump -[U'] y / (U - c).  Works on unbounded columns, where the
-    topmost segment carries the decaying solution e^{-|k| x2}.
+    z = y'/y is carried from the lid down: y'' = k^2 y inside each piece
+    takes z to (z - |k| t)/(1 - z t/|k|) over a height d, t = tanh(|k| d),
+    and y = 0 at the lid to -|k|/t; a kink takes z to z - [U']/(U - c).
+    On an unbounded column the solution above the topmost kink is the
+    decaying e^{-|k| x2}, z = -|k|.  No step grows with |k| d, so none
+    overflows.  A node where y = 0 is carried through; only y(0) = 0 is
+    refused.
     """
     ak = abs(k)
     kinks = sorted(profile.kinks(), reverse=True)
     if math.isinf(profile.h_plus):
         if not kinks:
             return -ak
-        x_top = kinks[0][0]
-        y, yp = 1.0 + 0.0j, -ak + 0.0j
-        start = x_top
+        z, x = -ak, kinks[0][0]
     else:
-        y, yp = 0.0j, 1.0 + 0.0j
-        start = profile.h_plus
+        z, x = None, profile.h_plus  # None: y = 0, here at the lid
 
-    def propagate(y, yp, x_from, x_to):
-        dx = x_to - x_from  # negative going down
-        ch, sh = math.cosh(ak * dx), math.sinh(ak * dx)
-        return y * ch + yp * sh / ak, y * ak * sh + yp * ch
+    def down(z, d):
+        t = math.tanh(ak * d)
+        if z is None:
+            return -ak / t
+        den = 1.0 - z * t / ak
+        return None if den == 0.0 else (z - ak * t) / den
 
-    x_cur = start
     for x_kink, du in kinks:
-        if x_kink < x_cur:
-            y, yp = propagate(y, yp, x_cur, x_kink)
-            x_cur = x_kink
+        if x_kink < x:
+            z, x = down(z, x - x_kink), x_kink
         denom = profile.value(x_kink) - c
         if denom == 0.0:
             raise NearSingularCoefficient("wave speed equals a kink speed")
-        yp = yp - du * y / denom
-        m = max(abs(y), abs(yp))
-        if m > 1e100:  # impedance is scale-invariant
-            y, yp = y / m, yp / m
-    y, yp = propagate(y, yp, x_cur, 0.0)
-    if y == 0.0:
+        if z is not None:
+            z -= du / denom
+    z = down(z, x)
+    if z is None:
         raise DegenerateAtInterface("y(0) = 0 in the piecewise cascade")
-    return yp / y
+    return z
 
 
 def interface_impedance(profile: ShearProfile, k: float, c: complex,
@@ -948,11 +938,11 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
 
     A pair with Im c < 0 is the mirror image of (k, conj c): its impedance
     is the conjugate of that pair's, bit for bit, and each distinct (k, c)
-    with Im c >= 0 is computed once.  Closed forms, where exact, are
-    evaluated pair by pair: vorticity-free profiles
-    (:func:`uniform_flow_impedance`) and piecewise-linear ones on an
-    unbounded column (:func:`pwl_impedance_cascade`).  Every other pair is
-    shot in one batch of the kernel (:func:`_integrate`), whose DOP853
+    with Im c >= 0 is computed once.  A zero-curvature wind that is
+    unbounded or has no kinks takes the closed form
+    :func:`pwl_impedance_cascade` pair by pair, which on a wind without
+    kinks is :func:`uniform_flow_impedance` bit for bit.  Every other pair
+    is shot in one batch of the kernel (:func:`_integrate`), whose DOP853
     steps meet rtol ``tol`` and atol ``tol * 1e-3``; each pair's mesh and
     arithmetic are its own, so its impedance is bit for bit the one it gets
     alone, given its start mesh.  A failed pair's impedance is NaN, and
@@ -1002,17 +992,14 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
     which[order] = np.cumsum(head) - 1
     # adding 0 turns an imaginary part of -0 into +0
     ks, cs = ks[first], upper[first] + 0.0
-    if profile.zero_curvature or (isinstance(profile, PiecewiseLinearProfile)
-                                  and math.isinf(profile.h_plus)):
+    if profile.zero_curvature and (math.isinf(profile.h_plus)
+                                   or not profile.kinks()):
         imps = np.full(cs.shape, complex("nan"))
         errors = {}
         shot = [None] * cs.size
         for i, (kv, c) in enumerate(zip(ks.tolist(), cs.tolist())):
             try:
-                if profile.zero_curvature:
-                    imps[i] = uniform_flow_impedance(kv, profile.h_plus)
-                else:
-                    imps[i] = pwl_impedance_cascade(profile, kv, c)
+                imps[i] = pwl_impedance_cascade(profile, kv, c)
             except WindwavesError as exc:
                 errors[i] = exc
     else:
@@ -1071,10 +1058,10 @@ def integrate_wronskian(profile: ShearProfile, k: float, c: complex,
     The initial data (0, 0, 1, 0) at the lid matches y = 0, y' = 1.  Along any
     solution u2^2 + W^2 - u1 u3 is conserved (zero for the standard data).
     """
-    if isinstance(profile, PiecewiseLinearProfile):
+    if profile.kinks():
         raise OrderUnavailable(
-            "the Wronskian system needs pointwise U''; piecewise-linear "
-            "profiles only support the derivative-jump formulation")
+            "the Wronskian system needs pointwise U''; a wind with kinks "
+            "only supports the derivative-jump formulation")
     h = profile.h_plus
     if not math.isfinite(h):
         raise InfiniteDomain("Wronskian integration needs a finite air column")

@@ -12,7 +12,12 @@ from windwaves.asymptotics import (
     unstable_band,
 )
 from windwaves.dispersion import FluidParams, ck
-from windwaves.errors import HypothesisViolated, NoCriticalLayer, WindwavesError
+from windwaves.errors import (
+    HypothesisViolated,
+    NearSingularCoefficient,
+    NoCriticalLayer,
+    WindwavesError,
+)
 from windwaves.profiles import (
     AnalyticProfile,
     ConstantProfile,
@@ -21,7 +26,7 @@ from windwaves.profiles import (
     TanhProfile,
     find_critical_points,
 )
-from windwaves.rayleigh import limiting_solution
+from windwaves.rayleigh import impedance_outcomes, limiting_solution
 
 from oracles import contour_impedance_oracle, spline_extremes
 
@@ -34,6 +39,12 @@ def params_with(**kw):
 
 
 TANH = TanhProfile(10.0, 1.0, 5.0)
+
+X48 = np.linspace(0.0, 5.0, 48)
+#: tanh48: 10 tanh x at 48 knots
+TANH48 = TabulatedProfile(X48, 10.0 * np.tanh(X48))
+#: a speed whose one layer on tanh48 lies 1e-9 above knot 20
+BESIDE_KNOT = float(TANH48.value(X48[20] + 1e-9))
 
 
 def frobenius_c_sharp(profile, params, k, tol=1e-10):
@@ -361,3 +372,29 @@ class TestNecessityCertificate:
         p = params_with(h_plus=5.0)
         with pytest.raises(HypothesisViolated):
             necessity_certificate(TANH, p, 1.0, 1e-3, search_radius=0.1)
+
+
+class TestLayerBesideAKnot:
+    """A bump of Lin's path cannot cross a knot, so the path passes a layer
+    1e-9 above one within 2.8e-10 of the singularity, and that pair fails
+    alone.  ROADMAP item H turns this row into a Frobenius fallback."""
+
+    def test_path_pair_fails_alone(self):
+        imps, errors = impedance_outcomes(TANH48, [1.0, 1.3],
+                                          [BESIDE_KNOT, 2.0], sign_ci=+1)
+        assert list(errors) == [0] and np.isnan(imps[0])
+        assert isinstance(errors[0], NearSingularCoefficient)
+        assert str(errors[0]) == "min |U - c| = 2.75886e-10 along the path"
+        alone, _ = impedance_outcomes(TANH48, 1.3, [2.0], sign_ci=+1)
+        assert imps[1:].view(float).tolist() == alone.view(float).tolist()
+
+    def test_growth_constant_row_fails_alone(self):
+        p = params_with(h_plus=5.0)
+        k_star = p.g / BESIDE_KNOT ** 2
+        assert ck(p, k_star) == BESIDE_KNOT
+        results, errors = growth_constants(TANH48, p, [0.5, k_star, 2.0])
+        assert list(errors) == [1] and results[1] is None
+        assert isinstance(errors[1], NearSingularCoefficient)
+        for i, k in ((0, 0.5), (2, 2.0)):
+            alone, none = growth_constants(TANH48, p, [k])
+            assert none == {} and repr(results[i]) == repr(alone[0])

@@ -14,11 +14,13 @@ from windwaves.dispersion import (
     residual_general,
     residual_miles,
 )
+from windwaves.eigensolver import scan_k
 from windwaves.errors import IncompatibleDepths, RequiresSurfaceTension
 from windwaves.profiles import (
     AnalyticProfile,
     ConstantProfile,
     LinearShearProfile,
+    PiecewiseLinearProfile,
     TanhProfile,
 )
 from windwaves.rayleigh import integrate_rayleigh, interface_impedance
@@ -256,7 +258,6 @@ class TestPwlDispersion:
         assert prev_dev <= 0.02
 
     def test_cubic_impedance_matches_cascade(self):
-        from windwaves.profiles import PiecewiseLinearProfile
         from windwaves.rayleigh import pwl_impedance_cascade
         d = pwl_dispersion(self.mu, self.x2s, self.params(1e-3), self.k)
         prof = PiecewiseLinearProfile.ramp(self.mu, self.x2s)
@@ -265,12 +266,25 @@ class TestPwlDispersion:
                        ) <= 1e-12 * abs(d.cubic.impedance(c))
 
     def test_roots_solve_miles_residual(self):
-        eps = 1e-3
-        p = self.params(eps)
-        d = pwl_dispersion(self.mu, self.x2s, p, self.k)
-        for r in d.roots:
-            resid = residual_miles(r, d.cubic.impedance(r), p, self.k, 0.0, self.mu)
-            assert abs(resid) <= 1e-9 * p.g
+        # the cubic holds for any ramp, not only for the tuned one
+        p = self.params(1e-3)
+        for mu, k in ((self.mu, self.k), (10.0, 0.5), (5.0, 1.0), (3.0, 2.0)):
+            d = pwl_dispersion(mu, self.x2s, p, k)
+            for r in d.roots:
+                resid = residual_miles(r, d.cubic.impedance(r), p, k, 0.0, mu)
+                assert abs(resid) <= 1e-9 * p.g, (mu, k, r)
+
+    def test_scan_k_on_the_unbounded_ramp_finds_a_cubic_root(self):
+        # the untuned ramp mu 10, x2* 1 under the benchmark's fluids; at
+        # k 900 the gap between the kinks is 900 wavelengths / 2 pi
+        p = FluidParams(rho_plus=1.22, rho_minus=1000.0, g=9.8)
+        prof = PiecewiseLinearProfile.ramp(10.0, 1.0)
+        ks = [0.5, 3.0, 900.0]
+        curve = scan_k(prof, p, ks)
+        for k, row in zip(ks, curve.entries):
+            assert row.converged, row.message
+            roots = pwl_dispersion(10.0, 1.0, p, k).roots
+            assert min(abs(row.c - r) for r in roots) <= 1e-12 * abs(row.c), k
 
     def test_validation(self):
         with pytest.raises(ValueError):

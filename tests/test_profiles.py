@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from windwaves.errors import (
-    DegenerateShear,
-    EndpointCritical,
-    OrderUnavailable,
-    OutOfDomain,
-)
+from windwaves.errors import DegenerateShear, EndpointCritical, OutOfDomain
 from windwaves.profiles import (
     AnalyticProfile,
     ConstantProfile,
@@ -56,10 +51,14 @@ class TestEvaluate:
             with pytest.raises(OutOfDomain):
                 method(-0.1)
 
-    def test_pwl_second_derivative_refused(self):
-        pwl = PiecewiseLinearProfile.ramp(2.0, 1.0, h_plus=4.0)
-        with pytest.raises(OrderUnavailable):
-            pwl.curvature(0.5)
+    def test_pwl_curvature_is_zero_inside_the_pieces(self):
+        # U'' of a piecewise-linear wind is its kinks' point masses alone
+        pwl = PiecewiseLinearProfile([0.0, 1.0, 2.5], [3.0, 1.0, -1.0],
+                                     h_plus=4.2)
+        assert pwl.zero_curvature
+        assert pwl.curvature(0.5) == 0.0 and type(pwl.curvature(0.5)) is float
+        xs = np.array([0.0, 0.5, 1.7, 3.0, 4.2])
+        assert pwl.curvature(xs).tolist() == [0.0] * xs.size
 
 
 class TestDerivatives:

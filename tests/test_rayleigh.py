@@ -545,6 +545,17 @@ class TestUniformImpedance:
         imp = interface_impedance(ConstantProfile(4.0), 2.0, 1.0 + 1.0j)
         assert imp == -2.0
 
+    @pytest.mark.parametrize("h_plus", [3.0, math.inf])
+    def test_winds_without_kinks_match_it_bitwise(self, h_plus):
+        ks = [0.3, 1.0, 7.5, 60.0, 400.0]
+        for profile in (ConstantProfile(4.0, h_plus=h_plus),
+                        LinearShearProfile(1.0, 2.0, h_plus=h_plus),
+                        PiecewiseLinearProfile([0.0], [2.0], h_plus=h_plus)):
+            imps, errors = impedance_outcomes(profile, ks, [2.0 + 0.5j] * 5)
+            assert errors == {}
+            assert imps.tolist() == [uniform_flow_impedance(k, h_plus)
+                                     for k in ks], profile
+
     @pytest.mark.parametrize("profile", [
         ConstantProfile(4.0, h_plus=5.0), PiecewiseLinearProfile.ramp(2.0, 1.0),
         TANH], ids=["uniform", "unbounded-ramp", "tanh"])
@@ -555,16 +566,37 @@ class TestUniformImpedance:
 
 class TestPiecewiseLinear:
     def test_cascade_matches_ramp_rational_form(self):
-        # y'(0) = -k (c - alpha)/(c - beta) for the shear-then-uniform ramp
-        mu, x2s, k = 5.0, 1.0, 1.0
+        # y'(0) = -k (c - alpha)/(c - beta) for the shear-then-uniform ramp;
+        # past k x2* ~ 710, cosh(k x2*) overflows, and z = y'/y does not
+        mu, x2s = 5.0, 1.0
         prof = PiecewiseLinearProfile.ramp(mu, x2s)
         u_star = mu * x2s
-        alpha = u_star - mu / (2 * k) * (1 + math.exp(-2 * k * x2s))
-        beta = u_star - mu / (2 * k) * (1 - math.exp(-2 * k * x2s))
-        for c in (2.0 + 0.7j, 4.0 - 0.2j, 8.0 + 1e-3j):
-            got = pwl_impedance_cascade(prof, k, c)
-            want = -k * (c - alpha) / (c - beta)
-            assert abs(got - want) <= 1e-12 * abs(want)
+        for k in (1.0, 800.0, 5000.0):
+            alpha = u_star - mu / (2 * k) * (1 + math.exp(-2 * k * x2s))
+            beta = u_star - mu / (2 * k) * (1 - math.exp(-2 * k * x2s))
+            for c in (2.0 + 0.7j, 4.0 - 0.2j, 8.0 + 1e-3j):
+                got = pwl_impedance_cascade(prof, k, c)
+                want = -k * (c - alpha) / (c - beta)
+                assert abs(got - want) <= 1e-12 * abs(want), (k, c)
+
+    def test_cascade_carries_a_node_where_y_vanishes(self):
+        # U = 3 at the kink x 2, whose jump 2/(3 - c) takes z = -coth 1 to
+        # coth 1 at c = 3 - tanh 1: then y = 0 at the kink x 1, and below
+        # it y = sinh(1 - x), so y'(0)/y(0) = -coth 1 whatever the jump at 1
+        prof = PiecewiseLinearProfile([0.0, 1.0, 2.0], [1.0, 2.0, 0.0],
+                                      h_plus=3.0)
+        c = 3.0 - math.tanh(1.0)
+        # the nearest float c at which y(1) = 0 exactly in the cascade
+        for _ in range(64):
+            z = -1.0 / math.tanh(1.0) + 2.0 / (3.0 - c)
+            if 1.0 - z * math.tanh(1.0) == 0.0:
+                break
+            c = math.nextafter(c, math.inf if z * math.tanh(1.0) > 1.0
+                               else -math.inf)
+        assert 1.0 - z * math.tanh(1.0) == 0.0
+        assert pwl_impedance_cascade(prof, 1.0, c) == -1.0 / math.tanh(1.0)
+        near = interface_impedance(prof, 1.0, complex(c), tol=1e-12)
+        assert abs(near + 1.0 / math.tanh(1.0)) <= 1e-9
 
     def test_unbounded_ramp_at_its_kink_speed_fails_alone(self):
         # U(x2*) = mu x2* = 2: the kink's jump -[U'] y / (U - c) is singular
@@ -582,7 +614,7 @@ class TestPiecewiseLinear:
     @pytest.mark.parametrize("k", [10.0, 20.0])
     def test_cascade_renormalizes_past_1e100(self, k):
         # |y| grows by ~e^{25 k} between the kinks, past 1e100 at the lower
-        # one; at k 20 the unrescaled state would overflow on the way down
+        # one; the cascade carries y'/y, which stays near -k
         nodes, slopes, c = [0.0, 25.0, 50.0], [1.0, 0.5, 0.0], 3.0 + 0.5j
         got = pwl_impedance_cascade(PiecewiseLinearProfile(nodes, slopes),
                                     k, c)
