@@ -129,8 +129,11 @@ def growth_constants(profile: ShearProfile, params: FluidParams, ks,
     Every other wavenumber (other profiles, two or more layers, a layer at an
     inflection point, and a path row whose |Im y*'(0)| is below
     ``PATH_RESOLUTION`` tol |y*'(0)|, lost in the rounding of |y*'(0)|)
-    takes the Frobenius limiting solver, whose per-layer jumps give the layer
-    terms.  Where both apply, the two routes agree to about the tolerance,
+    takes :func:`~windwaves.rayleigh.limiting_solution`, whose per-layer
+    jumps give the layer terms: Frobenius on the kernel, or, for a
+    zero-curvature wind on any column, the closed form with no shoot
+    (``n_steps`` 0), where every term is 0 and the limit impedance is exact.
+    Where both apply, the path and Frobenius agree to about the tolerance,
     down to a floor of a few 1e-12 relative that the Frobenius patch radius
     sets; the path stays within a few 1e-12 of an independent contour shoot
     at tol 1e-12.  Returns ``(results, errors)``: a failed wavenumber's

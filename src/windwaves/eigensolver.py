@@ -503,7 +503,7 @@ def scan_k(profile, params, k_list: Sequence[float],
     (:func:`~windwaves.asymptotics.growth_constants`): on a profile with
     ``complex_path``, one kernel batch at the real speeds c_k along Lin's
     indented path, the same shoot that the Muller rounds take at complex c.
-    That shoot, or the Frobenius solution, also gives the limit impedance
+    That shoot, or the limiting solution, also gives the limit impedance
     at c_k + i0, so a row with a growth constant starts from the residual
     there as the known pair of :func:`_muller`: one point, the seed, in its
     first round, not the triple's three (a real seed keeps the triple).

@@ -13,8 +13,8 @@ and safe to share between concurrent solves.
 
 The package has one critical-layer finder, :meth:`ShearProfile.path_layers`.
 It brackets the layers between altitudes where U is monotone (a table's
-knots and interior extrema, a piecewise-linear profile's nodes, otherwise a
-uniform grid) and polishes each; tanh has a closed form.
+knots and interior extrema, a zero-curvature wind's kinks, on any column,
+otherwise a uniform grid) and polishes each; tanh has a closed form.
 :func:`find_critical_points` validates what it returns.
 """
 from __future__ import annotations
@@ -76,7 +76,7 @@ class ShearProfile:
     kind: str = "abstract"
     h_plus: float = math.inf
     #: the interior altitudes where the wind's pieces meet, at which every
-    #: shoot stops (a table's knots, a piecewise-linear profile's kinks)
+    #: shoot stops (a table's knots)
     _breaks: tuple[float, ...] = ()
     #: True when U'' = 0 between the kinks, so that ``curvature`` is 0 and
     #: the wind's vorticity, if any, sits in the point masses of ``kinks``
@@ -120,15 +120,13 @@ class ShearProfile:
         """(s, U'(s)) of every interior critical layer at c_r, ascending in s.
 
         The package's one critical-layer finder, for every profile on a
-        finite column.  Each interval between consecutive monotone nodes
-        (``_monotone_nodes``) over which U - c_r changes sign, or is zero at
-        the left node, holds one layer.  Its root is polished by Newton from
-        the chord's root, with a bisection step wherever Newton would leave
-        the bracket.  On the default grid, two layers inside one cell are
-        missed.  :func:`find_critical_points` validates what this returns.
+        finite column and every zero-curvature one.  Each interval between
+        consecutive monotone nodes (``_monotone_nodes``) over which U - c_r
+        changes sign, or is zero at the left node, holds one layer.  Its
+        root is polished by Newton from the chord's root, with a bisection
+        step wherever Newton would leave the bracket.  On the default grid,
+        two layers inside one cell are missed.  :func:`find_critical_points` validates what this returns.
         """
-        if not math.isfinite(self.h_plus):
-            raise OutOfDomain("root scan requires a finite air column")
         xs, us = self._monotone_nodes
         f = us - c_r
         below = f < 0.0
@@ -144,8 +142,19 @@ class ShearProfile:
     @cached_property
     def _monotone_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Altitudes from 0 to h_plus between which U is monotone, and U at
-        them: by default the ``ROOT_SCAN_GRID`` cells of a uniform grid,
-        evaluated once per profile (profiles are immutable)."""
+        them, evaluated once per profile (profiles are immutable): a
+        zero-curvature wind's 0, kinks and h_plus, U's limit standing at an
+        unbounded top; otherwise the ``ROOT_SCAN_GRID`` cells of a uniform
+        grid on a finite column."""
+        if self.zero_curvature:
+            xs = np.array([0.0, *(x for x, _ in self.kinks()), self.h_plus])
+            us, slope = self.value(xs[:-1]), self.slope(xs[-2])
+            # U is linear above the top kink
+            top = self.value(xs[-1]) if math.isfinite(xs[-1]) else \
+                us[-1] + (slope and math.copysign(math.inf, slope))
+            return xs, np.append(us, top)
+        if not math.isfinite(self.h_plus):
+            raise OutOfDomain("root scan requires a finite air column")
         xs = np.linspace(0.0, self.h_plus, ROOT_SCAN_GRID + 1)
         return xs, self.value(xs)
 
@@ -154,9 +163,9 @@ class ShearProfile:
         """The root of U - c_r in [lo, hi], where it takes the opposite-signed
         values f_lo and f_hi: Newton from the chord's root, bisecting wherever
         Newton would leave the bracket, until the residual or the step reaches
-        rounding."""
+        rounding; Newton starts from lo where hi is infinite."""
         eps = sys.float_info.epsilon
-        s = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        s = lo + (hi - lo) * (f_lo / (f_lo - f_hi)) if hi < math.inf else lo
         for _ in range(100):
             f = self.value(s) - c_r
             if abs(f) <= eps * abs(c_r):
@@ -193,8 +202,8 @@ class ShearProfile:
 
     def u_bounds(self) -> tuple[float, float]:
         """(min U, max U) over the column: U's extremes at the monotone
-        nodes, which hold a table's or a piecewise-linear profile's extrema
-        and sample the others; closed forms override."""
+        nodes, which hold a table's or a zero-curvature wind's extrema and
+        sample the others; closed forms override."""
         if not math.isfinite(self.h_plus):
             raise OutOfDomain("cannot bound a profile on [0, inf)")
         us = self._monotone_nodes[1]
@@ -254,12 +263,6 @@ class LinearShearProfile(ShearProfile):
     def curvature(self, x2):
         return _const(x2, 0.0)
 
-    def u_bounds(self) -> tuple[float, float]:
-        if not math.isfinite(self.h_plus):
-            raise OutOfDomain("cannot bound a constant-shear profile on [0, inf)")
-        ends = (self.u0, self.u0 + self.mu * self.h_plus)
-        return min(ends), max(ends)
-
 
 class PiecewiseLinearProfile(ShearProfile):
     """Continuous piecewise-linear wind profile.
@@ -287,7 +290,6 @@ class PiecewiseLinearProfile(ShearProfile):
         if nodes[-1] >= h_plus:
             raise ValueError("all nodes must lie below h_plus")
         self.nodes = tuple(nodes)
-        self._breaks = self.nodes[1:]
         self.slopes = tuple(slopes)
         self.u0 = float(u0)
         self.h_plus = float(h_plus)
@@ -332,11 +334,6 @@ class PiecewiseLinearProfile(ShearProfile):
             (self.nodes[i], self.slopes[i] - self.slopes[i - 1])
             for i in range(1, len(self.nodes))
         ]
-
-    @cached_property
-    def _monotone_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array(self.nodes + (self.h_plus,)),
-                np.array(self._node_values + (self.value(self.h_plus),)))
 
     def __repr__(self):
         return (f"PiecewiseLinearProfile(nodes={self.nodes}, slopes={self.slopes}, "
@@ -628,24 +625,23 @@ def find_critical_points(profile: ShearProfile, c_r: float
     EndpointCritical
         If c_r matches U(0) or U(h_plus) to within ``ENDPOINT_RTOL``.
     DegenerateShear
-        If |U'(s)| at any root falls below the ``DEGENERACY_FACTOR`` threshold,
-        or if |U(s) - c_r| exceeds 1e-12 max(1, |c_r|).
+        If |U'(s)| at any root falls below the ``DEGENERACY_FACTOR`` threshold
+        (0 on an unbounded column), if U = c_r on the whole of an unbounded
+        top piece, or if |U(s) - c_r| exceeds 1e-12 max(1, |c_r|).
+    OutOfDomain
+        On an unbounded column, for a wind without ``zero_curvature``.
     """
     if not math.isfinite(c_r):
         raise ValueError("c_r must be finite")
 
-    if isinstance(profile, ConstantProfile) or (
-        not math.isfinite(profile.h_plus) and profile.zero_curvature
-    ):
-        return _critical_points_unbounded(profile, c_r)
-
     h = profile.h_plus
-    if not math.isfinite(h):
-        raise OutOfDomain("root scan requires a finite air column")
-
-    u0, uh = profile.value(0.0), profile.value(h)
-    umin, umax = profile.u_bounds()
+    bounded = math.isfinite(h)
+    umin, umax = profile.u_bounds() if bounded else (0.0, 0.0)
     speed_scale = max(1.0, abs(c_r), umax - umin)
+    u0 = profile.value(0.0)
+    uh = profile.value(h) if bounded else profile._monotone_nodes[1][-1]
+    if not bounded and abs(uh - c_r) <= ENDPOINT_RTOL * speed_scale:
+        raise DegenerateShear(f"U = c_r = {c_r} on the unbounded top piece")
     if abs(u0 - c_r) <= ENDPOINT_RTOL * speed_scale or abs(uh - c_r) <= ENDPOINT_RTOL * speed_scale:
         raise EndpointCritical(
             f"c_r={c_r} equals U at an endpoint (U(0)={u0}, U(h+)={uh})"
@@ -667,28 +663,3 @@ def find_critical_points(profile: ShearProfile, c_r: float
                 f"root polish stalled at x2={layer.position} (residual {resid:g})"
             )
     return tuple(layers)
-
-
-def _critical_points_unbounded(profile: ShearProfile, c_r: float
-                               ) -> tuple[CriticalLayer, ...]:
-    # closed-form roots for the two kinds that may live on [0, inf); a
-    # LinearShearProfile reaches here only on [0, inf), and any other
-    # zero-curvature profile there (a piecewise-linear one, a subclass of
-    # ShearProfile) is refused
-    scale = max(1.0, abs(c_r))
-    if isinstance(profile, ConstantProfile):
-        if abs(profile.u0 - c_r) <= ENDPOINT_RTOL * scale:
-            raise DegenerateShear("uniform wind equal to c_r: every altitude critical")
-        return ()
-    if isinstance(profile, LinearShearProfile):
-        if profile.mu == 0.0:
-            if abs(profile.u0 - c_r) <= ENDPOINT_RTOL * scale:
-                raise DegenerateShear("degenerate zero-shear profile at c_r")
-            return ()
-        s = (c_r - profile.u0) / profile.mu
-        if s < 0.0:
-            return ()
-        if s <= ENDPOINT_RTOL:
-            raise EndpointCritical(f"critical point at column endpoint x2={s}")
-        return (CriticalLayer(s, profile.mu, 0.0),)
-    raise OutOfDomain("unbounded domain supported only for uniform/constant-shear")

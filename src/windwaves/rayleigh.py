@@ -9,7 +9,9 @@ y(h_plus) = 0, y'(h_plus) = 1.  The single output consumed by the dispersion
 relations is the interface impedance y'(0)/y(0), which is invariant under
 rescaling of the initial data.
 
-Three regimes are covered:
+A wind linear between its kinks (``zero_curvature``) takes the closed form
+:func:`pwl_impedance_cascade` at every entry below, with ``n_steps`` 0, and
+never enters the kernel.  Three regimes cover every other wind:
 
 * ``impedance_outcomes``: many (k, c) pairs in one batch of the kernel.
   The equation is linear in (y, y') and its coefficient does not depend on
@@ -28,8 +30,7 @@ Three regimes are covered:
   Other curved profiles shoot on the real axis and are refused too close to
   a layer.  It is the one batch entry into the kernel;
   ``interface_impedance`` is its one-pair case, and ``integrate_rayleigh``
-  shoots one element on the kernel from given lid data, with no closed form
-  and no conjugation.
+  shoots one element from given lid data, with no conjugation.
 * ``integrate_wronskian``: the real 4-vector (|y|^2, Re y'conj(y), |y'|^2,
   Im y'conj(y)) whose last component carries the destabilizing phase.
 * ``limiting_solution``: the Im c -> 0 limit across critical layers on the
@@ -48,6 +49,7 @@ when it first runs.
 """
 from __future__ import annotations
 
+import cmath
 import importlib.util
 import math
 from dataclasses import dataclass, field
@@ -108,10 +110,7 @@ def _check_switch(profile: ShearProfile, c: complex, scale: float,
                   u_range: tuple[float, float]) -> None:
     """Refuse a real-axis solve too close to a critical-layer singularity."""
     ci = c.imag
-    # A zero-curvature coefficient is k^2 between the kinks (only the kink
-    # speeds are dangerous, and those are guarded at the jumps); elsewhere a
-    # critical layer at Re c makes the coefficient singular.
-    if profile.zero_curvature or abs(ci) >= SWITCH_FACTOR * scale * (1.0 - 1e-9):
+    if abs(ci) >= SWITCH_FACTOR * scale * (1.0 - 1e-9):
         return
     if abs(ci) > 0.0 and _has_layers(u_range, c.real):
         raise NearSingularCoefficient(
@@ -181,17 +180,6 @@ def _bumps(profile: ShearProfile, c: complex, scale: float,
     return tuple(out)
 
 
-def _kink_joint(profile: ShearProfile, x: float, jump: float, c: complex,
-                scale: float) -> np.ndarray:
-    """The derivative jump y'(x-) = y'(x+) - [U'] y / (U - c) at a kink of
-    slope jump [U'] = ``jump``, as a map of (y, y'); refused when the wave
-    speed equals the kink speed."""
-    denom = profile.value(x) - c
-    if abs(denom) < 1e-12 * scale:
-        raise NearSingularCoefficient(f"wave speed equals the kink speed U({x})")
-    return np.array([[1.0, 0.0], [-jump / denom, 1.0]])
-
-
 def _check_path(min_coeff_dist: float, scale: float) -> None:
     if min_coeff_dist < 1e-10 * scale:
         raise NearSingularCoefficient(
@@ -235,8 +223,9 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
     state that element reaches in any batch of the kernel that gives it no
     start mesh, and its impedance is numpy's quotient of that state, as in
     :func:`impedance_outcomes`, except where it shoots c itself when Im c < 0
-    (not conj c), or where a closed form exists (a zero-curvature wind
-    without kinks): there the two agree to rounding, not bit for bit.
+    (not conj c).  A zero-curvature wind takes the closed form instead
+    (:func:`pwl_impedance_cascade`, carried from ``init``), whose impedance
+    is that of :func:`impedance_outcomes` bit for bit, with ``n_steps`` 0.
 
     Parameters
     ----------
@@ -265,12 +254,18 @@ def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
     NearSingularCoefficient
         If c is real and Re c a critical value, or, on the real axis, |Im c|
         is below the direct/limiting switch threshold while Re c is a critical
-        value, or the coefficient becomes near-singular en route.
+        value, or the coefficient becomes near-singular en route, or c is a
+        kink speed.
     DegenerateAtInterface
         If |y(0)| < 1e-12 * sup |y| (channel-type eigenfunction).
     """
-    y, log_scale, n_steps, errors = _shoot(profile, *_pairs(k, [c]), tol,
-                                           init)
+    ks, cs = _pairs(k, [c])
+    if profile.zero_curvature:
+        z, log_y, _ = _cascade(profile, k, c, init)
+        y0, yp0 = _unscaled(np.array([1.0, z]) * np.exp(1j * log_y.imag),
+                            log_y.real).tolist()
+        return RayleighSolution(c=c, k=k, y0=y0, yp0=yp0, impedance=complex(z))
+    y, log_scale, n_steps, errors = _shoot(profile, ks, cs, tol, init)
     _raise_first(errors)
     y0, yp0 = _unscaled(y[:, 0], log_scale[0]).tolist()
     return RayleighSolution(c=c, k=k, y0=y0, yp0=yp0,
@@ -369,14 +364,14 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     element runs along its own path (see :func:`_bumps`, which takes
     ``sign_ci`` and element i's ``layers[i]``), one mesh from the lid to the
     interface whose fixed nodes are the breakpoints and the ends of its
-    bumps; at a kink the derivative jump is one more step of the mesh.
+    bumps.
     ``crossings``, one entry per element, shoots each on the real axis
     instead, with no bumps, across its layers' patches (see
     :func:`limiting_solution`): entry i maps each patch's top s + delta to
     (s - delta, its 2x2 map of (y, y')), one more step.  A break strictly
-    inside a patch is no cut, and a kink there no joint.  A patch's edges
-    sit near its layer by design, so such a shoot skips the check on
-    min |U - c| along the path; the interface check stays.
+    inside a patch is no cut.  A patch's edges sit near its layer by
+    design, so such a shoot skips the check on min |U - c| along the path;
+    the interface check stays.
     ``nodes`` receives the final meshes (see :func:`_integrate`).
     ``meshes``, one entry per element, holds the node parameters each
     element's first mesh starts from, or None for the uniform and graded one
@@ -402,10 +397,8 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     scales = np.fmax(_speed_scale(0j, u_range), np.abs(cs.real))
     # the column's ends and the profile's breaks, descending
     bounds = sorted({profile.h_plus, 0.0, *profile._breaks}, reverse=True)
-    jumps = dict(profile.kinks())
     # each live element's segments down its column: (owner, top, bottom,
-    # bump depth), and the matrices of the joints (kinks' jumps, patches'
-    # crossings) by segment
+    # bump depth), and the matrices of the patches' crossings by segment
     segments: list[tuple[int, float, float, float]] = []
     joints: dict[int, np.ndarray] = {}
     for i, (c, scale) in enumerate(zip(cs.tolist(), scales.tolist())):
@@ -417,8 +410,6 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
             cuts = set(bounds).union(*[(lo, hi) for lo, hi, _ in bumps])
             for hi, (lo, _) in patches.items():
                 cuts = {x for x in cuts if not lo < x < hi} | {lo, hi}
-            kinks = {x: _kink_joint(profile, x, jump, c, scale)
-                     for x, jump in jumps.items() if x in cuts}
         except WindwavesError as exc:
             fail(i, exc)
             continue
@@ -428,9 +419,6 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
             if top in patches:
                 joints[len(segments)] = patches[top][1]
             segments.append((i, top, bot, bent.get(top, 0.0)))
-            if bot in kinks:
-                joints[len(segments)] = kinks[bot]
-                segments.append((i, bot, bot, 0.0))
 
     owner, top, bot, depth = (np.array(v) for v in zip(*segments)) \
         if segments else (np.zeros(0, dtype=int), *np.zeros((3, 0)))
@@ -481,10 +469,9 @@ def _first_mesh(top: np.ndarray, bot: np.ndarray, k: np.ndarray,
     """The first mesh of segments from ``top`` down to ``bot``, as the
     segment, start and end of each step, in segment order.
 
-    A joint (a kink's jump, a patch's crossing) is one step.  A leg is cut
-    into max(3 |k|, 2) equal steps per unit of its width: DOP853 meets tol
-    1e-10 on e^{|k| x} at about |k| h = 1/3, and the wind's own scale is
-    about 1.  A bump's leg is cut also at s + |depth| sinh(v), v equally
+    A joint (a patch's crossing) is one step.  A leg is cut into
+    max(3 |k|, 2) equal steps per unit of its width: DOP853 meets tol 1e-10
+    on e^{|k| x} at about |k| h = 1/3, and the wind's own scale is about 1.  A bump's leg is cut also at s + |depth| sinh(v), v equally
     spaced by at most ``_BEND_STEP``, which grades the steps with the
     distance from the leg's middle s, its layer (see :func:`_bumps`).
 
@@ -555,22 +542,18 @@ def _inner_nodes(top: np.ndarray, bot: np.ndarray, owner: np.ndarray,
 
 def _coefficient(profile: ShearProfile, c: np.ndarray, kk: np.ndarray,
                  lo: np.ndarray, width: np.ndarray, depth: np.ndarray):
-    """``coeff(t, j)``: (U - c or None, path weight w or None, w q) at path
+    """``coeff(t, j)``: (U - c, path weight w or None, w q) at path
     parameters t of shape (stages, m) on segments j of shape (m,).
 
     ``c``, ``kk`` = k^2 and the bump depth of each segment hold one entry
     per segment.  A segment with depth 0 runs on the real axis, where w = 1
-    and q = U''/(U - c) + k^2 (k^2 where U'' = 0 between the kinks, and U is
-    not tracked there), with U at real altitudes.  A bent
-    one runs along x(t) = t + i depth b(u), u = (t - lo)/width, where the
+    and q = U''/(U - c) + k^2, with U at real altitudes.  A bent one runs
+    along x(t) = t + i depth b(u), u = (t - lo)/width, where the
     parabola b = 4 u (1 - u) is 1 at the segment's middle, where its layer
     lies (see :func:`_bumps`), and vanishes at u = 0 and 1.  The equation in
     t is (y, y')' = x'(t) (y', q(x(t)) y), so w = x'.  Each step's values
     depend on its own t and segment alone.
     """
-    if profile.zero_curvature:
-        return lambda t, j: (None, None, np.broadcast_to(kk[j], t.shape))
-
     def on_axis(t, j):
         u, upp = profile.value_and_curvature(t)
         du = u - c[j]
@@ -783,7 +766,7 @@ def _propagators(coeff, t0: np.ndarray, h: np.ndarray, seg: np.ndarray
     columns of I at once.  Returns (M, E, dist): M (2, 2, m) maps the state
     at t0 to the state at t0 - h, E (2, 2, 2, m) maps it to the order-5 and
     order-3 error estimates times h, and dist is min |U - c| at the step's
-    two ends (inf where U is not tracked).  A step of h = 0 is exactly I.
+    two ends.  A step of h = 0 is exactly I.
 
     Each weighted sum, of each Y_s and of M and both estimates together, is
     one ``np.einsum`` pass over the float view of the adjacent slots that
@@ -816,9 +799,7 @@ def _propagators(coeff, t0: np.ndarray, h: np.ndarray, seg: np.ndarray
     span, weights = _DOP_SUMS
     sums = np.einsum("ej,j...->e...", weights, parts[span]).view(complex)
     prop, err = np.subtract(_EYE, sums[0], out=sums[0]), sums[1:]
-    dist = np.full(h.size, math.inf) if du is None else \
-        np.fmin(np.abs(du[0]), np.abs(du[-1]))
-    return prop, err, dist
+    return prop, err, np.fmin(np.abs(du[0]), np.abs(du[-1]))
 
 
 def _error_norms(prop: np.ndarray, err: np.ndarray, y: np.ndarray,
@@ -885,37 +866,64 @@ def pwl_impedance_cascade(profile: ShearProfile, k: float,
     and y = 0 at the lid to -|k|/t; a kink takes z to z - [U']/(U - c).
     On an unbounded column the solution above the topmost kink is the
     decaying e^{-|k| x2}, z = -|k|.  No step grows with |k| d, so none
-    overflows.  A node where y = 0 is carried through; only y(0) = 0 is
-    refused.
+    overflows.  A node where y = 0 is carried through, and log y alongside
+    z, so |y|^2, convex in each piece, is largest at a node: as on the
+    kernel, |y(0)| < 1e-12 max(sup |y|, |y'(0)|) raises
+    ``DegenerateAtInterface``.  One rule at every kink, on any column: c
+    within rounding of its speed U, |U - c| <= 1e-12 max(1, |U|), raises
+    ``NearSingularCoefficient``.
     """
-    ak = abs(k)
-    kinks = sorted(profile.kinks(), reverse=True)
-    if math.isinf(profile.h_plus):
-        if not kinks:
-            return -ak
-        z, x = -ak, kinks[0][0]
+    return _cascade(profile, k, c)[0]
+
+
+def _cascade(profile: ShearProfile, k: float, c: complex, init=None,
+             at: Sequence[float] = ()) -> tuple[complex, complex, list]:
+    """(z, log y) at the interface, and log y at each altitude of ``at``
+    (-inf where y = 0), of :func:`pwl_impedance_cascade`, from the lid data
+    ``init`` (y, y') if given (``InfiniteDomain`` on an unbounded column),
+    else from y = 0 at the lid."""
+    ak, jumps = abs(k), dict(profile.kinks())
+    nodes = [*sorted({*jumps, *at}, reverse=True), 0.0]
+    if math.isfinite(profile.h_plus):
+        y, yp = (0.0, 1.0) if init is None else init
+        # z None where y = 0, and then w is log y'
+        z, w = (None, cmath.log(yp)) if y == 0.0 else (yp / y, cmath.log(y))
+        nodes.insert(0, profile.h_plus)
+    elif init is not None:
+        raise InfiniteDomain("lid data need a finite air column")
     else:
-        z, x = None, profile.h_plus  # None: y = 0, here at the lid
-
-    def down(z, d):
-        t = math.tanh(ak * d)
-        if z is None:
-            return -ak / t
-        den = 1.0 - z * t / ak
-        return None if den == 0.0 else (z - ak * t) / den
-
-    for x_kink, du in kinks:
-        if x_kink < x:
-            z, x = down(z, x - x_kink), x_kink
-        denom = profile.value(x_kink) - c
-        if denom == 0.0:
-            raise NearSingularCoefficient("wave speed equals a kink speed")
-        if z is not None:
-            z -= du / denom
-    z = down(z, x)
+        z, w = -ak, 0j
+    x, logs = nodes[0], {}
+    for node in nodes:
+        if node < x:
+            z, w, x = *_down(z, w, ak, x - node), node
+        logs[node] = complex(-math.inf) if z is None else w
+        if node in jumps:
+            u = profile.value(node)
+            if abs(u - c) <= 1e-12 * max(1.0, abs(u)):
+                raise NearSingularCoefficient(
+                    f"wave speed within rounding of the kink speed U({node})")
+            if z is not None:
+                z -= jumps[node] / (u - c)
     if z is None:
-        raise DegenerateAtInterface("y(0) = 0 in the piecewise cascade")
-    return z
+        raise DegenerateAtInterface("y(0) = 0: channel-type mode")
+    sup = max(log.real for log in logs.values())
+    _check_interface(1.0, z, math.exp(min(sup - w.real, 700.0)))
+    return z, w, [logs[s] for s in at]
+
+
+def _down(z, w: complex, ak: float, d: float) -> tuple:
+    """(z, w) a height d down a piece of y'' = k^2 y, w = log y:
+    y -> y cosh(|k| d) (1 - z t/|k|) and y' -> y cosh(|k| d) (z - |k| t),
+    t = tanh(|k| d).  Where y = 0, z is None and w is log y'."""
+    t = math.tanh(ak * d)
+    log_cosh = ak * d + math.log1p(math.exp(-2.0 * ak * d)) - math.log(2.0)
+    if z is None:
+        return -ak / t, w + log_cosh + cmath.log(-t / ak)
+    den = 1.0 - z * t / ak
+    if den == 0.0:
+        return None, w + log_cosh + cmath.log(z - ak * t)
+    return (z - ak * t) / den, w + log_cosh + cmath.log(den)
 
 
 def interface_impedance(profile: ShearProfile, k: float, c: complex,
@@ -938,18 +946,18 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
 
     A pair with Im c < 0 is the mirror image of (k, conj c): its impedance
     is the conjugate of that pair's, bit for bit, and each distinct (k, c)
-    with Im c >= 0 is computed once.  A zero-curvature wind that is
-    unbounded or has no kinks takes the closed form
-    :func:`pwl_impedance_cascade` pair by pair, which on a wind without
-    kinks is :func:`uniform_flow_impedance` bit for bit.  Every other pair
-    is shot in one batch of the kernel (:func:`_integrate`), whose DOP853
-    steps meet rtol ``tol`` and atol ``tol * 1e-3``; each pair's mesh and
-    arithmetic are its own, so its impedance is bit for bit the one it gets
-    alone, given its start mesh.  A failed pair's impedance is NaN, and
-    ``errors`` maps its index to the error :func:`interface_impedance`
-    raises for it (``InfiniteDomain`` for a pair shot on an unbounded
-    column); a caller that raises the first error in input order raises
-    ``errors[min(errors)]``.
+    with Im c >= 0 is computed once.  A zero-curvature wind, on any column,
+    takes the closed form :func:`pwl_impedance_cascade` pair by pair, which
+    on a wind without kinks is :func:`uniform_flow_impedance` bit for bit,
+    and never enters the kernel.  Every other wind's pairs are shot in one
+    batch of the kernel (:func:`_integrate`), whose DOP853 steps meet rtol
+    ``tol`` and atol ``tol * 1e-3``; each pair's mesh and arithmetic are its
+    own, so its impedance is bit for bit the one it gets alone, given its
+    start mesh.  A failed pair's impedance is NaN in both parts, on either
+    route, and ``errors`` maps its index to the error
+    :func:`interface_impedance` raises for it (``InfiniteDomain`` for a pair
+    shot on an unbounded column); a caller that raises the first error in
+    input order raises ``errors[min(errors)]``.
 
     ``meshes``, when given, is a list with one entry per pair: the node
     parameters a pair's shoot starts from (see :func:`_first_mesh`), or None
@@ -992,9 +1000,8 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
     which[order] = np.cumsum(head) - 1
     # adding 0 turns an imaginary part of -0 into +0
     ks, cs = ks[first], upper[first] + 0.0
-    if profile.zero_curvature and (math.isinf(profile.h_plus)
-                                   or not profile.kinks()):
-        imps = np.full(cs.shape, complex("nan"))
+    if profile.zero_curvature:
+        imps = np.full(cs.shape, complex(math.nan, math.nan))
         errors = {}
         shot = [None] * cs.size
         for i, (kv, c) in enumerate(zip(ks.tolist(), cs.tolist())):
@@ -1220,7 +1227,7 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
 
     One element shot on the real axis by the column builder of the direct
     solver (:func:`_shoot`), with its coefficient and its breakpoints
-    (spline knots, kinks), whose crossings are the layers' patches: each
+    (spline knots), whose crossings are the layers' patches: each
     layer s_j is crossed on [s_j - delta, s_j + delta] by one joint, the
     two-solution Frobenius log-series with the branch fixed so that y'
     jumps by i sign_ci pi U''(s_j)/|U'(s_j)| y(s_j).  A patch is never cut
@@ -1228,6 +1235,11 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     ``impedance`` equals y*'(0).  ``layers`` passes in the result of
     ``find_critical_points(profile, c_r)`` when the caller holds it already;
     the layers are scanned for otherwise.
+
+    A zero-curvature wind, on any column, takes the closed form of
+    :func:`pwl_impedance_cascade` at c_r itself instead, with ``n_steps``
+    0: y'' = k^2 y off its kinks, so U''(s_j) = 0 at every layer, no W
+    jumps, u1 = |y(s_j)/y(0)|^2, and a c_r at a kink speed is refused.
 
     This route gives the per-layer jump data (``jumps``), from which the
     growth constant is assembled wherever the indented path, which gives only
@@ -1242,13 +1254,12 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     ValueError
         For a ``sign_ci`` other than +1 or -1, or a zero wavenumber.
     InfiniteDomain
-        If h_plus is not finite.
+        If h_plus is not finite on a wind that is not zero-curvature.
     SeriesRadiusTooSmall
         If the series radius at a layer collapses (|k| too large).
     NearSingularCoefficient
         If a step collapses below the spacing of floats, the mesh needs
-        more than 2^18 steps, or c_r equals the speed of a kink outside the
-        patches.
+        more than 2^18 steps, or c_r is a kink speed.
     DegenerateAtInterface
         If |y(0)| < 1e-12 * sup |y| over the mesh (channel-type mode).
     """
@@ -1257,13 +1268,22 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     if k == 0.0:
         raise ValueError("wavenumber k must be nonzero")
     h = profile.h_plus
-    if not math.isfinite(h):
+    if not (math.isfinite(h) or profile.zero_curvature):
         raise InfiniteDomain("limiting solver needs a finite air column")
     if layers is None:
         layers = find_critical_points(profile, c_r)
-    # the cap keeps each patch clear of its neighbours, the kinks and the ends
-    ends = sorted([0.0, *(layer.position for layer in layers),
-                   *(x for x, _ in profile.kinks()), h])
+    if profile.zero_curvature:
+        z, log_y, at = _cascade(profile, k, complex(c_r),
+                                at=[layer.position for layer in layers])
+        # y is real for real c_r, up to one phase: W = Im y' conj y = 0
+        ys = [cmath.exp(log_s - log_y) for log_s in at]
+        jumps = tuple(LayerJump(layer.position, y, 0j, abs(y) ** 2, 0.0, 0.0)
+                      for layer, y in zip(layers, ys))
+        return LimitSolution(c_r=c_r, sign_ci=sign_ci, k=k, layers=layers,
+                             impedance=complex(z), y0=1.0 + 0.0j,
+                             yp0=complex(z), jumps=jumps)
+    # the cap keeps each patch clear of its neighbours and the ends
+    ends = sorted([0.0, *(layer.position for layer in layers), h])
     cap = min([0.05 * h] + [0.25 * (b - a) for a, b in zip(ends, ends[1:])])
     patches = [_build_patch(profile, layer, k, cap) for layer in layers]
     for patch in patches:
@@ -1286,8 +1306,8 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     jumps = []
     for patch in patches:
         top = patch.s + patch.delta
-        # the state on the patch's upper edge, after a kink's jump there
-        j = np.flatnonzero(t == top)[-1]
+        # the state on the patch's upper edge
+        j = np.flatnonzero(t == top)[0]
         state = states[:, j]
         w_above = float(np.imag(state[1] * np.conj(state[0])))
         # the log-series amplitude B on the upper edge

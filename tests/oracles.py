@@ -82,14 +82,26 @@ def impedance_oracle(profile, k: float, c: complex, n_macro: int = 500) -> compl
 
 
 def scipy_impedance(profile, k: float, c: complex, tol: float) -> complex:
-    """y'(0)/y(0) by scipy's DOP853 (rtol = tol, atol = 1e-3 tol) from (0, 1).
+    """y'(0)/y(0) by scipy's DOP853 (rtol = tol, atol = 1e-3 tol) from (0, 1):
+    the quotient of :func:`scipy_state`."""
+    (y0, yp0), _, _ = scipy_state(profile, k, c, tol)
+    return complex(yp0 / y0)
+
+
+def scipy_state(profile, k: float, c: complex, tol: float,
+                init=(0.0, 1.0), at=()):
+    """(y(0), y'(0)), y at each altitude of ``at``, and log_scale, by scipy's
+    DOP853 (rtol = tol, atol = 1e-3 tol) from the lid data ``init``: the
+    true values are those returned times e^log_scale.
 
     One ``solve_ivp`` run per segment between h_plus, the kinks of a
-    piecewise-linear profile, the interior knots of a tabulated one and 0;
-    at a kink y' jumps by -[U'] y / (U - c), [U'] taken above minus below.
+    piecewise-linear profile, the interior knots of a tabulated one, the
+    altitudes ``at`` and 0; at a kink y' jumps by -[U'] y / (U - c), [U']
+    taken above minus below.  Each run starts from the state divided by its
+    largest part, whose log log_scale gains, so no |k| h+ overflows.
     """
     pwl = isinstance(profile, PiecewiseLinearProfile)
-    jumps, stops = {}, {profile.h_plus, 0.0}
+    jumps, stops = {}, {profile.h_plus, 0.0, *at}
     if pwl:
         jumps = {x: du for x, du in profile.kinks() if 0.0 < x < profile.h_plus}
         stops.update(jumps)
@@ -102,16 +114,21 @@ def scipy_impedance(profile, k: float, c: complex, tol: float) -> complex:
             q += profile.curvature(x) / (profile.value(x) - c)
         return [y[1], q * y[0]]
 
-    y = np.array([0.0, 1.0], dtype=complex)
+    y = np.array(init, dtype=complex)
+    log_scale, values = 0.0, {}
     edges = sorted(stops, reverse=True)
     for top, bot in zip(edges, edges[1:]):
+        size = np.abs(y).max()
+        y, log_scale = y / size, log_scale + math.log(size)
         sol = solve_ivp(f, (top, bot), y, method="DOP853",
                         rtol=tol, atol=1e-3 * tol)
         assert sol.success, sol.message
         y = sol.y[:, -1].copy()
+        values[bot] = (y[0], log_scale)
         if bot in jumps:
             y[1] -= jumps[bot] * y[0] / (profile.value(bot) - c)
-    return complex(y[1] / y[0])
+    ys = [values[x][0] * math.exp(values[x][1] - log_scale) for x in at]
+    return (complex(y[0]), complex(y[1])), ys, log_scale
 
 
 def _complex_wind(profile):

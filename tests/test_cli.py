@@ -177,6 +177,31 @@ command = kh
         want = (math.cosh(k * s) + z * math.sinh(k * s) / k) ** 2
         assert abs(u1 - want) <= 1e-8
 
+    def test_asym_on_an_unbounded_ramp(self, tmp_path, capsys):
+        # the ramp on [0, inf): its layer comes from its pieces, and its
+        # growth constant, 0, from the closed form, without a warning
+        text = BASE.replace("command = solve", "command = asym").replace(
+            "h_plus = 5.0", "h_plus = inf").replace(
+            "kind = tanh\nu_max = 10.0\nd = 1.0",
+            "kind = pwl\nmu = 10.0\nx2_star = 1.0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            assert main(["--config", write_config(tmp_path, text),
+                         "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "c_sharp = 0" in payload["notes"]
+        [(s, u_prime, u_double_prime, u1, term)] = payload["rows"]
+        assert (u_prime, u_double_prime, term) == (10.0, 0.0, 0.0)
+        k = 1.0
+        c_k = ck(FluidParams(1.22, 1000.0, 9.8), k)
+        assert s == pytest.approx(c_k / 10.0, rel=1e-12)
+        # y(0) = 1 and y'(0) = Z, the unbounded ramp's rational form
+        alpha = 10.0 - 10.0 / (2 * k) * (1 + math.exp(-2 * k))
+        beta = 10.0 - 10.0 / (2 * k) * (1 - math.exp(-2 * k))
+        z = -k * (c_k - alpha) / (c_k - beta)
+        want = (math.cosh(k * s) + z * math.sinh(k * s) / k) ** 2
+        assert u1 == pytest.approx(want, rel=1e-12)
+
     def test_certify_stable(self, tmp_path, capsys):
         text = BASE.replace("u_max = 10.0", "u_max = 1.5").replace(
             "command = solve", "command = certify-stable") + """

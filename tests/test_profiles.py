@@ -230,16 +230,41 @@ class TestCriticalPoints:
         with pytest.raises(EndpointCritical):
             find_critical_points(LinearShearProfile(1.0, 2.0), 1.0 + 1e-12)
 
-    def test_unbounded_zero_curvature_subclass_refused(self):
-        # a user's zero-curvature wind on [0, inf) has no closed-form roots
-        class Calm(ShearProfile):
+    def test_unbounded_zero_curvature_subclass_from_its_pieces(self):
+        # a user's zero-curvature wind on [0, inf): U = 2 x2 up to its kink
+        # at 1, then 1.5 + x2/2 on to infinity; its layers come from its
+        # pieces, the top one's by Newton from the kink
+        class Bent(ShearProfile):
             zero_curvature = True
 
             def value(self, x2):
-                return 1.0
+                return np.minimum(2.0 * x2, 1.5 + 0.5 * x2)
 
-        with pytest.raises(OutOfDomain, match="unbounded domain"):
-            find_critical_points(Calm(), 1.0)
+            def slope(self, x2):
+                return 2.0 if x2 < 1.0 else 0.5
+
+            def curvature(self, x2):
+                return 0.0 * x2
+
+            def kinks(self):
+                return [(1.0, -1.5)]
+
+        for c_r, s in ((1.0, 0.5), (5.0, 7.0), (2.0 + 1e-9, 1.0 + 2e-9)):
+            (layer,) = find_critical_points(Bent(), c_r)
+            assert layer.position == pytest.approx(s, rel=1e-14)
+            assert layer.u_double_prime == 0.0
+        assert find_critical_points(Bent(), -1.0) == ()
+
+    def test_unbounded_ramp(self):
+        # U = 10 x2 up to the kink at 1, uniform above
+        ramp = PiecewiseLinearProfile.ramp(10.0, 1.0)
+        (layer,) = find_critical_points(ramp, 3.0)
+        assert (layer.position, layer.u_prime) == (0.3, 10.0)
+        assert find_critical_points(ramp, 11.0) == ()
+        with pytest.raises(DegenerateShear, match="unbounded top piece"):
+            find_critical_points(ramp, 10.0)
+        with pytest.raises(EndpointCritical):
+            find_critical_points(ramp, 1e-12)
 
     @given(
         u_max=st.floats(2.0, 50.0),

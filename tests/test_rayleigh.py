@@ -32,7 +32,12 @@ from windwaves.rayleigh import (
     uniform_flow_impedance,
 )
 
-from oracles import contour_impedance_oracle, impedance_oracle, scipy_impedance
+from oracles import (
+    contour_impedance_oracle,
+    impedance_oracle,
+    scipy_impedance,
+    scipy_state,
+)
 
 TANH = TanhProfile(10.0, 1.0, 5.0)
 
@@ -45,6 +50,15 @@ REAL_AXIS_TANH = AnalyticProfile(
 X48 = np.linspace(0.0, 5.0, 48)
 #: jet48: 8 e x e^-x at 48 knots on [0, 5], two layers for c in (0.73, 8)
 JET48 = TabulatedProfile(X48, 8.0 * math.e * X48 * np.exp(-X48))
+
+#: U rises at slope 3 to the kink x = 1, at slope 1 to the kink x = 2.5, and
+#: is uniform above, up to h+ = 4: a zero-curvature wind, which never
+#: reaches the kernel
+KINKED = PiecewiseLinearProfile([0.0, 1.0, 2.5], [3.0, 1.0, 0.0], h_plus=4.0)
+#: the same wind sampled at 17 knots, the kinks among them: a table, which
+#: shoots on the kernel, its curvature sharp beside the knots 1 and 2.5
+KINK_TABLE = TabulatedProfile(np.linspace(0.0, 4.0, 17),
+                              KINKED.value(np.linspace(0.0, 4.0, 17)))
 
 
 def final_mesh(profile, k, c, tol=1e-10, sign_ci=None, start=None):
@@ -147,13 +161,11 @@ class TestDirectIntegration:
         with pytest.raises(DegenerateAtInterface):
             limiting_solution(prof, 1.0, c.real, +1, tol=1e-13)
 
-    @pytest.mark.parametrize("profile", [PiecewiseLinearProfile(
-        [0.0, 1.0, 2.5], [3.0, 1.0, 0.0], h_plus=4.0), TabulatedProfile(
-            np.linspace(0.0, 5.0, 16), 10.0 * np.tanh(np.linspace(0.0, 5.0, 16)))],
+    @pytest.mark.parametrize("profile", [KINK_TABLE, TabulatedProfile(
+        np.linspace(0.0, 5.0, 16), 10.0 * np.tanh(np.linspace(0.0, 5.0, 16)))],
         ids=["kinked", "table"])
     def test_steps_count_the_final_mesh_nodes(self, profile):
-        # one accepted point per node, the lid's included; a kink's jump is
-        # one more node
+        # one accepted point per node, the lid's included
         sol = integrate_rayleigh(profile, 1.2, 2.0 + 0.3j)
         t, _ = final_mesh(profile, 1.2, 2.0 + 0.3j)
         assert sol.n_steps == t.size
@@ -181,8 +193,6 @@ class TestBatch:
                           df=lambda x: 8.0 * math.exp(-x),
                           d2f=lambda x: -8.0 * math.exp(-x),
                           h_plus=4.0, name="exp")
-    KINKED = PiecewiseLinearProfile([0.0, 1.0, 2.5], [3.0, 1.0, 0.0],
-                                    h_plus=4.0)
 
     @pytest.mark.parametrize("profile", [TANH, TABLE, EXP, KINKED],
                              ids=["tanh", "table", "analytic", "kinked"])
@@ -209,7 +219,7 @@ class TestBatch:
             want = scipy_impedance(profile, k, c, tol=1e-12)
             assert abs(imp - want) <= 1e-9 * abs(want), (k, c)
 
-    @pytest.mark.parametrize("profile", [TANH, TABLE, EXP, KINKED],
+    @pytest.mark.parametrize("profile", [TANH, TABLE, EXP, KINK_TABLE],
                              ids=["tanh", "table", "analytic", "kinked"])
     def test_scalar_is_one_element_batch(self, profile):
         for c in (1.0 - 0.3j, 3.0 + 0.05j, 6.0 + 0.5j):
@@ -341,8 +351,7 @@ class TestKernel:
     """The mesh kernel: every accepted step passes DOP853's error test, and
     a batch member's mesh and arithmetic are its own."""
 
-    @pytest.mark.parametrize("profile", [TANH, TestBatch.TABLE,
-                                         TestBatch.KINKED],
+    @pytest.mark.parametrize("profile", [TANH, TestBatch.TABLE, KINK_TABLE],
                              ids=["tanh", "table", "kinked"])
     def test_mixed_batch_equals_solo_bitwise(self, profile):
         # k 150 needs ~50 times the steps of k 0.3, so the short meshes are
@@ -365,7 +374,7 @@ class TestKernel:
         (TANH, 300.0, 12.0 + 0.0j, None),  # past the float range
         (REAL_AXIS_TANH, 1.0, 3.0 + 1e-3j, None),
         (TestBatch.TABLE, 1.2, 6.0 + 0.0j, -1),
-        (TestBatch.KINKED, 1.2, 2.0 - 0.3j, None),
+        (KINK_TABLE, 1.2, 2.0 - 0.3j, None),
     ], ids=["tanh", "bump", "limit", "large-k", "real-axis", "table",
             "kinked"])
     @pytest.mark.parametrize("tol", [1e-8, 1e-12])
@@ -388,7 +397,7 @@ class TestKernel:
         (TANH, 3.0, 1.8076 + 1.5778e-4j, 1.8076 + 0.0j, 1),  # from a seed
         (TestBatch.TABLE, 1.2, 6.0 + 0.01j, 4.0 + 0.0j, 1),
         (TestBatch.TABLE, 1.2, 6.0 + 0.01j, 6.0006 + 0.01j, None),
-        (TestBatch.KINKED, 1.2, 2.0 - 0.3j, 0.5 + 0.1j, None),
+        (KINK_TABLE, 1.2, 2.0 - 0.3j, 0.5 + 0.1j, None),
     ]
     STARTED_IDS = ["tanh-moved", "tanh-near", "tanh-seed", "table-moved",
                    "table-near", "kinked"]
@@ -405,8 +414,7 @@ class TestKernel:
         assert norms.size == t.size - 1
         assert np.all(norms < 1.0)
 
-    @pytest.mark.parametrize("profile", [TANH, TestBatch.TABLE,
-                                         TestBatch.KINKED],
+    @pytest.mark.parametrize("profile", [TANH, TestBatch.TABLE, KINK_TABLE],
                              ids=["tanh", "table", "kinked"])
     def test_started_pair_in_a_batch_equals_solo_bitwise(self, profile):
         start, _ = final_mesh(profile, 1.2, 3.0 + 0.1j)
@@ -425,13 +433,14 @@ class TestKernel:
         cold, _ = impedance_outcomes(profile, ks, cs)
         assert [cold[i] for i in (0, 2, 4)] == [imps[i] for i in (0, 2, 4)]
 
-    @pytest.mark.parametrize("profile, k, c, c0, sign_ci", STARTED,
-                             ids=STARTED_IDS)
+    @pytest.mark.parametrize("profile, k, c, c0, sign_ci", STARTED[:-1],
+                             ids=STARTED_IDS[:-1])
     @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
     def test_started_shoot_agrees_with_cold(self, profile, k, c, c0, sign_ci,
                                             tol):
         # the worst case measured is 0.111 tol (tanh-moved at tol 1e-8), so
-        # the bound 0.3 tol leaves a margin of 2.7
+        # the bound 0.3 tol leaves a margin of 2.7; the kinked table, whose
+        # curvature is sharp beside its knots, reaches 0.66 tol at 1e-12
         meshes = [final_mesh(profile, k, c0, tol, sign_ci)[0]]
         warm, _ = impedance_outcomes(profile, k, [c], tol, meshes=meshes)
         cold, _ = impedance_outcomes(profile, k, [c], tol)
@@ -519,7 +528,7 @@ class TestKernel:
 
     @pytest.mark.parametrize("profile", [
         ConstantProfile(4.0, h_plus=5.0), LinearShearProfile(0.0, 2.0, h_plus=3.0),
-        PiecewiseLinearProfile.ramp(2.0, 1.0), TestBatch.KINKED, TANH,
+        PiecewiseLinearProfile.ramp(2.0, 1.0), KINKED, TANH,
         TestBatch.TABLE, TestBatch.EXP, REAL_AXIS_TANH],
         ids=["uniform", "linear", "unbounded-ramp", "kinked", "tanh", "table",
              "analytic", "real-axis-tanh"])
@@ -618,9 +627,10 @@ class TestPiecewiseLinear:
         nodes, slopes, c = [0.0, 25.0, 50.0], [1.0, 0.5, 0.0], 3.0 + 0.5j
         got = pwl_impedance_cascade(PiecewiseLinearProfile(nodes, slopes),
                                     k, c)
-        # h+ = 90 stands in for infinity: e^{-80 k} is far below rounding
-        want = interface_impedance(
-            PiecewiseLinearProfile(nodes, slopes, h_plus=90.0), k, c)
+        # scipy, rescaled at each kink; h+ = 55 stands in for infinity:
+        # e^{-10 k} is far below rounding
+        want = scipy_impedance(
+            PiecewiseLinearProfile(nodes, slopes, h_plus=55.0), k, c, 1e-12)
         assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_ode_with_kink_jump_matches_rational_form(self):
@@ -630,10 +640,129 @@ class TestPiecewiseLinear:
         alpha = u_star - mu / (2 * k) * (1 + math.exp(-2 * k * x2s))
         beta = u_star - mu / (2 * k) * (1 - math.exp(-2 * k * x2s))
         c = 3.0 + 0.4j
-        sol = integrate_rayleigh(prof, k, c, tol=1e-11)
         # h = 30 stands in for infinity: e^{-2kh} ~ 1e-26
         want = -k * (c - alpha) / (c - beta)
-        assert abs(sol.impedance - want) <= 1e-8 * abs(want)
+        # scipy's shoot, which steps the kink's jump, and the closed form
+        assert abs(scipy_impedance(prof, k, c, 1e-11) - want) <= 1e-8 * abs(want)
+        sol = integrate_rayleigh(prof, k, c)
+        assert abs(sol.impedance - want) <= 1e-12 * abs(want)
+        assert sol.n_steps == 0
+
+    @pytest.mark.parametrize("h_plus", [5.0, math.inf],
+                             ids=["finite", "unbounded"])
+    @pytest.mark.parametrize("offset", [0.0, 1e-14, 1e-13])
+    def test_one_kink_speed_rule(self, h_plus, offset):
+        # a c with |U - c| <= 1e-12 max(1, |U|) at a kink is refused on
+        # every column; 1e-9 past the kink speed 10, the closed form answers
+        prof = PiecewiseLinearProfile.ramp(10.0, 1.0, h_plus=h_plus)
+        k, c = 1.0, 10.0 + 1e-9
+        imps, errors = impedance_outcomes(prof, k, [10.0 + offset, c])
+        assert sorted(errors) == [0]
+        assert isinstance(errors[0], NearSingularCoefficient)
+        assert "kink speed U(1.0)" in str(errors[0])
+        if math.isinf(h_plus):
+            alpha = 10.0 - 10.0 / (2 * k) * (1 + math.exp(-2 * k))
+            beta = 10.0 - 10.0 / (2 * k) * (1 - math.exp(-2 * k))
+            want = -k * (c - alpha) / (c - beta)
+        else:
+            want = scipy_impedance(prof, k, c, 1e-12)
+        assert abs(imps[1] - want) <= 1e-10 * abs(want)
+
+    def test_failed_pair_is_nan_in_both_parts_on_every_route(self):
+        for profile, c in ((PiecewiseLinearProfile.ramp(2.0, 1.0), 2.0),
+                           (KINKED, 3.0 + 0.0j),  # closed forms
+                           (REAL_AXIS_TANH, 3.0 + 1e-9j),  # the kernel
+                           (TanhProfile(10.0, 1.0, math.inf), 1.0 + 1.0j)):
+            imps, errors = impedance_outcomes(profile, 1.0, [c, np.conj(c)])
+            assert sorted(errors) == [0, 1], profile
+            assert np.isnan(imps.real).all() and np.isnan(imps.imag).all()
+
+    def test_state_from_lid_data_matches_scipy(self):
+        # the water's shoot starts from (1, 0): the closed form's state at
+        # the interface, its log carried piece by piece, against scipy's
+        for k, c in ((0.5, 2.0 + 0.3j), (1.0, 3.5 - 0.2j), (2.0, 1.0 + 1e-3j)):
+            sol = integrate_rayleigh(KINKED, k, c, init=(1.0, 0.0))
+            (y0, yp0), _, log_scale = scipy_state(KINKED, k, c, 1e-13,
+                                                  init=(1.0, 0.0))
+            y0, yp0 = y0 * math.exp(log_scale), yp0 * math.exp(log_scale)
+            assert abs(sol.y0 - y0) <= 1e-10 * abs(y0), (k, c)
+            assert abs(sol.yp0 - yp0) <= 1e-10 * abs(yp0), (k, c)
+            assert sol.n_steps == 0
+
+    def test_limiting_u1_matches_scipy(self):
+        # U'' = 0 at each layer: no jump, and u1 = |y(s)/y(0)|^2 of the
+        # real shoot at c_r
+        for k, c_r in ((0.5, 2.0), (1.0, 3.5), (2.0, 4.0)):
+            lim = limiting_solution(KINKED, k, c_r, +1)
+            s = [layer.position for layer in lim.layers]
+            assert len(s) == 1 and lim.n_steps == 0
+            (y0, yp0), ys, _ = scipy_state(KINKED, k, c_r, 1e-13, at=s)
+            assert abs(lim.impedance - yp0 / y0) <= 1e-10 * abs(yp0 / y0)
+            assert lim.jumps[0].u1 == pytest.approx(abs(ys[0] / y0) ** 2,
+                                                    rel=1e-10)
+            assert lim.jumps[0].delta_yprime == 0.0
+            assert lim.w_jump_defects() == (0.0,)
+
+    def test_channel_mode_guard_matches_scipy(self):
+        # scipy's y(0) vanishes between two adjacent floats near c = 2.128
+        # at k = 1: there the closed form refuses the channel mode, on every
+        # route; 1e-6 away it answers, with scipy's impedance
+        def y0(c):
+            return scipy_state(KINKED, 1.0, c, 1e-13)[0][0].real
+
+        lo, hi = 2.12, 2.14
+        f_lo = y0(lo)
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if (y0(mid) < 0.0) == (f_lo < 0.0):
+                lo = mid
+            else:
+                hi = mid
+        for c in (lo, hi):
+            with pytest.raises(DegenerateAtInterface):
+                integrate_rayleigh(KINKED, 1.0, c)
+            with pytest.raises(DegenerateAtInterface):
+                limiting_solution(KINKED, 1.0, c, +1)
+            _, errors = impedance_outcomes(KINKED, 1.0, [c])
+            assert isinstance(errors[0], DegenerateAtInterface)
+        for c in (lo * (1.0 - 1e-6), hi * (1.0 + 1e-6)):
+            want = scipy_impedance(KINKED, 1.0, c, 1e-13)
+            got = integrate_rayleigh(KINKED, 1.0, c).impedance
+            assert abs(got - want) <= 1e-6 * abs(want)
+
+    def test_no_zero_curvature_wind_reaches_the_kernel(self, monkeypatch):
+        from windwaves.asymptotics import miles_c_sharp
+        from windwaves.dispersion import FluidParams, residual_general
+        from windwaves.eigensolver import scan_k
+
+        def kernel(*args):
+            raise AssertionError("a zero-curvature wind reached the kernel")
+
+        monkeypatch.setattr(rayleigh, "_integrate", kernel)
+        finite = PiecewiseLinearProfile.ramp(10.0, 1.0, h_plus=5.0)
+        unbounded = PiecewiseLinearProfile.ramp(10.0, 1.0)
+        for prof in (finite, unbounded, KINKED):
+            params = FluidParams(rho_plus=1.22, rho_minus=1000.0, g=9.8,
+                                 h_plus=prof.h_plus)
+            _, errors = impedance_outcomes(prof, [0.5, 2.0],
+                                           [3.5 + 0.2j, 2.0 - 0.1j])
+            assert errors == {}
+            for init in ((0.0, 1.0), (1.0, 0.0)):
+                if math.isinf(prof.h_plus):
+                    with pytest.raises(InfiniteDomain):
+                        integrate_rayleigh(prof, 1.0, 3.5 + 0.2j, init=init)
+                else:
+                    assert integrate_rayleigh(prof, 1.0, 3.5 + 0.2j,
+                                              init=init).n_steps == 0
+            assert limiting_solution(prof, 1.0, 2.0, +1).n_steps == 0
+            assert miles_c_sharp(prof, params, 1.0).c_sharp == 0.0
+            curve = scan_k(prof, params, [0.5, 1.0, 2.0])
+            assert all(row.converged for row in curve.entries), prof
+            # the water, linear between its kinks, shoots from its bottom
+            water = FluidParams(rho_plus=1.22, rho_minus=1000.0, g=9.8,
+                                h_plus=prof.h_plus, h_minus=KINKED.h_plus)
+            assert np.isfinite(residual_general(3.5 + 0.2j, water, 1.0, prof,
+                                                KINKED))
 
     def test_wronskian_rejected_for_pwl(self):
         prof = PiecewiseLinearProfile.ramp(2.0, 1.0, h_plus=4.0)
@@ -806,8 +935,9 @@ class TestLimitingSolution:
 
     @pytest.mark.parametrize("offset", [0.0, 1e-13])
     def test_layer_at_a_kink_is_refused(self, offset):
+        # c_r within 1e-12 of the kink speed 3: the closed form's one rule
         c_r = float(self.KINKED.value(1.0 + offset))
-        with pytest.raises(SeriesRadiusTooSmall):
+        with pytest.raises(NearSingularCoefficient, match="kink speed U\\(1.0\\)"):
             limiting_solution(self.KINKED, 1.0, c_r, +1, tol=1e-12)
 
 
@@ -919,8 +1049,9 @@ class TestLimitingBatch:
             impedance_outcomes(TANH, 1.0, [3.0], sign_ci=0)
 
     def test_infinite_domain_rejected(self):
+        # only a zero-curvature wind has a closed form on [0, inf)
         with pytest.raises(InfiniteDomain):
-            limiting_solution(ConstantProfile(5.0), 1.0, 5.0, +1)
+            limiting_solution(TanhProfile(10.0, 1.0, math.inf), 1.0, 5.0, +1)
 
 
 def _tanh_table(n: int) -> TabulatedProfile:
