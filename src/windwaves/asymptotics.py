@@ -1,15 +1,28 @@
 """Small density-ratio expansion of the unstable wave speed.
 
-Near eps = rho+/rho- = 0, the relevant root of the dispersion relation has the
-structure c = c_k + O(eps) + i eps c_sharp + o(eps), where the growth constant
-c_sharp collects the critical-layer contributions of the limiting Rayleigh
-solution:
+Near eps = rho+/rho- = 0, the relevant root of the dispersion relation
+bifurcates from c_k as c = c_k + eps c_1 + o(eps).  The residual of
+:func:`~windwaves.dispersion.residual_miles` is -eps g at c_k, up to its
+other O(eps) terms, and its c-derivative there is -2 c_k |k| tanh(|k| h-)
++ O(eps), so
+
+    c_1 = f_I(0) y*'(0) - (g + U+'(0)(U+(0) - c_k)
+          + c_k |k| U+(0) sech^2(|k| h-) / tanh(|k| h+)) / (2 c_k |k| tanh(|k| h-)),
+
+with y*'(0) the limit impedance at c_k + i0 under y*(0) = 1.  Only its
+first term is complex.  Im c_1 is the growth constant c_sharp, which
+collects the critical-layer contributions of the limiting Rayleigh solution:
 
     c_sharp = -pi f_I(0) sum_j U''(s_j) u1(s_j) / |U'(s_j)|,
     f_I(0)  = (U+(0) - c_k)^2 / (2 c_k |k| tanh(|k| h-)),
 
 with u1 normalized to 1 at the interface.  c_sharp > 0 is the instability
-predicate; layers at inflection points contribute nothing.
+predicate; layers at inflection points contribute nothing.  Re c_1, the
+O(eps) shift of the phase speed, comes from Re y*'(0), the air's pressure in
+phase with the surface, and from the real terms: the air's weight, the
+interface shear, and, on water of finite depth, the interface speed.
+:func:`~windwaves.eigensolver.scan_k` takes all of eps c_1 by one Newton
+step of the residual from c_k.
 """
 from __future__ import annotations
 
@@ -78,7 +91,8 @@ class MilesAsymptotics:
         return self.c_sharp > 0.0
 
     def predicted_c(self, eps: float) -> complex:
-        """Leading-order unstable wave speed c_k + i eps c_sharp."""
+        """Leading-order unstable wave speed c_k + i eps c_sharp, without
+        the real shift eps Re c_1."""
         return self.c_k + 1j * eps * self.c_sharp
 
 

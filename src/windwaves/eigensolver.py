@@ -67,7 +67,8 @@ class EigenResult:
 
 
 def _classify(c: complex) -> str:
-    return UNSTABLE if c.imag > 1e-8 * max(1.0, abs(c.real)) else NEUTRAL
+    # relative to |c|, so that the verdict does not depend on the unit of speed
+    return UNSTABLE if c.imag > 1e-8 * abs(c) else NEUTRAL
 
 
 def find_root(residual: Callable[[complex], complex], c_init: complex, *,
@@ -78,7 +79,7 @@ def find_root(residual: Callable[[complex], complex], c_init: complex, *,
     Convergence requires |residual| <= tol * scale together with a relative
     step below 1e-12 (or a residual at rounding level).  ``scale`` carries the
     dimensional normalization, typically g.  Muller starts 1e-4 relative
-    around the seed; Im c > 1e-8 max(1, |Re c|) classifies a root unstable.
+    around the seed; Im c > 1e-8 |c| classifies a root unstable.
     A residual with a ``batch`` (see :func:`root_counts`) gets the starting
     triple in one call, and each later point in one more.
 
@@ -489,24 +490,31 @@ def scan_k(profile, params, k_list: Sequence[float],
            strategy: ScanStrategy = ScanStrategy()) -> GrowthCurve:
     """Solve the quiescent-ocean dispersion relation at every wavenumber.
 
-    Each entry seeds Muller at c_k plus the asymptotic growth offset
-    i eps c_sharp when a critical layer exists.  A row is the
-    :class:`EigenResult` its chain returns, conjugated into the upper
-    half-plane when Im c < 0; a failed row is recorded in the curve without
-    aborting the sweep, with ``converged`` False, and its message names the
-    error of its growth constant unless c_k has no layer.  The Muller chains
-    of all wavenumbers run in lockstep: each round evaluates the wave speeds
-    every live chain asks for (each chain's start, then one point per chain)
-    in one :func:`~windwaves.dispersion.miles_residuals` call, whose
-    batched impedances do not depend on the batch.  The asymptotic seeds of
-    all wavenumbers come from one growth-constant call
+    A row is the :class:`EigenResult` its chain returns, conjugated into
+    the upper half-plane when Im c < 0; a failed row is recorded in the
+    curve without aborting the sweep, with ``converged`` False, and its
+    message names the error of its growth constant unless c_k has no layer.
+    The Muller chains of all wavenumbers run in lockstep: each round
+    evaluates the wave speeds every live chain asks for (each chain's start,
+    then one point per chain) in one
+    :func:`~windwaves.dispersion.miles_residuals` call, whose batched
+    impedances do not depend on the batch.  The growth constants of all
+    wavenumbers come from one call
     (:func:`~windwaves.asymptotics.growth_constants`): on a profile with
     ``complex_path``, one kernel batch at the real speeds c_k along Lin's
     indented path, the same shoot that the Muller rounds take at complex c.
     That shoot, or the limiting solution, also gives the limit impedance
-    at c_k + i0, so a row with a growth constant starts from the residual
-    there as the known pair of :func:`_muller`: one point, the seed, in its
-    first round, not the triple's three (a real seed keeps the triple).
+    y*'(0) at c_k + i0, and so the residual f(c_k) there.  A row with
+    c_sharp > 0 is seeded by one Newton step from c_k, with the impedance
+    held at y*'(0): c_k - f(c_k) / f_c(c_k), f_c the c-derivative of
+    :func:`~windwaves.dispersion.residual_miles` at fixed impedance.  The
+    step is eps c_1 to leading order, both the O(eps) shift of the phase
+    speed and i eps c_sharp, so the seed lies within a few 1e-5 relative of
+    the root.  The row starts from (c_k, f(c_k)) as the known pair of
+    :func:`_muller`: its first round shoots the seed alone, its second the
+    secant point, and one Muller step then converges.  A row with
+    c_sharp <= 0, or without a growth constant (no layer, or the constant
+    failed), is seeded at the real c_k and starts from the triple around it.
     Each chain's shoots start from its last final mesh: the first from its
     seed shoot's, each later point from its last point's.  The Muller
     points lie close together, so that mesh already passes the kernel's
@@ -516,7 +524,8 @@ def scan_k(profile, params, k_list: Sequence[float],
     and a repeated call gives the same entries bit for bit.
     """
     from .asymptotics import _growth_constants
-    from .dispersion import ck, miles_residuals, residual_miles
+    from .dispersion import (_residual_miles_slope, ck, miles_residuals,
+                             residual_miles)
 
     ks = [float(k) for k in k_list]
     if not ks or any(k <= 0.0 for k in ks):
@@ -528,18 +537,26 @@ def scan_k(profile, params, k_list: Sequence[float],
                                            strategy.rayleigh_tol, shots)
     # index -> the chain's last final mesh
     meshes = {i: mesh for i, (mesh, _) in shots.items()}
-    u0, up0 = profile.value(0.0), profile.slope(0.0)
-    chains = []
-    for i, (k, asym) in enumerate(zip(ks, asyms)):
-        c_k = ck(params, k, strategy.branch)
-        seed, known = complex(c_k), None  # no layer or degenerate: real
-        if asym is not None:
-            seed = c_k + 1j * params.epsilon * max(asym.c_sharp, 0.0)
-            known = (complex(c_k), complex(residual_miles(
-                c_k, shots[i][1], params, k, u0, up0)))
-        chains.append(_muller(seed, tol=strategy.tol,
-                              max_iter=strategy.max_iter, scale=params.g, k=k,
-                              known=known))
+    # no layer, degenerate or c_sharp <= 0: the real seed c_k and its triple
+    seeds = [complex(ck(params, k, strategy.branch)) for k in ks]
+    known: dict[int, tuple[complex, complex]] = {}
+    newton = [i for i, asym in enumerate(asyms)
+              if asym is not None and asym.c_sharp > 0.0]
+    if newton:
+        # one Newton step of the residual from (c_k, f(c_k)), the impedance
+        # held at y*'(0): all rows in one array call
+        c0 = np.array([seeds[i] for i in newton])
+        args = (np.array([shots[i][1] for i in newton]), params,
+                np.array([ks[i] for i in newton]), profile.value(0.0),
+                profile.slope(0.0))
+        f0 = residual_miles(c0, *args)
+        steps = f0 / _residual_miles_slope(c0, *args)
+        for i, c, f, step in zip(newton, c0.tolist(), f0.tolist(),
+                                 steps.tolist()):
+            seeds[i], known[i] = c - step, (c, f)
+    chains = [_muller(seed, tol=strategy.tol, max_iter=strategy.max_iter,
+                      scale=params.g, k=k, known=known.get(i))
+              for i, (k, seed) in enumerate(zip(ks, seeds))]
 
     def evaluate(owners, cs):
         pair_meshes = [meshes.get(i) for i in owners]

@@ -681,28 +681,32 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
         # failing step is cut
         bad = np.flatnonzero((norm >= 1.0)
                              | (np.isnan(norm) & np.isfinite(start).all(axis=0)))
-        factor = np.fmax(_MIN_FACTOR, _SAFETY * norm[bad] ** _ERROR_EXPONENT)
-        cuts = np.ones(seg.size, dtype=int)
-        cuts[bad] = np.ceil(1.0 / factor)
-        top = t0[bad]
-        collapse = bad[(top - t1[bad]) / cuts[bad]
-                       < 10.0 * (top - np.nextafter(top, -np.inf))]
+        settled = np.ones(rows.size, dtype=bool)
         dead = np.zeros(rows.size, dtype=bool)
-        dead[row[collapse]] = True
-        for i in rows[dead]:
-            fail(i, _collapse())
-        huge = ~dead & (np.bincount(row, cuts) > _MAX_STEPS)
-        for i in rows[huge]:
-            fail(i, _too_many())
-        dead |= huge
-        settled = np.bincount(row[bad], minlength=rows.size) == 0
+        if bad.size:  # else every element settles, and nothing is cut
+            factor = np.fmax(_MIN_FACTOR,
+                             _SAFETY * norm[bad] ** _ERROR_EXPONENT)
+            cuts = np.ones(seg.size, dtype=int)
+            cuts[bad] = np.ceil(1.0 / factor)
+            top = t0[bad]
+            collapse = bad[(top - t1[bad]) / cuts[bad]
+                           < 10.0 * (top - np.nextafter(top, -np.inf))]
+            dead[row[collapse]] = True
+            for i in rows[dead]:
+                fail(i, _collapse())
+            huge = ~dead & (np.bincount(row, cuts) > _MAX_STEPS)
+            for i in rows[huge]:
+                fail(i, _too_many())
+            dead |= huge
+            settled[row[bad]] = False
         done = np.flatnonzero(settled)
         if done.size:
             i, last = rows[done], counts[done]
             out_y[:, i] = states[:, done, last]
             out_scale[i] = scales[done, last]
-            grow = np.abs(states[0, done]) * np.exp(scales[done]
-                                                    - out_scale[i, None])
+            grow = np.abs(states[0, done])
+            if scales[done].any():  # else every factor below is exactly 1
+                grow *= np.exp(scales[done] - out_scale[i, None])
             out_sup[i] = np.where(np.arange(grow.shape[1]) <= last[:, None],
                                   grow, 0.0).max(axis=1)
             out_dist[i] = np.minimum.reduceat(dist, heads)[done]
@@ -1073,16 +1077,21 @@ def integrate_wronskian(profile: ShearProfile, k: float, c: complex,
     if not math.isfinite(h):
         raise InfiniteDomain("Wronskian integration needs a finite air column")
 
-    u_range = profile.u_bounds()
-    _check_switch(profile, c, _speed_scale(c, u_range), u_range)
+    # U'' = 0 leaves a zero-curvature wind's system regular at any c
+    if not profile.zero_curvature:
+        u_range = profile.u_bounds()
+        _check_switch(profile, c, _speed_scale(c, u_range), u_range)
     cr, ci = c.real, c.imag
 
     def rhs(x, u):
-        du = profile.value(x) - cr
-        denom = du * du + ci * ci
         upp = profile.curvature(x)
-        a = k * k + upp * du / denom
-        b = ci * upp / denom
+        if upp == 0.0:  # no layer term, also where U = c
+            a, b = k * k, 0.0
+        else:
+            du = profile.value(x) - cr
+            denom = du * du + ci * ci
+            a = k * k + upp * du / denom
+            b = ci * upp / denom
         return [2.0 * u[1], a * u[0] + u[2], 2.0 * a * u[1] + 2.0 * b * u[3],
                 b * u[0]]
 

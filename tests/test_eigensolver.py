@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from windwaves import asymptotics, dispersion
+from windwaves import asymptotics, dispersion, eigensolver, rayleigh
 from windwaves.asymptotics import necessity_certificate
 from windwaves.dispersion import (
     FluidParams,
@@ -38,6 +38,11 @@ from windwaves.errors import (
 from windwaves.profiles import ConstantProfile, TabulatedProfile, TanhProfile
 
 from oracles import multistart_roots, quadratic_roots
+
+
+X48 = np.linspace(0.0, 5.0, 48)
+#: jet48: 8 e x e^-x at 48 knots on [0, 5], two layers for c in (0.73, 8)
+JET48 = TabulatedProfile(X48, 8.0 * math.e * X48 * np.exp(-X48))
 
 
 def params_with(**kw):
@@ -684,6 +689,19 @@ class TestScanK:
         monkeypatch.setattr(dispersion, "impedance_outcomes", counted)
         return sizes
 
+    @staticmethod
+    def chain_seeds(monkeypatch):
+        """The seed of each Muller chain, by its k."""
+        seeds = {}
+        muller = eigensolver._muller
+
+        def recorded(c_init, **kwargs):
+            seeds[kwargs["k"]] = c_init
+            return muller(c_init, **kwargs)
+
+        monkeypatch.setattr(eigensolver, "_muller", recorded)
+        return seeds
+
     def test_seeded_rows_start_from_the_seed_alone(self, monkeypatch):
         # the seed stage's limit impedance gives each seeded row its residual
         # at c_k, so its first round shoots the seed alone
@@ -707,13 +725,13 @@ class TestScanK:
         curve = scan_k(prof, params_with(h_plus=5.0), [0.05, 0.3, 1.0])
         assert all(e.converged for e in curve.entries)
         assert sizes[0] == 3 + 1 + 1
-        # at eps 1e-6, eps c_sharp is 1.3e-7 at k 3, below the spacing
-        # guard 1e-6 c_k = 1.8e-6
+        # at eps 1e-6, the Newton step from c_k is 1.0e-7 c_k at k 3, below
+        # the spacing guard 1e-6 c_k
         sizes.clear()
+        seeds = self.chain_seeds(monkeypatch)
         p = params_with(h_plus=5.0, rho_plus=1e-3)
-        assert p.epsilon * asymptotics.miles_c_sharp(prof, p, 3.0).c_sharp \
-            < 1e-6 * ck(p, 3.0)
         curve = scan_k(prof, p, [3.0])
+        assert abs(seeds[3.0] - ck(p, 3.0)) < 1e-6 * ck(p, 3.0)
         assert curve.entries[0].converged
         assert sizes[0] == 3
 
@@ -740,10 +758,60 @@ class TestScanK:
             assert entry.converged, entry
             assert abs(entry.c - want) <= 1e-9 * abs(want), entry
 
+    @pytest.mark.filterwarnings("ignore:sufficient sign hypotheses")
+    @pytest.mark.parametrize("prof, k_min", [
+        (TanhProfile(10.0, 1.0, 5.0), 0.3),
+        (TanhProfile(8.0, 0.6, 5.0), 0.3),
+        (JET48, 0.7),  # two layers: the growth constants take Frobenius
+    ], ids=["tanh(10,1,5)", "tanh(8,0.6,5)", "jet48"])
+    def test_newton_seed_is_one_muller_step_from_the_root(self, monkeypatch,
+                                                           prof, k_min):
+        # the Newton step from c_k carries the O(eps) real shift of the root
+        # as well as i eps c_sharp, so the secant point and one Muller step
+        # converge
+        seeds = self.chain_seeds(monkeypatch)
+        curve = scan_k(prof, params_with(h_plus=5.0),
+                       np.linspace(k_min, 3.0, 12).tolist())
+        for entry in curve.entries:
+            assert entry.converged and entry.iterations == 1, entry
+            assert abs(seeds[entry.k] - entry.c) <= 5e-5 * abs(entry.c), entry
+
+    def test_tanh_sweep_takes_four_kernel_calls(self, monkeypatch):
+        # the growth constants' shoot at c_k, the seeds, the secant points
+        # and one Muller step
+        calls = []
+        integrate = rayleigh._integrate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(rayleigh, "_integrate", counted)
+        curve = scan_k(TanhProfile(10.0, 1.0, 5.0), params_with(h_plus=5.0),
+                       np.linspace(0.3, 3.0, 12).tolist())
+        assert all(e.converged for e in curve.entries)
+        assert len(calls) == 4
+
+    def test_band_edge_verdicts_do_not_depend_on_the_unit_of_speed(self):
+        # U -> lam U and g -> lam^2 g at fixed lengths take every c to lam c;
+        # +-3% around k* = g / U(h+)^2 the rows go from no layer to Im c
+        # near the threshold 1e-8 |c|
+        lam = 0.01
+        prof = TanhProfile(10.0, 1.0, 5.0)
+        k_star = 9.8 / prof.value(5.0) ** 2
+        ks = np.linspace(0.97 * k_star, 1.03 * k_star, 121).tolist()
+        base = scan_k(prof, params_with(h_plus=5.0), ks)
+        small = scan_k(TanhProfile(10.0 * lam, 1.0, 5.0),
+                       params_with(h_plus=5.0, g=9.8 * lam * lam), ks)
+        both = [(a, b) for a, b in zip(base.entries, small.entries)
+                if a.converged and b.converged]
+        assert len(both) >= 110
+        assert {a.classification for a, _ in both} == {UNSTABLE, NEUTRAL}
+        for a, b in both:
+            assert a.classification == b.classification, (a, b)
+
     def test_muller_rounds_start_from_the_chain_mesh(self, monkeypatch):
         # the kernel runs one _chain per refinement round
-        from windwaves import rayleigh
-
         rounds = []
         chain, integrate = rayleigh._chain, rayleigh._integrate
 

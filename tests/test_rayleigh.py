@@ -775,6 +775,28 @@ class TestWronskian:
         path = integrate_wronskian(TANH, 1.0, 3.0 + 0.05j)
         assert path.conservation_defect() <= 1e-8 * (1.0 + path.state_sup() ** 2)
 
+    @pytest.mark.parametrize("c", [3.0 + 1e-9j, 3.0])
+    def test_zero_curvature_at_a_layer(self, c):
+        # U'' = 0 keeps the system regular where U = Re c (x = 1.5): no
+        # switch refusal, and y = -sinh(k (h+ - x)) / k, so |y(0)|^2 =
+        # sinh(3)^2 and W = 0
+        path = integrate_wronskian(LinearShearProfile(0.0, 2.0, h_plus=3.0),
+                                   1.0, c)
+        assert path.conservation_defect() <= 1e-12 * (1.0 + path.state_sup() ** 2)
+        u1, _, _, w = path.at(0.0)
+        assert u1 == pytest.approx(math.sinh(3.0) ** 2, rel=1e-8)
+        assert abs(w) <= 1e-8 * u1
+
+    def test_zero_curvature_layer_on_a_node(self):
+        # with U'' = 0 the steps do not depend on c, so a real c with
+        # U = c at a node of the c = 3 run puts the layer on an evaluation
+        # point, where U'' (U - c) / |U - c|^2 would be 0/0
+        prof = LinearShearProfile(0.0, 2.0, h_plus=3.0)
+        node = next(t for t in integrate_wronskian(prof, 1.0, 3.0).dense.ts
+                    if 0.0 < t < 3.0)
+        path = integrate_wronskian(prof, 1.0, complex(prof.value(node)))
+        assert path.at(0.0)[0] == pytest.approx(math.sinh(3.0) ** 2, rel=1e-8)
+
     def test_consistency_with_rayleigh(self):
         c = 3.0 + 0.05j
         path = integrate_wronskian(TANH, 1.0, c)
