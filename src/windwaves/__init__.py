@@ -50,7 +50,6 @@ from .eigensolver import (
     GrowthCurve,
     ScanStrategy,
     continue_in_epsilon,
-    count_roots,
     find_root,
     root_counts,
     scan_k,
@@ -62,7 +61,6 @@ from .asymptotics import (
     f_I0,
     miles_c_sharp,
     necessity_certificate,
-    unstable_band,
 )
 
 __version__ = "0.1.0"

@@ -9,7 +9,8 @@ other O(eps) terms, and its c-derivative there is -2 c_k |k| tanh(|k| h-)
     c_1 = f_I(0) y*'(0) - (g + U+'(0)(U+(0) - c_k)
           + c_k |k| U+(0) sech^2(|k| h-) / tanh(|k| h+)) / (2 c_k |k| tanh(|k| h-)),
 
-with y*'(0) the limit impedance at c_k + i0 under y*(0) = 1.  Only its
+with y*'(0) the limit impedance at c_k + i0 under y*(0) = 1
+(:attr:`MilesAsymptotics.impedance`).  Only its
 first term is complex.  Im c_1 is the growth constant c_sharp, which
 collects the critical-layer contributions of the limiting Rayleigh solution:
 
@@ -27,6 +28,7 @@ step of the residual from c_k.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -44,7 +46,6 @@ __all__ = [
     "f_I0",
     "miles_c_sharp",
     "growth_constants",
-    "unstable_band",
     "necessity_certificate",
 ]
 
@@ -85,6 +86,9 @@ class MilesAsymptotics:
     #: the bracket -c_k sum_j U'' u1 / |U'| whose sign decides instability
     predicate_bracket: float
     sufficient_signs_hold: bool
+    #: y*'(0), the limit impedance at c_k + i0 under y*(0) = 1, from the
+    #: route that gave c_sharp
+    impedance: complex
 
     @property
     def unstable(self) -> bool:
@@ -121,14 +125,15 @@ def miles_c_sharp(profile: ShearProfile, params: FluidParams, k: float,
         If c_k is outside the range of the wind profile; no unstable speed
         can then bifurcate from c_k at small eps.
     """
-    results, errors = _growth_constants(profile, params, [k], branch, tol)
+    results, errors = growth_constants(profile, params, [k], branch, tol)
     if errors:
         raise errors[0]
     return results[0]
 
 
 def growth_constants(profile: ShearProfile, params: FluidParams, ks,
-                     branch: int = +1, tol: float = 1e-10
+                     branch: int = +1, tol: float = 1e-10, *,
+                     meshes: Optional[list] = None
                      ) -> tuple[list[Optional[MilesAsymptotics]], dict]:
     """The growth constant at every wavenumber of ``ks``.
 
@@ -150,23 +155,20 @@ def growth_constants(profile: ShearProfile, params: FluidParams, ks,
     Where both apply, the path and Frobenius agree to about the tolerance,
     down to a floor of a few 1e-12 relative that the Frobenius patch radius
     sets; the path stays within a few 1e-12 of an independent contour shoot
-    at tol 1e-12.  Returns ``(results, errors)``: a failed wavenumber's
-    result is None, and ``errors`` maps its index to the error
+    at tol 1e-12.  Each result's ``impedance`` is y*'(0) from the route
+    that gave its growth constant.  Returns ``(results, errors)``: a failed
+    wavenumber's result is None, and ``errors`` maps its index to the error
     :func:`miles_c_sharp` raises there.  The sign-hypothesis warning is
-    issued for each wavenumber that fails the hypotheses.
+    issued for each wavenumber that fails the hypotheses, and names the
+    first caller outside the package.
+
+    ``meshes``, when given, is a list with one entry per wavenumber: the
+    node parameters its path shoot starts from, or None, as in
+    :func:`~windwaves.rayleigh.impedance_outcomes`.  Each entry is replaced
+    by the wavenumber's final mesh along the path, None where it was not
+    shot there or its shoot failed, for a later shoot at a nearby wave speed
+    to start from.
     """
-    return _growth_constants(profile, params, ks, branch, tol)
-
-
-def _growth_constants(profile, params, ks, branch, tol, shots=None):
-    """The body of :func:`growth_constants`; both public functions call it
-    directly, so that the warnings of :func:`_layers_at_ck` name their
-    caller.  When ``shots`` is a dict, ``shots[i]`` is set to wavenumber
-    i's final mesh along the path (None where not shot there or failed),
-    for a later shoot at a nearby wave speed to start from (see
-    :func:`~windwaves.rayleigh.impedance_outcomes`), and its limit
-    impedance y*'(0) at c_k + i0 from the route of its growth constant
-    (None where neither route succeeded)."""
     ks = list(ks)
     results: list[Optional[MilesAsymptotics]] = [None] * len(ks)
     errors: dict[int, WindwavesError] = {}
@@ -178,50 +180,45 @@ def _growth_constants(profile, params, ks, branch, tol, shots=None):
             errors[i] = exc
     rows = [i for i, (_, layers) in at_ck.items() if profile.complex_path
             and len(layers) == 1 and layers[0].u_double_prime != 0.0]
-    u1s = {}  # index -> |y*(s_j)|^2 per layer
-    meshes, limits = {}, {}  # index -> final path mesh, y*'(0) at c_k
+    shot = None if meshes is None else [meshes[i] for i in rows]
+    if meshes is not None:
+        meshes[:] = [None] * len(ks)
+    path = {}  # index -> (u1 per layer, y*'(0) at c_k)
     if rows:
-        shot = None if shots is None else [None] * len(rows)
         imps, failed = impedance_outcomes(
             profile, [ks[i] for i in rows], [at_ck[i][0] for i in rows],
             tol, sign_ci=+1, layers=[at_ck[i][1] for i in rows], meshes=shot)
-        if shots is not None:
-            meshes.update(zip(rows, shot))
         for j, i in enumerate(rows):
+            if meshes is not None:
+                meshes[i] = shot[j]
             if j in failed:
                 errors[i] = failed[j]
                 del at_ck[i]
-                continue
-            limits[i] = complex(imps[j])
-            if abs(imps[j].imag) >= PATH_RESOLUTION * tol * abs(imps[j]):
+            elif abs(imps[j].imag) >= PATH_RESOLUTION * tol * abs(imps[j]):
                 layer = at_ck[i][1][0]
-                u1s[i] = [-imps[j].imag * abs(layer.u_prime)
-                          / (math.pi * layer.u_double_prime)]
+                path[i] = ([-imps[j].imag * abs(layer.u_prime)
+                            / (math.pi * layer.u_double_prime)],
+                           complex(imps[j]))
     for i, (c_k, layers) in at_ck.items():
         try:
-            if i not in u1s:
+            if i in path:
+                u1s, impedance = path[i]
+            else:
                 limit = limiting_solution(profile, ks[i], c_k, +1, tol,
                                           layers=layers)
-                u1s[i] = [jump.u1 for jump in limit.jumps]
-                limits[i] = limit.impedance
+                u1s = [jump.u1 for jump in limit.jumps]
+                impedance = limit.impedance
             results[i] = _assemble(profile, params, ks[i], branch, c_k,
-                                   layers, u1s[i])
+                                   layers, u1s, impedance)
         except WindwavesError as exc:
             errors[i] = exc
-    if shots is not None:
-        shots.update((i, (meshes.get(i), limits.get(i)))
-                     for i in range(len(ks)))
     return results, errors
 
 
 def _layers_at_ck(profile, params, k, branch):
     """c_k and its critical layers; warns when the sign hypotheses fail
-    while some layer has U'' != 0 (with every layer term 0 they say nothing).
-
-    Called from :func:`_growth_constants`, which the public functions (and
-    :func:`~windwaves.eigensolver.scan_k`) call directly, so that
-    stacklevel 4 names their caller in the warning.
-    """
+    while some layer has U'' != 0 (with every layer term 0 they say nothing),
+    naming the first frame outside the package."""
     c_k = ck(params, k, branch)
     layers = find_critical_points(profile, c_k)
     if len(layers) == 0:
@@ -230,14 +227,18 @@ def _layers_at_ck(profile, params, k, branch):
             "bifurcation from c_k for small density ratio")
     if not _sufficient_signs_hold(c_k, layers) and any(
             layer.u_double_prime != 0.0 for layer in layers):
+        level, frame = 1, sys._getframe()
+        while frame.f_back is not None and \
+                frame.f_globals.get("__package__") == __package__:
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             "sufficient sign hypotheses on c_k U'' fail; the assembled "
-            "bracket still decides instability", stacklevel=4)
+            "bracket still decides instability", stacklevel=level)
     return c_k, layers
 
 
-def _assemble(profile, params, k, branch, c_k, layers,
-              u1s) -> MilesAsymptotics:
+def _assemble(profile, params, k, branch, c_k, layers, u1s,
+              impedance) -> MilesAsymptotics:
     """Sum the per-layer terms of the growth constant, |y(s_j)|^2 = u1s[j]."""
     fi0 = f_I0(profile, params, k, branch)
     contribs = []
@@ -252,60 +253,11 @@ def _assemble(profile, params, k, branch, c_k, layers,
             position=layer.position, u_prime=layer.u_prime,
             u_double_prime=layer.u_double_prime, u1=u1, term=term))
 
-    return MilesAsymptotics(k=k, branch=branch, c_k=c_k, f_i0=fi0,
-                            c_sharp=c_sharp, layers=tuple(contribs),
-                            predicate_bracket=bracket,
-                            sufficient_signs_hold=_sufficient_signs_hold(c_k, layers))
-
-
-def unstable_band(profile: ShearProfile, params: FluidParams,
-                  k_range: tuple[float, float], n_samples: int = 64,
-                  branch: int = +1, tol: float = 1e-10) -> list[tuple[float, float]]:
-    """Maximal k-intervals where the growth constant is positive.
-
-    Samples c_sharp on a log grid over ``k_range`` with
-    :func:`growth_constants`; a sample where c_k leaves the range of U (or
-    the solver fails) counts as stable.  Sign changes are bracketed by
-    bisection to relative width 1e-3, on the same function.
-    """
-    k_lo, k_hi = k_range
-    if not (0.0 < k_lo < k_hi):
-        raise ValueError("k_range must be positive and increasing")
-
-    def sharps(ks: list[float]) -> list[float]:
-        results, _ = growth_constants(profile, params, ks, branch, tol)
-        return [-math.inf if r is None else r.c_sharp for r in results]
-
-    def sharp(k: float) -> float:
-        return sharps([k])[0]
-
-    ks = [k_lo * (k_hi / k_lo) ** (i / (n_samples - 1)) for i in range(n_samples)]
-    vals = sharps(ks)
-
-    def refine(a: float, b: float) -> float:
-        # bisect the predicate boundary between unstable a and stable b (or
-        # vice versa)
-        pa = sharp(a) > 0.0
-        while (b - a) > 1e-3 * a:
-            m = math.sqrt(a * b)
-            if (sharp(m) > 0.0) == pa:
-                a = m
-            else:
-                b = m
-        return math.sqrt(a * b)
-
-    bands: list[tuple[float, float]] = []
-    start: Optional[float] = None
-    for i, (k, v) in enumerate(zip(ks, vals)):
-        pos = v > 0.0
-        if pos and start is None:
-            start = refine(ks[i - 1], k) if i > 0 else k
-        elif not pos and start is not None:
-            bands.append((start, refine(ks[i - 1], k)))
-            start = None
-    if start is not None:
-        bands.append((start, ks[-1]))
-    return bands
+    return MilesAsymptotics(
+        k=k, branch=branch, c_k=c_k, f_i0=fi0, c_sharp=c_sharp,
+        layers=tuple(contribs), predicate_bracket=bracket,
+        sufficient_signs_hold=_sufficient_signs_hold(c_k, layers),
+        impedance=impedance)
 
 
 @dataclass(frozen=True)
@@ -361,7 +313,7 @@ def necessity_certificate(profile: ShearProfile, params: FluidParams, k: float,
     in lockstep (:func:`~windwaves.eigensolver.root_counts`), and ``route``
     is "rectangles".  Only there does im_floor apply.  Their counts, and the
     error raised, are those of two separate
-    :func:`~windwaves.eigensolver.count_roots` calls.
+    :func:`~windwaves.eigensolver.root_counts` calls of one rectangle each.
 
     Raises
     ------

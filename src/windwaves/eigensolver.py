@@ -32,7 +32,6 @@ __all__ = [
     "GrowthCurve",
     "ScanStrategy",
     "find_root",
-    "count_roots",
     "root_counts",
     "square_roots_real",
     "continue_in_epsilon",
@@ -176,18 +175,6 @@ _MAX_LEVELS = 48
 _ZERO_FLOOR = 1e-13
 
 
-def count_roots(residual: Callable[[complex], complex],
-                rectangle: tuple[float, float, float, float],
-                n_boundary: int = 64, *, max_levels: int = _MAX_LEVELS) -> int:
-    """Winding number of the residual around a rectangle (root count inside).
-
-    The one-rectangle case of :func:`root_counts`, which documents the
-    count, its arguments and its errors.
-    """
-    return root_counts(residual, [rectangle], n_boundary,
-                       max_levels=max_levels)[0]
-
-
 def root_counts(residual: Callable[[complex], complex],
                 rectangles: Sequence[tuple[float, float, float, float]],
                 n_boundary: int = 64, *,
@@ -225,7 +212,7 @@ def root_counts(residual: Callable[[complex], complex],
         The residual's error at a rectangle's first failed point.
 
     Of several failing rectangles, the first in order raises, as it would in
-    separate :func:`count_roots` calls.
+    separate calls of one rectangle each.
     """
     results, errors = _rounds(_evaluator(residual), [
         _winding(rectangle, n_boundary, max_levels) for rectangle in rectangles])
@@ -504,15 +491,15 @@ def scan_k(profile, params, k_list: Sequence[float],
     ``complex_path``, one kernel batch at the real speeds c_k along Lin's
     indented path, the same shoot that the Muller rounds take at complex c.
     That shoot, or the limiting solution, also gives the limit impedance
-    y*'(0) at c_k + i0, and so the residual f(c_k) there.  A row with
-    c_sharp > 0 is seeded by one Newton step from c_k, with the impedance
-    held at y*'(0): c_k - f(c_k) / f_c(c_k), f_c the c-derivative of
-    :func:`~windwaves.dispersion.residual_miles` at fixed impedance.  The
-    step is eps c_1 to leading order, both the O(eps) shift of the phase
-    speed and i eps c_sharp, so the seed lies within a few 1e-5 relative of
-    the root.  The row starts from (c_k, f(c_k)) as the known pair of
-    :func:`_muller`: its first round shoots the seed alone, its second the
-    secant point, and one Muller step then converges.  A row with
+    y*'(0) at c_k + i0 (each result's ``impedance``), and so the residual
+    f(c_k) there.  A row with c_sharp > 0 is seeded by one Newton step from
+    c_k, with the impedance held at y*'(0): c_k - f(c_k) / f_c(c_k), f_c the
+    c-derivative of :func:`~windwaves.dispersion.residual_miles` at fixed
+    impedance.  The step is eps c_1 to leading order, both the O(eps) shift
+    of the phase speed and i eps c_sharp, so the seed lies within a few 1e-5
+    relative of the root.  The row starts from (c_k, f(c_k)) as the known
+    pair of :func:`_muller`: its first round shoots the seed alone, its
+    second the secant point, and one Muller step then converges.  A row with
     c_sharp <= 0, or without a growth constant (no layer, or the constant
     failed), is seeded at the real c_k and starts from the triple around it.
     Each chain's shoots start from its last final mesh: the first from its
@@ -523,7 +510,7 @@ def scan_k(profile, params, k_list: Sequence[float],
     its own chain alone, so a row's entry does not depend on its neighbours
     and a repeated call gives the same entries bit for bit.
     """
-    from .asymptotics import _growth_constants
+    from .asymptotics import growth_constants
     from .dispersion import (_residual_miles_slope, ck, miles_residuals,
                              residual_miles)
 
@@ -531,12 +518,11 @@ def scan_k(profile, params, k_list: Sequence[float],
     if not ks or any(k <= 0.0 for k in ks):
         raise ValueError("k_list must be nonempty and positive")
 
-    shots: dict[int, tuple] = {}  # index -> (mesh, y*'(0) at c_k)
-    asyms, seed_errors = _growth_constants(profile, params, ks,
-                                           strategy.branch,
-                                           strategy.rayleigh_tol, shots)
-    # index -> the chain's last final mesh
-    meshes = {i: mesh for i, (mesh, _) in shots.items()}
+    meshes = [None] * len(ks)  # each chain's last final mesh
+    asyms, seed_errors = growth_constants(profile, params, ks,
+                                          strategy.branch,
+                                          strategy.rayleigh_tol,
+                                          meshes=meshes)
     # no layer, degenerate or c_sharp <= 0: the real seed c_k and its triple
     seeds = [complex(ck(params, k, strategy.branch)) for k in ks]
     known: dict[int, tuple[complex, complex]] = {}
@@ -546,7 +532,7 @@ def scan_k(profile, params, k_list: Sequence[float],
         # one Newton step of the residual from (c_k, f(c_k)), the impedance
         # held at y*'(0): all rows in one array call
         c0 = np.array([seeds[i] for i in newton])
-        args = (np.array([shots[i][1] for i in newton]), params,
+        args = (np.array([asyms[i].impedance for i in newton]), params,
                 np.array([ks[i] for i in newton]), profile.value(0.0),
                 profile.slope(0.0))
         f0 = residual_miles(c0, *args)
@@ -559,12 +545,13 @@ def scan_k(profile, params, k_list: Sequence[float],
               for i, (k, seed) in enumerate(zip(ks, seeds))]
 
     def evaluate(owners, cs):
-        pair_meshes = [meshes.get(i) for i in owners]
+        pair_meshes = [meshes[i] for i in owners]
         vals, errors = miles_residuals(profile, params,
                                        [ks[i] for i in owners], cs,
                                        tol=strategy.rayleigh_tol,
                                        meshes=pair_meshes)
-        meshes.update(zip(owners, pair_meshes))  # each chain's last point's
+        for i, mesh in zip(owners, pair_meshes):  # its last point's
+            meshes[i] = mesh
         return vals.tolist(), errors
 
     rows, errors = _rounds(evaluate, chains)

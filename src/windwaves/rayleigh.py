@@ -186,8 +186,8 @@ def _check_path(min_coeff_dist: float, scale: float) -> None:
             f"min |U - c| = {min_coeff_dist:g} along the path")
 
 
-def _check_interface(y0: complex, yp0: complex, sup_y: float) -> None:
-    if abs(y0) < INTERFACE_FLOOR * max(sup_y, abs(yp0)):
+def _check_interface(y0: complex, sup_y: float) -> None:
+    if abs(y0) < INTERFACE_FLOOR * sup_y:
         raise DegenerateAtInterface(
             f"|y(0)| = {abs(y0):g} vs sup |y| = {sup_y:g}: channel-type mode")
 
@@ -435,14 +435,13 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
             coeff, owner, joints, first, y, tol, fail, nodes)
 
     # only an element that may fail either check is checked alone
-    y0, yp0 = np.abs(y)
     maybe = ~((dist >= 1e-10 * scales)
-              & (y0 >= INTERFACE_FLOOR * np.fmax(sup_y, yp0)))
+              & (np.abs(y[0]) >= INTERFACE_FLOOR * sup_y))
     for i in np.flatnonzero(alive & maybe):
         try:
             if crossings is None:
                 _check_path(float(dist[i]), float(scales[i]))
-            _check_interface(complex(y[0, i]), complex(y[1, i]), float(sup_y[i]))
+            _check_interface(complex(y[0, i]), float(sup_y[i]))
         except WindwavesError as exc:
             fail(i, exc)
     y[:, ~alive] = np.nan
@@ -872,7 +871,7 @@ def pwl_impedance_cascade(profile: ShearProfile, k: float,
     decaying e^{-|k| x2}, z = -|k|.  No step grows with |k| d, so none
     overflows.  A node where y = 0 is carried through, and log y alongside
     z, so |y|^2, convex in each piece, is largest at a node: as on the
-    kernel, |y(0)| < 1e-12 max(sup |y|, |y'(0)|) raises
+    kernel, |y(0)| < 1e-12 sup |y| raises
     ``DegenerateAtInterface``.  One rule at every kink, on any column: c
     within rounding of its speed U, |U - c| <= 1e-12 max(1, |U|), raises
     ``NearSingularCoefficient``.
@@ -912,7 +911,7 @@ def _cascade(profile: ShearProfile, k: float, c: complex, init=None,
     if z is None:
         raise DegenerateAtInterface("y(0) = 0: channel-type mode")
     sup = max(log.real for log in logs.values())
-    _check_interface(1.0, z, math.exp(min(sup - w.real, 700.0)))
+    _check_interface(1.0, math.exp(min(sup - w.real, 700.0)))
     return z, w, [logs[s] for s in at]
 
 

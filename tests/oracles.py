@@ -338,7 +338,7 @@ def multistart_roots(residual: Callable[[complex], complex],
     """Distinct converged roots inside a rectangle from a seed grid.
 
     Cross-check companion of
-    :func:`~windwaves.eigensolver.count_roots`: on well-separated zero sets
+    :func:`~windwaves.eigensolver.root_counts`: on well-separated zero sets
     the number of distinct roots found from a grid x grid seed array equals
     the winding-number count.
     """

@@ -9,9 +9,9 @@ from windwaves.asymptotics import (
     growth_constants,
     miles_c_sharp,
     necessity_certificate,
-    unstable_band,
 )
 from windwaves.dispersion import FluidParams, ck
+from windwaves.eigensolver import scan_k
 from windwaves.errors import (
     HypothesisViolated,
     NearSingularCoefficient,
@@ -22,11 +22,16 @@ from windwaves.profiles import (
     AnalyticProfile,
     ConstantProfile,
     LinearShearProfile,
+    PiecewiseLinearProfile,
     TabulatedProfile,
     TanhProfile,
     find_critical_points,
 )
-from windwaves.rayleigh import impedance_outcomes, limiting_solution
+from windwaves.rayleigh import (
+    impedance_outcomes,
+    limiting_solution,
+    pwl_impedance_cascade,
+)
 
 from oracles import contour_impedance_oracle, spline_extremes
 
@@ -43,6 +48,8 @@ TANH = TanhProfile(10.0, 1.0, 5.0)
 X48 = np.linspace(0.0, 5.0, 48)
 #: tanh48: 10 tanh x at 48 knots
 TANH48 = TabulatedProfile(X48, 10.0 * np.tanh(X48))
+#: jet48: 8 e x e^-x at the same knots, two layers for c in (0.73, 8)
+JET48 = TabulatedProfile(X48, 8.0 * math.e * X48 * np.exp(-X48))
 #: a speed whose one layer on tanh48 lies 1e-9 above knot 20
 BESIDE_KNOT = float(TANH48.value(X48[20] + 1e-9))
 
@@ -307,46 +314,89 @@ class TestGrowthConstants:
                    for r in results)
 
     @pytest.mark.parametrize("kind", ["analytic", "table"])
-    @pytest.mark.parametrize("call", ["growth_constants", "miles_c_sharp"])
+    @pytest.mark.parametrize("call", ["growth_constants", "miles_c_sharp",
+                                      "scan_k"])
     def test_sign_hypothesis_warning_names_the_caller(self, call, kind):
         p = params_with(h_plus=2.0)
         with pytest.warns(UserWarning,
                           match="sufficient sign hypotheses") as record:
             if call == "growth_constants":
                 results, errors = growth_constants(convex(kind), p, [1.0])
-                assert errors == {}
+                assert errors == {} and results[0].c_sharp < 0.0
+            elif call == "miles_c_sharp":
+                assert miles_c_sharp(convex(kind), p, 1.0).c_sharp < 0.0
             else:
-                results = [miles_c_sharp(convex(kind), p, 1.0)]
-        assert results[0].c_sharp < 0.0
+                scan_k(convex(kind), p, [1.0])
         assert [w.filename for w in record] == [__file__]
 
-
-class TestUnstableBand:
-    def test_band_interior_and_exterior(self):
+    def test_band_edge_in_one_batch(self):
+        # c_k = U(h+) at k* = g / U(h+)^2: just below k* c_k leaves the
+        # range of U, just above it the one layer near the top is unstable
         p = params_with(h_plus=5.0)
-        bands = unstable_band(TANH, p, (0.05, 3.0), n_samples=40)
-        assert len(bands) == 1
-        lo, hi = bands[0]
-        # c_k = sqrt(9.8/k) must lie in (0, 10 tanh 5): k > 0.098 roughly
-        assert lo == pytest.approx(9.8 / (10.0 * math.tanh(5.0)) ** 2, rel=0.05)
-        assert hi == 3.0  # still unstable at the right edge
+        k_star = p.g / TANH.value(5.0) ** 2
+        results, errors = growth_constants(
+            TANH, p, [k_star * (1.0 - 1e-2), k_star * (1.0 + 1e-2)])
+        assert list(errors) == [0] and isinstance(errors[0], NoCriticalLayer)
+        assert results[0] is None and results[1].c_sharp > 0.0
 
-    def test_sigma_closes_both_ends(self):
-        # with surface tension c_k -> inf at both k ends, leaving the range
-        # of U; a thin column keeps the large-k solves affordable
+    def test_surface_tension_closes_both_ends(self):
+        # with surface tension c_k^2 = g/k + sigma k / rho- returns above
+        # U(h+) at large k: both roots of c_k = U(h+) end the unstable band;
+        # a thin column keeps the large-k solves affordable
         p = params_with(sigma=50.0, h_plus=0.25)
         thin = TanhProfile(10.0, 0.05, 0.25)
-        bands = unstable_band(thin, p, (0.02, 2e4), n_samples=28)
-        assert bands, "expected a nonempty unstable band"
-        lo, hi = bands[0]
-        assert lo > 0.02 * 1.5 and hi < 2e4 / 1.5
-        # small-k closure where c_k re-enters the range of U: c_k(k_lo) = 10
-        assert lo == pytest.approx(9.8 / 100.0, rel=0.3)
+        a, b = p.sigma / p.rho_minus, thin.value(0.25) ** 2
+        root = math.sqrt(b * b - 4.0 * a * p.g)
+        k_lo, k_hi = (b - root) / (2.0 * a), (b + root) / (2.0 * a)
+        assert k_lo == pytest.approx(9.8 / 100.0, rel=1e-2)
+        ks = [k_lo * (1.0 - 1e-2), k_lo * (1.0 + 1e-2), 100.0,
+              k_hi * (1.0 + 1e-2)]
+        results, errors = growth_constants(thin, p, ks)
+        assert list(errors) == [0, 3]
+        assert all(isinstance(exc, NoCriticalLayer) for exc in errors.values())
+        assert results[1].c_sharp > 0.0 and results[2].c_sharp > 0.0
 
-    def test_empty_band_when_wind_too_slow(self):
-        p = params_with(sigma=0.074, h_plus=5.0)
-        slow = TanhProfile(0.2, 1.0, 5.0)  # max U far below min_k c_k
-        assert unstable_band(slow, p, (1e-2, 1e4), n_samples=32) == []
+    def test_impedance_comes_from_the_route_of_c_sharp(self):
+        # bit for bit: the path's limit at c_k + i0 on a one-layer row, the
+        # Frobenius solve on a two-layer row, the closed form on a ramp
+        p = params_with(h_plus=5.0)
+        got, _ = growth_constants(TANH, p, [0.5, 1.5])
+        for asym in got:
+            want, _ = impedance_outcomes(TANH, asym.k, [asym.c_k],
+                                         sign_ci=+1)
+            assert asym.impedance == complex(want[0])
+        with pytest.warns(UserWarning, match="sufficient sign hypotheses"):
+            asym = miles_c_sharp(JET48, p, 1.0, tol=1e-12)
+        assert len(asym.layers) == 2
+        want = limiting_solution(JET48, 1.0, asym.c_k, +1, 1e-12)
+        assert asym.impedance == want.impedance
+        ramp = PiecewiseLinearProfile.ramp(10.0, 1.0, h_plus=5.0)
+        asym = miles_c_sharp(ramp, p, 1.0)
+        want = limiting_solution(ramp, 1.0, asym.c_k, +1)
+        assert want.n_steps == 0 and asym.impedance == want.impedance
+        assert asym.impedance == pytest.approx(
+            pwl_impedance_cascade(ramp, 1.0, asym.c_k), rel=1e-14)
+
+    def test_meshes_are_set_on_path_rows(self):
+        # k 0.05 has no layer; the others take the path.  Each path mesh,
+        # passed back in, starts a shoot that meets the same tolerance
+        p = params_with(h_plus=5.0)
+        meshes = [None] * len(self.KS)
+        results, errors = growth_constants(TANH, p, self.KS, meshes=meshes)
+        assert list(errors) == [0] and meshes[0] is None
+        assert all(mesh is not None for mesh in meshes[1:])
+        again, _ = growth_constants(TANH, p, self.KS, meshes=meshes)
+        for got, want in zip(again[1:], results[1:]):
+            assert abs(got.c_sharp - want.c_sharp) <= 1e-8 * want.c_sharp
+        # the Frobenius and the closed-form routes shoot no path
+        for profile in (JET48, PiecewiseLinearProfile.ramp(10.0, 1.0,
+                                                           h_plus=5.0)):
+            meshes = ["stale"] * 2
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                results, errors = growth_constants(profile, p, [1.0, 2.0],
+                                                   meshes=meshes)
+            assert errors == {} and meshes == [None, None]
 
 
 class TestNecessityCertificate:
@@ -392,9 +442,12 @@ class TestLayerBesideAKnot:
         p = params_with(h_plus=5.0)
         k_star = p.g / BESIDE_KNOT ** 2
         assert ck(p, k_star) == BESIDE_KNOT
-        results, errors = growth_constants(TANH48, p, [0.5, k_star, 2.0])
+        meshes = [None] * 3
+        results, errors = growth_constants(TANH48, p, [0.5, k_star, 2.0],
+                                           meshes=meshes)
         assert list(errors) == [1] and results[1] is None
         assert isinstance(errors[1], NearSingularCoefficient)
+        assert [mesh is None for mesh in meshes] == [False, True, False]
         for i, k in ((0, 0.5), (2, 2.0)):
             alone, none = growth_constants(TANH48, p, [k])
             assert none == {} and repr(results[i]) == repr(alone[0])

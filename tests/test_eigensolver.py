@@ -23,7 +23,6 @@ from windwaves.eigensolver import (
     _rounds,
     _winding,
     continue_in_epsilon,
-    count_roots,
     find_root,
     root_counts,
     scan_k,
@@ -172,7 +171,7 @@ def batched(residual):
     calls = []
 
     def scalar(c):
-        raise AssertionError("count_roots must evaluate through .batch")
+        raise AssertionError("root_counts must evaluate through .batch")
 
     def batch(cs):
         calls.append(len(cs))
@@ -191,10 +190,11 @@ def batched(residual):
 
 
 def count_both(residual, rect, **kw):
-    """count_roots point by point and through ``.batch``; they must agree."""
-    n = count_roots(residual, rect, **kw)
+    """root_counts of one rectangle, point by point and through ``.batch``;
+    they must agree."""
+    n = root_counts(residual, [rect], **kw)[0]
     wrapped = batched(residual)
-    assert count_roots(wrapped, rect, **kw) == n
+    assert root_counts(wrapped, [rect], **kw)[0] == n
     return n
 
 
@@ -226,9 +226,9 @@ class TestCountRoots:
     def test_boundary_zero_detected(self):
         residual = lambda c: c - 1.0
         with pytest.raises(BoundaryZero):
-            count_roots(residual, (0.0, 1.0, -0.5, 0.5))
+            root_counts(residual, [(0.0, 1.0, -0.5, 0.5)])[0]
         with pytest.raises(BoundaryZero):
-            count_roots(batched(residual), (0.0, 1.0, -0.5, 0.5))
+            root_counts(batched(residual), [(0.0, 1.0, -0.5, 0.5)])[0]
 
     def test_multiplicity_counted(self):
         residual = lambda c: (c - 0.3j) ** 2
@@ -264,7 +264,8 @@ class TestCountRoots:
         # a root 1e-10 below the bottom edge: the contour plus a few 16-way
         # levels, each one call, each flagged interval split into 15 points
         residual = batched(lambda c: c - (0.53 - 1e-10j))
-        assert count_roots(residual, (0.0, 1.0, 0.0, 1.0), n_boundary=8) == 0
+        assert root_counts(residual, [(0.0, 1.0, 0.0, 1.0)],
+                           n_boundary=8) == [0]
         assert residual.calls[0] == 32
         assert 1 < len(residual.calls) <= 1 + 48 // 4
         assert all(n % 15 == 0 for n in residual.calls[1:])
@@ -275,7 +276,7 @@ class TestCountRoots:
         # sqrt jumps by pi across its branch cut on the negative axis
         residual = wrap(cmath.sqrt)
         with pytest.raises(PhaseJumpUnresolved, match="after 8 levels"):
-            count_roots(residual, (-2.0, -1.0, -1.0, 1.0), max_levels=8)
+            root_counts(residual, [(-2.0, -1.0, -1.0, 1.0)], max_levels=8)[0]
 
 
 @pytest.mark.parametrize("u_max, d, k", [(0.5, 0.6, 0.5), (1.0, 1.0, 1.2),
@@ -296,9 +297,9 @@ def test_certificate_counts_match_pointwise_path(u_max, d, k):
                                                      h_plus=5.0), k)
     pointwise = lambda c: residual(c)  # no .batch attribute
     lo, hi = c_k - radius, c_k + radius
-    assert count_roots(pointwise, (lo, hi, im_floor, radius), 24) \
+    assert root_counts(pointwise, [(lo, hi, im_floor, radius)], 24)[0] \
         == cert.count_upper == 0
-    assert count_roots(pointwise, (lo, hi, -radius, -im_floor), 24) \
+    assert root_counts(pointwise, [(lo, hi, -radius, -im_floor)], 24)[0] \
         == cert.count_lower == 0
 
 
@@ -347,14 +348,14 @@ def test_certificate_one_batch_per_round(monkeypatch):
         calls = []
 
         def recorded(c):
-            raise AssertionError("count_roots must evaluate through .batch")
+            raise AssertionError("root_counts must evaluate through .batch")
 
         def batch(cs, calls=calls):
             calls.append(len(cs))
             return residual.batch(cs)
 
         recorded.batch = batch
-        assert count_roots(recorded, rect, n) == 0
+        assert root_counts(recorded, [rect], n)[0] == 0
         alone.append(calls)
 
     sizes = []
@@ -432,7 +433,7 @@ def sqrt_left_fails(c):
 
 class TestRootCounts:
     """:func:`root_counts` gives, rectangle by rectangle, what separate
-    :func:`count_roots` calls give, counts and errors alike."""
+    calls of one rectangle each give, counts and errors alike."""
 
     def cases(self):
         kh = kh_residual(params_with(rho_plus=300.0, sigma=0.05), 2.0, 4.0)
@@ -457,7 +458,7 @@ class TestRootCounts:
                              ids=["scalar", "batch"])
     def test_lockstep_equals_sequential(self, wrap):
         for residual, rects, n in self.cases():
-            alone = [count_roots(residual, rect, n) for rect in rects]
+            alone = [root_counts(residual, [rect], n)[0] for rect in rects]
             assert root_counts(wrap(residual), rects, n) == alone
             assert len(set(alone)) > 1
 
@@ -471,7 +472,7 @@ class TestRootCounts:
         residual = wrap(sqrt_left_fails)
         kw = dict(max_levels=8)
         with pytest.raises(PhaseJumpUnresolved, match="after 8 levels"):
-            count_roots(sqrt_left_fails, jump, **kw)
+            root_counts(sqrt_left_fails, [jump], **kw)[0]
         for first, error in [(jump, PhaseJumpUnresolved), (zero, BoundaryZero),
                              (broken, NoConvergence)]:
             for second in (jump, zero, broken, fine):
@@ -492,7 +493,7 @@ class TestRootCounts:
 
         broken, fine, n = (-2.0, -1.0, 0.0, 1.0), (1.0, 2.0, 0.0, 1.0), 8
         alone = batched(residual)
-        assert count_roots(alone, fine, n) == 0
+        assert root_counts(alone, [fine], n)[0] == 0
         assert len(alone.calls) > 1
         for rects in ([broken, fine], [fine, broken]):
             joint = batched(residual)

@@ -556,11 +556,13 @@ class TestUniformImpedance:
 
     @pytest.mark.parametrize("h_plus", [3.0, math.inf])
     def test_winds_without_kinks_match_it_bitwise(self, h_plus):
-        ks = [0.3, 1.0, 7.5, 60.0, 400.0]
+        # the channel guard is scale-free: no |k| is refused
+        ks = [0.3, 1.0, 7.5, 60.0, 400.0, 1e12, 1e14]
         for profile in (ConstantProfile(4.0, h_plus=h_plus),
                         LinearShearProfile(1.0, 2.0, h_plus=h_plus),
                         PiecewiseLinearProfile([0.0], [2.0], h_plus=h_plus)):
-            imps, errors = impedance_outcomes(profile, ks, [2.0 + 0.5j] * 5)
+            imps, errors = impedance_outcomes(profile, ks,
+                                              [2.0 + 0.5j] * len(ks))
             assert errors == {}
             assert imps.tolist() == [uniform_flow_impedance(k, h_plus)
                                      for k in ks], profile
