@@ -37,7 +37,7 @@ from .dispersion import FluidParams, ck, make_miles_residual
 from .eigensolver import root_counts, square_roots_real
 from .errors import HypothesisViolated, NoCriticalLayer, WindwavesError
 from .profiles import CriticalLayer, ShearProfile, find_critical_points
-from .rayleigh import impedance_outcomes, limiting_solution
+from .rayleigh import _layer_jumps, limiting_solution
 
 __all__ = [
     "MilesAsymptotics",
@@ -49,7 +49,7 @@ __all__ = [
     "necessity_certificate",
 ]
 
-#: the path resolves a layer term |Im y*'(0)| >= PATH_RESOLUTION tol |y*'(0)|
+#: the path resolves a layer whose jump of W is >= PATH_RESOLUTION tol |y*'(0)|
 PATH_RESOLUTION = 1e3
 
 
@@ -137,37 +137,23 @@ def growth_constants(profile: ShearProfile, params: FluidParams, ks,
                      ) -> tuple[list[Optional[MilesAsymptotics]], dict]:
     """The growth constant at every wavenumber of ``ks``.
 
-    On a profile with ``complex_path`` (tanh, tables), the wavenumbers whose
-    c_k has one critical layer s, with U''(s) != 0, are shot together in one
-    kernel batch at the real speeds c_k along Lin's indented path, from the
-    side Im c > 0 (:func:`~windwaves.rayleigh.impedance_outcomes`).  With
-    y*(0) = 1, W*(0) = Im y*'(0) is the jump of W at the layer, so
-
-        c_sharp = f_I0 Im y*'(0),   u1(s) = -Im y*'(0) |U'(s)| / (pi U''(s)).
-
-    Every other wavenumber (other profiles, two or more layers, a layer at an
-    inflection point, and a path row whose |Im y*'(0)| is below
-    ``PATH_RESOLUTION`` tol |y*'(0)|, lost in the rounding of |y*'(0)|)
-    takes :func:`~windwaves.rayleigh.limiting_solution`, whose per-layer
-    jumps give the layer terms: Frobenius on the kernel, or, for a
-    zero-curvature wind on any column, the closed form with no shoot
-    (``n_steps`` 0), where every term is 0 and the limit impedance is exact.
-    Where both apply, the path and Frobenius agree to about the tolerance,
-    down to a floor of a few 1e-12 relative that the Frobenius patch radius
-    sets; the path stays within a few 1e-12 of an independent contour shoot
-    at tol 1e-12.  Each result's ``impedance`` is y*'(0) from the route
-    that gave its growth constant.  Returns ``(results, errors)``: a failed
-    wavenumber's result is None, and ``errors`` maps its index to the error
-    :func:`miles_c_sharp` raises there.  The sign-hypothesis warning is
-    issued for each wavenumber that fails the hypotheses, and names the
-    first caller outside the package.
-
-    ``meshes``, when given, is a list with one entry per wavenumber: the
-    node parameters its path shoot starts from, or None, as in
-    :func:`~windwaves.rayleigh.impedance_outcomes`.  Each entry is replaced
-    by the wavenumber's final mesh along the path, None where it was not
-    shot there or its shoot failed, for a later shoot at a nearby wave speed
-    to start from.
+    On a profile with ``complex_path`` (tanh, tables), every wavenumber is shot
+    in one kernel batch at c_k + i0 along Lin's indented path, where, with
+    y*(0) = 1, W = Im y' conj(y) jumps by pi U''(s) u1(s) / |U'(s)| at each
+    layer s.  Those jumps give the layer terms wherever each is at least
+    ``PATH_RESOLUTION`` tol |y*'(0)|, above the rounding of y*'(0); a layer at
+    an inflection point never is.  Every other wavenumber (unresolved, its path
+    failed, or a profile without ``complex_path``) takes the per-layer jumps of
+    :func:`~windwaves.rayleigh.limiting_solution`.  Both agree to about the
+    tolerance, down to a floor of a few 1e-12 that the Frobenius patch radius
+    sets.  Each result's ``impedance`` is y*'(0) from its growth constant's
+    route.  Returns ``(results, errors)``: a failed wavenumber's result is
+    None, and ``errors`` maps its index to the error :func:`miles_c_sharp`
+    raises there.  Each wavenumber that fails the sign hypotheses warns, naming
+    the first caller outside the package.  ``meshes``, when given, holds one
+    start mesh or None per wavenumber, as in
+    :func:`~windwaves.rayleigh.impedance_outcomes`; each entry is replaced by
+    the final mesh of its path shoot, None where it failed or had none.
     """
     ks = list(ks)
     results: list[Optional[MilesAsymptotics]] = [None] * len(ks)
@@ -178,27 +164,24 @@ def growth_constants(profile: ShearProfile, params: FluidParams, ks,
             at_ck[i] = _layers_at_ck(profile, params, k, branch)
         except WindwavesError as exc:
             errors[i] = exc
-    rows = [i for i, (_, layers) in at_ck.items() if profile.complex_path
-            and len(layers) == 1 and layers[0].u_double_prime != 0.0]
-    shot = None if meshes is None else [meshes[i] for i in rows]
-    if meshes is not None:
-        meshes[:] = [None] * len(ks)
+    rows = list(at_ck) if profile.complex_path else []
+    shot = [None if meshes is None else meshes[i] for i in rows]
     path = {}  # index -> (u1 per layer, y*'(0) at c_k)
     if rows:
-        imps, failed = impedance_outcomes(
-            profile, [ks[i] for i in rows], [at_ck[i][0] for i in rows],
-            tol, sign_ci=+1, layers=[at_ck[i][1] for i in rows], meshes=shot)
-        for j, i in enumerate(rows):
-            if meshes is not None:
-                meshes[i] = shot[j]
-            if j in failed:
-                errors[i] = failed[j]
-                del at_ck[i]
-            elif abs(imps[j].imag) >= PATH_RESOLUTION * tol * abs(imps[j]):
-                layer = at_ck[i][1][0]
-                path[i] = ([-imps[j].imag * abs(layer.u_prime)
-                            / (math.pi * layer.u_double_prime)],
-                           complex(imps[j]))
+        imps, jumps = _layer_jumps(
+            profile, [ks[i] for i in rows], [at_ck[i][0] for i in rows], tol,
+            [at_ck[i][1] for i in rows], shot)
+        for i, imp, row_jumps in zip(rows, imps, jumps):
+            # a failed shoot's floor and jumps are NaN, and never pass
+            floor = PATH_RESOLUTION * tol * abs(imp)
+            pairs = list(zip(at_ck[i][1], row_jumps))
+            if all(layer.u_double_prime != 0.0 and abs(jump) >= floor
+                   for layer, jump in pairs):
+                path[i] = ([jump * abs(layer.u_prime)
+                            / (math.pi * layer.u_double_prime)
+                            for layer, jump in pairs], complex(imp))
+    if meshes is not None:
+        meshes[:] = map(dict(zip(rows, shot)).get, range(len(ks)))
     for i, (c_k, layers) in at_ck.items():
         try:
             if i in path:

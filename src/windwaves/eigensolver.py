@@ -485,17 +485,13 @@ def scan_k(profile, params, k_list: Sequence[float],
     evaluates the wave speeds every live chain asks for (each chain's start,
     then one point per chain) in one
     :func:`~windwaves.dispersion.miles_residuals` call, whose batched
-    impedances do not depend on the batch.  The growth constants of all
-    wavenumbers come from one call
-    (:func:`~windwaves.asymptotics.growth_constants`): on a profile with
-    ``complex_path``, one kernel batch at the real speeds c_k along Lin's
-    indented path, the same shoot that the Muller rounds take at complex c.
-    That shoot, or the limiting solution, also gives the limit impedance
-    y*'(0) at c_k + i0 (each result's ``impedance``), and so the residual
-    f(c_k) there.  A row with c_sharp > 0 is seeded by one Newton step from
-    c_k, with the impedance held at y*'(0): c_k - f(c_k) / f_c(c_k), f_c the
-    c-derivative of :func:`~windwaves.dispersion.residual_miles` at fixed
-    impedance.  The step is eps c_1 to leading order, both the O(eps) shift
+    impedances do not depend on the batch.  One
+    :func:`~windwaves.asymptotics.growth_constants` call gives the growth
+    constants of all wavenumbers and each limit impedance y*'(0) at c_k + i0,
+    and so the residual f(c_k) there.  A row with c_sharp > 0 is seeded by
+    one Newton step from c_k, with the impedance held at y*'(0):
+    c_k - f(c_k) / f_c(c_k), f_c the c-derivative of
+    :func:`~windwaves.dispersion.residual_miles` at fixed impedance.  The step is eps c_1 to leading order, both the O(eps) shift
     of the phase speed and i eps c_sharp, so the seed lies within a few 1e-5
     relative of the root.  The row starts from (c_k, f(c_k)) as the known
     pair of :func:`_muller`: its first round shoots the seed alone, its

@@ -28,19 +28,16 @@ never enters the kernel.  Three regimes cover every other wind:
   singularity, so one solver covers Im c large down to Im c = 0+- (the
   limit, with the side given by ``sign_ci``).
   Other curved profiles shoot on the real axis and are refused too close to
-  a layer.  It is the one batch entry into the kernel;
-  ``interface_impedance`` is its one-pair case, and ``integrate_rayleigh``
-  shoots one element from given lid data, with no conjugation.
+  a layer.  ``interface_impedance`` is its one-pair case, and
+  ``integrate_rayleigh`` shoots one element from given lid data, with no
+  conjugation.
 * ``integrate_wronskian``: the real 4-vector (|y|^2, Re y'conj(y), |y'|^2,
   Im y'conj(y)) whose last component carries the destabilizing phase.
 * ``limiting_solution``: the Im c -> 0 limit across critical layers on the
   real axis, one element of the direct solver's column builder whose mesh
   runs between the layers and crosses each with a local log-series patch
-  and the explicit derivative jump i sign(c_I) pi U''(s)/|U'(s)| y(s).
-  It gives the per-layer jump data, so it serves the growth constant
-  wherever the path does not (profiles without ``complex_path``, two or
-  more layers, a layer at an inflection point), and its impedance is an
-  independent check of the indented path's.
+  and the explicit derivative jump i sign(c_I) pi U''(s)/|U'(s)| y(s); its
+  impedance is an independent check of the indented path's.
 
 The prefix products carry a log scale (see :func:`_chain`), so the kernel
 runs at any |k| h+.  It, and with it the limiting solver, needs numpy
@@ -941,7 +938,6 @@ def interface_impedance(profile: ShearProfile, k: float, c: complex,
 def impedance_outcomes(profile: ShearProfile, k, cs,
                        tol: float = _DEFAULT_TOL, *,
                        sign_ci: Optional[int] = None,
-                       layers: Optional[Sequence[tuple[CriticalLayer, ...]]] = None,
                        meshes: Optional[list] = None
                        ) -> tuple[np.ndarray, dict]:
     """Impedances y'(0)/y(0) of (k, c) pairs, ``k`` broadcast against ``cs``,
@@ -962,24 +958,19 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
     shot on an unbounded column); a caller that raises the first error in
     input order raises ``errors[min(errors)]``.
 
-    ``meshes``, when given, is a list with one entry per pair: the node
-    parameters a pair's shoot starts from (see :func:`_first_mesh`), or None
-    for the uniform and graded first mesh.  Each entry is replaced by its
-    pair's final node parameters, None where the pair failed or took a
-    closed form, so a chain of nearby wave speeds hands each shoot its
-    predecessor's mesh, which already passes the error test there and needs
-    one round of the kernel.  The final mesh passes the same test from any
-    start.  A pair with Im c < 0 starts from and returns the mesh of its
-    mirror image, and a repeated pair is shot once, from the entry of its
-    first occurrence.
+    ``meshes``, when given, holds per pair the node parameters its shoot
+    starts from (see :func:`_first_mesh`), or None for the uniform and
+    graded first mesh, and each entry is replaced by its pair's final node
+    parameters, None where it failed or took a closed form: at a nearby wave
+    speed that mesh passes the error test in one round of the kernel, and
+    the final mesh passes it from any start.  A pair with Im c < 0 shares
+    its mirror image's mesh; a repeated pair is shot once, from its first.
 
     On a profile with ``complex_path``, every pair shoots along Lin's path,
     indented around the critical layers at Re c (see :func:`_bumps`).  A
     real c with critical layers then gets the limit Im c -> 0 from the side
     ``sign_ci`` (+1 or -1), which :func:`limiting_solution` also computes;
-    without ``sign_ci`` such a pair is refused.  ``layers`` passes in, one
-    per pair, ``find_critical_points(profile, Re c)`` when the caller holds
-    it already; the path of a real c scans for its layers otherwise.
+    without ``sign_ci`` such a pair is refused.
 
     Raises
     ------
@@ -1015,8 +1006,6 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
     else:
         shot = None if meshes is None else [meshes[i] for i in first]
         y, _, _, errors = _shoot(profile, ks, cs, tol, sign_ci=sign_ci,
-                                 layers=None if layers is None
-                                 else [layers[i] for i in first],
                                  meshes=shot)
         with np.errstate(invalid="ignore"):  # NaN / NaN for the failed pairs
             imps = y[1] / y[0]
@@ -1026,6 +1015,49 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
     np.conjugate(imps, out=imps, where=below)
     return imps, {i: errors[j] for i, j in enumerate(which.tolist())
                   if j in errors}
+
+
+def _layer_jumps(profile: ShearProfile, ks, cs, tol: float,
+                 layers: Sequence[tuple[CriticalLayer, ...]],
+                 meshes: list) -> tuple[np.ndarray, list]:
+    """:func:`impedance_outcomes` of real speeds, ``sign_ci`` +1, and the
+    jumps W(above s) - W(below s) of W = Im y' conj(y) / |y(0)|^2 at each
+    element's ``layers[i]``, NaN where it failed.  W runs from 0 at the lid
+    to Im y*'(0), constant on the real axis between bumps, where the first
+    node at or below two layers' midpoint lies, at the latest the lower
+    bump's top."""
+    nodes: dict = {}
+    y, log_scale, _, errors = _shoot(profile, *_pairs(ks, cs), tol,
+                                     nodes=nodes, sign_ci=+1, layers=layers,
+                                     meshes=meshes)
+    with np.errstate(invalid="ignore"):  # NaN / NaN for the failed elements
+        imps = y[1] / y[0]
+    jumps = []
+    for i, found in enumerate(layers):
+        if i in errors:
+            jumps.append([math.nan] * len(found))
+            continue
+        t, _, states, scales, _ = nodes[i]
+        mids = [np.searchsorted(-t, -0.5 * (lower.position + upper.position))
+                for lower, upper in zip(found, found[1:])]
+        jumps.append(np.diff([imps[i].imag, *(_per_y0_squared(
+            _w(states[:, n]), scales[n], y[0, i], log_scale[i])
+            for n in mids), 0.0]))
+    return imps, jumps
+
+
+def _w(state: np.ndarray) -> float:
+    return float((state[1] * state[0].conjugate()).imag)  # Im y' conj(y)
+
+
+def _per_y0_squared(x: float, log_scale: float, y0: complex,
+                    y0_log_scale: float) -> float:
+    """x rel^2 / |y(0)|^2, x a product of two parts of a node's state, rel =
+    e^(log_scale - y0_log_scale): x (rel^2 / |y(0)|^2) bit for bit unless
+    that factor underflows, as powers of two split off first round nothing."""
+    rel, e_rel = math.frexp(math.exp(min(log_scale - y0_log_scale, 300.0)))
+    size, e_y = math.frexp(abs(y0))
+    return math.ldexp(x * (rel * rel / size ** 2), 2 * (e_rel - e_y))
 
 
 # ---------------------------------------------------------------------------
@@ -1249,14 +1281,6 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     0: y'' = k^2 y off its kinks, so U''(s_j) = 0 at every layer, no W
     jumps, u1 = |y(s_j)/y(0)|^2, and a c_r at a kink speed is refused.
 
-    This route gives the per-layer jump data (``jumps``), from which the
-    growth constant is assembled wherever the indented path, which gives only
-    the sum of the layer terms, does not serve: profiles without
-    ``complex_path``, two or more layers, a layer at an inflection point, a
-    layer term below the path's rounding.  The impedance alone is cheaper
-    along Lin's indented path (:func:`impedance_outcomes` with ``sign_ci``),
-    which is an independent check of this one.
-
     Raises
     ------
     ValueError
@@ -1314,23 +1338,20 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     jumps = []
     for patch in patches:
         top = patch.s + patch.delta
-        # the state on the patch's upper edge
+        # the state on the patch's upper edge, and its log-series amplitude B
         j = np.flatnonzero(t == top)[0]
         state = states[:, j]
-        w_above = float(np.imag(state[1] * np.conj(state[0])))
-        # the log-series amplitude B on the upper edge
         _, b_coef = np.linalg.solve(patch.matrix(patch.delta), state)
-        below = crossing[top][1] @ state
-        w_below = float(np.imag(below[1] * np.conj(below[0])))
         # restore the node's scale relative to the interface value
         rel = math.exp(min(float(scales[j]) - float(log_scale[0]), 300.0))
         y_val = (b_coef / y0) * rel
         dyp = 1j * sign_ci * math.pi * (
             patch.u_double_prime / abs(patch.u_prime)) * y_val
-        rel2 = rel * rel / abs(y0) ** 2
-        jumps.append(LayerJump(position=patch.s, y_value=y_val,
-                               delta_yprime=dyp, u1=abs(b_coef) ** 2 * rel2,
-                               w_above=w_above * rel2, w_below=w_below * rel2))
+        u1, w_above, w_below = (
+            _per_y0_squared(x, scales[j], y0, log_scale[0])
+            for x in (abs(b_coef) ** 2, _w(state),
+                      _w(crossing[top][1] @ state)))
+        jumps.append(LayerJump(patch.s, y_val, dyp, u1, w_above, w_below))
     return LimitSolution(c_r=c_r, sign_ci=sign_ci, k=k, layers=layers,
                          impedance=yp0 / y0, y0=1.0 + 0.0j, yp0=yp0 / y0,
                          jumps=tuple(jumps), n_steps=int(n_steps[0]))

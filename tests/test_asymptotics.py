@@ -270,26 +270,102 @@ class TestGrowthConstants:
         results, errors = growth_constants(TANH, p, ks)
         assert errors == {}
         assert len(scans) == len(ks)
-        cks = [got.c_k for got in results]
-        layers = [find_critical_points(TANH, c_k) for c_k in cks]
-        given, _ = rayleigh.impedance_outcomes(TANH, ks, cks, sign_ci=+1,
-                                               layers=layers)
-        scanned, _ = rayleigh.impedance_outcomes(TANH, ks, cks, sign_ci=+1)
+        scanned, _ = rayleigh.impedance_outcomes(
+            TANH, ks, [got.c_k for got in results], sign_ci=+1)
         assert len(scans) == 2 * len(ks)
-        assert given.tobytes() == scanned.tobytes()
+        assert [got.impedance for got in results] == scanned.tolist()
 
-    def test_two_layers_take_the_frobenius_route(self):
-        # the path gives only the sum of the layer terms
-        x = np.linspace(0.0, 5.0, 48)
-        jet = TabulatedProfile(x, 8.0 * math.e * x * np.exp(-x))
+    def test_two_layers_take_the_path(self):
+        # the jumps of W on the real axis between the bumps give each
+        # layer's u1
         p = params_with(h_plus=5.0)
         with pytest.warns(UserWarning, match="sufficient sign hypotheses"):
-            results, errors = growth_constants(jet, p, [1.0])
-            want = miles_c_sharp(jet, p, 1.0)
+            results, errors = growth_constants(JET48, p, [1.0])
+            want = miles_c_sharp(JET48, p, 1.0)
         assert errors == {}
         assert len(results[0].layers) == 2
         assert results[0] == want
-        assert [l.u1 for l in want.layers] == frobenius_c_sharp(jet, p, 1.0)[1]
+        for got, u1 in zip(want.layers, frobenius_c_sharp(JET48, p, 1.0)[1]):
+            assert got.u1 == pytest.approx(u1, rel=1e-8)
+
+    @pytest.mark.filterwarnings("ignore:sufficient sign hypotheses")
+    def test_two_layer_rows_match_frobenius(self):
+        # jet48 and the nine-knot sine jet, every layer >= 1e-3 from a knot
+        p = params_with(h_plus=5.0)
+        x9 = np.linspace(0.0, 5.0, 9)
+        sine = TabulatedProfile(x9, 10.0 * np.sin(0.9 * np.pi * x9 / 5.0))
+        checked = 0
+        for profile, knots, ks in ((JET48, X48, np.linspace(0.3, 2.2, 14)),
+                                   (sine, x9, np.linspace(0.15, 0.95, 12))):
+            results, errors = growth_constants(profile, p, ks.tolist())
+            assert errors == {}
+            for k, got in zip(ks, results):
+                gap = min(abs(layer.position - x) for layer in got.layers
+                          for x in knots)
+                if len(got.layers) != 2 or gap < 1e-3:
+                    continue
+                want, u1s = frobenius_c_sharp(profile, p, k)
+                assert abs(got.c_sharp - want) <= 1e-9 * abs(want)
+                for layer, u1 in zip(got.layers, u1s):
+                    assert abs(layer.u1 - u1) <= 1e-8 * u1
+                checked += 1
+        assert checked >= 20
+
+    @pytest.mark.filterwarnings("ignore:sufficient sign hypotheses")
+    def test_limiting_solution_only_where_the_path_does_not_resolve(
+            self, monkeypatch):
+        # every row with a layer enters the one path batch; on jet48 the
+        # upper layer's term falls below the path's resolution near k 2.3,
+        # and only those rows, and every row of a profile without
+        # complex_path, call limiting_solution
+        from windwaves import asymptotics
+
+        batches, limits = [], []
+        jumps, limit = asymptotics._layer_jumps, asymptotics.limiting_solution
+
+        def batched(profile, ks, *args):
+            batches.append(list(ks))
+            return jumps(profile, ks, *args)
+
+        def limited(profile, k, *args, **kwargs):
+            limits.append(k)
+            return limit(profile, k, *args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "_layer_jumps", batched)
+        monkeypatch.setattr(asymptotics, "limiting_solution", limited)
+        p = params_with(h_plus=5.0)
+        ks = [0.1, 0.5, 1.0, 2.0, 2.4, 2.6, 3.0]  # k 0.1: no layer
+        results, errors = growth_constants(JET48, p, ks)
+        assert list(errors) == [0]
+        assert batches == [ks[1:]] and limits == [2.4, 2.6, 3.0]
+        for k, got in zip(ks[4:], results[4:]):
+            assert [l.u1 for l in got.layers] == \
+                frobenius_c_sharp(JET48, p, k)[1]
+        batches.clear(), limits.clear()
+        with pytest.warns(UserWarning, match="sufficient sign hypotheses"):
+            growth_constants(convex("analytic"), params_with(h_plus=2.0),
+                             [1.0, 2.0])
+        assert batches == [] and limits == [1.0, 2.0]
+
+    def test_capillary_u1_below_the_float_range_of_its_factors(self):
+        # on a thin column at k 1979.5, |y(s)/y(0)|^2 ~ 3e-257 while the
+        # node's scale over the interface's, squared, and over |y(0)|^2 is
+        # ~2e-423; the term stays on Frobenius, below the path's resolution.
+        # u1 ~ e^(-2 |k| s), the interface's decaying solution at the layer
+        p = params_with(sigma=50.0, h_plus=0.25)
+        thin = TanhProfile(10.0, 0.05, 0.25)
+        ks = [1500.0, 1800.0, 1979.5]
+        results, errors = growth_constants(thin, p, ks)
+        assert errors == {}
+        got = results[-1]
+        assert got.layers[0].u1 > 0.0 and got.c_sharp > 0.0 and got.unstable
+
+        def defect(asym):
+            layer = asym.layers[0]
+            return abs(-math.log(layer.u1) / (2.0 * asym.k * layer.position)
+                       - 1.0)
+
+        assert defect(got) <= max(defect(r) for r in results[:-1])
 
     def test_capillary_range_keeps_the_frobenius_sign(self):
         # around the capillary-gravity minimum (k ~ 364) |k| h+ runs to 5000;
@@ -357,19 +433,27 @@ class TestGrowthConstants:
         assert results[1].c_sharp > 0.0 and results[2].c_sharp > 0.0
 
     def test_impedance_comes_from_the_route_of_c_sharp(self):
-        # bit for bit: the path's limit at c_k + i0 on a one-layer row, the
-        # Frobenius solve on a two-layer row, the closed form on a ramp
+        # bit for bit: the path's limit at c_k + i0 on a resolved row, one
+        # layer or two, the Frobenius solve on an unresolved row, the closed
+        # form on a ramp; one layer's u1 is -Im y*'(0) |U'| / (pi U'')
         p = params_with(h_plus=5.0)
         got, _ = growth_constants(TANH, p, [0.5, 1.5])
         for asym in got:
             want, _ = impedance_outcomes(TANH, asym.k, [asym.c_k],
                                          sign_ci=+1)
             assert asym.impedance == complex(want[0])
+            layer = asym.layers[0]
+            assert layer.u1 == -want[0].imag * abs(layer.u_prime) / (
+                math.pi * layer.u_double_prime)
         with pytest.warns(UserWarning, match="sufficient sign hypotheses"):
             asym = miles_c_sharp(JET48, p, 1.0, tol=1e-12)
-        assert len(asym.layers) == 2
-        want = limiting_solution(JET48, 1.0, asym.c_k, +1, 1e-12)
-        assert asym.impedance == want.impedance
+            far = miles_c_sharp(JET48, p, 2.6)
+        assert len(asym.layers) == len(far.layers) == 2
+        want, _ = impedance_outcomes(JET48, 1.0, [asym.c_k], 1e-12,
+                                     sign_ci=+1)
+        assert asym.impedance == complex(want[0])
+        want = limiting_solution(JET48, 2.6, far.c_k, +1)
+        assert far.impedance == want.impedance
         ramp = PiecewiseLinearProfile.ramp(10.0, 1.0, h_plus=5.0)
         asym = miles_c_sharp(ramp, p, 1.0)
         want = limiting_solution(ramp, 1.0, asym.c_k, +1)
@@ -388,15 +472,19 @@ class TestGrowthConstants:
         again, _ = growth_constants(TANH, p, self.KS, meshes=meshes)
         for got, want in zip(again[1:], results[1:]):
             assert abs(got.c_sharp - want.c_sharp) <= 1e-8 * want.c_sharp
-        # the Frobenius and the closed-form routes shoot no path
-        for profile in (JET48, PiecewiseLinearProfile.ramp(10.0, 1.0,
-                                                           h_plus=5.0)):
-            meshes = ["stale"] * 2
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                results, errors = growth_constants(profile, p, [1.0, 2.0],
-                                                   meshes=meshes)
-            assert errors == {} and meshes == [None, None]
+        # jet48's rows take the path, one of them (k 2.6) only to fall back
+        # to Frobenius; the closed form shoots no path
+        meshes = [None] * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            results, errors = growth_constants(JET48, p, [1.0, 2.6],
+                                               meshes=meshes)
+        assert errors == {} and all(mesh is not None for mesh in meshes)
+        meshes = ["stale"] * 2
+        results, errors = growth_constants(
+            PiecewiseLinearProfile.ramp(10.0, 1.0, h_plus=5.0), p, [1.0, 2.0],
+            meshes=meshes)
+        assert errors == {} and meshes == [None, None]
 
 
 class TestNecessityCertificate:
@@ -427,7 +515,7 @@ class TestNecessityCertificate:
 class TestLayerBesideAKnot:
     """A bump of Lin's path cannot cross a knot, so the path passes a layer
     1e-9 above one within 2.8e-10 of the singularity, and that pair fails
-    alone.  ROADMAP item H turns this row into a Frobenius fallback."""
+    alone; its growth constant falls back to Frobenius."""
 
     def test_path_pair_fails_alone(self):
         imps, errors = impedance_outcomes(TANH48, [1.0, 1.3],
@@ -438,16 +526,19 @@ class TestLayerBesideAKnot:
         alone, _ = impedance_outcomes(TANH48, 1.3, [2.0], sign_ci=+1)
         assert imps[1:].view(float).tolist() == alone.view(float).tolist()
 
-    def test_growth_constant_row_fails_alone(self):
+    def test_growth_constant_row_falls_back_alone(self):
         p = params_with(h_plus=5.0)
         k_star = p.g / BESIDE_KNOT ** 2
         assert ck(p, k_star) == BESIDE_KNOT
         meshes = [None] * 3
         results, errors = growth_constants(TANH48, p, [0.5, k_star, 2.0],
                                            meshes=meshes)
-        assert list(errors) == [1] and results[1] is None
-        assert isinstance(errors[1], NearSingularCoefficient)
+        assert errors == {}
         assert [mesh is None for mesh in meshes] == [False, True, False]
+        want = limiting_solution(TANH48, k_star, BESIDE_KNOT, +1)
+        assert results[1].impedance == want.impedance
+        assert [l.u1 for l in results[1].layers] == \
+            [jump.u1 for jump in want.jumps]
         for i, k in ((0, 0.5), (2, 2.0)):
             alone, none = growth_constants(TANH48, p, [k])
             assert none == {} and repr(results[i]) == repr(alone[0])

@@ -763,7 +763,7 @@ class TestScanK:
     @pytest.mark.parametrize("prof, k_min", [
         (TanhProfile(10.0, 1.0, 5.0), 0.3),
         (TanhProfile(8.0, 0.6, 5.0), 0.3),
-        (JET48, 0.7),  # two layers: the growth constants take Frobenius
+        (JET48, 0.7),  # two layers: the path's jumps, Frobenius past k ~2.3
     ], ids=["tanh(10,1,5)", "tanh(8,0.6,5)", "jet48"])
     def test_newton_seed_is_one_muller_step_from_the_root(self, monkeypatch,
                                                            prof, k_min):
