@@ -37,7 +37,7 @@ from .dispersion import FluidParams, ck, make_miles_residual
 from .eigensolver import root_counts, square_roots_real
 from .errors import HypothesisViolated, NoCriticalLayer, WindwavesError
 from .profiles import CriticalLayer, ShearProfile, find_critical_points
-from .rayleigh import _layer_jumps, limiting_solution
+from .rayleigh import _has_layers, _layer_jumps, limiting_solution
 
 __all__ = [
     "MilesAsymptotics",
@@ -305,7 +305,7 @@ def necessity_certificate(profile: ShearProfile, params: FluidParams, k: float,
     """
     c_k = ck(params, k, branch)
     umin, umax = profile.u_bounds()
-    if umin - 1e-12 <= c_k <= umax + 1e-12:
+    if _has_layers((umin, umax), c_k):
         raise HypothesisViolated(
             f"c_k = {c_k:g} lies in the range of U = [{umin:g}, {umax:g}]")
     margin = min(abs(c_k - umin), abs(c_k - umax))

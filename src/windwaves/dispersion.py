@@ -14,9 +14,9 @@ Three routes are provided:
   normalization ik z = 1.  Both fluid columns reduce to homogeneous Rayleigh
   solves after absorbing the harmonic sheet potential.
 
-* closed forms: the uniform-stream (Kelvin-Helmholtz) quadratic with its onset
-  threshold, the constant-shear quadratic, and the piecewise-linear cubic with
-  its rational impedance -k (c-alpha)/(c-beta).
+* closed forms: the Kelvin-Helmholtz onset threshold of a uniform stream
+  (``kh_threshold``), and the piecewise-linear cubic with its rational
+  impedance -k (c-alpha)/(c-beta) (``pwl_dispersion``).
 
 All residuals are returned dimensional; root finders divide by g to make the
 tolerance dimensionless.
@@ -148,12 +148,14 @@ def _residual_miles_slope(c: complex, impedance: complex, params: FluidParams,
             - eps * ak * u0 * (1.0 - tm * tm) / (tp + eps * tm))
 
 
-def _check_depth_consistency(profile: ShearProfile, params: FluidParams) -> None:
-    hp, ha = params.h_plus, profile.h_plus
+def _check_depth_consistency(profile: ShearProfile, params: FluidParams,
+                             water: bool = False) -> None:
+    """Refuse an air (or water) profile whose column is not the params' one."""
+    hp, ha = (params.h_minus if water else params.h_plus), profile.h_plus
     if math.isinf(hp) != math.isinf(ha) or (
             math.isfinite(hp) and abs(hp - ha) > 1e-9 * max(1.0, hp)):
-        raise ValueError(
-            f"air depth mismatch: params.h_plus={hp} vs profile.h_plus={ha}")
+        raise ValueError("water depth mismatch between profile and params" if water
+                         else f"air depth mismatch: params.h_plus={hp} vs profile.h_plus={ha}")
 
 
 def make_miles_residual(profile: ShearProfile, params: FluidParams, k: float,
@@ -235,10 +237,7 @@ def residual_general(c: complex, params: FluidParams, k: float,
     _check_depth_consistency(u_plus, params)
     calm = u_minus is None or (u_minus.zero_curvature and not u_minus.kinks())
     if not calm:
-        hm = u_minus.h_plus
-        if math.isinf(hm) != math.isinf(params.h_minus) or (
-                math.isfinite(hm) and abs(hm - params.h_minus) > 1e-9 * max(1.0, hm)):
-            raise ValueError("water depth mismatch between profile and params")
+        _check_depth_consistency(u_minus, params, water=True)
 
     ak = abs(k)
     rp, rm = params.rho_plus, params.rho_minus

@@ -5,11 +5,18 @@ critical-point queries (altitudes where U equals a given phase speed), and
 where its pieces meet: ``kinks`` gives the jumps of U', and the private
 ``_breaks`` the altitudes at which the solvers stop a shoot.
 ``value`` and ``curvature`` also take a numpy array of altitudes and return
-the array of values; a Python float still gets the ``math`` evaluation and a
-Python float back.  Profiles with ``complex_path`` also evaluate arrays of
-complex altitudes, so that the Rayleigh solver can shoot along a path
-indented around a critical layer.  Profiles are immutable after construction
-and safe to share between concurrent solves.
+the array of values; a Python float gets a Python float back.  Profiles
+with ``complex_path`` also evaluate arrays of complex altitudes, so that the
+Rayleigh solver can shoot along a path indented around a critical layer.
+Profiles are immutable after construction and safe to share between
+concurrent solves.
+
+Four winds are piecewise polynomials on one private class, ``_Piecewise``:
+a table's cubic spline, and the piecewise-linear wind, of which the uniform
+and constant-shear winds are the one-piece cases.  Their constructors
+validate the input and build the pieces' coefficients; ``_Piecewise``
+evaluates every piece by Horner's rule, and reads ``zero_curvature`` (no
+piece above degree 1) and its negation ``complex_path`` from them.
 
 The package has one critical-layer finder, :meth:`ShearProfile.path_layers`.
 It brackets the layers between altitudes where U is monotone (a table's
@@ -24,6 +31,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,11 +66,6 @@ def _lib(x2):
     return np if isinstance(x2, np.ndarray) else math
 
 
-def _const(x2, v: float):
-    """A constant v at every altitude of x2."""
-    return np.full(x2.shape, v) if isinstance(x2, np.ndarray) else v
-
-
 class ShearProfile:
     """Base class: a wind profile on [0, h_plus].
 
@@ -80,7 +83,7 @@ class ShearProfile:
     _breaks: tuple[float, ...] = ()
     #: True when U'' = 0 between the kinks, so that ``curvature`` is 0 and
     #: the wind's vorticity, if any, sits in the point masses of ``kinks``
-    #: (uniform, constant shear, piecewise linear)
+    #: (a piecewise wind with no piece above degree 1)
     zero_curvature: bool = False
     #: True when ``value`` and ``curvature`` take arrays of complex altitudes
     #: (the domain check applies to the real part) and ``path_reach`` is
@@ -154,7 +157,7 @@ class ShearProfile:
                 us[-1] + (slope and math.copysign(math.inf, slope))
             return xs, np.append(us, top)
         if not math.isfinite(self.h_plus):
-            raise OutOfDomain("root scan requires a finite air column")
+            raise OutOfDomain("cannot scan or bound a curved profile on [0, inf)")
         xs = np.linspace(0.0, self.h_plus, ROOT_SCAN_GRID + 1)
         return xs, self.value(xs)
 
@@ -202,10 +205,8 @@ class ShearProfile:
 
     def u_bounds(self) -> tuple[float, float]:
         """(min U, max U) over the column: U's extremes at the monotone
-        nodes, which hold a table's or a zero-curvature wind's extrema and
-        sample the others; closed forms override."""
-        if not math.isfinite(self.h_plus):
-            raise OutOfDomain("cannot bound a profile on [0, inf)")
+        nodes, which hold a piecewise wind's extrema (a zero-curvature one's
+        on any column) and sample the others; closed forms override."""
         us = self._monotone_nodes[1]
         return float(us.min()), float(us.max())
 
@@ -222,49 +223,97 @@ class ShearProfile:
             )
 
 
-@dataclass(frozen=True)
-class ConstantProfile(ShearProfile):
-    """Uniform wind U(x2) = u0."""
+class _Piecewise(ShearProfile):
+    """A polynomial of degree <= 3 on each piece [knots[j], knots[j+1]]:
+    U = ((a t + b) t + c) t + d, t = x2 - knots[j], (a, b, c, d) = ``_c[:, j]``
+    as in scipy's ``PPoly.c``, evaluated by Horner's rule at any real or
+    complex altitude.  The top knot is h_plus, infinite only above a linear
+    piece; ``kinks`` are the U' jumps the subclass states (a spline has none).
+    """
 
-    u0: float
-    h_plus: float = math.inf
-    kind = "constant"
-    zero_curvature = True
+    def __init__(self, knots: np.ndarray, coeffs: np.ndarray,
+                 kinks: Sequence[tuple[float, float]] = ()):
+        self._knots, self._c, self._kinks = knots, coeffs, tuple(kinks)
+        self.h_plus = float(knots[-1])
+        # U''' (and U' at a kink) jumps at the knots, which the error estimate
+        # does not see coming: stepping across them misses the tolerance 100-fold
+        self._breaks = tuple(knots[1:-1].tolist())
+        # no piece above degree 1; the others evaluate complex altitudes
+        self.zero_curvature = not coeffs[:2].any()
+        self.complex_path = not self.zero_curvature
+        if self.zero_curvature:  # the base class's nodes: 0, kinks, h_plus
+            return
+        # the knots and the interior extrema of the pieces: U is monotone
+        # between consecutive nodes, so each sign change of U - c_r over
+        # them brackets exactly one layer
+        a, b, c = 3.0 * coeffs[0], 2.0 * coeffs[1], coeffs[2]
+        with np.errstate(all="ignore"):  # NaN where U' has no real root
+            sq = np.sqrt(b * b - 4.0 * a * c)
+            # the roots of U' = a t^2 + b t + c on each piece
+            t = np.concatenate(((-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a),
+                                np.where(a == 0.0, -c / b, np.nan)))
+        base, span = np.tile(knots[:-1], 3), np.tile(np.diff(knots), 3)
+        inside = (t > 0.0) & (t < span)
+        nodes = np.unique(np.concatenate((knots, base[inside] + t[inside])))
+        self._monotone_nodes = nodes, self._horner(nodes)[0]
+
+    def _piece(self, x):
+        """Index of the piece that holds the altitude (real part of) x: the
+        count of interior knots at or below it."""
+        return np.searchsorted(self._knots[1:-1], np.real(x), side="right")
+
+    def _horner(self, x2):
+        """(U, U'') at real or complex x2, by Horner's rule on the piece of Re x2."""
+        j = self._piece(x2)
+        a, b, c, d = self._c[:, j]
+        t = x2 - self._knots[j]
+        u, upp = ((a * t + b) * t + c) * t + d, 6.0 * a * t + 2.0 * b
+        return (u, upp) if isinstance(x2, np.ndarray) else (float(u), float(upp))
 
     def value(self, x2):
-        return _const(x2, self.u0)
+        self._check_domain(x2)
+        return self._horner(x2)[0]
+
+    def value_and_curvature(self, x2):
+        self._check_domain(x2)
+        return self._horner(x2)
 
     def slope(self, x2):
-        return 0.0
+        self._check_domain(x2)
+        j = self._piece(x2)
+        a, b, c, _ = self._c[:, j]
+        t = x2 - self._knots[j]
+        return float((3.0 * a * t + 2.0 * b) * t + c)
 
     def curvature(self, x2):
-        return _const(x2, 0.0)
+        self._check_domain(x2)
+        return self._horner(x2)[1]
 
-    def u_bounds(self) -> tuple[float, float]:
-        return self.u0, self.u0
+    def derivative3(self, x2):
+        return 6.0 * float(self._c[0, self._piece(x2)])
+
+    def derivative4(self, x2):
+        return 0.0  # cubic pieces
+
+    def kinks(self) -> list[tuple[float, float]]:
+        return list(self._kinks)
+
+    def path_reach(self, s: float) -> float:
+        # the other two roots of the piece's cubic: divide (t - t_s) out of
+        # a t^3 + b t^2 + c t + (d - U(s)) and solve the quadratic
+        j = int(self._piece(s))
+        a, b, c, _ = self._c[:, j].tolist()
+        ts = s - float(self._knots[j])
+        b1 = b + a * ts
+        c1 = c + ts * b1
+        if a == 0.0:
+            return math.inf if b1 == 0.0 else abs(c1 / b1)
+        disc = cmath.sqrt(b1 * b1 - 4.0 * a * c1)
+        return min(abs((-b1 + disc) / (2.0 * a) - ts),
+                   abs((-b1 - disc) / (2.0 * a) - ts))
 
 
-@dataclass(frozen=True)
-class LinearShearProfile(ShearProfile):
-    """Constant shear U(x2) = u0 + mu * x2."""
-
-    u0: float
-    mu: float
-    h_plus: float = math.inf
-    kind = "linear"
-    zero_curvature = True
-
-    def value(self, x2):
-        return self.u0 + self.mu * x2
-
-    def slope(self, x2):
-        return self.mu
-
-    def curvature(self, x2):
-        return _const(x2, 0.0)
-
-
-class PiecewiseLinearProfile(ShearProfile):
+class PiecewiseLinearProfile(_Piecewise):
     """Continuous piecewise-linear wind profile.
 
     ``nodes`` lists the kink altitudes starting at 0; segment ``i`` spans
@@ -275,7 +324,6 @@ class PiecewiseLinearProfile(ShearProfile):
     """
 
     kind = "piecewise_linear"
-    zero_curvature = True
 
     def __init__(self, nodes: Sequence[float], slopes: Sequence[float], u0: float = 0.0,
                  h_plus: float = math.inf):
@@ -292,52 +340,47 @@ class PiecewiseLinearProfile(ShearProfile):
         self.nodes = tuple(nodes)
         self.slopes = tuple(slopes)
         self.u0 = float(u0)
-        self.h_plus = float(h_plus)
-        # cumulative values at the nodes
-        vals = [self.u0]
-        for i in range(1, len(nodes)):
-            vals.append(vals[-1] + slopes[i - 1] * (nodes[i] - nodes[i - 1]))
-        self._node_values = tuple(vals)
+        rises = [s * (b - a) for s, a, b in zip(slopes, nodes, nodes[1:])]
+        vals = list(accumulate(rises, initial=self.u0))  # U at the nodes
+        super().__init__(np.array([*nodes, h_plus], dtype=float),
+                         np.array([[0.0] * len(nodes)] * 2 + [slopes, vals]),
+                         [(x, b - a) for x, a, b in zip(nodes[1:], slopes, slopes[1:])])
 
     @classmethod
     def ramp(cls, mu: float, x2_star: float, h_plus: float = math.inf
              ) -> "PiecewiseLinearProfile":
         """Shear mu up to the kink altitude x2_star, uniform above."""
-        return cls([0.0, x2_star], [mu, 0.0], u0=0.0, h_plus=h_plus)
-
-    def _segment(self, x2: float) -> int:
-        i = len(self.nodes) - 1
-        while i > 0 and x2 < self.nodes[i]:
-            i -= 1
-        return i
-
-    def value(self, x2):
-        self._check_domain(x2)
-        if isinstance(x2, np.ndarray):
-            i = np.searchsorted(self.nodes, x2, side="right") - 1
-            return (np.take(self._node_values, i)
-                    + np.take(self.slopes, i) * (x2 - np.take(self.nodes, i)))
-        i = self._segment(x2)
-        return self._node_values[i] + self.slopes[i] * (x2 - self.nodes[i])
-
-    def slope(self, x2):
-        self._check_domain(x2)
-        return self.slopes[self._segment(x2)]
-
-    def curvature(self, x2):
-        self._check_domain(x2)
-        return _const(x2, 0.0)
-
-    def kinks(self) -> list[tuple[float, float]]:
-        """Interior kink altitudes with the U' jump (above minus below)."""
-        return [
-            (self.nodes[i], self.slopes[i] - self.slopes[i - 1])
-            for i in range(1, len(self.nodes))
-        ]
+        return PiecewiseLinearProfile([0.0, x2_star], [mu, 0.0], u0=0.0,
+                                      h_plus=h_plus)
 
     def __repr__(self):
         return (f"PiecewiseLinearProfile(nodes={self.nodes}, slopes={self.slopes}, "
                 f"u0={self.u0}, h_plus={self.h_plus})")
+
+
+class ConstantProfile(PiecewiseLinearProfile):
+    """Uniform wind U(x2) = u0: one piece of zero shear."""
+
+    kind = "constant"
+
+    def __init__(self, u0: float, h_plus: float = math.inf):
+        super().__init__([0.0], [0.0], u0, h_plus)
+
+    def __repr__(self):
+        return f"ConstantProfile(u0={self.u0}, h_plus={self.h_plus})"
+
+
+class LinearShearProfile(PiecewiseLinearProfile):
+    """Constant shear U(x2) = u0 + mu * x2: one piece."""
+
+    kind = "linear"
+
+    def __init__(self, u0: float, mu: float, h_plus: float = math.inf):
+        super().__init__([0.0], [mu], u0, h_plus)
+        self.mu = self.slopes[0]
+
+    def __repr__(self):
+        return f"LinearShearProfile(u0={self.u0}, mu={self.mu}, h_plus={self.h_plus})"
 
 
 @dataclass(frozen=True)
@@ -486,17 +529,16 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]])
 
 
-class TabulatedProfile(ShearProfile):
+class TabulatedProfile(_Piecewise):
     """Measured wind samples interpolated by a C2 cubic spline.
 
     Not-a-knot end conditions avoid injecting artificial curvature at the
     endpoints.  The coefficients are scipy's ``CubicSpline`` ones, computed
-    in numpy, and every altitude, real or complex, is evaluated by Horner's
-    rule.  Needs at least 4 strictly increasing sample altitudes starting at 0.
+    in numpy; samples on one line give a zero-curvature wind.  Needs at
+    least 4 strictly increasing sample altitudes starting at 0.
     """
 
     kind = "tabulated"
-    complex_path = True
 
     def __init__(self, x2: Sequence[float], u: Sequence[float]):
         x2 = np.asarray(x2, dtype=float)
@@ -511,76 +553,7 @@ class TabulatedProfile(ShearProfile):
             raise ValueError("samples must start at the interface x2 = 0")
         self.x2 = x2
         self.u = u
-        self.h_plus = float(x2[-1])
-        # U''' jumps at the knots, which the error estimate does not see
-        # coming: stepping across them misses the tolerance 100-fold
-        self._breaks = tuple(x2[1:-1].tolist())
-        self._c = _not_a_knot(x2, u)
-        # the knots and the interior extrema of the pieces: U is monotone
-        # between consecutive nodes, so each sign change of U - c_r over
-        # them brackets exactly one layer
-        a, b, c = 3.0 * self._c[0], 2.0 * self._c[1], self._c[2]
-        with np.errstate(all="ignore"):  # NaN where U' has no real root
-            sq = np.sqrt(b * b - 4.0 * a * c)
-            # the roots of U' = a t^2 + b t + c on each piece
-            t = np.concatenate(((-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a),
-                                np.where(a == 0.0, -c / b, np.nan)))
-        base, span = np.tile(x2[:-1], 3), np.tile(np.diff(x2), 3)
-        inside = (t > 0.0) & (t < span)
-        nodes = np.unique(np.concatenate((x2, base[inside] + t[inside])))
-        self._monotone_nodes = nodes, self._horner(nodes)[0]
-
-    def _piece(self, x):
-        """Index of the spline piece that holds the altitude (real part of) x:
-        the count of interior knots at or below it."""
-        return np.searchsorted(self.x2[1:-1], np.real(x), side="right")
-
-    def _horner(self, x2):
-        """(U, U'') at real or complex x2, by Horner's rule on the piece of Re x2."""
-        j = self._piece(x2)
-        a, b, c, d = self._c[:, j]
-        t = x2 - self.x2[j]
-        u, upp = ((a * t + b) * t + c) * t + d, 6.0 * a * t + 2.0 * b
-        return (u, upp) if isinstance(x2, np.ndarray) else (float(u), float(upp))
-
-    def value(self, x2):
-        self._check_domain(x2)
-        return self._horner(x2)[0]
-
-    def value_and_curvature(self, x2):
-        self._check_domain(x2)
-        return self._horner(x2)
-
-    def slope(self, x2):
-        self._check_domain(x2)
-        j = self._piece(x2)
-        a, b, c, _ = self._c[:, j]
-        t = x2 - self.x2[j]
-        return float((3.0 * a * t + 2.0 * b) * t + c)
-
-    def curvature(self, x2):
-        self._check_domain(x2)
-        return self._horner(x2)[1]
-
-    def derivative3(self, x2):
-        return 6.0 * float(self._c[0, self._piece(x2)])
-
-    def derivative4(self, x2):
-        return 0.0  # cubic pieces
-
-    def path_reach(self, s: float) -> float:
-        # the other two roots of the piece's cubic: divide (t - t_s) out of
-        # a t^3 + b t^2 + c t + (d - U(s)) and solve the quadratic
-        j = int(self._piece(s))
-        a, b, c, _ = self._c[:, j].tolist()
-        ts = s - float(self.x2[j])
-        b1 = b + a * ts
-        c1 = c + ts * b1
-        if a == 0.0:
-            return math.inf if b1 == 0.0 else abs(c1 / b1)
-        disc = cmath.sqrt(b1 * b1 - 4.0 * a * c1)
-        return min(abs((-b1 + disc) / (2.0 * a) - ts),
-                   abs((-b1 - disc) / (2.0 * a) - ts))
+        super().__init__(x2, _not_a_knot(x2, u))
 
     def __repr__(self):
         return f"TabulatedProfile(n={self.x2.size}, h_plus={self.h_plus})"

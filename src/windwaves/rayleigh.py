@@ -613,10 +613,10 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
     the interface is y e^log_scale, NaN where the element failed; sup |y| is
     over the accepted points, in y's scale; the accepted points are the
     nodes, the lid included, and a joint adds one.  When ``nodes`` is a
-    dict, ``nodes[i]`` is set to element i's (node parameters, segment of
-    each step, states at the nodes, their log scales, error norm of each
-    step) if it succeeds; the node parameters are what a later shoot starts
-    from (see :func:`_first_mesh`).
+    dict, ``nodes[i]`` is set to element i's (node parameters, states at the
+    nodes, their log scales, error norm of each step) if it succeeds; the
+    node parameters are what a later shoot starts from (see
+    :func:`_first_mesh`).
     """
     n = y.shape[1]
     # scipy's floor on rtol: below it rounding alone fails the error test
@@ -710,7 +710,7 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
         for r in done.tolist() if nodes is not None else ():
             mine = slice(heads[r], heads[r] + counts[r])
             nodes[rows[r]] = (np.append(t0[mine], t1[mine.stop - 1]),
-                              seg[mine], states[:, r, :counts[r] + 1],
+                              states[:, r, :counts[r] + 1],
                               scales[r, :counts[r] + 1], norm[mine])
         settled |= dead
         if settled.all():
@@ -1037,7 +1037,7 @@ def _layer_jumps(profile: ShearProfile, ks, cs, tol: float,
         if i in errors:
             jumps.append([math.nan] * len(found))
             continue
-        t, _, states, scales, _ = nodes[i]
+        t, states, scales, _ = nodes[i]
         mids = [np.searchsorted(-t, -0.5 * (lower.position + upper.position))
                 for lower, upper in zip(found, found[1:])]
         jumps.append(np.diff([imps[i].imag, *(_per_y0_squared(
@@ -1331,7 +1331,7 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
         profile, np.array([float(k)]), np.array([float(c_r)]), tol,
         nodes=nodes, crossings=[crossing])
     _raise_first(errors)
-    t, _, states, scales, _ = nodes[0]
+    t, states, scales, _ = nodes[0]
 
     # normalize to y*(0) = 1 and assemble the layer records
     y0, yp0 = complex(y[0, 0]), complex(y[1, 0])

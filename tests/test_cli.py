@@ -382,6 +382,10 @@ MALFORMED = {
     "unknown_section": CK + "\n[solvr]\ntol = 1e-9\n",
     "ramp_kink_at_column_top": BASE.replace("command = solve", "command = asym")
         .replace(TANH, "kind = pwl\nmu = 10.0\nx2_star = 5.0\nh_plus = 5.0"),
+    "linear_below_interface": BASE.replace("command = solve", "command = asym")
+        .replace(TANH, "kind = linear\nu0 = 0.0\nmu = 2.0\nh_plus = -2.0"),
+    "constant_empty_column": BASE.replace("command = solve", "command = asym")
+        .replace(TANH, "kind = constant\nu0 = 5.0\nh_plus = 0.0"),
     "zero_k": CK.replace("k = 1.0", "k = 0"),
     "non_finite_k": BASE.replace("k = 1.0", "k = nan"),
     "log_spacing_from_zero":

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from windwaves import rayleigh
+from windwaves.dispersion import FluidParams
+from windwaves.eigensolver import scan_k
 from windwaves.errors import DegenerateShear, EndpointCritical, OutOfDomain
 from windwaves.profiles import (
     AnalyticProfile,
@@ -13,6 +16,7 @@ from windwaves.profiles import (
     ShearProfile,
     TabulatedProfile,
     TanhProfile,
+    _not_a_knot,
     find_critical_points,
     load_tabulated,
 )
@@ -464,3 +468,146 @@ class TestOneFinder:
         assert umax == pytest.approx(want[1], rel=1e-15)
         us = prof.value(np.linspace(0.0, prof.h_plus, 100001))
         assert umin <= us.min() and us.max() <= umax
+
+
+def former_pwl(nodes, slopes, u0):
+    """U and U' by the former piecewise-linear formulas: node values
+    accumulated one segment at a time, and U(node) + slope (x2 - node) on
+    the segment found by a scalar scan."""
+    vals = [u0]
+    for i in range(1, len(nodes)):
+        vals.append(vals[-1] + slopes[i - 1] * (nodes[i] - nodes[i - 1]))
+
+    def segment(x):
+        i = len(nodes) - 1
+        while i > 0 and x < nodes[i]:
+            i -= 1
+        return i
+
+    def value(x):
+        i = segment(x)
+        return vals[i] + slopes[i] * (x - nodes[i])
+
+    return value, lambda x: slopes[segment(x)]
+
+
+def former_spline(xs, us):
+    """U and U' of a table by scalar Horner's rule on the not-a-knot
+    coefficients, the piece found by a scalar scan of the knots."""
+    coef = _not_a_knot(np.asarray(xs, float), np.asarray(us, float)).T.tolist()
+    knots = [float(x) for x in xs]
+
+    def piece(x):
+        j = 0
+        while j < len(coef) - 1 and x >= knots[j + 1]:
+            j += 1
+        return j
+
+    def value(x):
+        j = piece(x)
+        a, b, c, d = coef[j]
+        t = x - knots[j]
+        return ((a * t + b) * t + c) * t + d
+
+    def slope(x):
+        j = piece(x)
+        a, b, c, _ = coef[j]
+        t = x - knots[j]
+        return (3.0 * a * t + 2.0 * b) * t + c
+
+    return value, slope
+
+
+TABLE_XS = [0.0, 0.4, 1.1, 2.0, 3.2, 5.0]
+TABLE_US = [0.0, 3.1, 6.0, 7.9, 8.3, 7.0]
+#: each piecewise wind, U and U' by its former formulas, and altitudes,
+#: its knots among them
+PIECEWISE_CASES = {
+    "constant": (ConstantProfile(5.0), (lambda x: 5.0, lambda x: 0.0),
+                 [0.0, 0.3, 7.0, 1e6]),
+    "constant_finite": (ConstantProfile(-1.5, h_plus=3.0),
+                        (lambda x: -1.5, lambda x: 0.0), [0.0, 1.7, 3.0]),
+    "linear": (LinearShearProfile(1.0, 2.0),
+               (lambda x: 1.0 + 2.0 * x, lambda x: 2.0), [0.0, 0.3, 7.0, 1e6]),
+    "linear_finite": (LinearShearProfile(0.3, -0.7, h_plus=4.0),
+                      (lambda x: 0.3 + -0.7 * x, lambda x: -0.7),
+                      [0.0, 0.1, 1.3, 4.0]),
+    "pwl": (PiecewiseLinearProfile([0.0, 1.0, 2.5], [3.0, 1.0, -1.0], h_plus=4.2),
+            former_pwl([0.0, 1.0, 2.5], [3.0, 1.0, -1.0], 0.0),
+            [0.0, 0.3, 1.0, 1.7, 2.5, 3.3, 4.2]),
+    "ramp": (PiecewiseLinearProfile.ramp(2.0, 1.5),
+             former_pwl([0.0, 1.5], [2.0, 0.0], 0.0), [0.0, 0.7, 1.5, 9.0, 1e6]),
+    "table": (TabulatedProfile(TABLE_XS, TABLE_US),
+              former_spline(TABLE_XS, TABLE_US), TABLE_XS + [0.1, 1.5, 2.7, 4.9]),
+}
+
+
+class TestOnePiecewiseEvaluator:
+    @pytest.mark.parametrize("name", sorted(PIECEWISE_CASES))
+    def test_values_and_slopes_bit_for_bit(self, name):
+        prof, (value, slope), xs = PIECEWISE_CASES[name]
+        for x in xs:
+            assert type(prof.value(x)) is float and prof.value(x) == value(x)
+            assert type(prof.slope(x)) is float and prof.slope(x) == slope(x)
+        assert prof.value(np.array(xs)).tolist() == [value(x) for x in xs]
+        if prof.zero_curvature:
+            assert prof.curvature(0.5) == 0.0 and type(prof.curvature(0.5)) is float
+            assert prof.curvature(np.array(xs)).tolist() == [0.0] * len(xs)
+        else:
+            assert prof.curvature(np.array(xs)).tolist() == [
+                prof.curvature(x) for x in xs]
+
+    def test_flags_and_kinks(self):
+        for name, (prof, _, _) in PIECEWISE_CASES.items():
+            assert prof.zero_curvature == (name != "table")
+            assert prof.complex_path == (name == "table")
+        assert PIECEWISE_CASES["pwl"][0].kinks() == [(1.0, -2.0), (2.5, -2.0)]
+        assert PIECEWISE_CASES["ramp"][0].kinks() == [(1.5, -2.0)]
+        for name in ("constant", "linear_finite", "table"):
+            assert PIECEWISE_CASES[name][0].kinks() == []
+
+    def test_unbounded_winds_are_bounded_by_their_limits(self):
+        assert ConstantProfile(5.0).u_bounds() == (5.0, 5.0)
+        assert LinearShearProfile(1.0, 2.0).u_bounds() == (1.0, math.inf)
+        assert LinearShearProfile(1.0, -2.0).u_bounds() == (-math.inf, 1.0)
+        assert PiecewiseLinearProfile.ramp(2.0, 5.0).u_bounds() == (0.0, 10.0)
+
+    def test_uniform_and_linear_winds_check_their_column(self):
+        with pytest.raises(ValueError):
+            ConstantProfile(5.0, h_plus=0.0)
+        with pytest.raises(ValueError):
+            LinearShearProfile(0.0, 2.0, h_plus=-2.0)
+        with pytest.raises(OutOfDomain):
+            LinearShearProfile(0.0, 2.0, h_plus=3.0).value(3.5)
+
+
+class TestCollinearTable:
+    """Samples on one line make a zero-curvature table: the constant-shear
+    wind's closed form answers it."""
+
+    TABLE = TabulatedProfile([0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                             [0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
+
+    def test_is_zero_curvature(self):
+        assert self.TABLE.zero_curvature and not self.TABLE.complex_path
+        assert self.TABLE.kinks() == []
+        assert self.TABLE.u_bounds() == (0.0, 10.0)
+
+    @pytest.mark.parametrize("k", [0.5, 1.2, 3.0])
+    def test_impedance_matches_the_kernel(self, k):
+        c = 3.0 + 0.2j
+        z = rayleigh.interface_impedance(self.TABLE, k, c)
+        assert z == rayleigh.uniform_flow_impedance(k, 5.0)
+        # the kernel, which a zero-curvature wind never reaches on its own
+        y, _, _, errors = rayleigh._shoot(self.TABLE, *rayleigh._pairs(k, [c]),
+                                          1e-12)
+        assert not errors
+        assert abs(complex(y[1, 0] / y[0, 0]) - z) <= 1e-12 * abs(z)
+
+    def test_sweep_rows_converge(self):
+        params = FluidParams(rho_plus=1.22, rho_minus=1000.0, g=9.8, h_plus=5.0)
+        ks = [0.5, 1.0, 2.0, 3.0]
+        rows = scan_k(self.TABLE, params, ks).entries
+        assert all(row.converged for row in rows), [row.message for row in rows]
+        same = scan_k(LinearShearProfile(0.0, 2.0, h_plus=5.0), params, ks).entries
+        assert [row.c for row in rows] == [row.c for row in same]

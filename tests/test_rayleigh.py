@@ -70,7 +70,7 @@ def final_mesh(profile, k, c, tol=1e-10, sign_ci=None, start=None):
                                       nodes=nodes, sign_ci=sign_ci,
                                       meshes=[start])
     rayleigh._raise_first(errors)
-    t, _, _, _, norms = nodes[0]
+    t, _, _, norms = nodes[0]
     return t, norms
 
 
