@@ -35,6 +35,7 @@ from typing import Optional, Sequence, get_type_hints
 
 from .asymptotics import miles_c_sharp, necessity_certificate
 from .dispersion import FluidParams, ck, kh_threshold, pwl_dispersion
+from .dispersion import _check_depth_consistency
 from .eigensolver import ScanStrategy, scan_k
 from .errors import ConfigError, NoCriticalLayer, WindwavesError
 from .profiles import (
@@ -308,9 +309,15 @@ def _cmd_kh(cfg: RunConfig):
 
 
 def _require_profile(cfg: RunConfig) -> ShearProfile:
+    """The profile, on the air column of [fluids]."""
     if cfg.profile is None:
         raise ConfigError(f"command '{cfg.command}' needs a [profile] section")
-    return cfg.profile.build()
+    profile = cfg.profile.build()
+    try:
+        _check_depth_consistency(profile, cfg.fluids)
+    except ValueError as exc:
+        raise ConfigError(f"[profile]: {exc}") from exc
+    return profile
 
 
 def _solve_rows(cfg: RunConfig, ks: Sequence[float]):

@@ -65,13 +65,14 @@ class FluidParams:
     h_minus: float = math.inf
 
     def __post_init__(self):
+        # each comparison is False for a NaN
         if not (0.0 < self.rho_plus < self.rho_minus):
             raise ValueError("need 0 < rho_plus < rho_minus")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ValueError("surface tension must be nonnegative")
-        if self.g <= 0.0:
+        if not self.g > 0.0:
             raise ValueError("gravity must be positive")
-        if self.h_plus <= 0.0 or self.h_minus <= 0.0:
+        if not (self.h_plus > 0.0 and self.h_minus > 0.0):
             raise ValueError("depths must be positive (inf allowed)")
 
     @property
@@ -152,8 +153,9 @@ def _check_depth_consistency(profile: ShearProfile, params: FluidParams,
                              water: bool = False) -> None:
     """Refuse an air (or water) profile whose column is not the params' one."""
     hp, ha = (params.h_minus if water else params.h_plus), profile.h_plus
+    # a NaN depth matches none
     if math.isinf(hp) != math.isinf(ha) or (
-            math.isfinite(hp) and abs(hp - ha) > 1e-9 * max(1.0, hp)):
+            math.isfinite(hp) and not abs(hp - ha) <= 1e-9 * max(1.0, hp)):
         raise ValueError("water depth mismatch between profile and params" if water
                          else f"air depth mismatch: params.h_plus={hp} vs profile.h_plus={ha}")
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -101,6 +102,12 @@ class ShearProfile:
 
     def value_and_curvature(self, x2):
         """(U, U'') at x2, for the solvers that need both at once."""
+        self._check_domain(x2)
+        return self._value_and_curvature(x2)
+
+    def _value_and_curvature(self, x2):
+        """:meth:`value_and_curvature` at altitudes known to lie in the
+        column, which it does not check."""
         return self.value(x2), self.curvature(x2)
 
     # Third and fourth derivatives feed the local series at critical layers.
@@ -238,6 +245,8 @@ class _Piecewise(ShearProfile):
         # U''' (and U' at a kink) jumps at the knots, which the error estimate
         # does not see coming: stepping across them misses the tolerance 100-fold
         self._breaks = tuple(knots[1:-1].tolist())
+        # (a, b, c, d, lower knot) of each piece, for a float altitude
+        self._pieces = np.vstack((coeffs, knots[:-1])).T.tolist()
         # no piece above degree 1; the others evaluate complex altitudes
         self.zero_curvature = not coeffs[:2].any()
         self.complex_path = not self.zero_curvature
@@ -255,42 +264,45 @@ class _Piecewise(ShearProfile):
         base, span = np.tile(knots[:-1], 3), np.tile(np.diff(knots), 3)
         inside = (t > 0.0) & (t < span)
         nodes = np.unique(np.concatenate((knots, base[inside] + t[inside])))
-        self._monotone_nodes = nodes, self._horner(nodes)[0]
+        self._monotone_nodes = nodes, self._value_and_curvature(nodes)[0]
 
     def _piece(self, x):
         """Index of the piece that holds the altitude (real part of) x: the
         count of interior knots at or below it."""
-        return np.searchsorted(self._knots[1:-1], np.real(x), side="right")
+        if isinstance(x, np.ndarray):
+            return np.searchsorted(self._knots[1:-1], x.real, side="right")
+        return bisect_right(self._breaks, x)
 
-    def _horner(self, x2):
-        """(U, U'') at real or complex x2, by Horner's rule on the piece of Re x2."""
+    def _at(self, x2):
+        """The coefficients (a, b, c, d, ...) of the piece of Re x2 and t:
+        Python floats for a float x2, whose arithmetic is numpy's bit for
+        bit."""
         j = self._piece(x2)
-        a, b, c, d = self._c[:, j]
-        t = x2 - self._knots[j]
+        if isinstance(x2, np.ndarray):
+            return self._c[:, j], x2 - self._knots[j]
+        return self._pieces[j], x2 - self._pieces[j][4]
+
+    def _value_and_curvature(self, x2):
+        """(U, U'') at real or complex x2, by Horner's rule."""
+        (a, b, c, d, *_), t = self._at(x2)
         u, upp = ((a * t + b) * t + c) * t + d, 6.0 * a * t + 2.0 * b
         return (u, upp) if isinstance(x2, np.ndarray) else (float(u), float(upp))
 
     def value(self, x2):
         self._check_domain(x2)
-        return self._horner(x2)[0]
-
-    def value_and_curvature(self, x2):
-        self._check_domain(x2)
-        return self._horner(x2)
+        return self._value_and_curvature(x2)[0]
 
     def slope(self, x2):
         self._check_domain(x2)
-        j = self._piece(x2)
-        a, b, c, _ = self._c[:, j]
-        t = x2 - self._knots[j]
+        (a, b, c, *_), t = self._at(x2)
         return float((3.0 * a * t + 2.0 * b) * t + c)
 
     def curvature(self, x2):
         self._check_domain(x2)
-        return self._horner(x2)[1]
+        return self._value_and_curvature(x2)[1]
 
     def derivative3(self, x2):
-        return 6.0 * float(self._c[0, self._piece(x2)])
+        return 6.0 * self._pieces[self._piece(x2)][0]
 
     def derivative4(self, x2):
         return 0.0  # cubic pieces
@@ -301,9 +313,7 @@ class _Piecewise(ShearProfile):
     def path_reach(self, s: float) -> float:
         # the other two roots of the piece's cubic: divide (t - t_s) out of
         # a t^3 + b t^2 + c t + (d - U(s)) and solve the quadratic
-        j = int(self._piece(s))
-        a, b, c, _ = self._c[:, j].tolist()
-        ts = s - float(self._knots[j])
+        (a, b, c, *_), ts = self._at(s)
         b1 = b + a * ts
         c1 = c + ts * b1
         if a == 0.0:
@@ -335,7 +345,7 @@ class PiecewiseLinearProfile(_Piecewise):
             raise ValueError("first node must be 0")
         if any(b >= c for b, c in zip(nodes, nodes[1:])):
             raise ValueError("nodes must be strictly increasing")
-        if nodes[-1] >= h_plus:
+        if not nodes[-1] < h_plus:  # also for a NaN h_plus
             raise ValueError("all nodes must lie below h_plus")
         self.nodes = tuple(nodes)
         self.slopes = tuple(slopes)
@@ -393,6 +403,13 @@ class TanhProfile(ShearProfile):
     kind = "tanh"
     complex_path = True
 
+    def __post_init__(self):
+        # h_plus > 0 is False for a NaN
+        if not (math.isfinite(self.u_max) and math.isfinite(self.d)
+                and self.d != 0.0 and self.h_plus > 0.0):
+            raise ValueError("need u_max and d finite, d nonzero and h_plus "
+                             "> 0 (inf allowed)")
+
     def value(self, x2):
         self._check_domain(x2)
         return self.u_max * _lib(x2).tanh(x2 / self.d)
@@ -406,8 +423,7 @@ class TanhProfile(ShearProfile):
         t = _lib(x2).tanh(x2 / self.d)
         return -2.0 * self.u_max / self.d**2 * t * (1.0 - t * t)
 
-    def value_and_curvature(self, x2):
-        self._check_domain(x2)
+    def _value_and_curvature(self, x2):
         t = _lib(x2).tanh(x2 / self.d)
         return (self.u_max * t,
                 -2.0 * self.u_max / self.d**2 * t * (1.0 - t * t))
@@ -547,6 +563,8 @@ class TabulatedProfile(_Piecewise):
             raise ValueError("x2 and u must be 1-d arrays of equal length")
         if x2.size < 4:
             raise ValueError("need at least 4 samples for a C2 interpolant")
+        if not (np.isfinite(x2).all() and np.isfinite(u).all()):
+            raise ValueError("samples must be finite")
         if np.any(np.diff(x2) <= 0.0):
             raise ValueError("sample altitudes must be strictly increasing")
         if abs(x2[0]) > 1e-12 * max(1.0, abs(x2[-1])):

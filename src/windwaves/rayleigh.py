@@ -55,6 +55,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+try:  # what np.einsum calls when ``optimize`` is False, without its wrapper
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as _einsum
+
 from .errors import (
     DegenerateAtInterface,
     InfiniteDomain,
@@ -316,6 +321,8 @@ _DOP_A = [_weighted(_TABLEAU.A[s, :_DOP_STAGES])
 # give the last stage, at t0 - h, no weight
 _DOP_SUMS = _weighted(np.stack((_TABLEAU.B, _TABLEAU.E5[:_DOP_STAGES],
                                 _TABLEAU.E3[:_DOP_STAGES])))
+# the slot of stages 1 .. N_STAGES - 1, with the slots and weights of its sum
+_STAGE_SUMS = [(int(_SLOT[s]), *_DOP_A[s - 1]) for s in range(1, _DOP_STAGES)]
 _EYE = np.eye(2, dtype=complex)[:, :, None]
 # scipy's step-size controller; the embedded error estimate is of order 7
 _SAFETY, _MIN_FACTOR = 0.9, 0.2
@@ -333,7 +340,7 @@ def _pairs(k, cs) -> tuple[np.ndarray, np.ndarray]:
                                  np.asarray(cs, dtype=complex))
     if cs.ndim != 1:
         raise ValueError("k and cs must broadcast to a 1-d array")
-    if np.any(ks == 0.0):
+    if (ks == 0.0).any():
         raise ValueError("wavenumber k must be nonzero")
     return ks, cs
 
@@ -419,11 +426,15 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
 
     owner, top, bot, depth = (np.array(v) for v in zip(*segments)) \
         if segments else (np.zeros(0, dtype=int), *np.zeros((3, 0)))
-    coeff = _coefficient(profile, cs[owner], ks[owner] ** 2, bot, top - bot,
-                         depth)
+    k = ks[owner]
+    coeff = _coefficient(profile, cs[owner], k * k, bot, top - bot, depth)
     start = None if meshes is None else \
         {i: m for i, m in enumerate(meshes) if m is not None}
-    first = _first_mesh(top, bot, ks[owner], depth, joints, owner, start)
+    first = _first_mesh(top, bot, k, depth, joints, owner, start)
+    # each later step lies between the ends of a first one, and each stage
+    # of a step between its ends, at the real part of a bump's altitude: so
+    # the profile's domain is checked here, once, not where it is evaluated
+    profile._check_domain(first[1])
     nodes = {} if nodes is None and meshes is not None else nodes
     y = np.empty((2, n), dtype=complex)
     y[0], y[1] = init
@@ -434,7 +445,7 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     # only an element that may fail either check is checked alone
     maybe = ~((dist >= 1e-10 * scales)
               & (np.abs(y[0]) >= INTERFACE_FLOOR * sup_y))
-    for i in np.flatnonzero(alive & maybe):
+    for i in (alive & maybe).nonzero()[0]:
         try:
             if crossings is None:
                 _check_path(float(dist[i]), float(scales[i]))
@@ -443,7 +454,8 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
             fail(i, exc)
     y[:, ~alive] = np.nan
     if meshes is not None:
-        meshes[:] = [nodes[i][0] if alive[i] else None for i in range(n)]
+        meshes[:] = [nodes[i][0] if ok else None
+                     for i, ok in enumerate(alive.tolist())]
     return y, log_scale, n_steps, errors
 
 
@@ -461,53 +473,66 @@ def _unscaled(v: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
 def _first_mesh(top: np.ndarray, bot: np.ndarray, k: np.ndarray,
                 depth: np.ndarray, joints: dict, owner: np.ndarray,
                 start: Optional[dict]
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                ) -> tuple[np.ndarray, np.ndarray]:
     """The first mesh of segments from ``top`` down to ``bot``, as the
-    segment, start and end of each step, in segment order.
+    segment of each step and the (2, steps) array of their starts and ends,
+    in segment order.
 
     A joint (a patch's crossing) is one step.  A leg is cut into
     max(3 |k|, 2) equal steps per unit of its width: DOP853 meets tol 1e-10
-    on e^{|k| x} at about |k| h = 1/3, and the wind's own scale is about 1.  A bump's leg is cut also at s + |depth| sinh(v), v equally
-    spaced by at most ``_BEND_STEP``, which grades the steps with the
-    distance from the leg's middle s, its layer (see :func:`_bumps`).
+    on e^{|k| x} at about |k| h = 1/3, and the wind's own scale is about 1.
+    A bump's leg is cut also at s + |depth| sinh(v), v equally spaced by at
+    most ``_BEND_STEP``, which grades the steps with the distance from the
+    leg's middle s, its layer (see :func:`_bumps`).
 
     ``start`` maps an element (of ``owner``, the element of each segment)
     to the node parameters of a mesh, descending, such as an earlier shoot's
     final mesh: each leg of that element is cut at the nodes that lie
     strictly inside it instead, neither uniformly nor graded.
     """
-    width = top - bot
-    # past _MAX_STEPS the kernel refuses the element
-    steps = np.ceil(width * np.fmax(3.0 * np.abs(k), 2.0)).clip(
-        1, _MAX_STEPS + 1).astype(int)
+    # past _MAX_STEPS the kernel refuses the element; every width is
+    # positive, so each leg takes one step at least
+    steps = np.minimum(np.ceil((top - bot) * np.fmax(3.0 * np.abs(k), 2.0)),
+                       _MAX_STEPS + 1).astype(int)
     steps[list(joints)] = 1
     if start:
         warm = np.array([i in start for i in owner.tolist()], dtype=bool)
         steps[warm] = 1
         depth = np.where(warm, 0.0, depth)  # nor graded
         warm[list(joints)] = False  # a joint has no inside
-    legs = np.flatnonzero(depth)
-    a, s = np.abs(depth[legs]), 0.5 * (top[legs] + bot[legs])
-    lo, hi = np.arcsinh((bot[legs] - s) / a), np.arcsinh((top[legs] - s) / a)
-    # the uniform steps of every segment and the graded ones of every leg
-    # in one cut, which cuts each alone
-    i, t0, _ = _cut(np.concatenate((top, hi)), np.concatenate((bot, lo)),
-                    np.concatenate((steps, np.ceil((hi - lo) / _BEND_STEP)
-                                    .astype(int))))
+    legs = depth.nonzero()[0]
+    ends, reps = np.array([top, bot]), steps
+    if legs.size:
+        up, down, a = top[legs], bot[legs], np.abs(depth[legs])
+        s = 0.5 * (up + down)
+        lo, hi = np.arcsinh((down - s) / a), np.arcsinh((up - s) / a)
+        # the graded steps of every leg in the same cut, which cuts each alone
+        ends = np.concatenate((ends, [hi, lo]), axis=1)
+        reps = np.concatenate((steps, np.ceil((hi - lo) / _BEND_STEP)
+                               .astype(int)))
+    i, cut, _ = _cut(ends, reps)
     n = steps.sum()
-    j, v = i[n:] - top.size, t0[n:]
-    graded = s[j] + a[j] * np.sinh(v)
-    inside = (v < hi[j]) & (graded > bot[legs[j]])  # the leg's ends are nodes
-    seg = np.concatenate((i[:n], legs[j][inside]))
-    t0 = np.concatenate((t0[:n], graded[inside]))
+    seg, t = i[:n], cut[:, :n]
+    # nodes added inside the segments, as (segment, node) arrays
+    extra = []
+    if legs.size:
+        j, v = i[n:] - top.size, cut[0, n:]
+        graded = s[j] + a[j] * np.sinh(v)
+        # the leg's ends are nodes already
+        inside = (v < hi[j]) & (graded > down[j])
+        extra.append((legs[j][inside], graded[inside]))
     if start:
-        given = _inner_nodes(top, bot, owner, start, warm)
-        seg, t0 = np.concatenate((seg, given[0])), np.concatenate((t0, given[1]))
-    order = np.lexsort((-t0, seg))
-    seg, t0 = seg[order], t0[order]
-    # each step ends where the next starts, or at its segment's bottom
-    last = np.concatenate((seg[1:] != seg[:-1], [True]))
-    return seg, t0, np.where(last, bot[seg], np.concatenate((t0[1:], [0.0])))
+        extra.append(_inner_nodes(top, bot, owner, start, warm))
+    if extra:
+        seg = np.concatenate([seg, *(j for j, _ in extra)])
+        t0 = np.concatenate([t[0], *(x for _, x in extra)])
+        order = np.lexsort((-t0, seg))
+        seg = seg[order]
+        # each step ends where the next starts, or at its segment's bottom
+        t = np.empty((2, seg.size))
+        t[0], t[1] = t0[order], bot[seg]
+        np.copyto(t[1, :-1], t[0, 1:], where=seg[1:] == seg[:-1])
+    return seg, t
 
 
 def _inner_nodes(top: np.ndarray, bot: np.ndarray, owner: np.ndarray,
@@ -523,17 +548,17 @@ def _inner_nodes(top: np.ndarray, bot: np.ndarray, owner: np.ndarray,
     elems = sorted(start)
     nodes = np.concatenate([start[e] for e in elems])
     key = np.empty(nodes.size, dtype=complex)
-    key.real = np.repeat(elems, [start[e].size for e in elems])
+    key.real = np.array(elems).repeat([start[e].size for e in elems])
     key.imag = -nodes
-    j = np.flatnonzero(legs)
+    j = legs.nonzero()[0]
     ends = np.empty((2, j.size), dtype=complex)
     ends.real = owner[j]
     ends.imag = -top[j], -bot[j]
-    first = np.searchsorted(key, ends[0], side="right")
-    count = np.searchsorted(key, ends[1], side="left") - first
-    pick = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count,
-                                              count)
-    return np.repeat(j, count), nodes[pick]
+    first = key.searchsorted(ends[0], side="right")
+    count = key.searchsorted(ends[1], side="left") - first
+    pick = np.arange(count.sum()) + (first - count.cumsum() + count).repeat(
+        count)
+    return j.repeat(count), nodes[pick]
 
 
 def _coefficient(profile: ShearProfile, c: np.ndarray, kk: np.ndarray,
@@ -548,10 +573,11 @@ def _coefficient(profile: ShearProfile, c: np.ndarray, kk: np.ndarray,
     parabola b = 4 u (1 - u) is 1 at the segment's middle, where its layer
     lies (see :func:`_bumps`), and vanishes at u = 0 and 1.  The equation in
     t is (y, y')' = x'(t) (y', q(x(t)) y), so w = x'.  Each step's values
-    depend on its own t and segment alone.
+    depend on its own t and segment alone.  The profile is evaluated without
+    its domain check, which is the caller's (see :func:`_shoot`).
     """
     def on_axis(t, j):
-        u, upp = profile.value_and_curvature(t)
+        u, upp = profile._value_and_curvature(t)
         du = u - c[j]
         return du, upp / du + kk[j]
 
@@ -563,24 +589,25 @@ def _coefficient(profile: ShearProfile, c: np.ndarray, kk: np.ndarray,
     def along(t: np.ndarray, j: np.ndarray):
         u = (t - lo[j]) / width[j]
         dx = 1.0 + tilt[j] * (1.0 - 2.0 * u)
-        uu, upp = profile.value_and_curvature(t + lift[j] * (u * (1.0 - u)))
+        uu, upp = profile._value_and_curvature(
+            t + lift[j] * (u * (1.0 - u)))
         du = uu - c[j]
         return du, dx, dx * (upp / du + kk[j])
 
+    bent = depth != 0.0
+
     def coeff(t: np.ndarray, j: np.ndarray):
-        bent = depth[j] != 0.0
-        if not np.count_nonzero(bent):
-            du, q = on_axis(t, j)
-            return du, None, q
-        if bent.all():
+        b = bent[j].nonzero()[0]
+        if b.size == j.size:
             return along(t, j)
-        du = np.empty(t.shape, dtype=complex)
+        # every step on the axis, then the bent ones overwritten: each
+        # value depends on its own step alone
+        du, q = on_axis(t, j)
+        if not b.size:
+            return du, None, q
         w = np.ones(t.shape, dtype=complex)
-        wq = np.empty(t.shape, dtype=complex)
-        flat = ~bent
-        du[:, flat], wq[:, flat] = on_axis(t[:, flat], j[flat])
-        du[:, bent], w[:, bent], wq[:, bent] = along(t[:, bent], j[bent])
-        return du, w, wq
+        du[:, b], w[:, b], q[:, b] = along(t[:, b], j[b])
+        return du, w, q
 
     return coeff
 
@@ -593,10 +620,10 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
     consecutive and run down its column, and ``owner`` does not decrease.  A
     segment in ``joints`` maps the state by its fixed 2x2 matrix; any other
     is a leg of the equation ``coeff`` gives (see :func:`_coefficient`).
-    ``first`` is the first mesh, (segment, start, end) of each step, in
-    segment order and down each segment (see :func:`_first_mesh`); the
-    rounds below treat it alike wherever it came from.  Each
-    step is a 2x2 DOP853 propagator, all built at once
+    ``first`` is the first mesh, the segment of each step and the (2, steps)
+    array of their starts and ends, in segment order and down each segment
+    (see :func:`_first_mesh`); the rounds below treat it alike wherever it
+    came from.  Each step is a 2x2 DOP853 propagator, all built at once
     (:func:`_propagators`), and an element's states at its nodes are the
     prefix products of its steps (:func:`_chain`).  Each step whose DOP853
     error norm on the state the products give, at rtol ``tol`` and atol
@@ -628,97 +655,118 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
     # no finite step
     size = np.abs(y).max(axis=0)
     big = size > _RESCALE
-    lid_scale = np.where(big, np.log(size), 0.0)
-    y = y / np.where(big, size, 1.0)
-    seg, t0, t1 = first
-    steps = np.bincount(owner[seg], minlength=n)
+    lid_scaled = big.any()  # else every scale below gains exactly 0
+    if lid_scaled:
+        lid_scale = np.where(big, np.log(size), 0.0)
+        y = y / np.where(big, size, 1.0)
+    seg, t = first
+    elem = owner[seg]
+    steps = np.bincount(elem, minlength=n)
     finite = np.isfinite(size)
-    for i in np.flatnonzero(~finite & (steps > 0)):
-        fail(i, _collapse())
-    for i in np.flatnonzero(finite & (steps > _MAX_STEPS)):
-        fail(i, _too_many())
-    keep = (finite & (steps <= _MAX_STEPS))[owner[seg]]
-    seg, t0, t1 = seg[keep], t0[keep], t1[keep]
-    prop = np.empty((2, 2, seg.size), dtype=complex)
-    err = np.zeros((2, 2, 2, seg.size), dtype=complex)
+    if not finite.all() or steps.max(initial=0) > _MAX_STEPS:
+        for i in (~finite & (steps > 0)).nonzero()[0]:
+            fail(i, _collapse())
+        for i in (finite & (steps > _MAX_STEPS)).nonzero()[0]:
+            fail(i, _too_many())
+        steps[~finite | (steps > _MAX_STEPS)] = 0
+        keep = steps[elem] > 0
+        seg, t = seg[keep], t[:, keep]
+    # one row per element that shoots, its steps consecutive
+    rows = steps.nonzero()[0]
+    counts = steps[rows]
+    row = np.arange(rows.size).repeat(counts)
+    # each step's propagator and error maps (see :func:`_propagators`)
+    maps = np.zeros((3, 2, 2, seg.size), dtype=complex)
     dist = np.full(seg.size, math.inf)
     fresh = np.ones(seg.size, dtype=bool)
     for s, matrix in joints.items():
-        prop[..., seg == s] = np.asarray(matrix)[..., None]
+        maps[0][..., seg == s] = np.asarray(matrix)[..., None]
         fresh[seg == s] = False
     while seg.size:
-        todo = np.flatnonzero(fresh)
+        todo = fresh.nonzero()[0]
         for j in range(0, todo.size, _CHUNK):
             idx = todo[j:j + _CHUNK]
-            prop[..., idx], err[..., idx], dist[idx] = _propagators(
-                coeff, t0[idx], t0[idx] - t1[idx], seg[idx])
-        # one row per element, padded by I
-        elem = owner[seg]
-        head = np.empty(elem.size, dtype=bool)
-        head[0] = True
-        np.not_equal(elem[1:], elem[:-1], out=head[1:])
-        row = np.cumsum(head) - 1
-        heads = np.flatnonzero(head)
-        counts = np.bincount(row)
-        rows = elem[heads]
-        col = np.arange(elem.size) - heads[row]
-        chain = np.empty((2, 2, rows.size, counts.max()), dtype=complex)
+            t0, t1 = t[:, idx]
+            maps[..., idx], dist[idx] = _propagators(coeff, t0, t0 - t1,
+                                                     seg[idx])
+        # the rows' steps, padded by I
+        heads = counts.cumsum() - counts
+        col = np.arange(seg.size) - heads[row]
+        width = counts.max()
+        chain = np.empty((2, 2, rows.size, width), dtype=complex)
         chain[...] = _EYE[..., None]
-        chain[:, :, row, col] = prop
+        chain[:, :, row, col] = maps[0]
         # column 0 holds the lid's state, which no step precedes
-        scales = np.zeros((rows.size, chain.shape[-1] + 1))
+        scales = np.zeros((rows.size, width + 1))
         _chain(chain, scales[:, 1:])
-        scales += lid_scale[rows, None]
+        if lid_scaled:
+            scales += lid_scale[rows, None]
         lid = y[:, rows, None]
         states = np.concatenate((lid, _apply(chain, lid)), axis=2)
         start = states[:, row, col]
-        norm = _error_norms(prop, err, start, rtol, atol)
+        norm = _error_norms(maps, start, rtol, atol)
         # a state past a NaN step waits for that step's refinement; only a
         # failing step is cut
-        bad = np.flatnonzero((norm >= 1.0)
-                             | (np.isnan(norm) & np.isfinite(start).all(axis=0)))
+        failing = norm >= 1.0
+        nan = np.isnan(norm)
+        if nan.any():
+            failing |= nan & np.isfinite(start).all(axis=0)
+        bad = failing.nonzero()[0]
         settled = np.ones(rows.size, dtype=bool)
         dead = np.zeros(rows.size, dtype=bool)
         if bad.size:  # else every element settles, and nothing is cut
             factor = np.fmax(_MIN_FACTOR,
                              _SAFETY * norm[bad] ** _ERROR_EXPONENT)
+            pieces = np.ceil(1.0 / factor)
             cuts = np.ones(seg.size, dtype=int)
-            cuts[bad] = np.ceil(1.0 / factor)
-            top = t0[bad]
-            collapse = bad[(top - t1[bad]) / cuts[bad]
-                           < 10.0 * (top - np.nextafter(top, -np.inf))]
-            dead[row[collapse]] = True
-            for i in rows[dead]:
-                fail(i, _collapse())
-            huge = ~dead & (np.bincount(row, cuts) > _MAX_STEPS)
-            for i in rows[huge]:
-                fail(i, _too_many())
-            dead |= huge
+            cuts[bad] = pieces
+            top, bot = t[:, bad]
+            collapse = (top - bot) / pieces < 10.0 * (
+                top - np.nextafter(top, -np.inf))
+            total = np.bincount(row, cuts)
+            if collapse.any() or total.max() > _MAX_STEPS:
+                dead[row[bad[collapse]]] = True
+                for i in rows[dead]:
+                    fail(i, _collapse())
+                huge = ~dead & (total > _MAX_STEPS)
+                for i in rows[huge]:
+                    fail(i, _too_many())
+                dead |= huge
             settled[row[bad]] = False
-        done = np.flatnonzero(settled)
+        done = settled.nonzero()[0]
         if done.size:
             i, last = rows[done], counts[done]
             out_y[:, i] = states[:, done, last]
             out_scale[i] = scales[done, last]
             grow = np.abs(states[0, done])
-            if scales[done].any():  # else every factor below is exactly 1
-                grow *= np.exp(scales[done] - out_scale[i, None])
-            out_sup[i] = np.where(np.arange(grow.shape[1]) <= last[:, None],
+            ours = scales[done]
+            if ours.any():  # else every factor below is exactly 1
+                grow *= np.exp(ours - out_scale[i, None])
+            out_sup[i] = np.where(np.arange(width + 1) <= last[:, None],
                                   grow, 0.0).max(axis=1)
             out_dist[i] = np.minimum.reduceat(dist, heads)[done]
             out_count[i] = last + 1
-        for r in done.tolist() if nodes is not None else ():
-            mine = slice(heads[r], heads[r] + counts[r])
-            nodes[rows[r]] = (np.append(t0[mine], t1[mine.stop - 1]),
-                              states[:, r, :counts[r] + 1],
-                              scales[r, :counts[r] + 1], norm[mine])
+            if nodes is not None:
+                # row r's node parameters, its steps' starts and its last
+                # step's end, lie at heads[r] + r on in one array
+                at = np.empty(row.size + rows.size)
+                at[np.arange(row.size) + row] = t[0]
+                ends = heads + counts
+                at[ends + np.arange(rows.size)] = t[1, ends - 1]
+                for r, e, h, c in zip(done.tolist(), i.tolist(),
+                                      heads[done].tolist(), last.tolist()):
+                    nodes[e] = (at[h + r:h + r + c + 1], states[:, r, :c + 1],
+                                scales[r, :c + 1], norm[h:h + c])
         settled |= dead
         if settled.all():
             break
-        parent, t0, t1 = _cut(t0, t1, np.where(settled[row], 0, cuts))
-        seg, prop, err, dist = (seg[parent], prop[..., parent],
-                                err[..., parent], dist[parent])
-        fresh = cuts[parent] > 1
+        parent, t, split = _cut(t, np.where(settled[row], 0, cuts))
+        seg, maps, dist = seg[parent], maps[..., parent], dist[parent]
+        fresh = split > 1
+        more = ~settled
+        counts = total[more].astype(int)
+        rows = rows[more]
+        row = np.arange(rows.size).repeat(counts)
     return out_y, out_scale, out_sup, out_dist, out_count
 
 
@@ -733,19 +781,20 @@ def _too_many() -> NearSingularCoefficient:
         f"integration failed: more than {_MAX_STEPS} steps")
 
 
-def _cut(t0: np.ndarray, t1: np.ndarray, reps: np.ndarray
+def _cut(t: np.ndarray, reps: np.ndarray
          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cut each step, from t0[i] down to t1[i], into reps[i] equal steps
-    (none where 0).  Returns the index of each new step's parent and its
-    ends; a cut is the same float as the end of one step and the start of
-    the next."""
-    parent = np.repeat(np.arange(reps.size), reps)
+    """Cut each step, from t[0, i] down to t[1, i], into reps[i] equal
+    steps (none where 0).  Returns the index of each new step's parent, the
+    (2, steps) array of their starts and ends, and the count of pieces of
+    the parent of each; a cut is the same float as the end of one step and
+    the start of the next."""
+    parent = np.arange(reps.size).repeat(reps)
     n = reps[parent]
-    piece = np.arange(parent.size) - (np.cumsum(reps) - reps)[parent]
-    top, bot = t0[parent], t1[parent]
-    span = top - bot
-    return (parent, top - (piece / n) * span,
-            np.where(piece + 1 == n, bot, top - ((piece + 1) / n) * span))
+    piece = np.arange(parent.size) - (reps.cumsum() - reps)[parent]
+    t = t[:, parent]
+    t[0] -= (piece / n) * (t[0] - t[1])
+    np.copyto(t[1, :-1], t[0, 1:], where=(piece < n - 1)[:-1])
+    return parent, t, n
 
 
 def _apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -756,32 +805,33 @@ def _apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _propagators(coeff, t0: np.ndarray, h: np.ndarray, seg: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """DOP853's steps of (y, y')' = w (y', q y) from t0 down to t0 - h on
     segments seg, as matrices.
 
     The equation is linear in (y, y'), and w and q do not depend on it, so
     stage s of a step is a 2x2 matrix K_s, h w_s (Y_s[1], q_s Y_s[0]) with
     Y_s = I - sum_j A_sj K_j: the vector form of the step run on both
-    columns of I at once.  Returns (M, E, dist): M (2, 2, m) maps the state
-    at t0 to the state at t0 - h, E (2, 2, 2, m) maps it to the order-5 and
-    order-3 error estimates times h, and dist is min |U - c| at the step's
-    two ends.  A step of h = 0 is exactly I.
+    columns of I at once.  Returns (steps, dist): steps (3, 2, 2, m) holds
+    M, which maps the state at t0 to the state at t0 - h, and the maps E5
+    and E3 of it to the order-5 and order-3 error estimates times h; dist
+    is min |U - c| at the step's two ends.  A step of h = 0 is exactly I.
 
     Each weighted sum, of each Y_s and of M and both estimates together, is
-    one ``np.einsum`` pass over the float view of the adjacent slots that
-    hold its weighted stages (``optimize`` stays False, numpy's default):
-    it adds the products term by term, in slot order, from +0, each element
-    alone, so a step's bits do not depend on its chunk or its place in it,
-    and are those of the sum over all stages in stage order: the slot order
-    swaps only the first two nonzero terms, whose sum commutes, and a zero
-    weight adds 0 times a finite part, which changes nothing (0 times inf
-    only reaches a step whose norm is NaN anyway).  Where every term is -0
-    the sum is +0; every sum enters as I minus it or through |.|, so no
-    result depends on the sign.  BLAS (``@``, ``np.dot``, ``tensordot``) is
-    never used: OpenBLAS 0.3.31's dgemv fuses multiplies and adds, which
-    moves the last bit of 20-65% of these sums, and a BLAS routine may
-    block a sum by its place in the batch or split it between threads.
+    one pass of numpy's C einsum, which ``np.einsum`` calls when
+    ``optimize`` is False, over the float view of the adjacent slots that
+    hold its weighted stages: it adds the products term by term, in slot
+    order, from +0, each element alone, so a step's bits do not depend on
+    its chunk or its place in it, and are those of the sum over all stages
+    in stage order: the slot order swaps only the first two nonzero terms,
+    whose sum commutes, and a zero weight adds 0 times a finite part, which
+    changes nothing (0 times inf only reaches a step whose norm is NaN
+    anyway).  Where every term is -0 the sum is +0; every sum enters as I
+    minus it or through |.|, so no result depends on the sign.  BLAS
+    (``@``, ``np.dot``, ``tensordot``) is never used: OpenBLAS 0.3.31's
+    dgemv fuses multiplies and adds, which moves the last bit of 20-65% of
+    these sums, and a BLAS routine may block a sum by its place in the
+    batch or split it between threads.
     """
     du, w, wq = coeff(t0 - _DOP_C * h, seg)
     scaled = np.empty((_DOP_STAGES, 2, 1, h.size), dtype=complex)
@@ -791,27 +841,30 @@ def _propagators(coeff, t0: np.ndarray, h: np.ndarray, seg: np.ndarray
     # the real weights act on the real and imaginary parts alike
     parts = stages.view(float)
     y = np.empty(stages.shape[1:], dtype=complex)
+    y_parts, swapped = y.view(float), y[::-1]
     np.multiply(_EYE[::-1], scaled[0], out=stages[_SLOT[0]])
-    for s, (span, weights) in enumerate(_DOP_A, 1):
-        np.einsum("j,j...->...", weights, parts[span], out=y.view(float))
+    for (slot, span, weights), sc in zip(_STAGE_SUMS, scaled[1:]):
+        _einsum("j,j...->...", weights, parts[span], out=y_parts)
         np.subtract(_EYE, y, out=y)
-        np.multiply(y[::-1], scaled[s], out=stages[_SLOT[s]])
+        np.multiply(swapped, sc, out=stages[slot])
     span, weights = _DOP_SUMS
-    sums = np.einsum("ej,j...->e...", weights, parts[span]).view(complex)
-    prop, err = np.subtract(_EYE, sums[0], out=sums[0]), sums[1:]
-    return prop, err, np.fmin(np.abs(du[0]), np.abs(du[-1]))
+    sums = _einsum("ej,j...->e...", weights, parts[span]).view(complex)
+    np.subtract(_EYE, sums[0], out=sums[0])
+    return sums, np.fmin(np.abs(du[0]), np.abs(du[-1]))
 
 
-def _error_norms(prop: np.ndarray, err: np.ndarray, y: np.ndarray,
-                 rtol: float, atol: float) -> np.ndarray:
-    """scipy's DOP853 error norm of each step from its start state y.
+def _error_norms(steps: np.ndarray, y: np.ndarray, rtol: float,
+                 atol: float) -> np.ndarray:
+    """scipy's DOP853 error norm of each step (M, E5, E3) of ``steps`` from
+    its start state y.
 
     The estimates carry a factor h (see :func:`_propagators`), so the
     squared norms carry h^2, and scipy's |h| e5 / sqrt(2 (e5 + 0.01 e3)) is
     e5 / sqrt(2 (e5 + 0.01 e3)) in them.
     """
-    sc = atol + np.maximum(np.abs(y), np.abs(_apply(prop, y))) * rtol
-    e = np.abs(_apply(err, y) / sc) ** 2
+    moved = _apply(steps, y)  # the state at the step's end, and both errors
+    sc = atol + np.maximum(np.abs(y), np.abs(moved[0])) * rtol
+    e = np.abs(moved[1:] / sc) ** 2
     e5, e3 = e[:, 0] + e[:, 1]
     denom = e5 + 0.01 * e3
     # a NaN from an element that overflows must reject the step, not pass as 0
@@ -982,18 +1035,19 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
         raise ValueError("sign_ci must be +1, -1 or None")
     ks, cs = _pairs(k, cs)
     below = cs.imag < 0.0
-    upper = np.where(below, cs.conj(), cs)
-    # equal pairs are adjacent in a stable sort, the first occurrence first,
-    # and -0 equals +0
-    order = np.lexsort((upper.imag, upper.real, ks))
-    key = np.stack((ks, upper.real, upper.imag))[:, order]
-    head = np.ones(cs.size, dtype=bool)
-    head[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
-    first = order[head]
-    which = np.empty(cs.size, dtype=int)
-    which[order] = np.cumsum(head) - 1
     # adding 0 turns an imaginary part of -0 into +0
-    ks, cs = ks[first], upper[first] + 0.0
+    upper = cs + 0.0
+    np.conjugate(upper, out=upper, where=below)
+    # pair i is shot as the distinct pair which[i], the first occurrence of
+    # each in input order (floats compare by value: -0 equals +0, and a NaN
+    # equals nothing)
+    shots, first, which = {}, [], []
+    for i, pair in enumerate(zip(ks.tolist(), upper.tolist())):
+        j = shots.setdefault(pair, len(first))
+        if j == len(first):
+            first.append(i)
+        which.append(j)
+    ks, cs = ks[first], upper[first]
     if profile.zero_curvature:
         imps = np.full(cs.shape, complex(math.nan, math.nan))
         errors = {}
@@ -1010,11 +1064,10 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
         with np.errstate(invalid="ignore"):  # NaN / NaN for the failed pairs
             imps = y[1] / y[0]
     if meshes is not None:
-        meshes[:] = [shot[j] for j in which.tolist()]
+        meshes[:] = [shot[j] for j in which]
     imps = imps[which]
     np.conjugate(imps, out=imps, where=below)
-    return imps, {i: errors[j] for i, j in enumerate(which.tolist())
-                  if j in errors}
+    return imps, {i: errors[j] for i, j in enumerate(which) if j in errors}
 
 
 def _layer_jumps(profile: ShearProfile, ks, cs, tol: float,

@@ -369,6 +369,9 @@ CERTIFY = BASE.replace("u_max = 10.0", "u_max = 1.5").replace(
 [certify]
 epsilon = 0.001
 """
+#: a three-k sweep of the tanh wind
+SWEEP = BASE.replace("command = solve", "command = sweep").replace(
+    "k = 1.0", "k_min = 0.5\nk_max = 2.0\nn = 3")
 MALFORMED = {
     "non_integer_n": CK.replace("k = 1.0", "k_min = 0.5\nk_max = 2.0\nn = four"),
     "non_integer_max_iter": CK + "\n[solver]\nmax_iter = 6.5\n",
@@ -407,6 +410,18 @@ MALFORMED = {
     "certify_negative_im_floor": CERTIFY + "im_floor = -1e-10\n",
     "certify_nan_im_floor": CERTIFY + "im_floor = nan\n",
     "certify_im_floor_above_radius": CERTIFY + "im_floor = 1\n",
+    # a NaN number fails every bound, and a profile states its own
+    "nan_air_depth": SWEEP.replace("h_plus = 5.0\nh_minus",
+                                   "h_plus = nan\nh_minus"),
+    "nan_air_depth_everywhere": SWEEP.replace("h_plus = 5.0", "h_plus = nan"),
+    "nan_gravity": SWEEP.replace("g = 9.8", "g = nan"),
+    "nan_surface_tension": SWEEP.replace("sigma = 0.0", "sigma = nan"),
+    "tanh_zero_d": SWEEP.replace("d = 1.0", "d = 0"),
+    "tanh_nan_d": SWEEP.replace("d = 1.0", "d = nan"),
+    "tanh_nan_u_max": SWEEP.replace("u_max = 10.0", "u_max = nan"),
+    "tanh_column_mismatch": SWEEP.replace(TANH, TANH.replace("5.0", "4.0")),
+    "pwl_nan_column": BASE.replace("command = solve", "command = asym")
+        .replace(TANH, "kind = pwl\nmu = 10.0\nx2_star = 1.0\nh_plus = nan"),
 }
 
 
@@ -428,7 +443,8 @@ class TestMalformedInput:
         "0 0\n1 1\n0.5 2\n5 3\n",  # altitudes not increasing
         "0 0\n1 1\n5 3\n",  # fewer than 4 rows
         "0 0\n1 fast\n2 2\n5 3\n",  # a bad line
-    ], ids=["non_increasing", "three_rows", "bad_line"])
+        "0 0\n1 nan\n2 2\n5 3\n",  # a sample that is not a number
+    ], ids=["non_increasing", "three_rows", "bad_line", "nan_sample"])
     def test_malformed_table(self, tmp_path, capsys, rows):
         table = tmp_path / "wind.txt"
         table.write_text(rows)

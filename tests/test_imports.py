@@ -1,5 +1,5 @@
-"""What a CLI run on a tanh or table wind and the limiting route import:
-numpy, not scipy."""
+"""What a CLI run on a tanh or table wind, a malformed config and the
+limiting route import: numpy, not scipy."""
 import importlib
 import json
 import math
@@ -40,6 +40,25 @@ JOBS = {
     "table-asym": TABLE + "[mode]\nk = 1.3\n[run]\ncommand = asym\n",
 }
 
+#: configuration errors, exit status 2: a non-integer n, a zero wavenumber,
+#: the ramp's closed form on a finite air column, a zero certificate radius,
+#: and a constant shear on a column below the interface
+MALFORMED = {
+    "n-four": tanh(10.0) + "[mode]\nk_min = 0.3\nk_max = 3.0\nn = four\n"
+                           "[run]\ncommand = sweep\n",
+    "k-zero": tanh(10.0) + "[mode]\nk = 0\n[run]\ncommand = ck\n",
+    "pwl-finite-column": tanh(10.0) + "[mode]\nk = 1.0\n[pwl]\nmu = 5.51\n"
+                                      "x2_star = 1.0\neps_list = 0.01\n"
+                                      "[run]\ncommand = pwl\n",
+    "certify-zero-radius": tanh(1.0) + "[mode]\nk = 1.2\n[certify]\n"
+                                       "epsilon = 0.00122\n"
+                                       "radius_fraction = 0\n"
+                                       "[run]\ncommand = certify-stable\n",
+    "linear-negative-column": "[profile]\nkind = linear\nu0 = 0.0\nmu = 2.0\n"
+                              "h_plus = -2.0\n[mode]\nk = 1.0\n"
+                              "[run]\ncommand = asym\n",
+}
+
 SCRIPT = """\
 import json, sys
 import windwaves.cli
@@ -57,7 +76,7 @@ def test_cli_jobs_import_no_scipy(tmp_path):
                              for x in np.linspace(0.0, 5.0, 40).tolist()),
                      encoding="utf-8")
     paths = []
-    for name, text in JOBS.items():
+    for name, text in {**JOBS, **MALFORMED}.items():
         path = tmp_path / f"{name}.ini"
         path.write_text(FLUIDS + text.format(table=table.as_posix()),
                         encoding="utf-8")
@@ -68,8 +87,9 @@ def test_cli_jobs_import_no_scipy(tmp_path):
                          capture_output=True, text=True, check=True,
                          timeout=300)
     report = json.loads(out.stdout.splitlines()[-1])
-    assert report == {"statuses": [0] * len(JOBS), "scipy": []}
-    for path in paths:
+    assert report == {"statuses": [0] * len(JOBS) + [2] * len(MALFORMED),
+                      "scipy": []}
+    for path in paths[:len(JOBS)]:
         assert Path(path + ".csv").read_text(encoding="utf-8").strip()
 
 

@@ -557,6 +557,37 @@ class TestOnePiecewiseEvaluator:
             assert prof.curvature(np.array(xs)).tolist() == [
                 prof.curvature(x) for x in xs]
 
+    #: a 40-knot table, a ramp, a linear and a uniform wind on one column
+    SCALAR_WINDS = {
+        "table": TabulatedProfile(np.linspace(0.0, 5.0, 40),
+                                  10.0 * np.tanh(np.linspace(0.0, 5.0, 40))),
+        "ramp": PiecewiseLinearProfile.ramp(10.0, 1.0, h_plus=5.0),
+        "linear": LinearShearProfile(0.3, -0.7, h_plus=5.0),
+        "constant": ConstantProfile(-1.5, h_plus=5.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_WINDS))
+    def test_float_altitude_is_the_array_element_bit_for_bit(self, name):
+        # a float altitude is evaluated in Python floats, an array in numpy
+        prof = self.SCALAR_WINDS[name]
+        rng = np.random.default_rng(5)
+        xs = np.concatenate((np.linspace(0.0, 5.0, 201), prof._knots,
+                             rng.uniform(0.0, 5.0, 60)))
+        bits = lambda values: [float(v).hex() for v in values]  # noqa: E731
+        # U' by the former numpy evaluation of the piece's coefficients
+        j = np.searchsorted(prof._knots[1:-1], xs, side="right")
+        a, b, c, _ = prof._c[:, j]
+        t = xs - prof._knots[j]
+        slope = (3.0 * a * t + 2.0 * b) * t + c
+        for method, want in ((prof.value, prof.value(xs)),
+                             (prof.curvature, prof.curvature(xs)),
+                             (prof.slope, slope)):
+            got = [method(x) for x in xs.tolist()]
+            assert all(type(v) is float for v in got)
+            assert bits(got) == bits(want)
+        pairs = [prof.value_and_curvature(x) for x in xs.tolist()]
+        assert bits(u for u, _ in pairs) == bits(prof.value(xs))
+
     def test_flags_and_kinks(self):
         for name, (prof, _, _) in PIECEWISE_CASES.items():
             assert prof.zero_curvature == (name != "table")

@@ -388,6 +388,68 @@ class TestKernel:
         if sign_ci is None:  # the accepted points are the nodes
             assert integrate_rayleigh(profile, k, c, tol).n_steps == t.size
 
+    @staticmethod
+    def records(monkeypatch, profile, ks, cs, **kwargs):
+        """Each element's whole kernel record, as bytes: its (y(0), y'(0)),
+        log scale, sup |y|, min |U - c|, accepted points, node record (t,
+        states, scales, norms) and error, from one ``_shoot`` batch."""
+        out = []
+        integrate = rayleigh._integrate
+
+        def spy(*args):
+            out.append(integrate(*args))
+            return out[-1]
+
+        monkeypatch.setattr(rayleigh, "_integrate", spy)
+        nodes = {}
+        y, log_scale, n_steps, errors = rayleigh._shoot(
+            profile, np.array(ks, dtype=float), np.array(cs, dtype=complex),
+            1e-10, nodes=nodes, **kwargs)
+        monkeypatch.undo()
+        [(_, _, sup_y, dist, _)] = out
+        return [(y[:, i].tobytes(), log_scale[i].tobytes(),
+                 sup_y[i].tobytes(), dist[i].tobytes(), n_steps[i].tobytes(),
+                 tuple(a.tobytes() for a in nodes[i]) if i in nodes else None,
+                 repr(errors.get(i)))
+                for i in range(len(cs))]
+
+    def test_member_record_equals_solo_bitwise(self, monkeypatch):
+        # cold and warm starts, bumps, a pair on the real axis, a long mesh,
+        # and pairs that fail before the kernel and in it
+        start = final_mesh(TANH, 1.0, 3.0 + 0.05j)[0]
+        ks = [1.0, 1.0, 1.2, 1e9, 1.0, 150.0, 0.3]
+        cs = [3.0 + 0.05j, 3.001 + 0.05j, 12.0, 12.0, 3.0, 3.0 + 0.2j,
+              6.0 - 0.1j]
+        meshes = [None, start, None, None, None, None, start]
+        batch = self.records(monkeypatch, TANH, ks, cs, meshes=list(meshes))
+        assert [r[-1] for r in batch].count("None") == 5
+        for i, (k, c, m) in enumerate(zip(ks, cs, meshes)):
+            assert self.records(monkeypatch, TANH, [k], [c],
+                                meshes=[m]) == [batch[i]], i
+
+    def test_limiting_member_record_equals_solo_bitwise(self, monkeypatch):
+        # the crossings of two limiting_solution shoots, two joints each,
+        # beside an element with none
+        crossings = []
+        shoot = rayleigh._shoot
+
+        def spy(*args, **kwargs):
+            crossings.extend(kwargs["crossings"])
+            return shoot(*args, **kwargs)
+
+        monkeypatch.setattr(rayleigh, "_shoot", spy)
+        for k, c_r in ((1.0, 2.0), (2.0, 5.0)):
+            limiting_solution(JET48, k, c_r, +1)
+        monkeypatch.undo()
+        ks, cs = [1.0, 2.0, 1.5], [2.0, 5.0, 9.0]
+        crossings.append({})
+        assert [len(c) for c in crossings] == [2, 2, 0]
+        batch = self.records(monkeypatch, JET48, ks, cs, crossings=crossings)
+        assert all(r[-1] == "None" for r in batch)
+        for i in range(3):
+            assert self.records(monkeypatch, JET48, ks[i:i + 1], cs[i:i + 1],
+                                crossings=crossings[i:i + 1]) == [batch[i]]
+
     # (profile, k, c, the wave speed c0 whose final mesh the shoot starts
     # from, sign_ci of c0): c0 far off, with its layer, and so its bump's
     # ends, elsewhere, or nearby, as a Muller chain hands its meshes on
@@ -497,7 +559,9 @@ class TestKernel:
 
         together = steps(rayleigh._propagators(coeff, t0, h, seg), range(n))
         m, e = self.per_term_steps(coeff, t0, h, seg)
-        assert [step[:2] for step in together] == steps((m, e), range(n))
+        stacked = np.concatenate((m[None], e))
+        assert [step[0] for step in together] == [
+            step[0] for step in steps((stacked,), range(n))]
         # three other steps sit before them
         shifted = rayleigh._propagators(
             coeff, np.r_[lo + width * np.array([0.9, 0.6, 0.3]), t0],
