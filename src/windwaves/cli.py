@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -181,34 +182,34 @@ _PROFILE_KINDS = {
 }
 
 
-def _value(sec, key: str, parse, default=MISSING):
-    """Key of the section, parsed, or default if the key is absent."""
+def _value(name: str, sec: dict, key: str, parse, default=MISSING):
+    """Key of section name, parsed, or default if the key is absent."""
     if key not in sec:
         if default is MISSING:
-            raise ConfigError(f"missing '{key}' in [{sec.name}]")
+            raise ConfigError(f"missing '{key}' in [{name}]")
         return default
     try:
         return parse(sec[key])
     except ValueError as exc:
         raise ConfigError(
-            f"bad value for '{key}' in [{sec.name}]: {sec[key]!r}") from exc
+            f"bad value for '{key}' in [{name}]: {sec[key]!r}") from exc
 
 
-def _read(sec, keys: dict) -> dict:
-    """The section's values by key; an unknown key is an error."""
+def _read(name: str, sec: dict, keys: dict) -> dict:
+    """The values of section name by key; an unknown key is an error."""
     for key in sec:
         if key not in keys:
-            raise ConfigError(f"unknown key '{key}' in [{sec.name}]")
-    return {key: _value(sec, key, parse, default)
+            raise ConfigError(f"unknown key '{key}' in [{name}]")
+    return {key: _value(name, sec, key, parse, default)
             for key, (parse, default) in keys.items()}
 
 
-def _section(cp, name: str, absent=None):
-    """Section name of cp as its dataclass, or absent if cp has none."""
-    if name not in cp:
+def _section(sections: dict, name: str, absent=None):
+    """Section name as its dataclass, or absent if there is none."""
+    if name not in sections:
         return absent
     cls, keys = _SECTIONS[name]
-    values = _read(cp[name], keys)
+    values = _read(name, sections[name], keys)
     try:
         return cls(**values)
     except ValueError as exc:
@@ -216,54 +217,60 @@ def _section(cp, name: str, absent=None):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse an INI run configuration; raises ConfigError on any defect."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    """Parse an INI run configuration; raises ConfigError on any defect.
+
+    Values are literal: a ``%`` is read as itself, never interpolated.
+    """
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                   interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config: {exc}") from exc
-    for name in cp.sections():
+    # each section as a plain dict, [DEFAULT]'s keys merged in
+    sections = {name: dict(cp.items(name)) for name in cp.sections()}
+    for name in sections:
         if name not in _SECTIONS and name not in ("profile", "run"):
             raise ConfigError(f"unknown section [{name}]")
 
-    fluids = _section(cp, "fluids")
+    fluids = _section(sections, "fluids")
     if fluids is None:
         raise ConfigError("missing [fluids] section")
-    mode = _section(cp, "mode", ModeConfig())
+    mode = _section(sections, "mode", ModeConfig())
     if mode.k is not None and (mode.k_min is not None or mode.k_max is not None):
         raise ConfigError("give either k or a k range, not both")
-    pwl = _section(cp, "pwl")
+    pwl = _section(sections, "pwl")
     if pwl is not None and not pwl.eps_list:
         raise ConfigError("[pwl] needs a whitespace-separated eps_list")
 
     profile = None
-    if "profile" in cp:
-        kind = cp["profile"].get("kind", "")
+    if "profile" in sections:
+        kind = sections["profile"].get("kind", "")
         if kind not in _PROFILE_KINDS:
             raise ConfigError(f"unknown profile kind '{kind}'")
-        params = _read(cp["profile"], _PROFILE_KINDS[kind][1])
+        params = _read("profile", sections["profile"], _PROFILE_KINDS[kind][1])
         del params["kind"]
         if kind == "table" and not Path(params["path"]).is_file():
             raise ConfigError(f"profile table not found: {params['path']}")
         profile = ProfileConfig(kind=kind, params=tuple(params.items()))
 
-    if "run" not in cp or "command" not in cp["run"]:
+    rn = sections.get("run", {})
+    if "command" not in rn:
         raise ConfigError("missing [run] command")
-    rn = cp["run"]
     command = rn["command"]
     if command not in COMMANDS:
         raise ConfigError(f"unknown command '{command}' (choose from {COMMANDS})")
     fmt = rn.get("format", RunConfig.fmt)
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format '{fmt}'")
-    branch = _value(rn, "branch", int, RunConfig.branch)
+    branch = _value("run", rn, "branch", int, RunConfig.branch)
     if branch not in (1, -1):
         raise ConfigError("branch must be 1 or -1")
 
     return RunConfig(fluids=fluids, profile=profile, mode=mode, command=command,
-                     solver=_section(cp, "solver", RunConfig.solver),
+                     solver=_section(sections, "solver", RunConfig.solver),
                      output=rn.get("output") or None, fmt=fmt, branch=branch,
-                     pwl=pwl, certify=_section(cp, "certify"))
+                     pwl=pwl, certify=_section(sections, "certify"))
 
 
 def _text(value) -> str:
@@ -469,7 +476,11 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.cache
+def _argument_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on first use and kept: parsing
+    leaves no state in it, so a process that calls :func:`main` many times
+    builds it once."""
     parser = argparse.ArgumentParser(
         prog="windwaves",
         description="Wind-over-water shear flow stability analyses (SI units)")
@@ -481,7 +492,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="override the output format")
     parser.add_argument("--dump-config", action="store_true",
                         help="echo the normalized configuration and exit")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _argument_parser().parse_args(argv)
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")

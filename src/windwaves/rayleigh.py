@@ -127,12 +127,12 @@ def _real_speed_refused() -> NearSingularCoefficient:
         "real wave speed with critical layers; use limiting_solution")
 
 
-def _bumps(profile: ShearProfile, c: complex, scale: float,
-           u_range: tuple[float, float], bounds: list[float],
+def _bumps(profile: ShearProfile, c: complex, bounds: list[float],
            sign_ci: Optional[int],
            layers: Optional[tuple[CriticalLayer, ...]] = None
            ) -> tuple[tuple[float, float, float], ...]:
-    """The indentations (lo, hi, depth) of one element's shooting path.
+    """The indentations (lo, hi, depth) of one element's shooting path on a
+    profile with ``complex_path``, Re c within the range of U.
 
     Lin's rule: the path x(t) = t + i depth b(t) passes each critical layer
     s at Re c on the side away from the singularity of the coefficient, at
@@ -146,15 +146,8 @@ def _bumps(profile: ShearProfile, c: complex, scale: float,
     when the singularity already lies farther off the axis than the bump
     would reach.
     A real c's layers are scanned for unless ``layers`` holds them.
-    Profiles without ``complex_path`` shoot on the real axis, where
-    :func:`_check_switch` refuses a wave speed too close to a layer.
     """
-    if not profile.complex_path:
-        _check_switch(profile, c, scale, u_range)
-        return ()
     ci = c.imag
-    if not _has_layers(u_range, c.real):
-        return ()
     if ci == 0.0:
         # the validated scan: the path must pass a real speed's layers
         found = find_critical_points(profile, c.real) if layers is None \
@@ -336,8 +329,11 @@ _BEND_STEP = 1.0  # the first mesh's spacing in asinh((t - s)/depth) on bumps
 
 def _pairs(k, cs) -> tuple[np.ndarray, np.ndarray]:
     """Validated 1-d arrays of wavenumbers and wave speeds, broadcast together."""
-    ks, cs = np.broadcast_arrays(np.asarray(k, dtype=float),
-                                 np.asarray(cs, dtype=complex))
+    ks, cs = np.asarray(k, dtype=float), np.asarray(cs, dtype=complex)
+    if ks.ndim == 0:  # the common case, far cheaper than broadcast_arrays
+        ks = np.full(cs.shape, ks)
+    else:
+        ks, cs = np.broadcast_arrays(ks, cs)
     if cs.ndim != 1:
         raise ValueError("k and cs must broadcast to a 1-d array")
     if (ks == 0.0).any():
@@ -399,33 +395,8 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
 
     u_range = profile.u_bounds()
     scales = np.fmax(_speed_scale(0j, u_range), np.abs(cs.real))
-    # the column's ends and the profile's breaks, descending
-    bounds = sorted({profile.h_plus, 0.0, *profile._breaks}, reverse=True)
-    # each live element's segments down its column: (owner, top, bottom,
-    # bump depth), and the matrices of the patches' crossings by segment
-    segments: list[tuple[int, float, float, float]] = []
-    joints: dict[int, np.ndarray] = {}
-    for i, (c, scale) in enumerate(zip(cs.tolist(), scales.tolist())):
-        patches = {} if crossings is None else crossings[i]
-        try:
-            bumps = () if crossings is not None else _bumps(
-                profile, c, scale, u_range, bounds, sign_ci,
-                None if layers is None else layers[i])
-            cuts = set(bounds).union(*[(lo, hi) for lo, hi, _ in bumps])
-            for hi, (lo, _) in patches.items():
-                cuts = {x for x in cuts if not lo < x < hi} | {lo, hi}
-        except WindwavesError as exc:
-            fail(i, exc)
-            continue
-        cuts = sorted(cuts, reverse=True)
-        bent = {hi: a for _, hi, a in bumps}
-        for top, bot in zip(cuts, cuts[1:]):
-            if top in patches:
-                joints[len(segments)] = patches[top][1]
-            segments.append((i, top, bot, bent.get(top, 0.0)))
-
-    owner, top, bot, depth = (np.array(v) for v in zip(*segments)) \
-        if segments else (np.zeros(0, dtype=int), *np.zeros((3, 0)))
+    owner, top, bot, depth, joints = _segments(
+        profile, cs, u_range, scales, sign_ci, layers, crossings, fail, alive)
     k = ks[owner]
     coeff = _coefficient(profile, cs[owner], k * k, bot, top - bot, depth)
     start = None if meshes is None else \
@@ -457,6 +428,91 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
         meshes[:] = [nodes[i][0] if ok else None
                      for i, ok in enumerate(alive.tolist())]
     return y, log_scale, n_steps, errors
+
+
+def _segments(profile: ShearProfile, cs: np.ndarray,
+              u_range: tuple[float, float], scales: np.ndarray,
+              sign_ci: Optional[int],
+              layers: Optional[Sequence[tuple[CriticalLayer, ...]]],
+              crossings: Optional[Sequence[dict]], fail, alive: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Each live element's segments down its column (see :func:`_shoot`):
+    the (owner, top, bottom, bump depth) arrays, by element and descending,
+    and the matrix of each patch's crossing by segment.
+
+    An element's cuts are the column's ends and the profile's breaks, with
+    the ends of its bumps (see :func:`_bumps`) or of its patches, less the
+    cuts strictly inside a patch; the segment below a bump's top is bent by
+    its depth, and the one below a patch's top is the patch's joint.  Only
+    an element with layers at Re c, or with patches, runs Python of its
+    own, for those ends; every element's cuts are merged, ordered and
+    paired in one pass over arrays.  A profile without ``complex_path``
+    shoots on the real axis, where an element that fails the vectorised
+    ``SWITCH_FACTOR`` test is checked alone by :func:`_check_switch`.
+    """
+    # the column's ends and the profile's breaks, descending
+    bounds = sorted({profile.h_plus, 0.0, *profile._breaks}, reverse=True)
+    # the cuts that elements add, as (element, altitude, depth of the
+    # segment below, index of its joint's matrix or -1): the bottoms and
+    # the tops of bumps and patches; and each patch's (element, bottom, top)
+    tops: list[tuple[int, float, float, int]] = []
+    lows: list[tuple[int, float, float, int]] = []
+    patches: list[tuple[int, float, float]] = []
+    matrices = []
+    if crossings is not None:
+        for i, crossing in enumerate(crossings):
+            for hi, (lo, matrix) in crossing.items():
+                tops.append((i, hi, 0.0, len(matrices)))
+                lows.append((i, lo, 0.0, -1))
+                patches.append((i, lo, hi))
+                matrices.append(matrix)
+    elif profile.complex_path:
+        umin, umax = u_range  # _has_layers, of every element at once
+        near = (umin - 1e-12 <= cs.real) & (cs.real <= umax + 1e-12)
+        for i in near.nonzero()[0].tolist():
+            try:
+                bumps = _bumps(profile, complex(cs[i]), bounds, sign_ci,
+                               None if layers is None else layers[i])
+            except WindwavesError as exc:
+                fail(i, exc)
+                continue
+            for lo, hi, a in bumps:
+                tops.append((i, hi, a, -1))
+                lows.append((i, lo, 0.0, -1))
+    else:
+        # each comparison is False for a NaN, as in _check_switch
+        near = ~(np.abs(cs.imag) >= SWITCH_FACTOR * scales * (1.0 - 1e-9))
+        for i in near.nonzero()[0].tolist():
+            try:
+                _check_switch(profile, complex(cs[i]), float(scales[i]),
+                              u_range)
+            except WindwavesError as exc:
+                fail(i, exc)
+    live = alive.nonzero()[0]
+    every = np.empty((4, live.size, len(bounds)))
+    every[0], every[1], every[2], every[3] = live[:, None], bounds, 0.0, -1.0
+    cuts = every.reshape(4, -1)
+    if tops:  # else the bounds alone are in order
+        cuts = np.concatenate((cuts, np.array(lows + tops).T), axis=1)
+        if patches:
+            i, lo, hi = np.transpose(patches)[:, None, :]
+            x = cuts[1, :, None]
+            cuts = cuts[:, ~((cuts[0, :, None] == i) & (lo < x) & (x < hi))
+                        .any(axis=1)]
+        # by element, then descending; the sort is stable, so a top comes
+        # last of the copies of a repeated cut (an end at a break, or two
+        # bumps' common end)
+        cuts = cuts[:, np.lexsort((-cuts[1], cuts[0]))]
+    owner, x, depth, joint = cuts
+    # each segment runs from the last copy of a cut down to the next cut of
+    # its element
+    seg = ((owner[1:] == owner[:-1]) & (x[1:] != x[:-1])).nonzero()[0]
+    joints = {}
+    if matrices:
+        joint = joint[seg]
+        at = (joint >= 0.0).nonzero()[0]
+        joints = dict(zip(at.tolist(), [matrices[int(j)] for j in joint[at]]))
+    return owner[seg].astype(int), x[seg], x[seg + 1], depth[seg], joints
 
 
 def _unscaled(v: np.ndarray, log_scale: np.ndarray) -> np.ndarray:

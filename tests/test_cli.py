@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from windwaves import asymptotics
+from windwaves import asymptotics, cli
 from windwaves.cli import dump_config, main, parse_config
 from windwaves.dispersion import FluidParams, ck
 from windwaves.errors import ConfigError
@@ -346,6 +346,53 @@ command = solve
         k, re_c, im_c, growth, resid, conv = (float(v) for v in rows[1].split(","))
         assert conv == 1
         assert im_c > 0.0  # tabulated tanh wind stays unstable at k = 1
+
+    def test_percent_in_a_table_path(self, tmp_path, capsys):
+        # values are literal: a % is itself, never an interpolation
+        folder = tmp_path / "50%"
+        folder.mkdir()
+        table = folder / "wind%%.table"
+        table.write_text("".join(f"{x!r} {10.0 * math.tanh(x)!r}\n"
+                                 for x in (5.0 * i / 39 for i in range(40))))
+        text = BASE.replace("command = solve", "command = asym").replace(
+            TANH, f"kind = table\npath = {table}")
+        path = write_config(tmp_path, text)
+        assert main(["--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "# unstable = True" in out.splitlines()
+        assert main(["--config", path, "--dump-config"]) == 0
+        dumped = capsys.readouterr().out
+        assert f"path = {table}" in dumped.splitlines()
+        again = write_config(tmp_path, dumped, "dumped.ini")
+        assert main(["--config", again]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_reused_parser_leaks_no_state(self, tmp_path, capsys,
+                                          monkeypatch):
+        path = write_config(tmp_path, BASE.replace(
+            "sigma = 0.0", "sigma = 0.074").replace("command = solve",
+                                                    "command = kh"))
+        calls = [["--format", "json"], ["--command", "ck"], ["--dump-config"],
+                 ["--format", "xml"], []]
+
+        def call(args):
+            try:
+                status = main(["--config", path, *args])
+            except SystemExit as exc:  # argparse refuses a bad argv
+                status = exc.code
+            return status, capsys.readouterr()
+
+        # each call as the first of a process, on a parser of its own, then
+        # all in turn on one parser
+        monkeypatch.setattr(cli, "_argument_parser",
+                            cli._argument_parser.__wrapped__)
+        first = [call(args) for args in calls]
+        monkeypatch.undo()
+        assert [status for status, _ in first] == [0, 0, 0, 2, 0]
+        cli._argument_parser.cache_clear()
+        for args, want in zip(calls, first):
+            assert call(args) == want, args
+        assert cli._argument_parser.cache_info().misses == 1
 
     def test_asym_without_layer_is_informative(self, tmp_path, capsys):
         text = BASE.replace("u_max = 10.0", "u_max = 1.5").replace(

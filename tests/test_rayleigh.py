@@ -427,9 +427,36 @@ class TestKernel:
             assert self.records(monkeypatch, TANH, [k], [c],
                                 meshes=[m]) == [batch[i]], i
 
+        # certify-sized batches: pairs whose speeds lie above U, so that
+        # their paths cannot bend, with odd pairs spread among them
+        for profile, sign_ci, odd, failed in (
+                # bumps, real speeds along the limit, and a pair refused in
+                # the kernel
+                (TANH, +1, [(1.2, 3.0 + 0.01j), (1.2, 3.0), (0.7, 6.0 + 0.05j),
+                            (2.0, 9.0 + 0.002j), (1e9, 12.0), (1.2, 7.0)], 1),
+                # on the real axis: pairs beside a layer, two refused before
+                # the kernel (too near the axis, and a real speed with a
+                # layer), and a real speed without one
+                (REAL_AXIS_TANH, None, [(1.2, 3.0 + 0.05j), (1.2, 3.0 + 1e-9j),
+                                        (0.7, 6.0), (1.2, 12.0),
+                                        (2.0, 9.0 + 0.1j), (1.2, 7.0 + 0.2j)],
+                 2)):
+            ks = np.linspace(0.5, 3.0, 100).tolist()
+            cs = (np.linspace(10.2, 14.0, 100)
+                  + 1j * np.linspace(0.5, 0.01, 100)).tolist()
+            for at, (k, c) in zip((0, 17, 50, 51, 83, 100), odd):
+                ks.insert(at, k)
+                cs.insert(at, c)
+            batch = self.records(monkeypatch, profile, ks, cs,
+                                 sign_ci=sign_ci)
+            assert len(batch) - [r[-1] for r in batch].count("None") == failed
+            for i, (k, c) in enumerate(zip(ks, cs)):
+                assert self.records(monkeypatch, profile, [k], [c],
+                                    sign_ci=sign_ci) == [batch[i]], (profile, i)
+
     def test_limiting_member_record_equals_solo_bitwise(self, monkeypatch):
         # the crossings of two limiting_solution shoots, two joints each,
-        # beside an element with none
+        # between elements with none
         crossings = []
         shoot = rayleigh._shoot
 
@@ -441,12 +468,12 @@ class TestKernel:
         for k, c_r in ((1.0, 2.0), (2.0, 5.0)):
             limiting_solution(JET48, k, c_r, +1)
         monkeypatch.undo()
-        ks, cs = [1.0, 2.0, 1.5], [2.0, 5.0, 9.0]
-        crossings.append({})
-        assert [len(c) for c in crossings] == [2, 2, 0]
+        ks, cs = [0.8, 1.0, 2.0, 1.5], [8.5, 2.0, 5.0, 9.0]
+        crossings = [{}, *crossings, {}]
+        assert [len(c) for c in crossings] == [0, 2, 2, 0]
         batch = self.records(monkeypatch, JET48, ks, cs, crossings=crossings)
         assert all(r[-1] == "None" for r in batch)
-        for i in range(3):
+        for i in range(4):
             assert self.records(monkeypatch, JET48, ks[i:i + 1], cs[i:i + 1],
                                 crossings=crossings[i:i + 1]) == [batch[i]]
 
@@ -1197,8 +1224,7 @@ class TestIndentation:
     @staticmethod
     def bumps(profile, c, sign_ci=None):
         bounds = sorted({profile.h_plus, 0.0, *profile._breaks}, reverse=True)
-        return rayleigh._bumps(profile, c, 10.0, profile.u_bounds(), bounds,
-                               sign_ci), bounds
+        return rayleigh._bumps(profile, c, bounds, sign_ci), bounds
 
     @staticmethod
     def segments(monkeypatch, profile, k, c, sign_ci=None):
