@@ -114,6 +114,12 @@ class PwlConfig:
     x2_star: float
     eps_list: tuple[float, ...]
 
+    def __post_init__(self):
+        # each comparison is False for a NaN
+        if not (self.eps_list and all(0.0 <= e < 1.0 for e in self.eps_list)):
+            raise ValueError("need a whitespace-separated eps_list, each "
+                             "entry in [0, 1)")
+
 
 @dataclass(frozen=True)
 class CertifyConfig:
@@ -239,9 +245,6 @@ def parse_config(text: str) -> RunConfig:
     mode = _section(sections, "mode", ModeConfig())
     if mode.k is not None and (mode.k_min is not None or mode.k_max is not None):
         raise ConfigError("give either k or a k range, not both")
-    pwl = _section(sections, "pwl")
-    if pwl is not None and not pwl.eps_list:
-        raise ConfigError("[pwl] needs a whitespace-separated eps_list")
 
     profile = None
     if "profile" in sections:
@@ -270,7 +273,8 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(fluids=fluids, profile=profile, mode=mode, command=command,
                      solver=_section(sections, "solver", RunConfig.solver),
                      output=rn.get("output") or None, fmt=fmt, branch=branch,
-                     pwl=pwl, certify=_section(sections, "certify"))
+                     pwl=_section(sections, "pwl"),
+                     certify=_section(sections, "certify"))
 
 
 def _text(value) -> str:

@@ -461,6 +461,13 @@ class ScanStrategy:
     max_iter: int = 60
     rayleigh_tol: float = 1e-10
 
+    def __post_init__(self):
+        # each comparison is False for a NaN
+        if not (0.0 < self.tol < math.inf
+                and 0.0 < self.rayleigh_tol < math.inf and self.max_iter >= 1):
+            raise ValueError("need tol and rayleigh_tol positive and finite, "
+                             "and max_iter >= 1")
+
 
 @dataclass
 class GrowthCurve:

@@ -323,7 +323,7 @@ _ERROR_EXPONENT = -1.0 / 8.0
 _RESCALE = 1e100  # a product or lid state past this is divided by its size
 _RTOL_FLOOR = 100.0 * np.finfo(float).eps
 _CHUNK = 1024  # steps per propagator build, which bounds its memory
-_MAX_STEPS = 2 ** 18  # an element's mesh, which bounds the kernel's memory
+_MAX_STEPS = 2 ** 18  # per element: a batch's memory grows with its size
 _BEND_STEP = 1.0  # the first mesh's spacing in asinh((t - s)/depth) on bumps
 
 
@@ -377,7 +377,12 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     element's first mesh starts from, or None for the uniform and graded one
     (see :func:`_first_mesh`); each entry is replaced by the element's final
     node parameters, or by None where it failed.
+    A ``tol`` that is negative, infinite or NaN is a ValueError: a NaN error
+    norm would cut every step down to ``_MAX_STEPS``; a ``tol`` of 0 asks
+    for the floor on rtol.
     """
+    if not 0.0 <= tol < math.inf:  # False for a NaN
+        raise ValueError("tol must be finite and not negative")
     n = cs.size
     if not math.isfinite(profile.h_plus):
         exc = InfiniteDomain("direct integration needs a finite air column; "
@@ -1084,8 +1089,9 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
     Raises
     ------
     ValueError
-        For a ``sign_ci`` other than +1, -1 or None, a zero wavenumber, or
-        ``k`` and ``cs`` that do not broadcast to a 1-d array.
+        For a ``sign_ci`` other than +1, -1 or None, a zero wavenumber,
+        ``k`` and ``cs`` that do not broadcast to a 1-d array, or a ``tol``
+        that is negative, infinite or NaN on a wind the kernel shoots.
     """
     if sign_ci not in (None, -1, 1):
         raise ValueError("sign_ci must be +1, -1 or None")
@@ -1393,7 +1399,8 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     Raises
     ------
     ValueError
-        For a ``sign_ci`` other than +1 or -1, or a zero wavenumber.
+        For a ``sign_ci`` other than +1 or -1, a zero wavenumber, or a
+        ``tol`` that is negative, infinite or NaN on a wind the kernel shoots.
     InfiniteDomain
         If h_plus is not finite on a wind that is not zero-curvature.
     SeriesRadiusTooSmall

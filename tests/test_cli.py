@@ -1,17 +1,28 @@
+"""The command line, and every config it runs end to end.
+
+``CONFIGS`` is the one table of configs: each row's INI text, its exit
+status, and what its stdout must show.  ``SCRIPT`` runs them all, and the
+rerun of each one's --dump-config output, in one process.
+"""
 import json
 import math
-import warnings
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 
+import windwaves
 from windwaves import asymptotics, cli
 from windwaves.cli import dump_config, main, parse_config
 from windwaves.dispersion import FluidParams, ck
 from windwaves.errors import ConfigError
-from windwaves.profiles import PiecewiseLinearProfile
+from windwaves.profiles import PiecewiseLinearProfile, TabulatedProfile
 from windwaves.rayleigh import pwl_impedance_cascade
 
-BASE = """
+FLUIDS = """
 [fluids]
 rho_plus = 1.22
 rho_minus = 1000.0
@@ -19,25 +30,322 @@ g = 9.8
 sigma = 0.0
 h_plus = 5.0
 h_minus = inf
-
-[profile]
-kind = tanh
-u_max = 10.0
-d = 1.0
-h_plus = 5.0
-
-[mode]
-k = 1.0
-
-[run]
-command = solve
 """
+#: the fluids on an air column without a lid
+UNBOUNDED = FLUIDS.replace("h_plus = 5.0\n", "")
+TANH = "kind = tanh\nu_max = 10.0\nd = 1.0\nh_plus = 5.0"
+#: the tanh wind of speed 1, below every c_k of the [mode]s here
+SLOW = TANH.replace("u_max = 10.0", "u_max = 1.0")
+RAMP = "kind = pwl\nmu = 10.0\nx2_star = 1.0\nh_plus = 5.0"
+RAMP_INF = RAMP.replace("h_plus = 5.0", "h_plus = inf")
+#: the 40-sample table of the tanh wind (see ``tables``)
+TABLE = "kind = table\npath = {tanh40}"
+
+
+def ini(profile: str, mode: str, command: str, fluids: str = FLUIDS) -> str:
+    """The config of a wind over the fluids, a [mode] and a [run] command."""
+    return (f"{fluids}\n[profile]\n{profile}\n\n[mode]\n{mode}\n\n"
+            f"[run]\ncommand = {command}\n")
+
+
+BASE = ini(TANH, "k = 1.0", "solve")
+CK = ini(TANH, "k = 1.0", "ck")
+#: a three-k sweep of the tanh wind
+SWEEP = ini(TANH, "k_min = 0.5\nk_max = 2.0\nn = 3", "sweep")
+#: certify-stable on a wind below c_k, which certifies
+CERTIFY = ini(TANH.replace("u_max = 10.0", "u_max = 1.5"), "k = 1.0",
+              "certify-stable") + "\n[certify]\nepsilon = 0.001\n"
+#: the ramp's closed form, on a finite column, which it refuses
+PWL = ini(TANH, "k = 1.0", "pwl") + "\n[pwl]\nmu = 5.51\nx2_star = 1.0\n" \
+                                    "eps_list = 0.01\n"
 
 
 def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def data_rows(out: str) -> list[str]:
+    """The rows of a table printed to stdout, below its header."""
+    return [line for line in out.splitlines()
+            if line and not line.startswith("#")][1:]
+
+
+def converged(out: str) -> None:
+    """Every sweep or solve row converged, and no row failed."""
+    rows = data_rows(out)
+    assert rows and all(row.endswith(",1") for row in rows)
+    assert not any(line.startswith("# failed at k")
+                   for line in out.splitlines())
+
+
+def two_layers(out: str) -> None:
+    """The growth constant has a row for each of two critical layers."""
+    assert len(data_rows(out)) == 2
+    assert not any(line.startswith("# no critical layer")
+                   for line in out.splitlines())
+
+
+def certified(out: str) -> None:
+    """No root in either rectangle: count_upper, count_lower, certified."""
+    assert out.splitlines()[-1].endswith(",0,0,1")
+
+
+def prints(line: str) -> Callable[[str], None]:
+    def check(out: str) -> None:
+        assert line in out.splitlines()
+    return check
+
+
+class Config(NamedTuple):
+    """A row of ``CONFIGS``."""
+
+    text: str
+    #: 0, or 2 for a malformed config: one "config error:" line on stderr
+    status: int = 0
+    #: what a run's stdout must show
+    checks: tuple[Callable[[str], None], ...] = ()
+    #: how many times a run warns that the sign hypotheses fail
+    warns: int = 0
+
+
+#: every config the command line runs end to end; ``{name}`` fields are the
+#: tables and wavenumbers of ``tables``
+CONFIGS = {
+    # the tanh wind: a sweep, its growth constant, and its certificates
+    # below c_k
+    "sweep": Config(ini(TANH, "k_min = 0.3\nk_max = 3.0\nn = 4", "sweep"),
+                    checks=(converged,)),
+    "asym": Config(ini(TANH, "k = 1.0", "asym")),
+    "certify": Config(ini(SLOW, "k = 1.0", "certify-stable")
+                      + "\n[certify]\nepsilon = 1e-3\n", checks=(certified,)),
+    "certify-stable": Config(ini(SLOW, "k = 1.2", "certify-stable")
+                             + "\n[certify]\nepsilon = 0.00122\n",
+                             checks=(certified,)),
+    # a uniform wind's certificate on an unbounded column, which the closed
+    # form answers
+    "constant-certify": Config(ini("kind = constant\nu0 = 0.5\nh_plus = inf",
+                                   "k = 1.2", "certify-stable", UNBOUNDED)
+                               + "\n[certify]\nepsilon = 0.00122\n",
+                               checks=(certified,)),
+    # the growth constant of a piecewise-linear ramp comes from the
+    # closed-form cascade: U'' = 0 at its layer, where the sign hypotheses
+    # say nothing, and no kernel shoot; so does every impedance of its sweep
+    "pwl-asym": Config(ini(RAMP, "k = 1.0", "asym")),
+    "pwl-sweep": Config(ini(RAMP, "k_min = 0.5\nk_max = 3.0\nn = 6", "sweep"),
+                        checks=(converged,)),
+    # the same ramp on unbounded columns; out to k 900 the gap below the
+    # kink is 900 decay lengths, and the layer is found from the pieces
+    "pwl-inf-sweep": Config(ini(RAMP_INF, "k_min = 0.5\nk_max = 900.0\nn = 6",
+                                "sweep", UNBOUNDED), checks=(converged,)),
+    "pwl-inf-asym": Config(ini(RAMP_INF, "k = 1.0", "asym", UNBOUNDED)),
+    # near the capillary-gravity minimum, |k| h+ = 1500: the shoot passes
+    # the float range and is rescaled, and the layer term, below the path's
+    # rounding, takes the Frobenius limiting route
+    "capillary-asym": Config(ini(TANH, "k = 300.0", "asym", FLUIDS.replace(
+        "sigma = 0.0", "sigma = 0.074"))),
+    # a thin column with strong surface tension at k 1979.5: the one
+    # layer's term, ~9e-258, is below the path's rounding and takes the
+    # Frobenius route, whose u1 ~ 3e-257 must not underflow
+    "thin-capillary-asym": Config(
+        ini("kind = tanh\nu_max = 10.0\nd = 0.05\nh_plus = 0.25",
+            "k = 1979.5", "asym",
+            FLUIDS.replace("sigma = 0.0\nh_plus = 5.0",
+                           "sigma = 50.0\nh_plus = 0.25")),
+        checks=(prints("# unstable = True"),)),
+    "table-solve": Config(ini(TABLE, "k = 1.2", "solve"),
+                          checks=(converged,)),
+    "table-asym": Config(ini(TABLE, "k = 1.3", "asym")),
+    # c_k 1e-8 below the interior maximum of a nine-knot jet table: the
+    # growth constant has both layers
+    "jet-asym": Config(ini("kind = table\npath = {jet9}", "k = {jet_k}",
+                           "asym"), checks=(two_layers,)),
+    # c_k 1e-7 below knot 3 of a 48-knot jet table: the lower layer's
+    # Frobenius patch spans the knot, which must not cut it
+    "knot-asym": Config(ini("kind = table\npath = {jet48}", "k = {knot_k}",
+                            "asym"), checks=(two_layers,), warns=1),
+    # the same jet table's sweep above its negative growth constants: every
+    # c_k has two layers, whose terms come from the jumps along the path,
+    # and from Frobenius where the upper one is below the path's rounding
+    # (k above ~2.3)
+    "jet48-sweep": Config(ini("kind = table\npath = {jet48}",
+                              "k_min = 0.7\nk_max = 3.0\nn = 12", "sweep"),
+                          checks=(converged,), warns=12),
+    # U = 5 x^2: U'' > 0 at the layer, so the sufficient sign hypotheses
+    # fail and the run warns, once
+    "convex-asym": Config(ini("kind = table\npath = {convex24}", "k = 1.0",
+                              "asym", FLUIDS.replace("h_plus = 5.0",
+                                                     "h_plus = 2.0")),
+                          checks=(prints("# sufficient_signs_hold = False"),),
+                          warns=1),
+    # a constant-shear wind, and the same wind sampled as a table: collinear
+    # samples make a zero-curvature wind, which the closed form answers
+    "linear-sweep": Config(ini("kind = linear\nu0 = 0.0\nmu = 2.0\n"
+                               "h_plus = 5.0",
+                               "k_min = 0.5\nk_max = 3.0\nn = 6", "sweep"),
+                           checks=(converged,)),
+    "linear-table-sweep": Config(ini("kind = table\npath = {linear6}",
+                                     "k_min = 0.5\nk_max = 3.0\nn = 6",
+                                     "sweep"), checks=(converged,)),
+    # configuration errors: each exits 2 with one "config error:" line
+    **{name: Config(text, 2) for name, text in {
+        "non_integer_n": CK.replace("k = 1.0", "k_min = 0.5\nk_max = 2.0\nn = four"),
+        "non_integer_max_iter": CK + "\n[solver]\nmax_iter = 6.5\n",
+        "non_integer_branch": CK + "branch = x\n",
+        "non_number_in_eps_list":
+            CK + "\n[pwl]\nmu = 5.0\nx2_star = 1.0\neps_list = 0.01 zz\n",
+        "unknown_key_in_pwl":
+            CK + "\n[pwl]\nmu = 5.0\nx2_star = 1.0\neps_list = 0.01\nbogus = 1\n",
+        "unknown_key_in_certify":
+            CK + "\n[certify]\nepsilon = 0.001\nradius_frac = 0.5\n",
+        "unknown_section": CK + "\n[solvr]\ntol = 1e-9\n",
+        "ramp_kink_at_column_top": BASE.replace("command = solve", "command = asym")
+            .replace(TANH, "kind = pwl\nmu = 10.0\nx2_star = 5.0\nh_plus = 5.0"),
+        "linear_below_interface": BASE.replace("command = solve", "command = asym")
+            .replace(TANH, "kind = linear\nu0 = 0.0\nmu = 2.0\nh_plus = -2.0"),
+        "constant_empty_column": BASE.replace("command = solve", "command = asym")
+            .replace(TANH, "kind = constant\nu0 = 5.0\nh_plus = 0.0"),
+        "zero_k": CK.replace("k = 1.0", "k = 0"),
+        "non_finite_k": BASE.replace("k = 1.0", "k = nan"),
+        "log_spacing_from_zero":
+            CK.replace("k = 1.0", "k_min = 0\nk_max = 2.0\nn = 3\nspacing = log"),
+        "sweep_below_zero": BASE.replace("command = solve", "command = sweep")
+            .replace("k = 1.0", "k_min = -1.0\nk_max = 2.0\nn = 3"),
+        "solve_negative_k": BASE.replace("k = 1.0", "k = -1.0"),
+        "pwl_finite_column": PWL,
+        "pwl_surface_tension": PWL.replace("sigma = 0.0\nh_plus = 5.0\n",
+                                           "sigma = 0.074\n"),
+        "pwl_negative_eps": PWL.replace("h_plus = 5.0\nh_minus", "h_minus")
+            .replace("eps_list = 0.01", "eps_list = 0.01 -0.5"),
+        "pwl_eps_one": PWL.replace("h_plus = 5.0\nh_minus", "h_minus")
+            .replace("eps_list = 0.01", "eps_list = 1"),
+        "certify_zero_epsilon": CERTIFY.replace("epsilon = 0.001", "epsilon = 0"),
+        "certify_epsilon_above_one":
+            CERTIFY.replace("epsilon = 0.001", "epsilon = 2"),
+        "certify_nan_epsilon": CERTIFY.replace("epsilon = 0.001", "epsilon = nan"),
+        "certify_zero_radius_fraction": CERTIFY + "radius_fraction = 0\n",
+        "certify_negative_radius_fraction": CERTIFY + "radius_fraction = -1\n",
+        "certify_nan_radius_fraction": CERTIFY + "radius_fraction = nan\n",
+        "certify_radius_fraction_above_one": CERTIFY + "radius_fraction = 2\n",
+        "certify_negative_im_floor": CERTIFY + "im_floor = -1e-10\n",
+        "certify_nan_im_floor": CERTIFY + "im_floor = nan\n",
+        "certify_im_floor_above_radius": CERTIFY + "im_floor = 1\n",
+        # a NaN number fails every bound, and a profile states its own
+        "nan_air_depth": SWEEP.replace("h_plus = 5.0\nh_minus",
+                                       "h_plus = nan\nh_minus"),
+        "nan_air_depth_everywhere": SWEEP.replace("h_plus = 5.0", "h_plus = nan"),
+        "nan_gravity": SWEEP.replace("g = 9.8", "g = nan"),
+        "nan_surface_tension": SWEEP.replace("sigma = 0.0", "sigma = nan"),
+        "tanh_zero_d": SWEEP.replace("d = 1.0", "d = 0"),
+        "tanh_nan_d": SWEEP.replace("d = 1.0", "d = nan"),
+        "tanh_nan_u_max": SWEEP.replace("u_max = 10.0", "u_max = nan"),
+        "tanh_column_mismatch": SWEEP.replace(TANH, TANH.replace("5.0", "4.0")),
+        "pwl_nan_column": BASE.replace("command = solve", "command = asym")
+            .replace(TANH, "kind = pwl\nmu = 10.0\nx2_star = 1.0\nh_plus = nan"),
+        # the solver's tolerances are positive and finite, and max_iter >= 1: a
+        # NaN error norm cuts every step of every element to 2^18 steps
+        "solver_nan_rayleigh_tol": CERTIFY + "\n[solver]\nrayleigh_tol = nan\n",
+        "solver_nan_rayleigh_tol_asym": BASE.replace("command = solve",
+                                                     "command = asym")
+            + "\n[solver]\nrayleigh_tol = nan\n",
+        "solver_nan_rayleigh_tol_sweep": SWEEP + "\n[solver]\nrayleigh_tol = nan\n",
+        "solver_negative_rayleigh_tol": SWEEP + "\n[solver]\nrayleigh_tol = -1\n",
+        "solver_nan_tol": SWEEP + "\n[solver]\ntol = nan\n",
+        "solver_zero_max_iter": SWEEP + "\n[solver]\nmax_iter = 0\n",
+    }.items()},
+}
+
+
+def write_table(path: Path, xs: list, us: list) -> str:
+    """A wind table of the speeds us at the altitudes xs; returns its path."""
+    path.write_text("".join(f"{x!r} {u!r}\n" for x, u in zip(xs, us)),
+                    encoding="utf-8")
+    return path.as_posix()
+
+
+def tables(folder: Path) -> dict:
+    """The ``{name}`` fields of ``CONFIGS``: the tables, written to folder,
+    and the wavenumbers whose c_k lies 1e-8 below the nine-knot jet's
+    maximum and 1e-7 below knot 3 of the 48-knot jet."""
+    tanh40 = [5 * i / 39 for i in range(40)]
+    jet9 = [5 * i / 8 for i in range(9)]
+    us9 = [10 * math.sin(0.9 * math.pi * x / 5) for x in jet9]
+    jet48 = [5 * i / 47 for i in range(48)]
+    us48 = [8 * math.e * x * math.exp(-x) for x in jet48]
+    convex24 = [2 * i / 23 for i in range(24)]  # U = 5 x^2 on [0, 2]
+    linear6 = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    u_max = TabulatedProfile(jet9, us9).u_bounds()[1]
+    u_knot = TabulatedProfile(jet48, us48).value(jet48[3] - 1e-7)
+    return {
+        "tanh40": write_table(folder / "tanh40.table", tanh40,
+                              [10 * math.tanh(x) for x in tanh40]),
+        "jet9": write_table(folder / "jet9.table", jet9, us9),
+        "jet48": write_table(folder / "jet48.table", jet48, us48),
+        "convex24": write_table(folder / "convex24.table", convex24,
+                                [5 * x * x for x in convex24]),
+        "linear6": write_table(folder / "linear6.table", linear6,
+                               [2 * x for x in linear6]),
+        "jet_k": repr(9.8 / (u_max - 1e-8) ** 2),
+        "knot_k": repr(9.8 / u_knot ** 2),
+    }
+
+
+#: each config's run, the run of its --dump-config output, and the scipy
+#: modules first loaded while they ran (a scipy import of the package
+#: itself is the first config's).  A run is its exit status (an escaped
+#: exception's traceback), stdout, stderr and the message of every warning:
+#: each one is recorded, also a repeat from the same line
+SCRIPT = """\
+import contextlib, io, json, sys, traceback, warnings
+
+def scipy():
+    return {m for m in sys.modules if m.split(".")[0] == "scipy"}
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \\
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            status = windwaves.cli.main(list(argv))
+        except Exception:  # the other configs still run
+            status = traceback.format_exc()
+    return {"status": status, "out": out.getvalue(), "err": err.getvalue(),
+            "warnings": [str(w.message) for w in caught]}
+
+loaded = scipy()
+import windwaves.cli
+report = []
+for path in sys.argv[1:]:
+    first, rerun = run("--config", path), None
+    if first["status"] == 0:
+        with open(path + ".dumped.ini", "w", encoding="utf-8") as fh:
+            fh.write(run("--config", path, "--dump-config")["out"])
+        rerun = run("--config", path + ".dumped.ini")
+    report.append({"run": first, "rerun": rerun,
+                   "scipy": sorted(scipy() - loaded)})
+    loaded = scipy()
+print(json.dumps(report))
+"""
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory) -> dict:
+    """Every config's record from one ``SCRIPT`` process, by name."""
+    folder = tmp_path_factory.mktemp("configs")
+    fields = tables(folder)
+    paths = []
+    for name, config in CONFIGS.items():
+        path = folder / f"{name}.ini"
+        path.write_text(config.text.format(**fields), encoding="utf-8")
+        paths.append(str(path))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(windwaves.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", SCRIPT, *paths], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300)
+    return dict(zip(CONFIGS, json.loads(out.stdout.splitlines()[-1])))
 
 
 class TestParsing:
@@ -80,8 +388,7 @@ epsilon = 0.001
             parse_config(BASE.replace("k = 1.0", "k = 1.0\nk_min = 0.5"))
 
     def test_missing_table_file(self):
-        text = BASE.replace("kind = tanh\nu_max = 10.0\nd = 1.0\nh_plus = 5.0",
-                            "kind = table\npath = /nonexistent/wind.txt")
+        text = BASE.replace(TANH, "kind = table\npath = /nonexistent/wind.txt")
         with pytest.raises(ConfigError):
             parse_config(text)
 
@@ -128,9 +435,7 @@ command = kh
         assert growth == pytest.approx(k * im_c)
 
     def test_sweep_deterministic_and_json(self, tmp_path):
-        text = BASE.replace("command = solve", "command = sweep").replace(
-            "k = 1.0", "k_min = 0.5\nk_max = 2.0\nn = 3")
-        cfg_path = write_config(tmp_path, text)
+        cfg_path = write_config(tmp_path, SWEEP)
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         assert main(["--config", cfg_path, "--output", str(out1)]) == 0
@@ -144,27 +449,19 @@ command = kh
         assert len(payload["rows"]) == 3
 
     def test_asym_layer_table(self, tmp_path, capsys):
-        text = BASE.replace("command = solve", "command = asym")
+        text = CONFIGS["asym"].text
         assert main(["--config", write_config(tmp_path, text)]) == 0
         out = capsys.readouterr().out
         assert "c_sharp" in out
         assert "s,u_prime,u_double_prime,u1,term" in out
-        data_rows = [l for l in out.strip().splitlines()
-                     if l and not l.startswith("#")][1:]
-        assert len(data_rows) == 1
+        assert len(data_rows(out)) == 1
 
     def test_asym_on_piecewise_linear_wind(self, tmp_path, capsys):
         # U'' vanishes at the layer inside the ramp, so the layer's term and
         # c_sharp are 0; below the layer y'' = k^2 y with y(0) = 1, y'(0) = Z
-        text = BASE.replace("command = solve", "command = asym").replace(
-            "kind = tanh\nu_max = 10.0\nd = 1.0",
-            "kind = pwl\nmu = 10.0\nx2_star = 1.0")
-        # every layer term is 0, so the sign hypotheses say nothing: no
-        # warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)
-            assert main(["--config", write_config(tmp_path, text),
-                         "--format", "json"]) == 0
+        text = CONFIGS["pwl-asym"].text
+        assert main(["--config", write_config(tmp_path, text),
+                     "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "c_sharp = 0" in payload["notes"]
         [(s, u_prime, u_double_prime, u1, term)] = payload["rows"]
@@ -179,15 +476,10 @@ command = kh
 
     def test_asym_on_an_unbounded_ramp(self, tmp_path, capsys):
         # the ramp on [0, inf): its layer comes from its pieces, and its
-        # growth constant, 0, from the closed form, without a warning
-        text = BASE.replace("command = solve", "command = asym").replace(
-            "h_plus = 5.0", "h_plus = inf").replace(
-            "kind = tanh\nu_max = 10.0\nd = 1.0",
-            "kind = pwl\nmu = 10.0\nx2_star = 1.0")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)
-            assert main(["--config", write_config(tmp_path, text),
-                         "--format", "json"]) == 0
+        # growth constant, 0, from the closed form
+        text = CONFIGS["pwl-inf-asym"].text
+        assert main(["--config", write_config(tmp_path, text),
+                     "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "c_sharp = 0" in payload["notes"]
         [(s, u_prime, u_double_prime, u1, term)] = payload["rows"]
@@ -203,11 +495,7 @@ command = kh
         assert u1 == pytest.approx(want, rel=1e-12)
 
     def test_certify_stable(self, tmp_path, capsys):
-        text = BASE.replace("u_max = 10.0", "u_max = 1.5").replace(
-            "command = solve", "command = certify-stable") + """
-[certify]
-epsilon = 0.001
-"""
+        text = CERTIFY
         assert main(["--config", write_config(tmp_path, text)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         row = lines[-1].split(",")
@@ -216,11 +504,7 @@ epsilon = 0.001
 
     def test_certify_stable_output_same_on_either_route(self, tmp_path, capsys,
                                                        monkeypatch):
-        text = BASE.replace("u_max = 10.0", "u_max = 1.5").replace(
-            "command = solve", "command = certify-stable") + """
-[certify]
-epsilon = 0.001
-"""
+        text = CERTIFY
         path = write_config(tmp_path, text)
         square = asymptotics.square_roots_real
         decided = []
@@ -401,90 +685,42 @@ command = solve
         out = capsys.readouterr().out
         assert "no critical layer" in out
 
+class TestConfigRuns:
+    """Every config that runs exits 0, with what its row checks on stdout
+    and nothing on stderr, imports no scipy, warns as often as its row says,
+    and its --dump-config output reruns to the same stdout, byte for byte."""
 
-CK = BASE.replace("command = solve", "command = ck")
-TANH = "kind = tanh\nu_max = 10.0\nd = 1.0\nh_plus = 5.0"
-PWL = BASE.replace("command = solve", "command = pwl") + """
-[pwl]
-mu = 5.51
-x2_star = 1.0
-eps_list = 0.01
-"""
-#: certify-stable on a wind below c_k, which certifies
-CERTIFY = BASE.replace("u_max = 10.0", "u_max = 1.5").replace(
-    "command = solve", "command = certify-stable") + """
-[certify]
-epsilon = 0.001
-"""
-#: a three-k sweep of the tanh wind
-SWEEP = BASE.replace("command = solve", "command = sweep").replace(
-    "k = 1.0", "k_min = 0.5\nk_max = 2.0\nn = 3")
-MALFORMED = {
-    "non_integer_n": CK.replace("k = 1.0", "k_min = 0.5\nk_max = 2.0\nn = four"),
-    "non_integer_max_iter": CK + "\n[solver]\nmax_iter = 6.5\n",
-    "non_integer_branch": CK + "branch = x\n",
-    "non_number_in_eps_list":
-        CK + "\n[pwl]\nmu = 5.0\nx2_star = 1.0\neps_list = 0.01 zz\n",
-    "unknown_key_in_pwl":
-        CK + "\n[pwl]\nmu = 5.0\nx2_star = 1.0\neps_list = 0.01\nbogus = 1\n",
-    "unknown_key_in_certify":
-        CK + "\n[certify]\nepsilon = 0.001\nradius_frac = 0.5\n",
-    "unknown_section": CK + "\n[solvr]\ntol = 1e-9\n",
-    "ramp_kink_at_column_top": BASE.replace("command = solve", "command = asym")
-        .replace(TANH, "kind = pwl\nmu = 10.0\nx2_star = 5.0\nh_plus = 5.0"),
-    "linear_below_interface": BASE.replace("command = solve", "command = asym")
-        .replace(TANH, "kind = linear\nu0 = 0.0\nmu = 2.0\nh_plus = -2.0"),
-    "constant_empty_column": BASE.replace("command = solve", "command = asym")
-        .replace(TANH, "kind = constant\nu0 = 5.0\nh_plus = 0.0"),
-    "zero_k": CK.replace("k = 1.0", "k = 0"),
-    "non_finite_k": BASE.replace("k = 1.0", "k = nan"),
-    "log_spacing_from_zero":
-        CK.replace("k = 1.0", "k_min = 0\nk_max = 2.0\nn = 3\nspacing = log"),
-    "sweep_below_zero": BASE.replace("command = solve", "command = sweep")
-        .replace("k = 1.0", "k_min = -1.0\nk_max = 2.0\nn = 3"),
-    "solve_negative_k": BASE.replace("k = 1.0", "k = -1.0"),
-    "pwl_finite_column": PWL,
-    "pwl_surface_tension": PWL.replace("sigma = 0.0\nh_plus = 5.0\n",
-                                       "sigma = 0.074\n"),
-    "certify_zero_epsilon": CERTIFY.replace("epsilon = 0.001", "epsilon = 0"),
-    "certify_epsilon_above_one":
-        CERTIFY.replace("epsilon = 0.001", "epsilon = 2"),
-    "certify_nan_epsilon": CERTIFY.replace("epsilon = 0.001", "epsilon = nan"),
-    "certify_zero_radius_fraction": CERTIFY + "radius_fraction = 0\n",
-    "certify_negative_radius_fraction": CERTIFY + "radius_fraction = -1\n",
-    "certify_nan_radius_fraction": CERTIFY + "radius_fraction = nan\n",
-    "certify_radius_fraction_above_one": CERTIFY + "radius_fraction = 2\n",
-    "certify_negative_im_floor": CERTIFY + "im_floor = -1e-10\n",
-    "certify_nan_im_floor": CERTIFY + "im_floor = nan\n",
-    "certify_im_floor_above_radius": CERTIFY + "im_floor = 1\n",
-    # a NaN number fails every bound, and a profile states its own
-    "nan_air_depth": SWEEP.replace("h_plus = 5.0\nh_minus",
-                                   "h_plus = nan\nh_minus"),
-    "nan_air_depth_everywhere": SWEEP.replace("h_plus = 5.0", "h_plus = nan"),
-    "nan_gravity": SWEEP.replace("g = 9.8", "g = nan"),
-    "nan_surface_tension": SWEEP.replace("sigma = 0.0", "sigma = nan"),
-    "tanh_zero_d": SWEEP.replace("d = 1.0", "d = 0"),
-    "tanh_nan_d": SWEEP.replace("d = 1.0", "d = nan"),
-    "tanh_nan_u_max": SWEEP.replace("u_max = 10.0", "u_max = nan"),
-    "tanh_column_mismatch": SWEEP.replace(TANH, TANH.replace("5.0", "4.0")),
-    "pwl_nan_column": BASE.replace("command = solve", "command = asym")
-        .replace(TANH, "kind = pwl\nmu = 10.0\nx2_star = 1.0\nh_plus = nan"),
-}
+    @pytest.mark.parametrize(
+        "name", [name for name, c in CONFIGS.items() if c.status == 0])
+    def test_config_run(self, runs, name):
+        config, report = CONFIGS[name], runs[name]
+        assert report["scipy"] == []
+        run = report["run"]
+        assert (run["status"], run["err"]) == (0, "")
+        assert run["out"].strip()
+        for check in config.checks:
+            check(run["out"])
+        assert [message.startswith("sufficient sign hypotheses")
+                for message in run["warnings"]] == [True] * config.warns
+        assert report["rerun"] == run
 
 
-def assert_config_error(status, capsys):
+def assert_config_error(status, err):
     assert status == 2
-    [line] = capsys.readouterr().err.strip().splitlines()
+    [line] = err.strip().splitlines()
     assert line.startswith("config error: ")
 
 
 class TestMalformedInput:
     """Every malformed input exits 2 with one 'config error:' line."""
 
-    @pytest.mark.parametrize("name", MALFORMED)
-    def test_malformed_config(self, tmp_path, capsys, name):
-        path = write_config(tmp_path, MALFORMED[name])
-        assert_config_error(main(["--config", path]), capsys)
+    @pytest.mark.parametrize(
+        "name", [name for name, c in CONFIGS.items() if c.status == 2])
+    def test_malformed_config(self, runs, name):
+        report = runs[name]
+        assert report["scipy"] == []
+        assert report["run"]["warnings"] == []
+        assert_config_error(report["run"]["status"], report["run"]["err"])
 
     @pytest.mark.parametrize("rows", [
         "0 0\n1 1\n0.5 2\n5 3\n",  # altitudes not increasing
@@ -497,13 +733,14 @@ class TestMalformedInput:
         table.write_text(rows)
         text = BASE.replace("command = solve", "command = asym").replace(
             TANH, f"kind = table\npath = {table}")
-        assert_config_error(main(["--config", write_config(tmp_path, text)]),
-                            capsys)
+        status = main(["--config", write_config(tmp_path, text)])
+        assert_config_error(status, capsys.readouterr().err)
 
     def test_unwritable_output(self, tmp_path, capsys):
         path = write_config(tmp_path, CK)
         out = str(tmp_path / "missing" / "out.csv")
-        assert_config_error(main(["--config", path, "--output", out]), capsys)
+        status = main(["--config", path, "--output", out])
+        assert_config_error(status, capsys.readouterr().err)
 
     def test_negative_k_keeps_working(self, tmp_path, capsys):
         path = write_config(tmp_path, CK.replace("k = 1.0", "k = -1.0"))

@@ -1163,6 +1163,14 @@ class TestLimitingBatch:
         with pytest.raises(ValueError, match="sign_ci"):
             impedance_outcomes(TANH, 1.0, [3.0], sign_ci=0)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_tol_must_be_finite_and_not_negative(self, tol):
+        # a NaN error norm cuts every step down to 2^18 steps an element
+        with pytest.raises(ValueError, match="tol must be finite"):
+            impedance_outcomes(TANH, 1.0, [3.0 + 0.05j], tol)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            limiting_solution(TANH, 1.0, 3.0, +1, tol=tol)
+
     def test_infinite_domain_rejected(self):
         # only a zero-curvature wind has a closed form on [0, inf)
         with pytest.raises(InfiniteDomain):
