@@ -22,8 +22,9 @@ predicate; layers at inflection points contribute nothing.  Re c_1, the
 O(eps) shift of the phase speed, comes from Re y*'(0), the air's pressure in
 phase with the surface, and from the real terms: the air's weight, the
 interface shear, and, on water of finite depth, the interface speed.
-:func:`~windwaves.eigensolver.scan_k` takes all of eps c_1 by one Newton
-step of the residual from c_k.
+:attr:`MilesAsymptotics.c1` carries c_1, and
+:meth:`MilesAsymptotics.predicted_c` the seed c_k + eps c_1 that
+:func:`~windwaves.eigensolver.scan_k` starts from.
 """
 from __future__ import annotations
 
@@ -89,15 +90,16 @@ class MilesAsymptotics:
     #: y*'(0), the limit impedance at c_k + i0 under y*(0) = 1, from the
     #: route that gave c_sharp
     impedance: complex
+    #: the first-order term c_1 of c = c_k + eps c_1 + o(eps); Im c_1 = c_sharp
+    c1: complex
 
     @property
     def unstable(self) -> bool:
         return self.c_sharp > 0.0
 
     def predicted_c(self, eps: float) -> complex:
-        """Leading-order unstable wave speed c_k + i eps c_sharp, without
-        the real shift eps Re c_1."""
-        return self.c_k + 1j * eps * self.c_sharp
+        """The wave speed to first order, c_k + eps c_1."""
+        return self.c_k + eps * self.c1
 
 
 def _sufficient_signs_hold(c_k: float, layers: tuple[CriticalLayer, ...]
@@ -222,7 +224,8 @@ def _layers_at_ck(profile, params, k, branch):
 
 def _assemble(profile, params, k, branch, c_k, layers, u1s,
               impedance) -> MilesAsymptotics:
-    """Sum the per-layer terms of the growth constant, |y(s_j)|^2 = u1s[j]."""
+    """Sum the per-layer terms of the growth constant, |y(s_j)|^2 = u1s[j],
+    and form c_1 from the impedance y*'(0)."""
     fi0 = f_I0(profile, params, k, branch)
     contribs = []
     bracket = 0.0
@@ -235,12 +238,17 @@ def _assemble(profile, params, k, branch, c_k, layers, u1s,
         contribs.append(LayerContribution(
             position=layer.position, u_prime=layer.u_prime,
             u_double_prime=layer.u_double_prime, u1=u1, term=term))
+    ak, tm = abs(k), params.tanh_minus(k)
+    u0 = profile.value(0.0)
+    real = (params.g + profile.slope(0.0) * (u0 - c_k)
+            + c_k * ak * u0 * (1.0 - tm * tm) / params.tanh_plus(k))
 
     return MilesAsymptotics(
         k=k, branch=branch, c_k=c_k, f_i0=fi0, c_sharp=c_sharp,
         layers=tuple(contribs), predicate_bracket=bracket,
         sufficient_signs_hold=_sufficient_signs_hold(c_k, layers),
-        impedance=impedance)
+        impedance=impedance,
+        c1=fi0 * impedance - real / (2.0 * c_k * ak * tm))
 
 
 @dataclass(frozen=True)

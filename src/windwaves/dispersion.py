@@ -135,20 +135,6 @@ def residual_miles(c: complex, impedance: complex, params: FluidParams,
             - eps * c * ak * u0 * (1.0 - tm * tm) / (tp + eps * tm))
 
 
-def _residual_miles_slope(c: complex, impedance: complex, params: FluidParams,
-                          k: float, u0: float, up0: float) -> complex:
-    """The c-derivative of :func:`residual_miles` with the impedance held
-    fixed, term by term, for the same scalar or array arguments."""
-    eps = params.epsilon
-    ak = abs(k)
-    tm = params.tanh_minus(k)
-    tp = params.tanh_plus(k)
-    return (-2.0 * eps * (u0 - c) * impedance
-            - 2.0 * c * ak * tm
-            + eps * up0
-            - eps * ak * u0 * (1.0 - tm * tm) / (tp + eps * tm))
-
-
 def _check_depth_consistency(profile: ShearProfile, params: FluidParams,
                              water: bool = False) -> None:
     """Refuse an air (or water) profile whose column is not the params' one."""

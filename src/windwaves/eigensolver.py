@@ -84,11 +84,19 @@ def find_root(residual: Callable[[complex], complex], c_init: complex, *,
 
     Raises
     ------
+    ValueError
+        Unless tol and scale are positive and finite and max_iter >= 1,
+        before any evaluation.
     NoConvergence
         After max_iter Muller steps.
     WindwavesError
         The residual's error at the first failed point.
     """
+    # each comparison is False for a NaN
+    if not (0.0 < tol < math.inf and 0.0 < scale < math.inf
+            and max_iter >= 1):
+        raise ValueError("need tol and scale positive and finite, "
+                         "and max_iter >= 1")
     chain = _muller(c_init, tol=tol, max_iter=max_iter, scale=scale, k=k)
     results, errors = _rounds(_evaluator(residual), [chain])
     _raise_first(errors)
@@ -418,12 +426,15 @@ def continue_in_epsilon(residual_family: Callable[[float], Callable[[complex], c
                         dc_deps: Optional[complex] = None) -> list[EigenResult]:
     """Track one eigenvalue branch along an ascending epsilon list.
 
-    The predictor is the asymptotic slope ``dc_deps`` for the first step when
-    supplied, then secant extrapolation from the two previous roots; the
+    The predictor is the asymptotic slope ``dc_deps`` (such as
+    :attr:`~windwaves.asymptotics.MilesAsymptotics.c1`) for the first step
+    when supplied, then secant extrapolation from the two previous roots; the
     corrector is :func:`find_root`.
 
     Raises
     ------
+    ValueError
+        If eps_list is not strictly ascending, or as :func:`find_root` does.
     BranchLost
         If the corrector diverges or the branch degenerates.
     """
@@ -495,14 +506,11 @@ def scan_k(profile, params, k_list: Sequence[float],
     impedances do not depend on the batch.  One
     :func:`~windwaves.asymptotics.growth_constants` call gives the growth
     constants of all wavenumbers and each limit impedance y*'(0) at c_k + i0,
-    and so the residual f(c_k) there.  A row with c_sharp > 0 is seeded by
-    one Newton step from c_k, with the impedance held at y*'(0):
-    c_k - f(c_k) / f_c(c_k), f_c the c-derivative of
-    :func:`~windwaves.dispersion.residual_miles` at fixed impedance.  The step is eps c_1 to leading order, both the O(eps) shift
-    of the phase speed and i eps c_sharp, so the seed lies within a few 1e-5
-    relative of the root.  The row starts from (c_k, f(c_k)) as the known
-    pair of :func:`_muller`: its first round shoots the seed alone, its
-    second the secant point, and one Muller step then converges.  A row with
+    and so the residual f(c_k) there.  A row with c_sharp > 0 is seeded at
+    its :meth:`~windwaves.asymptotics.MilesAsymptotics.predicted_c`,
+    c_k + eps c_1, and starts from (c_k, f(c_k)) as the known pair of
+    :func:`_muller`: its first round shoots the seed alone, its second the
+    secant point, and one Muller step then converges.  A row with
     c_sharp <= 0, or without a growth constant (no layer, or the constant
     failed), is seeded at the real c_k and starts from the triple around it.
     Each chain's shoots start from its last final mesh: the first from its
@@ -514,8 +522,7 @@ def scan_k(profile, params, k_list: Sequence[float],
     and a repeated call gives the same entries bit for bit.
     """
     from .asymptotics import growth_constants
-    from .dispersion import (_residual_miles_slope, ck, miles_residuals,
-                             residual_miles)
+    from .dispersion import ck, miles_residuals, residual_miles
 
     ks = [float(k) for k in k_list]
     if not ks or any(k <= 0.0 for k in ks):
@@ -529,20 +536,17 @@ def scan_k(profile, params, k_list: Sequence[float],
     # no layer, degenerate or c_sharp <= 0: the real seed c_k and its triple
     seeds = [complex(ck(params, k, strategy.branch)) for k in ks]
     known: dict[int, tuple[complex, complex]] = {}
-    newton = [i for i, asym in enumerate(asyms)
+    seeded = [i for i, asym in enumerate(asyms)
               if asym is not None and asym.c_sharp > 0.0]
-    if newton:
-        # one Newton step of the residual from (c_k, f(c_k)), the impedance
-        # held at y*'(0): all rows in one array call
-        c0 = np.array([seeds[i] for i in newton])
-        args = (np.array([asyms[i].impedance for i in newton]), params,
-                np.array([ks[i] for i in newton]), profile.value(0.0),
-                profile.slope(0.0))
-        f0 = residual_miles(c0, *args)
-        steps = f0 / _residual_miles_slope(c0, *args)
-        for i, c, f, step in zip(newton, c0.tolist(), f0.tolist(),
-                                 steps.tolist()):
-            seeds[i], known[i] = c - step, (c, f)
+    if seeded:
+        # f(c_k) at y*'(0) of every seeded row in one array call
+        f0 = residual_miles(np.array([seeds[i] for i in seeded]),
+                            np.array([asyms[i].impedance for i in seeded]),
+                            params, np.array([ks[i] for i in seeded]),
+                            profile.value(0.0), profile.slope(0.0))
+        for i, f in zip(seeded, f0.tolist()):
+            known[i] = (seeds[i], f)
+            seeds[i] = asyms[i].predicted_c(params.epsilon)
     chains = [_muller(seed, tol=strategy.tol, max_iter=strategy.max_iter,
                       scale=params.g, k=k, known=known.get(i))
               for i, (k, seed) in enumerate(zip(ks, seeds))]

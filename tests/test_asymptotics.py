@@ -487,6 +487,59 @@ class TestGrowthConstants:
         assert errors == {} and meshes == [None, None]
 
 
+class TestFirstOrderTerm:
+    """c = c_k + eps c_1 + o(eps), with Im c_1 = c_sharp (Miles 1957)."""
+
+    X200 = np.linspace(0.0, 5.0, 200)
+
+    @pytest.mark.filterwarnings("ignore:sufficient sign hypotheses")
+    @pytest.mark.parametrize("prof, k, fluids", [
+        (TANH, 1.0, dict(sigma=0.074, h_minus=1.0)),
+        # U(0) = 2: a vortex sheet at the interface
+        (TabulatedProfile(X200, 2.0 + 8.0 * np.tanh(X200)), 0.8, {}),
+        (JET48, 1.5, {}),  # two layers, c_sharp > 0
+    ], ids=["tanh", "sheet200", "jet48"])
+    def test_error_is_second_order_in_eps(self, prof, k, fluids):
+        # |c - predicted_c(eps)| / (eps |c|) falls 10x per decade of eps
+        from windwaves.dispersion import make_miles_residual
+        from windwaves.eigensolver import find_root
+
+        asym = miles_c_sharp(prof, params_with(h_plus=5.0, **fluids), k,
+                             tol=1e-12)
+        assert asym.c_sharp > 0.0
+        errs = []
+        for eps in (1.2e-3, 1.2e-4, 1.2e-5):
+            p = params_with(rho_plus=eps * 1000.0, h_plus=5.0, **fluids)
+            seed = asym.predicted_c(eps)
+            assert seed == asym.c_k + eps * asym.c1
+            root = find_root(make_miles_residual(prof, p, k, tol=1e-12), seed,
+                             tol=1e-13, scale=p.g, k=k).c
+            errs.append(abs(root - seed) / (eps * abs(root)))
+        assert errs[0] < 1e-2
+        for big, small in zip(errs, errs[1:]):
+            assert 0.05 < small / big < 0.2, errs
+
+    @pytest.mark.filterwarnings("ignore:sufficient sign hypotheses")
+    @pytest.mark.parametrize("prof, k, route", [
+        (TANH, 1.0, "path"),
+        (JET48, 1.5, "path"),  # two layers
+        (JET48, 2.6, "frobenius"),  # two layers the path does not resolve
+        (convex("analytic"), 1.0, "frobenius"),
+    ], ids=["tanh", "jet48-path", "jet48-frobenius", "analytic"])
+    def test_imaginary_part_is_c_sharp(self, prof, k, route):
+        # the sum of the layer terms against f_I0 Im y*'(0)
+        p = params_with(h_plus=prof.h_plus)
+        asym = miles_c_sharp(prof, p, k)
+        if route == "path":
+            want, _ = impedance_outcomes(prof, k, [asym.c_k], sign_ci=+1)
+            assert asym.impedance == complex(want[0])
+        else:
+            want = limiting_solution(prof, k, asym.c_k, +1)
+            assert asym.impedance == want.impedance
+        assert asym.c_sharp != 0.0
+        assert abs(asym.c1.imag - asym.c_sharp) <= 1e-10 * abs(asym.c_sharp)
+
+
 class TestNecessityCertificate:
     def test_zero_offaxis_roots_for_slow_wind(self):
         p = params_with(h_plus=5.0)

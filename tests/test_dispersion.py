@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from windwaves.dispersion import (
     FluidParams,
-    _residual_miles_slope,
     ck,
     kh_threshold,
     make_miles_residual,
@@ -15,13 +14,14 @@ from windwaves.dispersion import (
     residual_general,
     residual_miles,
 )
-from windwaves.eigensolver import scan_k
+from windwaves.eigensolver import find_root, scan_k
 from windwaves.errors import IncompatibleDepths, RequiresSurfaceTension
 from windwaves.profiles import (
     AnalyticProfile,
     ConstantProfile,
     LinearShearProfile,
     PiecewiseLinearProfile,
+    TabulatedProfile,
     TanhProfile,
 )
 from windwaves.rayleigh import integrate_rayleigh, interface_impedance
@@ -93,26 +93,6 @@ class TestResidualMiles:
             want = (p.g * (1 - eps) + p.sigma * k**2 / p.rho_minus
                     - eps * abs(k) * (u0 - c) ** 2 - c**2 * abs(k))
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-    @pytest.mark.parametrize("rho_plus", [1.22, 300.0])
-    def test_slope_matches_central_difference(self, rho_plus):
-        # at fixed impedance the residual is quadratic in c, so a central
-        # difference has only rounding error; eps 0.3 weighs every term
-        p = params_with(rho_plus=rho_plus, sigma=0.074, h_plus=5.0,
-                        h_minus=1.0)
-        u0, up0 = 1.5, 4.0
-        ks = np.array([0.3, 1.0, 3.0])
-        cs = np.array([ck(p, k) for k in ks]) + np.array([0.01j, -0.2j, 0.5])
-        imps = np.array([-0.4 + 0.02j, -1.1 + 0.3j, -3.2 - 0.1j])
-        slopes = _residual_miles_slope(cs, imps, p, ks, u0, up0)
-        for c, imp, k, slope in zip(cs.tolist(), imps.tolist(), ks.tolist(),
-                                    slopes.tolist()):
-            h = 1e-4 * abs(c)
-            fd = (residual_miles(c + h, imp, p, k, u0, up0)
-                  - residual_miles(c - h, imp, p, k, u0, up0)) / (2.0 * h)
-            got = _residual_miles_slope(c, imp, p, k, u0, up0)
-            assert abs(got - fd) <= 1e-8 * abs(fd), (k, got, fd)
-            assert abs(slope - got) <= 1e-14 * abs(got)
 
     def test_term_by_term_oracle_finite_depths(self):
         p = params_with(sigma=0.074, h_plus=5.0, h_minus=1.0)
@@ -352,6 +332,19 @@ class TestResidualGeneral:
             rg = residual_general(c, p, k, prof)
             rm = res_m(c)
             assert abs(rg - p.rho_minus * rm) <= 1e-8 * max(abs(rg), p.g)
+
+    def test_sweep_roots_on_a_vortex_sheet_table(self):
+        # U(0) = 2 over calm water: the sheet enters residual_miles through
+        # its U+(0) terms and residual_general through the sheet potential
+        p = params_with(h_plus=5.0)
+        xs = np.linspace(0.0, 5.0, 200)
+        prof = TabulatedProfile(xs, 2.0 + 8.0 * np.tanh(xs))
+        for entry in scan_k(prof, p, [0.5, 0.8, 1.5]).entries:
+            general = find_root(
+                lambda c: residual_general(c, p, entry.k, prof), entry.c,
+                tol=1e-12, scale=p.g * p.rho_minus, k=entry.k).c
+            assert entry.converged and entry.c.imag > 0.0
+            assert abs(general - entry.c) <= 1e-12 * abs(entry.c), entry
 
     def test_sheared_water_general_path_matches_closed_form(self):
         # constant water speed routed through the mirrored shoot must agree

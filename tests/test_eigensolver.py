@@ -97,6 +97,22 @@ class TestFindRoot:
         with pytest.raises(NoConvergence):
             find_root(lambda c: 1.0 + 0.0 * c, 0.0j, tol=1e-11, max_iter=10)
 
+    @pytest.mark.parametrize("bad", [
+        dict(tol=math.nan), dict(tol=-1.0), dict(tol=math.inf),
+        dict(scale=math.nan), dict(scale=0.0), dict(max_iter=0),
+    ], ids=["tol-nan", "tol-negative", "tol-inf", "scale-nan", "scale-zero",
+            "max_iter-0"])
+    def test_rejects_tolerances_that_cannot_work(self, bad):
+        calls = []
+
+        def residual(c):
+            calls.append(c)
+            return c - 1.0  # 1.0 would be an exact root
+
+        with pytest.raises(ValueError, match="positive and finite"):
+            find_root(residual, 1.0 + 0.0j, **bad)
+        assert calls == []
+
     def test_batch_residual_gives_the_pointwise_result(self):
         # the starting triple in one batch call, then one point per call,
         # and bit for bit the root of the scalar residual
@@ -581,6 +597,17 @@ class TestContinueInEpsilon:
         with pytest.raises(BranchLost):
             continue_in_epsilon(family, [1e-4, 1e-3], 1.0 + 0.0j, max_iter=8)
 
+    def test_bad_tolerance_is_not_a_lost_branch(self):
+        calls = []
+
+        def family(eps):
+            return lambda c: calls.append(c) or c - 1.0
+
+        with pytest.raises(ValueError) as info:
+            continue_in_epsilon(family, [1e-4, 1e-3], 1.0 + 0.0j,
+                                tol=math.nan)
+        assert type(info.value) is ValueError and calls == []
+
     def test_eps_must_ascend(self):
         with pytest.raises(ValueError):
             continue_in_epsilon(lambda e: (lambda c: c), [1e-3, 1e-4], 0.0j)
@@ -726,8 +753,8 @@ class TestScanK:
         curve = scan_k(prof, params_with(h_plus=5.0), [0.05, 0.3, 1.0])
         assert all(e.converged for e in curve.entries)
         assert sizes[0] == 3 + 1 + 1
-        # at eps 1e-6, the Newton step from c_k is 1.0e-7 c_k at k 3, below
-        # the spacing guard 1e-6 c_k
+        # at eps 1e-6, the seed c_k + eps c_1 lies 1.0e-7 c_k from c_k at
+        # k 3, below the spacing guard 1e-6 c_k
         sizes.clear()
         seeds = self.chain_seeds(monkeypatch)
         p = params_with(h_plus=5.0, rho_plus=1e-3)
@@ -765,9 +792,9 @@ class TestScanK:
         (TanhProfile(8.0, 0.6, 5.0), 0.3),
         (JET48, 0.7),  # two layers: the path's jumps, Frobenius past k ~2.3
     ], ids=["tanh(10,1,5)", "tanh(8,0.6,5)", "jet48"])
-    def test_newton_seed_is_one_muller_step_from_the_root(self, monkeypatch,
-                                                           prof, k_min):
-        # the Newton step from c_k carries the O(eps) real shift of the root
+    def test_predicted_c_seed_is_one_muller_step_from_the_root(
+            self, monkeypatch, prof, k_min):
+        # the seed c_k + eps c_1 carries the O(eps) real shift of the root
         # as well as i eps c_sharp, so the secant point and one Muller step
         # converge
         seeds = self.chain_seeds(monkeypatch)
@@ -776,6 +803,29 @@ class TestScanK:
         for entry in curve.entries:
             assert entry.converged and entry.iterations == 1, entry
             assert abs(seeds[entry.k] - entry.c) <= 5e-5 * abs(entry.c), entry
+
+    @pytest.mark.filterwarnings("ignore:sufficient sign hypotheses")
+    @pytest.mark.parametrize("prof", [TanhProfile(10.0, 1.0, 5.0), JET48],
+                             ids=["tanh", "jet48"])
+    def test_seeds_are_predicted_c_bit_for_bit(self, monkeypatch, prof):
+        # the sweep's first-order term is the growth constant's c_1; rows
+        # with c_sharp <= 0 or without a layer keep the real c_k
+        seeds = self.chain_seeds(monkeypatch)
+        p = params_with(h_plus=5.0)
+        ks = [0.05, 0.3, 0.55, 1.0, 1.5, 2.6]
+        scan_k(prof, p, ks)
+        n_seeded = 0
+        for k in ks:
+            try:
+                asym = asymptotics.miles_c_sharp(prof, p, k)
+            except WindwavesError:
+                asym = None
+            if asym is not None and asym.c_sharp > 0.0:
+                n_seeded += 1
+                assert seeds[k] == asym.predicted_c(p.epsilon), k
+            else:
+                assert seeds[k] == ck(p, k), k
+        assert n_seeded >= 4
 
     def test_tanh_sweep_takes_four_kernel_calls(self, monkeypatch):
         # the growth constants' shoot at c_k, the seeds, the secant points

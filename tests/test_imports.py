@@ -1,7 +1,8 @@
 """The package's wiring: its console script, its public names, the
-tableau the kernel shares with scipy, and what the limiting route imports:
-numpy, not scipy.  What each command-line config imports is checked with
-its run, in tests/test_cli.py."""
+tableau the kernel shares with scipy, what the limiting route imports
+(numpy, not scipy), and the README's library quick start, run as written.
+What each command-line config imports is checked with its run, in
+tests/test_cli.py."""
 import importlib
 import json
 import os
@@ -75,3 +76,17 @@ def test_limiting_route_imports_no_scipy():
                          timeout=300)
     report = json.loads(out.stdout.splitlines()[-1])
     assert report == {"jumps": [2, 2], "scipy": []}
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    # the seed c_k + eps c_1 is one Muller step from the root
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    root = namespace["root"]
+    assert root.converged and root.iterations == 1
+    assert capsys.readouterr().out == \
+        f"{root.c} {root.growth_rate} {root.classification}\n"
