@@ -34,7 +34,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .dispersion import FluidParams, ck, make_miles_residual
+from .dispersion import (FluidParams, _check_depth_consistency, ck,
+                         make_miles_residual)
 from .eigensolver import root_counts, square_roots_real
 from .errors import HypothesisViolated, NoCriticalLayer, WindwavesError
 from .profiles import CriticalLayer, ShearProfile, find_critical_points
@@ -156,7 +157,9 @@ def growth_constants(profile: ShearProfile, params: FluidParams, ks,
     start mesh or None per wavenumber, as in
     :func:`~windwaves.rayleigh.impedance_outcomes`; each entry is replaced by
     the final mesh of its path shoot, None where it failed or had none.
+    A profile whose column is not ``params.h_plus`` is a ValueError.
     """
+    _check_depth_consistency(profile, params)
     ks = list(ks)
     results: list[Optional[MilesAsymptotics]] = [None] * len(ks)
     errors: dict[int, WindwavesError] = {}

@@ -448,11 +448,13 @@ def _render_csv(header: str, rows, comments) -> str:
 
 
 def _render_json(command: str, header: str, rows, comments) -> str:
+    """The run as strict JSON: a non-finite cell is null."""
     cols = header.split(",")
     payload = {
         "command": command,
         "columns": cols,
-        "rows": [list(row) for row in rows],
+        "rows": [[None if isinstance(v, float) and not math.isfinite(v) else v
+                  for v in row] for row in rows],
         "notes": list(comments),
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -90,10 +90,8 @@ def _column_tanh(k, h: float):
     """tanh(|k| h) by math, or 1 for an unbounded column, per element of k."""
     if not np.ndim(k):
         return 1.0 if math.isinf(h) else math.tanh(abs(k) * h)
-    # one math call per distinct |k|
-    aks, which = np.unique(np.abs(k), return_inverse=True)
-    return np.array([1.0 if math.isinf(h) else math.tanh(ak * h)
-                     for ak in aks.tolist()])[which]
+    return np.array([1.0 if math.isinf(h) else math.tanh(abs(v) * h)
+                     for v in np.ravel(k).tolist()]).reshape(np.shape(k))
 
 
 def ck(params: FluidParams, k: float, branch: int = +1) -> float:

@@ -585,11 +585,13 @@ def load_tabulated(path) -> TabulatedProfile:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'x2 value', got {raw!r}")
-            xs.append(float(parts[0]))
-            us.append(float(parts[1]))
+            try:  # a count other than two, or a sample that is no number
+                x, u = (float(part) for part in line.split())
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected 'x2 value', "
+                                 f"got {raw!r}") from None
+            xs.append(x)
+            us.append(u)
     return TabulatedProfile(xs, us)
 
 

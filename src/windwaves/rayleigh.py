@@ -1259,51 +1259,24 @@ def integrate_wronskian(profile: ShearProfile, k: float, c: complex,
 # Limiting solution across critical layers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _SeriesPatch:
-    """Local Frobenius basis at a regular singular point of the equation.
+def _patch(profile: ShearProfile, layer: CriticalLayer, k: float,
+           delta_cap: float, sign_ci: int
+           ) -> tuple[float, np.ndarray, np.ndarray]:
+    """The Frobenius patch that crosses one layer on [s - delta, s + delta].
 
-    phi1 = t + c2 t^2 + c3 t^3 (analytic, index 1) and
+    Its basis is phi1 = t + c2 t^2 + c3 t^3 (analytic, index 1) and
     phi2 = 1 + d2 t^2 + d3 t^3 + b_{-1} phi1 log|t| (index 0), where
-    t = x2 - s and b_{-1} = U''(s)/U'(s).  At the patch edge t = delta the
-    truncated derivatives are off by O(b^4 t^3 log t), with b the
-    coefficient scale, and the matched solution's error scales as delta^3:
-    it falls ~7.6x per halving of delta.
+    t = x2 - s and b_{-1} = U''(s)/U'(s), with U'(s) and U''(s) from the
+    layer scan.  At the patch edge t = delta the truncated derivatives are
+    off by O(b^4 t^3 log t), with b the coefficient scale, and the matched
+    solution's error scales as delta^3: it falls ~7.6x per halving of delta.
+
+    Returns delta, the basis matrix [[phi1, phi2], [phi1', phi2']] at
+    t = delta, and the map of (y, y') from s + delta to s - delta: match
+    (A+, B) at the upper edge, jump the analytic amplitude to
+    A- = A+ - i sign_ci pi U''(s)/|U'(s)| B, and re-emit the state at the
+    lower edge.  Raises SeriesRadiusTooSmall if delta <= 1e-12 h_plus.
     """
-
-    s: float
-    u_prime: float
-    u_double_prime: float
-    bm1: float
-    c2: float
-    c3: float
-    d2: float
-    d3: float
-    delta: float
-
-    def phi1(self, t: float) -> float:
-        return t * (1.0 + t * (self.c2 + t * self.c3))
-
-    def dphi1(self, t: float) -> float:
-        return 1.0 + t * (2.0 * self.c2 + 3.0 * self.c3 * t)
-
-    def phi2(self, t: float) -> float:
-        return (1.0 + t * t * (self.d2 + self.d3 * t)
-                + self.bm1 * self.phi1(t) * math.log(abs(t)))
-
-    def dphi2(self, t: float) -> float:
-        lg = math.log(abs(t))
-        return (t * (2.0 * self.d2 + 3.0 * self.d3 * t)
-                + self.bm1 * (self.dphi1(t) * lg + self.phi1(t) / t))
-
-    def matrix(self, t: float) -> np.ndarray:
-        return np.array([[self.phi1(t), self.phi2(t)],
-                         [self.dphi1(t), self.dphi2(t)]], dtype=complex)
-
-
-def _build_patch(profile: ShearProfile, layer: CriticalLayer, k: float,
-                 delta_cap: float) -> _SeriesPatch:
-    """The patch at one layer, with U'(s) and U''(s) from the layer scan."""
     s, u1, u2 = layer.position, layer.u_prime, layer.u_double_prime
     u3 = profile.derivative3(s)
     u4 = profile.derivative4(s)
@@ -1322,18 +1295,22 @@ def _build_patch(profile: ShearProfile, layer: CriticalLayer, k: float,
     bscale = max(abs(bm1), abs(b0) ** 0.5, abs(b1) ** (1.0 / 3.0), abs(k),
                  1.0 / profile.h_plus)
     delta = min(delta_cap, 1e-4 / bscale)
-    return _SeriesPatch(s=s, u_prime=u1, u_double_prime=u2, bm1=bm1,
-                        c2=c2, c3=c3, d2=d2, d3=d3, delta=delta)
+    if delta <= 1e-12 * profile.h_plus:
+        raise SeriesRadiusTooSmall(
+            f"series radius {delta:g} collapsed at layer {s}")
 
+    def basis(t: float) -> np.ndarray:
+        phi1 = t * (1.0 + t * (c2 + t * c3))
+        dphi1 = 1.0 + t * (2.0 * c2 + 3.0 * c3 * t)
+        lg = math.log(abs(t))
+        return np.array([[phi1, 1.0 + t * t * (d2 + d3 * t) + bm1 * phi1 * lg],
+                         [dphi1, t * (2.0 * d2 + 3.0 * d3 * t)
+                          + bm1 * (dphi1 * lg + phi1 / t)]], dtype=complex)
 
-def _crossing(patch: _SeriesPatch, sign_ci: int) -> np.ndarray:
-    """The map of (y, y') from the patch's upper edge to its lower one:
-    match (A+, B) there, jump the analytic amplitude to A- = A+ - i sign_ci
-    pi U''(s)/|U'(s)| B, and re-emit the state at s - delta."""
-    jump = np.array([[1.0, -1j * sign_ci * math.pi * patch.u_double_prime
-                      / abs(patch.u_prime)], [0.0, 1.0]])
-    return patch.matrix(-patch.delta) @ jump @ np.linalg.inv(
-        patch.matrix(patch.delta))
+    upper = basis(delta)
+    jump = np.array([[1.0, -1j * sign_ci * math.pi * u2 / abs(u1)],
+                     [0.0, 1.0]])
+    return delta, upper, basis(-delta) @ jump @ np.linalg.inv(upper)
 
 
 @dataclass(frozen=True)
@@ -1357,8 +1334,6 @@ class LimitSolution:
     k: float
     layers: tuple[CriticalLayer, ...]
     impedance: complex
-    y0: complex
-    yp0: complex
     jumps: tuple[LayerJump, ...]
     n_steps: int = 0
 
@@ -1428,20 +1403,15 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
         jumps = tuple(LayerJump(layer.position, y, 0j, abs(y) ** 2, 0.0, 0.0)
                       for layer, y in zip(layers, ys))
         return LimitSolution(c_r=c_r, sign_ci=sign_ci, k=k, layers=layers,
-                             impedance=complex(z), y0=1.0 + 0.0j,
-                             yp0=complex(z), jumps=jumps)
+                             impedance=complex(z), jumps=jumps)
     # the cap keeps each patch clear of its neighbours and the ends
     ends = sorted([0.0, *(layer.position for layer in layers), h])
     cap = min([0.05 * h] + [0.25 * (b - a) for a, b in zip(ends, ends[1:])])
-    patches = [_build_patch(profile, layer, k, cap) for layer in layers]
-    for patch in patches:
-        if patch.delta <= 1e-12 * h:
-            raise SeriesRadiusTooSmall(
-                f"series radius {patch.delta:g} collapsed at layer {patch.s}")
+    patches = [_patch(profile, layer, k, cap, sign_ci) for layer in layers]
 
     # each patch is crossed from s + delta to s - delta by one joint
-    crossing = {p.s + p.delta: (p.s - p.delta, _crossing(p, sign_ci))
-                for p in patches}
+    crossing = {layer.position + delta: (layer.position - delta, matrix)
+                for layer, (delta, _, matrix) in zip(layers, patches)}
     nodes: dict = {}
     y, log_scale, n_steps, errors = _shoot(
         profile, np.array([float(k)]), np.array([float(c_r)]), tol,
@@ -1452,25 +1422,24 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     # normalize to y*(0) = 1 and assemble the layer records
     y0, yp0 = complex(y[0, 0]), complex(y[1, 0])
     jumps = []
-    for patch in patches:
-        top = patch.s + patch.delta
+    for layer, (delta, upper, matrix) in zip(layers, patches):
         # the state on the patch's upper edge, and its log-series amplitude B
-        j = np.flatnonzero(t == top)[0]
+        j = np.flatnonzero(t == layer.position + delta)[0]
         state = states[:, j]
-        _, b_coef = np.linalg.solve(patch.matrix(patch.delta), state)
+        _, b_coef = np.linalg.solve(upper, state)
         # restore the node's scale relative to the interface value
         rel = math.exp(min(float(scales[j]) - float(log_scale[0]), 300.0))
         y_val = (b_coef / y0) * rel
         dyp = 1j * sign_ci * math.pi * (
-            patch.u_double_prime / abs(patch.u_prime)) * y_val
+            layer.u_double_prime / abs(layer.u_prime)) * y_val
         u1, w_above, w_below = (
             _per_y0_squared(x, scales[j], y0, log_scale[0])
-            for x in (abs(b_coef) ** 2, _w(state),
-                      _w(crossing[top][1] @ state)))
-        jumps.append(LayerJump(patch.s, y_val, dyp, u1, w_above, w_below))
+            for x in (abs(b_coef) ** 2, _w(state), _w(matrix @ state)))
+        jumps.append(LayerJump(layer.position, y_val, dyp, u1, w_above,
+                               w_below))
     return LimitSolution(c_r=c_r, sign_ci=sign_ci, k=k, layers=layers,
-                         impedance=yp0 / y0, y0=1.0 + 0.0j, yp0=yp0 / y0,
-                         jumps=tuple(jumps), n_steps=int(n_steps[0]))
+                         impedance=yp0 / y0, jumps=tuple(jumps),
+                         n_steps=int(n_steps[0]))
 
 
 @dataclass

@@ -145,7 +145,7 @@ class TestMilesCSharp:
         # scales as the gap to the power 3/2: 1e-6 times its value at a gap
         # of 1e-4
         prof = self.jet_table()
-        p = params_with()
+        p = params_with(h_plus=prof.h_plus)
         top = spline_extremes(prof)[1]
         wide = miles_c_sharp(prof, p, p.g / (top - 1e-4) ** 2)
         near = miles_c_sharp(prof, p, p.g / (top - 1e-8) ** 2)
@@ -157,7 +157,7 @@ class TestMilesCSharp:
         # 1e-10 below the maximum the layers are still there: two terms, or
         # a typed failure of the shoot, but never "no critical layer"
         prof = self.jet_table()
-        p = params_with()
+        p = params_with(h_plus=prof.h_plus)
         try:
             asym = miles_c_sharp(prof, p, p.g / (spline_extremes(prof)[1] - 1e-10) ** 2)
         except WindwavesError as exc:
@@ -216,6 +216,24 @@ class TestMilesCSharp:
 
 class TestGrowthConstants:
     KS = [0.05, 0.3, 0.8, 1.5, 3.0]  # c_k leaves the range of U at 0.05
+
+    def test_air_column_mismatch_raises_before_any_shoot(self, monkeypatch):
+        # the growth constants, and the sweep they seed, refuse a profile on
+        # another air column than the fluids' before the kernel runs
+        from windwaves import rayleigh
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(rayleigh, "_integrate", kernel)
+        p = params_with(h_plus=3.0)
+        message = "air depth mismatch: params.h_plus=3.0 vs profile.h_plus=5.0"
+        for call in (lambda: growth_constants(TANH, p, [0.3, 1.0]),
+                     lambda: miles_c_sharp(TANH, p, 1.0),
+                     lambda: scan_k(TANH, p, [1.0])):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
 
     def test_one_k_equals_miles_c_sharp(self):
         # miles_c_sharp is the one-k case; the indented path and the

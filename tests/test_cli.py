@@ -98,13 +98,20 @@ def prints(line: str) -> Callable[[str], None]:
     return check
 
 
+def names(place: str) -> Callable[[str], None]:
+    """The error names a file and line that ends in place."""
+    def check(err: str) -> None:
+        assert f"{place}: expected 'x2 value', got " in err
+    return check
+
+
 class Config(NamedTuple):
     """A row of ``CONFIGS``."""
 
     text: str
     #: 0, or 2 for a malformed config: one "config error:" line on stderr
     status: int = 0
-    #: what a run's stdout must show
+    #: what a run's stdout, or a malformed config's stderr, must show
     checks: tuple[Callable[[str], None], ...] = ()
     #: how many times a run warns that the sign hypotheses fail
     warns: int = 0
@@ -254,6 +261,14 @@ CONFIGS = {
         "solver_nan_tol": SWEEP + "\n[solver]\ntol = nan\n",
         "solver_zero_max_iter": SWEEP + "\n[solver]\nmax_iter = 0\n",
     }.items()},
+    # a table row with a sample that is not a number names its file and line,
+    # as one with a wrong column count does
+    "table_non_numeric_sample": Config(ini("kind = table\npath = {no_number}",
+                                           "k = 1.0", "asym"), 2,
+                                       checks=(names("no_number.table:3"),)),
+    "table_wrong_column_count": Config(ini("kind = table\npath = {three_columns}",
+                                           "k = 1.0", "asym"), 2,
+                                       checks=(names("three_columns.table:2"),)),
 }
 
 
@@ -277,6 +292,13 @@ def tables(folder: Path) -> dict:
     linear6 = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
     u_max = TabulatedProfile(jet9, us9).u_bounds()[1]
     u_knot = TabulatedProfile(jet48, us48).value(jet48[3] - 1e-7)
+    # malformed tables: a sample that is no number on line 3, and three
+    # columns on line 2
+    no_number = folder / "no_number.table"
+    no_number.write_text("0 0\n# a comment line\n1 abc\n2 2\n5 3\n",
+                         encoding="utf-8")
+    three_columns = folder / "three_columns.table"
+    three_columns.write_text("0 0\n1 2 3\n2 2\n5 3\n", encoding="utf-8")
     return {
         "tanh40": write_table(folder / "tanh40.table", tanh40,
                               [10 * math.tanh(x) for x in tanh40]),
@@ -286,6 +308,8 @@ def tables(folder: Path) -> dict:
                                 [5 * x * x for x in convex24]),
         "linear6": write_table(folder / "linear6.table", linear6,
                                [2 * x for x in linear6]),
+        "no_number": no_number.as_posix(),
+        "three_columns": three_columns.as_posix(),
         "jet_k": repr(9.8 / (u_max - 1e-8) ** 2),
         "knot_k": repr(9.8 / u_knot ** 2),
     }
@@ -447,6 +471,25 @@ command = kh
         payload = json.loads(outj.read_text())
         assert payload["columns"][0] == "k"
         assert len(payload["rows"]) == 3
+
+    def test_json_is_strict_with_a_non_finite_cell(self, tmp_path, capsys):
+        # im_c / sqrt(eps) has no value at eps = 0: null in JSON, nan in CSV
+        text = PWL.replace("h_plus = 5.0\nh_minus", "h_minus").replace(
+            "eps_list = 0.01", "eps_list = 0 1e-3")
+        path = write_config(tmp_path, text)
+        assert main(["--config", path, "--format", "json"]) == 0
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert payload["columns"][-1] == "im_c_over_sqrt_eps"
+        rows = payload["rows"]
+        assert len(rows) == 6
+        assert [row[-1] is None for row in rows] == [True] * 3 + [False] * 3
+        assert main(["--config", path]) == 0
+        assert [row.split(",")[-1] for row in
+                data_rows(capsys.readouterr().out)[:3]] == ["nan"] * 3
 
     def test_asym_layer_table(self, tmp_path, capsys):
         text = CONFIGS["asym"].text
@@ -721,6 +764,8 @@ class TestMalformedInput:
         assert report["scipy"] == []
         assert report["run"]["warnings"] == []
         assert_config_error(report["run"]["status"], report["run"]["err"])
+        for check in CONFIGS[name].checks:
+            check(report["run"]["err"])
 
     @pytest.mark.parametrize("rows", [
         "0 0\n1 1\n0.5 2\n5 3\n",  # altitudes not increasing

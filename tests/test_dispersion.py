@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from windwaves.dispersion import (
     FluidParams,
+    _column_tanh,
     ck,
     kh_threshold,
     make_miles_residual,
@@ -15,7 +16,11 @@ from windwaves.dispersion import (
     residual_miles,
 )
 from windwaves.eigensolver import find_root, scan_k
-from windwaves.errors import IncompatibleDepths, RequiresSurfaceTension
+from windwaves.errors import (
+    IncompatibleDepths,
+    NearSingularCoefficient,
+    RequiresSurfaceTension,
+)
 from windwaves.profiles import (
     AnalyticProfile,
     ConstantProfile,
@@ -54,6 +59,16 @@ class TestFluidParams:
             FluidParams(rho_plus=1.0, rho_minus=2.0, g=9.8, sigma=-1.0)
         with pytest.raises(ValueError):
             FluidParams(rho_plus=1.0, rho_minus=2.0, g=9.8, h_plus=0.0)
+
+    @pytest.mark.parametrize("h", [5.0, math.inf])
+    def test_column_tanh_of_an_array_is_each_scalar_call(self, h):
+        # repeated |k|, both signs, and a 2-d array keep their shape
+        ks = np.array([[0.3, -0.3, 1.0, 7.5], [1e-3, 1.0, -40.0, 0.3]])
+        got = _column_tanh(ks, h)
+        assert got.shape == ks.shape
+        want = [[_column_tanh(k, h) for k in row] for row in ks.tolist()]
+        assert [[v.hex() for v in row] for row in got.tolist()] == \
+            [[v.hex() for v in row] for row in want]
 
 
 class TestCk:
@@ -112,6 +127,15 @@ class TestResidualMiles:
         res = make_miles_residual(prof, p, 1.0)
         c = 3.0 + 0.05j
         assert abs(res(c.conjugate()) - res(c).conjugate()) <= 1e-9 * abs(res(c))
+
+    def test_scalar_residual_raises_its_points_error(self):
+        # a real c with a critical layer needs the side of the limit
+        res = make_miles_residual(TanhProfile(10.0, 1.0, 5.0),
+                                  params_with(h_plus=5.0), 1.0)
+        with pytest.raises(NearSingularCoefficient) as exc:
+            res(3.0 + 0.0j)
+        assert str(exc.value) == ("real wave speed with critical layers; use "
+                                  "limiting_solution")
 
     def test_depth_mismatch_rejected(self):
         prof = TanhProfile(10.0, 1.0, 5.0)

@@ -176,6 +176,11 @@ class TestTabulated:
 
 
 class TestCriticalPoints:
+    def test_nan_speed_refused(self):
+        with pytest.raises(ValueError) as exc:
+            find_critical_points(TanhProfile(10.0, 1.0, 5.0), math.nan)
+        assert str(exc.value) == "c_r must be finite"
+
     def test_tanh_single_layer(self):
         prof = TanhProfile(10.0, 1.0, 5.0)
         target = 10.0 * math.tanh(1.0)

@@ -194,6 +194,11 @@ class TestBatch:
                           d2f=lambda x: -8.0 * math.exp(-x),
                           h_plus=4.0, name="exp")
 
+    def test_refuses_a_two_dimensional_batch(self):
+        with pytest.raises(ValueError) as exc:
+            impedance_outcomes(TANH, 1.0, np.full((2, 2), 3.0 + 0.05j))
+        assert str(exc.value) == "k and cs must broadcast to a 1-d array"
+
     @pytest.mark.parametrize("profile", [TANH, TABLE, EXP, KINKED],
                              ids=["tanh", "table", "analytic", "kinked"])
     def test_matches_scalar_solves(self, profile):
@@ -864,6 +869,13 @@ class TestPiecewiseLinear:
 
 
 class TestWronskian:
+    def test_refuses_an_unbounded_column(self):
+        with pytest.raises(InfiniteDomain) as exc:
+            integrate_wronskian(TanhProfile(10.0, 1.0, math.inf), 1.0,
+                                3.0 + 0.05j)
+        assert str(exc.value) == ("Wronskian integration needs a finite air "
+                                  "column")
+
     def test_conservation_zero(self):
         path = integrate_wronskian(TANH, 1.0, 3.0 + 0.05j)
         assert path.conservation_defect() <= 1e-8 * (1.0 + path.state_sup() ** 2)
@@ -1007,6 +1019,16 @@ class TestLimitingSolution:
         lim = limiting_solution(TANH, 150.0, 12.0, +1).impedance
         assert lim.imag == 0.0
         assert abs(lim + 150.0) <= 1e-4
+
+    @pytest.mark.parametrize("k, sign_ci, message", [
+        (1.0, 0, "sign_ci must be +1 or -1"),
+        (0.0, 1, "wavenumber k must be nonzero"),
+    ], ids=["no_side", "zero_k"])
+    def test_refuses_a_side_or_wavenumber_it_cannot_use(self, k, sign_ci,
+                                                        message):
+        with pytest.raises(ValueError) as exc:
+            limiting_solution(TANH, k, 3.0, sign_ci)
+        assert str(exc.value) == message
 
     def test_series_radius_validation(self):
         # the radius shrinks like 1e-4 / |k| and collapses before any step
