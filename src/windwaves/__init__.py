@@ -24,12 +24,9 @@ from .rayleigh import (
     ConvergenceReport,
     LayerJump,
     LimitSolution,
-    RayleighSolution,
     WronskianPath,
     impedance_limit_check,
-    integrate_rayleigh,
     integrate_wronskian,
-    interface_impedance,
     limiting_solution,
     pwl_impedance_cascade,
     uniform_flow_impedance,

@@ -9,10 +9,12 @@ Three routes are provided:
           + c^2 |k| tanh(|k| h-) + eps U+'(0)(U+(0)-c)
           + eps c |k| U+(0)(1-tanh^2(|k| h-)) / (tanh(|k| h+) + eps tanh(|k| h-)).
 
-* ``residual_general``: the full two-fluid single-mode relation allowing a
+* ``general_residuals``: the full two-fluid single-mode relation allowing a
   vortex sheet (U+(0) != U-(0)), a moving ocean and surface tension, under the
-  normalization ik z = 1.  Both fluid columns reduce to homogeneous Rayleigh
-  solves after absorbing the harmonic sheet potential.
+  normalization ik z = 1, at many (k, c) pairs; ``residual_general`` is its
+  one-point case.  Both fluid columns reduce to homogeneous Rayleigh solves
+  after absorbing the harmonic sheet potential, and each column of all the
+  pairs is one batch of the kernel.
 
 * closed forms: the Kelvin-Helmholtz onset threshold of a uniform stream
   (``kh_threshold``), and the piecewise-linear cubic with its rational
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import IncompatibleDepths, RequiresSurfaceTension
 from .profiles import ShearProfile
-from .rayleigh import impedance_outcomes, integrate_rayleigh, interface_impedance
+from .rayleigh import _check_wavenumber, _lid_shoot, _pairs, impedance_outcomes
 
 __all__ = [
     "FluidParams",
@@ -43,6 +45,7 @@ __all__ = [
     "make_miles_residual",
     "miles_residuals",
     "residual_general",
+    "general_residuals",
     "kh_threshold",
     "pwl_dispersion",
 ]
@@ -96,8 +99,7 @@ def _column_tanh(k, h: float):
 
 def ck(params: FluidParams, k: float, branch: int = +1) -> float:
     """Phase speed of the capillary-gravity wave beneath vacuum (eps = 0)."""
-    if k == 0.0:
-        raise ValueError("wavenumber k must be nonzero")
+    _check_wavenumber(k)
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
     ak = abs(k)
@@ -196,7 +198,20 @@ def residual_general(c: complex, params: FluidParams, k: float,
                      u_plus: ShearProfile,
                      u_minus: Optional[ShearProfile] = None,
                      tol: float = 1e-10) -> complex:
-    """Full single-mode residual of the linearized two-fluid problem.
+    """Full single-mode residual of the linearized two-fluid problem: the
+    one-point batch of :func:`general_residuals`, raising its point's
+    error."""
+    vals, errors = general_residuals(params, k, [c], u_plus, u_minus, tol)
+    if errors:
+        raise errors[0]
+    return complex(vals[0])
+
+
+def general_residuals(params: FluidParams, k, cs, u_plus: ShearProfile,
+                      u_minus: Optional[ShearProfile] = None,
+                      tol: float = 1e-10) -> tuple[np.ndarray, dict]:
+    """Full single-mode residuals of the linearized two-fluid problem at
+    (k, c) pairs, ``k`` broadcast against ``cs``.
 
     The interface amplitude is normalized to ik z = 1.  ``u_minus`` follows
     the mirrored-column convention: it is a profile of the water speed as a
@@ -212,10 +227,20 @@ def residual_general(c: complex, params: FluidParams, k: float,
         Y2'(0)|water = imp_water* (U-(0) - c) - k^2 gamma-(0)
 
     with imp_water = |k| tanh(|k| h-) for vorticity-free water (the explicit
-    column solution) and a mirrored two-parameter shoot otherwise.
+    column solution) and a mirrored shoot from the wall otherwise.  The air
+    columns of all pairs are one
+    :func:`~windwaves.rayleigh.impedance_outcomes` call, and the water
+    columns one shoot (:func:`_sheared_water_flux`), so each value is the
+    one its pair gets alone.  Returns ``(values, errors)``: a failed pair's
+    value is NaN, and ``errors`` maps its index to its error, the air
+    column's where both columns fail.
 
     Raises
     ------
+    ValueError
+        For a column whose depth is not the params' one, a wavenumber that
+        is zero or not finite, or ``k`` and ``cs`` that do not broadcast to
+        a 1-d array.
     IncompatibleDepths
         If a column with interior vorticity is unbounded (no wall to shoot
         from).
@@ -224,10 +249,15 @@ def residual_general(c: complex, params: FluidParams, k: float,
     calm = u_minus is None or (u_minus.zero_curvature and not u_minus.kinks())
     if not calm:
         _check_depth_consistency(u_minus, params, water=True)
+    ks, cs = _pairs(k, cs)
+    if not math.isfinite(params.h_plus) and not u_plus.zero_curvature:
+        raise IncompatibleDepths("unbounded air column with interior vorticity")
+    if not (calm or math.isfinite(params.h_minus)):
+        raise IncompatibleDepths("unbounded water column with interior vorticity")
 
-    ak = abs(k)
+    ak = np.abs(ks)
     rp, rm = params.rho_plus, params.rho_minus
-    tp, tm = params.tanh_plus(k), params.tanh_minus(k)
+    tp, tm = params.tanh_plus(ks), params.tanh_minus(ks)
     u0p = u_plus.value(0.0)
     up0p = u_plus.slope(0.0)
     u0m = u_minus.value(0.0) if u_minus is not None else 0.0
@@ -240,43 +270,41 @@ def residual_general(c: complex, params: FluidParams, k: float,
     dgamma0_p = -ak * tp * gamma0_p
     dgamma0_m = ak * tm * gamma0_m
     mean_u = (rp * u0p * tm + rm * u0m * tp) / denom
-    y2_0 = mean_u - c
+    y2_0 = mean_u - cs
 
-    # air column
-    if not math.isfinite(params.h_plus) and not u_plus.zero_curvature:
-        raise IncompatibleDepths("unbounded air column with interior vorticity")
-    imp_air = interface_impedance(u_plus, k, c, tol)
-    y2p_air = imp_air * (u0p - c) - k * k * gamma0_p
-
-    # water column
-    if calm:
-        y2p_water = ak * tm * y2_0
-    else:
-        if not math.isfinite(params.h_minus):
-            raise IncompatibleDepths("unbounded water column with interior vorticity")
-        y2p_water = _sheared_water_flux(u_minus, params, k, c, gamma0_m, y2_0, tol)
-
-    bracket = (-(rp * (u0p - c) * y2p_air - rm * (u0m - c) * y2p_water)
-               + (rp * up0p - rm * up0m) * y2_0
-               - k * k * (u0p - u0m) * rp * gamma0_p
-               + rp * up0p * dgamma0_p - rm * up0m * dgamma0_m)
-    return params.g * (rm - rp) + params.sigma * k * k - bracket
+    imp_air, errors = impedance_outcomes(u_plus, ks, cs, tol)
+    if not calm:
+        y2p_water, water_errors = _sheared_water_flux(
+            u_minus, params, ks, cs, gamma0_m, y2_0, tol)
+        errors = water_errors | errors
+    # a failed pair, such as one whose c is not finite, is NaN, silently
+    with np.errstate(invalid="ignore", over="ignore"):
+        y2p_air = imp_air * (u0p - cs) - ks * ks * gamma0_p
+        if calm:
+            y2p_water = ak * tm * y2_0
+        bracket = (-(rp * (u0p - cs) * y2p_air - rm * (u0m - cs) * y2p_water)
+                   + (rp * up0p - rm * up0m) * y2_0
+                   - ks * ks * (u0p - u0m) * rp * gamma0_p
+                   + rp * up0p * dgamma0_p - rm * up0m * dgamma0_m)
+        return params.g * (rm - rp) + params.sigma * ks * ks - bracket, errors
 
 
-def _sheared_water_flux(w: ShearProfile, params: FluidParams, k: float,
-                        c: complex, gamma0_m: complex, y2_0: complex,
-                        tol: float) -> complex:
-    """Y2'(0) for a sheared water column by a mirrored homogeneous shoot.
+def _sheared_water_flux(w: ShearProfile, params: FluidParams, k, cs,
+                        gamma0_m, y2_0, tol: float
+                        ) -> tuple[np.ndarray, dict]:
+    """Y2'(0) of (k, c) pairs for a sheared water column by one mirrored
+    homogeneous shoot, and the error of each pair whose shoot failed.
 
     In the depth variable xi = -x2 the auxiliary field W = Y2 + dgamma/dx2
     solves the Rayleigh equation with profile w(xi); the wall data combine the
     bottom condition on Y2 with the sheet potential's wall trace.  One shoot
-    v from wall data (1, 0) runs under the guards of the direct solver, so a
-    solve that fails raises (``NearSingularCoefficient`` near a water critical
-    layer or when the integrator gives up).
+    v of every pair from wall data (1, 0) runs under the guards of the
+    direct solver (:func:`~windwaves.rayleigh._lid_shoot`), so a pair whose
+    solve fails is NaN, with its error (``NearSingularCoefficient`` near a
+    water critical layer or when the integrator gives up).
     """
-    ak = abs(k)
-    decay = math.exp(-ak * params.h_minus)  # sech = 2 decay/(1 + decay^2)
+    ak = np.abs(k)
+    decay = np.exp(-ak * params.h_minus)  # sech = 2 decay/(1 + decay^2)
     # wall data in xi: W(hm) = A (unknown), dW/dxi(hm) = -k^2 gamma-(hm)
     # (Y2' = 0 at the wall in x2, and d/dx2 = -d/dxi)
     wp_wall = -(k * k) * gamma0_m * 2.0 * decay / (1.0 + decay * decay)
@@ -284,10 +312,12 @@ def _sheared_water_flux(w: ShearProfile, params: FluidParams, k: float,
     w_0 = y2_0 + ak * params.tanh_minus(k) * gamma0_m
     # the Wronskian of v and W is wp_wall at the wall and constant, so
     # W'(0) = W(0) v'(0)/v(0) + wp_wall/v(0), the last term 0 past the float range
-    v = integrate_rayleigh(w, k, c, tol, init=(1.0, 0.0))
-    w_xi0 = w_0 * v.impedance + (wp_wall / v.y0 if math.isfinite(abs(v.y0)) else 0.0)
+    (v0, _), imps, errors = _lid_shoot(w, k, cs, tol, (1.0, 0.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w_xi0 = w_0 * imps + np.where(np.isfinite(np.abs(v0)), wp_wall / v0,
+                                      0.0)
     # back to x2: dW/dx2 = -dW/dxi; Y2'(0) = W'(0)|x2 - k^2 gamma-(0)
-    return -w_xi0 - k * k * gamma0_m
+    return -w_xi0 - k * k * gamma0_m, errors
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ never enters the kernel.  Three regimes cover every other wind:
   singularity, so one solver covers Im c large down to Im c = 0+- (the
   limit, with the side given by ``sign_ci``).
   Other curved profiles shoot on the real axis and are refused too close to
-  a layer.  ``interface_impedance`` is its one-pair case, and
-  ``integrate_rayleigh`` shoots one element from given lid data, with no
-  conjugation.
+  a layer.  The same kernel, or the closed form, shoots the water column of
+  :func:`~windwaves.dispersion.general_residuals` from its wall data, with
+  no conjugation (:func:`_lid_shoot`).
 * ``integrate_wronskian``: the real 4-vector (|y|^2, Re y'conj(y), |y'|^2,
   Im y'conj(y)) whose last component carries the destabilizing phase.
 * ``limiting_solution``: the Im c -> 0 limit across critical layers on the
@@ -71,16 +71,13 @@ from .errors import (
 from .profiles import CriticalLayer, ShearProfile, find_critical_points
 
 __all__ = [
-    "RayleighSolution",
     "WronskianPath",
     "LayerJump",
     "LimitSolution",
     "ConvergenceReport",
-    "integrate_rayleigh",
     "integrate_wronskian",
     "limiting_solution",
     "impedance_limit_check",
-    "interface_impedance",
     "impedance_outcomes",
     "uniform_flow_impedance",
     "pwl_impedance_cascade",
@@ -120,6 +117,10 @@ def _check_switch(profile: ShearProfile, c: complex, scale: float,
             f"{SWITCH_FACTOR * scale:g}; use limiting_solution")
     if ci == 0.0 and len(find_critical_points(profile, c.real)) > 0:
         raise _real_speed_refused()
+
+
+def _speed_not_finite() -> NearSingularCoefficient:
+    return NearSingularCoefficient("wave speed is not finite")
 
 
 def _real_speed_refused() -> NearSingularCoefficient:
@@ -187,85 +188,12 @@ def _check_interface(y0: complex, sup_y: float) -> None:
             f"|y(0)| = {abs(y0):g} vs sup |y| = {sup_y:g}: channel-type mode")
 
 
-@dataclass
-class RayleighSolution:
-    """Interface data of one direct Rayleigh solve."""
-
-    c: complex
-    k: float
-    y0: complex
-    yp0: complex
-    impedance: complex
-    n_steps: int = 0
-
-
 def uniform_flow_impedance(k: float, h_plus: float) -> float:
     """y'(0)/y(0) for profiles with U'' = 0: -|k| coth(|k| h+), -> -|k| at inf."""
     ak = abs(k)
     if math.isinf(h_plus):
         return -ak
     return -ak / math.tanh(ak * h_plus)
-
-
-def integrate_rayleigh(profile: ShearProfile, k: float, c: complex,
-                       tol: float = _DEFAULT_TOL, *,
-                       init: tuple[complex, complex] = (0.0, 1.0)
-                       ) -> RayleighSolution:
-    """Integrate the Rayleigh equation from the lid down to the interface.
-
-    One element shot on the kernel of :func:`impedance_outcomes`, along the
-    same path, from the lid data ``init``: (y(0), y'(0)) is bit for bit the
-    state that element reaches in any batch of the kernel that gives it no
-    start mesh, and its impedance is numpy's quotient of that state, as in
-    :func:`impedance_outcomes`, except where it shoots c itself when Im c < 0
-    (not conj c).  A zero-curvature wind takes the closed form instead
-    (:func:`pwl_impedance_cascade`, carried from ``init``), whose impedance
-    is that of :func:`impedance_outcomes` bit for bit, with ``n_steps`` 0.
-
-    Parameters
-    ----------
-    profile : ShearProfile
-        Wind profile on a finite column.
-    k : float
-        Wavenumber (nonzero).
-    c : complex
-        Wave speed.  Im c may vanish only when Re c has no critical layer.
-        On a profile with ``complex_path`` the solve runs along Lin's
-        indented path (see :func:`impedance_outcomes`).
-    tol : float
-        Relative tolerance of the adaptive integrator.
-    init : pair of complex
-        Initial data (y, y') at the lid; the default (0, 1) matches the
-        normalization used throughout.  The impedance does not depend on it.
-
-    Returns
-    -------
-    RayleighSolution
-
-    Raises
-    ------
-    InfiniteDomain
-        If h_plus is not finite.
-    NearSingularCoefficient
-        If c is real and Re c a critical value, or, on the real axis, |Im c|
-        is below the direct/limiting switch threshold while Re c is a critical
-        value, or the coefficient becomes near-singular en route, or c is a
-        kink speed.
-    DegenerateAtInterface
-        If |y(0)| < 1e-12 * sup |y| (channel-type eigenfunction).
-    """
-    ks, cs = _pairs(k, [c])
-    if profile.zero_curvature:
-        z, log_y, _ = _cascade(profile, k, c, init)
-        y0, yp0 = _unscaled(np.array([1.0, z]) * np.exp(1j * log_y.imag),
-                            log_y.real).tolist()
-        return RayleighSolution(c=c, k=k, y0=y0, yp0=yp0, impedance=complex(z))
-    y, log_scale, n_steps, errors = _shoot(profile, ks, cs, tol, init)
-    _raise_first(errors)
-    y0, yp0 = _unscaled(y[:, 0], log_scale[0]).tolist()
-    return RayleighSolution(c=c, k=k, y0=y0, yp0=yp0,
-                            impedance=complex(y[1, 0] / y[0, 0]),
-                            n_steps=int(n_steps[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +264,15 @@ def _pairs(k, cs) -> tuple[np.ndarray, np.ndarray]:
         ks, cs = np.broadcast_arrays(ks, cs)
     if cs.ndim != 1:
         raise ValueError("k and cs must broadcast to a 1-d array")
-    if (ks == 0.0).any():
-        raise ValueError("wavenumber k must be nonzero")
+    _check_wavenumber(ks)
     return ks, cs
+
+
+def _check_wavenumber(k) -> None:
+    """Refuse a wavenumber, or an array of them, that is zero or not finite."""
+    if not ((np.isfinite(k) & (k != 0.0)).all() if isinstance(k, np.ndarray)
+            else k != 0.0 and math.isfinite(k)):
+        raise ValueError("wavenumber k must be finite and nonzero")
 
 
 def _raise_first(errors: dict) -> None:
@@ -360,7 +294,8 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     in the kernel's scale (the true state is y e^log_scale), NaN where the
     element failed; its accepted points (see :func:`_integrate`); and, by
     element index, the error of each failed element, which on a column
-    without a finite lid is ``InfiniteDomain`` for every element.  Each
+    without a finite lid is ``InfiniteDomain`` for every element, and else
+    ``NearSingularCoefficient`` for each c that is not finite.  Each
     element runs along its own path (see :func:`_bumps`, which takes
     ``sign_ci`` and element i's ``layers[i]``), one mesh from the lid to the
     interface whose fixed nodes are the breakpoints and the ends of its
@@ -398,6 +333,8 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
         errors.setdefault(int(i), exc)
         alive[i] = False
 
+    for i in (~np.isfinite(cs)).nonzero()[0].tolist():
+        fail(i, _speed_not_finite())
     u_range = profile.u_bounds()
     scales = np.fmax(_speed_scale(0j, u_range), np.abs(cs.real))
     owner, top, bot, depth, joints = _segments(
@@ -473,7 +410,7 @@ def _segments(profile: ShearProfile, cs: np.ndarray,
                 matrices.append(matrix)
     elif profile.complex_path:
         umin, umax = u_range  # _has_layers, of every element at once
-        near = (umin - 1e-12 <= cs.real) & (cs.real <= umax + 1e-12)
+        near = (umin - 1e-12 <= cs.real) & (cs.real <= umax + 1e-12) & alive
         for i in near.nonzero()[0].tolist():
             try:
                 bumps = _bumps(profile, complex(cs[i]), bounds, sign_ci,
@@ -486,7 +423,8 @@ def _segments(profile: ShearProfile, cs: np.ndarray,
                 lows.append((i, lo, 0.0, -1))
     else:
         # each comparison is False for a NaN, as in _check_switch
-        near = ~(np.abs(cs.imag) >= SWITCH_FACTOR * scales * (1.0 - 1e-9))
+        near = ~(np.abs(cs.imag) >= SWITCH_FACTOR * scales * (1.0 - 1e-9)) \
+            & alive
         for i in near.nonzero()[0].tolist():
             try:
                 _check_switch(profile, complex(cs[i]), float(scales[i]),
@@ -985,7 +923,7 @@ def pwl_impedance_cascade(profile: ShearProfile, k: float,
     kernel, |y(0)| < 1e-12 sup |y| raises
     ``DegenerateAtInterface``.  One rule at every kink, on any column: c
     within rounding of its speed U, |U - c| <= 1e-12 max(1, |U|), raises
-    ``NearSingularCoefficient``.
+    ``NearSingularCoefficient``, as does a c that is not finite.
     """
     return _cascade(profile, k, c)[0]
 
@@ -996,6 +934,8 @@ def _cascade(profile: ShearProfile, k: float, c: complex, init=None,
     (-inf where y = 0), of :func:`pwl_impedance_cascade`, from the lid data
     ``init`` (y, y') if given (``InfiniteDomain`` on an unbounded column),
     else from y = 0 at the lid."""
+    if not cmath.isfinite(c):
+        raise _speed_not_finite()
     ak, jumps = abs(k), dict(profile.kinks())
     nodes = [*sorted({*jumps, *at}, reverse=True), 0.0]
     if math.isfinite(profile.h_plus):
@@ -1040,13 +980,39 @@ def _down(z, w: complex, ak: float, d: float) -> tuple:
     return (z - ak * t) / den, w + log_cosh + cmath.log(den)
 
 
-def interface_impedance(profile: ShearProfile, k: float, c: complex,
-                        tol: float = _DEFAULT_TOL) -> complex:
-    """y'(0)/y(0) of one pair: :func:`impedance_outcomes` of [c], raising
-    the pair's error."""
-    imps, errors = impedance_outcomes(profile, k, [c], tol)
-    _raise_first(errors)
-    return complex(imps[0])
+def _lid_shoot(profile: ShearProfile, k, cs, tol: float, init
+               ) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Each (k, c) pair shot from the lid data ``init`` (y, y') to the
+    interface, c itself also where Im c < 0: the states (y(0), y'(0)) as a
+    (2, n) array, inf past the float range; the impedances y'(0)/y(0), which
+    are not; and the errors by pair index, each failed pair NaN in both.
+
+    The kernel shoots every pair in one :func:`_shoot` batch, and the state
+    of each is the one it reaches in any batch of the kernel that gives it
+    no start mesh; its impedance is numpy's quotient of that state, as in
+    :func:`impedance_outcomes`.  A zero-curvature wind takes the closed
+    form instead (:func:`_cascade`, carried from ``init``).
+    """
+    ks, cs = _pairs(k, cs)
+    if profile.zero_curvature:
+        states, errors = np.empty((2, cs.size), dtype=complex), {}
+        imps = np.empty(cs.size, dtype=complex)
+        for i, (kv, c) in enumerate(zip(ks.tolist(), cs.tolist())):
+            try:
+                z, log_y, _ = _cascade(profile, kv, c, init)
+            except WindwavesError as exc:
+                errors[i] = exc
+                continue
+            states[:, i] = _unscaled(
+                np.array([1.0, z]) * np.exp(1j * log_y.imag), log_y.real)
+            imps[i] = z
+    else:
+        y, log_scale, _, errors = _shoot(profile, ks, cs, tol, init)
+        with np.errstate(invalid="ignore"):  # NaN / NaN for the failed pairs
+            states, imps = _unscaled(y, log_scale), y[1] / y[0]
+    failed = list(errors)
+    states[:, failed] = imps[failed] = complex(math.nan, math.nan)
+    return states, imps, errors
 
 
 def impedance_outcomes(profile: ShearProfile, k, cs,
@@ -1067,10 +1033,10 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
     ``tol`` and atol ``tol * 1e-3``; each pair's mesh and arithmetic are its
     own, so its impedance is bit for bit the one it gets alone, given its
     start mesh.  A failed pair's impedance is NaN in both parts, on either
-    route, and ``errors`` maps its index to the error
-    :func:`interface_impedance` raises for it (``InfiniteDomain`` for a pair
-    shot on an unbounded column); a caller that raises the first error in
-    input order raises ``errors[min(errors)]``.
+    route, and ``errors`` maps its index to the pair's error
+    (``InfiniteDomain`` for a pair shot on an unbounded column,
+    ``NearSingularCoefficient`` for a c that is not finite); a caller that
+    raises the first error in input order raises ``errors[min(errors)]``.
 
     ``meshes``, when given, holds per pair the node parameters its shoot
     starts from (see :func:`_first_mesh`), or None for the uniform and
@@ -1089,9 +1055,10 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
     Raises
     ------
     ValueError
-        For a ``sign_ci`` other than +1, -1 or None, a zero wavenumber,
-        ``k`` and ``cs`` that do not broadcast to a 1-d array, or a ``tol``
-        that is negative, infinite or NaN on a wind the kernel shoots.
+        For a ``sign_ci`` other than +1, -1 or None, a wavenumber that is
+        zero or not finite, ``k`` and ``cs`` that do not broadcast to a 1-d
+        array, or a ``tol`` that is negative, infinite or NaN on a wind the
+        kernel shoots.
     """
     if sign_ci not in (None, -1, 1):
         raise ValueError("sign_ci must be +1, -1 or None")
@@ -1374,8 +1341,9 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     Raises
     ------
     ValueError
-        For a ``sign_ci`` other than +1 or -1, a zero wavenumber, or a
-        ``tol`` that is negative, infinite or NaN on a wind the kernel shoots.
+        For a ``sign_ci`` other than +1 or -1, a wavenumber that is zero or
+        not finite, or a ``tol`` that is negative, infinite or NaN on a wind
+        the kernel shoots.
     InfiniteDomain
         If h_plus is not finite on a wind that is not zero-curvature.
     SeriesRadiusTooSmall
@@ -1388,8 +1356,7 @@ def limiting_solution(profile: ShearProfile, k: float, c_r: float,
     """
     if sign_ci not in (-1, 1):
         raise ValueError("sign_ci must be +1 or -1")
-    if k == 0.0:
-        raise ValueError("wavenumber k must be nonzero")
+    _check_wavenumber(k)
     h = profile.h_plus
     if not (math.isfinite(h) or profile.zero_curvature):
         raise InfiniteDomain("limiting solver needs a finite air column")

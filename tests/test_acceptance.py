@@ -29,7 +29,7 @@ from windwaves.profiles import (
 )
 from windwaves.rayleigh import (
     impedance_limit_check,
-    integrate_rayleigh,
+    impedance_outcomes,
     integrate_wronskian,
     limiting_solution,
     uniform_flow_impedance,
@@ -113,8 +113,8 @@ def test_acceptance_2_closed_form_grid():
 
                         # pipeline: ODE impedance where a column exists
                         if math.isfinite(h_plus):
-                            imp_fn = lambda c, prof=prof, k=k: integrate_rayleigh(
-                                prof, k, c, 1e-11).impedance
+                            imp_fn = lambda c, prof=prof, k=k: impedance_outcomes(
+                                prof, k, [c], 1e-11)[0][0]
                         else:
                             imp_fn = lambda c, k=k, h=h_plus: complex(
                                 uniform_flow_impedance(k, h))

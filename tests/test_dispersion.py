@@ -1,14 +1,18 @@
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from windwaves import rayleigh
 from windwaves.dispersion import (
     FluidParams,
     _column_tanh,
+    _sheared_water_flux,
     ck,
+    general_residuals,
     kh_threshold,
     make_miles_residual,
     pwl_dispersion,
@@ -29,7 +33,7 @@ from windwaves.profiles import (
     TabulatedProfile,
     TanhProfile,
 )
-from windwaves.rayleigh import integrate_rayleigh, interface_impedance
+from windwaves.rayleigh import impedance_outcomes
 
 from oracles import (
     closed_form_shear_roots,
@@ -83,6 +87,12 @@ class TestCk:
     def test_branch_antisymmetry(self):
         assert ck(params_with(), 2.0, -1) == -ck(params_with(), 2.0, +1)
 
+    @pytest.mark.parametrize("k", [0.0, math.nan, math.inf, -math.inf])
+    def test_refuses_a_wavenumber_that_is_zero_or_not_finite(self, k):
+        with pytest.raises(ValueError) as exc:
+            ck(params_with(), k)
+        assert str(exc.value) == "wavenumber k must be finite and nonzero"
+
     @given(k=st.floats(0.05, 50.0), sigma=st.floats(0.0, 0.2),
            hm=st.floats(0.5, 100.0))
     @settings(max_examples=50, deadline=None)
@@ -114,7 +124,8 @@ class TestResidualMiles:
         prof = TanhProfile(10.0, 1.0, 5.0)
         k = 1.0
         c = ck(p, k) + 0.01j
-        imp = interface_impedance(prof, k, c)
+        [imp], errors = impedance_outcomes(prof, k, [c])
+        assert errors == {}
         got = residual_miles(c, imp, p, k, prof.value(0.0), prof.slope(0.0))
         a2, a1, a0 = miles_quadratic_coeffs(p, k, prof.value(0.0),
                                             prof.slope(0.0), imp)
@@ -330,6 +341,109 @@ class TestResidualGeneral:
             residual_general(c, p, k, ConstantProfile(5.0),
                              TanhProfile(1.0, 1.0, math.inf))
 
+    @pytest.mark.parametrize("k", [0.0, math.nan, math.inf])
+    def test_refuses_a_wavenumber_that_is_zero_or_not_finite(self, k):
+        # before the sheet potential, whose 1/|k| divides by zero at k = 0
+        p = params_with(h_plus=10.0)
+        air = TanhProfile(10.0, 1.0, 10.0)
+        for call in (lambda: residual_general(3.0 + 0.1j, p, k, air),
+                     lambda: general_residuals(p, [1.0, k], [3.0 + 0.1j] * 2,
+                                               air, ConstantProfile(0.3))):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == "wavenumber k must be finite and nonzero"
+
+    def test_non_finite_speed_raises(self):
+        # over calm water, and over a sheared ocean
+        p = params_with(h_plus=5.0, h_minus=2.0)
+        for c in (complex(math.nan, 0.0), complex(math.inf, 0.1)):
+            for water in (None, TanhProfile(0.5, 0.5, 2.0)):
+                with pytest.raises(NearSingularCoefficient,
+                                   match="^wave speed is not finite$"):
+                    residual_general(c, p, 1.0,
+                                     ConstantProfile(3.0, h_plus=5.0), water)
+
+    @pytest.mark.parametrize("air, water", [
+        (TanhProfile(10.0, 1.0, 5.0), None),
+        (TanhProfile(10.0, 1.0, 5.0), TanhProfile(0.5, 0.5, 2.0)),
+        (ConstantProfile(4.0, h_plus=5.0),
+         PiecewiseLinearProfile([0.0, 0.5], [0.3, 0.1], h_plus=2.0)),
+        (PiecewiseLinearProfile([0.0, 1.0, 2.5], [3.0, 1.0, 0.0], h_plus=5.0),
+         TanhProfile(0.5, 0.5, 2.0)),
+    ], ids=["tanh-calm", "tanh-tanh", "uniform-pwl", "pwl-tanh"])
+    def test_member_equals_its_one_point_residual(self, air, water):
+        # failing pairs: a real speed with air layers, a water kink speed
+        # (0.15) or a real speed with water layers, and a NaN speed; each
+        # fails alone, with its one-point error
+        p = params_with(sigma=0.074, h_plus=5.0, h_minus=2.0)
+        ks = [0.3, 1.0, 3.0, 30.0, 1.0, 1.0, 1.0, 2.0]
+        cs = [3.0 + 0.1j, 3.0 - 0.1j, 0.2 + 0.05j, 6.0 + 0.5j, 3.0 + 0.0j,
+              0.15 + 0.0j, complex(math.nan, 0.0), 0.2 - 0.05j]
+        vals, errors = general_residuals(p, ks, cs, air, water)
+        assert 6 in errors and len(errors) < len(cs)
+        for i, (k, c) in enumerate(zip(ks, cs)):
+            if i in errors:
+                assert np.isnan(vals[i])
+                with pytest.raises(type(errors[i])) as exc:
+                    residual_general(c, p, k, air, water)
+                assert str(exc.value) == str(errors[i])
+            else:
+                one = residual_general(c, p, k, air, water)
+                assert [one.real.hex(), one.imag.hex()] == \
+                    [vals[i].real.hex(), vals[i].imag.hex()], i
+
+    @pytest.mark.parametrize("air, water, calls", [
+        (TanhProfile(10.0, 1.0, 5.0), TanhProfile(0.5, 0.5, 2.0), 2),
+        (TanhProfile(10.0, 1.0, 5.0), None, 1),
+        (TanhProfile(10.0, 1.0, 5.0), ConstantProfile(0.3, h_plus=2.0), 1),
+        (PiecewiseLinearProfile([0.0, 1.0, 2.5], [3.0, 1.0, 0.0], h_plus=5.0),
+         None, 0),
+    ], ids=["sheared-ocean", "calm", "uniform-current", "pwl-calm"])
+    def test_one_kernel_batch_per_column(self, monkeypatch, air, water,
+                                         calls):
+        p = params_with(h_plus=5.0, h_minus=2.0)
+        seen = []
+        integrate = rayleigh._integrate
+
+        def spy(*args):
+            seen.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(rayleigh, "_integrate", spy)
+        ks = np.linspace(0.5, 8.0, 12)
+        vals, errors = general_residuals(p, ks, 3.0 + 0.1j, air, water)
+        assert errors == {} and np.isfinite(vals).all()
+        assert len(seen) == calls
+
+    def test_find_root_takes_one_batch_per_column_per_round(self,
+                                                            monkeypatch):
+        # a sheared ocean: the start triple is one round and each Muller
+        # step one more, each a batch of the air and one of the water
+        from windwaves.asymptotics import miles_c_sharp
+
+        p = params_with(h_plus=5.0, h_minus=2.0)
+        air, water = TanhProfile(10.0, 1.0, 5.0), TanhProfile(0.5, 0.5, 2.0)
+        seen = []
+        integrate = rayleigh._integrate
+
+        def spy(*args):
+            seen.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(rayleigh, "_integrate", spy)
+        for k in (0.5, 1.0, 2.0):
+            seed = miles_c_sharp(air, p, k).predicted_c(p.epsilon)
+            residual = lambda c, k=k: residual_general(c, p, k, air, water)
+            residual.batch = functools.partial(general_residuals, p, k,
+                                               u_plus=air, u_minus=water)
+            seen.clear()
+            root = find_root(residual, seed, tol=1e-12,
+                             scale=p.g * p.rho_minus, k=k)
+            assert root.converged and root.c.imag > 0.0
+            assert len(seen) == 2 * (1 + root.iterations)
+            assert abs(residual_general(root.c, p, k, air, water)) <= \
+                1e-10 * p.g * p.rho_minus
+
     def test_two_stream_matches_textbook_quadratic(self):
         p = params_with(rho_plus=300.0, sigma=0.05)
         k, u0, w0 = 2.0, 4.0, 1.0
@@ -390,18 +504,19 @@ class TestResidualGeneral:
     def test_sheared_water_flux_matches_two_basis_shoot(self, k, c):
         # one shoot and the Wronskian against the basis shoots from wall
         # data (1, 0) and (0, 1), combined to meet W(0) at the interface
-        from windwaves.dispersion import _sheared_water_flux
-
         p = params_with(h_plus=5.0, h_minus=2.0)
         water = TanhProfile(0.5, 0.3, 2.0)
         gamma0_m, y2_0 = 0.4 - 0.1j, 1.5 + 0.2j
-        got = _sheared_water_flux(water, p, k, c, gamma0_m, y2_0, 1e-12)
-        v, u = (integrate_rayleigh(water, k, c, 1e-12, init=init)
-                for init in ((1.0, 0.0), (0.0, 1.0)))
+        [got], errors = _sheared_water_flux(water, p, k, [c], gamma0_m, y2_0,
+                                            1e-12)
+        assert errors == {}
+        (v_y0, v_yp0), (u_y0, u_yp0) = (
+            rayleigh._lid_shoot(water, k, [c], 1e-12, init)[0][:, 0]
+            for init in ((1.0, 0.0), (0.0, 1.0)))
         wp_wall = -k * k * gamma0_m / math.cosh(k * 2.0)
         w_0 = y2_0 + k * math.tanh(k * 2.0) * gamma0_m
-        a = (w_0 - wp_wall * u.y0) / v.y0
-        want = -(a * v.yp0 + wp_wall * u.yp0) - k * k * gamma0_m
+        a = (w_0 - wp_wall * u_y0) / v_y0
+        want = -(a * v_yp0 + wp_wall * u_yp0) - k * k * gamma0_m
         assert abs(got - want) <= 1e-10 * abs(want)
 
     def test_sheared_water_past_float_range_of_cosh(self):
@@ -425,9 +540,21 @@ class TestResidualGeneral:
             residual_general(2.0 + 0.5j, p, 1.0, prof, water)
 
     def test_conjugate_root_symmetry(self):
+        # bit for bit over calm and sheared water, also where c has water
+        # layers (tanh and piecewise-linear water below 0.5 m/s)
         p = params_with(h_plus=5.0, h_minus=2.0)
         prof = TanhProfile(10.0, 1.0, 5.0)
-        c = 3.0 + 0.25j
-        a = residual_general(c, p, 1.0, prof)
-        b = residual_general(c.conjugate(), p, 1.0, prof)
-        assert abs(b - a.conjugate()) <= 1e-8 * abs(a)
+        cs = np.array([3.0 + 0.25j, 0.2 + 0.05j, 0.12 + 1e-4j, 6.0 + 0.5j])
+        for water in (None, TanhProfile(0.5, 0.5, 2.0),
+                      PiecewiseLinearProfile([0.0, 0.5], [0.3, 0.1],
+                                             h_plus=2.0),
+                      LinearShearProfile(0.3, -0.1, h_plus=2.0)):
+            for k in (0.5, 1.0, 3.0):
+                up, errors = general_residuals(p, k, cs, prof, water)
+                dn, _ = general_residuals(p, k, cs.conj(), prof, water)
+                assert errors == {}
+                assert np.conj(up).view(float).tolist() == \
+                    dn.view(float).tolist(), (water, k)
+        a = residual_general(cs[0], p, 1.0, prof)
+        b = residual_general(cs[0].conjugate(), p, 1.0, prof)
+        assert b == a.conjugate()

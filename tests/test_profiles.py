@@ -632,7 +632,8 @@ class TestCollinearTable:
     @pytest.mark.parametrize("k", [0.5, 1.2, 3.0])
     def test_impedance_matches_the_kernel(self, k):
         c = 3.0 + 0.2j
-        z = rayleigh.interface_impedance(self.TABLE, k, c)
+        [z], errors = rayleigh.impedance_outcomes(self.TABLE, k, [c])
+        assert errors == {}
         assert z == rayleigh.uniform_flow_impedance(k, 5.0)
         # the kernel, which a zero-curvature wind never reaches on its own
         y, _, _, errors = rayleigh._shoot(self.TABLE, *rayleigh._pairs(k, [c]),

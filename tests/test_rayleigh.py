@@ -24,9 +24,7 @@ from windwaves import rayleigh
 from windwaves.rayleigh import (
     impedance_limit_check,
     impedance_outcomes,
-    integrate_rayleigh,
     integrate_wronskian,
-    interface_impedance,
     limiting_solution,
     pwl_impedance_cascade,
     uniform_flow_impedance,
@@ -61,6 +59,29 @@ KINK_TABLE = TabulatedProfile(np.linspace(0.0, 4.0, 17),
                               KINKED.value(np.linspace(0.0, 4.0, 17)))
 
 
+def impedance(profile, k, c, tol=1e-10):
+    """One pair's impedance from ``impedance_outcomes``, its error raised."""
+    imps, errors = impedance_outcomes(profile, k, [c], tol)
+    rayleigh._raise_first(errors)
+    return complex(imps[0])
+
+
+def lid_shoot(profile, k, c, tol=1e-10, init=(0.0, 1.0)):
+    """One pair shot from the lid data ``init``, c itself also where
+    Im c < 0: its (y(0), y'(0)) and impedance, its error raised."""
+    states, imps, errors = rayleigh._lid_shoot(profile, k, [c], tol, init)
+    rayleigh._raise_first(errors)
+    return complex(states[0, 0]), complex(states[1, 0]), complex(imps[0])
+
+
+def n_steps(profile, k, c, tol=1e-10):
+    """The accepted points of one pair's shoot on the kernel."""
+    _, _, steps, errors = rayleigh._shoot(profile, *rayleigh._pairs(k, [c]),
+                                          tol)
+    rayleigh._raise_first(errors)
+    return int(steps[0])
+
+
 def final_mesh(profile, k, c, tol=1e-10, sign_ci=None, start=None):
     """The nodes of one pair's final mesh, down its path's parameter, and
     each step's DOP853 error norm on it, the shoot starting from the nodes
@@ -86,45 +107,47 @@ def ramp_with_channel_mode():
 class TestDirectIntegration:
     def test_constant_profile_matches_coth(self):
         # closed form of -y'' + k^2 y = 0 with y(h)=0: impedance -k coth(k h)
-        sol = integrate_rayleigh(ConstantProfile(5.0, h_plus=10.0), 2.0, 1.0 + 0.5j)
+        imp = impedance(ConstantProfile(5.0, h_plus=10.0), 2.0, 1.0 + 0.5j)
         expected = -2.0 / math.tanh(20.0)
-        assert sol.impedance == pytest.approx(expected, rel=1e-9)
-        assert abs(sol.impedance.imag) < 1e-9
+        assert imp == pytest.approx(expected, rel=1e-9)
+        assert abs(imp.imag) < 1e-9
 
     def test_linear_shear_same_closed_form(self):
-        sol = integrate_rayleigh(LinearShearProfile(0.0, 2.0, h_plus=3.0), 1.5,
-                                 7.0 + 2.0j)
-        assert sol.impedance == pytest.approx(-1.5 / math.tanh(4.5), rel=1e-9)
+        imp = impedance(LinearShearProfile(0.0, 2.0, h_plus=3.0), 1.5,
+                        7.0 + 2.0j)
+        assert imp == pytest.approx(-1.5 / math.tanh(4.5), rel=1e-9)
 
     def test_tanh_against_fixed_step_oracle(self):
         c = 3.0 + 0.1j
-        sol = integrate_rayleigh(TANH, 1.0, c, tol=1e-11)
+        imp = impedance(TANH, 1.0, c, tol=1e-11)
         ref = impedance_oracle(TANH, 1.0, c, n_macro=1600)
-        assert abs(sol.impedance - ref) <= 1e-8 * abs(ref)
+        assert abs(imp - ref) <= 1e-8 * abs(ref)
 
     def test_impedance_invariant_under_initial_rescaling(self):
         c = 3.0 + 0.05j
-        base = integrate_rayleigh(TANH, 1.0, c)
+        *_, base = lid_shoot(TANH, 1.0, c)
         lam = 2.0 - 3.0j
-        scaled = integrate_rayleigh(TANH, 1.0, c, init=(0.0, lam))
-        assert abs(scaled.impedance - base.impedance) <= 1e-9 * abs(base.impedance)
+        *_, scaled = lid_shoot(TANH, 1.0, c, init=(0.0, lam))
+        assert abs(scaled - base) <= 1e-9 * abs(base)
 
     def test_conjugation_symmetry(self):
+        # the lid shoot takes c itself, not its mirror image
         c = 2.5 + 0.3j
-        up = integrate_rayleigh(TANH, 1.0, c).impedance
-        dn = integrate_rayleigh(TANH, 1.0, c.conjugate()).impedance
+        *_, up = lid_shoot(TANH, 1.0, c)
+        *_, dn = lid_shoot(TANH, 1.0, c.conjugate())
         assert abs(dn - up.conjugate()) <= 1e-11 * abs(up)
 
     def test_infinite_domain_rejected(self):
+        # lid data need a lid, also on a wind with a closed form
         with pytest.raises(InfiniteDomain):
-            integrate_rayleigh(ConstantProfile(5.0), 1.0, 1.0 + 1.0j)
+            lid_shoot(ConstantProfile(5.0), 1.0, 1.0 + 1.0j)
 
     def test_switch_threshold_enforced(self):
         # on the real axis; a profile with complex_path is indented instead
         with pytest.raises(NearSingularCoefficient):
-            integrate_rayleigh(REAL_AXIS_TANH, 1.0, 3.0 + 1e-9j)
+            impedance(REAL_AXIS_TANH, 1.0, 3.0 + 1e-9j)
         with pytest.raises(NearSingularCoefficient):
-            integrate_rayleigh(TANH, 1.0, 3.0 + 0.0j)
+            impedance(TANH, 1.0, 3.0 + 0.0j)
 
     @pytest.mark.parametrize("sign_ci", [None, 1, -1])
     def test_real_axis_refuses_real_speed_with_layers(self, sign_ci):
@@ -138,25 +161,23 @@ class TestDirectIntegration:
 
     def test_indented_path_below_switch_threshold(self):
         c = 3.0 + 1e-9j
-        got = integrate_rayleigh(TANH, 1.0, c, tol=1e-12).impedance
+        got = impedance(TANH, 1.0, c, tol=1e-12)
         want = contour_impedance_oracle(TANH, 1.0, c, tol=1e-12)
         assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_indented_step_count(self):
         # the real axis takes 156 points here: the layer sits 1.6e-5 off it
-        sol = integrate_rayleigh(TANH, 3.0, 1.8076 + 1.5778e-4j, tol=1e-10)
-        assert sol.n_steps <= 80
-        again = integrate_rayleigh(TANH, 3.0, 1.8076 + 1.5778e-4j, tol=1e-10)
-        assert again.n_steps == sol.n_steps
+        steps = n_steps(TANH, 3.0, 1.8076 + 1.5778e-4j, tol=1e-10)
+        assert steps <= 80
+        assert n_steps(TANH, 3.0, 1.8076 + 1.5778e-4j, tol=1e-10) == steps
 
     def test_real_c_outside_range_is_fine(self):
-        sol = integrate_rayleigh(TANH, 1.0, 12.0 + 0.0j)
-        assert sol.impedance.imag == 0.0
+        assert impedance(TANH, 1.0, 12.0 + 0.0j).imag == 0.0
 
     def test_degenerate_interface_detected(self):
         prof, c = ramp_with_channel_mode()
         with pytest.raises(DegenerateAtInterface):
-            integrate_rayleigh(prof, 1.0, c, tol=1e-13)
+            impedance(prof, 1.0, c, tol=1e-13)
         # c is real: the limiting solve meets the same interface guard
         with pytest.raises(DegenerateAtInterface):
             limiting_solution(prof, 1.0, c.real, +1, tol=1e-13)
@@ -166,9 +187,8 @@ class TestDirectIntegration:
         ids=["kinked", "table"])
     def test_steps_count_the_final_mesh_nodes(self, profile):
         # one accepted point per node, the lid's included
-        sol = integrate_rayleigh(profile, 1.2, 2.0 + 0.3j)
         t, _ = final_mesh(profile, 1.2, 2.0 + 0.3j)
-        assert sol.n_steps == t.size
+        assert n_steps(profile, 1.2, 2.0 + 0.3j) == t.size
 
 
 class UnboundedSampling(TanhProfile):
@@ -183,7 +203,7 @@ def test_u_bounds_error_propagates():
     # near-singular guard off
     prof = UnboundedSampling(10.0, 1.0, 5.0)
     with pytest.raises(ValueError, match="broken u_bounds"):
-        integrate_rayleigh(prof, 1.0, 3.0 + 1e-9j)
+        impedance(prof, 1.0, 3.0 + 1e-9j)
 
 
 class TestBatch:
@@ -228,11 +248,11 @@ class TestBatch:
                              ids=["tanh", "table", "analytic", "kinked"])
     def test_scalar_is_one_element_batch(self, profile):
         for c in (1.0 - 0.3j, 3.0 + 0.05j, 6.0 + 0.5j):
-            solo = integrate_rayleigh(profile, 1.2, c)
+            y0, yp0, _ = lid_shoot(profile, 1.2, c)
             imps, _ = impedance_outcomes(profile, 1.2, [c])
             # no rescaling on this column, so y(0) and y'(0) are the batch's
             # state, and the batch's array division of them is its impedance
-            assert imps[0] == np.divide([solo.yp0], [solo.y0])[0]
+            assert imps[0] == np.divide([yp0], [y0])[0]
 
     @pytest.mark.parametrize("profile", [TANH, TABLE, EXP],
                              ids=["tanh", "table", "analytic"])
@@ -258,7 +278,7 @@ class TestBatch:
         imps, errors = impedance_outcomes(profile, ks, cs)
         assert errors == {}
         for k, c, imp in zip(ks.tolist(), cs.tolist(), imps.tolist()):
-            assert integrate_rayleigh(profile, k, c).impedance == imp, (k, c)
+            assert lid_shoot(profile, k, c)[2] == imp, (k, c)
 
     def test_failing_member_leaves_the_others(self):
         cs = [3.0 + 0.2j, 3.0 + 1e-9j, 2.0 - 0.1j]
@@ -280,27 +300,58 @@ class TestBatch:
             got, errors = impedance_outcomes(self.TABLE, 1.2, cs, tol=1e-10)
             assert errors == {}
         else:
-            got = [integrate_rayleigh(self.TABLE, 1.2, c, tol=1e-10).impedance
-                   for c in cs]
+            got = [impedance(self.TABLE, 1.2, c, tol=1e-10) for c in cs]
         for c, imp in zip(cs, got):
             ref = scipy_impedance(self.TABLE, 1.2, c, tol=1e-13)
             assert abs(imp - ref) <= 1e-9 * abs(ref), c
 
+    @pytest.mark.parametrize("profile", [KINKED, TANH, REAL_AXIS_TANH],
+                             ids=["kinked", "tanh", "real-axis-tanh"])
+    def test_non_finite_speed_fails_alone(self, profile):
+        # on the closed form and on the kernel, along Lin's path and on the
+        # real axis, each in the batch and from lid data; the finite pairs
+        # keep their bits
+        cs = np.array([3.0 + 0.1j, complex(math.nan, 0.0), 2.0 - 0.05j,
+                       complex(math.inf, 1.0), complex(3.0, math.inf),
+                       complex(math.nan, math.nan)])
+        bad = [1, 3, 4, 5]
+        imps, errors = impedance_outcomes(profile, 1.0, cs)
+        states, lid_imps, lid_errors = rayleigh._lid_shoot(
+            profile, 1.0, cs, 1e-10, (0.0, 1.0))
+        for failed, values in ((errors, [imps]),
+                               (lid_errors, [*states, lid_imps])):
+            assert sorted(failed) == bad
+            for i in bad:
+                assert type(failed[i]) is NearSingularCoefficient
+                assert str(failed[i]) == "wave speed is not finite"
+            for v in values:
+                assert np.isnan(v[bad].view(float)).all()
+        for i in (0, 2):
+            solo, _ = impedance_outcomes(profile, 1.0, cs[i:i + 1])
+            assert solo.view(float).tolist() == \
+                imps[i:i + 1].view(float).tolist()
+            one, one_imps, _ = rayleigh._lid_shoot(profile, 1.0, cs[i:i + 1],
+                                                   1e-10, (0.0, 1.0))
+            assert one.view(float).tolist() == \
+                states[:, i:i + 1].view(float).tolist()
+            assert one_imps.view(float).tolist() == \
+                lid_imps[i:i + 1].view(float).tolist()
+
     def test_per_element_init(self):
         cs = [3.0 + 0.05j, 2.0 - 0.2j]
-        base = [integrate_rayleigh(TANH, 1.0, c) for c in cs]
+        base = [lid_shoot(TANH, 1.0, c) for c in cs]
         lam = 2.0 - 3.0j
-        scaled = [integrate_rayleigh(TANH, 1.0, c, init=init)
+        scaled = [lid_shoot(TANH, 1.0, c, init=init)
                   for c, init in zip(cs, [(0.0, lam), (0.0, 1.0)])]
-        assert np.allclose([s.y0 for s in scaled],
-                           [lam * base[0].y0, base[1].y0], rtol=1e-9)
-        assert np.allclose([s.impedance for s in scaled],
-                           [b.impedance for b in base], rtol=1e-9)
+        assert np.allclose([s[0] for s in scaled],
+                           [lam * base[0][0], base[1][0]], rtol=1e-9)
+        assert np.allclose([s[2] for s in scaled], [b[2] for b in base],
+                           rtol=1e-9)
 
     def test_near_singular_member_raises_scalar_error(self):
         cs = [3.0 + 0.2j, 3.0 + 1e-9j, 12.0 + 0.0j]
         with pytest.raises(NearSingularCoefficient) as scalar:
-            integrate_rayleigh(REAL_AXIS_TANH, 1.0, cs[1])
+            impedance(REAL_AXIS_TANH, 1.0, cs[1])
         _, errors = impedance_outcomes(REAL_AXIS_TANH, 1.0, cs)
         assert list(errors) == [1]
         assert type(errors[1]) is type(scalar.value)
@@ -327,15 +378,15 @@ class TestBatch:
         c, huge = 3.0 + 0.2j, (0.0, math.inf)
         with pytest.raises(NearSingularCoefficient, match="integration failed") \
                 as scalar, np.errstate(all="ignore"):
-            integrate_rayleigh(TANH, 1.0, c, init=huge)
+            lid_shoot(TANH, 1.0, c, init=huge)
         # in either component
         with pytest.raises(NearSingularCoefficient) as other:
-            integrate_rayleigh(TANH, 1.0, c, init=huge[::-1])
+            lid_shoot(TANH, 1.0, c, init=huge[::-1])
         assert str(other.value) == str(scalar.value)
 
     def test_infinite_domain_rejected(self):
         with pytest.raises(InfiniteDomain):
-            integrate_rayleigh(ConstantProfile(5.0), 1.0, 1.0 + 1.0j)
+            lid_shoot(ConstantProfile(5.0), 1.0, 1.0 + 1.0j)
         # only the closed forms reach an unbounded column; every pair shot
         # there fails alone
         imps, errors = impedance_outcomes(TanhProfile(10.0, 1.0, math.inf),
@@ -391,7 +442,7 @@ class TestKernel:
         assert norms.size == t.size - 1
         assert np.all(norms < 1.0)
         if sign_ci is None:  # the accepted points are the nodes
-            assert integrate_rayleigh(profile, k, c, tol).n_steps == t.size
+            assert n_steps(profile, k, c, tol) == t.size
 
     @staticmethod
     def records(monkeypatch, profile, ks, cs, **kwargs):
@@ -607,16 +658,16 @@ class TestKernel:
     def test_step_collapse_is_refused(self):
         with pytest.raises(NearSingularCoefficient,
                            match="Required step size is less than spacing"):
-            integrate_rayleigh(POLE, 1.0, 20.0 + 1.0j)
+            impedance(POLE, 1.0, 20.0 + 1.0j)
         imps, errors = impedance_outcomes(POLE, 1.0, [20.0 + 1.0j, 20.0 - 1.0j])
         assert list(errors) == [0, 1] and np.all(np.isnan(imps))
 
     def test_mesh_is_bounded(self):
         # below scipy's floor on rtol the error test still passes: the mesh
         # does not grow without end
-        sol = integrate_rayleigh(TANH, 1.0, 3.0 + 0.5j, tol=0.0)
-        ref = integrate_rayleigh(TANH, 1.0, 3.0 + 0.5j, tol=1e-13)
-        assert abs(sol.impedance - ref.impedance) <= 1e-12 * abs(ref.impedance)
+        imp = impedance(TANH, 1.0, 3.0 + 0.5j, tol=0.0)
+        ref = impedance(TANH, 1.0, 3.0 + 0.5j, tol=1e-13)
+        assert abs(imp - ref) <= 1e-12 * abs(ref)
         # a mesh past 2^18 steps is refused, not built
         imps, errors = impedance_outcomes(TANH, [1.0, 1e9], [12.0, 12.0])
         assert list(errors) == [1] and np.isfinite(imps[0])
@@ -647,8 +698,7 @@ class TestUniformImpedance:
         assert uniform_flow_impedance(-3.0, math.inf) == -3.0
 
     def test_dispatcher_uses_closed_form(self):
-        imp = interface_impedance(ConstantProfile(4.0), 2.0, 1.0 + 1.0j)
-        assert imp == -2.0
+        assert impedance(ConstantProfile(4.0), 2.0, 1.0 + 1.0j) == -2.0
 
     @pytest.mark.parametrize("h_plus", [3.0, math.inf])
     def test_winds_without_kinks_match_it_bitwise(self, h_plus):
@@ -667,8 +717,27 @@ class TestUniformImpedance:
         ConstantProfile(4.0, h_plus=5.0), PiecewiseLinearProfile.ramp(2.0, 1.0),
         TANH], ids=["uniform", "unbounded-ramp", "tanh"])
     def test_zero_wavenumber_refused_on_every_route(self, profile):
-        with pytest.raises(ValueError, match="wavenumber k must be nonzero"):
-            interface_impedance(profile, 0.0, 1.0 + 1.0j)
+        with pytest.raises(ValueError, match="wavenumber k must be finite and "
+                                             "nonzero"):
+            impedance(profile, 0.0, 1.0 + 1.0j)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("profile", [
+        ConstantProfile(4.0, h_plus=5.0), PiecewiseLinearProfile.ramp(2.0, 1.0),
+        TANH], ids=["uniform", "unbounded-ramp", "tanh"])
+    def test_non_finite_wavenumber_refused_on_every_route(self, profile, k):
+        # refused before any shoot, as one batch's k or one pair's
+        with pytest.raises(ValueError) as exc:
+            impedance_outcomes(profile, k, [1.0 + 1.0j])
+        assert str(exc.value) == "wavenumber k must be finite and nonzero"
+        with pytest.raises(ValueError) as exc:
+            impedance_outcomes(profile, [1.0, k], [3.0 + 0.1j, 1.0 + 1.0j])
+        assert str(exc.value) == "wavenumber k must be finite and nonzero"
+        if math.isfinite(profile.h_plus):
+            with pytest.raises(ValueError) as exc:
+                rayleigh._lid_shoot(profile, k, [1.0 + 1.0j], 1e-10,
+                                    (1.0, 0.0))
+            assert str(exc.value) == "wavenumber k must be finite and nonzero"
 
 
 class TestPiecewiseLinear:
@@ -702,7 +771,7 @@ class TestPiecewiseLinear:
                                else -math.inf)
         assert 1.0 - z * math.tanh(1.0) == 0.0
         assert pwl_impedance_cascade(prof, 1.0, c) == -1.0 / math.tanh(1.0)
-        near = interface_impedance(prof, 1.0, complex(c), tol=1e-12)
+        near = impedance(prof, 1.0, complex(c), tol=1e-12)
         assert abs(near + 1.0 / math.tanh(1.0)) <= 1e-9
 
     def test_unbounded_ramp_at_its_kink_speed_fails_alone(self):
@@ -742,9 +811,10 @@ class TestPiecewiseLinear:
         want = -k * (c - alpha) / (c - beta)
         # scipy's shoot, which steps the kink's jump, and the closed form
         assert abs(scipy_impedance(prof, k, c, 1e-11) - want) <= 1e-8 * abs(want)
-        sol = integrate_rayleigh(prof, k, c)
-        assert abs(sol.impedance - want) <= 1e-12 * abs(want)
-        assert sol.n_steps == 0
+        imp = impedance(prof, k, c)
+        assert abs(imp - want) <= 1e-12 * abs(want)
+        # the closed form's, not a shoot's
+        assert imp == pwl_impedance_cascade(prof, k, c)
 
     @pytest.mark.parametrize("h_plus", [5.0, math.inf],
                              ids=["finite", "unbounded"])
@@ -775,17 +845,25 @@ class TestPiecewiseLinear:
             assert sorted(errors) == [0, 1], profile
             assert np.isnan(imps.real).all() and np.isnan(imps.imag).all()
 
-    def test_state_from_lid_data_matches_scipy(self):
+    def test_state_from_lid_data_matches_scipy(self, monkeypatch):
         # the water's shoot starts from (1, 0): the closed form's state at
         # the interface, its log carried piece by piece, against scipy's
-        for k, c in ((0.5, 2.0 + 0.3j), (1.0, 3.5 - 0.2j), (2.0, 1.0 + 1e-3j)):
-            sol = integrate_rayleigh(KINKED, k, c, init=(1.0, 0.0))
+        def kernel(*args):
+            raise AssertionError("a zero-curvature wind reached the kernel")
+
+        ks = [0.5, 1.0, 2.0]
+        cs = [2.0 + 0.3j, 3.5 - 0.2j, 1.0 + 1e-3j]
+        with monkeypatch.context() as patch:
+            patch.setattr(rayleigh, "_integrate", kernel)
+            states, _, errors = rayleigh._lid_shoot(KINKED, ks, cs, 1e-10,
+                                                    (1.0, 0.0))
+        assert errors == {}
+        for k, c, (got0, gotp0) in zip(ks, cs, states.T.tolist()):
             (y0, yp0), _, log_scale = scipy_state(KINKED, k, c, 1e-13,
                                                   init=(1.0, 0.0))
             y0, yp0 = y0 * math.exp(log_scale), yp0 * math.exp(log_scale)
-            assert abs(sol.y0 - y0) <= 1e-10 * abs(y0), (k, c)
-            assert abs(sol.yp0 - yp0) <= 1e-10 * abs(yp0), (k, c)
-            assert sol.n_steps == 0
+            assert abs(got0 - y0) <= 1e-10 * abs(y0), (k, c)
+            assert abs(gotp0 - yp0) <= 1e-10 * abs(yp0), (k, c)
 
     def test_limiting_u1_matches_scipy(self):
         # U'' = 0 at each layer: no jump, and u1 = |y(s)/y(0)|^2 of the
@@ -818,14 +896,14 @@ class TestPiecewiseLinear:
                 hi = mid
         for c in (lo, hi):
             with pytest.raises(DegenerateAtInterface):
-                integrate_rayleigh(KINKED, 1.0, c)
+                lid_shoot(KINKED, 1.0, c)
             with pytest.raises(DegenerateAtInterface):
                 limiting_solution(KINKED, 1.0, c, +1)
             _, errors = impedance_outcomes(KINKED, 1.0, [c])
             assert isinstance(errors[0], DegenerateAtInterface)
         for c in (lo * (1.0 - 1e-6), hi * (1.0 + 1e-6)):
             want = scipy_impedance(KINKED, 1.0, c, 1e-13)
-            got = integrate_rayleigh(KINKED, 1.0, c).impedance
+            got = impedance(KINKED, 1.0, c)
             assert abs(got - want) <= 1e-6 * abs(want)
 
     def test_no_zero_curvature_wind_reaches_the_kernel(self, monkeypatch):
@@ -848,10 +926,10 @@ class TestPiecewiseLinear:
             for init in ((0.0, 1.0), (1.0, 0.0)):
                 if math.isinf(prof.h_plus):
                     with pytest.raises(InfiniteDomain):
-                        integrate_rayleigh(prof, 1.0, 3.5 + 0.2j, init=init)
+                        lid_shoot(prof, 1.0, 3.5 + 0.2j, init=init)
                 else:
-                    assert integrate_rayleigh(prof, 1.0, 3.5 + 0.2j,
-                                              init=init).n_steps == 0
+                    assert np.isfinite(lid_shoot(prof, 1.0, 3.5 + 0.2j,
+                                                 init=init)).all()
             assert limiting_solution(prof, 1.0, 2.0, +1).n_steps == 0
             assert miles_c_sharp(prof, params, 1.0).c_sharp == 0.0
             curve = scan_k(prof, params, [0.5, 1.0, 2.0])
@@ -905,11 +983,11 @@ class TestWronskian:
     def test_consistency_with_rayleigh(self):
         c = 3.0 + 0.05j
         path = integrate_wronskian(TANH, 1.0, c)
-        sol = integrate_rayleigh(TANH, 1.0, c)
+        y0, yp0, _ = lid_shoot(TANH, 1.0, c)
         u1_0 = path.at(0.0)[0]
         w_0 = path.at(0.0)[3]
-        assert u1_0 == pytest.approx(abs(sol.y0) ** 2, rel=1e-8)
-        assert w_0 == pytest.approx(float(np.imag(sol.yp0 * np.conj(sol.y0))),
+        assert u1_0 == pytest.approx(abs(y0) ** 2, rel=1e-8)
+        assert w_0 == pytest.approx(float(np.imag(yp0 * np.conj(y0))),
                                     rel=1e-8)
 
     def test_w_derivative_identity(self):
@@ -936,9 +1014,9 @@ class TestWronskian:
 class TestLimitingSolution:
     def test_no_layers_matches_direct(self):
         lim = limiting_solution(TANH, 1.0, 12.0, +1)
-        direct = integrate_rayleigh(TANH, 1.0, 12.0 + 0.0j)
+        direct = impedance(TANH, 1.0, 12.0 + 0.0j)
         assert lim.jumps == ()
-        assert abs(lim.impedance - direct.impedance) <= 1e-10 * abs(direct.impedance)
+        assert abs(lim.impedance - direct) <= 1e-10 * abs(direct)
         assert lim.impedance.imag == 0.0
 
     def test_inflection_layer_gives_zero_jump(self):
@@ -960,9 +1038,9 @@ class TestLimitingSolution:
 
     def test_limit_against_small_ci_integration(self):
         lim = limiting_solution(TANH, 1.0, 3.0, +1, tol=1e-12)
-        direct = integrate_rayleigh(TANH, 1.0, 3.0 + 1e-6j, tol=1e-12)
+        direct = impedance(TANH, 1.0, 3.0 + 1e-6j, tol=1e-12)
         # the two routes agree at the O(c_I^alpha) convergence rate
-        assert abs(direct.impedance - lim.impedance) <= 5e-6
+        assert abs(direct - lim.impedance) <= 5e-6
         assert lim.impedance.imag > 0.0
 
     def test_limit_imag_equals_w_formula(self):
@@ -1006,7 +1084,7 @@ class TestLimitingSolution:
     def test_renormalizes_past_direct_overflow(self):
         # no layer at c = 12; the solution grows like exp(|k| h+), which
         # passes the float range between k = 140 and 150 on this column
-        direct = integrate_rayleigh(TANH, 140.0, 12.0 + 0.0j).impedance
+        direct = impedance(TANH, 140.0, 12.0 + 0.0j)
         lim = limiting_solution(TANH, 140.0, 12.0, +1).impedance
         assert abs(lim - direct) <= 1e-10 * abs(direct)
         ks = np.array([150.0, 300.0, 1000.0, 3000.0])
@@ -1014,7 +1092,9 @@ class TestLimitingSolution:
         assert errors == {}
         assert np.all(np.abs(imps + ks) <= 1e-4)
         # the lid normalization is past the float range: inf, never NaN
-        y0 = np.array([integrate_rayleigh(TANH, k, 12.0).y0 for k in ks])
+        (y0, _), _, errors = rayleigh._lid_shoot(TANH, ks, [12.0] * 4, 1e-10,
+                                                 (0.0, 1.0))
+        assert errors == {}
         assert np.all(np.isneginf(y0.real) & (y0.imag == 0.0))
         lim = limiting_solution(TANH, 150.0, 12.0, +1).impedance
         assert lim.imag == 0.0
@@ -1022,8 +1102,10 @@ class TestLimitingSolution:
 
     @pytest.mark.parametrize("k, sign_ci, message", [
         (1.0, 0, "sign_ci must be +1 or -1"),
-        (0.0, 1, "wavenumber k must be nonzero"),
-    ], ids=["no_side", "zero_k"])
+        (0.0, 1, "wavenumber k must be finite and nonzero"),
+        (math.nan, 1, "wavenumber k must be finite and nonzero"),
+        (-math.inf, 1, "wavenumber k must be finite and nonzero"),
+    ], ids=["no_side", "zero_k", "nan_k", "infinite_k"])
     def test_refuses_a_side_or_wavenumber_it_cannot_use(self, k, sign_ci,
                                                         message):
         with pytest.raises(ValueError) as exc:
@@ -1066,8 +1148,7 @@ class TestLimitingSolution:
         # it would drop: the limit then reads -0.97711, 26% off
         c_r = float(self.KINKED.value(1.0 + offset))
         lim = limiting_solution(self.KINKED, 1.0, c_r, +1, tol=1e-12)
-        near = interface_impedance(self.KINKED, 1.0, complex(c_r, 1e-10),
-                                   tol=1e-12)
+        near = impedance(self.KINKED, 1.0, complex(c_r, 1e-10), tol=1e-12)
         assert abs(lim.impedance - near) <= 1e-6 * abs(near)
 
     @pytest.mark.parametrize("offset", [0.0, 1e-13])
@@ -1181,7 +1262,7 @@ class TestLimitingBatch:
 
     def test_real_speed_needs_a_side(self):
         with pytest.raises(NearSingularCoefficient, match="real wave speed"):
-            interface_impedance(TANH, 1.0, 3.0 + 0.0j)
+            impedance(TANH, 1.0, 3.0 + 0.0j)
         with pytest.raises(ValueError, match="sign_ci"):
             impedance_outcomes(TANH, 1.0, [3.0], sign_ci=0)
 
@@ -1371,11 +1452,11 @@ class TestMetamorphic:
                                          log_mod, arg):
         c = complex(c_r, 10.0 ** log_ci)
         lam = 10.0 ** log_mod * complex(math.cos(arg), math.sin(arg))
-        base = integrate_rayleigh(profile, k, c, tol=1e-12).impedance
+        *_, base = lid_shoot(profile, k, c, tol=1e-12)
         # lid data near the float range are rescaled, not overflowed
         for init in ((0.0, lam), (0.0, 1e308)):
-            scaled = integrate_rayleigh(profile, k, c, tol=1e-12, init=init)
-            assert abs(scaled.impedance - base) <= 1e-9 * abs(base)
+            *_, scaled = lid_shoot(profile, k, c, tol=1e-12, init=init)
+            assert abs(scaled - base) <= 1e-9 * abs(base)
 
 
 class TestImpedanceLimitCheck:
