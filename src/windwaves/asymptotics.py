@@ -136,7 +136,8 @@ def miles_c_sharp(profile: ShearProfile, params: FluidParams, k: float,
 
 def growth_constants(profile: ShearProfile, params: FluidParams, ks,
                      branch: int = +1, tol: float = 1e-10, *,
-                     meshes: Optional[list] = None
+                     meshes: Optional[list] = None,
+                     slopes: Optional[list] = None
                      ) -> tuple[list[Optional[MilesAsymptotics]], dict]:
     """The growth constant at every wavenumber of ``ks``.
 
@@ -157,6 +158,10 @@ def growth_constants(profile: ShearProfile, params: FluidParams, ks,
     start mesh or None per wavenumber, as in
     :func:`~windwaves.rayleigh.impedance_outcomes`; each entry is replaced by
     the final mesh of its path shoot, None where it failed or had none.
+    ``slopes``, when given, is replaced by the slope of y*'(0) at c_k + i0
+    per wavenumber, from the quadrature its path shoot carries (see
+    :func:`~windwaves.rayleigh.impedance_outcomes`); it is None where the
+    wavenumber failed or took the Frobenius route, which gives no slope.
     A profile whose column is not ``params.h_plus`` is a ValueError.
     """
     _check_depth_consistency(profile, params)
@@ -171,11 +176,12 @@ def growth_constants(profile: ShearProfile, params: FluidParams, ks,
             errors[i] = exc
     rows = list(at_ck) if profile.complex_path else []
     shot = [None if meshes is None else meshes[i] for i in rows]
+    shot_slopes = None if slopes is None else [None] * len(rows)
     path = {}  # index -> (u1 per layer, y*'(0) at c_k)
     if rows:
         imps, jumps = _layer_jumps(
             profile, [ks[i] for i in rows], [at_ck[i][0] for i in rows], tol,
-            [at_ck[i][1] for i in rows], shot)
+            [at_ck[i][1] for i in rows], shot, shot_slopes)
         for i, imp, row_jumps in zip(rows, imps, jumps):
             # a failed shoot's floor and jumps are NaN, and never pass
             floor = PATH_RESOLUTION * tol * abs(imp)
@@ -200,6 +206,10 @@ def growth_constants(profile: ShearProfile, params: FluidParams, ks,
                                    layers, u1s, impedance)
         except WindwavesError as exc:
             errors[i] = exc
+    if slopes is not None:
+        path_slopes = dict(zip(rows, shot_slopes))
+        slopes[:] = [path_slopes[i] if i in path and i not in errors else None
+                     for i in range(len(ks))]
     return results, errors
 
 

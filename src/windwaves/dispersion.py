@@ -135,6 +135,20 @@ def residual_miles(c: complex, impedance: complex, params: FluidParams,
             - eps * c * ak * u0 * (1.0 - tm * tm) / (tp + eps * tm))
 
 
+def _miles_slope(c: complex, impedance: complex, slope: complex,
+                 params: FluidParams, k: float, u0: float, up0: float
+                 ) -> complex:
+    """d/dc of :func:`residual_miles`, given ``slope``, the impedance's
+    d(y'/y)(0)/dc; scalars or arrays as there."""
+    eps = params.epsilon
+    ak = abs(k)
+    tm = params.tanh_minus(k)
+    tp = params.tanh_plus(k)
+    return (eps * (u0 - c) * ((u0 - c) * slope - 2.0 * impedance)
+            - 2.0 * c * ak * tm + eps * up0
+            - eps * ak * u0 * (1.0 - tm * tm) / (tp + eps * tm))
+
+
 def _check_depth_consistency(profile: ShearProfile, params: FluidParams,
                              water: bool = False) -> None:
     """Refuse an air (or water) profile whose column is not the params' one."""
@@ -169,7 +183,8 @@ def make_miles_residual(profile: ShearProfile, params: FluidParams, k: float,
 
 
 def miles_residuals(profile: ShearProfile, params: FluidParams, k, cs,
-                    tol: float = 1e-10, *, meshes: Optional[list] = None
+                    tol: float = 1e-10, *, meshes: Optional[list] = None,
+                    slopes: Optional[list] = None
                     ) -> tuple[np.ndarray, dict]:
     """Quiescent-ocean residuals of (k, c) pairs, ``k`` broadcast against ``cs``.
 
@@ -179,15 +194,29 @@ def miles_residuals(profile: ShearProfile, params: FluidParams, k, cs,
     so each value is the one its pair gets alone, given its start mesh.
     ``meshes``, one entry per pair, passes the start meshes in and the final
     meshes out, as :func:`~windwaves.rayleigh.impedance_outcomes` describes.
+    ``slopes``, when given, is replaced by each pair's f'(c), None where it
+    failed: the residual's closed-form c-derivative with the impedance's
+    slope (see :func:`~windwaves.rayleigh.impedance_outcomes`); asking for
+    it changes no value.
     Returns ``(values, errors)``: a failed pair's value is NaN, and
     ``errors`` maps its index to the pair's error.
     """
     _check_depth_consistency(profile, params)
     ks, cs = np.broadcast_arrays(np.asarray(k, dtype=float),
                                  np.asarray(cs, dtype=complex))
-    imps, errors = impedance_outcomes(profile, ks, cs, tol, meshes=meshes)
-    return residual_miles(cs, imps, params, ks, profile.value(0.0),
-                          profile.slope(0.0)), errors
+    imps, errors = impedance_outcomes(profile, ks, cs, tol, meshes=meshes,
+                                      slopes=slopes)
+    u0, up0 = profile.value(0.0), profile.slope(0.0)
+    # a failed pair, such as one whose c is not finite, is NaN, silently
+    with np.errstate(invalid="ignore", over="ignore"):
+        vals = residual_miles(cs, imps, params, ks, u0, up0)
+        if slopes is not None:
+            dimps = np.array([math.nan if s is None else s for s in slopes],
+                             dtype=complex)
+            dvals = _miles_slope(cs, imps, dimps, params, ks, u0, up0)
+            slopes[:] = [None if s is None else d
+                         for s, d in zip(slopes, dvals.tolist())]
+    return vals, errors
 
 
 # ---------------------------------------------------------------------------

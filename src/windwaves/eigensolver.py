@@ -1,8 +1,10 @@
 """Complex root location for dispersion residuals.
 
 Residual evaluations typically cost an ODE solve, so the local iteration is
-derivative-free (Muller's three-point method) and the global counting tool is
-an argument-principle winding number with adaptive boundary refinement.
+Muller's three-point method, which needs no derivative, and the global
+counting tool is an argument-principle winding number with adaptive
+boundary refinement.  A sweep's kernel gives the residual's slope at the
+cost of a quadrature, so a sweep's chain can start with a Hermite step.
 
 Each finder is a generator that yields the wave speeds it needs next.  One
 driver, :func:`_rounds`, runs any number of them with one evaluation per
@@ -104,30 +106,37 @@ def find_root(residual: Callable[[complex], complex], c_init: complex, *,
 
 
 def _muller(c_init: complex, *, tol: float, max_iter: int, scale: float,
-            k: Optional[float], known: Optional[tuple[complex, complex]] = None
-            ) -> Generator[list[complex], list[complex], EigenResult]:
+            k: Optional[float],
+            known: Optional[tuple[complex, complex, Optional[complex]]] = None
+            ) -> Generator[list, list, EigenResult]:
     """Muller's iteration as a generator, for :func:`find_root` and
     :func:`scan_k`: it yields its start, then one point per step, and
     returns its :class:`EigenResult`.
 
     The start is the triple c_init +/- h0, c_init, h0 = 1e-4 max(|c_init|, 1).
-    A ``known`` pair (c0, f(c0)) with |c_init - c0| >= 1e-6 max(|c0|, 1)
-    replaces it by c_init, then the secant point from (c0, c_init), or
-    c_init + h0 where f(c_init) == f(c0), and Muller goes on from those
-    three.  The sweep's f(c0) is good to about its Rayleigh tolerance, so
-    the secant slope of a closer pair would be mostly that error.
+    A ``known`` triple (c0, f(c0), f'(c0) or None) replaces it: the chain
+    yields c_init alone and is sent (f(c_init), f'(c_init)) for it; with
+    f(c0) None too, it yields c_init and c0 and is sent both pairs.  Its
+    first step goes to the root nearest c_init of the Hermite interpolant
+    through (c0, f(c0)) and (c_init, f(c_init), f'(c_init)), cubic with
+    f'(c0) and quadratic without, and Muller goes on from (c0, c_init, x1)
+    unless x1 passes the convergence test.  Each step counts as one
+    iteration.
     """
     floor = tol * scale
     h0 = 1e-4 * max(abs(c_init), 1.0)
-    if known is None or abs(c_init - known[0]) < 1e-6 * max(abs(known[0]), 1.0):
+    if known is None:
         xs = [c_init + h0, c_init - h0, c_init]
         fs = yield xs
+        step = None
     else:
-        x0, f0 = known
-        f1, = yield [c_init]
-        x2 = c_init + h0 if f1 == f0 else c_init - f1 * (c_init - x0) / (f1 - f0)
-        f2, = yield [x2]
-        xs, fs = [x0, c_init, x2], [f0, f1, f2]
+        x0, f0, df0 = known
+        if f0 is None:  # c0 is shot beside c_init
+            (f1, df1), (f0, df0) = yield [c_init, x0]
+        else:
+            (f1, df1), = yield [c_init]
+        xs, fs = [x0, c_init], [f0, f1]
+        step = _hermite_step(x0, f0, df0, c_init, f1, df1, h0)
 
     for x, f in zip(xs, fs):
         if f == 0.0:
@@ -137,30 +146,32 @@ def _muller(c_init: complex, *, tol: float, max_iter: int, scale: float,
     n_iter = 0
     while n_iter < max_iter:
         n_iter += 1
-        x0, x1, x2 = xs
-        f0, f1, f2 = fs
-        h1, h2 = x1 - x0, x2 - x1
-        if h1 == 0.0 or h2 == 0.0:
-            break
-        d1 = (f1 - f0) / h1
-        d2 = (f2 - f1) / h2
-        a = (d2 - d1) / (h2 + h1)
-        b = a * h2 + d2
-        disc = cmath.sqrt(b * b - 4.0 * f2 * a)
-        den = b + disc if abs(b + disc) > abs(b - disc) else b - disc
-        if den == 0.0:
-            step = -f2 / d2 if d2 != 0.0 else h2
-        else:
-            step = -2.0 * f2 / den
-        x3 = x2 + step
+        if step is None:
+            x0, x1, x2 = xs
+            f0, f1, f2 = fs
+            h1, h2 = x1 - x0, x2 - x1
+            if h1 == 0.0 or h2 == 0.0:
+                break
+            d1 = (f1 - f0) / h1
+            d2 = (f2 - f1) / h2
+            a = (d2 - d1) / (h2 + h1)
+            b = a * h2 + d2
+            disc = cmath.sqrt(b * b - 4.0 * f2 * a)
+            den = b + disc if abs(b + disc) > abs(b - disc) else b - disc
+            if den == 0.0:
+                step = -f2 / d2 if d2 != 0.0 else h2
+            else:
+                step = -2.0 * f2 / den
+        x3 = xs[-1] + step
         f3, = yield [x3]
-        xs = [x1, x2, x3]
-        fs = [f1, f2, f3]
+        xs = xs[-2:] + [x3]
+        fs = fs[-2:] + [f3]
         if abs(f3) <= floor and (abs(step) <= 1e-12 * max(abs(x3), 1e-30)
                                  or abs(f3) <= 1e-3 * floor):
             return EigenResult(c=x3, residual_norm=abs(f3) / scale,
                                iterations=n_iter,
                                classification=_classify(x3), k=k)
+        step = None
 
     # accept a stagnated iterate whose residual still meets the tolerance
     best = min(zip(xs, fs), key=lambda t: abs(t[1]))
@@ -171,6 +182,32 @@ def _muller(c_init: complex, *, tol: float, max_iter: int, scale: float,
     raise NoConvergence(
         f"no root after {n_iter} Muller steps from {c_init} "
         f"(best |residual|/scale = {abs(best[1]) / scale:g})")
+
+
+def _hermite_step(c0: complex, f0: complex, df0: Optional[complex],
+                  x: complex, f: complex, df: complex, fallback: complex
+                  ) -> complex:
+    """The step from x to the root nearest x of the Hermite interpolant
+    p(x + s) = f + df s + a s^2 + b s^3 through (c0, f0, df0) and
+    (x, f, df), with b = 0 when ``df0`` is None: Muller's root of the
+    quadratic part, then Newton's steps on p while they shrink;
+    ``fallback`` where the quadratic is flat."""
+    d = c0 - x
+    a = (f0 - f - df * d) / (d * d)
+    b = 0.0 if df0 is None else ((df0 - df) / d - 2.0 * a) / d
+    a -= b * d
+    disc = cmath.sqrt(df * df - 4.0 * a * f)
+    den = df + disc if abs(df + disc) > abs(df - disc) else df - disc
+    if den == 0.0:
+        return fallback
+    s, last = -2.0 * f / den, math.inf
+    while True:
+        slope = df + s * (2.0 * a + 3.0 * b * s)
+        ds = 0.0 if slope == 0.0 else \
+            (f + s * (df + s * (a + b * s))) / slope
+        if not abs(ds) < last:  # also for a NaN
+            return s
+        s, last = s - ds, abs(ds)
 
 
 #: each refinement level splits a flagged boundary interval into this many
@@ -463,6 +500,12 @@ def continue_in_epsilon(residual_family: Callable[[float], Callable[[complex], c
     return results
 
 
+#: a sweep's seeded row starts its Hermite step from c_k unless the
+#: residual stops being analytic within this many times |c_k - seed| of its
+#: seed (see :func:`scan_k`)
+PARTNER_REACH = 3.0
+
+
 @dataclass(frozen=True)
 class ScanStrategy:
     """Knobs of a wavenumber sweep."""
@@ -473,6 +516,8 @@ class ScanStrategy:
     rayleigh_tol: float = 1e-10
 
     def __post_init__(self):
+        if self.branch not in (+1, -1):
+            raise ValueError("branch must be +1 or -1")
         # each comparison is False for a NaN
         if not (0.0 < self.tol < math.inf
                 and 0.0 < self.rayleigh_tol < math.inf and self.max_iter >= 1):
@@ -506,13 +551,22 @@ def scan_k(profile, params, k_list: Sequence[float],
     impedances do not depend on the batch.  One
     :func:`~windwaves.asymptotics.growth_constants` call gives the growth
     constants of all wavenumbers and each limit impedance y*'(0) at c_k + i0,
-    and so the residual f(c_k) there.  A row with c_sharp > 0 is seeded at
-    its :meth:`~windwaves.asymptotics.MilesAsymptotics.predicted_c`,
-    c_k + eps c_1, and starts from (c_k, f(c_k)) as the known pair of
-    :func:`_muller`: its first round shoots the seed alone, its second the
-    secant point, and one Muller step then converges.  A row with
-    c_sharp <= 0, or without a growth constant (no layer, or the constant
-    failed), is seeded at the real c_k and starts from the triple around it.
+    and so the residual f(c_k) there, and, on the indented path, its slope
+    f'(c_k + i0) from the quadrature the shoot carries.  A row with
+    c_sharp > 0 is seeded at its
+    :meth:`~windwaves.asymptotics.MilesAsymptotics.predicted_c`,
+    c_k + eps c_1, and starts from (c_k, f(c_k), f'(c_k + i0)) as the known
+    triple of :func:`_muller`, with no slope on the Frobenius route: its
+    first round shoots the seed alone, and asks for f' there too; its
+    second shoots the root of the Hermite interpolant, cubic with
+    f'(c_k + i0) and quadratic without, which mostly converges at once.
+    The residual is not analytic in c where U at a column end or at a
+    break (a table's knot) equals c; a seed with such a speed within
+    ``PARTNER_REACH`` |c_k - seed| shoots the partner seed + 1e-4 i
+    max(|seed|, 1), away from the real axis, beside it instead, and its
+    Hermite cubic runs through those two.  A row with c_sharp <= 0, or
+    without a growth constant (no layer, or the constant failed), is seeded
+    at the real c_k and starts from the triple around it.
     Each chain's shoots start from its last final mesh: the first from its
     seed shoot's, each later point from its last point's.  The Muller
     points lie close together, so that mesh already passes the kernel's
@@ -522,44 +576,70 @@ def scan_k(profile, params, k_list: Sequence[float],
     and a repeated call gives the same entries bit for bit.
     """
     from .asymptotics import growth_constants
-    from .dispersion import ck, miles_residuals, residual_miles
+    from .dispersion import (_miles_slope, ck, miles_residuals,
+                             residual_miles)
 
     ks = [float(k) for k in k_list]
     if not ks or any(k <= 0.0 for k in ks):
         raise ValueError("k_list must be nonempty and positive")
 
     meshes = [None] * len(ks)  # each chain's last final mesh
+    dimps = [None] * len(ks)  # the slope of y*'(0) at c_k + i0
     asyms, seed_errors = growth_constants(profile, params, ks,
                                           strategy.branch,
                                           strategy.rayleigh_tol,
-                                          meshes=meshes)
+                                          meshes=meshes, slopes=dimps)
     # no layer, degenerate or c_sharp <= 0: the real seed c_k and its triple
     seeds = [complex(ck(params, k, strategy.branch)) for k in ks]
-    known: dict[int, tuple[complex, complex]] = {}
+    known: dict[int, tuple[complex, complex, Optional[complex]]] = {}
     seeded = [i for i, asym in enumerate(asyms)
               if asym is not None and asym.c_sharp > 0.0]
     if seeded:
-        # f(c_k) at y*'(0) of every seeded row in one array call
-        f0 = residual_miles(np.array([seeds[i] for i in seeded]),
-                            np.array([asyms[i].impedance for i in seeded]),
-                            params, np.array([ks[i] for i in seeded]),
-                            profile.value(0.0), profile.slope(0.0))
-        for i, f in zip(seeded, f0.tolist()):
-            known[i] = (seeds[i], f)
-            seeds[i] = asyms[i].predicted_c(params.epsilon)
+        # f(c_k) and f'(c_k + i0) at y*'(0) of every seeded row, each in
+        # one array call; NaN where the Frobenius route gave no slope
+        at = np.array([seeds[i] for i in seeded])
+        imp = np.array([asyms[i].impedance for i in seeded])
+        dimp = np.array([math.nan if dimps[i] is None else dimps[i]
+                         for i in seeded], dtype=complex)
+        k_seeded = np.array([ks[i] for i in seeded])
+        u0, up0 = profile.value(0.0), profile.slope(0.0)
+        f0 = residual_miles(at, imp, params, k_seeded, u0, up0)
+        df0 = _miles_slope(at, imp, dimp, params, k_seeded, u0, up0)
+        # the residual is not analytic in c where U is at the column's ends
+        # or at a break: a seed with such a speed within PARTNER_REACH
+        # |c_k - seed| shoots its partner point beside it instead
+        edges = profile.value(np.array([0.0, *profile._breaks,
+                                        profile.h_plus]))
+        for i, f, df in zip(seeded, f0.tolist(), df0.tolist()):
+            c_k, seed = seeds[i], asyms[i].predicted_c(params.epsilon)
+            if np.abs(edges - seed).min() > PARTNER_REACH * abs(c_k - seed):
+                known[i] = (c_k, f, None if dimps[i] is None else df)
+            else:
+                known[i] = (seed + 1e-4j * max(abs(seed), 1.0), None, None)
+            seeds[i] = seed
     chains = [_muller(seed, tol=strategy.tol, max_iter=strategy.max_iter,
                       scale=params.g, k=k, known=known.get(i))
               for i, (k, seed) in enumerate(zip(ks, seeds))]
+    # the seed round asks for f' too, which each seeded chain is sent with
+    # its f
+    seed_round = bool(known)
 
     def evaluate(owners, cs):
+        nonlocal seed_round
         pair_meshes = [meshes[i] for i in owners]
+        slopes = [None] * len(cs) if seed_round else None
+        seed_round = False
         vals, errors = miles_residuals(profile, params,
                                        [ks[i] for i in owners], cs,
                                        tol=strategy.rayleigh_tol,
-                                       meshes=pair_meshes)
+                                       meshes=pair_meshes, slopes=slopes)
         for i, mesh in zip(owners, pair_meshes):  # its last point's
             meshes[i] = mesh
-        return vals.tolist(), errors
+        vals = vals.tolist()
+        if slopes is not None:
+            vals = [(f, df) if i in known else f
+                    for i, f, df in zip(owners, vals, slopes)]
+        return vals, errors
 
     rows, errors = _rounds(evaluate, chains)
     for i, row in enumerate(rows):

@@ -244,6 +244,10 @@ _DOP_SUMS = _weighted(np.stack((_TABLEAU.B, _TABLEAU.E5[:_DOP_STAGES],
                                 _TABLEAU.E3[:_DOP_STAGES])))
 # the slot of stages 1 .. N_STAGES - 1, with the slots and weights of its sum
 _STAGE_SUMS = [(int(_SLOT[s]), *_DOP_A[s - 1]) for s in range(1, _DOP_STAGES)]
+# the solution's sum weighs stage 0, whose Y is I, and the stages from
+# _QUAD on, the others not at all: the quadrature of the slope (see
+# :func:`_propagators`)
+_QUAD = int(np.flatnonzero(_TABLEAU.B[1:_DOP_STAGES])[0]) + 1
 _EYE = np.eye(2, dtype=complex)[:, :, None]
 # scipy's step-size controller; the embedded error estimate is of order 7
 _SAFETY, _MIN_FACTOR = 0.9, 0.2
@@ -286,7 +290,8 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
            sign_ci: Optional[int] = None,
            layers: Optional[Sequence[tuple[CriticalLayer, ...]]] = None,
            meshes: Optional[list] = None,
-           crossings: Optional[Sequence[dict]] = None
+           crossings: Optional[Sequence[dict]] = None,
+           slopes: Optional[list] = None
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Shoot every (k, c) element from the lid data ``init`` to the interface.
 
@@ -312,6 +317,9 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     element's first mesh starts from, or None for the uniform and graded one
     (see :func:`_first_mesh`); each entry is replaced by the element's final
     node parameters, or by None where it failed.
+    ``slopes``, a list, is replaced by each element's slope d(y'/y)(0)/dc
+    (see :func:`_integrate`), None where it failed; it is not for a shoot
+    with ``crossings``, whose patches carry no quadrature.
     A ``tol`` that is negative, infinite or NaN is a ValueError: a NaN error
     norm would cut every step down to ``_MAX_STEPS``; a ``tol`` of 0 asks
     for the floor on rtol.
@@ -322,8 +330,9 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     if not math.isfinite(profile.h_plus):
         exc = InfiniteDomain("direct integration needs a finite air column; "
                              "uniform-vorticity impedances have closed forms")
-        if meshes is not None:
-            meshes[:] = [None] * n
+        for out in (meshes, slopes):
+            if out is not None:
+                out[:] = [None] * n
         return (np.full((2, n), complex("nan")), np.zeros(n),
                 np.zeros(n, dtype=int), dict.fromkeys(range(n), exc))
     alive = np.ones(n, dtype=bool)
@@ -349,11 +358,12 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     # the profile's domain is checked here, once, not where it is evaluated
     profile._check_domain(first[1])
     nodes = {} if nodes is None and meshes is not None else nodes
+    quad = None if slopes is None else {}
     y = np.empty((2, n), dtype=complex)
     y[0], y[1] = init
     with np.errstate(all="ignore"):  # failed elements may overflow
         y, log_scale, sup_y, dist, n_steps = _integrate(
-            coeff, owner, joints, first, y, tol, fail, nodes)
+            coeff, owner, joints, first, y, tol, fail, nodes, quad)
 
     # only an element that may fail either check is checked alone
     maybe = ~((dist >= 1e-10 * scales)
@@ -366,9 +376,12 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
         except WindwavesError as exc:
             fail(i, exc)
     y[:, ~alive] = np.nan
+    ok = alive.tolist()
     if meshes is not None:
-        meshes[:] = [nodes[i][0] if ok else None
-                     for i, ok in enumerate(alive.tolist())]
+        meshes[:] = [nodes[i][0] if live else None
+                     for i, live in enumerate(ok)]
+    if slopes is not None:
+        slopes[:] = [quad[i] if live else None for i, live in enumerate(ok)]
     return y, log_scale, n_steps, errors
 
 
@@ -574,6 +587,9 @@ def _coefficient(profile: ShearProfile, c: np.ndarray, kk: np.ndarray,
     t is (y, y')' = x'(t) (y', q(x(t)) y), so w = x'.  Each step's values
     depend on its own t and segment alone.  The profile is evaluated without
     its domain check, which is the caller's (see :func:`_shoot`).
+
+    ``coeff.curvature(du, w, wq, j)`` is w q_c, q_c = dq/dc = U''/(U - c)^2,
+    from the values ``coeff`` gave: (w q - w k^2)/(U - c).
     """
     def on_axis(t, j):
         u, upp = profile._value_and_curvature(t)
@@ -608,11 +624,16 @@ def _coefficient(profile: ShearProfile, c: np.ndarray, kk: np.ndarray,
         du[:, b], w[:, b], q[:, b] = along(t[:, b], j[b])
         return du, w, q
 
+    def curvature(du, w, wq, j):
+        return (wq - (kk[j] if w is None else w * kk[j])) / du
+
+    coeff.curvature = curvature
     return coeff
 
 
 def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
-               y: np.ndarray, tol: float, fail, nodes: Optional[dict]):
+               y: np.ndarray, tol: float, fail, nodes: Optional[dict],
+               slopes: Optional[dict] = None):
     """Integrate each element's (y, y') from its lid state down its segments.
 
     Segment s belongs to element ``owner[s]``; an element's segments are
@@ -643,6 +664,15 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
     nodes, their log scales, error norm of each step) if it succeeds; the
     node parameters are what a later shoot starts from (see
     :func:`_first_mesh`).
+
+    When ``slopes`` is a dict, ``slopes[i]`` is set to element i's
+    d(y'/y)(0)/dc if it succeeds.  z = dy/dc has z = z' = 0 at the lid and
+    (y z' - z y')' = q_c y^2 (Lagrange's identity, q_c = dq/dc), so the
+    slope is -I/y(0)^2, I the integral of q_c y^2 down the column, and of
+    w q_c y^2 dt on the path.  The round in which the element settles
+    forms I from the quadrature forms of its steps (see
+    :func:`_propagators`) at their start states, each state's scale taken
+    relative to y(0)'s; a joint adds nothing.
     """
     n = y.shape[1]
     # scipy's floor on rtol: below it rounding alone fails the error test
@@ -674,8 +704,10 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
     rows = steps.nonzero()[0]
     counts = steps[rows]
     row = np.arange(rows.size).repeat(counts)
-    # each step's propagator and error maps (see :func:`_propagators`)
-    maps = np.zeros((3, 2, 2, seg.size), dtype=complex)
+    # each step's propagator and error maps, and its quadrature form when
+    # the slope is asked for (see :func:`_propagators`)
+    quad = slopes is not None
+    maps = np.zeros((3 + quad, 2, 2, seg.size), dtype=complex)
     dist = np.full(seg.size, math.inf)
     fresh = np.ones(seg.size, dtype=bool)
     for s, matrix in joints.items():
@@ -687,7 +719,7 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
             idx = todo[j:j + _CHUNK]
             t0, t1 = t[:, idx]
             maps[..., idx], dist[idx] = _propagators(coeff, t0, t0 - t1,
-                                                     seg[idx])
+                                                     seg[idx], quad)
         # the rows' steps, padded by I
         heads = counts.cumsum() - counts
         col = np.arange(seg.size) - heads[row]
@@ -703,7 +735,7 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
         lid = y[:, rows, None]
         states = np.concatenate((lid, _apply(chain, lid)), axis=2)
         start = states[:, row, col]
-        norm = _error_norms(maps, start, rtol, atol)
+        norm = _error_norms(maps[:3], start, rtol, atol)
         # a state past a NaN step waits for that step's refinement; only a
         # failing step is cut
         failing = norm >= 1.0
@@ -745,6 +777,16 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
                                   grow, 0.0).max(axis=1)
             out_dist[i] = np.minimum.reduceat(dist, heads)[done]
             out_count[i] = last + 1
+            if quad:
+                # y^T Q y at each step's start state, in y(0)'s scale
+                qy = _apply(maps[3], start)
+                form = start[0] * qy[0] + start[1] * qy[1]
+                if scales.any():
+                    form *= np.exp(2.0 * (scales[row, col]
+                                          - scales[row, counts[row]]))
+                slope = -np.add.reduceat(form, heads)[done] \
+                    / states[0, done, last] ** 2
+                slopes.update(zip(i.tolist(), slope.tolist()))
             if nodes is not None:
                 # row r's node parameters, its steps' starts and its last
                 # step's end, lie at heads[r] + r on in one array
@@ -803,8 +845,8 @@ def _apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return a[head + (0,)] * v[0] + a[head + (1,)] * v[1]
 
 
-def _propagators(coeff, t0: np.ndarray, h: np.ndarray, seg: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _propagators(coeff, t0: np.ndarray, h: np.ndarray, seg: np.ndarray,
+                 quad: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """DOP853's steps of (y, y')' = w (y', q y) from t0 down to t0 - h on
     segments seg, as matrices.
 
@@ -831,6 +873,13 @@ def _propagators(coeff, t0: np.ndarray, h: np.ndarray, seg: np.ndarray
     dgemv fuses multiplies and adds, which moves the last bit of 20-65% of
     these sums, and a BLAS routine may block a sum by its place in the
     batch or split it between threads.
+
+    With ``quad``, each step gains a fourth map, its quadrature form
+    Q = sum_s b_s h w_s q_c,s r_s^T r_s, r_s the first row of Y_s and
+    q_c = dq/dc (see :func:`_coefficient`): y^T Q y is DOP853's quadrature
+    of the integral of w q_c y^2 over the step from its start state y, its
+    stage values weighed as the solution's sum weighs its stages.  Q is one
+    more such pass; the other maps do not change.
     """
     du, w, wq = coeff(t0 - _DOP_C * h, seg)
     scaled = np.empty((_DOP_STAGES, 2, 1, h.size), dtype=complex)
@@ -841,14 +890,38 @@ def _propagators(coeff, t0: np.ndarray, h: np.ndarray, seg: np.ndarray
     parts = stages.view(float)
     y = np.empty(stages.shape[1:], dtype=complex)
     y_parts, swapped = y.view(float), y[::-1]
+    if quad:  # the first row of each Y_s from _QUAD on
+        rows = np.empty((2, _DOP_STAGES - _QUAD, h.size), dtype=complex)
     np.multiply(_EYE[::-1], scaled[0], out=stages[_SLOT[0]])
-    for (slot, span, weights), sc in zip(_STAGE_SUMS, scaled[1:]):
+    for s, ((slot, span, weights), sc) in enumerate(
+            zip(_STAGE_SUMS, scaled[1:]), 1):
         _einsum("j,j...->...", weights, parts[span], out=y_parts)
         np.subtract(_EYE, y, out=y)
         np.multiply(swapped, sc, out=stages[slot])
+        if quad and s >= _QUAD:
+            rows[:, s - _QUAD] = y[0]
     span, weights = _DOP_SUMS
-    sums = _einsum("ej,j...->e...", weights, parts[span]).view(complex)
+    sums = np.empty((3 + quad, 2, 2, h.size), dtype=complex)
+    _einsum("ej,j...->e...", weights, parts[span], out=sums[:3].view(float))
     np.subtract(_EYE, sums[0], out=sums[0])
+    if quad:
+        def wqc(stages):  # w q_c at the stages, of shape (m,) or (n, m)
+            return coeff.curvature(du[stages], None if w is None
+                                   else w[stages], wq[stages], seg)
+
+        r0, r1 = rows
+        forms = np.empty((2, 2, *r0.shape), dtype=complex)
+        late = wqc(slice(_QUAD, None))
+        wr0 = late * r0
+        np.multiply(wr0, r0, out=forms[0, 0])
+        np.multiply(wr0, r1, out=forms[0, 1])
+        forms[1, 0] = forms[0, 1]
+        np.multiply(late * r1, r1, out=forms[1, 1])
+        form = sums[3]
+        _einsum("j,abj...->ab...", _TABLEAU.B[_QUAD:_DOP_STAGES],
+                forms.view(float), out=form.view(float))
+        form[0, 0] += _TABLEAU.B[0] * wqc(0)
+        form *= h
     return sums, np.fmin(np.abs(du[0]), np.abs(du[-1]))
 
 
@@ -966,6 +1039,22 @@ def _cascade(profile: ShearProfile, k: float, c: complex, init=None,
     return z, w, [logs[s] for s in at]
 
 
+def _cascade_slope(profile: ShearProfile, k: float, c: complex
+                   ) -> tuple[complex, complex]:
+    """The closed form's impedance z and its slope dz/dc.
+
+    U'' is a sum of jumps [U'] delta(x - s) at the kinks s, so the integral
+    of q_c y^2 of :func:`_integrate` is the sum of [U'] y(s)^2/(U(s) - c)^2,
+    and dz/dc = -(that sum)/y(0)^2.  z is bit for bit
+    :func:`pwl_impedance_cascade`'s.
+    """
+    kinks = profile.kinks()
+    z, log_y, at = _cascade(profile, k, c, at=[s for s, _ in kinks])
+    return z, -sum((jump * cmath.exp(2.0 * (log_s - log_y))
+                    / (profile.value(s) - c) ** 2
+                    for (s, jump), log_s in zip(kinks, at)), 0j)
+
+
 def _down(z, w: complex, ak: float, d: float) -> tuple:
     """(z, w) a height d down a piece of y'' = k^2 y, w = log y:
     y -> y cosh(|k| d) (1 - z t/|k|) and y' -> y cosh(|k| d) (z - |k| t),
@@ -1018,7 +1107,8 @@ def _lid_shoot(profile: ShearProfile, k, cs, tol: float, init
 def impedance_outcomes(profile: ShearProfile, k, cs,
                        tol: float = _DEFAULT_TOL, *,
                        sign_ci: Optional[int] = None,
-                       meshes: Optional[list] = None
+                       meshes: Optional[list] = None,
+                       slopes: Optional[list] = None
                        ) -> tuple[np.ndarray, dict]:
     """Impedances y'(0)/y(0) of (k, c) pairs, ``k`` broadcast against ``cs``,
     and the error of each pair that failed.
@@ -1045,6 +1135,13 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
     speed that mesh passes the error test in one round of the kernel, and
     the final mesh passes it from any start.  A pair with Im c < 0 shares
     its mirror image's mesh; a repeated pair is shot once, from its first.
+
+    ``slopes``, when given, is replaced by each pair's slope d(y'/y)(0)/dc,
+    None where it failed: on the kernel, the quadrature of Lagrange's
+    identity that its last round carries (see :func:`_integrate`); on the
+    closed form, its sum over the kinks (see :func:`_cascade_slope`).  A
+    pair with Im c < 0 gets the conjugate of its mirror image's slope.
+    Asking for slopes changes no impedance, error or mesh.
 
     On a profile with ``complex_path``, every pair shoots along Lin's path,
     indented around the critical layers at Re c (see :func:`_bumps`).  A
@@ -1077,23 +1174,30 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
             first.append(i)
         which.append(j)
     ks, cs = ks[first], upper[first]
+    shot_slopes = [None] * cs.size
     if profile.zero_curvature:
         imps = np.full(cs.shape, complex(math.nan, math.nan))
         errors = {}
         shot = [None] * cs.size
         for i, (kv, c) in enumerate(zip(ks.tolist(), cs.tolist())):
             try:
-                imps[i] = pwl_impedance_cascade(profile, kv, c)
+                imps[i], shot_slopes[i] = _cascade_slope(profile, kv, c)
             except WindwavesError as exc:
                 errors[i] = exc
     else:
         shot = None if meshes is None else [meshes[i] for i in first]
-        y, _, _, errors = _shoot(profile, ks, cs, tol, sign_ci=sign_ci,
-                                 meshes=shot)
+        y, _, _, errors = _shoot(
+            profile, ks, cs, tol, sign_ci=sign_ci, meshes=shot,
+            slopes=None if slopes is None else shot_slopes)
         with np.errstate(invalid="ignore"):  # NaN / NaN for the failed pairs
             imps = y[1] / y[0]
     if meshes is not None:
         meshes[:] = [shot[j] for j in which]
+    if slopes is not None:
+        slopes[:] = [shot_slopes[j] for j in which]
+        for i in below.nonzero()[0].tolist():
+            if slopes[i] is not None:
+                slopes[i] = slopes[i].conjugate()
     imps = imps[which]
     np.conjugate(imps, out=imps, where=below)
     return imps, {i: errors[j] for i, j in enumerate(which) if j in errors}
@@ -1101,17 +1205,19 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
 
 def _layer_jumps(profile: ShearProfile, ks, cs, tol: float,
                  layers: Sequence[tuple[CriticalLayer, ...]],
-                 meshes: list) -> tuple[np.ndarray, list]:
+                 meshes: list, slopes: Optional[list] = None
+                 ) -> tuple[np.ndarray, list]:
     """:func:`impedance_outcomes` of real speeds, ``sign_ci`` +1, and the
     jumps W(above s) - W(below s) of W = Im y' conj(y) / |y(0)|^2 at each
     element's ``layers[i]``, NaN where it failed.  W runs from 0 at the lid
     to Im y*'(0), constant on the real axis between bumps, where the first
     node at or below two layers' midpoint lies, at the latest the lower
-    bump's top."""
+    bump's top.  ``slopes``, when given, is replaced by each element's
+    slope of y*'(0) at c + i0 (see :func:`_shoot`)."""
     nodes: dict = {}
     y, log_scale, _, errors = _shoot(profile, *_pairs(ks, cs), tol,
                                      nodes=nodes, sign_ci=+1, layers=layers,
-                                     meshes=meshes)
+                                     meshes=meshes, slopes=slopes)
     with np.errstate(invalid="ignore"):  # NaN / NaN for the failed elements
         imps = y[1] / y[0]
     jumps = []

@@ -293,6 +293,35 @@ class TestGrowthConstants:
         assert len(scans) == 2 * len(ks)
         assert [got.impedance for got in results] == scanned.tolist()
 
+    @pytest.mark.filterwarnings("ignore:sufficient sign hypotheses")
+    def test_slopes_come_from_the_path_rows_alone(self):
+        # a path row's slope is the impedance's at c_k + i0 along Lin's
+        # path, bit for bit; a wavenumber without a layer (k 0.05), a
+        # Frobenius row (jet48 past k ~2.3) and a wind that shoots on the
+        # real axis give None; asking for slopes changes no result
+        p = params_with(h_plus=5.0)
+        real_axis = AnalyticProfile(
+            f=lambda x: 10.0 * math.tanh(x),
+            df=lambda x: 10.0 / math.cosh(x) ** 2,
+            d2f=lambda x: -20.0 * math.tanh(x) / math.cosh(x) ** 2,
+            h_plus=5.0, name="tanh")
+        ks = [0.05, 1.0, 2.6]
+        for profile, on_path in ((JET48, [False, True, False]),
+                                 (TANH, [False, True, True]),
+                                 (real_axis, [False, False, False])):
+            slopes = []
+            results, errors = growth_constants(profile, p, ks, slopes=slopes)
+            assert (results, errors.keys()) == \
+                (growth_constants(profile, p, ks)[0], {0})
+            for k, got, path, slope in zip(ks, results, on_path, slopes):
+                if not path:
+                    assert slope is None, (profile, k)
+                    continue
+                want = []
+                imp, _ = impedance_outcomes(profile, k, [got.c_k], sign_ci=+1,
+                                            slopes=want)
+                assert imp[0] == got.impedance and want == [slope], k
+
     def test_two_layers_take_the_path(self):
         # the jumps of W on the real axis between the bumps give each
         # layer's u1

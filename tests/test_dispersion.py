@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from windwaves.dispersion import (
     general_residuals,
     kh_threshold,
     make_miles_residual,
+    miles_residuals,
     pwl_dispersion,
     residual_general,
     residual_miles,
@@ -152,6 +154,51 @@ class TestResidualMiles:
         prof = TanhProfile(10.0, 1.0, 5.0)
         with pytest.raises(ValueError):
             make_miles_residual(prof, params_with(h_plus=4.0), 1.0)
+
+    def test_non_finite_speed_is_nan_and_silent(self):
+        # numpy warns of nothing, with or without slopes: the pair is NaN
+        # with its error, and the finite member keeps the bits it gets alone
+        prof = TanhProfile(10.0, 1.0, 5.0)
+        p = FluidParams(1.22, 1000.0, 9.8, h_plus=5.0)
+        cs = [complex(math.inf, 0.1), 3.0 + 0.1j]
+        slopes, solo_slope = [None, None], [None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, errors = miles_residuals(prof, p, 1.0, cs)
+            with_slopes, _ = miles_residuals(prof, p, 1.0, cs, slopes=slopes)
+            solo, _ = miles_residuals(prof, p, 1.0, cs[1:], slopes=solo_slope)
+        assert np.isnan(vals[0].real) and np.isnan(vals[0].imag)
+        assert list(errors) == [0]
+        assert type(errors[0]) is NearSingularCoefficient
+        assert with_slopes.view(float)[2:].tolist() == \
+            vals[1:].view(float).tolist() == solo.view(float).tolist()
+        assert slopes == [None, solo_slope[0]]
+
+    @pytest.mark.parametrize("prof", [
+        TabulatedProfile(np.linspace(0.0, 5.0, 48),
+                         2.0 + 10.0 * np.tanh(np.linspace(0.0, 5.0, 48))),
+        PiecewiseLinearProfile([0.0, 1.0, 2.5], [3.0, 1.0, 0.0], u0=1.5,
+                               h_plus=5.0)], ids=["table", "closed-form"])
+    def test_slope_matches_central_difference(self, prof):
+        # f'(c), the residual's c-derivative with the impedance's slope,
+        # where every term of the residual counts: U(0), U'(0), sigma and
+        # h- nonzero.  The worst error measured is 2.8e-12 (the table at
+        # k 0.5), so the bound leaves a margin of 10; asking for slopes
+        # changes no value
+        p = params_with(sigma=0.074, h_plus=5.0, h_minus=1.0)
+        ks = [1.0, 2.0, 0.5, 1.0]
+        cs = [3.0 + 0.3j, 6.0 + 0.01j, 2.5 + 0.05j, 3.0 - 0.2j]
+        slopes = []
+        vals, errors = miles_residuals(prof, p, ks, cs, 1e-12, slopes=slopes)
+        plain, _ = miles_residuals(prof, p, ks, cs, 1e-12)
+        assert errors == {}
+        assert vals.view(float).tolist() == plain.view(float).tolist()
+        for k, c, slope in zip(ks, cs, slopes):
+            h = 1e-4 * abs(c)
+            f, _ = miles_residuals(prof, p, k, [c + h, c - h, c + 2.0 * h,
+                                                c - 2.0 * h], 1e-12)
+            want = (8.0 * (f[0] - f[1]) - (f[2] - f[3])) / (12.0 * h)
+            assert abs(slope - want) <= 3e-11 * abs(want), (k, c)
 
 
 class TestKhThreshold:

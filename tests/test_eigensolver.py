@@ -136,49 +136,99 @@ class TestFindRoot:
         assert repr(got) == repr(pointwise)
 
 
-class TestMullerKnownPair:
-    """A Muller chain that starts from a known (c0, f(c0)) pair."""
+class TestMullerHermiteStart:
+    """A Muller chain whose first step is a Hermite step from its seed: the
+    start round is sent (f, f') at the seed, and at the partner point when
+    that is shot beside it."""
 
-    root, other = 1.0 + 0.2j, 5.0 - 1.0j
+    roots = (1.0 + 0.2j, 5.0 - 1.0j, -2.0 + 3.0j)
 
-    def f(self, c):
-        return (c - self.root) * (c - self.other)
+    def cubic(self, c):
+        a, b, r = self.roots
+        return (c - a) * (c - b) * (c - r)
 
-    def run(self, seed, known):
-        """The chain's result and the points it asked for, round by round."""
+    def cubic_slope(self, c):
+        a, b, r = self.roots
+        return (c - b) * (c - r) + (c - a) * (c - r) + (c - a) * (c - b)
+
+    def run(self, f, df, seed, known):
+        """The chain's result and the points it asked for, round by round;
+        the start round's values carry f'."""
         rounds = []
 
         def evaluate(owners, zs):
             rounds.append(zs)
-            return _evaluator(self.f)(owners, zs)
+            vals, errors = _evaluator(f)(owners, zs)
+            if len(rounds) == 1:
+                vals = [(v, df(z)) for v, z in zip(vals, zs)]
+            return vals, errors
 
         chain = _muller(seed, tol=1e-12, max_iter=50, scale=1.0, k=None,
                         known=known)
         results, errors = _rounds(evaluate, [chain])
         assert not errors
-        assert abs(results[0].c - self.root) <= 1e-12
         return results[0], rounds
 
-    def test_secant_start_converges(self):
-        c0, seed = 1.0 + 0.0j, 1.1 + 0.1j
-        got, rounds = self.run(seed, (c0, self.f(c0)))
-        # the seed alone, then the secant point from (c0, seed)
-        f0, f1 = self.f(c0), self.f(seed)
-        assert rounds[:2] == [[seed], [seed - f1 * (seed - c0) / (f1 - f0)]]
-        assert [len(zs) for zs in rounds[2:]] == [1] * got.iterations
+    def test_cubic_hermite_step_lands_on_a_cubics_root(self):
+        # the Hermite cubic through (c0, f, f') and (seed, f, f') is the
+        # cubic itself, so its root nearest the seed is the root
+        c0, seed = 1.3 + 0.0j, 1.02 + 0.18j
+        known = (c0, self.cubic(c0), self.cubic_slope(c0))
+        got, rounds = self.run(self.cubic, self.cubic_slope, seed, known)
+        assert rounds[0] == [seed] and len(rounds) == 2
+        assert got.iterations == 1 and got.c == rounds[1][0]
+        assert abs(got.c - self.roots[0]) <= 1e-14
 
-    def test_equal_values_take_the_triples_point(self):
-        # f(c0) == f(seed) has no secant: the second point is seed + h0
-        seed = 1.1 + 0.1j
-        _, rounds = self.run(seed, (0.9 + 0.0j, self.f(seed)))
-        assert rounds[:2] == [[seed], [seed + 1e-4 * abs(seed)]]
+    def test_quadratic_hermite_step_lands_on_a_quadratics_root(self):
+        # without f'(c0) the interpolant is the quadratic through
+        # (c0, f), (seed, f, f'): exact on a quadratic
+        def f(c):
+            return (c - self.roots[0]) * (c - self.roots[1])
 
-    def test_close_pair_keeps_the_triple(self):
-        # within 1e-6 max(|c0|, 1) of c_init the pair is ignored
-        seed = 1.1 + 0.1j
-        _, rounds = self.run(seed, (seed - 0.9e-6 * abs(seed), 1.0 + 0.0j))
-        h0 = 1e-4 * abs(seed)
-        assert rounds[0] == [seed + h0, seed - h0, seed]
+        def df(c):
+            return 2.0 * c - self.roots[0] - self.roots[1]
+
+        c0, seed = 1.3 + 0.0j, 1.02 + 0.18j
+        got, rounds = self.run(f, df, seed, (c0, f(c0), None))
+        assert rounds[0] == [seed] and len(rounds) == 2
+        assert got.iterations == 1
+        assert abs(got.c - self.roots[0]) <= 1e-14
+
+    def test_partner_point_is_shot_beside_the_seed(self):
+        # (c0, None, None): the start round shoots the seed and c0, each
+        # with its slope, and the Hermite cubic through both is exact
+        c0, seed = 1.3 + 0.0j, 1.02 + 0.18j
+        got, rounds = self.run(self.cubic, self.cubic_slope, seed,
+                               (c0, None, None))
+        assert rounds[0] == [seed, c0] and len(rounds) == 2
+        assert got.iterations == 1
+        assert abs(got.c - self.roots[0]) <= 1e-14
+
+    def test_muller_goes_on_from_the_three_points(self):
+        # on a function no cubic matches the Hermite point misses the
+        # test, and Muller's next point is the root of the quadratic
+        # through (c0, seed, x1)
+        root = 1.0 + 0.2j
+
+        def f(c):
+            return cmath.exp(c - root) - 1.0
+
+        def df(c):
+            return cmath.exp(c - root)
+
+        c0, seed = 1.6 + 0.0j, 1.3 + 0.3j
+        got, rounds = self.run(f, df, seed, (c0, f(c0), df(c0)))
+        assert abs(got.c - root) <= 1e-12
+        assert got.iterations == len(rounds) - 1 >= 2
+        assert [len(zs) for zs in rounds] == [1] * len(rounds)
+        x0, x1, x2 = c0, seed, rounds[1][0]
+        f0, f1, f2 = f(x0), f(x1), f(x2)
+        d1, d2 = (f1 - f0) / (x1 - x0), (f2 - f1) / (x2 - x1)
+        a = (d2 - d1) / (x2 - x0)
+        b = a * (x2 - x1) + d2
+        disc = cmath.sqrt(b * b - 4.0 * f2 * a)
+        den = max(b + disc, b - disc, key=abs)
+        assert rounds[2] == [x2 - 2.0 * f2 / den]
 
 
 def batched(residual):
@@ -754,14 +804,16 @@ class TestScanK:
         assert all(e.converged for e in curve.entries)
         assert sizes[0] == 3 + 1 + 1
         # at eps 1e-6, the seed c_k + eps c_1 lies 1.0e-7 c_k from c_k at
-        # k 3, below the spacing guard 1e-6 c_k
+        # k 3; the Hermite step from c_k needs no spacing guard, and the
+        # row still starts from its seed alone and converges in one step
         sizes.clear()
         seeds = self.chain_seeds(monkeypatch)
         p = params_with(h_plus=5.0, rho_plus=1e-3)
         curve = scan_k(prof, p, [3.0])
         assert abs(seeds[3.0] - ck(p, 3.0)) < 1e-6 * ck(p, 3.0)
         assert curve.entries[0].converged
-        assert sizes[0] == 3
+        assert curve.entries[0].iterations == 1
+        assert sizes == [1, 1]
 
     @pytest.mark.filterwarnings("ignore:sufficient sign hypotheses")
     @pytest.mark.parametrize("us", [
@@ -827,9 +879,9 @@ class TestScanK:
                 assert seeds[k] == ck(p, k), k
         assert n_seeded >= 4
 
-    def test_tanh_sweep_takes_four_kernel_calls(self, monkeypatch):
-        # the growth constants' shoot at c_k, the seeds, the secant points
-        # and one Muller step
+    def test_tanh_sweep_takes_three_kernel_calls(self, monkeypatch):
+        # the growth constants' shoot at c_k, the seeds, and the Hermite
+        # points, where every row converges
         calls = []
         integrate = rayleigh._integrate
 
@@ -840,8 +892,30 @@ class TestScanK:
         monkeypatch.setattr(rayleigh, "_integrate", counted)
         curve = scan_k(TanhProfile(10.0, 1.0, 5.0), params_with(h_plus=5.0),
                        np.linspace(0.3, 3.0, 12).tolist())
-        assert all(e.converged for e in curve.entries)
-        assert len(calls) == 4
+        assert all(e.converged and e.iterations == 1 for e in curve.entries)
+        assert len(calls) == 3
+
+    @pytest.mark.filterwarnings("ignore:sufficient sign hypotheses")
+    def test_seed_near_a_break_value_shoots_its_partner(self, monkeypatch):
+        # at k 0.7 on jet48, U at the knot x 0.213 (3.7401) lies between
+        # c_k (3.7417) and the seed's real part (3.7370): the residual is
+        # not analytic there, so the seed round shoots the seed and its
+        # partner seed + 1e-4 i |seed| instead of stepping from c_k; the
+        # row converges at its Hermite point all the same
+        sizes = self.shot_sizes(monkeypatch)
+        seeds = self.chain_seeds(monkeypatch)
+        p = params_with(h_plus=5.0)
+        curve = scan_k(JET48, p, [0.7, 1.0])
+        assert all(e.converged and e.iterations == 1 for e in curve.entries)
+        knot = float(JET48.value(X48[2]))
+        assert seeds[0.7].real < knot < ck(p, 0.7)
+        assert sizes == [2 + 1, 2]
+
+    def test_strategy_refuses_a_branch_other_than_plus_or_minus_one(self):
+        for branch in (0, 2, -2, 0.5):
+            with pytest.raises(ValueError, match="branch must be"):
+                ScanStrategy(branch=branch)
+        assert ScanStrategy(branch=-1).branch == -1
 
     def test_band_edge_verdicts_do_not_depend_on_the_unit_of_speed(self):
         # U -> lam U and g -> lam^2 g at fixed lengths take every c to lam c;

@@ -19,6 +19,7 @@ from windwaves.profiles import (
     PiecewiseLinearProfile,
     TabulatedProfile,
     TanhProfile,
+    find_critical_points,
 )
 from windwaves import rayleigh
 from windwaves.rayleigh import (
@@ -257,15 +258,22 @@ class TestBatch:
     @pytest.mark.parametrize("profile", [TANH, TABLE, EXP],
                              ids=["tanh", "table", "analytic"])
     def test_member_equals_solo_bitwise(self, profile):
+        # the slopes too, and asking for them changes no impedance
         rng = np.random.default_rng(7)
         n = 12
         ks = rng.uniform(0.2, 3.0, n)
         cs = rng.uniform(1.0, 7.0, n) + 1j * rng.uniform(-0.5, 0.5, n)
         imps, errors = impedance_outcomes(profile, ks, cs)
         assert errors == {}
+        slopes = [None] * n
+        with_slopes, _ = impedance_outcomes(profile, ks, cs, slopes=slopes)
+        assert with_slopes.view(float).tolist() == imps.view(float).tolist()
         for i in range(n):
-            solo, _ = impedance_outcomes(profile, ks[i], cs[i:i + 1])
+            solo_slope = [None]
+            solo, _ = impedance_outcomes(profile, ks[i], cs[i:i + 1],
+                                         slopes=solo_slope)
             assert solo[0] == imps[i]
+            assert solo_slope == [slopes[i]], i
 
     @pytest.mark.parametrize("table", [False, True], ids=["tanh", "table"])
     def test_solo_impedance_equals_batch_bitwise(self, table):
@@ -445,10 +453,11 @@ class TestKernel:
             assert n_steps(profile, k, c, tol) == t.size
 
     @staticmethod
-    def records(monkeypatch, profile, ks, cs, **kwargs):
+    def records(monkeypatch, profile, ks, cs, slopes=None, **kwargs):
         """Each element's whole kernel record, as bytes: its (y(0), y'(0)),
         log scale, sup |y|, min |U - c|, accepted points, node record (t,
-        states, scales, norms) and error, from one ``_shoot`` batch."""
+        states, scales, norms) and error, from one ``_shoot`` batch; a
+        ``slopes`` list passed in receives the elements' slopes."""
         out = []
         integrate = rayleigh._integrate
 
@@ -460,7 +469,7 @@ class TestKernel:
         nodes = {}
         y, log_scale, n_steps, errors = rayleigh._shoot(
             profile, np.array(ks, dtype=float), np.array(cs, dtype=complex),
-            1e-10, nodes=nodes, **kwargs)
+            1e-10, nodes=nodes, slopes=slopes, **kwargs)
         monkeypatch.undo()
         [(_, _, sup_y, dist, _)] = out
         return [(y[:, i].tobytes(), log_scale[i].tobytes(),
@@ -471,7 +480,8 @@ class TestKernel:
 
     def test_member_record_equals_solo_bitwise(self, monkeypatch):
         # cold and warm starts, bumps, a pair on the real axis, a long mesh,
-        # and pairs that fail before the kernel and in it
+        # and pairs that fail before the kernel and in it; asking for the
+        # slopes changes no record, and each slope is the solo one
         start = final_mesh(TANH, 1.0, 3.0 + 0.05j)[0]
         ks = [1.0, 1.0, 1.2, 1e9, 1.0, 150.0, 0.3]
         cs = [3.0 + 0.05j, 3.001 + 0.05j, 12.0, 12.0, 3.0, 3.0 + 0.2j,
@@ -479,9 +489,16 @@ class TestKernel:
         meshes = [None, start, None, None, None, None, start]
         batch = self.records(monkeypatch, TANH, ks, cs, meshes=list(meshes))
         assert [r[-1] for r in batch].count("None") == 5
+        slopes = []
+        assert self.records(monkeypatch, TANH, ks, cs, slopes,
+                            meshes=list(meshes)) == batch
+        assert [s is None for s in slopes] == [r[-1] != "None" for r in batch]
         for i, (k, c, m) in enumerate(zip(ks, cs, meshes)):
             assert self.records(monkeypatch, TANH, [k], [c],
                                 meshes=[m]) == [batch[i]], i
+            solo = []
+            self.records(monkeypatch, TANH, [k], [c], solo, meshes=[m])
+            assert solo == [slopes[i]], i
 
         # certify-sized batches: pairs whose speeds lie above U, so that
         # their paths cannot bend, with odd pairs spread among them
@@ -680,15 +697,91 @@ class TestKernel:
         ids=["uniform", "linear", "unbounded-ramp", "kinked", "tanh", "table",
              "analytic", "real-axis-tanh"])
     def test_conjugate_speeds_give_conjugate_impedances_bitwise(self, profile):
+        # and conjugate slopes
         ks = [0.4, 1.2, 2.5, 1.2]
         cs = np.array([3.0 + 0.2j, 1.0 + 1e-3j, 6.0 + 0.5j, 12.0 + 2.0j])
-        up, errors = impedance_outcomes(profile, ks, cs)
-        dn, _ = impedance_outcomes(profile, ks, cs.conj())
+        up_slopes, dn_slopes, both_slopes = [], [], []
+        up, errors = impedance_outcomes(profile, ks, cs, slopes=up_slopes)
+        dn, _ = impedance_outcomes(profile, ks, cs.conj(), slopes=dn_slopes)
         assert errors == {}
         assert np.conj(up).view(float).tolist() == dn.view(float).tolist()
+        assert [s.conjugate() for s in up_slopes] == dn_slopes
         # a batch of both shoots each pair once and gives the same bits
-        both, _ = impedance_outcomes(profile, ks + ks, np.r_[cs, cs.conj()])
+        both, _ = impedance_outcomes(profile, ks + ks, np.r_[cs, cs.conj()],
+                                     slopes=both_slopes)
         assert both.view(float).tolist() == np.r_[up, dn].view(float).tolist()
+        assert both_slopes == up_slopes + dn_slopes
+
+
+class TestSlope:
+    """d(y'/y)(0)/dc: the quadrature of Lagrange's identity that the
+    kernel's last round carries, or the closed form's sum over its kinks,
+    against a central difference of impedances at tol 1e-12."""
+
+    TANH48 = TabulatedProfile(X48, 10.0 * np.tanh(X48))
+    FINITE_RAMP = PiecewiseLinearProfile.ramp(10.0, 1.0, h_plus=5.0)
+    UNBOUNDED_RAMP = PiecewiseLinearProfile.ramp(10.0, 1.0)
+    #: the worst error measured over both tests is 1.2e-10 (tanh48 at
+    #: k 0.5, c 2 + i0), mostly the difference's own: tol 1e-12 over the
+    #: spacing 1e-4 |c|; the bound leaves a margin of 8
+    BOUND = 1e-9
+
+    @staticmethod
+    def slope_and_difference(profile, k, c, **kwargs):
+        slopes = [None]
+        _, errors = impedance_outcomes(profile, k, [c], 1e-12, slopes=slopes,
+                                       **kwargs)
+        assert errors == {}
+        # the four-point central difference, its truncation O(h^4)
+        h = 1e-4 * abs(c)
+        imps, errors = impedance_outcomes(
+            profile, k, [c + h, c - h, c + 2.0 * h, c - 2.0 * h], 1e-12,
+            **kwargs)
+        assert errors == {}
+        return slopes[0], (8.0 * (imps[0] - imps[1])
+                           - (imps[2] - imps[3])) / (12.0 * h)
+
+    @pytest.mark.parametrize("profile", [
+        TANH, TANH48, JET48, FINITE_RAMP, UNBOUNDED_RAMP],
+        ids=["tanh", "tanh48", "jet48", "finite-ramp", "unbounded-ramp"])
+    @pytest.mark.parametrize("k, c", [(1.0, 3.0 + 0.3j), (2.0, 6.0 + 0.01j),
+                                      (0.5, 2.0 + 0.05j)])
+    def test_off_axis_slope_matches_central_difference(self, profile, k, c):
+        slope, want = self.slope_and_difference(profile, k, c)
+        assert abs(slope - want) <= self.BOUND * abs(want)
+
+    @pytest.mark.parametrize("profile, n_layers", [
+        (TANH, 1), (TANH48, 1), (JET48, 2)], ids=["tanh", "tanh48", "jet48"])
+    @pytest.mark.parametrize("k, c_r", [(1.0, 3.0), (0.5, 2.0), (2.0, 6.0)])
+    def test_slope_at_the_limit_matches_central_difference(
+            self, profile, n_layers, k, c_r):
+        # c_r + i0 along Lin's path, and its difference along the real axis
+        assert len(find_critical_points(profile, c_r)) == n_layers
+        slope, want = self.slope_and_difference(profile, k, complex(c_r),
+                                                sign_ci=+1)
+        assert abs(slope - want) <= self.BOUND * abs(want)
+
+    @pytest.mark.parametrize("profile", [KINKED, TANH, REAL_AXIS_TANH],
+                             ids=["kinked", "tanh", "real-axis-tanh"])
+    def test_failed_pairs_have_no_slope(self, profile):
+        slopes = []
+        _, errors = impedance_outcomes(
+            profile, 1.0, [3.0 + 0.1j, complex(math.inf, 1.0), 2.0 - 0.05j],
+            slopes=slopes)
+        assert list(errors) == [1]
+        assert slopes[1] is None and None not in slopes[::2]
+        unbounded = []
+        _, errors = impedance_outcomes(TanhProfile(10.0, 1.0, math.inf), 1.0,
+                                       [3.0 + 0.1j], slopes=unbounded)
+        assert unbounded == [None] and isinstance(errors[0], InfiniteDomain)
+
+    @pytest.mark.parametrize("h_plus", [3.0, math.inf])
+    def test_wind_without_kinks_has_slope_zero(self, h_plus):
+        # its impedance -|k| coth(|k| h+) does not depend on c
+        slopes = []
+        impedance_outcomes(ConstantProfile(4.0, h_plus=h_plus), [0.5, 2.0],
+                           [3.0 + 0.2j, 2.0 - 0.1j], slopes=slopes)
+        assert slopes == [0.0, 0.0]
 
 
 class TestUniformImpedance:
