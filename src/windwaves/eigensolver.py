@@ -500,12 +500,6 @@ def continue_in_epsilon(residual_family: Callable[[float], Callable[[complex], c
     return results
 
 
-#: a sweep's seeded row starts its Hermite step from c_k unless the
-#: residual stops being analytic within this many times |c_k - seed| of its
-#: seed (see :func:`scan_k`)
-PARTNER_REACH = 3.0
-
-
 @dataclass(frozen=True)
 class ScanStrategy:
     """Knobs of a wavenumber sweep."""
@@ -561,12 +555,14 @@ def scan_k(profile, params, k_list: Sequence[float],
     second shoots the root of the Hermite interpolant, cubic with
     f'(c_k + i0) and quadratic without, which mostly converges at once.
     The residual is not analytic in c where U at a column end or at a
-    break (a table's knot) equals c; a seed with such a speed within
-    ``PARTNER_REACH`` |c_k - seed| shoots the partner seed + 1e-4 i
-    max(|seed|, 1), away from the real axis, beside it instead, and its
-    Hermite cubic runs through those two.  A row with c_sharp <= 0, or
+    break (a table's knot) equals c; a row whose Re c_k and Re seed lie
+    either side of such a speed shoots the partner seed + 1e-4 i
+    max(|seed|, 1), away from the real axis, beside its seed instead, and
+    its Hermite cubic runs through those two.  A row with c_sharp <= 0, or
     without a growth constant (no layer, or the constant failed), is seeded
-    at the real c_k and starts from the triple around it.
+    at the real c_k and starts from the triple around it; the first round
+    asks for f' at every point it shoots, so also at these triples, whose
+    chains do not read it.
     Each chain's shoots start from its last final mesh: the first from its
     seed shoot's, each later point from its last point's.  The Muller
     points lie close together, so that mesh already passes the kernel's
@@ -606,16 +602,17 @@ def scan_k(profile, params, k_list: Sequence[float],
         f0 = residual_miles(at, imp, params, k_seeded, u0, up0)
         df0 = _miles_slope(at, imp, dimp, params, k_seeded, u0, up0)
         # the residual is not analytic in c where U is at the column's ends
-        # or at a break: a seed with such a speed within PARTNER_REACH
-        # |c_k - seed| shoots its partner point beside it instead
+        # or at a break: a row whose c_k and seed lie either side of such a
+        # speed would take its Hermite step across it, so it shoots its
+        # partner point beside the seed instead
         edges = profile.value(np.array([0.0, *profile._breaks,
                                         profile.h_plus]))
         for i, f, df in zip(seeded, f0.tolist(), df0.tolist()):
             c_k, seed = seeds[i], asyms[i].predicted_c(params.epsilon)
-            if np.abs(edges - seed).min() > PARTNER_REACH * abs(c_k - seed):
-                known[i] = (c_k, f, None if dimps[i] is None else df)
-            else:
+            if np.any((edges - c_k.real) * (edges - seed.real) < 0.0):
                 known[i] = (seed + 1e-4j * max(abs(seed), 1.0), None, None)
+            else:
+                known[i] = (c_k, f, None if dimps[i] is None else df)
             seeds[i] = seed
     chains = [_muller(seed, tol=strategy.tol, max_iter=strategy.max_iter,
                       scale=params.g, k=k, known=known.get(i))

@@ -669,10 +669,12 @@ def _integrate(coeff, owner: np.ndarray, joints: dict, first: tuple,
     d(y'/y)(0)/dc if it succeeds.  z = dy/dc has z = z' = 0 at the lid and
     (y z' - z y')' = q_c y^2 (Lagrange's identity, q_c = dq/dc), so the
     slope is -I/y(0)^2, I the integral of q_c y^2 down the column, and of
-    w q_c y^2 dt on the path.  The round in which the element settles
-    forms I from the quadrature forms of its steps (see
-    :func:`_propagators`) at their start states, each state's scale taken
-    relative to y(0)'s; a joint adds nothing.
+    w q_c y^2 dt on the path.  Every round builds each new step's
+    quadrature form with its propagator (see :func:`_propagators`), also
+    for a step a later round cuts, whose form is then not read; the round
+    in which the element settles forms I from the forms of its steps at
+    their start states, each state's scale taken relative to y(0)'s; a
+    joint adds nothing.
     """
     n = y.shape[1]
     # scipy's floor on rtol: below it rounding alone fails the error test

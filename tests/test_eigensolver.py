@@ -896,12 +896,13 @@ class TestScanK:
         assert len(calls) == 3
 
     @pytest.mark.filterwarnings("ignore:sufficient sign hypotheses")
-    def test_seed_near_a_break_value_shoots_its_partner(self, monkeypatch):
+    def test_seed_across_a_knot_value_shoots_its_partner(self, monkeypatch):
         # at k 0.7 on jet48, U at the knot x 0.213 (3.7401) lies between
         # c_k (3.7417) and the seed's real part (3.7370): the residual is
-        # not analytic there, so the seed round shoots the seed and its
-        # partner seed + 1e-4 i |seed| instead of stepping from c_k; the
-        # row converges at its Hermite point all the same
+        # not analytic there, and the Hermite point from c_k misses the
+        # test, so the seed round shoots the seed and its partner
+        # seed + 1e-4 i |seed| instead; the row converges at its Hermite
+        # point all the same, and k 1.0 steps from c_k
         sizes = self.shot_sizes(monkeypatch)
         seeds = self.chain_seeds(monkeypatch)
         p = params_with(h_plus=5.0)
