@@ -85,8 +85,6 @@ class MilesAsymptotics:
     f_i0: float
     c_sharp: float
     layers: tuple[LayerContribution, ...]
-    #: the bracket -c_k sum_j U'' u1 / |U'| whose sign decides instability
-    predicate_bracket: float
     sufficient_signs_hold: bool
     #: y*'(0), the limit impedance at c_k + i0 under y*(0) = 1, from the
     #: route that gave c_sharp
@@ -120,7 +118,9 @@ def miles_c_sharp(profile: ShearProfile, params: FluidParams, k: float,
 
     When the sufficient sign hypotheses (c_k U''(s_j) <= 0, strict at one of
     the top two layers) fail at a curved layer, a warning is issued and the
-    sign of the assembled bracket remains the authoritative predicate.
+    sign of c_sharp, which is the sign of the assembled bracket
+    -c_k sum_j U''(s_j) |y(s_j)|^2 / |U'(s_j)|, remains the authoritative
+    predicate.
 
     Raises
     ------
@@ -241,12 +241,10 @@ def _assemble(profile, params, k, branch, c_k, layers, u1s,
     and form c_1 from the impedance y*'(0)."""
     fi0 = f_I0(profile, params, k, branch)
     contribs = []
-    bracket = 0.0
     c_sharp = 0.0
     for layer, u1 in zip(layers, u1s):
         base = layer.u_double_prime * u1 / abs(layer.u_prime)
         term = -math.pi * fi0 * base
-        bracket += -c_k * base
         c_sharp += term
         contribs.append(LayerContribution(
             position=layer.position, u_prime=layer.u_prime,
@@ -258,7 +256,7 @@ def _assemble(profile, params, k, branch, c_k, layers, u1s,
 
     return MilesAsymptotics(
         k=k, branch=branch, c_k=c_k, f_i0=fi0, c_sharp=c_sharp,
-        layers=tuple(contribs), predicate_bracket=bracket,
+        layers=tuple(contribs),
         sufficient_signs_hold=_sufficient_signs_hold(c_k, layers),
         impedance=impedance,
         c1=fi0 * impedance - real / (2.0 * c_k * ak * tm))

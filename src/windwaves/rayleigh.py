@@ -256,7 +256,6 @@ _RESCALE = 1e100  # a product or lid state past this is divided by its size
 _RTOL_FLOOR = 100.0 * np.finfo(float).eps
 _CHUNK = 1024  # steps per propagator build, which bounds its memory
 _MAX_STEPS = 2 ** 18  # per element: a batch's memory grows with its size
-_BEND_STEP = 1.0  # the first mesh's spacing in asinh((t - s)/depth) on bumps
 
 
 def _pairs(k, cs) -> tuple[np.ndarray, np.ndarray]:
@@ -314,9 +313,9 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     the interface check stays.
     ``nodes`` receives the final meshes (see :func:`_integrate`).
     ``meshes``, one entry per element, holds the node parameters each
-    element's first mesh starts from, or None for the uniform and graded one
-    (see :func:`_first_mesh`); each entry is replaced by the element's final
-    node parameters, or by None where it failed.
+    element's first mesh starts from, or None for the uniform one (see
+    :func:`_first_mesh`); each entry is replaced by the element's final node
+    parameters, or by None where it failed.
     ``slopes``, a list, is replaced by each element's slope d(y'/y)(0)/dc
     (see :func:`_integrate`), None where it failed; it is not for a shoot
     with ``crossings``, whose patches carry no quadrature.
@@ -352,7 +351,7 @@ def _shoot(profile: ShearProfile, ks: np.ndarray, cs: np.ndarray, tol: float,
     coeff = _coefficient(profile, cs[owner], k * k, bot, top - bot, depth)
     start = None if meshes is None else \
         {i: m for i, m in enumerate(meshes) if m is not None}
-    first = _first_mesh(top, bot, k, depth, joints, owner, start)
+    first = _first_mesh(top, bot, k, joints, owner, start)
     # each later step lies between the ends of a first one, and each stage
     # of a step between its ends, at the real part of a bump's altitude: so
     # the profile's domain is checked here, once, not where it is evaluated
@@ -483,24 +482,21 @@ def _unscaled(v: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
 
 
 def _first_mesh(top: np.ndarray, bot: np.ndarray, k: np.ndarray,
-                depth: np.ndarray, joints: dict, owner: np.ndarray,
-                start: Optional[dict]
+                joints: dict, owner: np.ndarray, start: Optional[dict]
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The first mesh of segments from ``top`` down to ``bot``, as the
     segment of each step and the (2, steps) array of their starts and ends,
     in segment order.
 
-    A joint (a patch's crossing) is one step.  A leg is cut into
-    max(3 |k|, 2) equal steps per unit of its width: DOP853 meets tol 1e-10
-    on e^{|k| x} at about |k| h = 1/3, and the wind's own scale is about 1.
-    A bump's leg is cut also at s + |depth| sinh(v), v equally spaced by at
-    most ``_BEND_STEP``, which grades the steps with the distance from the
-    leg's middle s, its layer (see :func:`_bumps`).
+    A joint (a patch's crossing) is one step.  A leg, bent or flat, is cut
+    into max(3 |k|, 2) equal steps per unit of its width: DOP853 meets tol
+    1e-10 on e^{|k| x} at about |k| h = 1/3, and the wind's own scale is
+    about 1.
 
     ``start`` maps an element (of ``owner``, the element of each segment)
     to the node parameters of a mesh, descending, such as an earlier shoot's
     final mesh: each leg of that element is cut at the nodes that lie
-    strictly inside it instead, neither uniformly nor graded.
+    strictly inside it instead.
     """
     # past _MAX_STEPS the kernel refuses the element; every width is
     # positive, so each leg takes one step at least
@@ -510,40 +506,20 @@ def _first_mesh(top: np.ndarray, bot: np.ndarray, k: np.ndarray,
     if start:
         warm = np.array([i in start for i in owner.tolist()], dtype=bool)
         steps[warm] = 1
-        depth = np.where(warm, 0.0, depth)  # nor graded
-        warm[list(joints)] = False  # a joint has no inside
-    legs = depth.nonzero()[0]
-    ends, reps = np.array([top, bot]), steps
-    if legs.size:
-        up, down, a = top[legs], bot[legs], np.abs(depth[legs])
-        s = 0.5 * (up + down)
-        lo, hi = np.arcsinh((down - s) / a), np.arcsinh((up - s) / a)
-        # the graded steps of every leg in the same cut, which cuts each alone
-        ends = np.concatenate((ends, [hi, lo]), axis=1)
-        reps = np.concatenate((steps, np.ceil((hi - lo) / _BEND_STEP)
-                               .astype(int)))
-    i, cut, _ = _cut(ends, reps)
-    n = steps.sum()
-    seg, t = i[:n], cut[:, :n]
-    # nodes added inside the segments, as (segment, node) arrays
-    extra = []
-    if legs.size:
-        j, v = i[n:] - top.size, cut[0, n:]
-        graded = s[j] + a[j] * np.sinh(v)
-        # the leg's ends are nodes already
-        inside = (v < hi[j]) & (graded > down[j])
-        extra.append((legs[j][inside], graded[inside]))
-    if start:
-        extra.append(_inner_nodes(top, bot, owner, start, warm))
-    if extra:
-        seg = np.concatenate([seg, *(j for j, _ in extra)])
-        t0 = np.concatenate([t[0], *(x for _, x in extra)])
-        order = np.lexsort((-t0, seg))
-        seg = seg[order]
-        # each step ends where the next starts, or at its segment's bottom
-        t = np.empty((2, seg.size))
-        t[0], t[1] = t0[order], bot[seg]
-        np.copyto(t[1, :-1], t[0, 1:], where=seg[1:] == seg[:-1])
+    seg, t, _ = _cut(np.array([top, bot]), steps)
+    if not start:
+        return seg, t
+    warm[list(joints)] = False  # a joint has no inside
+    # the nodes inside the warm legs, merged with the steps' starts
+    j, x = _inner_nodes(top, bot, owner, start, warm)
+    seg = np.concatenate([seg, j])
+    t0 = np.concatenate([t[0], x])
+    order = np.lexsort((-t0, seg))
+    seg = seg[order]
+    # each step ends where the next starts, or at its segment's bottom
+    t = np.empty((2, seg.size))
+    t[0], t[1] = t0[order], bot[seg]
+    np.copyto(t[1, :-1], t[0, 1:], where=seg[1:] == seg[:-1])
     return seg, t
 
 
@@ -1131,9 +1107,9 @@ def impedance_outcomes(profile: ShearProfile, k, cs,
     raises the first error in input order raises ``errors[min(errors)]``.
 
     ``meshes``, when given, holds per pair the node parameters its shoot
-    starts from (see :func:`_first_mesh`), or None for the uniform and
-    graded first mesh, and each entry is replaced by its pair's final node
-    parameters, None where it failed or took a closed form: at a nearby wave
+    starts from (see :func:`_first_mesh`), or None for the uniform first
+    mesh, and each entry is replaced by its pair's final node parameters,
+    None where it failed or took a closed form: at a nearby wave
     speed that mesh passes the error test in one round of the kernel, and
     the final mesh passes it from any start.  A pair with Im c < 0 shares
     its mirror image's mesh; a repeated pair is shot once, from its first.
@@ -1254,6 +1230,9 @@ def _per_y0_squared(x: float, log_scale: float, y0: complex,
 # Wronskian 4-vector system
 # ---------------------------------------------------------------------------
 
+_WRONSKIAN_SAMPLES = 1025  # evenly spaced samples of a path, with the solver's
+
+
 @dataclass
 class WronskianPath:
     """Sampled solution of the (u1, u2, u3, W) system, ascending in x2."""
@@ -1283,8 +1262,8 @@ class WronskianPath:
 
 def integrate_wronskian(profile: ShearProfile, k: float, c: complex,
                         tol: float = _DEFAULT_TOL, *,
-                        init: Sequence[float] = (0.0, 0.0, 1.0, 0.0),
-                        n_samples: int = 1025) -> WronskianPath:
+                        init: Sequence[float] = (0.0, 0.0, 1.0, 0.0)
+                        ) -> WronskianPath:
     """Integrate the real geometric system for (|y|^2, dot, |y'|^2, cross).
 
     The initial data (0, 0, 1, 0) at the lid matches y = 0, y' = 1.  Along any
@@ -1324,7 +1303,7 @@ def integrate_wronskian(profile: ShearProfile, k: float, c: complex,
     if not sol.success:  # pragma: no cover
         raise NearSingularCoefficient(f"integration failed: {sol.message}")
 
-    xs = np.unique(np.concatenate([np.linspace(0.0, h, n_samples), sol.t]))
+    xs = np.unique(np.r_[np.linspace(0.0, h, _WRONSKIAN_SAMPLES), sol.t])
     vals = sol.sol(xs)
     return WronskianPath(c=c, k=k, x2=xs, u1=vals[0], u2=vals[1],
                          u3=vals[2], w=vals[3], dense=sol.sol)
